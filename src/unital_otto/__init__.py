@@ -20,7 +20,6 @@ from .qstate import (
     classify_exchange,
     hamiltonian,
     superpose_apply,
-    theta_of,
     thermal_state,
     von_neumann_entropy,
 )

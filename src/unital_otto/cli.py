@@ -24,35 +24,8 @@ from .qstate import ControlSpec, PhysicsError
 
 SWEEPABLE = ("beta", "nu1", "nu2", "delta", "zeta", "theta", "cs-alpha", "alpha-m")
 
-CONFIG_KEYS = [
-    "beta",
-    "nu1",
-    "nu2",
-    "delta",
-    "zeta",
-    "theta",
-    "p0",
-    "p1",
-    "p2",
-    "p3",
-    "alpha-m",
-    "chi",
-    "phi",
-    "cs-alpha",
-    "branch",
-    "axis",
-    "start",
-    "stop",
-    "steps",
-    "axis2",
-    "start2",
-    "stop2",
-    "steps2",
-    "samples",
-    "seed",
-    "out",
-    "tol",
-]
+# Keys a config file may hold without a matching flag.
+_FILE_ONLY_KEYS = {"tol": float}
 
 
 class ConfigError(Exception):
@@ -65,7 +38,7 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _read_config_file(path: str) -> dict[str, str]:
+def _read_config_file(path: str, known: dict) -> dict[str, str]:
     """Flat INI-like key = value lines; '#' starts a comment."""
     values: dict[str, str] = {}
     try:
@@ -78,7 +51,7 @@ def _read_config_file(path: str) -> dict[str, str]:
                     raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
                 key, _, val = line.partition("=")
                 key = key.strip().replace("_", "-")
-                if key not in CONFIG_KEYS:
+                if key not in known:
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
                 values[key] = val.strip()
     except OSError as exc:
@@ -156,19 +129,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_config(args: argparse.Namespace) -> dict:
+def _config_types(parser: argparse.ArgumentParser) -> dict[str, tuple[str, type]]:
+    """Config-file key -> (destination, value type) for every long flag of
+    every subcommand, plus the file-only keys."""
+    types = {key: (key, kind) for key, kind in _FILE_ONLY_KEYS.items()}
+    subparsers = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    for sub in subparsers.choices.values():
+        for action in sub._actions:
+            for flag in action.option_strings:
+                if flag.startswith("--") and flag not in ("--help", "--config"):
+                    types[flag[2:]] = (action.dest, action.type or str)
+    return types
+
+
+def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
     """File values first, command-line flags on top."""
     merged: dict = {}
     if getattr(args, "config", None):
-        raw = _read_config_file(args.config)
-        for key, text in raw.items():
-            attr = key.replace("-", "_")
-            if key in ("branch", "axis", "axis2", "out"):
-                merged[attr] = text
-            elif key in ("steps", "steps2", "samples", "seed"):
-                merged[attr] = int(text)
-            else:
-                merged[attr] = float(text)
+        types = _config_types(parser)
+        for key, text in _read_config_file(args.config, types).items():
+            dest, kind = types[key]
+            merged[dest] = kind(text)
     for key, val in vars(args).items():
         if key in ("command", "config"):
             continue
@@ -257,24 +240,25 @@ def _run_mode(cfg: dict) -> str:
     return "symmetric" if cfg.get("delta") == cfg.get("zeta") else "asymmetric"
 
 
-def _evaluate_point(cfg: dict, mode: str):
-    """(cumulant set, efficiency, regime, bounds) at one parameter point."""
+def _distribution(cfg: dict):
+    """(cycle, theta, control, joint distribution) at one parameter point."""
     params = _cycle_params(cfg)
     theta = _resolve_theta(cfg)
     ctrl = _control(cfg)
-    tol = _tolerance(cfg)
     if ctrl is None:
         dist = trajectory.enumerate_paths(params, theta)
     else:
         dist = trajectory.cs_distribution(params, theta, ctrl)
+    return params, theta, ctrl, dist
+
+
+def _evaluate_point(cfg: dict):
+    """(cycle, theta, control, cumulant set, regime) at one parameter point."""
+    tol = _tolerance(cfg)
+    params, theta, ctrl, dist = _distribution(cfg)
     cums = cumulants.cumulants_from_distribution(dist)
-    try:
-        eta = analysis.efficiency(params, theta, mode, ctrl)
-    except PhysicsError:
-        eta = math.nan
     regime = analysis.classify_regime(cums, params.beta, tol)
-    bounds = analysis.verify_bounds(params, theta, mode, ctrl)
-    return cums, eta, regime, bounds
+    return params, theta, ctrl, cums, regime
 
 
 def _open_out(cfg: dict):
@@ -294,13 +278,7 @@ def _emit(cfg: dict, text: str) -> None:
 
 
 def _cmd_cumulants(cfg: dict) -> None:
-    params = _cycle_params(cfg)
-    theta = _resolve_theta(cfg)
-    ctrl = _control(cfg)
-    if ctrl is None:
-        dist = trajectory.enumerate_paths(params, theta)
-    else:
-        dist = trajectory.cs_distribution(params, theta, ctrl)
+    params, theta, ctrl, dist = _distribution(cfg)
     exact = cumulants.cumulants_from_distribution(dist)
     fd = cumulants.cf_derivative_check(params, theta, ctrl)
 
@@ -377,7 +355,12 @@ def _cmd_sweep(cfg: dict) -> None:
     rows = []
     for value in values:
         point = _point_config(cfg, axis, value)
-        cums, eta, regime, bounds = _evaluate_point(point, mode)
+        params, theta, ctrl, cums, regime = _evaluate_point(point)
+        try:
+            eta = analysis.efficiency(params, theta, mode, ctrl)
+        except PhysicsError:
+            eta = math.nan
+        bounds = analysis.verify_bounds(params, theta, mode, ctrl)
         if bound_names is None:
             bound_names = [b.name for b in bounds]
         cells = [_fmt(float(value))]
@@ -403,12 +386,11 @@ def _cmd_classify(cfg: dict) -> None:
     axis2, values2 = _axis_values(cfg, "2")
     if axis1 == axis2:
         raise ConfigError("the two grid axes must differ")
-    mode = _run_mode(cfg)
     lines = [f"{axis1},{axis2},w_mean,qm_mean,qt_mean,regime"]
     for v1 in values1:
         for v2 in values2:
             point = _point_config(_point_config(cfg, axis1, v1), axis2, v2)
-            cums, _, regime, _ = _evaluate_point(point, mode)
+            *_, cums, regime = _evaluate_point(point)
             lines.append(
                 ",".join(
                     [
@@ -466,15 +448,9 @@ def _cmd_verify_bounds(cfg: dict) -> None:
 
 
 def _cmd_sample(cfg: dict) -> None:
-    params = _cycle_params(cfg)
-    theta = _resolve_theta(cfg)
-    ctrl = _control(cfg)
+    *_, dist = _distribution(cfg)
     n = cfg.get("samples") or 10**6
     seed = cfg.get("seed") or 0
-    if ctrl is None:
-        dist = trajectory.enumerate_paths(params, theta)
-    else:
-        dist = trajectory.cs_distribution(params, theta, ctrl)
     stats = trajectory.sample(dist, n, seed)
     exact = cumulants.cumulants_from_distribution(dist)
     lines = ["variable,exact_mean,empirical_mean,mean_stderr,z_mean,"
@@ -524,7 +500,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _merge_config(args)
+        cfg = _merge_config(args, parser)
         _COMMANDS[args.command](cfg)
     except PhysicsError as exc:
         print(f"physics error: {exc}", file=sys.stderr)

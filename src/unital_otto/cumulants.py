@@ -11,10 +11,12 @@ Three independent routes to the same numbers:
 3. characteristic-function derivatives -- central finite differences of
    ln(chi) with Richardson extrapolation, kept as a cross-check.
 
-The characteristic function of the unital cycle only ever needs
-cos(x + i*beta*nu1) divided by the partition function, which collapses
-to cos(x) -+ i sin(x) tanh(beta nu1); that identity is used throughout
-so nothing overflows at large |beta nu1|.
+The closed-form characteristic function of the unital (and coherently
+controlled) cycle only ever needs cos(x + i*beta*nu1) divided by the
+partition function, which collapses to cos(x) -+ i sin(x) tanh(beta nu1);
+that identity is used throughout so nothing overflows at large
+|beta nu1|.  It feeds the derivative route.  The characteristic function
+of an arbitrary channel is the discrete transform of the path table.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .qstate import ControlSpec, GeneralQubitChannel
-from .trajectory import CycleParams, JointDistribution
+from .trajectory import CycleParams, JointDistribution, _channel_distribution
 
 __all__ = [
     "CumulantSet",
@@ -161,40 +163,11 @@ def cf_general(
 ) -> complex:
     """Forward characteristic function for an arbitrary qubit channel.
 
-    The eight path groups carry the channel only through theta and
-    h = sum_j <-|K_j K_j^dag|->; for unital channels (h = 1) this
-    reduces to :func:`cf_unital`.
+    The discrete transform of the path table with the channel's own
+    transition matrix; for unital channels it equals :func:`cf_unital`.
     """
-    th, h = channel.theta, channel.h
-    a, b = params.thermal_weights()
-    nu1, nu2 = params.nu1, params.nu2
-    d, z = params.delta, params.zeta
-    ew = 2.0 * gamma_w
-    em = 2.0 * gamma_m
-
-    def e(x: float) -> complex:
-        return cmath.exp(1j * x)
-
-    stay, flip_down, flip_up = h - th, th, 1.0 - h + th
-    chi = (1.0 - d) * (1.0 - z) * (a * stay + b * (1.0 - th))
-    chi += (1.0 - d) * z * (a * e(-ew * nu1) * stay + b * e(ew * nu1) * (1.0 - th))
-    chi += (1.0 - d) * z * (
-        a * flip_up * e(ew * nu2 + em * nu2) + b * e(-ew * nu2 - em * nu2) * flip_down
-    )
-    chi += (1.0 - d) * (1.0 - z) * (
-        a * flip_up * e(ew * (nu2 - nu1) + em * nu2)
-        + b * e(-ew * (nu2 - nu1) - em * nu2) * flip_down
-    )
-    chi += d * (1.0 - z) * (
-        a * e(-ew * nu2 - em * nu2) * flip_down + b * e(ew * nu2 + em * nu2) * flip_up
-    )
-    chi += d * z * (
-        a * e(-ew * (nu1 + nu2) - em * nu2) * flip_down
-        + b * e(ew * (nu1 + nu2) + em * nu2) * flip_up
-    )
-    chi += d * z * (a * (1.0 - th) + b * stay)
-    chi += d * (1.0 - z) * (a * e(-ew * nu1) * (1.0 - th) + b * e(ew * nu1) * stay)
-    return chi
+    dist = _channel_distribution(params, channel)
+    return dist.characteristic_value(gamma_w, gamma_m)
 
 
 def cf_cs(

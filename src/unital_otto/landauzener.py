@@ -3,8 +3,8 @@
 For linear driving through an avoided crossing the stroke unitaries are
 fixed up to the transition probability delta and a phase phi:
 
-    U = sqrt(1-delta) (e^{-i phi}|+><+| + e^{i phi}|-><-|)
-        + sqrt(delta) (|-><+| - |+><-|),          V = C U^dag C,
+    U = sqrt(1-delta) (e^{i phi}|+><+| + e^{-i phi}|-><-|)
+        + sqrt(delta) (|+><-| - |-><+|),          V = C U^dag C,
 
 with C the entrywise complex conjugation in the energy basis.  The heat
 source is the projective measurement channel tilted by alpha_m with

@@ -35,7 +35,6 @@ __all__ = [
     "hamiltonian",
     "thermal_state",
     "apply_channel",
-    "theta_of",
     "superpose_apply",
     "von_neumann_entropy",
     "classify_exchange",
@@ -240,6 +239,14 @@ class GeneralQubitChannel:
         """sum_j |<-| K_j |+>|^2, the excited-to-ground flip probability."""
         return float(sum(abs(k[1, 0]) ** 2 for k in self.kraus))
 
+    def transition_matrix(self) -> np.ndarray:
+        """T[k, m] = sum_j |<k| K_j |m>|^2, the probability of m -> k.
+
+        Indices follow this module's storage basis (0 excited, 1 ground);
+        each column sums to 1.
+        """
+        return sum(np.abs(k) ** 2 for k in self.kraus)
+
     def kraus_ops(self) -> list[np.ndarray]:
         return list(self.kraus)
 
@@ -278,11 +285,6 @@ class ControlSpec:
 
 
 Channel = PauliChannel | MeasurementChannel | GeneralQubitChannel
-
-
-def theta_of(channel: Channel) -> float:
-    """Flip probability theta of any supported channel."""
-    return channel.theta
 
 
 def apply_channel(channel: Channel, rho: DensityMatrix) -> DensityMatrix:

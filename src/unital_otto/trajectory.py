@@ -5,10 +5,15 @@ gap-nu1 basis, driving unitary U (transition probability delta),
 measurement in the gap-nu2 basis, a unital channel with flip
 probability theta, another measurement, compression unitary V
 (transition probability zeta), and a final gap-nu1 measurement.  The
-sixteen measurement records and their probabilities form the joint
+sixteen measurement records form one path table: each record's
+probability is a thermal weight times one entry each of the stroke
+matrix U, the channel's 2x2 transition matrix T and the stroke matrix
+V, and its outcome has integer coefficients, W = a nu1 + b nu2 and
+Q_M = b nu2.  Summing the table on the keys (a, b) gives the joint
 distribution of the stochastic work W and channel heat Q_M; everything
 downstream (cumulants, bounds, regime maps) is exact arithmetic on this
-finite list.
+finite list.  A unital channel enters as the symmetric flip matrix of
+theta, any other qubit channel through its own transition matrix.
 
 The backward cycle follows from the forward one by swapping delta and
 zeta.  The coherently controlled variant is a signed mixture of the
@@ -23,12 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import ControlSpec, PhysicsError
+from .qstate import ControlSpec, GeneralQubitChannel, PhysicsError
 
 __all__ = [
     "CycleParams",
     "JointDistribution",
-    "MomentSummary",
     "SampleStats",
     "enumerate_paths",
     "backward_distribution",
@@ -40,15 +44,22 @@ __all__ = [
 _CLAMP_TOL = 1e-10
 _SUM_TOL = 1e-10
 
-# Measurement records (n, m, k, l): signs of the measured energy at the
-# four cycle points, +1 for the excited state.
+# The path table: one entry per measurement record (n, m, k, l), the
+# state indices at the four measurements (0 ground, 1 excited), with
+# the integer outcome key (a, b) of W = a nu1 + b nu2 and Q_M = b nu2.
 _PATHS = [
-    (n, m, k, l)
-    for n in (-1, 1)
-    for m in (-1, 1)
-    for k in (-1, 1)
-    for l in (-1, 1)
+    (n, m, k, l, (2 * (n - l), 2 * (k - m)))
+    for n in (0, 1)
+    for m in (0, 1)
+    for k in (0, 1)
+    for l in (0, 1)
 ]
+
+# Outcome key -> indices of its paths in table order.
+_OUTCOMES = {
+    key: [i for i, (*_, other) in enumerate(_PATHS) if other == key]
+    for *_, key in _PATHS
+}
 
 
 @dataclass(frozen=True)
@@ -97,7 +108,7 @@ class CycleParams:
 
 @dataclass(frozen=True)
 class JointDistribution:
-    """Finite joint distribution of (W, Q_M), with merged unique outcomes."""
+    """Finite joint distribution of (W, Q_M), one entry per distinct outcome."""
 
     w: np.ndarray
     q_m: np.ndarray
@@ -136,49 +147,71 @@ class JointDistribution:
         return complex(np.sum(self.prob * phase))
 
 
+def _flip_matrix(p: float) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Symmetric 2x2 transition matrix with flip probability p."""
+    return ((1.0 - p, p), (p, 1.0 - p))
+
+
+def _path_probs(params: CycleParams, t) -> list[float]:
+    """w[n] U[m][n] T[k][m] V[l][k] for each path in table order.
+
+    ``t[k][m]`` is the probability that the channel takes state m to
+    state k, in the table's index order (0 ground, 1 excited).
+    """
+    w = params.thermal_weights()
+    u = _flip_matrix(params.delta)
+    v = _flip_matrix(params.zeta)
+    return [w[n] * u[m][n] * t[k][m] * v[l][k] for n, m, k, l, _ in _PATHS]
+
+
 def _merge(
-    entries, direction: str, control: ControlSpec | None = None
+    params: CycleParams,
+    *branches: list[float],
+    direction: str = "forward",
+    control: ControlSpec | None = None,
 ) -> JointDistribution:
-    acc: dict[tuple[float, float], float] = {}
-    for w, q, p in entries:
-        key = (w, q)
-        acc[key] = acc.get(key, 0.0) + p
-    keys = sorted(k for k in acc if acc[k] != 0.0)
-    w = np.array([k[0] for k in keys])
-    q = np.array([k[1] for k in keys])
-    p = np.array([acc[k] for k in keys])
-    return JointDistribution(w, q, p, direction=direction, control=control)
+    """Sum path probabilities on their integer outcome keys.
+
+    Each branch lists one probability per path in table order; the
+    branches of a mixture are summed in the order given.  Outcomes come
+    out sorted by (W, Q_M), without zero-probability entries.
+    """
+    nu1, nu2 = params.nu1, params.nu2
+    rows = []
+    for (a, b), paths in _OUTCOMES.items():
+        p = 0.0
+        for probs in branches:
+            for i in paths:
+                p += probs[i]
+        if p != 0.0:
+            rows.append((a * nu1 + b * nu2, b * nu2, p))
+    rows.sort()
+    w, q, p = zip(*rows)
+    return JointDistribution(
+        np.array(w), np.array(q), np.array(p), direction=direction, control=control
+    )
 
 
-def _path_entries(params: CycleParams, theta: float):
-    """Yield (W, Q_M, prob) for the sixteen measurement records."""
-    w_ground, w_excited = params.thermal_weights()
-    for n, m, k, l in _PATHS:
-        p = w_ground if n < 0 else w_excited
-        p *= params.delta if m != n else 1.0 - params.delta
-        p *= theta if k != m else 1.0 - theta
-        p *= params.zeta if l != k else 1.0 - params.zeta
-        w = (n - l) * params.nu1 + (k - m) * params.nu2
-        q = (k - m) * params.nu2
-        yield (w, q, p)
+def _check_theta(theta: float) -> None:
+    if not math.isfinite(theta) or not 0.0 <= theta <= 1.0:
+        raise ValueError("theta must lie in [0, 1]")
 
 
 def enumerate_paths(params: CycleParams, theta: float) -> JointDistribution:
     """Exact forward joint distribution of (W, Q_M) for a unital channel.
 
     W takes values in {0, +-2 nu1, +-2 nu2, +-2(nu2-nu1), +-2(nu1+nu2)}
-    and Q_M in {0, +-2 nu2}; rows with identical outcomes are merged.
+    and Q_M in {0, +-2 nu2}; paths with the same outcome are merged.
     """
-    if not math.isfinite(theta) or not 0.0 <= theta <= 1.0:
-        raise ValueError("theta must lie in [0, 1]")
-    return _merge(_path_entries(params, theta), "forward")
+    _check_theta(theta)
+    return _merge(params, _path_probs(params, _flip_matrix(theta)))
 
 
 def backward_distribution(params: CycleParams, theta: float) -> JointDistribution:
     """Joint distribution of the backward cycle: delta and zeta swapped."""
-    if not math.isfinite(theta) or not 0.0 <= theta <= 1.0:
-        raise ValueError("theta must lie in [0, 1]")
-    return _merge(_path_entries(params.swapped, theta), "backward")
+    _check_theta(theta)
+    back = params.swapped
+    return _merge(back, _path_probs(back, _flip_matrix(theta)), direction="backward")
 
 
 def cs_distribution(
@@ -194,18 +227,28 @@ def cs_distribution(
     branch can mix to a negative weight and :class:`PhysicsError` is
     raised.
     """
-    if not math.isfinite(theta) or not 0.0 <= theta <= 1.0:
-        raise ValueError("theta must lie in [0, 1]")
+    _check_theta(theta)
     p_branch = ctrl.branch_probability
     w_channel = 0.5 / p_branch
     w_identity = ctrl.sign * ctrl.coherence / (2.0 * p_branch)
-    entries = [
-        (w, q, w_channel * p) for w, q, p in _path_entries(params, theta)
-    ]
-    entries += [
-        (w, q, w_identity * p) for w, q, p in _path_entries(params, 0.0)
-    ]
-    return _merge(entries, "forward", control=ctrl)
+    channel = _path_probs(params, _flip_matrix(theta))
+    identity = _path_probs(params, _flip_matrix(0.0))
+    return _merge(
+        params,
+        [w_channel * p for p in channel],
+        [w_identity * p for p in identity],
+        control=ctrl,
+    )
+
+
+def _channel_distribution(
+    params: CycleParams, channel: GeneralQubitChannel
+) -> JointDistribution:
+    """Forward joint distribution for an arbitrary qubit channel."""
+    # qstate stores the excited state first, the path table the ground
+    # state first: reverse both indices of the channel's matrix.
+    t = channel.transition_matrix()[::-1, ::-1].tolist()
+    return _merge(params, _path_probs(params, t))
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from unital_otto.cli import main
+from unital_otto.cli import _merge_config, build_parser, main
 
 
 def run(capsys, *argv):
@@ -129,6 +129,45 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     code, _, err = run(capsys, "cumulants", "--config", str(cfg))
     assert code == 2
     assert "bogus" in err
+
+
+def _long_options(parser):
+    """(subcommand, action, key) for every long option of every subcommand."""
+    sub = next(a for a in parser._actions if a.dest == "command")
+    for name, subparser in sub.choices.items():
+        for action in subparser._actions:
+            for flag in action.option_strings:
+                if flag.startswith("--") and flag not in ("--help", "--config"):
+                    yield name, action, flag[2:]
+
+
+def test_every_flag_is_a_config_key_with_the_flag_type(tmp_path):
+    parser = build_parser()
+    cfg = tmp_path / "one.cfg"
+    seen = 0
+    for command, action, key in _long_options(parser):
+        kind = action.type or str
+        text = {float: "0.25", int: "7"}.get(kind, (action.choices or ["x.csv"])[0])
+        cfg.write_text(f"{key} = {text}\n")
+        args = parser.parse_args([command, "--config", str(cfg)])
+        merged = _merge_config(args, parser)
+        assert merged[action.dest] == kind(text), (command, key)
+        assert type(merged[action.dest]) is kind, (command, key)
+        seen += 1
+    assert seen > 40
+
+
+def test_config_file_output_paths(tmp_path, capsys):
+    dist, bounds = tmp_path / "d.csv", tmp_path / "b.csv"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "beta = 0.7\nnu1 = 1\nnu2 = 2\ndelta = 0\nzeta = 0\ntheta = 0.2\n"
+        f"dist-out = {dist}\nbounds_out = {bounds}\ntol = 1e-9\n"
+    )
+    code, _, _ = run(capsys, "cumulants", "--config", str(cfg))
+    assert code == 0
+    assert dist.read_text().splitlines()[1] == "w,q_m,prob"
+    assert bounds.read_text().splitlines()[1].startswith("bound_name,")
 
 
 def test_outputs_byte_reproducible(tmp_path, capsys):

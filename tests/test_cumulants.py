@@ -106,6 +106,71 @@ def test_cf_general_nonunital_channel_is_normalised():
     assert cf_general(REF, ch, 0.0, 0.0) == pytest.approx(1.0, abs=1e-14)
 
 
+def paper_cf_general(params, channel, gamma_w, gamma_m):
+    """The paper's eight path groups, written out by hand.
+
+    The channel enters only through theta and
+    h = sum_j <-|K_j K_j^dag|->; an oracle for non-unital channels.
+    """
+    th, h = channel.theta, channel.h
+    a, b = params.thermal_weights()
+    nu1, nu2 = params.nu1, params.nu2
+    d, z = params.delta, params.zeta
+    ew = 2.0 * gamma_w
+    em = 2.0 * gamma_m
+
+    def e(x):
+        return cmath.exp(1j * x)
+
+    stay, flip_down, flip_up = h - th, th, 1.0 - h + th
+    chi = (1.0 - d) * (1.0 - z) * (a * stay + b * (1.0 - th))
+    chi += (1.0 - d) * z * (a * e(-ew * nu1) * stay + b * e(ew * nu1) * (1.0 - th))
+    chi += (1.0 - d) * z * (
+        a * flip_up * e(ew * nu2 + em * nu2) + b * e(-ew * nu2 - em * nu2) * flip_down
+    )
+    chi += (1.0 - d) * (1.0 - z) * (
+        a * flip_up * e(ew * (nu2 - nu1) + em * nu2)
+        + b * e(-ew * (nu2 - nu1) - em * nu2) * flip_down
+    )
+    chi += d * (1.0 - z) * (
+        a * e(-ew * nu2 - em * nu2) * flip_down + b * e(ew * nu2 + em * nu2) * flip_up
+    )
+    chi += d * z * (
+        a * e(-ew * (nu1 + nu2) - em * nu2) * flip_down
+        + b * e(ew * (nu1 + nu2) + em * nu2) * flip_up
+    )
+    chi += d * z * (a * (1.0 - th) + b * stay)
+    chi += d * (1.0 - z) * (a * e(-ew * nu1) * (1.0 - th) + b * e(ew * nu1) * stay)
+    return chi
+
+
+def amplitude_damping(gamma, decay_to_ground):
+    """Kraus pair of amplitude damping towards |-> or, reversed, |+>."""
+    r = math.sqrt(1 - gamma)
+    if decay_to_ground:
+        return [np.diag([r, 1.0]), np.array([[0.0, 0.0], [math.sqrt(gamma), 0.0]])]
+    return [np.diag([1.0, r]), np.array([[0.0, math.sqrt(gamma)], [0.0, 0.0]])]
+
+
+@pytest.mark.parametrize(
+    "kraus",
+    [
+        amplitude_damping(0.35, decay_to_ground=True),
+        amplitude_damping(0.35, decay_to_ground=False),
+        PauliChannel(*np.random.default_rng(11).dirichlet(np.ones(4))).kraus_ops(),
+    ],
+    ids=["damping-to-ground", "damping-to-excited", "pauli"],
+)
+def test_cf_general_matches_paper_path_groups(kraus):
+    ch = GeneralQubitChannel(kraus)
+    gen = np.random.default_rng(12)
+    for _ in range(20):
+        params = random_params(gen)
+        for gw, gm in gen.uniform(-3.0, 3.0, size=(5, 2)):
+            oracle = paper_cf_general(params, ch, gw, gm)
+            assert abs(cf_general(params, ch, gw, gm) - oracle) <= 1e-14
+
+
 def test_cf_real_at_infinite_temperature():
     params = CycleParams(0.0, 1.0, 2.0, 0.15, 0.35)
     gen = np.random.default_rng(5)

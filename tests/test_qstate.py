@@ -18,7 +18,6 @@ from unital_otto import (
     classify_exchange,
     hamiltonian,
     superpose_apply,
-    theta_of,
     thermal_state,
     von_neumann_entropy,
 )
@@ -97,10 +96,10 @@ def test_apply_channel_dephases_and_flips():
 
 
 def test_theta_values():
-    assert theta_of(PauliChannel(0.4, 0.3, 0.2, 0.1)) == pytest.approx(0.5, abs=1e-15)
-    assert theta_of(MeasurementChannel(math.pi / 2)) == pytest.approx(0.5, abs=1e-15)
+    assert PauliChannel(0.4, 0.3, 0.2, 0.1).theta == pytest.approx(0.5, abs=1e-15)
+    assert MeasurementChannel(math.pi / 2).theta == pytest.approx(0.5, abs=1e-15)
     ch0 = MeasurementChannel(0.0)
-    assert theta_of(ch0) == 0.0
+    assert ch0.theta == 0.0
     # alpha_m = 0 projectors commute with the Hamiltonian
     h2 = hamiltonian(2.0)
     for k in ch0.kraus_ops():
@@ -112,6 +111,17 @@ def test_general_channel_from_pauli_kraus():
     ch = GeneralQubitChannel(pauli.kraus_ops())
     assert abs(ch.h - 1.0) < 1e-13
     assert abs(ch.theta - pauli.theta) < 1e-13
+
+
+def test_transition_matrix_holds_flip_probabilities():
+    gamma = 0.3
+    kraus = [np.diag([1.0, math.sqrt(1 - gamma)]), np.array([[0.0, math.sqrt(gamma)], [0.0, 0.0]])]
+    ch = GeneralQubitChannel(kraus)
+    t = ch.transition_matrix()
+    assert np.allclose(t, [[1.0, gamma], [0.0, 1.0 - gamma]], atol=1e-15)
+    assert np.allclose(t.sum(axis=0), 1.0, atol=1e-15)
+    assert t[1, 0] == pytest.approx(ch.theta, abs=1e-15)
+    assert t[1].sum() == pytest.approx(ch.h, abs=1e-15)
 
 
 def test_general_channel_completeness_enforced():
