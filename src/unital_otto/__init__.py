@@ -36,15 +36,12 @@ from .trajectory import (
 from .cumulants import (
     CFPoint,
     CumulantSet,
-    CsFirstCumulants,
     DerivativeStepError,
     FirstTwoCumulants,
-    cf_cs,
     cf_derivative_check,
     cf_general,
     cf_unital,
     closed_form_first_second,
-    cs_first_cumulants,
     cumulants_from_distribution,
 )
 from .analysis import (

@@ -17,12 +17,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .cumulants import (
-    CumulantSet,
-    closed_form_first_second,
-    cs_first_cumulants,
-    cumulants_from_distribution,
-)
+from .cumulants import CumulantSet, closed_form_first_second, cumulants_from_distribution
 from .qstate import ControlSpec, PhysicsError
 from .trajectory import CycleParams, enumerate_paths
 
@@ -113,13 +108,16 @@ def positive_work_threshold(
 
     Modes: ``symmetric`` (delta = zeta cycle, forward work),
     ``asymmetric`` (positivity of the forward + backward sum) and
-    ``cs`` (coherently controlled symmetric cycle; needs ``ctrl``).
+    ``cs`` (coherently controlled symmetric cycle; needs ``ctrl``; the
+    symmetric threshold at ``ctrl.flip_probability(theta)``).
     Returns ``inf`` when no finite gap can make work positive.
     """
     d, z, nu1 = params.delta, params.zeta, params.nu1
-    if mode == "symmetric":
+    if mode == "cs":
+        theta = _cs_flip_probability(theta, ctrl)
+    if mode in ("symmetric", "cs"):
         if d >= 0.5:
-            raise PhysicsError("no symmetric threshold: delta >= 1/2 makes Q_M <= 0")
+            raise PhysicsError(f"no {mode} threshold: delta >= 1/2 makes Q_M <= 0")
         if theta <= 0.0:
             return WorkThreshold(math.inf, True, mode)
         num = theta + 2.0 * d * (1.0 - 2.0 * theta) * (1.0 - d)
@@ -130,31 +128,18 @@ def positive_work_threshold(
         s = d + z - 2.0 * d * z
         num = theta + (1.0 - 2.0 * theta) * s
         return WorkThreshold(num * nu1 / (theta * (1.0 - d - z)), False, mode)
-    if mode == "cs":
-        if ctrl is None:
-            raise ValueError("cs mode needs a ControlSpec")
-        if d >= 0.5:
-            raise PhysicsError("no cs threshold: delta >= 1/2 makes Q_M <= 0")
-        if theta <= 0.0:
-            return WorkThreshold(math.inf, True, mode)
-        num = (
-            theta
-            + 2.0 * d * (1.0 - d) * (1.0 - 2.0 * theta)
-            + ctrl.sign * 2.0 * d * (1.0 - d) * ctrl.coherence
-        )
-        return WorkThreshold(num * nu1 / (theta * (1.0 - 2.0 * d)), True, mode)
     raise ValueError(f"unknown mode {mode!r}")
+
+
+def _cs_flip_probability(theta: float, ctrl: ControlSpec | None) -> float:
+    if ctrl is None:
+        raise ValueError("cs mode needs a ControlSpec")
+    return ctrl.flip_probability(theta)
 
 
 def _plain_means(params: CycleParams, theta: float):
     fwd = closed_form_first_second(params, theta)
     bwd = closed_form_first_second(params, theta, direction="backward")
-    return fwd, bwd
-
-
-def _cs_means(params: CycleParams, theta: float, ctrl: ControlSpec):
-    fwd = cs_first_cumulants(params, theta, ctrl)
-    bwd = cs_first_cumulants(params, theta, ctrl, direction="backward")
     return fwd, bwd
 
 
@@ -169,18 +154,16 @@ def efficiency(
     ``symmetric`` uses the forward cycle alone (meant for delta = zeta);
     ``asymmetric`` and ``cs`` treat forward and backward on an equal
     footing, (W_F + W_B) / (Q_MF + Q_MB), which is what restores the
-    Otto ceiling for asymmetric driving.
+    Otto ceiling for asymmetric driving; ``cs`` is ``asymmetric`` at
+    ``ctrl.flip_probability(theta)``.
     """
+    if mode == "cs":
+        theta, mode = _cs_flip_probability(theta, ctrl), "asymmetric"
     if mode == "symmetric":
         fwd = closed_form_first_second(params, theta)
         work, heat = fwd.w_mean, fwd.qm_mean
     elif mode == "asymmetric":
         fwd, bwd = _plain_means(params, theta)
-        work, heat = fwd.w_mean + bwd.w_mean, fwd.qm_mean + bwd.qm_mean
-    elif mode == "cs":
-        if ctrl is None:
-            raise ValueError("cs mode needs a ControlSpec")
-        fwd, bwd = _cs_means(params, theta, ctrl)
         work, heat = fwd.w_mean + bwd.w_mean, fwd.qm_mean + bwd.qm_mean
     else:
         raise ValueError(f"unknown mode {mode!r}")
@@ -282,9 +265,7 @@ def verify_bounds(
         reports.append(_report("eta_sq_le_ratio", eta * eta, ratio, connu2 and defined))
         reports.append(_report("ratio_le_one", ratio, 1.0, connu2 and defined))
     elif mode == "cs":
-        if ctrl is None:
-            raise ValueError("cs mode needs a ControlSpec")
-        fwd, bwd = _cs_means(params, theta, ctrl)
+        fwd, bwd = _plain_means(params, _cs_flip_probability(theta, ctrl))
         reports.append(
             _report("cs_qt_nonpositive", fwd.qt_mean, 0.0, beta > 0.0 and theta <= 0.5)
         )

@@ -11,12 +11,15 @@ Three independent routes to the same numbers:
 3. characteristic-function derivatives -- central finite differences of
    ln(chi) with Richardson extrapolation, kept as a cross-check.
 
-The closed-form characteristic function of the unital (and coherently
-controlled) cycle only ever needs cos(x + i*beta*nu1) divided by the
-partition function, which collapses to cos(x) -+ i sin(x) tanh(beta nu1);
-that identity is used throughout so nothing overflows at large
-|beta nu1|.  It feeds the derivative route.  The characteristic function
-of an arbitrary channel is the discrete transform of the path table.
+The closed-form characteristic function of the unital cycle only ever
+needs cos(x + i*beta*nu1) divided by the partition function, which
+collapses to cos(x) -+ i sin(x) tanh(beta nu1); that identity is used
+throughout so nothing overflows at large |beta nu1|.  It feeds the
+derivative route.  The characteristic function of an arbitrary channel
+is the discrete transform of the path table.  The coherently controlled
+cycle is the unital one at
+:meth:`~unital_otto.qstate.ControlSpec.flip_probability`, so every
+closed form here covers it too.
 """
 
 from __future__ import annotations
@@ -35,14 +38,11 @@ __all__ = [
     "CumulantSet",
     "CFPoint",
     "FirstTwoCumulants",
-    "CsFirstCumulants",
     "DerivativeStepError",
     "cf_unital",
     "cf_general",
-    "cf_cs",
     "cumulants_from_distribution",
     "closed_form_first_second",
-    "cs_first_cumulants",
     "cf_derivative_check",
 ]
 
@@ -89,16 +89,6 @@ class FirstTwoCumulants:
 
 
 @dataclass(frozen=True)
-class CsFirstCumulants:
-    """First cumulants of the coherently controlled cycle."""
-
-    w_mean: float
-    qm_mean: float
-    qt_mean: float
-    branch: str
-
-
-@dataclass(frozen=True)
 class CFPoint:
     """One evaluation of a characteristic function at real arguments."""
 
@@ -116,14 +106,17 @@ def _cos_ratio(u: float, sign: int, tanh_b: float) -> complex:
     return complex(math.cos(u), -sign * math.sin(u) * tanh_b)
 
 
-def _cf_brackets(
-    params: CycleParams, gamma_w: float, gamma_m: float
-) -> tuple[complex, complex]:
-    """The two building blocks of the unital characteristic function.
+def cf_unital(
+    params: CycleParams, theta: float, gamma_w: float, gamma_m: float
+) -> complex:
+    """Forward characteristic function for a unital channel.
 
-    Returns (identity_part, channel_part): the theta-independent factor
-    multiplying (1 - theta) and the factor multiplying theta.
+    Equals the discrete transform of :func:`~unital_otto.trajectory.
+    enumerate_paths`; the backward variant is obtained by evaluating at
+    ``params.swapped``.
     """
+    if not 0.0 <= theta <= 1.0:
+        raise ValueError("theta must lie in [0, 1]")
     t = params.tanh_beta_nu1
     nu1, nu2 = params.nu1, params.nu2
     d, z = params.delta, params.zeta
@@ -137,21 +130,6 @@ def _cf_brackets(
         (1.0 - z) * _cos_ratio(2.0 * (gamma_w + gamma_m) * nu2, +1, t)
         + z * _cos_ratio(2.0 * ((nu1 + nu2) * gamma_w + gamma_m * nu2), +1, t)
     )
-    return identity, channel
-
-
-def cf_unital(
-    params: CycleParams, theta: float, gamma_w: float, gamma_m: float
-) -> complex:
-    """Forward characteristic function for a unital channel.
-
-    Equals the discrete transform of :func:`~unital_otto.trajectory.
-    enumerate_paths`; the backward variant is obtained by evaluating at
-    ``params.swapped``.
-    """
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError("theta must lie in [0, 1]")
-    identity, channel = _cf_brackets(params, gamma_w, gamma_m)
     return (1.0 - theta) * identity + theta * channel
 
 
@@ -168,21 +146,6 @@ def cf_general(
     """
     dist = _channel_distribution(params, channel)
     return dist.characteristic_value(gamma_w, gamma_m)
-
-
-def cf_cs(
-    params: CycleParams,
-    theta: float,
-    ctrl: ControlSpec,
-    gamma_w: float,
-    gamma_m: float,
-) -> complex:
-    """Characteristic function of the coherently controlled cycle."""
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError("theta must lie in [0, 1]")
-    identity, channel = _cf_brackets(params, gamma_w, gamma_m)
-    p2 = 2.0 * ctrl.branch_probability
-    return ((1.0 - theta + ctrl.sign * ctrl.coherence) * identity + theta * channel) / p2
 
 
 def _marginal_cumulants(values: np.ndarray, prob: np.ndarray) -> tuple[float, ...]:
@@ -246,34 +209,6 @@ def closed_form_first_second(
         qm_var=qm_var,
         qt_mean=qt_mean,
         direction=direction,
-    )
-
-
-def cs_first_cumulants(
-    params: CycleParams, theta: float, ctrl: ControlSpec, direction: str = "forward"
-) -> CsFirstCumulants:
-    """Closed-form first cumulants of the coherently controlled cycle."""
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError("theta must lie in [0, 1]")
-    if direction == "backward":
-        params = params.swapped
-    elif direction != "forward":
-        raise ValueError("direction must be 'forward' or 'backward'")
-    t = params.tanh_beta_nu1
-    nu1, nu2 = params.nu1, params.nu2
-    d, z = params.delta, params.zeta
-    s = d + z - 2.0 * d * z
-    g = theta + (1.0 - 2.0 * theta) * s
-    den = 1.0 + ctrl.sign * ctrl.coherence
-    qm_mean = 2.0 * (1.0 - 2.0 * d) * theta * nu2 * t / den
-    qt_mean = (
-        -2.0 * g * nu1 * t - ctrl.sign * 2.0 * ctrl.coherence * s * nu1 * t
-    ) / den
-    return CsFirstCumulants(
-        w_mean=qm_mean + qt_mean,
-        qm_mean=qm_mean,
-        qt_mean=qt_mean,
-        branch=ctrl.branch,
     )
 
 
@@ -356,30 +291,28 @@ def cf_derivative_check(
 ) -> CumulantSet:
     """Cumulants from numerical derivatives of ln(chi) (third route).
 
-    Uses the unital characteristic function, or the coherently
-    controlled one when ``ctrl`` is given.  Orders not requested come
-    back as 0.  Defaults are tuned for cumulant magnitudes of order
-    1-10; the order-4 stencil needs the larger default step to stay
-    clear of roundoff.
+    Uses the unital characteristic function, at
+    ``ctrl.flip_probability(theta)`` when ``ctrl`` is given.  Orders not
+    requested come back as 0.  Each variable is differentiated in
+    gamma * E, with E half its largest outcome (nu1 + nu2 for W, nu2 for
+    Q_M), and order k is multiplied back by E^k; the steps are therefore
+    dimensionless.  The order-4 stencil needs the larger default step to
+    stay clear of roundoff.
     """
-    chi: Callable[[float, float], complex]
-    if ctrl is None:
-        chi = lambda gw, gm: cf_unital(params, theta, gw, gm)
-    else:
-        chi = lambda gw, gm: cf_cs(params, theta, ctrl, gw, gm)
+    if ctrl is not None:
+        theta = ctrl.flip_probability(theta)
 
-    def kappas(which: str) -> tuple[float, float, float, float]:
-        if which == "w":
-            log_chi = lambda g: cmath.log(chi(g, 0.0))
-        else:
-            log_chi = lambda g: cmath.log(chi(0.0, g))
+    def kappas(
+        chi: Callable[[float], complex], scale: float
+    ) -> tuple[float, float, float, float]:
+        log_chi = lambda x: cmath.log(chi(x / scale))
         out = [0.0, 0.0, 0.0, 0.0]
         for order in orders:
             h = step4 if order == 4 else step
             deriv = _log_cf_derivative(log_chi, order, h)
-            out[order - 1] = (deriv / 1j**order).real
+            out[order - 1] = (deriv / 1j**order).real * scale**order
         return tuple(out)
 
-    kw = kappas("w")
-    kq = kappas("q_m")
+    kw = kappas(lambda g: cf_unital(params, theta, g, 0.0), params.nu1 + params.nu2)
+    kq = kappas(lambda g: cf_unital(params, theta, 0.0, g), params.nu2)
     return CumulantSet(w=kw, q_m=kq, qt_mean=kw[0] - kq[0])

@@ -283,6 +283,30 @@ class ControlSpec:
         """p_+- = (1 +- sqrt(alpha(1-alpha)))/2, always in [1/4, 3/4]."""
         return 0.5 * (1.0 + self.sign * self.coherence)
 
+    def flip_probability(self, theta: float) -> float:
+        """Flip probability of the plain channel equivalent to this branch.
+
+        The kept branch maps rho to (Phi(rho) +- sqrt(alpha(1-alpha)) rho)
+        / (2 p_+-).  On populations a flip channel Phi acts through the
+        transition matrix (1 - theta) Id + theta X (X swaps the levels),
+        so the branch acts through ((1 - theta +- sqrt(alpha(1-alpha))) Id
+        + theta X) / (2 p_+-); with 2 p_+- = 1 +- sqrt(alpha(1-alpha)) the
+        columns still sum to 1, and this is the flip matrix of
+        theta / (2 p_+-).  Path probabilities of the monitored cycle are
+        linear in that matrix, so every statistic of the controlled cycle
+        is the unital cycle's at this flip probability.  Above 1 (theta >
+        2 p_-, reachable only on the minus branch beyond the measurement
+        channel's theta <= 1/2) the matrix has negative entries, the cycle
+        has no distribution and :class:`PhysicsError` is raised.
+        """
+        doubled = 2.0 * self.branch_probability
+        if theta > doubled:
+            raise PhysicsError(
+                f"{self.branch} branch: theta {theta!r} exceeds 2 p_branch = "
+                f"{doubled!r}, the flip probability would exceed 1"
+            )
+        return theta / doubled
+
 
 Channel = PauliChannel | MeasurementChannel | GeneralQubitChannel
 

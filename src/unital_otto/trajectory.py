@@ -16,9 +16,9 @@ finite list.  A unital channel enters as the symmetric flip matrix of
 theta, any other qubit channel through its own transition matrix.
 
 The backward cycle follows from the forward one by swapping delta and
-zeta.  The coherently controlled variant is a signed mixture of the
-channel distribution and the identity-channel distribution, weighted by
-the Fourier-basis branch probability of the control qubit.
+zeta.  The coherently controlled variant is the unital cycle at the flip
+probability theta / (2 p_branch) of
+:meth:`~unital_otto.qstate.ControlSpec.flip_probability`.
 """
 
 from __future__ import annotations
@@ -166,23 +166,21 @@ def _path_probs(params: CycleParams, t) -> list[float]:
 
 def _merge(
     params: CycleParams,
-    *branches: list[float],
+    probs: list[float],
     direction: str = "forward",
     control: ControlSpec | None = None,
 ) -> JointDistribution:
-    """Sum path probabilities on their integer outcome keys.
+    """Sum path probabilities (table order) on their integer outcome keys.
 
-    Each branch lists one probability per path in table order; the
-    branches of a mixture are summed in the order given.  Outcomes come
-    out sorted by (W, Q_M), without zero-probability entries.
+    Outcomes come out sorted by (W, Q_M), without zero-probability
+    entries.
     """
     nu1, nu2 = params.nu1, params.nu2
     rows = []
     for (a, b), paths in _OUTCOMES.items():
         p = 0.0
-        for probs in branches:
-            for i in paths:
-                p += probs[i]
+        for i in paths:
+            p += probs[i]
         if p != 0.0:
             rows.append((a * nu1 + b * nu2, b * nu2, p))
     rows.sort()
@@ -219,26 +217,15 @@ def cs_distribution(
 ) -> JointDistribution:
     """Joint distribution with the channel applied under coherent control.
 
-    The post-selected branch mixes the plain channel distribution with
-    weight 1/(2 p_branch) and the identity-channel distribution (all
-    heat on Q_M = 0 paths) with weight +- sqrt(alpha(1-alpha))/(2 p_branch).
-    The measurement channel keeps theta <= 1/2, which guarantees the
-    merged probabilities stay nonnegative; beyond that regime the minus
-    branch can mix to a negative weight and :class:`PhysicsError` is
+    The post-selected branch is the unital cycle at the flip probability
+    ``ctrl.flip_probability(theta)``.  The measurement channel keeps
+    theta <= 1/2, which keeps that probability in [0, 1]; beyond that
+    regime the minus branch can exceed 1 and :class:`PhysicsError` is
     raised.
     """
     _check_theta(theta)
-    p_branch = ctrl.branch_probability
-    w_channel = 0.5 / p_branch
-    w_identity = ctrl.sign * ctrl.coherence / (2.0 * p_branch)
-    channel = _path_probs(params, _flip_matrix(theta))
-    identity = _path_probs(params, _flip_matrix(0.0))
-    return _merge(
-        params,
-        [w_channel * p for p in channel],
-        [w_identity * p for p in identity],
-        control=ctrl,
-    )
+    flip = _flip_matrix(ctrl.flip_probability(theta))
+    return _merge(params, _path_probs(params, flip), control=ctrl)
 
 
 def _channel_distribution(

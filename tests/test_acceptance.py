@@ -20,7 +20,6 @@ from unital_otto import (
     classify_regime_means,
     closed_form_first_second,
     cs_distribution,
-    cs_first_cumulants,
     cumulant_ratio_scan,
     cumulants_from_distribution,
     cf_derivative_check,
@@ -249,7 +248,8 @@ def test_criterion_5_proved_inequality_suite():
         if params.beta < 0:
             params = CycleParams(-params.beta, params.nu1, params.nu2, params.delta, params.zeta)
         ctrl = ControlSpec(gen.random(), "plus" if gen.random() < 0.5 else "minus")
-        if cs_first_cumulants(params, 0.5 * gen.random(), ctrl).qt_mean > margin:
+        flip = ctrl.flip_probability(0.5 * gen.random())
+        if closed_form_first_second(params, flip).qt_mean > margin:
             violations.append("cs_qt_nonpositive")
 
     ok = not violations and engines > 100 and cond_hits > 100 and connu2_hits > 100

@@ -14,7 +14,6 @@ from unital_otto import (
     classify_regime,
     classify_regime_means,
     closed_form_first_second,
-    cs_first_cumulants,
     cumulant_ratio_scan,
     cumulants_from_distribution,
     efficiency,
@@ -104,9 +103,27 @@ def test_cs_threshold_shifts_with_branch():
     plus = positive_work_threshold(params, 0.2, "cs", ControlSpec(0.5, "plus")).nu2_min
     assert minus < plain < plus
     at = CycleParams(0.7, 1.0, minus, 0.1, 0.1)
-    assert cs_first_cumulants(at, 0.2, ControlSpec(0.5, "minus")).w_mean == pytest.approx(
-        0.0, abs=1e-14
-    )
+    flip = ControlSpec(0.5, "minus").flip_probability(0.2)
+    assert closed_form_first_second(at, flip).w_mean == pytest.approx(0.0, abs=1e-14)
+
+
+def test_cs_threshold_matches_paper_numerator():
+    # the paper's cs threshold: nu2 > num nu1 / (theta (1 - 2 delta)) with
+    # num = theta + 2 delta (1 - delta) (1 - 2 theta) +- 2 delta (1 - delta) c
+    gen = np.random.default_rng(31)
+    for _ in range(5000):
+        d, theta = 0.5 * gen.random(), 0.5 * gen.random()
+        params = CycleParams(0.7, gen.uniform(1e-3, 3.0), 2.0, d, d)
+        ctrl = ControlSpec(gen.random(), "plus" if gen.random() < 0.5 else "minus")
+        num = (
+            theta
+            + 2.0 * d * (1.0 - d) * (1.0 - 2.0 * theta)
+            + ctrl.sign * 2.0 * d * (1.0 - d) * ctrl.coherence
+        )
+        paper = num * params.nu1 / (theta * (1.0 - 2.0 * d))
+        got = positive_work_threshold(params, theta, "cs", ctrl)
+        assert got.mode == "cs" and got.strict
+        assert close(got.nu2_min, paper, 1e-14)
 
 
 def test_efficiency_adiabatic_limit_is_otto():

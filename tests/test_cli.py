@@ -278,3 +278,77 @@ def test_tolerance_env_var_controls_regime_zero(monkeypatch, capsys):
     assert code == 0
     rows = [l for l in out.splitlines() if not l.startswith(("#", "delta"))]
     assert all(r.endswith("Undetermined") for r in rows)
+
+
+def test_config_file_value_outside_choices_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(
+        "beta = 0.7\nnu1 = 1\nnu2 = 2\ndelta = 0\nzeta = 0\ntheta = 0.2\n"
+        "axis = foo\nstart = 0\nstop = 0.4\nsteps = 3\n"
+    )
+    code, out, err = run(capsys, "sweep", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert "axis" in err and "foo" in err
+    # choices belong to the running subcommand: lz-compare only sweeps
+    # delta, and cumulants takes no axis at all
+    cfg.write_text("axis = theta\n")
+    code, _, err = run(capsys, "lz-compare", "--config", str(cfg))
+    assert code == 2 and "axis = theta" in err
+    code, _, _ = run(capsys, "cumulants", *BASE, "--theta", "0.2", "--config", str(cfg))
+    assert code == 0
+
+
+def test_explicit_zero_samples_is_not_the_default(capsys):
+    code, out, err = run(
+        capsys, "sample", *BASE, "--theta", "0.2", "--samples", "0", "--seed", "1"
+    )
+    assert (code, out) == (2, "")
+    assert "at least one draw" in err
+    for samples in ("0", "-3"):
+        code, out, err = run(capsys, "verify-bounds", "--samples", samples)
+        assert (code, out) == (2, "")
+        assert "--samples" in err
+
+
+def test_sweep_labels_inapplicable_bounds_na(tmp_path, capsys):
+    dump = tmp_path / "bounds.csv"
+    point = [
+        "--beta", "-0.7", "--nu1", "1", "--nu2", "2.3", "--delta", "0.1",
+        "--zeta", "0.1",
+    ]
+    code, out, _ = run(
+        capsys, "sweep", *point, "--theta", "0.2", "--axis", "theta",
+        "--start", "0.1", "--stop", "0.3", "--steps", "2",
+    )
+    assert code == 0
+    lines = out.splitlines()
+    header, last = lines[1].split(","), lines[-1].split(",")
+    label = last[header.index("equal_gap_work_nonpositive")]
+    run(capsys, "cumulants", *point, "--theta", "0.3", "--bounds-out", str(dump))
+    report = next(l for l in dump.read_text().splitlines()
+                  if l.startswith("equal_gap_work_nonpositive,"))
+    assert report.split(",")[3] == "false"
+    assert label == "n/a"
+
+
+@pytest.mark.parametrize("gaps", [("10", "20"), ("50", "120"), ("0.001", "0.002")])
+def test_unusable_derivative_route_leaves_nan_rows(gaps, capsys):
+    code, out, err = run(
+        capsys, "cumulants", "--beta", "0.7", "--nu1", gaps[0], "--nu2", gaps[1],
+        "--delta", "0.1", "--zeta", "0.1", "--theta", "0.2",
+    )
+    assert code == 0
+    rows = {l.split(",")[0]: l.split(",")[1:] for l in out.splitlines()[2:]}
+    assert list(rows) == [
+        "enumeration", "closed_form", "closed_form_delta", "cf_derivative",
+        "cf_derivative_delta",
+    ]
+    fd = [float(c) for c in rows["cf_derivative"]]
+    if err:
+        assert err.startswith("note: ") and len(err.splitlines()) == 1
+        assert all(math.isnan(v) for v in fd)
+    else:
+        exact = [float(c) for c in rows["enumeration"]]
+        scale = 2.0 * (float(gaps[0]) + float(gaps[1]))
+        for k, (got, ref) in enumerate(zip(fd[:4], exact[:4]), 1):
+            assert abs(got - ref) <= 1e-7 * scale**k

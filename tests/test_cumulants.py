@@ -15,13 +15,11 @@ from unital_otto import (
     GeneralQubitChannel,
     PauliChannel,
     backward_distribution,
-    cf_cs,
     cf_derivative_check,
     cf_general,
     cf_unital,
     closed_form_first_second,
     cs_distribution,
-    cs_first_cumulants,
     cumulants_from_distribution,
     enumerate_paths,
 )
@@ -35,10 +33,63 @@ def brute_cf(dist, gw, gm):
     return complex(np.sum(dist.prob * np.exp(1j * (gw * dist.w + gm * dist.q_m))))
 
 
+def paper_cs_cf(params, theta, ctrl, gw, gm):
+    """The paper's chi_cs = ((1 - theta +- c) chi_id + theta chi_ch) / (2 p_+-),
+    c = sqrt(alpha (1 - alpha)), with its two brackets written out."""
+    t = params.tanh_beta_nu1
+    nu1, nu2, d, z = params.nu1, params.nu2, params.delta, params.zeta
+
+    def cos_ratio(u, sign):  # 2 cos(u + sign i beta nu1) / Z
+        return complex(math.cos(u), -sign * math.sin(u) * t)
+
+    s = d + z - 2.0 * d * z
+    chi_id = 1.0 + (cos_ratio(2.0 * gw * nu1, +1) - 1.0) * s
+    chi_ch = (1.0 - d) * (
+        z * cos_ratio(2.0 * (gw + gm) * nu2, -1)
+        + (1.0 - z) * cos_ratio(2.0 * (gw * (nu2 - nu1) + gm * nu2), -1)
+    ) + d * (
+        (1.0 - z) * cos_ratio(2.0 * (gw + gm) * nu2, +1)
+        + z * cos_ratio(2.0 * ((nu1 + nu2) * gw + gm * nu2), +1)
+    )
+    weight_id = 1.0 - theta + ctrl.sign * ctrl.coherence
+    return (weight_id * chi_id + theta * chi_ch) / (2.0 * ctrl.branch_probability)
+
+
+def paper_cs_means(params, theta, ctrl, direction="forward"):
+    """The paper's closed-form (<W>, <Q_M>, <Q_T>) of the coherently
+    controlled cycle; backward swaps delta and zeta."""
+    if direction == "backward":
+        params = params.swapped
+    t = params.tanh_beta_nu1
+    nu1, nu2, d, z = params.nu1, params.nu2, params.delta, params.zeta
+    s = d + z - 2.0 * d * z
+    g = theta + (1.0 - 2.0 * theta) * s
+    den = 1.0 + ctrl.sign * ctrl.coherence
+    qm = 2.0 * (1.0 - 2.0 * d) * theta * nu2 * t / den
+    qt = (-2.0 * g * nu1 * t - ctrl.sign * 2.0 * ctrl.coherence * s * nu1 * t) / den
+    return qm + qt, qm, qt
+
+
+def random_cs_points(seed, count):
+    """(params, theta, ctrl) with both branches, delta = zeta and
+    delta != zeta, theta up to 1 but flip probability at most 1."""
+    gen = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        params = random_params(gen)
+        if gen.random() < 0.3:
+            params = CycleParams(params.beta, params.nu1, params.nu2, params.delta, params.delta)
+        ctrl = ControlSpec(gen.random(), "plus" if gen.random() < 0.5 else "minus")
+        theta = gen.random()
+        if theta <= 2.0 * ctrl.branch_probability:
+            out.append((params, theta, ctrl))
+    return out
+
+
 def test_cf_normalisation():
     assert cf_unital(REF, 0.2, 0.0, 0.0) == pytest.approx(1.0, abs=1e-15)
     ctrl = ControlSpec(0.5, "minus")
-    assert cf_cs(REF, 0.2, ctrl, 0.0, 0.0) == pytest.approx(1.0, abs=1e-15)
+    assert cf_unital(REF, ctrl.flip_probability(0.2), 0.0, 0.0) == pytest.approx(1.0, abs=1e-15)
     ch = GeneralQubitChannel(PauliChannel(0.4, 0.3, 0.2, 0.1).kraus_ops())
     assert cf_general(REF, ch, 0.0, 0.0) == pytest.approx(1.0, abs=1e-14)
 
@@ -323,34 +374,58 @@ def test_cs_cf_matches_distribution_transform():
     dist = cs_distribution(REF, 0.2, ctrl)
     gen = np.random.default_rng(6)
     for gw, gm in gen.uniform(-4.0, 4.0, size=(50, 2)):
-        assert abs(cf_cs(REF, 0.2, ctrl, gw, gm) - brute_cf(dist, gw, gm)) < 1e-12
+        chi = cf_unital(REF, ctrl.flip_probability(0.2), gw, gm)
+        assert abs(chi - brute_cf(dist, gw, gm)) < 1e-12
 
 
 def test_cs_cf_alpha_zero_is_unital_cf():
-    ctrl = ControlSpec(0.0, "plus")
     gen = np.random.default_rng(7)
-    for gw, gm in gen.uniform(-4.0, 4.0, size=(20, 2)):
-        assert abs(cf_cs(REF, 0.2, ctrl, gw, gm) - cf_unital(REF, 0.2, gw, gm)) < 1e-15
+    for branch in ("plus", "minus"):
+        ctrl = ControlSpec(0.0, branch)
+        assert ctrl.flip_probability(0.2) == 0.2
+        for gw, gm in gen.uniform(-4.0, 4.0, size=(20, 2)):
+            paper = paper_cs_cf(REF, 0.2, ctrl, gw, gm)
+            assert abs(paper - cf_unital(REF, 0.2, gw, gm)) < 1e-15
+
+
+def test_paper_cs_cf_is_unital_cf_at_flip_probability():
+    gen = np.random.default_rng(8)
+    for params, theta, ctrl in random_cs_points(81, 2000):
+        flip = ctrl.flip_probability(theta)
+        for gw, gm in gen.uniform(-4.0, 4.0, size=(3, 2)):
+            paper = paper_cs_cf(params, theta, ctrl, gw, gm)
+            assert abs(paper - cf_unital(params, flip, gw, gm)) <= 1e-14
+
+
+def test_paper_cs_means_are_unital_means_at_flip_probability():
+    for params, theta, ctrl in random_cs_points(82, 5000):
+        scale = 2.0 * (params.nu1 + params.nu2)
+        for direction in ("forward", "backward"):
+            closed = closed_form_first_second(params, ctrl.flip_probability(theta), direction)
+            paper = paper_cs_means(params, theta, ctrl, direction)
+            got = (closed.w_mean, closed.qm_mean, closed.qt_mean)
+            assert max(abs(a - b) for a, b in zip(got, paper)) <= 1e-14 * scale
 
 
 @given(params=cycle_params(), theta=finite(0.0, 0.5), alpha=probs)
 @settings(max_examples=300, deadline=None)
-def test_cs_first_cumulants_match_distribution_route(params, theta, alpha):
+def test_cs_means_match_distribution_route(params, theta, alpha):
     for branch in ("plus", "minus"):
         ctrl = ControlSpec(alpha, branch)
-        closed = cs_first_cumulants(params, theta, ctrl)
+        closed = closed_form_first_second(params, ctrl.flip_probability(theta))
         cums = cumulants_from_distribution(cs_distribution(params, theta, ctrl))
         assert close(closed.w_mean, cums.w[0], 1e-12)
         assert close(closed.qm_mean, cums.q_m[0], 1e-12)
         assert close(closed.qt_mean, cums.qt_mean, 1e-12)
 
 
-def test_cs_first_cumulants_alpha_zero_reduction():
-    closed = cs_first_cumulants(REF, 0.2, ControlSpec(0.0, "minus"))
+def test_cs_means_alpha_zero_reduction():
     plain = closed_form_first_second(REF, 0.2)
-    assert closed.w_mean == pytest.approx(plain.w_mean, abs=1e-15)
-    assert closed.qm_mean == pytest.approx(plain.qm_mean, abs=1e-15)
-    assert closed.qt_mean == pytest.approx(plain.qt_mean, abs=1e-15)
+    for branch in ("plus", "minus"):
+        ctrl = ControlSpec(0.0, branch)
+        assert closed_form_first_second(REF, ctrl.flip_probability(0.2)) == plain
+        paper = paper_cs_means(REF, 0.2, ctrl)
+        assert paper == pytest.approx((plain.w_mean, plain.qm_mean, plain.qt_mean), abs=1e-15)
 
 
 def test_cs_adiabatic_work():
@@ -358,7 +433,7 @@ def test_cs_adiabatic_work():
     params = CycleParams(0.7, 1.0, 2.0, 0.0, 0.0)
     for branch, sign in (("plus", 1), ("minus", -1)):
         ctrl = ControlSpec(0.3, branch)
-        closed = cs_first_cumulants(params, 0.2, ctrl)
+        closed = closed_form_first_second(params, ctrl.flip_probability(0.2))
         coh = math.sqrt(0.3 * 0.7)
         expected = 2 * 0.2 * 1.0 * math.tanh(0.7) / (1 + sign * coh)
         assert closed.w_mean == pytest.approx(expected, rel=1e-14)
@@ -367,7 +442,7 @@ def test_cs_adiabatic_work():
 def test_cs_minus_branch_beats_incoherent_work():
     ctrl = ControlSpec(0.5, "minus")
     assert (
-        cs_first_cumulants(REF, 0.2, ctrl).w_mean
+        closed_form_first_second(REF, ctrl.flip_probability(0.2)).w_mean
         > closed_form_first_second(REF, 0.2).w_mean
     )
 

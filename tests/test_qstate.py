@@ -153,6 +153,22 @@ def test_superpose_half_alpha_branch_probabilities():
     assert np.allclose(out_plus.mat, expected, atol=1e-14)
 
 
+def test_superposed_populations_follow_flip_matrix_at_flip_probability():
+    # the density-matrix definition of ControlSpec.flip_probability: on a
+    # thermal state the kept branch moves populations like a plain flip
+    # channel with theta / (2 p_branch)
+    gen = np.random.default_rng(13)
+    for _ in range(2000):
+        ch = MeasurementChannel(gen.uniform(0.0, math.pi), gen.uniform(-math.pi, math.pi))
+        rho = thermal_state(gen.uniform(-3.0, 3.0), gen.uniform(0.01, 3.0))
+        ctrl = ControlSpec(gen.random(), "plus" if gen.random() < 0.5 else "minus")
+        out, _ = superpose_apply(ch, rho, ctrl)
+        flip = ctrl.flip_probability(ch.theta)
+        excited, ground = rho.populations
+        expected = ((1.0 - flip) * excited + flip * ground, flip * excited + (1.0 - flip) * ground)
+        assert max(abs(a - b) for a, b in zip(out.populations, expected)) < 1e-14
+
+
 def test_entropy_values():
     assert von_neumann_entropy(DensityMatrix(np.eye(2) / 2)) == pytest.approx(
         math.log(2), abs=1e-15
