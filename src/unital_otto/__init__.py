@@ -42,6 +42,7 @@ from .cumulants import (
     cf_general,
     cf_unital,
     closed_form_first_second,
+    cs_first_cumulants,
     cumulants_from_distribution,
 )
 from .analysis import (

@@ -253,21 +253,23 @@ def _run_mode(cfg: dict) -> str:
 
 
 def _distribution(cfg: dict):
-    """(cycle, theta, control, joint distribution) at one parameter point."""
+    """(cycle, theta, control, flip probability, joint distribution) at one
+    parameter point.  The flip probability is theta's unital equivalent,
+    ``ctrl.flip_probability(theta)`` under coherent control; the unital
+    closed forms take it."""
     params = _cycle_params(cfg)
     theta = _resolve_theta(cfg)
     ctrl = _control(cfg)
     if ctrl is None:
-        dist = trajectory.enumerate_paths(params, theta)
-    else:
-        dist = trajectory.cs_distribution(params, theta, ctrl)
-    return params, theta, ctrl, dist
+        return params, theta, ctrl, theta, trajectory.enumerate_paths(params, theta)
+    dist = trajectory.cs_distribution(params, theta, ctrl)
+    return params, theta, ctrl, ctrl.flip_probability(theta), dist
 
 
 def _evaluate_point(cfg: dict):
     """(cycle, theta, control, cumulant set, regime) at one parameter point."""
     tol = _tolerance(cfg)
-    params, theta, ctrl, dist = _distribution(cfg)
+    params, theta, ctrl, _, dist = _distribution(cfg)
     cums = cumulants.cumulants_from_distribution(dist)
     regime = analysis.classify_regime(cums, params.beta, tol)
     return params, theta, ctrl, cums, regime
@@ -290,10 +292,10 @@ def _emit(cfg: dict, text: str) -> None:
 
 
 def _cmd_cumulants(cfg: dict) -> None:
-    params, theta, ctrl, dist = _distribution(cfg)
+    params, theta, ctrl, flip, dist = _distribution(cfg)
     exact = cumulants.cumulants_from_distribution(dist)
     try:
-        fd = cumulants.cf_derivative_check(params, theta, ctrl)
+        fd = cumulants.cf_derivative_check(params, flip)
         fd_cells = (fd.w, fd.q_m, fd.qt_mean)
     except cumulants.DerivativeStepError as exc:
         print(f"note: cf_derivative route unusable, rows left nan: {exc}", file=sys.stderr)
@@ -319,7 +321,6 @@ def _cmd_cumulants(cfg: dict) -> None:
         )
 
     row("enumeration", exact.w, exact.q_m, exact.qt_mean)
-    flip = theta if ctrl is None else ctrl.flip_probability(theta)
     closed = cumulants.closed_form_first_second(params, flip)
     # the paper gives the coherently controlled closed forms for means only
     w_var, qm_var = (closed.w_var, closed.qm_var) if ctrl is None else (math.nan, math.nan)

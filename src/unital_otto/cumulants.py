@@ -43,6 +43,7 @@ __all__ = [
     "cf_general",
     "cumulants_from_distribution",
     "closed_form_first_second",
+    "cs_first_cumulants",
     "cf_derivative_check",
 ]
 
@@ -212,6 +213,14 @@ def closed_form_first_second(
     )
 
 
+def cs_first_cumulants(
+    params: CycleParams, theta: float, ctrl: ControlSpec, direction: str = "forward"
+) -> FirstTwoCumulants:
+    """Closed-form cumulants of the coherently controlled cycle: those of
+    the unital cycle at ``ctrl.flip_probability(theta)``."""
+    return closed_form_first_second(params, ctrl.flip_probability(theta), direction)
+
+
 # 4th-derivative central stencil spanning +-4h, accurate to O(h^6).
 _STENCIL4 = (
     (4, 7.0 / 240.0),
@@ -284,24 +293,20 @@ def _log_cf_derivative(
 def cf_derivative_check(
     params: CycleParams,
     theta: float,
-    ctrl: ControlSpec | None = None,
     step: float = 1e-3,
     step4: float = 2e-2,
     orders: tuple[int, ...] = (1, 2, 3, 4),
 ) -> CumulantSet:
     """Cumulants from numerical derivatives of ln(chi) (third route).
 
-    Uses the unital characteristic function, at
-    ``ctrl.flip_probability(theta)`` when ``ctrl`` is given.  Orders not
-    requested come back as 0.  Each variable is differentiated in
+    Uses the unital characteristic function; for the coherently
+    controlled cycle pass ``ctrl.flip_probability(theta)`` as ``theta``.
+    Orders not requested come back as 0.  Each variable is differentiated in
     gamma * E, with E half its largest outcome (nu1 + nu2 for W, nu2 for
     Q_M), and order k is multiplied back by E^k; the steps are therefore
     dimensionless.  The order-4 stencil needs the larger default step to
     stay clear of roundoff.
     """
-    if ctrl is not None:
-        theta = ctrl.flip_probability(theta)
-
     def kappas(
         chi: Callable[[float], complex], scale: float
     ) -> tuple[float, float, float, float]:

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from unital_otto import DerivativeStepError, cumulants
 from unital_otto.cli import _merge_config, build_parser, main
 
 
@@ -331,10 +332,14 @@ def test_sweep_labels_inapplicable_bounds_na(tmp_path, capsys):
     assert label == "n/a"
 
 
-@pytest.mark.parametrize("gaps", [("10", "20"), ("50", "120"), ("0.001", "0.002")])
-def test_unusable_derivative_route_leaves_nan_rows(gaps, capsys):
+# (nu1, nu2, whether the derivative route is unusable there)
+@pytest.mark.parametrize(
+    "nu1, nu2, unusable",
+    [("10", "20", False), ("50", "120", False), ("0.001", "0.002", True)],
+)
+def test_unusable_derivative_route_leaves_nan_rows(nu1, nu2, unusable, capsys):
     code, out, err = run(
-        capsys, "cumulants", "--beta", "0.7", "--nu1", gaps[0], "--nu2", gaps[1],
+        capsys, "cumulants", "--beta", "0.7", "--nu1", nu1, "--nu2", nu2,
         "--delta", "0.1", "--zeta", "0.1", "--theta", "0.2",
     )
     assert code == 0
@@ -343,12 +348,32 @@ def test_unusable_derivative_route_leaves_nan_rows(gaps, capsys):
         "enumeration", "closed_form", "closed_form_delta", "cf_derivative",
         "cf_derivative_delta",
     ]
-    fd = [float(c) for c in rows["cf_derivative"]]
-    if err:
-        assert err.startswith("note: ") and len(err.splitlines()) == 1
+    fd = [float(c) for c in rows["cf_derivative"] + rows["cf_derivative_delta"]]
+    exact = [float(c) for c in rows["enumeration"]]
+    assert all(math.isfinite(v) for v in exact)
+    if unusable:
+        assert err.startswith("note: cf_derivative route unusable")
+        assert len(err.splitlines()) == 1
         assert all(math.isnan(v) for v in fd)
     else:
-        exact = [float(c) for c in rows["enumeration"]]
-        scale = 2.0 * (float(gaps[0]) + float(gaps[1]))
+        assert err == ""
+        scale = 2.0 * (float(nu1) + float(nu2))
         for k, (got, ref) in enumerate(zip(fd[:4], exact[:4]), 1):
             assert abs(got - ref) <= 1e-7 * scale**k
+
+
+def test_derivative_step_error_leaves_nan_rows_on_cs_point(capsys, monkeypatch):
+    def unusable(*args, **kwargs):
+        raise DerivativeStepError("no usable step")
+
+    monkeypatch.setattr(cumulants, "cf_derivative_check", unusable)
+    code, out, err = run(
+        capsys, "cumulants", *BASE, "--theta", "0.2", "--cs-alpha", "0.3",
+        "--branch", "minus",
+    )
+    assert code == 0
+    assert err == "note: cf_derivative route unusable, rows left nan: no usable step\n"
+    rows = {l.split(",")[0]: l.split(",")[1:] for l in out.splitlines()[2:]}
+    for route in ("cf_derivative", "cf_derivative_delta"):
+        assert all(math.isnan(float(c)) for c in rows[route])
+    assert all(math.isfinite(float(c)) for c in rows["enumeration"])

@@ -20,6 +20,7 @@ from unital_otto import (
     cf_unital,
     closed_form_first_second,
     cs_distribution,
+    cs_first_cumulants,
     cumulants_from_distribution,
     enumerate_paths,
 )
@@ -409,21 +410,22 @@ def test_paper_cs_means_are_unital_means_at_flip_probability():
 
 @given(params=cycle_params(), theta=finite(0.0, 0.5), alpha=probs)
 @settings(max_examples=300, deadline=None)
-def test_cs_means_match_distribution_route(params, theta, alpha):
+def test_cs_first_cumulants_match_distribution_route(params, theta, alpha):
     for branch in ("plus", "minus"):
         ctrl = ControlSpec(alpha, branch)
-        closed = closed_form_first_second(params, ctrl.flip_probability(theta))
+        closed = cs_first_cumulants(params, theta, ctrl)
         cums = cumulants_from_distribution(cs_distribution(params, theta, ctrl))
         assert close(closed.w_mean, cums.w[0], 1e-12)
         assert close(closed.qm_mean, cums.q_m[0], 1e-12)
         assert close(closed.qt_mean, cums.qt_mean, 1e-12)
 
 
-def test_cs_means_alpha_zero_reduction():
+def test_cs_first_cumulants_alpha_zero_reduction():
     plain = closed_form_first_second(REF, 0.2)
     for branch in ("plus", "minus"):
         ctrl = ControlSpec(0.0, branch)
-        assert closed_form_first_second(REF, ctrl.flip_probability(0.2)) == plain
+        assert ctrl.flip_probability(0.2) == 0.2
+        assert cs_first_cumulants(REF, 0.2, ctrl) == plain
         paper = paper_cs_means(REF, 0.2, ctrl)
         assert paper == pytest.approx((plain.w_mean, plain.qm_mean, plain.qt_mean), abs=1e-15)
 
@@ -472,7 +474,7 @@ def test_derivative_route_odd_orders_vanish_at_infinite_temperature():
 def test_derivative_route_cs_variant():
     ctrl = ControlSpec(0.5, "minus")
     exact = cumulants_from_distribution(cs_distribution(REF, 0.2, ctrl))
-    fd = cf_derivative_check(REF, 0.2, ctrl)
+    fd = cf_derivative_check(REF, ctrl.flip_probability(0.2))
     assert close(fd.w[0], exact.w[0], 1e-6)
     assert close(fd.w[1], exact.w[1], 1e-6)
 
