@@ -25,16 +25,19 @@ from .qstate import (
 )
 from .trajectory import (
     CycleParams,
+    DistributionBlock,
     JointDistribution,
     SampleStats,
     backward_distribution,
     cs_distribution,
     distribution_to_csv,
+    enumerate_block,
     enumerate_paths,
     sample,
 )
 from .cumulants import (
     CFPoint,
+    CumulantBlock,
     CumulantSet,
     DerivativeStepError,
     FirstTwoCumulants,
@@ -43,6 +46,7 @@ from .cumulants import (
     cf_unital,
     closed_form_first_second,
     cs_first_cumulants,
+    cumulants_from_block,
     cumulants_from_distribution,
 )
 from .analysis import (
@@ -53,9 +57,11 @@ from .analysis import (
     WorkThreshold,
     bound_reports_to_csv,
     classify_regime,
+    classify_regime_array,
     classify_regime_means,
     cumulant_ratio_scan,
     efficiency,
+    is_rounding_residue,
     positive_work_threshold,
     shape_stats,
     verify_bounds,

@@ -14,8 +14,11 @@ precondition actually held.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .cumulants import CumulantSet, closed_form_first_second, cumulants_from_distribution
 from .qstate import ControlSpec, PhysicsError
@@ -30,6 +33,8 @@ __all__ = [
     "bound_reports_to_csv",
     "classify_regime",
     "classify_regime_means",
+    "classify_regime_array",
+    "is_rounding_residue",
     "positive_work_threshold",
     "efficiency",
     "verify_bounds",
@@ -39,6 +44,7 @@ __all__ = [
 
 _REGIME_TOL = 1e-12
 _BOUND_SLACK = 1e-10
+_RESIDUE_ULPS = 8.0 * sys.float_info.epsilon
 
 
 class Regime(Enum):
@@ -50,6 +56,25 @@ class Regime(Enum):
 
     def __str__(self) -> str:
         return self.value
+
+
+# The sign rule, keyed by (beta > 0, <W> > 0, <Q_M> > 0, <Q_T> > 0): a
+# positive-temperature bath must not feed heat in (Q_T <= 0), a
+# negative-temperature one must (Q_T > 0).  Patterns not listed are
+# undetermined.
+_REGIMES = {
+    (True, True, True, False): Regime.ENGINE,
+    (True, False, True, False): Regime.ACCELERATOR,
+    (True, False, False, False): Regime.HEATER,
+    (False, True, False, True): Regime.ENGINE,
+    (False, False, False, True): Regime.ACCELERATOR,
+    (False, True, True, True): Regime.ENGINE_PRIME,
+}
+
+# The same table as a 2 x 2 x 2 x 2 array, for whole grids.
+_REGIME_ARRAY = np.full((2, 2, 2, 2), Regime.UNDETERMINED, dtype=object)
+for _signs, _regime in _REGIMES.items():
+    _REGIME_ARRAY[tuple(map(int, _signs))] = _regime
 
 
 def classify_regime_means(
@@ -64,22 +89,32 @@ def classify_regime_means(
     Any flow within ``tol`` of zero (or an inconsistent sign pattern,
     or beta = 0) yields UNDETERMINED.
     """
-    if abs(beta) <= tol:
+    if abs(beta) <= tol or beta == 0.0:
         return Regime.UNDETERMINED
-    if min(abs(w_mean), abs(qm_mean), abs(qt_mean)) <= tol:
+    if abs(w_mean) <= tol or abs(qm_mean) <= tol or abs(qt_mean) <= tol:
         return Regime.UNDETERMINED
-    sw, sq, st = w_mean > 0.0, qm_mean > 0.0, qt_mean > 0.0
-    if beta > 0.0 and not st:
-        if sq:
-            return Regime.ENGINE if sw else Regime.ACCELERATOR
-        if not sw:
-            return Regime.HEATER
-    if beta < 0.0 and st:
-        if not sq:
-            return Regime.ENGINE if sw else Regime.ACCELERATOR
-        if sw:
-            return Regime.ENGINE_PRIME
-    return Regime.UNDETERMINED
+    signs = (beta > 0.0, w_mean > 0.0, qm_mean > 0.0, qt_mean > 0.0)
+    return _REGIMES.get(signs, Regime.UNDETERMINED)
+
+
+def classify_regime_array(w_mean, qm_mean, qt_mean, beta, tol: float = _REGIME_TOL) -> np.ndarray:
+    """:func:`classify_regime_means` elementwise over broadcast arrays; an
+    object array of :class:`Regime` members."""
+    flows = np.broadcast_arrays(beta, w_mean, qm_mean, qt_mean)
+    regimes = _REGIME_ARRAY[tuple((x > 0.0).astype(np.intp) for x in flows)]
+    beta = flows[0]
+    small = (np.abs(beta) <= tol) | (beta == 0.0)
+    for flow in flows[1:]:
+        small |= np.abs(flow) <= tol
+    regimes[small] = Regime.UNDETERMINED
+    return regimes
+
+
+def is_rounding_residue(total, largest):
+    """Whether ``total``, a sum whose largest summand has magnitude
+    ``largest``, is within a few ulps of that summand: what is left of
+    summands that cancel, not a value.  Elementwise on arrays."""
+    return abs(total) <= _RESIDUE_ULPS * largest
 
 
 def classify_regime(cumulants, beta: float, tol: float = _REGIME_TOL) -> Regime:
@@ -155,19 +190,22 @@ def efficiency(
     ``asymmetric`` and ``cs`` treat forward and backward on an equal
     footing, (W_F + W_B) / (Q_MF + Q_MB), which is what restores the
     Otto ceiling for asymmetric driving; ``cs`` is ``asymmetric`` at
-    ``ctrl.flip_probability(theta)``.
+    ``ctrl.flip_probability(theta)``.  Forward and backward heat that
+    cancel to rounding residue count as no heat.
     """
     if mode == "cs":
         theta, mode = _cs_flip_probability(theta, ctrl), "asymmetric"
     if mode == "symmetric":
         fwd = closed_form_first_second(params, theta)
         work, heat = fwd.w_mean, fwd.qm_mean
+        largest = abs(heat)
     elif mode == "asymmetric":
         fwd, bwd = _plain_means(params, theta)
         work, heat = fwd.w_mean + bwd.w_mean, fwd.qm_mean + bwd.qm_mean
+        largest = max(abs(fwd.qm_mean), abs(bwd.qm_mean))
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    if abs(heat) < 1e-300:
+    if abs(heat) < 1e-300 or is_rounding_residue(heat, largest):
         raise PhysicsError("efficiency undefined: no heat absorbed from the channel")
     return work / heat
 

@@ -180,10 +180,11 @@ def _require(cfg: dict, *names):
     return [cfg[n] for n in names]
 
 
-def _resolve_theta(cfg: dict) -> float:
-    """Channel spec: --theta wins, then Pauli weights, then measurement angles."""
+def _resolve_theta(cfg: dict):
+    """Channel spec: --theta wins, then Pauli weights, then measurement angles.
+    Swept values come back as the grid's arrays."""
     if cfg.get("theta") is not None:
-        return float(cfg["theta"])
+        return cfg["theta"]
     pauli = [cfg.get(k) for k in ("p0", "p1", "p2", "p3")]
     if any(p is not None for p in pauli):
         if any(p is None for p in pauli):
@@ -192,8 +193,16 @@ def _resolve_theta(cfg: dict) -> float:
             raise ConfigError("Pauli weights must be nonnegative and sum to 1")
         return float(pauli[1] + pauli[2])
     if cfg.get("alpha_m") is not None:
-        return math.sin(cfg["alpha_m"]) ** 2 / 2.0
+        return _measurement_theta(cfg["alpha_m"])
     raise ConfigError("specify a channel: --theta, --p0..--p3, or --alpha-m [--chi]")
+
+
+def _measurement_theta(alpha_m):
+    """theta = sin^2(alpha_m) / 2; an array of angles value by value, so
+    that a swept angle gives the theta of the same single point."""
+    if isinstance(alpha_m, np.ndarray):
+        return np.reshape([_measurement_theta(a) for a in alpha_m.ravel().tolist()], alpha_m.shape)
+    return math.sin(alpha_m) ** 2 / 2.0
 
 
 def _cycle_params(cfg: dict) -> trajectory.CycleParams:
@@ -232,18 +241,56 @@ def _axis_values(cfg: dict, suffix: str = "") -> tuple[str, np.ndarray]:
     return axis, np.linspace(start, stop, steps)
 
 
-def _point_config(cfg: dict, axis: str, value: float) -> dict:
-    """One sweep point.  Sweeping delta (or zeta) on a symmetric base
-    cycle moves both transition probabilities together, which is the
-    delta = zeta sweep of the symmetric engine."""
+def _grid_config(cfg: dict, axes: list[tuple[str, np.ndarray]]) -> dict:
+    """The configuration of every grid point: each swept key becomes an
+    array along its own dimension of the grid, axis after axis.  Sweeping
+    delta (or zeta) where the cycle is symmetric moves both transition
+    probabilities together, which is the delta = zeta sweep of the
+    symmetric engine."""
     out = dict(cfg)
-    symmetric_base = cfg.get("delta") == cfg.get("zeta")
-    out[axis.replace("-", "_")] = float(value)
-    if axis in ("delta", "zeta") and symmetric_base:
-        out["delta"] = out["zeta"] = float(value)
-    if axis == "alpha-m":
-        out["theta"] = None  # recompute from the swept angle
+    for dim, (axis, values) in enumerate(axes):
+        values = values.reshape((-1,) + (1,) * (len(axes) - 1 - dim))
+        key = axis.replace("-", "_")
+        if axis in ("delta", "zeta"):
+            symmetric = np.asarray(out.get("delta") == out.get("zeta"))
+            other = "zeta" if axis == "delta" else "delta"
+            if symmetric.all():
+                out[other] = values
+            elif symmetric.any():
+                out[other] = np.where(symmetric, values, out[other])
+        out[key] = values
+        if axis == "alpha-m":
+            out["theta"] = None  # recompute from the swept angle
     return out
+
+
+# Grid points per evaluation call: enough that numpy's per-call cost is
+# spread thin, few enough that the block's temporaries (16 paths and 9
+# outcomes per point) stay small beside the output text.  On a 101 x 101
+# classify grid 1024-point blocks raised peak RSS by 1.3 MB (4%), 256-point
+# blocks by 0.5 MB, at the same speed.
+_BLOCK_POINTS = 256
+
+
+def _grid_blocks(cfg: dict, axes: list[tuple[str, np.ndarray]]):
+    """Evaluate a grid in C order, one block of points at a time.
+
+    Yields (index of the block's first point, parameter columns beta, nu1,
+    nu2, delta, zeta, theta and, under coherent control, cs-alpha, the
+    block's joint distributions, their cumulants).
+    """
+    point = _grid_config(cfg, axes)
+    columns = _require(point, "beta", "nu1", "nu2", "delta", "zeta")
+    columns.append(_resolve_theta(point))
+    if point.get("cs_alpha") is not None:
+        columns.append(point["cs_alpha"])
+    branch = point.get("branch") or "minus"
+    shape = tuple(len(values) for _, values in axes)
+    grid = [np.broadcast_to(np.asarray(c, dtype=float), shape) for c in columns]
+    for start in range(0, math.prod(shape), _BLOCK_POINTS):
+        block = [c.flat[start:start + _BLOCK_POINTS] for c in grid]
+        dist = trajectory.enumerate_block(*block, branch=branch)
+        yield start, block, dist, cumulants.cumulants_from_block(dist)
 
 
 def _run_mode(cfg: dict) -> str:
@@ -264,15 +311,6 @@ def _distribution(cfg: dict):
         return params, theta, ctrl, theta, trajectory.enumerate_paths(params, theta)
     dist = trajectory.cs_distribution(params, theta, ctrl)
     return params, theta, ctrl, ctrl.flip_probability(theta), dist
-
-
-def _evaluate_point(cfg: dict):
-    """(cycle, theta, control, cumulant set, regime) at one parameter point."""
-    tol = _tolerance(cfg)
-    params, theta, ctrl, _, dist = _distribution(cfg)
-    cums = cumulants.cumulants_from_distribution(dist)
-    regime = analysis.classify_regime(cums, params.beta, tol)
-    return params, theta, ctrl, cums, regime
 
 
 def _open_out(cfg: dict):
@@ -348,27 +386,43 @@ def _cmd_cumulants(cfg: dict) -> None:
 def _cmd_sweep(cfg: dict) -> None:
     axis, values = _axis_values(cfg)
     mode = _run_mode(cfg)
+    tol = _tolerance(cfg)
+    branch = cfg.get("branch") or "minus"
     bound_names: list[str] | None = None
     rows = []
-    for value in values:
-        point = _point_config(cfg, axis, value)
-        params, theta, ctrl, cums, regime = _evaluate_point(point)
-        try:
-            eta = analysis.efficiency(params, theta, mode, ctrl)
-        except PhysicsError:
-            eta = math.nan
-        bounds = analysis.verify_bounds(params, theta, mode, ctrl)
-        if bound_names is None:
-            bound_names = [b.name for b in bounds]
-        cells = [_fmt(float(value))]
-        cells += [_fmt(v) for v in (*cums.w, *cums.q_m, cums.qt_mean)]
-        rf = cums.w[1] / cums.w[0] ** 2 if cums.w[0] != 0.0 else math.inf
-        cells.append(_fmt(rf))
-        cells.append(_fmt(eta))
-        cells.append(str(regime))
-        for rep in bounds:
-            cells.append("n/a" if not rep.applicable else "ok" if rep.satisfied else "violated")
-        rows.append(",".join(cells))
+    for start, columns, dist, cums in _grid_blocks(cfg, [(axis, values)]):
+        regimes = analysis.classify_regime_array(
+            cums.w_mean, cums.qm_mean, cums.qt_mean, columns[0], tol
+        )
+        # <W> is a sum over outcomes; cancelled to rounding residue it has
+        # no relative fluctuation worth printing
+        no_mean = analysis.is_rounding_residue(
+            cums.w_mean, np.abs(dist.prob * dist.w).max(axis=-1)
+        )
+        thetas = columns[5].tolist()
+        alphas = columns[6].tolist() if len(columns) == 7 else [None] * len(thetas)
+        points = zip(
+            values[start:start + len(thetas)].tolist(), zip(*(c.tolist() for c in columns[:5])),
+            thetas, alphas,
+            cums.w.tolist(), cums.q_m.tolist(), cums.qt_mean.tolist(), no_mean, regimes,
+        )
+        for value, cycle, theta, alpha, kw, kq, qt, zero_mean, regime in points:
+            params = trajectory.CycleParams(*cycle)
+            ctrl = None if alpha is None else ControlSpec(alpha, branch)
+            try:
+                eta = analysis.efficiency(params, theta, mode, ctrl)
+            except PhysicsError:
+                eta = math.nan
+            bounds = analysis.verify_bounds(params, theta, mode, ctrl)
+            if bound_names is None:
+                bound_names = [b.name for b in bounds]
+            cells = [_fmt(v) for v in (value, *kw, *kq, qt)]
+            cells.append(_fmt(math.inf if zero_mean else kw[1] / kw[0] ** 2))
+            cells.append(_fmt(eta))
+            cells.append(str(regime))
+            for rep in bounds:
+                cells.append("n/a" if not rep.applicable else "ok" if rep.satisfied else "violated")
+            rows.append(",".join(cells))
     header = (
         [axis, "w_k1", "w_k2", "w_k3", "w_k4", "qm_k1", "qm_k2", "qm_k3", "qm_k4",
          "qt_mean", "w_rf", "efficiency", "regime"]
@@ -383,23 +437,18 @@ def _cmd_classify(cfg: dict) -> None:
     axis2, values2 = _axis_values(cfg, "2")
     if axis1 == axis2:
         raise ConfigError("the two grid axes must differ")
+    tol = _tolerance(cfg)
+    cells1 = [_fmt(v) for v in values1.tolist()]
+    cells2 = [_fmt(v) for v in values2.tolist()]
     lines = [f"{axis1},{axis2},w_mean,qm_mean,qt_mean,regime"]
-    for v1 in values1:
-        for v2 in values2:
-            point = _point_config(_point_config(cfg, axis1, v1), axis2, v2)
-            *_, cums, regime = _evaluate_point(point)
-            lines.append(
-                ",".join(
-                    [
-                        _fmt(float(v1)),
-                        _fmt(float(v2)),
-                        _fmt(cums.w[0]),
-                        _fmt(cums.q_m[0]),
-                        _fmt(cums.qt_mean),
-                        str(regime),
-                    ]
-                )
-            )
+    for start, columns, _, cums in _grid_blocks(cfg, [(axis1, values1), (axis2, values2)]):
+        regimes = analysis.classify_regime_array(
+            cums.w_mean, cums.qm_mean, cums.qt_mean, columns[0], tol
+        )
+        means = zip(cums.w_mean.tolist(), cums.qm_mean.tolist(), cums.qt_mean.tolist(), regimes)
+        for index, (w, q, qt, regime) in enumerate(means, start):
+            i1, i2 = divmod(index, len(cells2))
+            lines.append(f"{cells1[i1]},{cells2[i2]},{w:.17g},{q:.17g},{qt:.17g},{regime.value}")
     _emit(cfg, _config_comment("classify", cfg) + "\n".join(lines) + "\n")
 
 

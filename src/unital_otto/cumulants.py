@@ -4,7 +4,8 @@ Three independent routes to the same numbers:
 
 1. exact enumeration -- raw/central moments of the finite joint
    distribution, converted algebraically to cumulants (the ground
-   truth; no differentiation error);
+   truth; no differentiation error); :func:`cumulants_from_block` does
+   the same for every point of a grid at once;
 2. closed forms -- the first and second cumulants transcribed from the
    analytic expressions (third and fourth have no published closed
    form and are deliberately not transcribed);
@@ -32,20 +33,31 @@ from typing import Callable
 import numpy as np
 
 from .qstate import ControlSpec, GeneralQubitChannel
-from .trajectory import CycleParams, JointDistribution, _channel_distribution
+from .trajectory import (
+    CycleParams,
+    DistributionBlock,
+    JointDistribution,
+    _channel_distribution,
+)
 
 __all__ = [
     "CumulantSet",
+    "CumulantBlock",
     "CFPoint",
     "FirstTwoCumulants",
     "DerivativeStepError",
     "cf_unital",
     "cf_general",
     "cumulants_from_distribution",
+    "cumulants_from_block",
     "closed_form_first_second",
     "cs_first_cumulants",
     "cf_derivative_check",
 ]
+
+
+# Rounding may leave a variance this far below zero.
+_VARIANCE_TOL = 1e-10
 
 
 class DerivativeStepError(ValueError):
@@ -65,7 +77,7 @@ class CumulantSet:
         values = (*self.w, *self.q_m, self.qt_mean)
         if not all(math.isfinite(v) for v in values):
             raise ValueError("cumulants must be finite")
-        if self.w[1] < -1e-10 or self.q_m[1] < -1e-10:
+        if self.w[1] < -_VARIANCE_TOL or self.q_m[1] < -_VARIANCE_TOL:
             raise ValueError("variances must be nonnegative")
 
     @property
@@ -149,12 +161,13 @@ def cf_general(
     return dist.characteristic_value(gamma_w, gamma_m)
 
 
-def _marginal_cumulants(values: np.ndarray, prob: np.ndarray) -> tuple[float, ...]:
-    mean = float(np.dot(prob, values))
-    centred = values - mean
-    c2 = float(np.dot(prob, centred**2))
-    c3 = float(np.dot(prob, centred**3))
-    c4 = float(np.dot(prob, centred**4))
+def _marginal_cumulants(values: np.ndarray, prob: np.ndarray) -> tuple:
+    """First four cumulants of each distribution along the last axis."""
+    mean = np.vecdot(prob, values)
+    centred = values - mean[..., None]
+    c2 = np.vecdot(prob, centred**2)
+    c3 = np.vecdot(prob, centred**3)
+    c4 = np.vecdot(prob, centred**4)
     return (mean, c2, c3, c4 - 3.0 * c2 * c2)
 
 
@@ -168,11 +181,45 @@ def cumulants_from_distribution(dist: JointDistribution) -> CumulantSet:
     The mean bath heat follows from energy conservation,
     <Q_T> = <W> - <Q_M>.
     """
-    kw = _marginal_cumulants(dist.w, dist.prob)
-    kq = _marginal_cumulants(dist.q_m, dist.prob)
+    kw = tuple(map(float, _marginal_cumulants(dist.w, dist.prob)))
+    kq = tuple(map(float, _marginal_cumulants(dist.q_m, dist.prob)))
     return CumulantSet(
         w=kw, q_m=kq, qt_mean=kw[0] - kq[0], direction=dist.direction
     )
+
+
+@dataclass(frozen=True)
+class CumulantBlock:
+    """First four cumulants over a grid: ``w`` and ``q_m`` shaped (..., 4)."""
+
+    w: np.ndarray
+    q_m: np.ndarray
+    qt_mean: np.ndarray
+
+    @property
+    def w_mean(self) -> np.ndarray:
+        return self.w[..., 0]
+
+    @property
+    def qm_mean(self) -> np.ndarray:
+        return self.q_m[..., 0]
+
+
+def cumulants_from_block(block: DistributionBlock) -> CumulantBlock:
+    """:func:`cumulants_from_distribution` at every point of a block.
+
+    The checks of :class:`CumulantSet` run over the whole block; where
+    points fail, its error at the first of them (in C order) is raised.
+    """
+    kw = np.stack(_marginal_cumulants(block.w, block.prob), axis=-1)
+    kq = np.stack(_marginal_cumulants(block.q_m, block.prob), axis=-1)
+    qt = kw[..., 0] - kq[..., 0]
+    ok = np.isfinite(kw).all(-1) & np.isfinite(kq).all(-1) & np.isfinite(qt)
+    ok &= ~((kw[..., 1] < -_VARIANCE_TOL) | (kq[..., 1] < -_VARIANCE_TOL))
+    if not ok.all():
+        i = np.unravel_index(np.argmin(ok), ok.shape)
+        CumulantSet(tuple(map(float, kw[i])), tuple(map(float, kq[i])), float(qt[i]))
+    return CumulantBlock(w=kw, q_m=kq, qt_mean=qt)
 
 
 def closed_form_first_second(

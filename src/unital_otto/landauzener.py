@@ -175,10 +175,13 @@ def monitored_averages(params: LZParams) -> CycleAverages:
     measurement at B erases the coherence the projector channel would
     otherwise act on, so E3 and E4 differ from the unmonitored route.
     """
-    cyc = params.cycle
-    first = closed_form_first_second(cyc, params.channel.theta)
+    return _monitored_from(params, unmonitored_cycle(params))
+
+
+def _monitored_from(params: LZParams, shared: CycleAverages) -> CycleAverages:
+    """:func:`monitored_averages`, given the unmonitored averages of ``params``."""
+    first = closed_form_first_second(params.cycle, params.channel.theta)
     eta = first.w_mean / first.qm_mean if abs(first.qm_mean) > 1e-300 else math.nan
-    shared = unmonitored_cycle(params)
     return CycleAverages(
         e1=shared.e1,
         e2=shared.e2,
@@ -210,8 +213,8 @@ def monitored_vs_unmonitored(
     beta = params.cycle.beta
     for delta in deltas:
         point = params.with_delta(float(delta))
-        mon = monitored_averages(point)
         um = unmonitored_cycle(point)
+        mon = _monitored_from(point, um)
         rows.append(
             ComparisonRow(
                 delta=float(delta),

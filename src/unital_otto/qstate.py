@@ -297,10 +297,12 @@ class ControlSpec:
         is the unital cycle's at this flip probability.  Above 1 (theta >
         2 p_-, reachable only on the minus branch beyond the measurement
         channel's theta <= 1/2) the matrix has negative entries, the cycle
-        has no distribution and :class:`PhysicsError` is raised.
+        has no distribution and :class:`PhysicsError` is raised.  An array of
+        theta is divided elementwise without that check: entries beyond
+        2 p_branch come out above 1.
         """
         doubled = 2.0 * self.branch_probability
-        if theta > doubled:
+        if not isinstance(theta, np.ndarray) and theta > doubled:
             raise PhysicsError(
                 f"{self.branch} branch: theta {theta!r} exceeds 2 p_branch = "
                 f"{doubled!r}, the flip probability would exceed 1"
@@ -328,8 +330,8 @@ def superpose_apply(
 
     together with the branch probability.  The branch probability is
     evaluated from the interference trace rather than assumed; for a
-    projector pair summing to the identity the two coincide, and the
-    implementation asserts that they do.
+    projector pair summing to the identity the two coincide, and
+    :class:`PhysicsError` is raised if they do not.
     """
     if not isinstance(channel, MeasurementChannel):
         raise TypeError("coherent superposition is defined for the measurement channel")
@@ -340,7 +342,11 @@ def superpose_apply(
     cross = ksum @ rho.mat @ ksum.conj().T
     coh = ctrl.coherence
     p_branch = 0.5 + ctrl.sign * coh * float(np.trace(cross).real) / n_ops
-    assert abs(p_branch - ctrl.branch_probability) < 1e-12
+    if not abs(p_branch - ctrl.branch_probability) < 1e-12:
+        raise PhysicsError(
+            f"interference trace gives branch probability {p_branch!r}, "
+            f"not {ctrl.branch_probability!r}"
+        )
     numer = 0.5 * direct + ctrl.sign * (coh / n_ops) * cross
     eigs = np.linalg.eigvalsh(0.5 * (numer + numer.conj().T))
     if eigs[0] < -1e-10 * max(1.0, p_branch):

@@ -19,6 +19,11 @@ The backward cycle follows from the forward one by swapping delta and
 zeta.  The coherently controlled variant is the unital cycle at the flip
 probability theta / (2 p_branch) of
 :meth:`~unital_otto.qstate.ControlSpec.flip_probability`.
+
+:func:`enumerate_block` evaluates the same table over whole parameter
+arrays at once (a :class:`DistributionBlock`, one row of the nine
+outcome keys per point); the scalar functions stay plain Python, which
+is faster for a single point.
 """
 
 from __future__ import annotations
@@ -33,8 +38,10 @@ from .qstate import ControlSpec, GeneralQubitChannel, PhysicsError
 __all__ = [
     "CycleParams",
     "JointDistribution",
+    "DistributionBlock",
     "SampleStats",
     "enumerate_paths",
+    "enumerate_block",
     "backward_distribution",
     "cs_distribution",
     "sample",
@@ -238,6 +245,94 @@ def _channel_distribution(
     return _merge(params, _path_probs(params, t))
 
 
+# The table as columns: the state index at each of the four measurements
+# of every path, and the integer coefficients (a, b) of each outcome key
+# in ``_OUTCOMES`` order.
+_N, _M, _K, _L = (np.array(col) for col in zip(*(path[:4] for path in _PATHS)))
+_KEY_A, _KEY_B = (np.array(col, dtype=float) for col in zip(*_OUTCOMES))
+
+
+@dataclass(frozen=True)
+class DistributionBlock:
+    """Joint distributions of (W, Q_M) over a grid of parameter points.
+
+    Each array is shaped ``(..., 9)``: the grid's shape, then one entry per
+    integer outcome key of the path table, in one fixed order and with
+    zero-probability outcomes kept, so every point has the same columns.
+    """
+
+    w: np.ndarray
+    q_m: np.ndarray
+    prob: np.ndarray
+
+
+def _stay_flip(p: np.ndarray) -> np.ndarray:
+    """Rows (1 - p, p): entry ``[i ^ j]`` is element ``[i][j]`` of
+    :func:`_flip_matrix`."""
+    return np.stack([1.0 - p, p], axis=-1)
+
+
+def enumerate_block(
+    beta, nu1, nu2, delta, zeta, theta, alpha=None, branch: str = "minus"
+) -> DistributionBlock:
+    """Forward joint distributions at every point of broadcast parameter arrays.
+
+    The array form of :func:`enumerate_paths` and, when the control's arm
+    weight ``alpha`` (scalar or array) is given with ``branch``, of
+    :func:`cs_distribution`: each point gets the same path products and
+    the same table-order sums.  Every check of the scalar route runs over
+    the whole block; where points fail, the error the scalar route raises
+    at the first of them (in C order) is raised.
+    """
+    inputs = [beta, nu1, nu2, delta, zeta, theta] + ([] if alpha is None else [alpha])
+    arrays = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in inputs))
+    shape = arrays[0].shape
+    beta, nu1, nu2, delta, zeta, theta, *alpha = (a.ravel() for a in arrays)
+    ok = np.isfinite(beta) & np.isfinite(nu1) & np.isfinite(nu2)
+    ok &= np.isfinite(delta) & np.isfinite(zeta) & (nu1 > 0.0) & (nu2 > 0.0)
+    ok &= (0.0 <= delta) & (delta <= 1.0) & (0.0 <= zeta) & (zeta <= 1.0)
+    ok &= np.isfinite(theta) & (0.0 <= theta) & (theta <= 1.0)
+    flip = theta
+    if alpha:
+        flip = np.full(theta.shape, np.nan)
+        values, groups = np.unique(alpha[0], return_inverse=True)
+        for j, value in enumerate(values):
+            sel = groups == j
+            try:
+                ctrl = ControlSpec(float(value), branch)
+            except ValueError:
+                continue
+            flip[sel] = ctrl.flip_probability(theta[sel])
+        ok &= flip <= 1.0
+    with np.errstate(all="ignore"):
+        t = np.tanh(beta * nu1)
+        weights = np.stack([0.5 * (1.0 + t), 0.5 * (1.0 - t)], axis=-1)
+        u, c, v = _stay_flip(delta), _stay_flip(flip), _stay_flip(zeta)
+        paths = weights[:, _N] * u[:, _M ^ _N] * c[:, _K ^ _M] * v[:, _L ^ _K]
+        prob = np.empty(theta.shape + (len(_OUTCOMES),))
+        for col, members in enumerate(_OUTCOMES.values()):
+            total = paths[:, members[0]]
+            for i in members[1:]:
+                total = total + paths[:, i]
+            prob[:, col] = total
+        w = _KEY_A * nu1[:, None] + _KEY_B * nu2[:, None]
+        q = _KEY_B * nu2[:, None]
+    ok &= ~(prob.min(axis=1) < -_CLAMP_TOL)
+    clamped = np.maximum(prob, 0.0)
+    ok &= ~(np.abs(clamped.sum(axis=1) - 1.0) > _SUM_TOL)
+    if not ok.all():
+        # ``ok`` holds exactly the scalar checks, so one of these raises
+        i = int(np.argmin(ok))
+        CycleParams(*(float(x[i]) for x in (beta, nu1, nu2, delta, zeta)))
+        ctrl = ControlSpec(float(alpha[0][i]), branch) if alpha else None
+        _check_theta(float(theta[i]))
+        if ctrl is not None:
+            ctrl.flip_probability(float(theta[i]))
+        JointDistribution(w[i], q[i], prob[i])
+    out = shape + (len(_OUTCOMES),)
+    return DistributionBlock(w.reshape(out), q.reshape(out), clamped.reshape(out))
+
+
 @dataclass(frozen=True)
 class MomentSummary:
     """Empirical raw moments of one variable, orders 1 through 4."""
@@ -296,10 +391,12 @@ def sample(dist: JointDistribution, n: int, seed: int) -> SampleStats:
     cdf = np.cumsum(dist.prob)
     idx = np.searchsorted(cdf, rng.random(n), side="right")
     idx = np.minimum(idx, len(dist) - 1)
+    # the moments of the draws are those of the outcomes weighted by how
+    # often each was drawn
+    freq = np.bincount(idx, minlength=len(dist)) / n
 
     def moments(values: np.ndarray) -> MomentSummary:
-        draws = values[idx]
-        raw = tuple(float(np.mean(draws**k)) for k in (1, 2, 3, 4))
+        raw = tuple(float(freq @ values**k) for k in (1, 2, 3, 4))
         return MomentSummary(count=n, raw=raw)
 
     return SampleStats(count=n, seed=seed, w=moments(dist.w), q_m=moments(dist.q_m))

@@ -18,6 +18,7 @@ from unital_otto import (
     cumulants_from_distribution,
     efficiency,
     enumerate_paths,
+    is_rounding_residue,
     positive_work_threshold,
     shape_stats,
     verify_bounds,
@@ -146,6 +147,23 @@ def test_efficiency_needs_heat():
         efficiency(CycleParams(0.0, 1.0, 2.0, 0.1, 0.1), 0.3, "symmetric")
     with pytest.raises(PhysicsError):
         efficiency(CycleParams(0.7, 1.0, 2.0, 0.5, 0.5), 0.3, "symmetric")
+
+
+def test_cancelled_forward_and_backward_heat_is_no_heat():
+    # delta + zeta = 1 up to rounding: forward and backward heat cancel
+    params = CycleParams(1.3, 0.7, 3.0, float(np.linspace(0.0, 1.0, 41)[38]), 0.05)
+    ctrl = ControlSpec(0.3, "minus")
+    flip = ctrl.flip_probability(0.3)
+    fwd = closed_form_first_second(params, flip)
+    bwd = closed_form_first_second(params, flip, direction="backward")
+    assert 0.0 < abs(fwd.qm_mean + bwd.qm_mean) < 1e-14
+    assert is_rounding_residue(fwd.qm_mean + bwd.qm_mean, abs(fwd.qm_mean))
+    with pytest.raises(PhysicsError):
+        efficiency(params, 0.3, "cs", ctrl)
+    near = CycleParams(1.3, 0.7, 3.0, 0.925, 0.05)
+    assert math.isfinite(efficiency(near, 0.3, "cs", ctrl))
+    assert not is_rounding_residue(1e-12, 1.0)
+    assert list(is_rounding_residue(np.array([1e-17, 1e-14]), np.array([1.0, 1.0]))) == [True, False]
 
 
 def test_bounds_all_hold_in_engine_regime():

@@ -1,11 +1,13 @@
 """Command-line interface: outputs, config handling, exit codes."""
 
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
 from unital_otto import DerivativeStepError, cumulants
-from unital_otto.cli import _merge_config, build_parser, main
+from unital_otto.cli import _COMMANDS, _merge_config, build_parser, main
 
 
 def run(capsys, *argv):
@@ -377,3 +379,54 @@ def test_derivative_step_error_leaves_nan_rows_on_cs_point(capsys, monkeypatch):
     for route in ("cf_derivative", "cf_derivative_delta"):
         assert all(math.isnan(float(c)) for c in rows[route])
     assert all(math.isfinite(float(c)) for c in rows["enumeration"])
+
+
+def test_sweep_prints_no_ratio_of_a_cancelled_denominator(capsys):
+    code, out, _ = run(
+        capsys, "sweep", "--beta", "1.3", "--nu1", "0.7", "--nu2", "3", "--delta", "0.3",
+        "--zeta", "0.05", "--theta", "0.3", "--axis", "delta", "--start", "0",
+        "--stop", "1", "--steps", "41", "--cs-alpha", "0.3", "--branch", "minus",
+    )
+    assert code == 0
+    header, *rows = out.splitlines()[1:]
+    column = header.split(",").index("efficiency")
+    eta = {row.split(",")[0]: row.split(",")[column] for row in rows}
+    # delta + zeta = 1: forward and backward heat cancel to rounding residue
+    assert eta["0.95000000000000007"] == "nan"
+    assert all(math.isfinite(float(v)) for k, v in eta.items() if k != "0.95000000000000007")
+
+    # at beta = 0 the mean work cancels over the outcomes
+    code, out, _ = run(
+        capsys, "sweep", "--beta", "0", "--nu1", "0.7", "--nu2", "3", "--delta", "0.3",
+        "--zeta", "0.05", "--theta", "0.3", "--axis", "delta", "--start", "0",
+        "--stop", "1", "--steps", "11",
+    )
+    assert code == 0
+    header, *rows = out.splitlines()[1:]
+    column = header.split(",").index("w_rf")
+    assert [row.split(",")[column] for row in rows] == ["inf"] * 11
+
+
+def readme_commands():
+    """The ``unital-otto`` invocations of README's command-line block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(l)[1:] for l in lines if l.strip().startswith("unital-otto")]
+
+
+def test_readme_lists_every_command():
+    assert {argv[0] for argv in readme_commands()} == set(_COMMANDS)
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: argv[0])
+def test_readme_command_runs(argv, tmp_path, capsys):
+    argv = list(argv)
+    out = tmp_path / "out.csv"
+    if "--out" in argv:
+        argv[argv.index("--out") + 1] = str(out)
+    else:
+        argv += ["--out", str(out)]
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err
+    assert out.read_text().startswith(f"# command={argv[0]} ")

@@ -152,3 +152,23 @@ def test_comparison_csv_header():
     assert lines[0] == "delta,w_mon,eta_mon,regime_mon,w_um,eta_um,regime_um"
     assert len(lines) == 3
     assert lines[1].split(",")[3] in {r.value for r in Regime}
+
+
+def test_one_unmonitored_propagation_per_comparison_row(monkeypatch):
+    from unital_otto import landauzener
+
+    base = build(0.0, **FIG6F)
+    deltas = np.linspace(0.0, 1.0, 7)
+    want = [
+        (monitored_averages(base.with_delta(float(d))), unmonitored_cycle(base.with_delta(float(d))))
+        for d in deltas
+    ]
+    calls = []
+    original = landauzener.unmonitored_cycle
+    monkeypatch.setattr(
+        landauzener, "unmonitored_cycle", lambda p: calls.append(p) or original(p)
+    )
+    rows = monitored_vs_unmonitored(base, deltas)
+    assert len(calls) == len(deltas)
+    for row, (mon, um) in zip(rows, want):
+        assert (row.w_mon, row.eta_mon, row.w_um, row.eta_um) == (mon.w, mon.eta, um.w, um.eta)

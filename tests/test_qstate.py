@@ -294,3 +294,11 @@ def test_unital_kraus_sets_have_unit_h(weights, seed):
         kraus.append(math.sqrt(w) * q)
     ch = GeneralQubitChannel(kraus)
     assert abs(ch.h - 1.0) < 1e-12
+
+
+def test_superpose_branch_mismatch_is_physics_error(monkeypatch):
+    ch = MeasurementChannel(1.0, 0.0)
+    rho = thermal_state(0.7, 1.0)
+    monkeypatch.setattr(ControlSpec, "branch_probability", property(lambda self: 0.9))
+    with pytest.raises(PhysicsError, match="branch probability"):
+        superpose_apply(ch, rho, ControlSpec(0.3, "minus"))

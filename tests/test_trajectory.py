@@ -204,3 +204,15 @@ def test_csv_round_trip():
         assert float(w_text) == w
         assert float(q_text) == q
         assert float(p_text) == p  # 17 significant digits round-trip
+
+
+def test_sampler_moments_are_those_of_the_draws():
+    dist = enumerate_paths(CycleParams(0.7, 1.0, 2.0, 0.1, 0.2), 0.3)
+    stats = sample(dist, 20000, seed=11)
+    # the same stream and indices, moments taken over the draws themselves
+    rng = np.random.default_rng(11)
+    idx = np.searchsorted(np.cumsum(dist.prob), rng.random(20000), side="right")
+    idx = np.minimum(idx, len(dist) - 1)
+    for summary, values in ((stats.w, dist.w), (stats.q_m, dist.q_m)):
+        for k, raw in enumerate(summary.raw, 1):
+            assert raw == pytest.approx(float(np.mean(values[idx] ** k)), rel=1e-13, abs=1e-13)
