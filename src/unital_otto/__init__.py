@@ -36,7 +36,6 @@ from .trajectory import (
     sample,
 )
 from .cumulants import (
-    CFPoint,
     CumulantBlock,
     CumulantSet,
     DerivativeStepError,

@@ -366,7 +366,9 @@ def cumulant_ratio_scan(
     num = cums.w[order - 1]
     den = cums.q_m[order - 1]
     eta_power = eta**order
-    if abs(den) < 1e-14:
+    # den has dimension energy^order: compare it with the largest |Q_M|
+    # outcome, 2 nu2, to that power
+    if abs(den) < 1e-14 * (2.0 * params.nu2) ** order:
         return CumulantRatioRecord(order, math.nan, eta_power, False, False, False, True)
     ratio = num / den
     return CumulantRatioRecord(

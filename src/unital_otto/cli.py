@@ -385,7 +385,8 @@ def _cmd_cumulants(cfg: dict) -> None:
 
 def _cmd_sweep(cfg: dict) -> None:
     axis, values = _axis_values(cfg)
-    mode = _run_mode(cfg)
+    # a swept cs-alpha puts every point under coherent control
+    mode = "cs" if axis == "cs-alpha" else _run_mode(cfg)
     tol = _tolerance(cfg)
     branch = cfg.get("branch") or "minus"
     bound_names: list[str] | None = None

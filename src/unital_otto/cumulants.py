@@ -43,7 +43,6 @@ from .trajectory import (
 __all__ = [
     "CumulantSet",
     "CumulantBlock",
-    "CFPoint",
     "FirstTwoCumulants",
     "DerivativeStepError",
     "cf_unital",
@@ -99,19 +98,6 @@ class FirstTwoCumulants:
     qm_var: float
     qt_mean: float
     direction: str = "forward"
-
-
-@dataclass(frozen=True)
-class CFPoint:
-    """One evaluation of a characteristic function at real arguments."""
-
-    gamma_w: float
-    gamma_m: float
-    value: complex
-
-    def __post_init__(self):
-        if abs(self.value) > 1.0 + 1e-9:
-            raise ValueError(f"|chi| = {abs(self.value)} exceeds 1")
 
 
 def _cos_ratio(u: float, sign: int, tanh_b: float) -> complex:

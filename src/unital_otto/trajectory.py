@@ -20,10 +20,13 @@ zeta.  The coherently controlled variant is the unital cycle at the flip
 probability theta / (2 p_branch) of
 :meth:`~unital_otto.qstate.ControlSpec.flip_probability`.
 
-:func:`enumerate_block` evaluates the same table over whole parameter
-arrays at once (a :class:`DistributionBlock`, one row of the nine
-outcome keys per point); the scalar functions stay plain Python, which
-is faster for a single point.
+One array routine evaluates the table at any number of points.
+:func:`enumerate_block` returns its rows for whole parameter grids (a
+:class:`DistributionBlock`, one row of the nine outcome keys per point);
+the single-point functions take one row, drop its zero-probability
+outcomes and sort the rest.  One row costs more than a plain-Python
+loop would, but a command-line run evaluates at most one single point.
+The thermal weights use libm tanh, the value every closed form uses.
 """
 
 from __future__ import annotations
@@ -94,18 +97,8 @@ class CycleParams:
             raise ValueError("delta and zeta must lie in [0, 1]")
 
     @property
-    def partition_function(self) -> float:
-        """Z = exp(beta nu1) + exp(-beta nu1)."""
-        return 2.0 * math.cosh(self.beta * self.nu1)
-
-    @property
     def tanh_beta_nu1(self) -> float:
         return math.tanh(self.beta * self.nu1)
-
-    def thermal_weights(self) -> tuple[float, float]:
-        """(e^{+beta nu1}/Z, e^{-beta nu1}/Z): ground and excited weights."""
-        t = self.tanh_beta_nu1
-        return (0.5 * (1.0 + t), 0.5 * (1.0 - t))
 
     @property
     def swapped(self) -> "CycleParams":
@@ -154,97 +147,6 @@ class JointDistribution:
         return complex(np.sum(self.prob * phase))
 
 
-def _flip_matrix(p: float) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Symmetric 2x2 transition matrix with flip probability p."""
-    return ((1.0 - p, p), (p, 1.0 - p))
-
-
-def _path_probs(params: CycleParams, t) -> list[float]:
-    """w[n] U[m][n] T[k][m] V[l][k] for each path in table order.
-
-    ``t[k][m]`` is the probability that the channel takes state m to
-    state k, in the table's index order (0 ground, 1 excited).
-    """
-    w = params.thermal_weights()
-    u = _flip_matrix(params.delta)
-    v = _flip_matrix(params.zeta)
-    return [w[n] * u[m][n] * t[k][m] * v[l][k] for n, m, k, l, _ in _PATHS]
-
-
-def _merge(
-    params: CycleParams,
-    probs: list[float],
-    direction: str = "forward",
-    control: ControlSpec | None = None,
-) -> JointDistribution:
-    """Sum path probabilities (table order) on their integer outcome keys.
-
-    Outcomes come out sorted by (W, Q_M), without zero-probability
-    entries.
-    """
-    nu1, nu2 = params.nu1, params.nu2
-    rows = []
-    for (a, b), paths in _OUTCOMES.items():
-        p = 0.0
-        for i in paths:
-            p += probs[i]
-        if p != 0.0:
-            rows.append((a * nu1 + b * nu2, b * nu2, p))
-    rows.sort()
-    w, q, p = zip(*rows)
-    return JointDistribution(
-        np.array(w), np.array(q), np.array(p), direction=direction, control=control
-    )
-
-
-def _check_theta(theta: float) -> None:
-    if not math.isfinite(theta) or not 0.0 <= theta <= 1.0:
-        raise ValueError("theta must lie in [0, 1]")
-
-
-def enumerate_paths(params: CycleParams, theta: float) -> JointDistribution:
-    """Exact forward joint distribution of (W, Q_M) for a unital channel.
-
-    W takes values in {0, +-2 nu1, +-2 nu2, +-2(nu2-nu1), +-2(nu1+nu2)}
-    and Q_M in {0, +-2 nu2}; paths with the same outcome are merged.
-    """
-    _check_theta(theta)
-    return _merge(params, _path_probs(params, _flip_matrix(theta)))
-
-
-def backward_distribution(params: CycleParams, theta: float) -> JointDistribution:
-    """Joint distribution of the backward cycle: delta and zeta swapped."""
-    _check_theta(theta)
-    back = params.swapped
-    return _merge(back, _path_probs(back, _flip_matrix(theta)), direction="backward")
-
-
-def cs_distribution(
-    params: CycleParams, theta: float, ctrl: ControlSpec
-) -> JointDistribution:
-    """Joint distribution with the channel applied under coherent control.
-
-    The post-selected branch is the unital cycle at the flip probability
-    ``ctrl.flip_probability(theta)``.  The measurement channel keeps
-    theta <= 1/2, which keeps that probability in [0, 1]; beyond that
-    regime the minus branch can exceed 1 and :class:`PhysicsError` is
-    raised.
-    """
-    _check_theta(theta)
-    flip = _flip_matrix(ctrl.flip_probability(theta))
-    return _merge(params, _path_probs(params, flip), control=ctrl)
-
-
-def _channel_distribution(
-    params: CycleParams, channel: GeneralQubitChannel
-) -> JointDistribution:
-    """Forward joint distribution for an arbitrary qubit channel."""
-    # qstate stores the excited state first, the path table the ground
-    # state first: reverse both indices of the channel's matrix.
-    t = channel.transition_matrix()[::-1, ::-1].tolist()
-    return _merge(params, _path_probs(params, t))
-
-
 # The table as columns: the state index at each of the four measurements
 # of every path, and the integer coefficients (a, b) of each outcome key
 # in ``_OUTCOMES`` order.
@@ -266,10 +168,110 @@ class DistributionBlock:
     prob: np.ndarray
 
 
-def _stay_flip(p: np.ndarray) -> np.ndarray:
-    """Rows (1 - p, p): entry ``[i ^ j]`` is element ``[i][j]`` of
-    :func:`_flip_matrix`."""
-    return np.stack([1.0 - p, p], axis=-1)
+def _flip_matrices(p) -> np.ndarray:
+    """Symmetric 2x2 transition matrices with flip probabilities p, shaped
+    ``p.shape + (2, 2)``."""
+    p = np.asarray(p)
+    out = np.empty(p.shape + (2, 2))
+    out[..., 0, 0] = out[..., 1, 1] = 1.0 - p
+    out[..., 0, 1] = out[..., 1, 0] = p
+    return out
+
+
+def _evaluate(beta, nu1, nu2, delta, zeta, channel) -> DistributionBlock:
+    """The path table at N points: the one place its probabilities are formed.
+
+    Takes the five cycle parameters as 1-d arrays and ``channel``, the
+    (N, 2, 2) transition matrices of the channel in the table's index
+    order: ``channel[:, k, m]`` is the probability that it takes state m
+    to state k.  Each path's probability is w[n] U[m][n] T[k][m] V[l][k],
+    and the paths of each outcome key are summed in table order.  The
+    (N, 9) probabilities are neither clamped nor checked.
+    """
+    with np.errstate(all="ignore"):
+        # libm tanh, the value CycleParams.tanh_beta_nu1 gives every closed
+        # form; np.tanh differs from it in the last bit on many arguments
+        t = np.array(list(map(math.tanh, (beta * nu1).tolist())))
+        weights = np.stack([0.5 * (1.0 + t), 0.5 * (1.0 - t)], axis=-1)
+        u, v = _flip_matrices(delta), _flip_matrices(zeta)
+        paths = weights[:, _N] * u[:, _M, _N] * channel[:, _K, _M] * v[:, _L, _K]
+        prob = np.empty(beta.shape + (len(_OUTCOMES),))
+        for col, members in enumerate(_OUTCOMES.values()):
+            total = paths[:, members[0]]
+            for i in members[1:]:
+                total = total + paths[:, i]
+            prob[:, col] = total
+        w = _KEY_A * nu1[:, None] + _KEY_B * nu2[:, None]
+        q = _KEY_B * nu2[:, None]
+    return DistributionBlock(w, q, prob)
+
+
+def _point(
+    params: CycleParams,
+    channel: np.ndarray,
+    direction: str = "forward",
+    control: ControlSpec | None = None,
+) -> JointDistribution:
+    """One point of :func:`_evaluate`, ``channel`` its 2x2 transition matrix.
+
+    Outcomes come out sorted by (W, Q_M, p), without zero-probability
+    entries.
+    """
+    cycle = (params.beta, params.nu1, params.nu2, params.delta, params.zeta)
+    block = _evaluate(*(np.array([x]) for x in cycle), channel[None])
+    w, q, p = block.w[0], block.q_m[0], block.prob[0]
+    keep = p != 0.0
+    w, q, p = w[keep], q[keep], p[keep]
+    order = np.lexsort((p, q, w))
+    return JointDistribution(
+        w[order], q[order], p[order], direction=direction, control=control
+    )
+
+
+def _check_theta(theta: float) -> None:
+    if not math.isfinite(theta) or not 0.0 <= theta <= 1.0:
+        raise ValueError("theta must lie in [0, 1]")
+
+
+def enumerate_paths(params: CycleParams, theta: float) -> JointDistribution:
+    """Exact forward joint distribution of (W, Q_M) for a unital channel.
+
+    W takes values in {0, +-2 nu1, +-2 nu2, +-2(nu2-nu1), +-2(nu1+nu2)}
+    and Q_M in {0, +-2 nu2}; paths with the same outcome are merged.
+    """
+    _check_theta(theta)
+    return _point(params, _flip_matrices(theta))
+
+
+def backward_distribution(params: CycleParams, theta: float) -> JointDistribution:
+    """Joint distribution of the backward cycle: delta and zeta swapped."""
+    _check_theta(theta)
+    return _point(params.swapped, _flip_matrices(theta), direction="backward")
+
+
+def cs_distribution(
+    params: CycleParams, theta: float, ctrl: ControlSpec
+) -> JointDistribution:
+    """Joint distribution with the channel applied under coherent control.
+
+    The post-selected branch is the unital cycle at the flip probability
+    ``ctrl.flip_probability(theta)``.  The measurement channel keeps
+    theta <= 1/2, which keeps that probability in [0, 1]; beyond that
+    regime the minus branch can exceed 1 and :class:`PhysicsError` is
+    raised.
+    """
+    _check_theta(theta)
+    flip = _flip_matrices(ctrl.flip_probability(theta))
+    return _point(params, flip, control=ctrl)
+
+
+def _channel_distribution(
+    params: CycleParams, channel: GeneralQubitChannel
+) -> JointDistribution:
+    """Forward joint distribution for an arbitrary qubit channel."""
+    # qstate stores the excited state first, the path table the ground
+    # state first: reverse both indices of the channel's matrix.
+    return _point(params, channel.transition_matrix()[::-1, ::-1])
 
 
 def enumerate_block(
@@ -279,10 +281,10 @@ def enumerate_block(
 
     The array form of :func:`enumerate_paths` and, when the control's arm
     weight ``alpha`` (scalar or array) is given with ``branch``, of
-    :func:`cs_distribution`: each point gets the same path products and
-    the same table-order sums.  Every check of the scalar route runs over
-    the whole block; where points fail, the error the scalar route raises
-    at the first of them (in C order) is raised.
+    :func:`cs_distribution`; a point's row holds the same probabilities.
+    Every check of the single-point functions runs over the whole block;
+    where points fail, the error they raise at the first of them (in C
+    order) is raised.
     """
     inputs = [beta, nu1, nu2, delta, zeta, theta] + ([] if alpha is None else [alpha])
     arrays = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in inputs))
@@ -304,24 +306,13 @@ def enumerate_block(
                 continue
             flip[sel] = ctrl.flip_probability(theta[sel])
         ok &= flip <= 1.0
-    with np.errstate(all="ignore"):
-        t = np.tanh(beta * nu1)
-        weights = np.stack([0.5 * (1.0 + t), 0.5 * (1.0 - t)], axis=-1)
-        u, c, v = _stay_flip(delta), _stay_flip(flip), _stay_flip(zeta)
-        paths = weights[:, _N] * u[:, _M ^ _N] * c[:, _K ^ _M] * v[:, _L ^ _K]
-        prob = np.empty(theta.shape + (len(_OUTCOMES),))
-        for col, members in enumerate(_OUTCOMES.values()):
-            total = paths[:, members[0]]
-            for i in members[1:]:
-                total = total + paths[:, i]
-            prob[:, col] = total
-        w = _KEY_A * nu1[:, None] + _KEY_B * nu2[:, None]
-        q = _KEY_B * nu2[:, None]
+    block = _evaluate(beta, nu1, nu2, delta, zeta, _flip_matrices(flip))
+    w, q, prob = block.w, block.q_m, block.prob
     ok &= ~(prob.min(axis=1) < -_CLAMP_TOL)
     clamped = np.maximum(prob, 0.0)
     ok &= ~(np.abs(clamped.sum(axis=1) - 1.0) > _SUM_TOL)
     if not ok.all():
-        # ``ok`` holds exactly the scalar checks, so one of these raises
+        # ``ok`` holds exactly the single-point checks, so one of these raises
         i = int(np.argmin(ok))
         CycleParams(*(float(x[i]) for x in (beta, nu1, nu2, delta, zeta)))
         ctrl = ControlSpec(float(alpha[0][i]), branch) if alpha else None

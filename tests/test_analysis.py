@@ -256,6 +256,17 @@ def test_ratio_scan_undefined_flag():
     assert math.isnan(record.ratio)
 
 
+def test_ratio_scan_is_scale_invariant():
+    # every energy scaled by s scales kappa_n by s^n in both marginals
+    records = [
+        cumulant_ratio_scan(CycleParams(0.7 / s, 1.0 * s, 2.3 * s, 0.2, 0.3), 0.4, 4)
+        for s in (1.0, 1e-2, 1e-4)
+    ]
+    assert not any(r.undefined for r in records)
+    for r in records[1:]:
+        assert close(r.ratio, records[0].ratio, 1e-9)
+
+
 def test_ratio_scan_order_validation():
     with pytest.raises(ValueError):
         cumulant_ratio_scan(FIG3, 0.3, 1)

@@ -1,4 +1,4 @@
-"""Grid evaluation: the block evaluator against the scalar path table."""
+"""Grid evaluation: the block evaluator against a 60-digit reference."""
 
 import math
 
@@ -11,7 +11,6 @@ from unital_otto import (
     Regime,
     classify_regime_array,
     classify_regime_means,
-    cs_distribution,
     cumulants_from_block,
     cumulants_from_distribution,
     enumerate_block,
@@ -20,20 +19,13 @@ from unital_otto import (
 )
 from unital_otto.cli import SWEEPABLE, main
 
-
-def scalar_cumulants(beta, nu1, nu2, delta, zeta, theta, alpha=None, branch="minus"):
-    params = CycleParams(beta, nu1, nu2, delta, zeta)
-    if alpha is None:
-        return cumulants_from_distribution(enumerate_paths(params, theta))
-    return cumulants_from_distribution(
-        cs_distribution(params, theta, ControlSpec(alpha, branch))
-    )
+from conftest import mp_cumulants
 
 
 def assert_cumulants_match(block_w, block_q, block_qt, ref, gap_sum):
-    """Each order k within 1e-14 E^k of the scalar route, E = 2 (nu1 + nu2)
-    the largest |W| outcome.  (Against 60-digit values both routes round
-    kappa_4 to about 1.7e-14 (nu1 + nu2)^4, so nu1 + nu2 alone is too tight.)"""
+    """Each order k within 1e-14 E^k of the 60-digit reference, E = 2 (nu1 +
+    nu2) the largest |W| outcome.  (The evaluator rounds kappa_4 to about
+    1.7e-14 (nu1 + nu2)^4, so nu1 + nu2 alone is too tight.)"""
     energy = 2.0 * gap_sum
     for k in range(4):
         tol = 1e-14 * energy ** (k + 1)
@@ -48,12 +40,13 @@ def random_points(rng, n, symmetric):
     nu2 = np.exp(rng.uniform(math.log(1e-2), math.log(20.0), n))
     delta = rng.random(n)
     zeta = delta if symmetric else rng.random(n)
-    # exact edges of every probability
-    delta[:4] = (0.0, 1.0, 0.5, 0.0)
+    # exact edges of every probability, and near-adiabatic, near-identity
+    # points where the heat moments are small beside the outcomes
+    delta[:5] = (0.0, 1.0, 0.5, 0.0, 1e-9)
     if not symmetric:
-        zeta[:4] = (1.0, 0.0, 0.5, 0.0)
+        zeta[:5] = (1.0, 0.0, 0.5, 0.0, 1e-9)
     theta = rng.random(n)
-    theta[:4] = (0.0, 1.0, 0.5, 0.0)
+    theta[:6] = (0.0, 1.0, 0.5, 0.0, 0.5, 1e-12)
     return beta, nu1, nu2, delta, zeta, theta
 
 
@@ -63,7 +56,7 @@ def test_block_cumulants_match_scalar_route(rng, symmetric):
     cums = cumulants_from_block(enumerate_block(*points))
     for i in range(400):
         point = [float(x[i]) for x in points]
-        ref = scalar_cumulants(*point)
+        ref = mp_cumulants(*point)
         assert_cumulants_match(
             cums.w[i], cums.q_m[i], cums.qt_mean[i], ref, point[1] + point[2]
         )
@@ -80,7 +73,7 @@ def test_controlled_block_matches_cs_distribution(rng, branch):
     )
     for i in range(300):
         point = [float(x[i]) for x in (beta, nu1, nu2, delta, zeta, theta, alpha)]
-        ref = scalar_cumulants(*point, branch=branch)
+        ref = mp_cumulants(*point, branch=branch)
         assert_cumulants_match(
             cums.w[i], cums.q_m[i], cums.qt_mean[i], ref, point[1] + point[2]
         )
@@ -106,9 +99,8 @@ def test_block_distribution_holds_the_scalar_outcomes():
         if p != 0.0
     }
     want = dict(zip(zip(dist.w.tolist(), dist.q_m.tolist()), dist.prob.tolist()))
-    assert got.keys() == want.keys()
-    for key, p in want.items():
-        assert abs(got[key] - p) <= 1e-16
+    # one evaluator: the single-point distribution is the block's row
+    assert got == want
 
 
 def scalar_error(call):
@@ -201,8 +193,8 @@ def point_cumulants(base, axis, value):
         theta = math.sin(point["alpha_m"]) ** 2 / 2.0
     cycle = [point[k] for k in ("beta", "nu1", "nu2", "delta", "zeta")]
     if "cs_alpha" in point:
-        return point, scalar_cumulants(*cycle, theta, point["cs_alpha"], point.get("branch", "minus"))
-    return point, scalar_cumulants(*cycle, theta)
+        return point, mp_cumulants(*cycle, theta, point["cs_alpha"], point.get("branch", "minus"))
+    return point, mp_cumulants(*cycle, theta)
 
 
 @pytest.mark.parametrize("base", sorted(BASES))

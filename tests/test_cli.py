@@ -334,6 +334,21 @@ def test_sweep_labels_inapplicable_bounds_na(tmp_path, capsys):
     assert label == "n/a"
 
 
+def test_cs_alpha_sweep_is_cs_with_or_without_a_base_value(capsys):
+    sweep = [
+        "sweep", "--beta", "1.3", "--nu1", "0.7", "--nu2", "3", "--delta", "0.1",
+        "--zeta", "0.2", "--theta", "0.3", "--axis", "cs-alpha", "--start", "0",
+        "--stop", "1", "--steps", "3",
+    ]
+    code, swept, _ = run(capsys, *sweep)
+    assert code == 0
+    code, based, _ = run(capsys, *sweep, "--cs-alpha", "0.5")
+    assert code == 0
+    assert swept.splitlines()[1:] == based.splitlines()[1:]
+    header = swept.splitlines()[1].split(",")
+    assert any(name.startswith("cs_") for name in header)
+
+
 # (nu1, nu2, whether the derivative route is unusable there)
 @pytest.mark.parametrize(
     "nu1, nu2, unusable",

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 
 from unital_otto import (
-    CFPoint,
     ControlSpec,
     CycleParams,
     DerivativeStepError,
@@ -165,7 +164,8 @@ def paper_cf_general(params, channel, gamma_w, gamma_m):
     h = sum_j <-|K_j K_j^dag|->; an oracle for non-unital channels.
     """
     th, h = channel.theta, channel.h
-    a, b = params.thermal_weights()
+    t = params.tanh_beta_nu1
+    a, b = 0.5 * (1.0 + t), 0.5 * (1.0 - t)
     nu1, nu2 = params.nu1, params.nu2
     d, z = params.delta, params.zeta
     ew = 2.0 * gamma_w
@@ -228,12 +228,6 @@ def test_cf_real_at_infinite_temperature():
     gen = np.random.default_rng(5)
     for gw, gm in gen.uniform(-4.0, 4.0, size=(25, 2)):
         assert abs(cf_unital(params, 0.4, gw, gm).imag) < 1e-15
-
-
-def test_cf_point_validates_magnitude():
-    CFPoint(0.1, 0.2, 0.3 + 0.4j)
-    with pytest.raises(ValueError):
-        CFPoint(0.0, 0.0, 1.5 + 0.0j)
 
 
 def test_single_outcome_has_no_higher_cumulants():
