@@ -38,7 +38,6 @@ from .trajectory import (
 from .cumulants import (
     CumulantBlock,
     CumulantSet,
-    DerivativeStepError,
     FirstTwoCumulants,
     cf_derivative_check,
     cf_general,
@@ -47,6 +46,7 @@ from .cumulants import (
     cs_first_cumulants,
     cumulants_from_block,
     cumulants_from_distribution,
+    is_rounding_residue,
 )
 from .analysis import (
     BoundReport,
@@ -60,7 +60,6 @@ from .analysis import (
     classify_regime_means,
     cumulant_ratio_scan,
     efficiency,
-    is_rounding_residue,
     positive_work_threshold,
     shape_stats,
     verify_bounds,

@@ -14,13 +14,17 @@ precondition actually held.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .cumulants import CumulantSet, closed_form_first_second, cumulants_from_distribution
+from .cumulants import (
+    CumulantSet,
+    closed_form_first_second,
+    cumulants_from_distribution,
+    is_rounding_residue,
+)
 from .qstate import ControlSpec, PhysicsError
 from .trajectory import CycleParams, enumerate_paths
 
@@ -34,7 +38,6 @@ __all__ = [
     "classify_regime",
     "classify_regime_means",
     "classify_regime_array",
-    "is_rounding_residue",
     "positive_work_threshold",
     "efficiency",
     "verify_bounds",
@@ -44,7 +47,6 @@ __all__ = [
 
 _REGIME_TOL = 1e-12
 _BOUND_SLACK = 1e-10
-_RESIDUE_ULPS = 8.0 * sys.float_info.epsilon
 
 
 class Regime(Enum):
@@ -108,13 +110,6 @@ def classify_regime_array(w_mean, qm_mean, qt_mean, beta, tol: float = _REGIME_T
         small |= np.abs(flow) <= tol
     regimes[small] = Regime.UNDETERMINED
     return regimes
-
-
-def is_rounding_residue(total, largest):
-    """Whether ``total``, a sum whose largest summand has magnitude
-    ``largest``, is within a few ulps of that summand: what is left of
-    summands that cancel, not a value.  Elementwise on arrays."""
-    return abs(total) <= _RESIDUE_ULPS * largest
 
 
 def classify_regime(cumulants, beta: float, tol: float = _REGIME_TOL) -> Regime:
@@ -361,8 +356,11 @@ def cumulant_ratio_scan(
     """
     if order not in (2, 3, 4):
         raise ValueError("order must be 2, 3 or 4")
-    cums = cumulants_from_distribution(enumerate_paths(params, theta))
-    eta = cums.w_mean / cums.qm_mean if abs(cums.qm_mean) > 0.0 else math.nan
+    dist = enumerate_paths(params, theta)
+    cums = cumulants_from_distribution(dist)
+    # <Q_M> cancelled to rounding residue is no heat, as in efficiency
+    no_heat = is_rounding_residue(cums.qm_mean, float(np.max(np.abs(dist.prob * dist.q_m))))
+    eta = math.nan if no_heat else cums.w_mean / cums.qm_mean
     num = cums.w[order - 1]
     den = cums.q_m[order - 1]
     eta_power = eta**order

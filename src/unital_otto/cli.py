@@ -332,12 +332,7 @@ def _emit(cfg: dict, text: str) -> None:
 def _cmd_cumulants(cfg: dict) -> None:
     params, theta, ctrl, flip, dist = _distribution(cfg)
     exact = cumulants.cumulants_from_distribution(dist)
-    try:
-        fd = cumulants.cf_derivative_check(params, flip)
-        fd_cells = (fd.w, fd.q_m, fd.qt_mean)
-    except cumulants.DerivativeStepError as exc:
-        print(f"note: cf_derivative route unusable, rows left nan: {exc}", file=sys.stderr)
-        fd_cells = ((math.nan,) * 4, (math.nan,) * 4, math.nan)
+    fd = cumulants.cf_derivative_check(params, flip)
 
     buf = io.StringIO()
     buf.write(_config_comment("cumulants", cfg))
@@ -368,7 +363,7 @@ def _cmd_cumulants(cfg: dict) -> None:
         (closed.qm_mean, qm_var, math.nan, math.nan),
         closed.qt_mean,
     )
-    route_and_delta("cf_derivative", *fd_cells)
+    route_and_delta("cf_derivative", fd.w, fd.q_m, fd.qt_mean)
     _emit(cfg, buf.getvalue())
 
     if cfg.get("dist_out"):
@@ -397,7 +392,7 @@ def _cmd_sweep(cfg: dict) -> None:
         )
         # <W> is a sum over outcomes; cancelled to rounding residue it has
         # no relative fluctuation worth printing
-        no_mean = analysis.is_rounding_residue(
+        no_mean = cumulants.is_rounding_residue(
             cums.w_mean, np.abs(dist.prob * dist.w).max(axis=-1)
         )
         thetas = columns[5].tolist()

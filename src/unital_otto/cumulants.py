@@ -9,26 +9,27 @@ Three independent routes to the same numbers:
 2. closed forms -- the first and second cumulants transcribed from the
    analytic expressions (third and fourth have no published closed
    form and are deliberately not transcribed);
-3. characteristic-function derivatives -- central finite differences of
-   ln(chi) with Richardson extrapolation, kept as a cross-check.
+3. characteristic-function derivatives -- the exact Taylor coefficients
+   of ln(chi) at 0, from the closed-form characteristic function of the
+   unital cycle and independent of the path table, kept as a
+   cross-check.
 
-The closed-form characteristic function of the unital cycle only ever
-needs cos(x + i*beta*nu1) divided by the partition function, which
-collapses to cos(x) -+ i sin(x) tanh(beta nu1); that identity is used
-throughout so nothing overflows at large |beta nu1|.  It feeds the
-derivative route.  The characteristic function of an arbitrary channel
-is the discrete transform of the path table.  The coherently controlled
-cycle is the unital one at
-:meth:`~unital_otto.qstate.ControlSpec.flip_probability`, so every
-closed form here covers it too.
+The closed-form characteristic function of the unital cycle is six
+terms weight * (cos x -+ i t sin x) with t = tanh(beta nu1), the form
+cos(x + i*beta*nu1) / Z collapses to, so nothing overflows at large
+|beta nu1|.  :func:`cf_unital` sums them and :func:`cf_derivative_check`
+reads their series coefficients, so the closed form is written once.
+The characteristic function of an arbitrary channel is the discrete
+transform of the path table.  The coherently controlled cycle is the
+unital one at :meth:`~unital_otto.qstate.ControlSpec.flip_probability`,
+so every closed form here covers it too.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
+import sys
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -44,7 +45,6 @@ __all__ = [
     "CumulantSet",
     "CumulantBlock",
     "FirstTwoCumulants",
-    "DerivativeStepError",
     "cf_unital",
     "cf_general",
     "cumulants_from_distribution",
@@ -52,15 +52,20 @@ __all__ = [
     "closed_form_first_second",
     "cs_first_cumulants",
     "cf_derivative_check",
+    "is_rounding_residue",
 ]
 
 
 # Rounding may leave a variance this far below zero.
 _VARIANCE_TOL = 1e-10
+_RESIDUE_ULPS = 8.0 * sys.float_info.epsilon
 
 
-class DerivativeStepError(ValueError):
-    """Two step sizes disagree: the finite-difference step is unusable."""
+def is_rounding_residue(total, largest):
+    """Whether ``total``, a sum whose largest summand has magnitude
+    ``largest``, is within a few ulps of that summand: what is left of
+    summands that cancel, not a value.  Elementwise on arrays."""
+    return abs(total) <= _RESIDUE_ULPS * largest
 
 
 @dataclass(frozen=True)
@@ -100,9 +105,24 @@ class FirstTwoCumulants:
     direction: str = "forward"
 
 
-def _cos_ratio(u: float, sign: int, tanh_b: float) -> complex:
-    """2 cos(u + sign * i * beta nu1) / Z without complex exponentials."""
-    return complex(math.cos(u), -sign * math.sin(u) * tanh_b)
+def _unital_terms(params: CycleParams, theta: float) -> tuple:
+    """The unital characteristic function as six
+    ``(weight, W frequency, Q_M frequency, sign)`` terms:
+    chi = sum weight * (cos x - i sign t sin x), x = f_W gamma_W + f_Q gamma_Q,
+    t = tanh(beta nu1).  Each bracket is 2 cos(x + sign i beta nu1) / Z."""
+    if not 0.0 <= theta <= 1.0:
+        raise ValueError("theta must lie in [0, 1]")
+    nu1, nu2 = params.nu1, params.nu2
+    d, z = params.delta, params.zeta
+    s = d + z - 2.0 * d * z
+    return (
+        ((1.0 - theta) * (1.0 - s), 0.0, 0.0, 1),
+        ((1.0 - theta) * s, 2.0 * nu1, 0.0, 1),
+        (theta * (1.0 - d) * z, 2.0 * nu2, 2.0 * nu2, -1),
+        (theta * (1.0 - d) * (1.0 - z), 2.0 * (nu2 - nu1), 2.0 * nu2, -1),
+        (theta * d * (1.0 - z), 2.0 * nu2, 2.0 * nu2, 1),
+        (theta * d * z, 2.0 * (nu1 + nu2), 2.0 * nu2, 1),
+    )
 
 
 def cf_unital(
@@ -114,22 +134,12 @@ def cf_unital(
     enumerate_paths`; the backward variant is obtained by evaluating at
     ``params.swapped``.
     """
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError("theta must lie in [0, 1]")
     t = params.tanh_beta_nu1
-    nu1, nu2 = params.nu1, params.nu2
-    d, z = params.delta, params.zeta
-    s = d + z - 2.0 * d * z
-    identity = 1.0 + (_cos_ratio(2.0 * gamma_w * nu1, +1, t) - 1.0) * s
-    channel = (1.0 - d) * (
-        z * _cos_ratio(2.0 * (gamma_w + gamma_m) * nu2, -1, t)
-        + (1.0 - z)
-        * _cos_ratio(2.0 * (gamma_w * (nu2 - nu1) + gamma_m * nu2), -1, t)
-    ) + d * (
-        (1.0 - z) * _cos_ratio(2.0 * (gamma_w + gamma_m) * nu2, +1, t)
-        + z * _cos_ratio(2.0 * ((nu1 + nu2) * gamma_w + gamma_m * nu2), +1, t)
-    )
-    return (1.0 - theta) * identity + theta * channel
+    chi = 0j
+    for weight, f_w, f_q, sign in _unital_terms(params, theta):
+        x = f_w * gamma_w + f_q * gamma_m
+        chi += weight * complex(math.cos(x), -sign * t * math.sin(x))
+    return chi
 
 
 def cf_general(
@@ -254,103 +264,36 @@ def cs_first_cumulants(
     return closed_form_first_second(params, ctrl.flip_probability(theta), direction)
 
 
-# 4th-derivative central stencil spanning +-4h, accurate to O(h^6).
-_STENCIL4 = (
-    (4, 7.0 / 240.0),
-    (3, -2.0 / 5.0),
-    (2, 169.0 / 60.0),
-    (1, -122.0 / 15.0),
-    (0, 91.0 / 8.0),
-    (-1, -122.0 / 15.0),
-    (-2, 169.0 / 60.0),
-    (-3, -2.0 / 5.0),
-    (-4, 7.0 / 240.0),
-)
+def cf_derivative_check(params: CycleParams, theta: float) -> CumulantSet:
+    """Cumulants from the exact derivatives of ln(chi) at 0 (third route).
 
-_DETECT_TOL = 1e-3
-
-
-# ln(chi) carries an absolute rounding error of a few ulps; a stencil
-# numerator this close to it is pure cancellation noise
-_NOISE_FLOOR = 64.0 * 2.220446049250313e-16
-
-_STENCILS: dict[int, tuple[tuple[int, float], ...]] = {
-    1: ((1, 0.5), (-1, -0.5)),
-    2: ((1, 1.0), (0, -2.0), (-1, 1.0)),
-    3: ((2, 0.5), (1, -1.0), (-1, 1.0), (-2, -0.5)),
-    4: _STENCIL4,
-}
-
-
-def _log_cf_derivative(
-    log_chi: Callable[[float], complex], order: int, step: float
-) -> complex:
-    """d^order ln(chi) / d gamma^order at 0 by central differences.
-
-    Each derivative is evaluated at two step sizes (h and 2h) and
-    Richardson-extrapolated.  A numerator at the rounding floor of
-    ln(chi), or estimates that disagree beyond 0.1%, flag a step that
-    has fallen into cancellation (or gross truncation) and raise
-    :class:`DerivativeStepError`.
+    Reads the terms of :func:`cf_unital`, not the path table; for the
+    coherently controlled cycle pass ``ctrl.flip_probability(theta)`` as
+    ``theta``.  Along one variable, a term with frequency f has Taylor
+    coefficients a_n = (-i f)^n / n!, times sign * t when n is odd.  The
+    coefficients b_n of ln(chi) follow from the log-series recurrence
+    b_n = a_n - (1/n) sum_{k<n} k b_k a_{n-k}, and kappa_n = n! b_n / i^n.
+    No step size is involved.
     """
-    if order not in _STENCILS:
-        raise ValueError("order must be between 1 and 4")
+    terms = _unital_terms(params, theta)
+    t = params.tanh_beta_nu1
 
-    def stencil(h: float) -> complex:
-        values = [(coeff, log_chi(offset * h)) for offset, coeff in _STENCILS[order]]
-        numerator = sum(coeff * val for coeff, val in values)
-        largest = max(abs(val) for _, val in values)
-        noise = _NOISE_FLOOR * max(1.0, largest)
-        # a sub-noise numerator is fine when the implied value is itself
-        # negligible; it is fatal when rounding could masquerade as a
-        # cumulant of visible size
-        if 0.0 < abs(numerator) < noise and noise / h**order > 1e-6:
-            raise DerivativeStepError(
-                f"order-{order} stencil at step {h:g} is dominated by rounding"
-            )
-        return numerator / h**order
+    def kappas(index: int) -> tuple[float, float, float, float]:
+        a = [0j] * 5
+        for term in terms:
+            coeff, f, sign = term[0], term[index], term[3]
+            for n in range(5):
+                a[n] += coeff * sign * t if n % 2 else coeff
+                coeff *= -1j * f / (n + 1)
+        b = [0j] * 5
+        for n in range(1, 5):
+            b[n] = a[n] - sum(k * b[k] * a[n - k] for k in range(1, n)) / n
+        k1, k2, k3, k4 = ((math.factorial(n) * b[n] / 1j**n).real for n in range(1, 5))
+        # kappa_2 = mu_2 - mu_1^2 cancels where the variable is nearly
+        # certain; rounding below zero there is no variance
+        if k2 < 0.0 and is_rounding_residue(k2, -2.0 * a[2].real):
+            k2 = 0.0
+        return k1, k2, k3, k4
 
-    accuracy = 6 if order == 4 else 2
-    ratio = 2.0
-    d_fine = stencil(step)
-    d_coarse = stencil(ratio * step)
-    if abs(d_fine - d_coarse) > _DETECT_TOL * max(1.0, abs(d_fine)):
-        raise DerivativeStepError(
-            f"order-{order} derivative estimates at steps {step:g} and "
-            f"{ratio * step:g} disagree by {abs(d_fine - d_coarse):.3g}"
-        )
-    scale = ratio**accuracy
-    return (scale * d_fine - d_coarse) / (scale - 1.0)
-
-
-def cf_derivative_check(
-    params: CycleParams,
-    theta: float,
-    step: float = 1e-3,
-    step4: float = 2e-2,
-    orders: tuple[int, ...] = (1, 2, 3, 4),
-) -> CumulantSet:
-    """Cumulants from numerical derivatives of ln(chi) (third route).
-
-    Uses the unital characteristic function; for the coherently
-    controlled cycle pass ``ctrl.flip_probability(theta)`` as ``theta``.
-    Orders not requested come back as 0.  Each variable is differentiated in
-    gamma * E, with E half its largest outcome (nu1 + nu2 for W, nu2 for
-    Q_M), and order k is multiplied back by E^k; the steps are therefore
-    dimensionless.  The order-4 stencil needs the larger default step to
-    stay clear of roundoff.
-    """
-    def kappas(
-        chi: Callable[[float], complex], scale: float
-    ) -> tuple[float, float, float, float]:
-        log_chi = lambda x: cmath.log(chi(x / scale))
-        out = [0.0, 0.0, 0.0, 0.0]
-        for order in orders:
-            h = step4 if order == 4 else step
-            deriv = _log_cf_derivative(log_chi, order, h)
-            out[order - 1] = (deriv / 1j**order).real * scale**order
-        return tuple(out)
-
-    kw = kappas(lambda g: cf_unital(params, theta, g, 0.0), params.nu1 + params.nu2)
-    kq = kappas(lambda g: cf_unital(params, theta, 0.0, g), params.nu2)
+    kw, kq = kappas(1), kappas(2)
     return CumulantSet(w=kw, q_m=kq, qt_mean=kw[0] - kq[0])

@@ -267,6 +267,16 @@ def test_ratio_scan_is_scale_invariant():
         assert close(r.ratio, records[0].ratio, 1e-9)
 
 
+def test_ratio_scan_takes_no_efficiency_from_cancelled_heat():
+    # delta = 1/2 makes <Q_M> = 0; the enumeration leaves a residue of ~6e-17
+    params = CycleParams(0.7, 1.0, 2.3, 0.5, 0.2)
+    assert cumulants_from_distribution(enumerate_paths(params, 0.3)).qm_mean != 0.0
+    for order in (2, 3, 4):
+        record = cumulant_ratio_scan(params, 0.3, order)
+        assert math.isnan(record.eta_power)
+        assert not record.below_eta_power
+
+
 def test_ratio_scan_order_validation():
     with pytest.raises(ValueError):
         cumulant_ratio_scan(FIG3, 0.3, 1)

@@ -6,7 +6,6 @@ from pathlib import Path
 
 import pytest
 
-from unital_otto import DerivativeStepError, cumulants
 from unital_otto.cli import _COMMANDS, _merge_config, build_parser, main
 
 
@@ -349,7 +348,8 @@ def test_cs_alpha_sweep_is_cs_with_or_without_a_base_value(capsys):
     assert any(name.startswith("cs_") for name in header)
 
 
-# (nu1, nu2, whether the derivative route is unusable there)
+# (nu1, nu2, whether finite differences of ln(chi) find no usable step
+# there): the series route must give finite rows on those pairs too
 @pytest.mark.parametrize(
     "nu1, nu2, unusable",
     [("10", "20", False), ("50", "120", False), ("0.001", "0.002", True)],
@@ -360,6 +360,7 @@ def test_unusable_derivative_route_leaves_nan_rows(nu1, nu2, unusable, capsys):
         "--delta", "0.1", "--zeta", "0.1", "--theta", "0.2",
     )
     assert code == 0
+    assert err == ""
     rows = {l.split(",")[0]: l.split(",")[1:] for l in out.splitlines()[2:]}
     assert list(rows) == [
         "enumeration", "closed_form", "closed_form_delta", "cf_derivative",
@@ -367,33 +368,31 @@ def test_unusable_derivative_route_leaves_nan_rows(nu1, nu2, unusable, capsys):
     ]
     fd = [float(c) for c in rows["cf_derivative"] + rows["cf_derivative_delta"]]
     exact = [float(c) for c in rows["enumeration"]]
-    assert all(math.isfinite(v) for v in exact)
-    if unusable:
-        assert err.startswith("note: cf_derivative route unusable")
-        assert len(err.splitlines()) == 1
-        assert all(math.isnan(v) for v in fd)
-    else:
-        assert err == ""
-        scale = 2.0 * (float(nu1) + float(nu2))
-        for k, (got, ref) in enumerate(zip(fd[:4], exact[:4]), 1):
-            assert abs(got - ref) <= 1e-7 * scale**k
+    assert all(math.isfinite(v) for v in exact + fd)
+    w_scale, q_scale = 2.0 * (float(nu1) + float(nu2)), 2.0 * float(nu2)
+    for k in range(4):
+        assert abs(fd[k] - exact[k]) <= 1e-13 * w_scale ** (k + 1)
+        assert abs(fd[4 + k] - exact[4 + k]) <= 1e-13 * q_scale ** (k + 1)
 
 
-def test_derivative_step_error_leaves_nan_rows_on_cs_point(capsys, monkeypatch):
-    def unusable(*args, **kwargs):
-        raise DerivativeStepError("no usable step")
-
-    monkeypatch.setattr(cumulants, "cf_derivative_check", unusable)
+@pytest.mark.parametrize(
+    "point",
+    [
+        ("40", "1", "3", "0", "0"),
+        ("-52.51936446075948", "0.8772885040320562", "1854.5650753270318", "1", "0.8574958478957697"),
+    ],
+)
+def test_derivative_rows_of_a_certain_heat(point, capsys):
+    # theta = 1 with t = +-1 and delta in {0, 1}: Q_M takes one value, so
+    # both routes give it zero variance
+    beta, nu1, nu2, delta, zeta = point
     code, out, err = run(
-        capsys, "cumulants", *BASE, "--theta", "0.2", "--cs-alpha", "0.3",
-        "--branch", "minus",
+        capsys, "cumulants", "--beta", beta, "--nu1", nu1, "--nu2", nu2,
+        "--delta", delta, "--zeta", zeta, "--theta", "1",
     )
-    assert code == 0
-    assert err == "note: cf_derivative route unusable, rows left nan: no usable step\n"
+    assert (code, err) == (0, "")
     rows = {l.split(",")[0]: l.split(",")[1:] for l in out.splitlines()[2:]}
-    for route in ("cf_derivative", "cf_derivative_delta"):
-        assert all(math.isnan(float(c)) for c in rows[route])
-    assert all(math.isfinite(float(c)) for c in rows["enumeration"])
+    assert float(rows["enumeration"][5]) == float(rows["cf_derivative"][5]) == 0.0
 
 
 def test_sweep_prints_no_ratio_of_a_cancelled_denominator(capsys):

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from unital_otto import (
     ControlSpec,
     CycleParams,
-    DerivativeStepError,
     GeneralQubitChannel,
     PauliChannel,
     backward_distribution,
@@ -24,7 +23,7 @@ from unital_otto import (
     enumerate_paths,
 )
 
-from conftest import close, cycle_params, finite, probs, random_params
+from conftest import close, cycle_params, finite, mp_cumulants, probs, random_params
 
 REF = CycleParams(0.7, 1.0, 2.0, 0.1, 0.1)
 
@@ -445,7 +444,7 @@ def test_cs_minus_branch_beats_incoherent_work():
 
 def test_derivative_route_first_order():
     exact = cumulants_from_distribution(enumerate_paths(REF, 0.2))
-    fd = cf_derivative_check(REF, 0.2, orders=(1,))
+    fd = cf_derivative_check(REF, 0.2)
     assert abs(fd.w[0] - exact.w[0]) < 1e-8
     assert abs(fd.q_m[0] - exact.q_m[0]) < 1e-8
 
@@ -461,8 +460,16 @@ def test_derivative_route_odd_orders_vanish_at_infinite_temperature():
     params = CycleParams(0.0, 1.0, 2.0, 0.15, 0.35)
     fd = cf_derivative_check(params, 0.4)
     for kappas in (fd.w, fd.q_m):
-        assert abs(kappas[0]) < 1e-9
-        assert abs(kappas[2]) < 1e-9
+        assert kappas[0] == 0.0
+        assert kappas[2] == 0.0
+
+
+def test_derivative_route_variance_of_a_certain_heat_is_zero():
+    # theta = delta = 1 and t = -1: every record pays Q_M = 2 nu2, and at
+    # this gap mu_2 - mu_1^2 rounds to a residue below zero
+    params = CycleParams(-52.51936446075948, 0.8772885040320562, 1854.5650753270318, 1.0, 0.8574958478957697)
+    assert cumulants_from_distribution(enumerate_paths(params, 1.0)).q_m[1] == 0.0
+    assert cf_derivative_check(params, 1.0).q_m[1] == 0.0
 
 
 def test_derivative_route_cs_variant():
@@ -473,14 +480,51 @@ def test_derivative_route_cs_variant():
     assert close(fd.w[1], exact.w[1], 1e-6)
 
 
-def test_derivative_step_cancellation_detected():
-    with pytest.raises(DerivativeStepError):
-        cf_derivative_check(REF, 0.2, step=1e-12)
+def _oracle_point(gen, i):
+    """(beta, nu1, nu2, delta, zeta, theta, alpha, branch) for the exact-route
+    oracle: gaps log-uniform in [1e-3, 50], with one edge case in every
+    other draw."""
+    nu1, nu2 = np.exp(gen.uniform(math.log(1e-3), math.log(50.0), size=2))
+    beta = gen.uniform(-3.0, 3.0)
+    delta, zeta, theta = gen.random(3)
+    alpha, branch = None, "minus"
+    edge = i % 14
+    if edge == 1:  # t -> +-1
+        beta = gen.choice((-1.0, 1.0)) * gen.uniform(20.0, 1e3) / nu1
+    elif edge == 2:
+        nu1, nu2 = gen.choice((1e-3, 50.0), size=2)
+    elif edge == 3:
+        theta = float(gen.choice((0.0, 1.0)))
+    elif edge == 4:
+        zeta = delta
+    elif edge == 5:
+        delta = float(gen.choice((0.0, 0.5, 1.0)))
+    elif edge == 6:
+        delta, zeta = gen.choice((0.0, 0.5, 1.0), size=2)
+    elif edge == 7:
+        beta = gen.choice((-1.0, 1.0)) * 1e3 / nu1
+        delta, zeta = gen.choice((0.0, 1.0), size=2)
+        theta = float(gen.choice((0.0, 1.0)))
+    elif edge in (8, 9):
+        alpha, branch = gen.random(), ("plus", "minus")[edge - 8]
+        limit = 1.0 - math.sqrt(alpha * (1.0 - alpha)) if branch == "minus" else 1.0
+        theta *= limit
+    return beta, nu1, nu2, delta, zeta, theta, alpha, branch
 
 
-def test_log_cf_branch_is_safe_near_origin():
-    # |chi| stays close to 1 on the stencil so the principal log is smooth
-    for h in (1e-3, 2e-3, 4e-2, 8e-2, 1.6e-1):
-        val = cf_unital(REF, 0.2, h, 0.0)
-        assert abs(val) > 0.5
-        cmath.log(val)
+def test_derivative_route_matches_exact_oracle():
+    """Every cumulant of the exact series route is within 1e-14 E^k of the
+    60-digit record sum, E the largest |outcome| (2(nu1 + nu2) for W, 2 nu2
+    for Q_M)."""
+    gen = np.random.default_rng(6060)
+    worst = 0.0
+    for i in range(2100):
+        beta, nu1, nu2, delta, zeta, theta, alpha, branch = _oracle_point(gen, i)
+        params = CycleParams(beta, nu1, nu2, delta, zeta)
+        flip = theta if alpha is None else ControlSpec(alpha, branch).flip_probability(theta)
+        got = cf_derivative_check(params, flip)
+        ref = mp_cumulants(beta, nu1, nu2, delta, zeta, theta, alpha, branch)
+        for values, exact, scale in ((got.w, ref.w, 2.0 * (nu1 + nu2)), (got.q_m, ref.q_m, 2.0 * nu2)):
+            for k in range(4):
+                worst = max(worst, abs(values[k] - exact[k]) / scale ** (k + 1))
+    assert worst <= 1e-14
