@@ -42,6 +42,7 @@ from .cumulants import (
     cf_derivative_check,
     cf_general,
     cf_unital,
+    closed_form_block,
     closed_form_first_second,
     cs_first_cumulants,
     cumulants_from_block,
@@ -60,9 +61,11 @@ from .analysis import (
     classify_regime_means,
     cumulant_ratio_scan,
     efficiency,
+    efficiency_block,
     positive_work_threshold,
     shape_stats,
     verify_bounds,
+    verify_bounds_block,
 )
 from .landauzener import (
     ComparisonRow,

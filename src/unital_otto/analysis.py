@@ -9,6 +9,10 @@ heat fluctuations is squeezed between the squared efficiency (indeed
 the squared Otto efficiency) and one.  Every bound carries its own
 applicability condition: a report can be "violated" only where its
 precondition actually held.
+
+Efficiencies and bound checks are array arithmetic over broadcast
+parameter columns (:func:`efficiency_block`, :func:`verify_bounds_block`);
+:func:`efficiency` and :func:`verify_bounds` are one point of them.
 """
 
 from __future__ import annotations
@@ -19,14 +23,17 @@ from enum import Enum
 
 import numpy as np
 
+# closed_form_first_second is not called here: perfbench's tracer and its
+# tests look the name up on this module
 from .cumulants import (
     CumulantSet,
+    closed_form_block,
     closed_form_first_second,
     cumulants_from_distribution,
     is_rounding_residue,
 )
 from .qstate import ControlSpec, PhysicsError
-from .trajectory import CycleParams, enumerate_paths
+from .trajectory import CycleParams, _controlled_flip, enumerate_paths
 
 __all__ = [
     "Regime",
@@ -40,7 +47,9 @@ __all__ = [
     "classify_regime_array",
     "positive_work_threshold",
     "efficiency",
+    "efficiency_block",
     "verify_bounds",
+    "verify_bounds_block",
     "cumulant_ratio_scan",
     "shape_stats",
 ]
@@ -103,7 +112,8 @@ def classify_regime_array(w_mean, qm_mean, qt_mean, beta, tol: float = _REGIME_T
     """:func:`classify_regime_means` elementwise over broadcast arrays; an
     object array of :class:`Regime` members."""
     flows = np.broadcast_arrays(beta, w_mean, qm_mean, qt_mean)
-    regimes = _REGIME_ARRAY[tuple((x > 0.0).astype(np.intp) for x in flows)]
+    signs = tuple(np.asarray(x > 0.0, dtype=np.intp) for x in flows)
+    regimes = np.asarray(_REGIME_ARRAY[signs], dtype=object)
     beta = flows[0]
     small = (np.abs(beta) <= tol) | (beta == 0.0)
     for flow in flows[1:]:
@@ -144,7 +154,9 @@ def positive_work_threshold(
     """
     d, z, nu1 = params.delta, params.zeta, params.nu1
     if mode == "cs":
-        theta = _cs_flip_probability(theta, ctrl)
+        if ctrl is None:
+            raise ValueError("cs mode needs a ControlSpec")
+        theta = ctrl.flip_probability(theta)
     if mode in ("symmetric", "cs"):
         if d >= 0.5:
             raise PhysicsError(f"no {mode} threshold: delta >= 1/2 makes Q_M <= 0")
@@ -161,16 +173,70 @@ def positive_work_threshold(
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _cs_flip_probability(theta: float, ctrl: ControlSpec | None) -> float:
-    if ctrl is None:
-        raise ValueError("cs mode needs a ControlSpec")
-    return ctrl.flip_probability(theta)
+def _flip_probability(theta, alpha, branch: str) -> np.ndarray:
+    """Each point's flip probability under coherent control, as
+    ``ControlSpec(alpha, branch).flip_probability(theta)``; where that
+    raises, its error at the first such point is raised."""
+    if alpha is None:
+        raise ValueError("cs mode needs a control weight alpha")
+    theta, alpha = np.broadcast_arrays(theta, np.asarray(alpha, dtype=float))
+    flip = _controlled_flip(theta, alpha, branch)
+    failed = ~(flip <= 1.0)
+    if failed.any():
+        i = np.unravel_index(np.argmax(failed), failed.shape)
+        # an invalid theta passes here and fails the closed forms' check
+        ControlSpec(float(alpha[i]), branch).flip_probability(float(theta[i]))
+    return flip
 
 
-def _plain_means(params: CycleParams, theta: float):
-    fwd = closed_form_first_second(params, theta)
-    bwd = closed_form_first_second(params, theta, direction="backward")
-    return fwd, bwd
+def _columns(*columns) -> list[np.ndarray]:
+    return np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in columns))
+
+
+def _divide(num, den, defined) -> np.ndarray:
+    """num / den where ``defined``, nan elsewhere."""
+    return np.divide(num, den, out=np.full(np.shape(num), math.nan), where=defined)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def efficiency_block(
+    beta, nu1, nu2, delta, zeta, theta, mode: str = "symmetric",
+    alpha=None, branch: str = "minus",
+) -> np.ndarray:
+    """Mean efficiency <W> / <Q_M> at every point of broadcast parameter
+    arrays; ``nan`` where no heat is absorbed from the channel.
+
+    ``symmetric`` uses the forward cycle alone (meant for delta = zeta);
+    ``asymmetric`` and ``cs`` treat forward and backward on an equal
+    footing, (W_F + W_B) / (Q_MF + Q_MB), which is what restores the
+    Otto ceiling for asymmetric driving; ``cs`` is ``asymmetric`` at the
+    flip probability of the control with arm weight ``alpha`` on
+    ``branch``.  Forward and backward heat that cancel to rounding
+    residue count as no heat.
+    """
+    if mode not in ("symmetric", "asymmetric", "cs"):
+        raise ValueError(f"unknown mode {mode!r}")
+    *cycle, theta = _columns(beta, nu1, nu2, delta, zeta, theta)
+    if mode == "cs":
+        theta, mode = _flip_probability(theta, alpha, branch), "asymmetric"
+    fwd = closed_form_block(*cycle, theta)
+    if mode == "symmetric":
+        work, heat = fwd.w_mean, fwd.qm_mean
+        largest = np.abs(heat)
+    else:
+        bwd = closed_form_block(*cycle, theta, "backward")
+        work, heat = fwd.w_mean + bwd.w_mean, fwd.qm_mean + bwd.qm_mean
+        largest = np.maximum(np.abs(fwd.qm_mean), np.abs(bwd.qm_mean))
+    no_heat = (np.abs(heat) < 1e-300) | is_rounding_residue(heat, largest)
+    return _divide(work, heat, ~no_heat)
+
+
+def _point(params: CycleParams, theta: float, ctrl: ControlSpec | None) -> tuple:
+    """One point as the block functions' arguments: 0-d columns and the
+    control."""
+    cycle = (params.beta, params.nu1, params.nu2, params.delta, params.zeta, theta)
+    control = (None, "minus") if ctrl is None else (ctrl.alpha, ctrl.branch)
+    return (*cycle, *control)
 
 
 def efficiency(
@@ -179,35 +245,19 @@ def efficiency(
     mode: str = "symmetric",
     ctrl: ControlSpec | None = None,
 ) -> float:
-    """Mean efficiency <W> / <Q_M>.
-
-    ``symmetric`` uses the forward cycle alone (meant for delta = zeta);
-    ``asymmetric`` and ``cs`` treat forward and backward on an equal
-    footing, (W_F + W_B) / (Q_MF + Q_MB), which is what restores the
-    Otto ceiling for asymmetric driving; ``cs`` is ``asymmetric`` at
-    ``ctrl.flip_probability(theta)``.  Forward and backward heat that
-    cancel to rounding residue count as no heat.
-    """
-    if mode == "cs":
-        theta, mode = _cs_flip_probability(theta, ctrl), "asymmetric"
-    if mode == "symmetric":
-        fwd = closed_form_first_second(params, theta)
-        work, heat = fwd.w_mean, fwd.qm_mean
-        largest = abs(heat)
-    elif mode == "asymmetric":
-        fwd, bwd = _plain_means(params, theta)
-        work, heat = fwd.w_mean + bwd.w_mean, fwd.qm_mean + bwd.qm_mean
-        largest = max(abs(fwd.qm_mean), abs(bwd.qm_mean))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    if abs(heat) < 1e-300 or is_rounding_residue(heat, largest):
+    """One point of :func:`efficiency_block`, with the control ``ctrl`` under
+    ``cs``; raises :class:`PhysicsError` where no heat is absorbed."""
+    *columns, alpha, branch = _point(params, theta, ctrl)
+    eta = float(efficiency_block(*columns, mode, alpha, branch))
+    if math.isnan(eta):
         raise PhysicsError("efficiency undefined: no heat absorbed from the channel")
-    return work / heat
+    return eta
 
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Outcome of checking one inequality ``left <= right``."""
+    """Outcome of checking one inequality ``left <= right``: floats and
+    bools at one point, arrays over a block."""
 
     name: str
     left: float
@@ -217,15 +267,101 @@ class BoundReport:
     margin: float
 
 
-def _report(name: str, left: float, right: float, applicable: bool) -> BoundReport:
+def _report(name: str, left, right, applicable) -> BoundReport:
+    left, right, applicable = np.broadcast_arrays(left, right, applicable)
     return BoundReport(
         name=name,
         left=left,
         right=right,
         applicable=applicable,
-        satisfied=bool(left <= right + _BOUND_SLACK),
+        satisfied=left <= right + _BOUND_SLACK,
         margin=right - left,
     )
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def verify_bounds_block(
+    beta, nu1, nu2, delta, zeta, theta, mode: str = "symmetric",
+    alpha=None, branch: str = "minus",
+) -> list[BoundReport]:
+    """Evaluate every proved inequality of ``mode`` at every point of
+    broadcast parameter arrays: one :class:`BoundReport` per bound, its
+    fields arrays of the broadcast shape.
+
+    Each report records the stated applicability condition separately
+    from whether the comparison held, so an out-of-precondition
+    violation is never counted against the proof.  Modes and the control
+    (``alpha``, ``branch``) are those of :func:`efficiency_block`.
+    """
+    if mode not in ("symmetric", "asymmetric", "cs"):
+        raise ValueError(f"unknown mode {mode!r}")
+    *cycle, theta = _columns(beta, nu1, nu2, delta, zeta, theta)
+    beta, nu1, nu2, d, z = cycle
+    flip = _flip_probability(theta, alpha, branch) if mode == "cs" else theta
+    fwd = closed_form_block(*cycle, flip)
+    bwd = closed_form_block(*cycle, flip, "backward")
+    work, heat = fwd.w_mean + bwd.w_mean, fwd.qm_mean + bwd.qm_mean
+    otto = 1.0 - nu1 / nu2
+    reports: list[BoundReport] = []
+
+    if mode == "cs":
+        reports.append(
+            _report("cs_qt_nonpositive", fwd.qt_mean, 0.0, (beta > 0.0) & (theta <= 0.5))
+        )
+    else:
+        reports.append(_report("qt_nonpositive", fwd.qt_mean, 0.0, beta > 0.0))
+        reports.append(
+            _report(
+                "equal_gap_work_nonpositive",
+                work,
+                0.0,
+                (beta > 0.0) & (np.abs(nu1 - nu2) <= 1e-12),
+            )
+        )
+    if mode == "symmetric":
+        work, heat = fwd.w_mean, fwd.qm_mean  # the forward cycle alone
+    engine = classify_regime_array(work, heat, fwd.qt_mean, beta) == Regime.ENGINE
+    eta = _divide(work, heat, np.abs(heat) > 0.0)
+
+    if mode == "cs":
+        reports.append(_report("cs_eta_le_otto", eta, otto, engine))
+        # Branch ordering of efficiencies around the incoherent cycle.
+        eta_plain = efficiency_block(*cycle, theta, "asymmetric")
+        comparable = engine & np.isfinite(eta_plain)
+        pair = (eta_plain, eta) if branch == "minus" else (eta, eta_plain)
+        reports.append(_report("cs_eta_branch_order", *pair, comparable))
+        return reports
+
+    # Eq-level preconditions of the corridor eta^2 <= ratio <= 1, kept in
+    # multiplied-out form so no division by (1 - 2 delta) is needed.
+    if mode == "symmetric":
+        w_var, qm_var = fwd.w_var, fwd.qm_var
+        corridor = (
+            2.0 * (1.0 - 2.0 * d) * theta * nu2
+            - (theta + 2.0 * d * (1.0 - d) * (1.0 - 2.0 * theta)) * nu1
+            >= 0.0
+        )
+    else:
+        w_var, qm_var = fwd.w_var + bwd.w_var, fwd.qm_var + bwd.qm_var
+        s = d + z - 2.0 * d * z
+        corridor = (
+            2.0 * theta * (1.0 - d - z) * nu2
+            - (theta + (1.0 - 2.0 * theta) * s) * nu1
+            >= 0.0
+        )
+    ratio = _divide(w_var, qm_var, qm_var > 0.0)
+    corridor &= (qm_var > 0.0) & (np.abs(heat) > 0.0)
+    reports.append(_report("eta_le_otto", eta, otto, engine))
+    reports.append(_report("eta_sq_le_ratio", eta * eta, ratio, corridor))
+    reports.append(_report("ratio_le_one", ratio, 1.0, corridor))
+    if mode == "symmetric":
+        hopm = (
+            (1.0 - 2.0 * d) * theta * nu2
+            - (1.0 - d) * (d + theta - 2.0 * d * theta) * nu1
+            >= 0.0
+        )
+        reports.append(_report("otto_sq_le_ratio", otto * otto, ratio, hopm & (qm_var > 0.0)))
+    return reports
 
 
 def verify_bounds(
@@ -234,91 +370,16 @@ def verify_bounds(
     mode: str = "symmetric",
     ctrl: ControlSpec | None = None,
 ) -> list[BoundReport]:
-    """Evaluate every proved inequality for this parameter point.
-
-    Each report records the stated applicability condition separately
-    from whether the comparison held, so an out-of-precondition
-    violation is never counted against the proof.
-    """
-    beta, nu1, nu2 = params.beta, params.nu1, params.nu2
-    d, z = params.delta, params.zeta
-    otto = 1.0 - nu1 / nu2
-    reports: list[BoundReport] = []
-
-    if mode in ("symmetric", "asymmetric"):
-        fwd, bwd = _plain_means(params, theta)
-        reports.append(_report("qt_nonpositive", fwd.qt_mean, 0.0, beta > 0.0))
-        reports.append(
-            _report(
-                "equal_gap_work_nonpositive",
-                fwd.w_mean + bwd.w_mean,
-                0.0,
-                beta > 0.0 and abs(nu1 - nu2) <= 1e-12,
-            )
+    """Every proved inequality at one point: one row of
+    :func:`verify_bounds_block`, with the control ``ctrl`` under ``cs``."""
+    *columns, alpha, branch = _point(params, theta, ctrl)
+    return [
+        BoundReport(
+            r.name, float(r.left), float(r.right), bool(r.applicable), bool(r.satisfied),
+            float(r.margin),
         )
-
-    if mode == "symmetric":
-        work, heat = fwd.w_mean, fwd.qm_mean
-        w_var, qm_var = fwd.w_var, fwd.qm_var
-        engine = classify_regime_means(work, heat, fwd.qt_mean, beta) is Regime.ENGINE
-        eta = work / heat if abs(heat) > 0.0 else math.nan
-        ratio = w_var / qm_var if qm_var > 0.0 else math.nan
-        # Eq-level preconditions, kept in multiplied-out form so no
-        # division by (1 - 2 delta) is needed.
-        condnu = (
-            2.0 * (1.0 - 2.0 * d) * theta * nu2
-            - (theta + 2.0 * d * (1.0 - d) * (1.0 - 2.0 * theta)) * nu1
-            >= 0.0
-        )
-        hopm = (
-            (1.0 - 2.0 * d) * theta * nu2
-            - (1.0 - d) * (d + theta - 2.0 * d * theta) * nu1
-            >= 0.0
-        )
-        defined = qm_var > 0.0 and abs(heat) > 0.0
-        reports.append(_report("eta_le_otto", eta, otto, engine))
-        reports.append(_report("eta_sq_le_ratio", eta * eta, ratio, condnu and defined))
-        reports.append(_report("ratio_le_one", ratio, 1.0, condnu and defined))
-        reports.append(_report("otto_sq_le_ratio", otto * otto, ratio, hopm and qm_var > 0.0))
-    elif mode == "asymmetric":
-        work, heat = fwd.w_mean + bwd.w_mean, fwd.qm_mean + bwd.qm_mean
-        w_var = fwd.w_var + bwd.w_var
-        qm_var = fwd.qm_var + bwd.qm_var
-        engine = classify_regime_means(work, heat, fwd.qt_mean, beta) is Regime.ENGINE
-        eta = work / heat if abs(heat) > 0.0 else math.nan
-        ratio = w_var / qm_var if qm_var > 0.0 else math.nan
-        s = d + z - 2.0 * d * z
-        connu2 = (
-            2.0 * theta * (1.0 - d - z) * nu2
-            - (theta + (1.0 - 2.0 * theta) * s) * nu1
-            >= 0.0
-        )
-        defined = qm_var > 0.0 and abs(heat) > 0.0
-        reports.append(_report("eta_le_otto", eta, otto, engine))
-        reports.append(_report("eta_sq_le_ratio", eta * eta, ratio, connu2 and defined))
-        reports.append(_report("ratio_le_one", ratio, 1.0, connu2 and defined))
-    elif mode == "cs":
-        fwd, bwd = _plain_means(params, _cs_flip_probability(theta, ctrl))
-        reports.append(
-            _report("cs_qt_nonpositive", fwd.qt_mean, 0.0, beta > 0.0 and theta <= 0.5)
-        )
-        work, heat = fwd.w_mean + bwd.w_mean, fwd.qm_mean + bwd.qm_mean
-        engine = classify_regime_means(work, heat, fwd.qt_mean, beta) is Regime.ENGINE
-        eta = work / heat if abs(heat) > 0.0 else math.nan
-        reports.append(_report("cs_eta_le_otto", eta, otto, engine))
-        # Branch ordering of efficiencies around the incoherent cycle.
-        try:
-            eta_plain = efficiency(params, theta, "asymmetric")
-        except PhysicsError:
-            eta_plain = math.nan
-        comparable = engine and math.isfinite(eta_plain)
-        if ctrl.branch == "minus":
-            reports.append(_report("cs_eta_branch_order", eta_plain, eta, comparable))
-        else:
-            reports.append(_report("cs_eta_branch_order", eta, eta_plain, comparable))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return reports
+        for r in verify_bounds_block(*columns, mode, alpha, branch)
+    ]
 
 
 def bound_reports_to_csv(reports, fileobj) -> None:

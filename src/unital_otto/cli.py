@@ -268,7 +268,9 @@ def _grid_config(cfg: dict, axes: list[tuple[str, np.ndarray]]) -> dict:
 # spread thin, few enough that the block's temporaries (16 paths and 9
 # outcomes per point) stay small beside the output text.  On a 101 x 101
 # classify grid 1024-point blocks raised peak RSS by 1.3 MB (4%), 256-point
-# blocks by 0.5 MB, at the same speed.
+# blocks by 0.5 MB, at the same speed.  verify-bounds draws and checks its
+# samples in blocks of the same size: 15000 samples in one block peaked
+# at 42.6 MB, against 36.6 MB in 256-sample blocks.
 _BLOCK_POINTS = 256
 
 
@@ -378,13 +380,19 @@ def _cmd_cumulants(cfg: dict) -> None:
             analysis.bound_reports_to_csv(reports, fh)
 
 
+def _bound_cells(report: analysis.BoundReport) -> list[str]:
+    """A block's report of one bound as sweep cells: ok, violated or n/a."""
+    cells = np.where(report.satisfied, "ok", "violated")
+    return np.where(report.applicable, cells, "n/a").tolist()
+
+
 def _cmd_sweep(cfg: dict) -> None:
     axis, values = _axis_values(cfg)
     # a swept cs-alpha puts every point under coherent control
     mode = "cs" if axis == "cs-alpha" else _run_mode(cfg)
     tol = _tolerance(cfg)
     branch = cfg.get("branch") or "minus"
-    bound_names: list[str] | None = None
+    bound_names: list[str] = []
     rows = []
     for start, columns, dist, cums in _grid_blocks(cfg, [(axis, values)]):
         regimes = analysis.classify_regime_array(
@@ -395,34 +403,26 @@ def _cmd_sweep(cfg: dict) -> None:
         no_mean = cumulants.is_rounding_residue(
             cums.w_mean, np.abs(dist.prob * dist.w).max(axis=-1)
         )
-        thetas = columns[5].tolist()
-        alphas = columns[6].tolist() if len(columns) == 7 else [None] * len(thetas)
+        control = (columns[6] if len(columns) == 7 else None, branch)
+        etas = analysis.efficiency_block(*columns[:6], mode, *control)
+        bounds = analysis.verify_bounds_block(*columns[:6], mode, *control)
+        bound_names = [b.name for b in bounds]
         points = zip(
-            values[start:start + len(thetas)].tolist(), zip(*(c.tolist() for c in columns[:5])),
-            thetas, alphas,
-            cums.w.tolist(), cums.q_m.tolist(), cums.qt_mean.tolist(), no_mean, regimes,
+            values[start:start + len(etas)].tolist(),
+            cums.w.tolist(), cums.q_m.tolist(), cums.qt_mean.tolist(), no_mean, etas.tolist(),
+            regimes, *map(_bound_cells, bounds),
         )
-        for value, cycle, theta, alpha, kw, kq, qt, zero_mean, regime in points:
-            params = trajectory.CycleParams(*cycle)
-            ctrl = None if alpha is None else ControlSpec(alpha, branch)
-            try:
-                eta = analysis.efficiency(params, theta, mode, ctrl)
-            except PhysicsError:
-                eta = math.nan
-            bounds = analysis.verify_bounds(params, theta, mode, ctrl)
-            if bound_names is None:
-                bound_names = [b.name for b in bounds]
+        for value, kw, kq, qt, zero_mean, eta, regime, *verdicts in points:
             cells = [_fmt(v) for v in (value, *kw, *kq, qt)]
             cells.append(_fmt(math.inf if zero_mean else kw[1] / kw[0] ** 2))
             cells.append(_fmt(eta))
             cells.append(str(regime))
-            for rep in bounds:
-                cells.append("n/a" if not rep.applicable else "ok" if rep.satisfied else "violated")
+            cells.extend(verdicts)
             rows.append(",".join(cells))
     header = (
         [axis, "w_k1", "w_k2", "w_k3", "w_k4", "qm_k1", "qm_k2", "qm_k3", "qm_k4",
          "qt_mean", "w_rf", "efficiency", "regime"]
-        + (bound_names or [])
+        + bound_names
     )
     text = _config_comment("sweep", cfg) + ",".join(header) + "\n" + "\n".join(rows) + "\n"
     _emit(cfg, text)
@@ -448,42 +448,69 @@ def _cmd_classify(cfg: dict) -> None:
     _emit(cfg, _config_comment("classify", cfg) + "\n".join(lines) + "\n")
 
 
+def _campaign_draws(rng: np.random.Generator, count: int) -> dict[tuple, list[tuple]]:
+    """The next ``count`` samples of a bound campaign, drawn one at a time
+    in the order :func:`_cmd_verify_bounds` states, grouped by (mode,
+    branch); branch is None outside cs.  Each group lists its kept
+    samples in draw order as (beta, nu1, nu2, delta, zeta, theta, alpha),
+    alpha None outside cs."""
+    draw, pick = rng.random, rng.integers
+    gap_range = 3.0 - 1e-3
+    groups: dict[tuple, list[tuple]] = {}
+    for _ in range(count):
+        beta = -2.0 + 4.0 * draw()
+        if abs(beta) < 1e-9:
+            continue
+        u1, u2, delta, zeta, theta = draw(5).tolist()
+        nu1, nu2 = 1e-3 + gap_range * u1, 1e-3 + gap_range * u2
+        mode = ("symmetric", "asymmetric", "cs")[pick(0, 3)]
+        branch = alpha = None
+        if mode == "symmetric":
+            zeta = delta
+        elif mode == "cs":
+            theta *= 0.5
+            alpha = draw()
+            branch = ("plus", "minus")[pick(0, 2)]
+        groups.setdefault((mode, branch), []).append(
+            (beta, nu1, nu2, delta, zeta, theta, alpha)
+        )
+    return groups
+
+
 def _cmd_verify_bounds(cfg: dict) -> None:
+    """Tally every bound over random cycles: ok, violated, inapplicable.
+
+    The draw order is part of the output's definition (``perfbench/
+    oracle.py`` replays it).  On one PCG64 stream seeded with --seed,
+    each sample draws beta = -2 + 4 u and is skipped, drawing nothing
+    more, when |beta| < 1e-9; then nu1 and nu2 = 1e-3 + (3 - 1e-3) u,
+    then delta, zeta and theta = u, then the mode as ``integers(0, 3)``
+    indexing (symmetric, asymmetric, cs).  Symmetric sets zeta = delta;
+    cs halves theta, then draws the control weight alpha = u and the
+    branch as ``integers(0, 2)`` indexing (plus, minus).  Each u is one
+    double of ``random()`` (the five after beta come from one
+    ``random(5)``, the same doubles); ``uniform(a, b)`` and ``choice``
+    of a tuple draw the same stream.  Samples are drawn in blocks of
+    ``_BLOCK_POINTS``, and each block's bounds are evaluated as arrays,
+    one call per mode and branch.
+    """
     samples = 10000 if cfg.get("samples") is None else cfg["samples"]
     if samples < 1:
         raise ConfigError("--samples must be at least 1")
     seed = cfg.get("seed") or 0
     rng = np.random.default_rng(seed)
     counts: dict[str, list[int]] = {}
-    for _ in range(samples):
-        beta = rng.uniform(-2.0, 2.0)
-        if abs(beta) < 1e-9:
-            continue
-        params = trajectory.CycleParams(
-            beta,
-            rng.uniform(1e-3, 3.0),
-            rng.uniform(1e-3, 3.0),
-            rng.random(),
-            rng.random(),
-        )
-        theta = rng.random()
-        mode = rng.choice(("symmetric", "asymmetric", "cs"))
-        ctrl = None
-        if mode == "symmetric":
-            params = trajectory.CycleParams(
-                beta, params.nu1, params.nu2, params.delta, params.delta
-            )
-        elif mode == "cs":
-            theta *= 0.5
-            ctrl = ControlSpec(rng.random(), rng.choice(("plus", "minus")))
-        for rep in analysis.verify_bounds(params, theta, mode, ctrl):
-            slot = counts.setdefault(rep.name, [0, 0, 0])
-            if not rep.applicable:
-                slot[2] += 1
-            elif rep.satisfied:
-                slot[0] += 1
-            else:
-                slot[1] += 1
+    for start in range(0, samples, _BLOCK_POINTS):
+        groups = _campaign_draws(rng, min(_BLOCK_POINTS, samples - start))
+        for (mode, branch), points in groups.items():
+            *cycle, alpha = zip(*points)
+            control = (alpha, branch) if mode == "cs" else (None, "minus")
+            reports = analysis.verify_bounds_block(*cycle, mode, *control)
+            for rep in reports:
+                slot = counts.setdefault(rep.name, [0, 0, 0])
+                slot[0] += int(np.count_nonzero(rep.applicable & rep.satisfied))
+                slot[1] += int(np.count_nonzero(rep.applicable & ~rep.satisfied))
+                slot[2] += int(np.count_nonzero(~rep.applicable))
     lines = ["bound_name,satisfied,violated,inapplicable"]
     for name in sorted(counts):
         sat, vio, inap = counts[name]

@@ -8,7 +8,8 @@ Three independent routes to the same numbers:
    the same for every point of a grid at once;
 2. closed forms -- the first and second cumulants transcribed from the
    analytic expressions (third and fourth have no published closed
-   form and are deliberately not transcribed);
+   form and are deliberately not transcribed), over whole grids with
+   :func:`closed_form_block`;
 3. characteristic-function derivatives -- the exact Taylor coefficients
    of ln(chi) at 0, from the closed-form characteristic function of the
    unital cycle and independent of the path table, kept as a
@@ -30,6 +31,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -39,6 +41,7 @@ from .trajectory import (
     DistributionBlock,
     JointDistribution,
     _channel_distribution,
+    _cycle_ok,
 )
 
 __all__ = [
@@ -50,6 +53,7 @@ __all__ = [
     "cumulants_from_distribution",
     "cumulants_from_block",
     "closed_form_first_second",
+    "closed_form_block",
     "cs_first_cumulants",
     "cf_derivative_check",
     "is_rounding_residue",
@@ -95,7 +99,8 @@ class CumulantSet:
 
 @dataclass(frozen=True)
 class FirstTwoCumulants:
-    """Closed-form means and variances (second route)."""
+    """Closed-form means and variances (second route): floats at one point,
+    arrays over a block."""
 
     w_mean: float
     w_var: float
@@ -159,12 +164,15 @@ def cf_general(
 
 def _marginal_cumulants(values: np.ndarray, prob: np.ndarray) -> tuple:
     """First four cumulants of each distribution along the last axis."""
-    mean = np.vecdot(prob, values)
-    centred = values - mean[..., None]
-    c2 = np.vecdot(prob, centred**2)
-    c3 = np.vecdot(prob, centred**3)
-    c4 = np.vecdot(prob, centred**4)
-    return (mean, c2, c3, c4 - 3.0 * c2 * c2)
+    # powers of outcomes near the float limit overflow to inf; the callers'
+    # finiteness checks report that, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = np.vecdot(prob, values)
+        centred = values - mean[..., None]
+        c2 = np.vecdot(prob, centred**2)
+        c3 = np.vecdot(prob, centred**3)
+        c4 = np.vecdot(prob, centred**4)
+        return (mean, c2, c3, c4 - 3.0 * c2 * c2)
 
 
 def cumulants_from_distribution(dist: JointDistribution) -> CumulantSet:
@@ -218,33 +226,60 @@ def cumulants_from_block(block: DistributionBlock) -> CumulantBlock:
     return CumulantBlock(w=kw, q_m=kq, qt_mean=qt)
 
 
-def closed_form_first_second(
-    params: CycleParams, theta: float, direction: str = "forward"
-) -> FirstTwoCumulants:
-    """Closed-form means and variances of W and Q_M, plus the mean of Q_T.
+def _tanh(x: np.ndarray) -> np.ndarray:
+    """libm tanh of each element, the value :attr:`CycleParams.tanh_beta_nu1`
+    gives a single point; np.tanh differs from it in the last bit on many
+    arguments."""
+    return np.array(list(map(math.tanh, x.ravel().tolist()))).reshape(x.shape)
 
-    The backward direction applies the delta <-> zeta correspondence.
+
+def _square(x: np.ndarray) -> np.ndarray:
+    """Each element ``** 2`` as Python squares a float, through libm pow;
+    numpy's square (``x * x``) rounds differently on about one argument in
+    a thousand."""
+    return np.array(list(map(pow, x.ravel().tolist(), repeat(2)))).reshape(x.shape)
+
+
+# overflow gives inf and inf - inf nan, silently, as Python floats do
+@np.errstate(over="ignore", invalid="ignore")
+def closed_form_block(
+    beta, nu1, nu2, delta, zeta, theta, direction: str = "forward"
+) -> FirstTwoCumulants:
+    """:func:`closed_form_first_second` at every point of broadcast parameter
+    arrays; the fields of the result are arrays of the broadcast shape.
+
+    A point's values are bitwise those of the point on its own.  Where
+    points are invalid, the error :class:`CycleParams` or the theta check
+    raises at the first of them (in C order) is raised.
     """
-    if not 0.0 <= theta <= 1.0:
+    columns = (beta, nu1, nu2, delta, zeta, theta)
+    beta, nu1, nu2, d, z, theta = np.broadcast_arrays(
+        *(np.asarray(x, dtype=float) for x in columns)
+    )
+    ok = _cycle_ok(beta, nu1, nu2, d, z) & (0.0 <= theta) & (theta <= 1.0)
+    if not ok.all():
+        i = np.unravel_index(np.argmin(ok), ok.shape)
+        CycleParams(*(float(x[i]) for x in (beta, nu1, nu2, d, z)))
         raise ValueError("theta must lie in [0, 1]")
     if direction == "backward":
-        params = params.swapped
+        d, z = z, d
     elif direction != "forward":
         raise ValueError("direction must be 'forward' or 'backward'")
-    t = params.tanh_beta_nu1
-    nu1, nu2 = params.nu1, params.nu2
-    d, z = params.delta, params.zeta
+    t = _tanh(beta * nu1)
+    # elementwise IEEE operations with libm tanh and pow: each point gets
+    # the digits plain Python float arithmetic gives these expressions
     s = d + z - 2.0 * d * z
     g = theta + (1.0 - 2.0 * theta) * s
     qm_mean = 2.0 * (1.0 - 2.0 * d) * theta * nu2 * t
-    qm_var = 4.0 * theta * nu2**2 * (1.0 - (1.0 - 2.0 * d) ** 2 * theta * t * t)
+    nu2_sq = _square(nu2)
+    qm_var = 4.0 * theta * nu2_sq * (1.0 - _square(1.0 - 2.0 * d) * theta * t * t)
     qt_mean = -2.0 * g * nu1 * t
     w_mean = qm_mean + qt_mean
     w_var = (
-        4.0 * g * nu1**2
+        4.0 * g * _square(nu1)
         + 8.0 * theta * (d + z - 1.0) * nu1 * nu2
-        + 4.0 * theta * nu2**2
-        - 4.0 * (g * nu1 + (2.0 * d - 1.0) * theta * nu2) ** 2 * t * t
+        + 4.0 * theta * nu2_sq
+        - 4.0 * _square(g * nu1 + (2.0 * d - 1.0) * theta * nu2) * t * t
     )
     return FirstTwoCumulants(
         w_mean=w_mean,
@@ -254,6 +289,20 @@ def closed_form_first_second(
         qt_mean=qt_mean,
         direction=direction,
     )
+
+
+def closed_form_first_second(
+    params: CycleParams, theta: float, direction: str = "forward"
+) -> FirstTwoCumulants:
+    """Closed-form means and variances of W and Q_M, plus the mean of Q_T:
+    one row of :func:`closed_form_block`.
+
+    The backward direction applies the delta <-> zeta correspondence.
+    """
+    cycle = (params.beta, params.nu1, params.nu2, params.delta, params.zeta, theta)
+    row = closed_form_block(*cycle, direction=direction)
+    values = (row.w_mean, row.w_var, row.qm_mean, row.qm_var, row.qt_mean)
+    return FirstTwoCumulants(*map(float, values), direction=direction)
 
 
 def cs_first_cumulants(
@@ -288,7 +337,10 @@ def cf_derivative_check(params: CycleParams, theta: float) -> CumulantSet:
         b = [0j] * 5
         for n in range(1, 5):
             b[n] = a[n] - sum(k * b[k] * a[n - k] for k in range(1, n)) / n
-        k1, k2, k3, k4 = ((math.factorial(n) * b[n] / 1j**n).real for n in range(1, 5))
+        # + 0.0 turns the negative zeros of vanishing coefficients into 0
+        k1, k2, k3, k4 = (
+            (math.factorial(n) * b[n] / 1j**n).real + 0.0 for n in range(1, 5)
+        )
         # kappa_2 = mu_2 - mu_1^2 cancels where the variable is nearly
         # certain; rounding below zero there is no variance
         if k2 < 0.0 and is_rounding_residue(k2, -2.0 * a[2].real):

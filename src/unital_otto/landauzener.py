@@ -24,7 +24,7 @@ from typing import Iterable
 import numpy as np
 
 from .analysis import Regime, classify_regime_means
-from .cumulants import closed_form_first_second
+from .cumulants import closed_form_block, closed_form_first_second
 from .qstate import MeasurementChannel, hamiltonian, thermal_state
 from .trajectory import CycleParams
 
@@ -175,21 +175,22 @@ def monitored_averages(params: LZParams) -> CycleAverages:
     measurement at B erases the coherence the projector channel would
     otherwise act on, so E3 and E4 differ from the unmonitored route.
     """
-    return _monitored_from(params, unmonitored_cycle(params))
-
-
-def _monitored_from(params: LZParams, shared: CycleAverages) -> CycleAverages:
-    """:func:`monitored_averages`, given the unmonitored averages of ``params``."""
     first = closed_form_first_second(params.cycle, params.channel.theta)
-    eta = first.w_mean / first.qm_mean if abs(first.qm_mean) > 1e-300 else math.nan
+    return _monitored_from(unmonitored_cycle(params), first.w_mean, first.qm_mean, first.qt_mean)
+
+
+def _monitored_from(shared: CycleAverages, w: float, q_m: float, q_t: float) -> CycleAverages:
+    """:func:`monitored_averages`, given the unmonitored averages and the
+    closed-form means of W, Q_M and Q_T."""
+    eta = w / q_m if abs(q_m) > 1e-300 else math.nan
     return CycleAverages(
         e1=shared.e1,
         e2=shared.e2,
-        e3=shared.e2 + first.qm_mean,
-        e4=shared.e1 - first.qt_mean,
-        w=first.w_mean,
-        q_m=first.qm_mean,
-        q_t=first.qt_mean,
+        e3=shared.e2 + q_m,
+        e4=shared.e1 - q_t,
+        w=w,
+        q_m=q_m,
+        q_t=q_t,
         eta=eta,
     )
 
@@ -209,15 +210,20 @@ def monitored_vs_unmonitored(
     params: LZParams, deltas: Iterable[float]
 ) -> list[ComparisonRow]:
     """Work, efficiency and regime of both cycle variants over a delta grid."""
+    points = [params.with_delta(float(delta)) for delta in deltas]
+    cyc = params.cycle
+    delta = np.array([point.delta for point in points])
+    # the monitored means of every row from one block of closed forms
+    closed = closed_form_block(cyc.beta, cyc.nu1, cyc.nu2, delta, delta, params.channel.theta)
+    means = zip(closed.w_mean.tolist(), closed.qm_mean.tolist(), closed.qt_mean.tolist())
     rows = []
-    beta = params.cycle.beta
-    for delta in deltas:
-        point = params.with_delta(float(delta))
+    beta = cyc.beta
+    for point, (w, q_m, q_t) in zip(points, means):
         um = unmonitored_cycle(point)
-        mon = _monitored_from(point, um)
+        mon = _monitored_from(um, w, q_m, q_t)
         rows.append(
             ComparisonRow(
-                delta=float(delta),
+                delta=point.delta,
                 w_mon=mon.w,
                 eta_mon=mon.eta,
                 regime_mon=classify_regime_means(mon.w, mon.q_m, mon.q_t, beta),

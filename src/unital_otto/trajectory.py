@@ -274,6 +274,26 @@ def _channel_distribution(
     return _point(params, channel.transition_matrix()[::-1, ::-1])
 
 
+def _cycle_ok(beta, nu1, nu2, delta, zeta) -> np.ndarray:
+    """Where the checks of :class:`CycleParams` pass, elementwise."""
+    ok = np.isfinite(beta) & np.isfinite(nu1) & np.isfinite(nu2)
+    ok &= np.isfinite(delta) & np.isfinite(zeta) & (nu1 > 0.0) & (nu2 > 0.0)
+    ok &= (0.0 <= delta) & (delta <= 1.0) & (0.0 <= zeta) & (zeta <= 1.0)
+    return ok
+
+
+def _controlled_flip(theta, alpha, branch: str) -> np.ndarray:
+    """``ControlSpec(alpha, branch).flip_probability(theta)`` elementwise over
+    arrays, bitwise, without its checks: ``nan`` where alpha lies outside
+    [0, 1] or the branch is unknown, above 1 where theta exceeds 2 p_branch."""
+    sign = {"plus": 1.0, "minus": -1.0}.get(branch, math.nan)
+    with np.errstate(invalid="ignore"):
+        coherence = np.sqrt(alpha * (1.0 - alpha))
+    # 2 p_branch = 2 (0.5 (1 +- c)) is 1 +- c exactly: halving and doubling
+    # do not round
+    return theta / (1.0 + sign * coherence)
+
+
 def enumerate_block(
     beta, nu1, nu2, delta, zeta, theta, alpha=None, branch: str = "minus"
 ) -> DistributionBlock:
@@ -290,21 +310,11 @@ def enumerate_block(
     arrays = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in inputs))
     shape = arrays[0].shape
     beta, nu1, nu2, delta, zeta, theta, *alpha = (a.ravel() for a in arrays)
-    ok = np.isfinite(beta) & np.isfinite(nu1) & np.isfinite(nu2)
-    ok &= np.isfinite(delta) & np.isfinite(zeta) & (nu1 > 0.0) & (nu2 > 0.0)
-    ok &= (0.0 <= delta) & (delta <= 1.0) & (0.0 <= zeta) & (zeta <= 1.0)
+    ok = _cycle_ok(beta, nu1, nu2, delta, zeta)
     ok &= np.isfinite(theta) & (0.0 <= theta) & (theta <= 1.0)
     flip = theta
     if alpha:
-        flip = np.full(theta.shape, np.nan)
-        values, groups = np.unique(alpha[0], return_inverse=True)
-        for j, value in enumerate(values):
-            sel = groups == j
-            try:
-                ctrl = ControlSpec(float(value), branch)
-            except ValueError:
-                continue
-            flip[sel] = ctrl.flip_probability(theta[sel])
+        flip = _controlled_flip(theta, alpha[0], branch)
         ok &= flip <= 1.0
     block = _evaluate(beta, nu1, nu2, delta, zeta, _flip_matrices(flip))
     w, q, prob = block.w, block.q_m, block.prob

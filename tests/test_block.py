@@ -1,6 +1,8 @@
 """Grid evaluation: the block evaluator against a 60-digit reference."""
 
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,16 +10,23 @@ import pytest
 from unital_otto import (
     ControlSpec,
     CycleParams,
+    PhysicsError,
     Regime,
     classify_regime_array,
     classify_regime_means,
+    closed_form_block,
     cumulants_from_block,
     cumulants_from_distribution,
+    efficiency,
+    efficiency_block,
     enumerate_block,
     enumerate_paths,
+    is_rounding_residue,
     trajectory,
+    verify_bounds,
+    verify_bounds_block,
 )
-from unital_otto.cli import SWEEPABLE, main
+from unital_otto.cli import SWEEPABLE, _campaign_draws, main
 
 from conftest import mp_cumulants
 
@@ -290,3 +299,313 @@ def test_invalid_grids_keep_the_scalar_exit_code_and_message(capsys):
     )
     assert code == 2
     assert err == "config error: delta and zeta must lie in [0, 1]\n"
+
+
+# --- bounds and efficiency --------------------------------------------------
+
+
+def reference_closed_form(beta, nu1, nu2, d, z, theta):
+    """(w_mean, w_var, qm_mean, qm_var, qt_mean) in plain Python floats, the
+    way the scalar code computed them before the closed forms became
+    arrays: ``** 2`` through libm pow, libm tanh."""
+    t = math.tanh(beta * nu1)
+    s = d + z - 2.0 * d * z
+    g = theta + (1.0 - 2.0 * theta) * s
+    qm_mean = 2.0 * (1.0 - 2.0 * d) * theta * nu2 * t
+    qm_var = 4.0 * theta * nu2**2 * (1.0 - (1.0 - 2.0 * d) ** 2 * theta * t * t)
+    qt_mean = -2.0 * g * nu1 * t
+    w_var = (
+        4.0 * g * nu1**2
+        + 8.0 * theta * (d + z - 1.0) * nu1 * nu2
+        + 4.0 * theta * nu2**2
+        - 4.0 * (g * nu1 + (2.0 * d - 1.0) * theta * nu2) ** 2 * t * t
+    )
+    return qm_mean + qt_mean, w_var, qm_mean, qm_var, qt_mean
+
+
+def reference_efficiency(beta, nu1, nu2, d, z, theta, mode, alpha=None, branch="minus"):
+    """The scalar efficiency rule in plain Python; nan where no heat."""
+    if mode == "cs":
+        theta, mode = ControlSpec(alpha, branch).flip_probability(theta), "asymmetric"
+    fwd = reference_closed_form(beta, nu1, nu2, d, z, theta)
+    if mode == "symmetric":
+        work, heat, largest = fwd[0], fwd[2], abs(fwd[2])
+    else:
+        bwd = reference_closed_form(beta, nu1, nu2, z, d, theta)
+        work, heat = fwd[0] + bwd[0], fwd[2] + bwd[2]
+        largest = max(abs(fwd[2]), abs(bwd[2]))
+    if abs(heat) < 1e-300 or is_rounding_residue(heat, largest):
+        return math.nan
+    return work / heat
+
+
+def reference_bounds(beta, nu1, nu2, d, z, theta, mode, alpha=None, branch="minus"):
+    """The proved inequalities checked one point at a time in plain Python:
+    (name, left, right, applicable, satisfied, margin) per bound."""
+
+    def report(name, left, right, applicable):
+        return (name, left, right, bool(applicable), bool(left <= right + 1e-10), right - left)
+
+    def ratio(num, den, defined):
+        return num / den if defined else math.nan
+
+    flip = ControlSpec(alpha, branch).flip_probability(theta) if mode == "cs" else theta
+    fwd = reference_closed_form(beta, nu1, nu2, d, z, flip)
+    bwd = reference_closed_form(beta, nu1, nu2, z, d, flip)
+    work, heat = fwd[0] + bwd[0], fwd[2] + bwd[2]
+    otto = 1.0 - nu1 / nu2
+    out = []
+    if mode != "cs":
+        out.append(report("qt_nonpositive", fwd[4], 0.0, beta > 0.0))
+        out.append(report(
+            "equal_gap_work_nonpositive", work, 0.0, beta > 0.0 and abs(nu1 - nu2) <= 1e-12
+        ))
+    if mode == "symmetric":
+        work, heat, w_var, qm_var = fwd[0], fwd[2], fwd[1], fwd[3]
+    elif mode == "asymmetric":
+        w_var, qm_var = fwd[1] + bwd[1], fwd[3] + bwd[3]
+    else:
+        out.append(report("cs_qt_nonpositive", fwd[4], 0.0, beta > 0.0 and theta <= 0.5))
+    engine = classify_regime_means(work, heat, fwd[4], beta) is Regime.ENGINE
+    eta = ratio(work, heat, abs(heat) > 0.0)
+    if mode == "cs":
+        out.append(report("cs_eta_le_otto", eta, otto, engine))
+        plain = reference_efficiency(beta, nu1, nu2, d, z, theta, "asymmetric")
+        pair = (plain, eta) if branch == "minus" else (eta, plain)
+        out.append(report("cs_eta_branch_order", *pair, engine and math.isfinite(plain)))
+        return out
+    w_ratio = ratio(w_var, qm_var, qm_var > 0.0)
+    defined = qm_var > 0.0 and abs(heat) > 0.0
+    if mode == "symmetric":
+        corridor = (
+            2.0 * (1.0 - 2.0 * d) * theta * nu2
+            - (theta + 2.0 * d * (1.0 - d) * (1.0 - 2.0 * theta)) * nu1
+            >= 0.0
+        )
+    else:
+        s = d + z - 2.0 * d * z
+        corridor = (
+            2.0 * theta * (1.0 - d - z) * nu2 - (theta + (1.0 - 2.0 * theta) * s) * nu1 >= 0.0
+        )
+    out.append(report("eta_le_otto", eta, otto, engine))
+    out.append(report("eta_sq_le_ratio", eta * eta, w_ratio, corridor and defined))
+    out.append(report("ratio_le_one", w_ratio, 1.0, corridor and defined))
+    if mode == "symmetric":
+        hopm = (
+            (1.0 - 2.0 * d) * theta * nu2 - (1.0 - d) * (d + theta - 2.0 * d * theta) * nu1
+            >= 0.0
+        )
+        out.append(report("otto_sq_le_ratio", otto * otto, w_ratio, hopm and qm_var > 0.0))
+    return out
+
+
+def same_bits(a, b) -> bool:
+    """Equal as doubles, the sign of zero included; nan matches nan."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    same = np.where(np.isnan(a), np.isnan(b), (a == b) & (np.signbit(a) == np.signbit(b)))
+    return bool(same.all())
+
+
+def bound_points(rng, n, mode, branch):
+    """Random cycles with the {0, 1/2, 1} edges of delta, zeta and theta in
+    every combination, delta + zeta = 1 (forward and backward heat
+    cancel), equal gaps, beta = 0, |beta nu1| where tanh saturates and
+    points on the boundary of each bound's precondition."""
+    beta = rng.uniform(-2.0, 2.0, n)
+    nu1 = np.exp(rng.uniform(math.log(1e-2), math.log(20.0), n))
+    nu2 = np.exp(rng.uniform(math.log(1e-2), math.log(20.0), n))
+    delta, zeta, theta = rng.random(n), rng.random(n), rng.random(n)
+    edges = [0.0, 0.5, 1.0]
+    corners = np.array(list(itertools.product(edges, repeat=3))).T
+    for column, values in zip((delta, zeta, theta), corners):
+        column[: len(values)] = values
+        column[27:54] = values
+    zeta[60:120] = 1.0 - delta[60:120]
+    nu2[120:180] = nu1[120:180]
+    beta[180:200] = 0.0
+    beta[200:220] = rng.choice([-40.0, 40.0], 20)
+    # delta = zeta = 0, theta = 1/2: the corridor preconditions hold with
+    # equality at nu1 = 2 nu2, the Otto-squared one at nu1 = nu2
+    delta[220:280] = zeta[220:280] = 0.0
+    theta[220:280] = 0.5
+    nu1[220:250] = 2.0 * nu2[220:250]
+    nu1[250:280] = nu2[250:280]
+    if mode == "symmetric":
+        zeta = delta.copy()
+    alpha = None
+    if mode == "cs":
+        alpha = rng.random(n)
+        alpha[:54] = np.resize(edges, 54)
+        # keep theta within 2 p_branch, its edge included
+        doubled = 1.0 + (1.0 if branch == "plus" else -1.0) * np.sqrt(alpha * (1.0 - alpha))
+        theta = np.minimum(theta, doubled)
+    return (beta, nu1, nu2, delta, zeta, theta), alpha
+
+
+MODES = [("symmetric", "minus"), ("asymmetric", "minus"), ("cs", "plus"), ("cs", "minus")]
+
+
+@pytest.mark.parametrize("mode, branch", MODES)
+def test_bound_and_efficiency_blocks_match_scalar_rule_bitwise(rng, mode, branch):
+    n = 5000
+    cycle, alpha = bound_points(rng, n, mode, branch)
+    reports = verify_bounds_block(*cycle, mode, alpha, branch)
+    etas = efficiency_block(*cycle, mode, alpha, branch)
+    closed = [closed_form_block(*cycle, direction=d) for d in ("forward", "backward")]
+    fields = ("left", "right", "applicable", "satisfied", "margin")
+    for i in range(n):
+        point = [float(c[i]) for c in cycle]
+        control = (None, branch) if alpha is None else (float(alpha[i]), branch)
+        want = reference_bounds(*point, mode, *control)
+        assert [r.name for r in reports] == [w[0] for w in want]
+        for r, w in zip(reports, want):
+            got = [getattr(r, f)[i] for f in fields]
+            assert same_bits(got, w[1:]), (i, r.name, got, w)
+        assert same_bits(etas[i], reference_efficiency(*point, mode, *control)), i
+        beta, nu1, nu2, d, z, theta = point
+        for block, args in zip(closed, ((d, z), (z, d))):
+            ref = reference_closed_form(beta, nu1, nu2, *args, theta)
+            got = [block.w_mean[i], block.w_var[i], block.qm_mean[i], block.qm_var[i],
+                   block.qt_mean[i]]
+            assert same_bits(got, ref), i
+    # every bound is applicable somewhere and inapplicable somewhere, and
+    # the efficiency is undefined somewhere
+    assert all(r.applicable.any() and not r.applicable.all() for r in reports)
+    assert np.isnan(etas).any() and np.isfinite(etas).any()
+
+
+@pytest.mark.parametrize("mode, branch", MODES)
+def test_scalar_bounds_and_efficiency_are_rows_of_the_block(rng, mode, branch):
+    cycle, alpha = bound_points(rng, 400, mode, branch)
+    reports = verify_bounds_block(*cycle, mode, alpha, branch)
+    etas = efficiency_block(*cycle, mode, alpha, branch)
+    for i in range(400):
+        params = CycleParams(*(float(c[i]) for c in cycle[:5]))
+        theta = float(cycle[5][i])
+        ctrl = None if alpha is None else ControlSpec(float(alpha[i]), branch)
+        row = verify_bounds(params, theta, mode, ctrl)
+        for r, block in zip(row, reports):
+            assert type(r.left) is float and type(r.applicable) is bool
+            assert r.name == block.name
+            assert same_bits(
+                [r.left, r.right, r.applicable, r.satisfied, r.margin],
+                [block.left[i], block.right[i], block.applicable[i], block.satisfied[i],
+                 block.margin[i]],
+            )
+        if np.isnan(etas[i]):
+            with pytest.raises(PhysicsError, match="no heat absorbed"):
+                efficiency(params, theta, mode, ctrl)
+        else:
+            assert same_bits(efficiency(params, theta, mode, ctrl), etas[i])
+
+
+def test_bound_blocks_keep_the_broadcast_shape():
+    delta = np.linspace(0.0, 0.5, 4)[:, None]
+    theta = np.linspace(0.0, 0.5, 3)
+    for mode, alpha in (("symmetric", None), ("asymmetric", None), ("cs", 0.3)):
+        reports = verify_bounds_block(0.7, 1.0, 2.0, delta, 0.2, theta, mode, alpha)
+        for r in reports:
+            for field in (r.left, r.right, r.applicable, r.satisfied, r.margin):
+                assert np.shape(field) == (4, 3)
+        assert efficiency_block(0.7, 1.0, 2.0, delta, 0.2, theta, mode, alpha).shape == (4, 3)
+    # the control weight broadcasts with the cycle
+    alpha = np.linspace(0.0, 1.0, 5)[:, None, None]
+    reports = verify_bounds_block(0.7, 1.0, 2.0, delta, 0.2, theta, "cs", alpha, "plus")
+    assert all(np.shape(r.left) == np.shape(r.applicable) == (5, 4, 3) for r in reports)
+    assert efficiency_block(0.7, 1.0, 2.0, 0.1, 0.2, 0.3, "cs", alpha[:, 0, 0]).shape == (5,)
+
+
+def test_controlled_flip_is_the_control_spec_value_bitwise(rng):
+    theta = rng.random(2000)
+    alpha = rng.random(2000)
+    alpha[:3] = (0.0, 0.5, 1.0)
+    for branch in ("plus", "minus"):
+        got = trajectory._controlled_flip(theta, alpha, branch)
+        # a 0-d array theta skips the flip bound: values above 1 compare too
+        want = [
+            ControlSpec(a, branch).flip_probability(np.array(t))
+            for a, t in zip(alpha.tolist(), theta.tolist())
+        ]
+        assert same_bits(got, want)
+
+
+def test_bound_blocks_raise_the_error_of_a_failing_point():
+    theta = np.array([0.2, 0.6, 0.2])
+    _, message = scalar_error(lambda: ControlSpec(0.3, "minus").flip_probability(0.6))
+    for call in (verify_bounds_block, efficiency_block):
+        with pytest.raises(PhysicsError) as info:
+            call(0.5, 1.0, 2.0, 0.1, 0.1, theta, "cs", 0.3, "minus")
+        assert str(info.value) == message
+        with pytest.raises(ValueError, match=r"delta and zeta must lie in \[0, 1\]"):
+            call(0.5, 1.0, 2.0, np.array([0.1, 1.5]), 0.1, 0.2)
+        with pytest.raises(ValueError, match=r"theta must lie in \[0, 1\]"):
+            call(0.5, 1.0, 2.0, 0.1, 0.1, np.array([0.5, 1.5]), "asymmetric")
+        with pytest.raises(ValueError, match="unknown mode"):
+            call(0.5, 1.0, 2.0, 0.1, 0.1, 0.2, "sideways")
+        with pytest.raises(ValueError, match="cs mode needs"):
+            call(0.5, 1.0, 2.0, 0.1, 0.1, 0.2, "cs")
+
+
+def test_bound_blocks_warn_nowhere():
+    # zero heat, zero variance and cancelled forward/backward heat
+    cycle = (0.7, 1.0, 2.0, np.array([0.5, 0.0, 0.3, 0.2]), np.array([0.5, 0.0, 0.7, 0.2]),
+             np.array([0.3, 1.0, 0.3, 0.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for mode in ("symmetric", "asymmetric"):
+            verify_bounds_block(*cycle, mode)
+            efficiency_block(*cycle, mode)
+        verify_bounds_block(*cycle, "cs", 0.0, "plus")
+
+
+# --- the bound campaign's draws ---------------------------------------------
+
+
+def scalar_campaign_draws(rng, count):
+    """The campaign's samples drawn as the per-sample loop drew them, with
+    ``uniform`` and ``choice``, grouped like ``cli._campaign_draws``."""
+    groups = {}
+    for _ in range(count):
+        beta = rng.uniform(-2.0, 2.0)
+        if abs(beta) < 1e-9:
+            continue
+        nu1, nu2 = rng.uniform(1e-3, 3.0), rng.uniform(1e-3, 3.0)
+        delta, zeta, theta = rng.random(), rng.random(), rng.random()
+        mode = str(rng.choice(("symmetric", "asymmetric", "cs")))
+        branch = alpha = None
+        if mode == "symmetric":
+            zeta = delta
+        elif mode == "cs":
+            theta *= 0.5
+            alpha = rng.random()
+            branch = str(rng.choice(("plus", "minus")))
+        groups.setdefault((mode, branch), []).append((beta, nu1, nu2, delta, zeta, theta, alpha))
+    return groups
+
+
+@pytest.mark.parametrize("seed", [1, 2, 101, 12345])
+def test_campaign_draws_replay_the_scalar_stream(seed):
+    reference, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = scalar_campaign_draws(reference, 3000)
+    got = {}
+    for start in range(0, 3000, 256):  # block after block, as the campaign draws
+        for key, points in _campaign_draws(rng, min(256, 3000 - start)).items():
+            got.setdefault(key, []).extend(points)
+    assert got == want
+    assert sorted(got) == [("asymmetric", None), ("cs", "minus"), ("cs", "plus"),
+                           ("symmetric", None)]
+    assert rng.random() == reference.random()  # the streams end in step
+
+
+@pytest.mark.parametrize("samples, seed", [(600, 3), (257, 12345)])
+def test_campaign_tallies_are_those_of_the_scalar_rows(capsys, samples, seed):
+    tallies = {}
+    for (mode, branch), points in scalar_campaign_draws(np.random.default_rng(seed), samples).items():
+        for *cycle, theta, alpha in points:
+            ctrl = None if alpha is None else ControlSpec(alpha, branch)
+            for r in verify_bounds(CycleParams(*cycle), theta, mode, ctrl):
+                slot = tallies.setdefault(r.name, [0, 0, 0])
+                slot[0 if r.applicable and r.satisfied else 1 if r.applicable else 2] += 1
+    assert main(["verify-bounds", "--samples", str(samples), "--seed", str(seed)]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert rows == [f"{name},{sat},{vio},{inap}" for name, (sat, vio, inap) in sorted(tallies.items())]

@@ -1,7 +1,10 @@
 """Command-line interface: outputs, config handling, exit codes."""
 
 import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -393,6 +396,35 @@ def test_derivative_rows_of_a_certain_heat(point, capsys):
     assert (code, err) == (0, "")
     rows = {l.split(",")[0]: l.split(",")[1:] for l in out.splitlines()[2:]}
     assert float(rows["enumeration"][5]) == float(rows["cf_derivative"][5]) == 0.0
+
+
+@pytest.mark.parametrize(
+    "point",
+    [("40", "1", "3", "0", "0", "1"), ("0", "1", "2", "0.5", "0.5", "0.3472983747254472")],
+)
+def test_derivative_rows_print_no_negative_zero(point, capsys):
+    # vanishing series coefficients come out as -0.0 before normalising
+    flags = ("--beta", "--nu1", "--nu2", "--delta", "--zeta", "--theta")
+    code, out, _ = run(capsys, "cumulants", *(x for pair in zip(flags, point) for x in pair))
+    assert code == 0
+    rows = {l.split(",")[0]: l.split(",")[1:] for l in out.splitlines()[2:]}
+    assert "0" in rows["cf_derivative"]
+    assert "-0" not in rows["cf_derivative"] + rows["cf_derivative_delta"]
+    if point[0] == "40":
+        assert "-0" not in [c for cells in rows.values() for c in cells]
+
+
+def test_overflowing_cumulants_print_only_the_error():
+    # a fresh interpreter, whose default filters print each RuntimeWarning
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "unital_otto.cli", "cumulants", "--beta", "0.7",
+         "--nu1", "1e80", "--nu2", "2e80", "--delta", "0.1", "--zeta", "0.1", "--theta", "0.2"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path, PYTHONWARNINGS="default"),
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "config error: cumulants must be finite\n"
 
 
 def test_sweep_prints_no_ratio_of_a_cancelled_denominator(capsys):

@@ -11,6 +11,7 @@ from unital_otto import (
     LZParams,
     MeasurementChannel,
     Regime,
+    classify_regime_means,
     comparison_to_csv,
     cumulants_from_distribution,
     enumerate_paths,
@@ -172,3 +173,15 @@ def test_one_unmonitored_propagation_per_comparison_row(monkeypatch):
     assert len(calls) == len(deltas)
     for row, (mon, um) in zip(rows, want):
         assert (row.w_mon, row.eta_mon, row.w_um, row.eta_um) == (mon.w, mon.eta, um.w, um.eta)
+
+
+def test_comparison_rows_are_the_single_point_averages():
+    # the table takes its monitored means from one block of closed forms
+    deltas = np.linspace(0.0, 1.0, 41)
+    rows = monitored_vs_unmonitored(build(0.0, **FIG6F), deltas)
+    for row, delta in zip(rows, deltas.tolist()):
+        point = build(delta, **FIG6F)
+        mon, um = monitored_averages(point), unmonitored_cycle(point)
+        got = [row.delta, row.w_mon, row.eta_mon, row.w_um, row.eta_um]
+        assert np.array_equal(got, [delta, mon.w, mon.eta, um.w, um.eta], equal_nan=True)
+        assert row.regime_mon is classify_regime_means(mon.w, mon.q_m, mon.q_t, FIG6F["beta"])
