@@ -12,7 +12,10 @@ precondition actually held.
 
 Efficiencies and bound checks are array arithmetic over broadcast
 parameter columns (:func:`efficiency_block`, :func:`verify_bounds_block`);
-:func:`efficiency` and :func:`verify_bounds` are one point of them.
+:func:`efficiency` and :func:`verify_bounds` are one point of them.  Both
+blocks check their columns as every block function does, in the order
+cycle, control, theta range, flip bound, and raise the first failing
+point's own error, so a point fails in a block as it fails alone.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .cumulants import (
     is_rounding_residue,
 )
 from .qstate import ControlSpec, PhysicsError
-from .trajectory import CycleParams, _controlled_flip, enumerate_paths
+from .trajectory import CycleParams, _check_theta, _checked_columns, enumerate_paths
 
 __all__ = [
     "Regime",
@@ -152,6 +155,7 @@ def positive_work_threshold(
     symmetric threshold at ``ctrl.flip_probability(theta)``).
     Returns ``inf`` when no finite gap can make work positive.
     """
+    _check_theta(theta)
     d, z, nu1 = params.delta, params.zeta, params.nu1
     if mode == "cs":
         if ctrl is None:
@@ -173,24 +177,14 @@ def positive_work_threshold(
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _flip_probability(theta, alpha, branch: str) -> np.ndarray:
-    """Each point's flip probability under coherent control, as
-    ``ControlSpec(alpha, branch).flip_probability(theta)``; where that
-    raises, its error at the first such point is raised."""
-    if alpha is None:
+def _checked(beta, nu1, nu2, delta, zeta, theta, mode: str, alpha, branch: str) -> tuple:
+    """Checked columns and the flip probability of ``mode``."""
+    if mode not in ("symmetric", "asymmetric", "cs"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "cs" and alpha is None:
         raise ValueError("cs mode needs a control weight alpha")
-    theta, alpha = np.broadcast_arrays(theta, np.asarray(alpha, dtype=float))
-    flip = _controlled_flip(theta, alpha, branch)
-    failed = ~(flip <= 1.0)
-    if failed.any():
-        i = np.unravel_index(np.argmax(failed), failed.shape)
-        # an invalid theta passes here and fails the closed forms' check
-        ControlSpec(float(alpha[i]), branch).flip_probability(float(theta[i]))
-    return flip
-
-
-def _columns(*columns) -> list[np.ndarray]:
-    return np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in columns))
+    control = (alpha, branch) if mode == "cs" else ()
+    return _checked_columns(beta, nu1, nu2, delta, zeta, theta, *control)
 
 
 def _divide(num, den, defined) -> np.ndarray:
@@ -214,17 +208,13 @@ def efficiency_block(
     ``branch``.  Forward and backward heat that cancel to rounding
     residue count as no heat.
     """
-    if mode not in ("symmetric", "asymmetric", "cs"):
-        raise ValueError(f"unknown mode {mode!r}")
-    *cycle, theta = _columns(beta, nu1, nu2, delta, zeta, theta)
-    if mode == "cs":
-        theta, mode = _flip_probability(theta, alpha, branch), "asymmetric"
-    fwd = closed_form_block(*cycle, theta)
+    *cycle, _, flip = _checked(beta, nu1, nu2, delta, zeta, theta, mode, alpha, branch)
+    fwd = closed_form_block(*cycle, flip)
     if mode == "symmetric":
         work, heat = fwd.w_mean, fwd.qm_mean
         largest = np.abs(heat)
     else:
-        bwd = closed_form_block(*cycle, theta, "backward")
+        bwd = closed_form_block(*cycle, flip, "backward")
         work, heat = fwd.w_mean + bwd.w_mean, fwd.qm_mean + bwd.qm_mean
         largest = np.maximum(np.abs(fwd.qm_mean), np.abs(bwd.qm_mean))
     no_heat = (np.abs(heat) < 1e-300) | is_rounding_residue(heat, largest)
@@ -293,11 +283,8 @@ def verify_bounds_block(
     violation is never counted against the proof.  Modes and the control
     (``alpha``, ``branch``) are those of :func:`efficiency_block`.
     """
-    if mode not in ("symmetric", "asymmetric", "cs"):
-        raise ValueError(f"unknown mode {mode!r}")
-    *cycle, theta = _columns(beta, nu1, nu2, delta, zeta, theta)
+    *cycle, theta, flip = _checked(beta, nu1, nu2, delta, zeta, theta, mode, alpha, branch)
     beta, nu1, nu2, d, z = cycle
-    flip = _flip_probability(theta, alpha, branch) if mode == "cs" else theta
     fwd = closed_form_block(*cycle, flip)
     bwd = closed_form_block(*cycle, flip, "backward")
     work, heat = fwd.w_mean + bwd.w_mean, fwd.qm_mean + bwd.qm_mean
@@ -383,12 +370,13 @@ def verify_bounds(
 
 
 def bound_reports_to_csv(reports, fileobj) -> None:
-    """Serialise bound reports with one row per inequality."""
+    """Serialise bound reports with one row per inequality; a negative zero
+    prints as 0."""
     fileobj.write("bound_name,left,right,applicable,satisfied,margin\n")
     for r in reports:
         fileobj.write(
-            f"{r.name},{r.left:.17g},{r.right:.17g},"
-            f"{str(r.applicable).lower()},{str(r.satisfied).lower()},{r.margin:.17g}\n"
+            f"{r.name},{r.left + 0.0:.17g},{r.right + 0.0:.17g},"
+            f"{str(r.applicable).lower()},{str(r.satisfied).lower()},{r.margin + 0.0:.17g}\n"
         )
 
 

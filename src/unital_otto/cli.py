@@ -343,7 +343,8 @@ def _cmd_cumulants(cfg: dict) -> None:
     )
 
     def row(route, w, q, qt):
-        cells = [route] + [_fmt(v) for v in (*w, *q, qt)]
+        # + 0.0 prints a negative zero as 0
+        cells = [route] + [_fmt(v + 0.0) for v in (*w, *q, qt)]
         buf.write(",".join(cells) + "\n")
 
     def route_and_delta(route, w, q, qt):

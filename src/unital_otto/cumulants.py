@@ -41,7 +41,9 @@ from .trajectory import (
     DistributionBlock,
     JointDistribution,
     _channel_distribution,
-    _cycle_ok,
+    _check_theta,
+    _checked_columns,
+    _tanh,
 )
 
 __all__ = [
@@ -115,8 +117,7 @@ def _unital_terms(params: CycleParams, theta: float) -> tuple:
     ``(weight, W frequency, Q_M frequency, sign)`` terms:
     chi = sum weight * (cos x - i sign t sin x), x = f_W gamma_W + f_Q gamma_Q,
     t = tanh(beta nu1).  Each bracket is 2 cos(x + sign i beta nu1) / Z."""
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError("theta must lie in [0, 1]")
+    _check_theta(theta)
     nu1, nu2 = params.nu1, params.nu2
     d, z = params.delta, params.zeta
     s = d + z - 2.0 * d * z
@@ -226,13 +227,6 @@ def cumulants_from_block(block: DistributionBlock) -> CumulantBlock:
     return CumulantBlock(w=kw, q_m=kq, qt_mean=qt)
 
 
-def _tanh(x: np.ndarray) -> np.ndarray:
-    """libm tanh of each element, the value :attr:`CycleParams.tanh_beta_nu1`
-    gives a single point; np.tanh differs from it in the last bit on many
-    arguments."""
-    return np.array(list(map(math.tanh, x.ravel().tolist()))).reshape(x.shape)
-
-
 def _square(x: np.ndarray) -> np.ndarray:
     """Each element ``** 2`` as Python squares a float, through libm pow;
     numpy's square (``x * x``) rounds differently on about one argument in
@@ -249,18 +243,10 @@ def closed_form_block(
     arrays; the fields of the result are arrays of the broadcast shape.
 
     A point's values are bitwise those of the point on its own.  Where
-    points are invalid, the error :class:`CycleParams` or the theta check
-    raises at the first of them (in C order) is raised.
+    points are invalid, the error of the single-point checks at the first
+    of them (in C order) is raised.
     """
-    columns = (beta, nu1, nu2, delta, zeta, theta)
-    beta, nu1, nu2, d, z, theta = np.broadcast_arrays(
-        *(np.asarray(x, dtype=float) for x in columns)
-    )
-    ok = _cycle_ok(beta, nu1, nu2, d, z) & (0.0 <= theta) & (theta <= 1.0)
-    if not ok.all():
-        i = np.unravel_index(np.argmin(ok), ok.shape)
-        CycleParams(*(float(x[i]) for x in (beta, nu1, nu2, d, z)))
-        raise ValueError("theta must lie in [0, 1]")
+    beta, nu1, nu2, d, z, theta, _ = _checked_columns(beta, nu1, nu2, delta, zeta, theta)
     if direction == "backward":
         d, z = z, d
     elif direction != "forward":

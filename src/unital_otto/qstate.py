@@ -297,12 +297,12 @@ class ControlSpec:
         is the unital cycle's at this flip probability.  Above 1 (theta >
         2 p_-, reachable only on the minus branch beyond the measurement
         channel's theta <= 1/2) the matrix has negative entries, the cycle
-        has no distribution and :class:`PhysicsError` is raised.  An array of
-        theta is divided elementwise without that check: entries beyond
-        2 p_branch come out above 1.
+        has no distribution and :class:`PhysicsError` is raised.  This is
+        the last check of a controlled point, after the cycle's, the
+        control's and theta in [0, 1], at one point and in every block.
         """
         doubled = 2.0 * self.branch_probability
-        if not isinstance(theta, np.ndarray) and theta > doubled:
+        if theta > doubled:
             raise PhysicsError(
                 f"{self.branch} branch: theta {theta!r} exceeds 2 p_branch = "
                 f"{doubled!r}, the flip probability would exceed 1"

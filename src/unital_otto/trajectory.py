@@ -27,6 +27,10 @@ the single-point functions take one row, drop its zero-probability
 outcomes and sort the rest.  One row costs more than a plain-Python
 loop would, but a command-line run evaluates at most one single point.
 The thermal weights use libm tanh, the value every closed form uses.
+
+Every block function checks its parameter columns in one routine, in
+the order one point is checked: cycle, control, theta range, flip bound.
+The first failing point (in C order) raises the error it raises alone.
 """
 
 from __future__ import annotations
@@ -178,6 +182,13 @@ def _flip_matrices(p) -> np.ndarray:
     return out
 
 
+def _tanh(x: np.ndarray) -> np.ndarray:
+    """libm tanh of each element, the value :attr:`CycleParams.tanh_beta_nu1`
+    gives a single point; np.tanh differs from it in the last bit on many
+    arguments."""
+    return np.array(list(map(math.tanh, x.ravel().tolist()))).reshape(x.shape)
+
+
 def _evaluate(beta, nu1, nu2, delta, zeta, channel) -> DistributionBlock:
     """The path table at N points: the one place its probabilities are formed.
 
@@ -189,9 +200,7 @@ def _evaluate(beta, nu1, nu2, delta, zeta, channel) -> DistributionBlock:
     (N, 9) probabilities are neither clamped nor checked.
     """
     with np.errstate(all="ignore"):
-        # libm tanh, the value CycleParams.tanh_beta_nu1 gives every closed
-        # form; np.tanh differs from it in the last bit on many arguments
-        t = np.array(list(map(math.tanh, (beta * nu1).tolist())))
+        t = _tanh(beta * nu1)
         weights = np.stack([0.5 * (1.0 + t), 0.5 * (1.0 - t)], axis=-1)
         u, v = _flip_matrices(delta), _flip_matrices(zeta)
         paths = weights[:, _N] * u[:, _M, _N] * channel[:, _K, _M] * v[:, _L, _K]
@@ -274,14 +283,6 @@ def _channel_distribution(
     return _point(params, channel.transition_matrix()[::-1, ::-1])
 
 
-def _cycle_ok(beta, nu1, nu2, delta, zeta) -> np.ndarray:
-    """Where the checks of :class:`CycleParams` pass, elementwise."""
-    ok = np.isfinite(beta) & np.isfinite(nu1) & np.isfinite(nu2)
-    ok &= np.isfinite(delta) & np.isfinite(zeta) & (nu1 > 0.0) & (nu2 > 0.0)
-    ok &= (0.0 <= delta) & (delta <= 1.0) & (0.0 <= zeta) & (zeta <= 1.0)
-    return ok
-
-
 def _controlled_flip(theta, alpha, branch: str) -> np.ndarray:
     """``ControlSpec(alpha, branch).flip_probability(theta)`` elementwise over
     arrays, bitwise, without its checks: ``nan`` where alpha lies outside
@@ -292,6 +293,34 @@ def _controlled_flip(theta, alpha, branch: str) -> np.ndarray:
     # 2 p_branch = 2 (0.5 (1 +- c)) is 1 +- c exactly: halving and doubling
     # do not round
     return theta / (1.0 + sign * coherence)
+
+
+def _checked_columns(beta, nu1, nu2, delta, zeta, theta, alpha=None, branch: str = "minus"):
+    """The six columns broadcast, and the flip probability: theta, or
+    :func:`_controlled_flip` when the control's arm weight ``alpha`` is given.
+
+    Checks every point as :class:`CycleParams`, :class:`ControlSpec`, the
+    theta range and the flip bound check one, in that order; the first
+    failing point (in C order) is replayed through them to raise its error.
+    """
+    inputs = [beta, nu1, nu2, delta, zeta, theta] + ([] if alpha is None else [alpha])
+    columns = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in inputs))
+    beta, nu1, nu2, delta, zeta, theta = columns[:6]
+    flip = theta if alpha is None else _controlled_flip(theta, columns[6], branch)
+    ok = np.isfinite(beta) & np.isfinite(nu1) & np.isfinite(nu2)
+    ok &= np.isfinite(delta) & np.isfinite(zeta) & (nu1 > 0.0) & (nu2 > 0.0)
+    ok &= (0.0 <= delta) & (delta <= 1.0) & (0.0 <= zeta) & (zeta <= 1.0)
+    # a control outside ControlSpec's checks makes the flip nan
+    ok &= np.isfinite(theta) & (0.0 <= theta) & (theta <= 1.0) & (flip <= 1.0)
+    if not ok.all():
+        # ``ok`` holds exactly the single-point checks, so one of these raises
+        i = np.unravel_index(np.argmin(ok), ok.shape)
+        CycleParams(*(float(x[i]) for x in columns[:5]))
+        ctrl = None if alpha is None else ControlSpec(float(columns[6][i]), branch)
+        _check_theta(float(theta[i]))
+        if ctrl is not None:
+            ctrl.flip_probability(float(theta[i]))
+    return beta, nu1, nu2, delta, zeta, theta, flip
 
 
 def enumerate_block(
@@ -306,29 +335,15 @@ def enumerate_block(
     where points fail, the error they raise at the first of them (in C
     order) is raised.
     """
-    inputs = [beta, nu1, nu2, delta, zeta, theta] + ([] if alpha is None else [alpha])
-    arrays = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in inputs))
-    shape = arrays[0].shape
-    beta, nu1, nu2, delta, zeta, theta, *alpha = (a.ravel() for a in arrays)
-    ok = _cycle_ok(beta, nu1, nu2, delta, zeta)
-    ok &= np.isfinite(theta) & (0.0 <= theta) & (theta <= 1.0)
-    flip = theta
-    if alpha:
-        flip = _controlled_flip(theta, alpha[0], branch)
-        ok &= flip <= 1.0
-    block = _evaluate(beta, nu1, nu2, delta, zeta, _flip_matrices(flip))
+    *cycle, _, flip = _checked_columns(beta, nu1, nu2, delta, zeta, theta, alpha, branch)
+    shape = flip.shape
+    block = _evaluate(*(x.ravel() for x in cycle), _flip_matrices(flip.ravel()))
     w, q, prob = block.w, block.q_m, block.prob
-    ok &= ~(prob.min(axis=1) < -_CLAMP_TOL)
     clamped = np.maximum(prob, 0.0)
+    ok = ~(prob.min(axis=1) < -_CLAMP_TOL)
     ok &= ~(np.abs(clamped.sum(axis=1) - 1.0) > _SUM_TOL)
     if not ok.all():
-        # ``ok`` holds exactly the single-point checks, so one of these raises
         i = int(np.argmin(ok))
-        CycleParams(*(float(x[i]) for x in (beta, nu1, nu2, delta, zeta)))
-        ctrl = ControlSpec(float(alpha[0][i]), branch) if alpha else None
-        _check_theta(float(theta[i]))
-        if ctrl is not None:
-            ctrl.flip_probability(float(theta[i]))
         JointDistribution(w[i], q[i], prob[i])
     out = shape + (len(_OUTCOMES),)
     return DistributionBlock(w.reshape(out), q.reshape(out), clamped.reshape(out))

@@ -18,6 +18,7 @@ from unital_otto import (
     cf_unital,
     classify_regime,
     classify_regime_means,
+    closed_form_block,
     closed_form_first_second,
     cs_distribution,
     cumulant_ratio_scan,
@@ -158,42 +159,60 @@ def test_criterion_4_route_agreement():
     )
 
 
+def _closed_forms(points, thetas, *directions):
+    """Closed forms at every (CycleParams, theta) pair: one
+    closed_form_block call per direction, each row bitwise the point's
+    closed_form_first_second."""
+    cycle = [[getattr(p, k) for p in points] for k in ("beta", "nu1", "nu2", "delta", "zeta")]
+    return [closed_form_block(*cycle, thetas, d) for d in directions]
+
+
 def test_criterion_5_proved_inequality_suite():
     gen = np.random.default_rng(551)
     margin = 1e-10
     violations = []
 
-    # bath heat never positive at positive temperature
-    for _ in range(10_000):
-        params = _random_cycle(gen)
+    def positive_beta(params):
         if params.beta < 0:
-            params = CycleParams(-params.beta, params.nu1, params.nu2, params.delta, params.zeta)
-        if closed_form_first_second(params, gen.random()).qt_mean > margin:
+            return CycleParams(-params.beta, params.nu1, params.nu2, params.delta, params.zeta)
+        return params
+
+    # bath heat never positive at positive temperature
+    points, thetas = [], []
+    for _ in range(10_000):
+        points.append(positive_beta(_random_cycle(gen)))
+        thetas.append(gen.random())
+    (fwd,) = _closed_forms(points, thetas, "forward")
+    for qt in fwd.qt_mean.tolist():
+        if qt > margin:
             violations.append("qt_nonpositive")
 
     # no work from an unchanged gap, forward + backward
+    points, thetas = [], []
     for _ in range(10_000):
         base = _random_cycle(gen)
-        params = CycleParams(abs(base.beta), base.nu1, base.nu1, base.delta, base.zeta)
-        theta = gen.random()
-        total = (
-            closed_form_first_second(params, theta).w_mean
-            + closed_form_first_second(params, theta, "backward").w_mean
-        )
+        points.append(CycleParams(abs(base.beta), base.nu1, base.nu1, base.delta, base.zeta))
+        thetas.append(gen.random())
+    fwd, bwd = _closed_forms(points, thetas, "forward", "backward")
+    for total in (fwd.w_mean + bwd.w_mean).tolist():
         if total > margin:
             violations.append("equal_gap_work")
 
     # engine efficiency capped by Otto: the machine is the forward and
     # backward cycle on equal footing, so classify the summed flows
-    engines = 0
+    points, thetas = [], []
     for _ in range(10_000):
         symmetric = gen.random() < 0.5
-        params = _random_cycle(gen, symmetric=symmetric)
-        theta = gen.random()
-        fwd = closed_form_first_second(params, theta)
-        bwd = closed_form_first_second(params, theta, "backward")
-        work, heat = fwd.w_mean + bwd.w_mean, fwd.qm_mean + bwd.qm_mean
-        regime = classify_regime_means(work, heat, fwd.qt_mean, params.beta)
+        points.append(_random_cycle(gen, symmetric=symmetric))
+        thetas.append(gen.random())
+    fwd, bwd = _closed_forms(points, thetas, "forward", "backward")
+    flows = zip(
+        points, (fwd.w_mean + bwd.w_mean).tolist(), (fwd.qm_mean + bwd.qm_mean).tolist(),
+        fwd.qt_mean.tolist(),
+    )
+    engines = 0
+    for params, work, heat, qt in flows:
+        regime = classify_regime_means(work, heat, qt, params.beta)
         if regime is not Regime.ENGINE:
             continue
         engines += 1
@@ -202,16 +221,22 @@ def test_criterion_5_proved_inequality_suite():
 
     # symmetric cycle: eta^2 <= ratio <= 1 under its precondition, and
     # the Otto-squared lower bound under its own
-    cond_hits = hopm_hits = 0
+    points, thetas = [], []
     for _ in range(10_000):
-        params = _random_cycle(gen, symmetric=True)
-        theta = gen.random()
+        points.append(_random_cycle(gen, symmetric=True))
+        thetas.append(gen.random())
+    (fwd,) = _closed_forms(points, thetas, "forward")
+    rows = zip(
+        points, thetas, fwd.w_mean.tolist(), fwd.w_var.tolist(), fwd.qm_mean.tolist(),
+        fwd.qm_var.tolist(),
+    )
+    cond_hits = hopm_hits = 0
+    for params, theta, w_mean, w_var, qm_mean, qm_var in rows:
         d, nu1, nu2 = params.delta, params.nu1, params.nu2
-        fwd = closed_form_first_second(params, theta)
-        if fwd.qm_var <= 0 or abs(fwd.qm_mean) < 1e-12:
+        if qm_var <= 0 or abs(qm_mean) < 1e-12:
             continue
-        ratio = fwd.w_var / fwd.qm_var
-        eta = fwd.w_mean / fwd.qm_mean
+        ratio = w_var / qm_var
+        eta = w_mean / qm_mean
         condnu = 2 * (1 - 2 * d) * theta * nu2 >= (theta + 2 * d * (1 - d) * (1 - 2 * theta)) * nu1
         hopm = (1 - 2 * d) * theta * nu2 >= (1 - d) * (d + theta - 2 * d * theta) * nu1
         if condnu:
@@ -224,34 +249,38 @@ def test_criterion_5_proved_inequality_suite():
                 violations.append("otto_sq_lower")
 
     # asymmetric symmetrised chain under its precondition
-    connu2_hits = 0
+    points, thetas = [], []
     for _ in range(10_000):
-        params = _random_cycle(gen)
-        theta = gen.random()
+        points.append(_random_cycle(gen))
+        thetas.append(gen.random())
+    fwd, bwd = _closed_forms(points, thetas, "forward", "backward")
+    rows = zip(
+        points, thetas, (fwd.w_mean + bwd.w_mean).tolist(), (fwd.w_var + bwd.w_var).tolist(),
+        (fwd.qm_mean + bwd.qm_mean).tolist(), (fwd.qm_var + bwd.qm_var).tolist(),
+    )
+    connu2_hits = 0
+    for params, theta, work, w_spread, heat, spread in rows:
         d, z, nu1, nu2 = params.delta, params.zeta, params.nu1, params.nu2
         s = d + z - 2 * d * z
         if 2 * theta * (1 - d - z) * nu2 < (theta + (1 - 2 * theta) * s) * nu1:
             continue
-        fwd = closed_form_first_second(params, theta)
-        bwd = closed_form_first_second(params, theta, "backward")
-        heat = fwd.qm_mean + bwd.qm_mean
-        spread = fwd.qm_var + bwd.qm_var
         if spread <= 0 or abs(heat) < 1e-12:
             continue
         connu2_hits += 1
-        ratio = (fwd.w_var + bwd.w_var) / spread
-        eta = (fwd.w_mean + bwd.w_mean) / heat
+        ratio = w_spread / spread
+        eta = work / heat
         if eta * eta > ratio + margin or ratio > 1.0 + margin:
             violations.append("asymmetric_chain")
 
     # coherently controlled bath heat for theta <= 1/2, beta > 0
+    points, flips = [], []
     for _ in range(10_000):
-        params = _random_cycle(gen)
-        if params.beta < 0:
-            params = CycleParams(-params.beta, params.nu1, params.nu2, params.delta, params.zeta)
+        points.append(positive_beta(_random_cycle(gen)))
         ctrl = ControlSpec(gen.random(), "plus" if gen.random() < 0.5 else "minus")
-        flip = ctrl.flip_probability(0.5 * gen.random())
-        if closed_form_first_second(params, flip).qt_mean > margin:
+        flips.append(ctrl.flip_probability(0.5 * gen.random()))
+    (fwd,) = _closed_forms(points, flips, "forward")
+    for qt in fwd.qt_mean.tolist():
+        if qt > margin:
             violations.append("cs_qt_nonpositive")
 
     ok = not violations and engines > 100 and cond_hits > 100 and connu2_hits > 100

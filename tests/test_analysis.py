@@ -80,6 +80,14 @@ def test_threshold_requires_heat_absorption():
     )
 
 
+@pytest.mark.parametrize("theta", [1.5, -0.1, math.nan, math.inf])
+@pytest.mark.parametrize("mode", ["symmetric", "asymmetric", "cs"])
+def test_threshold_checks_theta_in_every_mode(mode, theta):
+    params = CycleParams(0.7, 1.0, 2.0, 0.1, 0.2)
+    with pytest.raises(ValueError, match=r"^theta must lie in \[0, 1\]$"):
+        positive_work_threshold(params, theta, mode, ControlSpec(0.3, "minus"))
+
+
 def test_threshold_strictness_flags():
     params = CycleParams(0.7, 1.0, 2.0, 0.1, 0.2)
     assert positive_work_threshold(params, 0.3, "symmetric").strict

@@ -15,6 +15,7 @@ from unital_otto import (
     classify_regime_array,
     classify_regime_means,
     closed_form_block,
+    cs_distribution,
     cumulants_from_block,
     cumulants_from_distribution,
     efficiency,
@@ -519,14 +520,21 @@ def test_controlled_flip_is_the_control_spec_value_bitwise(rng):
     theta = rng.random(2000)
     alpha = rng.random(2000)
     alpha[:3] = (0.0, 0.5, 1.0)
+    beyond = 0
     for branch in ("plus", "minus"):
         got = trajectory._controlled_flip(theta, alpha, branch)
-        # a 0-d array theta skips the flip bound: values above 1 compare too
-        want = [
-            ControlSpec(a, branch).flip_probability(np.array(t))
-            for a, t in zip(alpha.tolist(), theta.tolist())
-        ]
-        assert same_bits(got, want)
+        for a, t, flip in zip(alpha.tolist(), theta.tolist(), got.tolist()):
+            ctrl = ControlSpec(a, branch)
+            if t <= 2.0 * ctrl.branch_probability:
+                assert same_bits(flip, ctrl.flip_probability(t))
+            else:
+                # beyond 2 p_branch the array form leaves the flip above 1
+                # and the scalar raises
+                beyond += 1
+                assert flip > 1.0
+                with pytest.raises(PhysicsError, match="exceeds 2 p_branch"):
+                    ctrl.flip_probability(t)
+    assert beyond > 100
 
 
 def test_bound_blocks_raise_the_error_of_a_failing_point():
@@ -544,6 +552,37 @@ def test_bound_blocks_raise_the_error_of_a_failing_point():
             call(0.5, 1.0, 2.0, 0.1, 0.1, 0.2, "sideways")
         with pytest.raises(ValueError, match="cs mode needs"):
             call(0.5, 1.0, 2.0, 0.1, 0.1, 0.2, "cs")
+
+
+def test_every_block_function_raises_the_first_failing_points_error():
+    point = CycleParams(0.5, 1.0, 2.0, 0.1, 0.1)
+    cases = [
+        # point 0 breaks the cycle, point 1 the flip bound: point 0 decides
+        ((0.5, 1.0, 2.0, np.array([1.5, 0.1, 0.1]), 0.1), np.array([0.2, 0.6, 0.2]), 0.3, "minus",
+         lambda: CycleParams(0.5, 1.0, 2.0, 1.5, 0.1)),
+        # the theta range is checked before the flip bound
+        ((0.5, 1.0, 2.0, 0.1, 0.1), 1.5, 0.3, "minus",
+         lambda: cs_distribution(point, 1.5, ControlSpec(0.3, "minus"))),
+        ((0.5, 1.0, 2.0, 0.1, 0.1), 0.2, 0.3, "sideways",
+         lambda: ControlSpec(0.3, "sideways")),
+    ]
+    for cycle, theta, alpha, branch, scalar in cases:
+        kind, message = scalar_error(scalar)
+        calls = [
+            lambda: enumerate_block(*cycle, theta, alpha, branch),
+            lambda: efficiency_block(*cycle, theta, "cs", alpha, branch),
+            lambda: verify_bounds_block(*cycle, theta, "cs", alpha, branch),
+        ]
+        if branch != "sideways":
+            # the closed forms take no control: theta is their flip probability
+            calls.append(lambda: closed_form_block(*cycle, theta))
+        for call in calls:
+            assert scalar_error(call) == (kind, message)
+    # the single points raise what the controlled distribution raises
+    kind, message = scalar_error(lambda: cs_distribution(point, 1.5, ControlSpec(0.3, "minus")))
+    for call in (efficiency, verify_bounds):
+        got = scalar_error(lambda: call(point, 1.5, "cs", ControlSpec(0.3, "minus")))
+        assert got == (kind, message) == (ValueError, "theta must lie in [0, 1]")
 
 
 def test_bound_blocks_warn_nowhere():

@@ -414,6 +414,22 @@ def test_derivative_rows_print_no_negative_zero(point, capsys):
         assert "-0" not in [c for cells in rows.values() for c in cells]
 
 
+def test_closed_form_and_bound_rows_print_no_negative_zero(tmp_path, capsys):
+    # at beta = 0 the closed-form bath heat is -2 g nu1 t with t = 0: -0.0
+    dump = tmp_path / "bounds.csv"
+    code, out, _ = run(
+        capsys, "cumulants", "--beta", "0", "--nu1", "1", "--nu2", "2", "--delta", "0.5",
+        "--zeta", "0.5", "--theta", "0.35", "--bounds-out", str(dump),
+    )
+    assert code == 0
+    rows = {l.split(",")[0]: l.split(",")[1:] for l in out.splitlines()[2:]}
+    assert rows["closed_form"][-1] == "0"
+    bounds = {l.split(",")[0]: l.split(",")[1:] for l in dump.read_text().splitlines()[2:]}
+    assert bounds["qt_nonpositive"][0] == "0"
+    cells = [c for table in (rows, bounds) for row in table.values() for c in row]
+    assert "-0" not in cells
+
+
 def test_overflowing_cumulants_print_only_the_error():
     # a fresh interpreter, whose default filters print each RuntimeWarning
     src = str(Path(__file__).resolve().parents[1] / "src")
