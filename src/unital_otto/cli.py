@@ -1,9 +1,9 @@
 """Command-line front end: evaluations, sweeps, regime maps, bound campaigns.
 
 Every subcommand writes CSV (to --out or stdout) whose first line is a
-``#``-comment recording the fully resolved configuration, so a rerun
-with the same inputs byte-reproduces the file.  Numbers are printed
-with 17 significant digits.
+``#``-comment recording the fully resolved configuration (OTTO_TOL
+included, as ``tol``), so a rerun with the same inputs byte-reproduces
+the file.  Numbers are printed with 17 significant digits.
 
 Exit codes: 0 success (bound violations are data, not failures),
 2 configuration error, 3 physics-domain error.
@@ -153,8 +153,10 @@ def _config_types(
 
 
 def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
-    """File values first, command-line flags on top."""
+    """OTTO_TOL first, then file values, command-line flags on top."""
     merged: dict = {}
+    if os.environ.get("OTTO_TOL"):
+        merged["tol"] = float(os.environ["OTTO_TOL"])
     if getattr(args, "config", None):
         types = _config_types(parser, args.command)
         for key, text in _read_config_file(args.config, types).items():
@@ -189,7 +191,8 @@ def _resolve_theta(cfg: dict):
     if any(p is not None for p in pauli):
         if any(p is None for p in pauli):
             raise ConfigError("give all four of --p0 --p1 --p2 --p3")
-        if abs(sum(pauli) - 1.0) > 1e-12 or min(pauli) < 0.0:
+        # written so that a nan weight fails
+        if not (abs(sum(pauli) - 1.0) <= 1e-12 and min(pauli) >= 0.0):
             raise ConfigError("Pauli weights must be nonnegative and sum to 1")
         return float(pauli[1] + pauli[2])
     if cfg.get("alpha_m") is not None:
@@ -197,31 +200,17 @@ def _resolve_theta(cfg: dict):
     raise ConfigError("specify a channel: --theta, --p0..--p3, or --alpha-m [--chi]")
 
 
-def _measurement_theta(alpha_m):
-    """theta = sin^2(alpha_m) / 2; an array of angles value by value, so
-    that a swept angle gives the theta of the same single point."""
-    if isinstance(alpha_m, np.ndarray):
-        return np.reshape([_measurement_theta(a) for a in alpha_m.ravel().tolist()], alpha_m.shape)
-    return math.sin(alpha_m) ** 2 / 2.0
-
-
-def _cycle_params(cfg: dict) -> trajectory.CycleParams:
-    beta, nu1, nu2, delta, zeta = _require(cfg, "beta", "nu1", "nu2", "delta", "zeta")
-    return trajectory.CycleParams(beta, nu1, nu2, delta, zeta)
-
-
-def _control(cfg: dict) -> ControlSpec | None:
-    if cfg.get("cs_alpha") is None:
-        return None
-    return ControlSpec(cfg["cs_alpha"], cfg.get("branch") or "minus")
+def _measurement_theta(alpha_m) -> np.ndarray:
+    """theta = sin^2(alpha_m) / 2, value by value with libm sin, so that a
+    swept angle gives the theta of the same single point."""
+    angles = np.asarray(alpha_m, dtype=float)
+    return np.reshape([math.sin(a) ** 2 / 2.0 for a in angles.ravel().tolist()], angles.shape)
 
 
 def _tolerance(cfg: dict) -> float:
-    """Comparison tolerance for regimes/bounds; OTTO_TOL overrides default."""
-    if cfg.get("tol") is not None:
-        return float(cfg["tol"])
-    env = os.environ.get("OTTO_TOL")
-    return float(env) if env else 1e-12
+    """Comparison tolerance for regimes/bounds: the tol key, which OTTO_TOL
+    fills when no config file or flag sets it."""
+    return cfg.get("tol", 1e-12)
 
 
 def _config_comment(command: str, cfg: dict) -> str:
@@ -241,27 +230,37 @@ def _axis_values(cfg: dict, suffix: str = "") -> tuple[str, np.ndarray]:
     return axis, np.linspace(start, stop, steps)
 
 
-def _grid_config(cfg: dict, axes: list[tuple[str, np.ndarray]]) -> dict:
-    """The configuration of every grid point: each swept key becomes an
-    array along its own dimension of the grid, axis after axis.  Sweeping
-    delta (or zeta) where the cycle is symmetric moves both transition
-    probabilities together, which is the delta = zeta sweep of the
-    symmetric engine."""
-    out = dict(cfg)
+def _run(cfg: dict, axes=()) -> tuple[list[np.ndarray], str, str]:
+    """A run's parameter columns, branch and mode, one point or a grid.
+
+    Each swept key takes its axis's values along its own dimension of the
+    grid, axis after axis.  On a symmetric base (delta = zeta) a swept
+    delta or zeta moves the other with it, unless both are swept.  A
+    swept alpha-m replaces --theta (Pauli weights still win).  The
+    columns are beta, nu1, nu2, delta, zeta, theta and, under coherent
+    control, cs-alpha, broadcast to the grid's shape (0-d without axes).
+    The mode is cs under coherent control, symmetric where the coupling
+    keeps delta = zeta, asymmetric otherwise.
+    """
+    point = dict(cfg)
+    swept = {axis for axis, _ in axes}
+    symmetric = cfg.get("delta") == cfg.get("zeta") and not {"delta", "zeta"} <= swept
     for dim, (axis, values) in enumerate(axes):
         values = values.reshape((-1,) + (1,) * (len(axes) - 1 - dim))
-        key = axis.replace("-", "_")
-        if axis in ("delta", "zeta"):
-            symmetric = np.asarray(out.get("delta") == out.get("zeta"))
-            other = "zeta" if axis == "delta" else "delta"
-            if symmetric.all():
-                out[other] = values
-            elif symmetric.any():
-                out[other] = np.where(symmetric, values, out[other])
-        out[key] = values
+        point[axis.replace("-", "_")] = values
+        if symmetric and axis in ("delta", "zeta"):
+            point["zeta" if axis == "delta" else "delta"] = values
         if axis == "alpha-m":
-            out["theta"] = None  # recompute from the swept angle
-    return out
+            point["theta"] = None  # recompute from the swept angle
+    columns = _require(point, "beta", "nu1", "nu2", "delta", "zeta")
+    columns.append(_resolve_theta(point))
+    mode = "symmetric" if symmetric else "asymmetric"
+    if point.get("cs_alpha") is not None:
+        columns.append(point["cs_alpha"])
+        mode = "cs"
+    shape = tuple(len(values) for _, values in axes)
+    grid = [np.broadcast_to(np.asarray(c, dtype=float), shape) for c in columns]
+    return grid, point.get("branch") or "minus", mode
 
 
 # Grid points per evaluation call: enough that numpy's per-call cost is
@@ -274,45 +273,35 @@ def _grid_config(cfg: dict, axes: list[tuple[str, np.ndarray]]) -> dict:
 _BLOCK_POINTS = 256
 
 
-def _grid_blocks(cfg: dict, axes: list[tuple[str, np.ndarray]]):
-    """Evaluate a grid in C order, one block of points at a time.
+def _grid_blocks(grid: list[np.ndarray], branch: str, tol: float):
+    """Evaluate a run's columns in C order, one block of points at a time.
 
-    Yields (index of the block's first point, parameter columns beta, nu1,
-    nu2, delta, zeta, theta and, under coherent control, cs-alpha, the
-    block's joint distributions, their cumulants).
+    Yields (index of the block's first point, the block's parameter
+    columns, joint distributions, cumulants, regimes).
     """
-    point = _grid_config(cfg, axes)
-    columns = _require(point, "beta", "nu1", "nu2", "delta", "zeta")
-    columns.append(_resolve_theta(point))
-    if point.get("cs_alpha") is not None:
-        columns.append(point["cs_alpha"])
-    branch = point.get("branch") or "minus"
-    shape = tuple(len(values) for _, values in axes)
-    grid = [np.broadcast_to(np.asarray(c, dtype=float), shape) for c in columns]
-    for start in range(0, math.prod(shape), _BLOCK_POINTS):
+    for start in range(0, grid[0].size, _BLOCK_POINTS):
         block = [c.flat[start:start + _BLOCK_POINTS] for c in grid]
         dist = trajectory.enumerate_block(*block, branch=branch)
-        yield start, block, dist, cumulants.cumulants_from_block(dist)
-
-
-def _run_mode(cfg: dict) -> str:
-    if cfg.get("cs_alpha") is not None:
-        return "cs"
-    return "symmetric" if cfg.get("delta") == cfg.get("zeta") else "asymmetric"
+        cums = cumulants.cumulants_from_block(dist)
+        regimes = analysis.classify_regime_array(
+            cums.w_mean, cums.qm_mean, cums.qt_mean, block[0], tol
+        )
+        yield start, block, dist, cums, regimes
 
 
 def _distribution(cfg: dict):
-    """(cycle, theta, control, flip probability, joint distribution) at one
-    parameter point.  The flip probability is theta's unital equivalent,
-    ``ctrl.flip_probability(theta)`` under coherent control; the unital
-    closed forms take it."""
-    params = _cycle_params(cfg)
-    theta = _resolve_theta(cfg)
-    ctrl = _control(cfg)
-    if ctrl is None:
-        return params, theta, ctrl, theta, trajectory.enumerate_paths(params, theta)
+    """(cycle, theta, control, flip probability, mode, joint distribution)
+    at one parameter point.  The flip probability is theta's unital
+    equivalent, ``ctrl.flip_probability(theta)`` under coherent control;
+    the unital closed forms take it."""
+    columns, branch, mode = _run(cfg)
+    beta, nu1, nu2, delta, zeta, theta, *alpha = (float(c) for c in columns)
+    params = trajectory.CycleParams(beta, nu1, nu2, delta, zeta)
+    if not alpha:
+        return params, theta, None, theta, mode, trajectory.enumerate_paths(params, theta)
+    ctrl = ControlSpec(alpha[0], branch)
     dist = trajectory.cs_distribution(params, theta, ctrl)
-    return params, theta, ctrl, ctrl.flip_probability(theta), dist
+    return params, theta, ctrl, ctrl.flip_probability(theta), mode, dist
 
 
 def _open_out(cfg: dict):
@@ -332,7 +321,7 @@ def _emit(cfg: dict, text: str) -> None:
 
 
 def _cmd_cumulants(cfg: dict) -> None:
-    params, theta, ctrl, flip, dist = _distribution(cfg)
+    params, theta, ctrl, flip, mode, dist = _distribution(cfg)
     exact = cumulants.cumulants_from_distribution(dist)
     fd = cumulants.cf_derivative_check(params, flip)
 
@@ -375,7 +364,7 @@ def _cmd_cumulants(cfg: dict) -> None:
             trajectory.distribution_to_csv(dist, fh)
 
     if cfg.get("bounds_out"):
-        reports = analysis.verify_bounds(params, theta, _run_mode(cfg), ctrl)
+        reports = analysis.verify_bounds(params, theta, mode, ctrl)
         with open(cfg["bounds_out"], "w", encoding="utf-8", newline="") as fh:
             fh.write(_config_comment("cumulants", cfg))
             analysis.bound_reports_to_csv(reports, fh)
@@ -389,16 +378,10 @@ def _bound_cells(report: analysis.BoundReport) -> list[str]:
 
 def _cmd_sweep(cfg: dict) -> None:
     axis, values = _axis_values(cfg)
-    # a swept cs-alpha puts every point under coherent control
-    mode = "cs" if axis == "cs-alpha" else _run_mode(cfg)
-    tol = _tolerance(cfg)
-    branch = cfg.get("branch") or "minus"
+    grid, branch, mode = _run(cfg, [(axis, values)])
     bound_names: list[str] = []
     rows = []
-    for start, columns, dist, cums in _grid_blocks(cfg, [(axis, values)]):
-        regimes = analysis.classify_regime_array(
-            cums.w_mean, cums.qm_mean, cums.qt_mean, columns[0], tol
-        )
+    for start, columns, dist, cums, regimes in _grid_blocks(grid, branch, _tolerance(cfg)):
         # <W> is a sum over outcomes; cancelled to rounding residue it has
         # no relative fluctuation worth printing
         no_mean = cumulants.is_rounding_residue(
@@ -434,14 +417,11 @@ def _cmd_classify(cfg: dict) -> None:
     axis2, values2 = _axis_values(cfg, "2")
     if axis1 == axis2:
         raise ConfigError("the two grid axes must differ")
-    tol = _tolerance(cfg)
+    grid, branch, _ = _run(cfg, [(axis1, values1), (axis2, values2)])
     cells1 = [_fmt(v) for v in values1.tolist()]
     cells2 = [_fmt(v) for v in values2.tolist()]
     lines = [f"{axis1},{axis2},w_mean,qm_mean,qt_mean,regime"]
-    for start, columns, _, cums in _grid_blocks(cfg, [(axis1, values1), (axis2, values2)]):
-        regimes = analysis.classify_regime_array(
-            cums.w_mean, cums.qm_mean, cums.qt_mean, columns[0], tol
-        )
+    for start, _, _, cums, regimes in _grid_blocks(grid, branch, _tolerance(cfg)):
         means = zip(cums.w_mean.tolist(), cums.qm_mean.tolist(), cums.qt_mean.tolist(), regimes)
         for index, (w, q, qt, regime) in enumerate(means, start):
             i1, i2 = divmod(index, len(cells2))

@@ -238,7 +238,8 @@ def monitored_vs_unmonitored(
 def comparison_to_csv(rows: Iterable[ComparisonRow], fileobj) -> None:
     fileobj.write("delta,w_mon,eta_mon,regime_mon,w_um,eta_um,regime_um\n")
     for r in rows:
+        # + 0.0 prints a negative zero as 0
         fileobj.write(
-            f"{r.delta:.17g},{r.w_mon:.17g},{r.eta_mon:.17g},{r.regime_mon},"
-            f"{r.w_um:.17g},{r.eta_um:.17g},{r.regime_um}\n"
+            f"{r.delta + 0.0:.17g},{r.w_mon + 0.0:.17g},{r.eta_mon + 0.0:.17g},{r.regime_mon},"
+            f"{r.w_um + 0.0:.17g},{r.eta_um + 0.0:.17g},{r.regime_um}\n"
         )

@@ -187,14 +187,19 @@ def flags(base):
     return out
 
 
-def point_cumulants(base, axis, value):
-    """The documented rules of one sweep point, written out independently."""
+def point_cumulants(base, *swept):
+    """The documented rules of one grid point, written out independently:
+    ``swept`` holds its (axis, value) pairs.  On a symmetric base a swept
+    delta or zeta moves the other with it, unless both are swept."""
     point = dict(base)
-    if axis in ("delta", "zeta") and base["delta"] == base["zeta"]:
-        point["delta"] = point["zeta"] = value
-    point[axis.replace("-", "_")] = value
-    if axis == "alpha-m":
-        point.pop("theta", None)
+    axes = {axis for axis, _ in swept}
+    coupled = base["delta"] == base["zeta"] and not {"delta", "zeta"} <= axes
+    for axis, value in swept:
+        if coupled and axis in ("delta", "zeta"):
+            point["delta"] = point["zeta"] = value
+        point[axis.replace("-", "_")] = value
+        if axis == "alpha-m":
+            point.pop("theta", None)
     if "theta" in point:
         theta = point["theta"]
     elif "p1" in point:
@@ -220,7 +225,7 @@ def test_sweep_rows_match_scalar_route(capsys, axis, base):
     for row in rows:
         cells = row.split(",")
         value = float(cells[0])
-        point, ref = point_cumulants(BASES[base], axis, value)
+        point, ref = point_cumulants(BASES[base], (axis, value))
         numbers = [float(c) for c in cells[1:10]]
         assert_cumulants_match(
             numbers[0:4], numbers[4:8], numbers[8], ref, point["nu1"] + point["nu2"]
@@ -229,9 +234,24 @@ def test_sweep_rows_match_scalar_route(capsys, axis, base):
             ref.w_mean, ref.qm_mean, ref.qt_mean, point["beta"]))
 
 
-@pytest.mark.parametrize("axes", [("delta", "theta"), ("cs-alpha", "zeta"), ("alpha-m", "beta")])
-def test_classify_cells_match_scalar_route(capsys, axes):
-    base = BASES["asymmetric-theta-cs-minus"]
+# the delta axis (0, 0.25, ...) of the asymmetric-theta grid hits its base zeta
+ASYMMETRIC_THETA = {"beta": 0.5, "nu1": 1.0, "nu2": 2.0, "delta": 0.1, "zeta": 0.25, "theta": 0.3}
+
+
+@pytest.mark.parametrize(
+    "base, axes",
+    [
+        (BASES["asymmetric-theta-cs-minus"], ("delta", "theta")),
+        (BASES["asymmetric-theta-cs-minus"], ("cs-alpha", "zeta")),
+        (BASES["asymmetric-theta-cs-minus"], ("alpha-m", "beta")),
+        (BASES["symmetric-theta"], ("delta", "zeta")),
+        (BASES["symmetric-theta"], ("zeta", "delta")),
+        (BASES["symmetric-theta"], ("delta", "theta")),
+        (ASYMMETRIC_THETA, ("delta", "zeta")),
+    ],
+    ids=[f"axes{i}" for i in range(7)],
+)
+def test_classify_cells_match_scalar_route(capsys, base, axes):
     lo1, hi1 = RANGES[axes[0]]
     lo2, hi2 = RANGES[axes[1]]
     code = main(["classify", *flags(base), "--axis", axes[0], "--start", str(lo1),
@@ -241,11 +261,7 @@ def test_classify_cells_match_scalar_route(capsys, axes):
     assert code == 0 and len(rows) == 20
     for row in rows:
         v1, v2, w, q, qt, regime = row.split(",")
-        point = dict(base)
-        point[axes[0].replace("-", "_")] = float(v1)
-        if axes[0] == "alpha-m":
-            point.pop("theta")
-        point, ref = point_cumulants(point, axes[1], float(v2))
+        point, ref = point_cumulants(base, (axes[0], float(v1)), (axes[1], float(v2)))
         energy = 2.0 * (point["nu1"] + point["nu2"])
         assert abs(float(w) - ref.w_mean) <= 1e-14 * energy
         assert abs(float(q) - ref.qm_mean) <= 1e-14 * energy

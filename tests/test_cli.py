@@ -7,9 +7,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from unital_otto.cli import _COMMANDS, _merge_config, build_parser, main
+from unital_otto.cli import _COMMANDS, _merge_config, _run, build_parser, main
 
 
 def run(capsys, *argv):
@@ -237,6 +238,18 @@ def test_lz_compare_table(capsys):
     assert max(w_um) > 0.0
 
 
+def test_lz_compare_prints_no_negative_zero(capsys):
+    # at beta = 0 the monitored work at delta = 0.75 and 1 comes out as -0.0
+    code, out, _ = run(
+        capsys, "lz-compare", "--beta", "0", "--nu1", "0.4", "--nu2", "0.9",
+        "--alpha-m", "1.0472", "--axis", "delta", "--start", "0", "--stop", "1", "--steps", "5",
+    )
+    assert code == 0
+    rows = [l.split(",") for l in out.splitlines()[2:]]
+    assert [r[1] for r in rows[3:]] == ["0", "0"]
+    assert "-0" not in [c for r in rows for c in r]
+
+
 def test_dist_dump(tmp_path, capsys):
     dump = tmp_path / "dist.csv"
     code, _, _ = run(
@@ -283,6 +296,81 @@ def test_tolerance_env_var_controls_regime_zero(monkeypatch, capsys):
     assert code == 0
     rows = [l for l in out.splitlines() if not l.startswith(("#", "delta"))]
     assert all(r.endswith("Undetermined") for r in rows)
+
+
+def test_otto_tol_is_recorded_in_the_header(monkeypatch, tmp_path, capsys):
+    args = [
+        "classify", "--axis", "delta", "--start", "0", "--stop", "0.2",
+        "--steps", "2", "--axis2", "theta", "--start2", "0.3", "--stop2", "0.6",
+        "--steps2", "2", "--beta", "0.5", "--nu1", "1", "--nu2", "2",
+        "--delta", "0", "--zeta", "0", "--theta", "0.2",
+    ]
+    _, plain, _ = run(capsys, *args)
+    assert " tol=" not in plain.splitlines()[0]
+    monkeypatch.setenv("OTTO_TOL", "100")
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    assert "tol=100" in out.splitlines()[0].split()
+    # the header's configuration reproduces the file without the variable
+    cfg = tmp_path / "tol.cfg"
+    cfg.write_text("tol = 100\n")
+    monkeypatch.delenv("OTTO_TOL")
+    assert run(capsys, *args, "--config", str(cfg))[1] == out
+    # a config file's tol wins over OTTO_TOL; a bad value is a config error
+    cfg.write_text("tol = 1e-12\n")
+    monkeypatch.setenv("OTTO_TOL", "100")
+    _, out, _ = run(capsys, *args, "--config", str(cfg))
+    assert out.splitlines()[1:] == plain.splitlines()[1:]
+    assert "tol=9.9999999999999998e-13" in out.splitlines()[0]
+    monkeypatch.setenv("OTTO_TOL", "abc")
+    code, out, err = run(capsys, *args)
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("slot", range(4))
+def test_nan_pauli_weight_is_config_error(slot, capsys):
+    weights = ["0.1", "0.1", "0.1", "0.7"]
+    weights[slot] = "nan"
+    pauli = [x for k, w in zip(("--p0", "--p1", "--p2", "--p3"), weights) for x in (k, w)]
+    code, out, err = run(capsys, "cumulants", *BASE, *pauli)
+    assert (code, out) == (2, "")
+    assert err == "config error: Pauli weights must be nonnegative and sum to 1\n"
+
+
+@pytest.mark.parametrize(
+    "base, axes, mode",
+    [
+        ({"delta": 0.1, "zeta": 0.1}, (), "symmetric"),
+        ({"delta": 0.1, "zeta": 0.2}, (), "asymmetric"),
+        ({"delta": 0.1, "zeta": 0.1}, ("delta",), "symmetric"),
+        ({"delta": 0.1, "zeta": 0.1}, ("delta", "zeta"), "asymmetric"),
+        ({"delta": 0.1, "zeta": 0.2}, ("zeta",), "asymmetric"),
+        ({"delta": 0.1, "zeta": 0.1}, ("cs-alpha",), "cs"),
+        ({"delta": 0.1, "zeta": 0.2, "cs_alpha": 0.3}, ("theta",), "cs"),
+    ],
+)
+def test_run_resolves_columns_and_mode(base, axes, mode):
+    cfg = {"beta": 0.5, "nu1": 1.0, "nu2": 2.0, "theta": 0.2, **base}
+    grid = [(axis, np.linspace(0.0, 0.4, 3 + i)) for i, axis in enumerate(axes)]
+    columns, branch, got = _run(cfg, grid)
+    assert (got, branch) == (mode, "minus")
+    assert len(columns) == (7 if mode == "cs" else 6)
+    assert all(c.shape == tuple(3 + i for i in range(len(axes))) for c in columns)
+    delta, zeta = columns[3], columns[4]
+    # a swept delta or zeta carries the other along only on a symmetric base
+    if mode != "cs":
+        assert (delta == zeta).all() == (mode == "symmetric")
+
+
+def test_invalid_channel_is_reported_before_invalid_cycle(capsys):
+    # a single point reports what the same point in a grid reports
+    bad = ["--beta", "0.5", "--nu1", "1", "--nu2", "2", "--delta", "1.5", "--zeta", "0",
+           "--p0", "0.5", "--p1", "0.6", "--p2", "0", "--p3", "0"]
+    message = "config error: Pauli weights must be nonnegative and sum to 1\n"
+    assert run(capsys, "cumulants", *bad) == (2, "", message)
+    assert run(capsys, "sweep", *bad, "--axis", "beta", "--start", "0", "--stop", "1",
+               "--steps", "2") == (2, "", message)
 
 
 def test_config_file_value_outside_choices_is_config_error(tmp_path, capsys):
