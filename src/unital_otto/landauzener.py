@@ -18,13 +18,13 @@ interference term.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable
 
 import numpy as np
 
-from .analysis import Regime, classify_regime_means
-from .cumulants import closed_form_block, closed_form_first_second
+from .analysis import Regime, _divide, classify_regime_array
+from .cumulants import closed_form_block, closed_form_first_second, is_rounding_residue
 from .qstate import MeasurementChannel, hamiltonian, thermal_state
 from .trajectory import CycleParams
 
@@ -96,23 +96,28 @@ def lz_unitaries(params: LZParams) -> tuple[np.ndarray, np.ndarray]:
     transition probabilities are |<+2|U|-1>|^2 = |<+1|V|-2>|^2 = delta
     regardless of the convention.
     """
-    root_stay = math.sqrt(1.0 - params.delta)
-    root_jump = math.sqrt(params.delta)
-    phase = np.exp(1.0j * params.phi)
-    u = np.array(
-        [
-            [root_stay * phase, root_jump],
-            [-root_jump, root_stay * np.conj(phase)],
-        ]
-    )
+    return _unitary_stacks(np.asarray(params.delta), params.phi)
+
+
+def _unitary_stacks(delta: np.ndarray, phi: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`lz_unitaries` at every delta: stacks shaped ``delta.shape + (2, 2)``."""
+    root_stay = np.sqrt(1.0 - delta)
+    root_jump = np.sqrt(delta)
+    phase = np.exp(1.0j * phi)
+    u = np.empty(delta.shape + (2, 2), dtype=complex)
+    u[..., 0, 0] = root_stay * phase
+    u[..., 0, 1] = root_jump
+    u[..., 1, 0] = -root_jump
+    u[..., 1, 1] = root_stay * np.conj(phase)
     # V = C U^dag C with C the entrywise conjugation, i.e. conj(U^dag) = U^T
-    v = u.T.copy()
+    v = np.swapaxes(u, -1, -2).copy()
     return u, v
 
 
 @dataclass(frozen=True)
 class CycleAverages:
-    """Mean energies at the four cycle points and the derived flows."""
+    """Mean energies at the four cycle points and the derived flows:
+    floats at one point, arrays over a delta column."""
 
     e1: float
     e2: float
@@ -124,30 +129,56 @@ class CycleAverages:
     eta: float
 
 
+def _row(block: CycleAverages) -> CycleAverages:
+    """The one point of a 0-d block, as floats."""
+    return CycleAverages(*(float(getattr(block, f.name)) for f in fields(block)))
+
+
 def unmonitored_cycle(params: LZParams) -> CycleAverages:
-    """Averages of the unmonitored cycle by direct state propagation.
+    """Averages of the unmonitored cycle by direct state propagation: the
+    one row of :func:`_unmonitored_block` at ``params.delta``."""
+    return _row(_unmonitored_block(params, np.asarray(params.delta)))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _unmonitored_block(params: LZParams, delta: np.ndarray) -> CycleAverages:
+    """Unmonitored averages at every delta of a checked column, the other
+    inputs taken from ``params``.
 
     rho1 -> U rho1 U^dag -> sum_j pi_j . pi_j -> V . V^dag, with energies
     read against H1, H2, H2, H1.  No projective measurements interrupt
     the cycle, so coherence created by U survives into the compression.
+    Only U and V depend on delta, so each product is one stacked matmul.
+    E2 and E3 are themselves traces that cancel, so a heat within a few
+    ulps of nu2 (the largest energy they can read) has no efficiency.
     """
     cyc = params.cycle
-    u, v = lz_unitaries(params)
+    u, v = _unitary_stacks(delta, params.phi)
     h1 = hamiltonian(cyc.nu1)
     h2 = hamiltonian(cyc.nu2)
     rho1 = thermal_state(cyc.beta, cyc.nu1).mat
-    rho2 = u @ rho1 @ u.conj().T
-    rho3 = sum(k @ rho2 @ k.conj().T for k in params.channel.kraus_ops())
-    rho4 = v @ rho3 @ v.conj().T
-    e1 = float(np.trace(rho1 @ h1).real)
-    e2 = float(np.trace(rho2 @ h2).real)
-    e3 = float(np.trace(rho3 @ h2).real)
-    e4 = float(np.trace(rho4 @ h1).real)
+    rho2 = u @ rho1 @ _dagger(u)
+    rho3 = sum(k @ rho2 @ _dagger(k) for k in params.channel.kraus_ops())
+    rho4 = v @ rho3 @ _dagger(v)
+    e1 = np.full(delta.shape, _energy(rho1, h1))
+    e2 = _energy(rho2, h2)
+    e3 = _energy(rho3, h2)
+    e4 = _energy(rho4, h1)
     q_m = e3 - e2
     q_t = e1 - e4
     w = q_m + q_t
-    eta = w / q_m if abs(q_m) > 1e-300 else math.nan
+    no_heat = (np.abs(q_m) <= 1e-300) | is_rounding_residue(q_m, cyc.nu2)
+    eta = _divide(w, q_m, ~no_heat)
     return CycleAverages(e1=e1, e2=e2, e3=e3, e4=e4, w=w, q_m=q_m, q_t=q_t, eta=eta)
+
+
+def _dagger(mat: np.ndarray) -> np.ndarray:
+    return np.swapaxes(mat.conj(), -1, -2)
+
+
+def _energy(rho: np.ndarray, ham: np.ndarray) -> np.ndarray:
+    """tr(rho H) of each matrix in a stack."""
+    return np.trace(rho @ ham, axis1=-2, axis2=-1).real
 
 
 def qm_unmonitored_closed_form(params: LZParams) -> float:
@@ -176,13 +207,14 @@ def monitored_averages(params: LZParams) -> CycleAverages:
     otherwise act on, so E3 and E4 differ from the unmonitored route.
     """
     first = closed_form_first_second(params.cycle, params.channel.theta)
-    return _monitored_from(unmonitored_cycle(params), first.w_mean, first.qm_mean, first.qt_mean)
+    shared = unmonitored_cycle(params)
+    return _row(_monitored_from(shared, first.w_mean, first.qm_mean, first.qt_mean))
 
 
-def _monitored_from(shared: CycleAverages, w: float, q_m: float, q_t: float) -> CycleAverages:
-    """:func:`monitored_averages`, given the unmonitored averages and the
-    closed-form means of W, Q_M and Q_T."""
-    eta = w / q_m if abs(q_m) > 1e-300 else math.nan
+@np.errstate(over="ignore", invalid="ignore")
+def _monitored_from(shared: CycleAverages, w, q_m, q_t) -> CycleAverages:
+    """:func:`monitored_averages` over a block, given the unmonitored
+    averages and the closed-form means of W, Q_M and Q_T."""
     return CycleAverages(
         e1=shared.e1,
         e2=shared.e2,
@@ -191,7 +223,7 @@ def _monitored_from(shared: CycleAverages, w: float, q_m: float, q_t: float) -> 
         w=w,
         q_m=q_m,
         q_t=q_t,
-        eta=eta,
+        eta=_divide(w, q_m, np.abs(q_m) > 1e-300),
     )
 
 
@@ -209,30 +241,27 @@ class ComparisonRow:
 def monitored_vs_unmonitored(
     params: LZParams, deltas: Iterable[float]
 ) -> list[ComparisonRow]:
-    """Work, efficiency and regime of both cycle variants over a delta grid."""
-    points = [params.with_delta(float(delta)) for delta in deltas]
+    """Work, efficiency and regime of both cycle variants over a delta grid,
+    each variant evaluated as one block over the whole column."""
+    delta = np.array([float(d) for d in deltas], dtype=float)
+    invalid = ~((delta >= 0.0) & (delta <= 1.0))
+    if invalid.any():
+        # the first failing delta raises the single-point error
+        params.with_delta(float(delta[np.argmax(invalid)]))
     cyc = params.cycle
-    delta = np.array([point.delta for point in points])
-    # the monitored means of every row from one block of closed forms
     closed = closed_form_block(cyc.beta, cyc.nu1, cyc.nu2, delta, delta, params.channel.theta)
-    means = zip(closed.w_mean.tolist(), closed.qm_mean.tolist(), closed.qt_mean.tolist())
-    rows = []
-    beta = cyc.beta
-    for point, (w, q_m, q_t) in zip(points, means):
-        um = unmonitored_cycle(point)
-        mon = _monitored_from(um, w, q_m, q_t)
-        rows.append(
-            ComparisonRow(
-                delta=point.delta,
-                w_mon=mon.w,
-                eta_mon=mon.eta,
-                regime_mon=classify_regime_means(mon.w, mon.q_m, mon.q_t, beta),
-                w_um=um.w,
-                eta_um=um.eta,
-                regime_um=classify_regime_means(um.w, um.q_m, um.q_t, beta),
-            )
-        )
-    return rows
+    um = _unmonitored_block(params, delta)
+    mon = _monitored_from(um, closed.w_mean, closed.qm_mean, closed.qt_mean)
+    columns = (
+        delta,
+        mon.w,
+        mon.eta,
+        classify_regime_array(mon.w, mon.q_m, mon.q_t, cyc.beta),
+        um.w,
+        um.eta,
+        classify_regime_array(um.w, um.q_m, um.q_t, cyc.beta),
+    )
+    return [ComparisonRow(*row) for row in zip(*(c.tolist() for c in columns))]
 
 
 def comparison_to_csv(rows: Iterable[ComparisonRow], fileobj) -> None:

@@ -57,6 +57,8 @@ __all__ = [
 
 _CLAMP_TOL = 1e-10
 _SUM_TOL = 1e-10
+# uniforms drawn at a time by sample(): 512 kB of doubles
+_SAMPLE_CHUNK = 1 << 16
 
 # The path table: one entry per measurement record (n, m, k, l), the
 # state indices at the four measurements (0 ground, 1 excited), with
@@ -399,17 +401,25 @@ def sample(dist: JointDistribution, n: int, seed: int) -> SampleStats:
     """Draw n outcomes by inverse CDF with a seeded PCG64 generator.
 
     Deterministic for a fixed seed: two calls with identical arguments
-    return equal :class:`SampleStats`.
+    return equal :class:`SampleStats`.  The uniforms are drawn in chunks
+    of the one stream and only counted per outcome, so memory does not
+    grow with n.
     """
     if n < 1:
         raise ValueError("need at least one draw")
     rng = np.random.default_rng(seed)
-    cdf = np.cumsum(dist.prob)
-    idx = np.searchsorted(cdf, rng.random(n), side="right")
-    idx = np.minimum(idx, len(dist) - 1)
+    # a uniform u falls past outcome j when u >= cdf[j]; the last outcome
+    # also takes every u at or above a final cdf entry that rounds below 1
+    edges = np.cumsum(dist.prob)[:-1]
+    past = np.zeros(len(edges), dtype=np.int64)
+    for start in range(0, n, _SAMPLE_CHUNK):
+        u = rng.random(min(_SAMPLE_CHUNK, n - start))
+        for j, edge in enumerate(edges):
+            past[j] += np.count_nonzero(u >= edge)
+    counts = -np.diff(np.concatenate(([n], past, [0])))
     # the moments of the draws are those of the outcomes weighted by how
     # often each was drawn
-    freq = np.bincount(idx, minlength=len(dist)) / n
+    freq = counts / n
 
     def moments(values: np.ndarray) -> MomentSummary:
         raw = tuple(float(freq @ values**k) for k in (1, 2, 3, 4))

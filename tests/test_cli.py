@@ -250,6 +250,29 @@ def test_lz_compare_prints_no_negative_zero(capsys):
     assert "-0" not in [c for r in rows for c in r]
 
 
+def test_lz_compare_eta_um_is_nan_on_residue_heat(capsys):
+    # at alpha-m = pi/2 and delta = 1/2 the unmonitored heat is zero up to
+    # rounding (cos alpha-m and 1 - 2 delta vanish), so W / Q_M is noise
+    for phase in ("0.3", "0"):
+        code, out, _ = run(
+            capsys, "lz-compare", "--beta", "1", "--nu1", "0.7", "--nu2", "0.9",
+            "--alpha-m", repr(math.pi / 2), "--phi", phase, "--chi", phase,
+            "--axis", "delta", "--start", "0", "--stop", "1", "--steps", "5",
+        )
+        assert code == 0
+        eta_um = [l.split(",")[5] for l in out.splitlines()[2:]]
+        assert eta_um[2] == "nan"
+        assert "nan" not in eta_um[:2] + eta_um[3:]
+
+
+def test_lz_compare_rejects_delta_beyond_one(capsys):
+    code, out, err = run(
+        capsys, "lz-compare", "--beta", "1", "--nu1", "0.7", "--nu2", "0.9", "--alpha-m", "1",
+        "--axis", "delta", "--start", "0", "--stop", "1.25", "--steps", "5",
+    )
+    assert (code, out, err) == (2, "", "config error: delta and zeta must lie in [0, 1]\n")
+
+
 def test_dist_dump(tmp_path, capsys):
     dump = tmp_path / "dist.csv"
     code, _, _ = run(

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from unital_otto import landauzener
 from unital_otto import (
     CycleParams,
     LZParams,
@@ -15,10 +16,13 @@ from unital_otto import (
     comparison_to_csv,
     cumulants_from_distribution,
     enumerate_paths,
+    hamiltonian,
+    is_rounding_residue,
     lz_unitaries,
     monitored_averages,
     monitored_vs_unmonitored,
     qm_unmonitored_closed_form,
+    thermal_state,
     unmonitored_cycle,
 )
 
@@ -155,8 +159,8 @@ def test_comparison_csv_header():
     assert lines[1].split(",")[3] in {r.value for r in Regime}
 
 
-def test_one_unmonitored_propagation_per_comparison_row(monkeypatch):
-    from unital_otto import landauzener
+def test_one_block_propagation_per_table(monkeypatch):
+    from unital_otto import qstate
 
     base = build(0.0, **FIG6F)
     deltas = np.linspace(0.0, 1.0, 7)
@@ -165,14 +169,87 @@ def test_one_unmonitored_propagation_per_comparison_row(monkeypatch):
         for d in deltas
     ]
     calls = []
-    original = landauzener.unmonitored_cycle
-    monkeypatch.setattr(
-        landauzener, "unmonitored_cycle", lambda p: calls.append(p) or original(p)
-    )
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a: calls.append(name) or original(*a))
+
+    counted(landauzener, "_unmonitored_block")
+    counted(landauzener, "unmonitored_cycle")
+    counted(landauzener, "thermal_state")
+    counted(landauzener, "hamiltonian")
+    counted(qstate.MeasurementChannel, "kraus_ops")
     rows = monitored_vs_unmonitored(base, deltas)
-    assert len(calls) == len(deltas)
+    # the state, both Hamiltonians and the projectors are built once per table
+    assert sorted(calls) == sorted(
+        ["_unmonitored_block", "thermal_state", "hamiltonian", "hamiltonian", "kraus_ops"]
+    )
     for row, (mon, um) in zip(rows, want):
-        assert (row.w_mon, row.eta_mon, row.w_um, row.eta_um) == (mon.w, mon.eta, um.w, um.eta)
+        got = [row.w_mon, row.eta_mon, row.w_um, row.eta_um]
+        assert np.array_equal(got, [mon.w, mon.eta, um.w, um.eta], equal_nan=True)
+
+
+def _per_row_cycle(params):
+    """The unmonitored cycle propagated one 2x2 row at a time, as the
+    table was evaluated before it became one stacked propagation."""
+    cyc = params.cycle
+    root_stay, root_jump = math.sqrt(1.0 - params.delta), math.sqrt(params.delta)
+    phase = np.exp(1.0j * params.phi)
+    u = np.array([[root_stay * phase, root_jump], [-root_jump, root_stay * np.conj(phase)]])
+    v = u.T.copy()
+    h1, h2 = hamiltonian(cyc.nu1), hamiltonian(cyc.nu2)
+    rho1 = thermal_state(cyc.beta, cyc.nu1).mat
+    rho2 = u @ rho1 @ u.conj().T
+    rho3 = sum(k @ rho2 @ k.conj().T for k in params.channel.kraus_ops())
+    rho4 = v @ rho3 @ v.conj().T
+    return [
+        float(np.trace(rho @ h).real)
+        for rho, h in ((rho1, h1), (rho2, h2), (rho3, h2), (rho4, h1))
+    ]
+
+
+def _random_tables(seed, count):
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        alpha_m = (0.0, math.pi / 2, math.pi, rng.uniform(0.0, math.pi))[i % 4]
+        beta = rng.uniform(0.05, 3.0) * (1 if i % 2 else -1)
+        phi, chi = rng.uniform(-4.0, 4.0, 2)
+        base = LZParams.build(beta, rng.uniform(0.1, 2.0), rng.uniform(0.1, 3.0), 0.0, phi, alpha_m, chi)
+        deltas = np.concatenate(([0.0, 1.0, 0.5], rng.uniform(0.0, 1.0, 30)))
+        yield base, deltas
+
+
+def test_block_rows_equal_the_per_row_propagation_bitwise():
+    for base, deltas in _random_tables(7, 40):
+        block = landauzener._unmonitored_block(base, deltas)
+        rows = monitored_vs_unmonitored(base, deltas)
+        for i, delta in enumerate(deltas.tolist()):
+            e1, e2, e3, e4 = _per_row_cycle(base.with_delta(delta))
+            q_m, q_t = e3 - e2, e1 - e4
+            want = [e1, e2, e3, e4, q_m + q_t, q_m, q_t]
+            got = [block.e1[i], block.e2[i], block.e3[i], block.e4[i], block.w[i], block.q_m[i], block.q_t[i]]
+            # equal with the sign of every zero
+            assert [(x, math.copysign(1.0, x)) for x in got] == [
+                (x, math.copysign(1.0, x)) for x in want
+            ]
+            assert rows[i].w_um == want[4]
+            residue = is_rounding_residue(q_m, base.cycle.nu2)
+            assert np.array_equal(rows[i].eta_um, math.nan if residue else want[4] / q_m, equal_nan=True)
+
+
+def test_block_heat_matches_the_closed_form_on_random_tables():
+    for base, deltas in _random_tables(8, 40):
+        block = landauzener._unmonitored_block(base, deltas)
+        want = [qm_unmonitored_closed_form(base.with_delta(d)) for d in deltas.tolist()]
+        assert np.max(np.abs(block.q_m - want)) <= 1e-13 * base.cycle.nu2
+
+
+def test_invalid_delta_fails_at_the_first_failing_point():
+    base = build(0.0, **FIG6F)
+    with pytest.raises(ValueError, match=r"delta and zeta must lie in \[0, 1\]"):
+        monitored_vs_unmonitored(base, [0.5, 1.25, math.nan])
+    with pytest.raises(ValueError, match="delta must be finite"):
+        monitored_vs_unmonitored(base, [0.5, math.nan, -0.25])
 
 
 def test_comparison_rows_are_the_single_point_averages():

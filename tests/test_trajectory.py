@@ -2,16 +2,19 @@
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from unital_otto import trajectory
 from unital_otto import (
     ControlSpec,
     CycleParams,
     JointDistribution,
     PhysicsError,
+    SampleStats,
     backward_distribution,
     cs_distribution,
     distribution_to_csv,
@@ -216,3 +219,42 @@ def test_sampler_moments_are_those_of_the_draws():
     for summary, values in ((stats.w, dist.w), (stats.q_m, dist.q_m)):
         for k, raw in enumerate(summary.raw, 1):
             assert raw == pytest.approx(float(np.mean(values[idx] ** k)), rel=1e-13, abs=1e-13)
+
+
+def _searchsorted_stats(dist, n, seed):
+    """SampleStats from one random(n) call indexed by searchsorted and
+    clipped to the last outcome, as the sampler drew before it streamed."""
+    rng = np.random.default_rng(seed)
+    idx = np.searchsorted(np.cumsum(dist.prob), rng.random(n), side="right")
+    freq = np.bincount(np.minimum(idx, len(dist) - 1), minlength=len(dist)) / n
+
+    def moments(values):
+        return trajectory.MomentSummary(count=n, raw=tuple(float(freq @ values**k) for k in (1, 2, 3, 4)))
+
+    return SampleStats(count=n, seed=seed, w=moments(dist.w), q_m=moments(dist.q_m))
+
+
+def test_streamed_counts_equal_one_searchsorted_over_the_stream():
+    chunk = trajectory._SAMPLE_CHUNK
+    dists = [
+        enumerate_paths(CycleParams(0.7, 1.0, 2.0, 0.1, 0.2), 0.3),
+        # zero-probability outcomes, the last one among them
+        JointDistribution([0.0, 1.0, 2.0, 3.0, 4.0, 5.0], [0.0] * 6, [0.3, 0.0, 0.2, 0.0, 0.5, 0.0]),
+        # ten tenths: the last cdf entry rounds to 0.9999999999999999
+        JointDistribution(np.arange(10.0), np.arange(10.0) ** 2, [0.1] * 10),
+    ]
+    assert np.cumsum(dists[2].prob)[-1] < 1.0
+    for dist in dists:
+        for n in (1, chunk - 1, chunk, chunk + 1, 3 * chunk + 7):
+            assert sample(dist, n, seed=n) == _searchsorted_stats(dist, n, n)
+
+
+def test_sampler_memory_does_not_grow_with_draws():
+    dist = enumerate_paths(CycleParams(0.7, 1.0, 2.0, 0.1, 0.2), 0.3)
+    tracemalloc.start()
+    try:
+        sample(dist, 2 * 10**6, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
