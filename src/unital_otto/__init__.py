@@ -53,7 +53,6 @@ from .analysis import (
     BoundReport,
     CumulantRatioRecord,
     Regime,
-    ShapeStats,
     WorkThreshold,
     bound_reports_to_csv,
     classify_regime,
@@ -63,7 +62,6 @@ from .analysis import (
     efficiency,
     efficiency_block,
     positive_work_threshold,
-    shape_stats,
     verify_bounds,
     verify_bounds_block,
 )

@@ -29,7 +29,6 @@ import numpy as np
 # closed_form_first_second is not called here: perfbench's tracer and its
 # tests look the name up on this module
 from .cumulants import (
-    CumulantSet,
     closed_form_block,
     closed_form_first_second,
     cumulants_from_distribution,
@@ -43,7 +42,6 @@ __all__ = [
     "BoundReport",
     "WorkThreshold",
     "CumulantRatioRecord",
-    "ShapeStats",
     "bound_reports_to_csv",
     "classify_regime",
     "classify_regime_means",
@@ -54,7 +52,6 @@ __all__ = [
     "verify_bounds",
     "verify_bounds_block",
     "cumulant_ratio_scan",
-    "shape_stats",
 ]
 
 _REGIME_TOL = 1e-12
@@ -426,24 +423,4 @@ def cumulant_ratio_scan(
         above_one=bool(ratio > 1.0),
         sign_mismatch=bool(num * den < 0.0),
         undefined=False,
-    )
-
-
-@dataclass(frozen=True)
-class ShapeStats:
-    w_skewness: float
-    w_kurtosis: float
-    qm_skewness: float
-    qm_kurtosis: float
-
-
-def shape_stats(cumulants: CumulantSet) -> ShapeStats:
-    """Skewness kappa3/kappa2^(3/2) and excess kurtosis kappa4/kappa2^2."""
-    if cumulants.w[1] <= 0.0 or cumulants.q_m[1] <= 0.0:
-        raise PhysicsError("shape statistics undefined for zero variance")
-    return ShapeStats(
-        w_skewness=cumulants.w[2] / cumulants.w[1] ** 1.5,
-        w_kurtosis=cumulants.w[3] / cumulants.w[1] ** 2,
-        qm_skewness=cumulants.q_m[2] / cumulants.q_m[1] ** 1.5,
-        qm_kurtosis=cumulants.q_m[3] / cumulants.q_m[1] ** 2,
     )

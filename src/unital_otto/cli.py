@@ -2,8 +2,9 @@
 
 Every subcommand writes CSV (to --out or stdout) whose first line is a
 ``#``-comment recording the fully resolved configuration (OTTO_TOL
-included, as ``tol``), so a rerun with the same inputs byte-reproduces
-the file.  Numbers are printed with 17 significant digits.
+included, as ``tol``), so a rerun with the same inputs, on the same
+machine and numpy build, byte-reproduces the file.  Numbers are printed
+with 17 significant digits.
 
 Exit codes: 0 success (bound violations are data, not failures),
 2 configuration error, 3 physics-domain error.
@@ -196,15 +197,11 @@ def _resolve_theta(cfg: dict):
             raise ConfigError("Pauli weights must be nonnegative and sum to 1")
         return float(pauli[1] + pauli[2])
     if cfg.get("alpha_m") is not None:
-        return _measurement_theta(cfg["alpha_m"])
+        # sin^2(alpha_m) / 2, the rule of MeasurementChannel.theta; an
+        # infinite angle gives nan, which the theta range check reports
+        with np.errstate(invalid="ignore"):
+            return np.square(np.sin(cfg["alpha_m"])) / 2.0
     raise ConfigError("specify a channel: --theta, --p0..--p3, or --alpha-m [--chi]")
-
-
-def _measurement_theta(alpha_m) -> np.ndarray:
-    """theta = sin^2(alpha_m) / 2, value by value with libm sin, so that a
-    swept angle gives the theta of the same single point."""
-    angles = np.asarray(alpha_m, dtype=float)
-    return np.reshape([math.sin(a) ** 2 / 2.0 for a in angles.ravel().tolist()], angles.shape)
 
 
 def _tolerance(cfg: dict) -> float:

@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -43,7 +42,6 @@ from .trajectory import (
     _channel_distribution,
     _check_theta,
     _checked_columns,
-    _tanh,
 )
 
 __all__ = [
@@ -170,9 +168,10 @@ def _marginal_cumulants(values: np.ndarray, prob: np.ndarray) -> tuple:
     with np.errstate(over="ignore", invalid="ignore"):
         mean = np.vecdot(prob, values)
         centred = values - mean[..., None]
-        c2 = np.vecdot(prob, centred**2)
-        c3 = np.vecdot(prob, centred**3)
-        c4 = np.vecdot(prob, centred**4)
+        sq = centred * centred
+        c2 = np.vecdot(prob, sq)
+        c3 = np.vecdot(prob, sq * centred)
+        c4 = np.vecdot(prob, sq * sq)
         return (mean, c2, c3, c4 - 3.0 * c2 * c2)
 
 
@@ -227,13 +226,6 @@ def cumulants_from_block(block: DistributionBlock) -> CumulantBlock:
     return CumulantBlock(w=kw, q_m=kq, qt_mean=qt)
 
 
-def _square(x: np.ndarray) -> np.ndarray:
-    """Each element ``** 2`` as Python squares a float, through libm pow;
-    numpy's square (``x * x``) rounds differently on about one argument in
-    a thousand."""
-    return np.array(list(map(pow, x.ravel().tolist(), repeat(2)))).reshape(x.shape)
-
-
 # overflow gives inf and inf - inf nan, silently, as Python floats do
 @np.errstate(over="ignore", invalid="ignore")
 def closed_form_block(
@@ -251,21 +243,19 @@ def closed_form_block(
         d, z = z, d
     elif direction != "forward":
         raise ValueError("direction must be 'forward' or 'backward'")
-    t = _tanh(beta * nu1)
-    # elementwise IEEE operations with libm tanh and pow: each point gets
-    # the digits plain Python float arithmetic gives these expressions
+    t = np.tanh(beta * nu1)
     s = d + z - 2.0 * d * z
     g = theta + (1.0 - 2.0 * theta) * s
     qm_mean = 2.0 * (1.0 - 2.0 * d) * theta * nu2 * t
-    nu2_sq = _square(nu2)
-    qm_var = 4.0 * theta * nu2_sq * (1.0 - _square(1.0 - 2.0 * d) * theta * t * t)
+    nu2_sq = nu2 * nu2
+    qm_var = 4.0 * theta * nu2_sq * (1.0 - np.square(1.0 - 2.0 * d) * theta * t * t)
     qt_mean = -2.0 * g * nu1 * t
     w_mean = qm_mean + qt_mean
     w_var = (
-        4.0 * g * _square(nu1)
+        4.0 * g * np.square(nu1)
         + 8.0 * theta * (d + z - 1.0) * nu1 * nu2
         + 4.0 * theta * nu2_sq
-        - 4.0 * _square(g * nu1 + (2.0 * d - 1.0) * theta * nu2) * t * t
+        - 4.0 * np.square(g * nu1 + (2.0 * d - 1.0) * theta * nu2) * t * t
     )
     return FirstTwoCumulants(
         w_mean=w_mean,

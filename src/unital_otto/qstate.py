@@ -113,10 +113,6 @@ class DensityMatrix:
             (self.mat[0, 0] - self.mat[1, 1]).real,
         )
 
-    def energy(self) -> float:
-        """Mean energy against the Hamiltonian this state is tagged with."""
-        return float(np.trace(self.mat @ hamiltonian(self.gap)).real)
-
 
 def hamiltonian(nu: float) -> np.ndarray:
     """H = nu (|+><+| - |-><-|) as a matrix in the storage basis."""
@@ -195,14 +191,11 @@ class MeasurementChannel:
             raise ValueError("alpha_m must lie in [0, pi]")
 
     @property
-    def p1_proj(self) -> float:
-        """Ground-state overlap |<-|psi_1>|^2 of the first projector."""
-        return math.cos(self.alpha_m / 2.0) ** 2
-
-    @property
     def theta(self) -> float:
-        p = self.p1_proj
-        return 2.0 * p * (1.0 - p)
+        # not 2 p (1 - p), which cancels at small alpha_m; s * s rounds as
+        # the command line's np.square does
+        s = math.sin(self.alpha_m)
+        return s * s / 2.0
 
     def kraus_ops(self) -> list[np.ndarray]:
         c, s = math.cos(self.alpha_m / 2.0), math.sin(self.alpha_m / 2.0)

@@ -26,7 +26,6 @@ One array routine evaluates the table at any number of points.
 the single-point functions take one row, drop its zero-probability
 outcomes and sort the rest.  One row costs more than a plain-Python
 loop would, but a command-line run evaluates at most one single point.
-The thermal weights use libm tanh, the value every closed form uses.
 
 Every block function checks its parameter columns in one routine, in
 the order one point is checked: cycle, control, theta range, flip bound.
@@ -184,13 +183,6 @@ def _flip_matrices(p) -> np.ndarray:
     return out
 
 
-def _tanh(x: np.ndarray) -> np.ndarray:
-    """libm tanh of each element, the value :attr:`CycleParams.tanh_beta_nu1`
-    gives a single point; np.tanh differs from it in the last bit on many
-    arguments."""
-    return np.array(list(map(math.tanh, x.ravel().tolist()))).reshape(x.shape)
-
-
 def _evaluate(beta, nu1, nu2, delta, zeta, channel) -> DistributionBlock:
     """The path table at N points: the one place its probabilities are formed.
 
@@ -202,7 +194,7 @@ def _evaluate(beta, nu1, nu2, delta, zeta, channel) -> DistributionBlock:
     (N, 9) probabilities are neither clamped nor checked.
     """
     with np.errstate(all="ignore"):
-        t = _tanh(beta * nu1)
+        t = np.tanh(beta * nu1)
         weights = np.stack([0.5 * (1.0 + t), 0.5 * (1.0 - t)], axis=-1)
         u, v = _flip_matrices(delta), _flip_matrices(zeta)
         paths = weights[:, _N] * u[:, _M, _N] * channel[:, _K, _M] * v[:, _L, _K]

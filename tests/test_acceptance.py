@@ -161,8 +161,9 @@ def test_criterion_4_route_agreement():
 
 def _closed_forms(points, thetas, *directions):
     """Closed forms at every (CycleParams, theta) pair: one
-    closed_form_block call per direction, each row bitwise the point's
-    closed_form_first_second."""
+    closed_form_block call per direction.  A row is the point's
+    closed_form_first_second bit for bit, which is a 0-d row of the same
+    block; test_block judges both against the 60-digit oracle."""
     cycle = [[getattr(p, k) for p in points] for k in ("beta", "nu1", "nu2", "delta", "zeta")]
     return [closed_form_block(*cycle, thetas, d) for d in directions]
 

@@ -20,7 +20,6 @@ from unital_otto import (
     enumerate_paths,
     is_rounding_residue,
     positive_work_threshold,
-    shape_stats,
     verify_bounds,
 )
 
@@ -288,36 +287,6 @@ def test_ratio_scan_takes_no_efficiency_from_cancelled_heat():
 def test_ratio_scan_order_validation():
     with pytest.raises(ValueError):
         cumulant_ratio_scan(FIG3, 0.3, 1)
-
-
-def test_shape_stats_against_direct_moments():
-    params = CycleParams(0.7, 1.0, 2.0, 0.05, 0.05)
-    dist = enumerate_paths(params, 0.2)
-    cums = cumulants_from_distribution(dist)
-    stats = shape_stats(cums)
-    mu = float(np.dot(dist.prob, dist.w))
-    centred = dist.w - mu
-    m2 = float(np.dot(dist.prob, centred**2))
-    m3 = float(np.dot(dist.prob, centred**3))
-    m4 = float(np.dot(dist.prob, centred**4))
-    assert stats.w_skewness == pytest.approx(m3 / m2**1.5, rel=1e-12)
-    assert stats.w_kurtosis == pytest.approx(m4 / m2**2 - 3.0, rel=1e-12)
-
-
-def test_shape_stats_symmetric_distribution():
-    params = CycleParams(0.0, 1.0, 2.0, 0.1, 0.1)
-    cums = cumulants_from_distribution(enumerate_paths(params, 0.3))
-    stats = shape_stats(cums)
-    assert abs(stats.w_skewness) < 1e-14
-    assert abs(stats.qm_skewness) < 1e-14
-
-
-def test_shape_stats_needs_variance():
-    degenerate = cumulants_from_distribution(
-        enumerate_paths(CycleParams(40.0, 1.0, 2.0, 0.0, 0.0), 1.0)
-    )
-    with pytest.raises(PhysicsError):
-        shape_stats(degenerate)
 
 
 @given(params=cycle_params(), theta=probs)

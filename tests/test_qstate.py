@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,8 @@ from unital_otto import (
     thermal_state,
     von_neumann_entropy,
 )
+
+from unital_otto.cli import _resolve_theta
 
 from conftest import bloch_states, finite, probs
 
@@ -104,6 +107,21 @@ def test_theta_values():
     h2 = hamiltonian(2.0)
     for k in ch0.kraus_ops():
         assert np.allclose(k @ h2 - h2 @ k, 0.0, atol=1e-15)
+
+
+ANGLES = (1e-9, 1e-5, math.pi / 2, math.pi - 1e-5)
+
+
+@pytest.mark.parametrize("alpha_m", ANGLES)
+def test_measurement_theta_is_exact_at_every_angle(alpha_m):
+    """theta = sin^2(alpha_m) / 2 within 2 ulp, from the channel and from the
+    command line's angle, alone and as a column."""
+    with mpmath.workdps(60):
+        exact = float(mpmath.sin(mpmath.mpf(alpha_m)) ** 2 / 2)
+    column = _resolve_theta({"alpha_m": np.array(ANGLES)})[ANGLES.index(alpha_m)]
+    for theta in (MeasurementChannel(alpha_m).theta, _resolve_theta({"alpha_m": alpha_m}),
+                  column):
+        assert abs(theta - exact) <= 2.0 * math.ulp(exact), (theta, exact)
 
 
 def test_general_channel_from_pauli_kraus():
