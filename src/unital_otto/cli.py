@@ -17,11 +17,12 @@ import io
 import math
 import os
 import sys
+from array import array
 
 import numpy as np
 
 from . import analysis, cumulants, landauzener, trajectory
-from .qstate import ControlSpec, PhysicsError
+from .qstate import ControlSpec, MeasurementChannel, PhysicsError
 
 SWEEPABLE = ("beta", "nu1", "nu2", "delta", "zeta", "theta", "cs-alpha", "alpha-m")
 
@@ -197,10 +198,12 @@ def _resolve_theta(cfg: dict):
             raise ConfigError("Pauli weights must be nonnegative and sum to 1")
         return float(pauli[1] + pauli[2])
     if cfg.get("alpha_m") is not None:
-        # sin^2(alpha_m) / 2, the rule of MeasurementChannel.theta; an
-        # infinite angle gives nan, which the theta range check reports
-        with np.errstate(invalid="ignore"):
-            return np.square(np.sin(cfg["alpha_m"])) / 2.0
+        alpha_m = np.asarray(cfg["alpha_m"], dtype=float)
+        outside = ~((0.0 <= alpha_m) & (alpha_m <= math.pi))
+        if outside.any():  # the first such angle raises the channel's error
+            MeasurementChannel(float(alpha_m.flat[np.argmax(outside)]))
+        # sin^2(alpha_m) / 2, the rule of MeasurementChannel.theta
+        return np.square(np.sin(alpha_m)) / 2.0
     raise ConfigError("specify a channel: --theta, --p0..--p3, or --alpha-m [--chi]")
 
 
@@ -264,9 +267,8 @@ def _run(cfg: dict, axes=()) -> tuple[list[np.ndarray], str, str]:
 # spread thin, few enough that the block's temporaries (16 paths and 9
 # outcomes per point) stay small beside the output text.  On a 101 x 101
 # classify grid 1024-point blocks raised peak RSS by 1.3 MB (4%), 256-point
-# blocks by 0.5 MB, at the same speed.  verify-bounds draws and checks its
-# samples in blocks of the same size: 15000 samples in one block peaked
-# at 42.6 MB, against 36.6 MB in 256-sample blocks.
+# blocks by 0.5 MB, at the same speed.  verify-bounds has its own block
+# size, _CAMPAIGN_BLOCK.
 _BLOCK_POINTS = 256
 
 
@@ -426,32 +428,107 @@ def _cmd_classify(cfg: dict) -> None:
     _emit(cfg, _config_comment("classify", cfg) + "\n".join(lines) + "\n")
 
 
-def _campaign_draws(rng: np.random.Generator, count: int) -> dict[tuple, list[tuple]]:
-    """The next ``count`` samples of a bound campaign, drawn one at a time
-    in the order :func:`_cmd_verify_bounds` states, grouped by (mode,
-    branch); branch is None outside cs.  Each group lists its kept
-    samples in draw order as (beta, nu1, nu2, delta, zeta, theta, alpha),
-    alpha None outside cs."""
-    draw, pick = rng.random, rng.integers
+# Samples per bound-campaign block: decoded, then checked with one
+# verify_bounds_block call per mode and branch, 32 calls for 15000 samples.
+# The benchmark's 15000-sample campaign peaked at the old 256-sample
+# blocks' RSS with 2048-sample blocks and 256-word reads; 4096-sample
+# blocks, or 1024-word reads, cost 0.15-0.4 MB more at about the same speed.
+_CAMPAIGN_BLOCK = 2048
+
+# Raw PCG64 words read at a time while a block is decoded.
+_RAW_WORDS = 256
+
+
+def _more_words(bitgen, doubles: list, lows: list, highs: list, i: int) -> tuple:
+    """The words from index ``i`` on, then ``_RAW_WORDS`` fresh ones, each
+    as the double ``random()`` makes of it and as its low and high uint32."""
+    raw = bitgen.random_raw(_RAW_WORDS)
+    return (
+        doubles[i:] + ((raw >> 11) * 2.0**-53).tolist(),
+        lows[i:] + (raw & 0xFFFFFFFF).tolist(),
+        highs[i:] + (raw >> 32).tolist(),
+    )
+
+
+def _campaign_draws(rng: np.random.Generator, count: int) -> dict[tuple, list[array]]:
+    """The next ``count`` samples of a bound campaign, in the order
+    :func:`_cmd_verify_bounds` states, grouped by (mode, branch); branch
+    is None outside cs.  Each group holds its kept samples in draw order
+    as ``array('d')`` columns: beta, nu1, nu2, delta, zeta, theta and, in
+    cs, alpha.
+
+    The samples are decoded from raw PCG64 words as ``Generator`` reads
+    them.  A double is ``(w >> 11) * 2**-53``.  ``integers(0, n)`` is
+    Lemire's method on the 32-bit stream: ``(u * n) >> 32``, with u
+    redrawn while ``(u * n) % 2**32 < (2**32 - n) % n``, that is u = 0
+    for n = 3 and never for n = 2.  The 32-bit stream takes the low half
+    of a fresh word and keeps the high half for its next draw, across any
+    doubles drawn in between.  Words read past the last sample are given
+    back, so ``rng`` ends where the generator's own calls leave it.
+    """
+    bitgen = rng.bit_generator
+    start = bitgen.state
+    has_half, half = start["has_uint32"], start["uinteger"]
+    doubles: list[float] = []
+    lows: list[int] = []
+    highs: list[int] = []
+    i = used = 0  # the lists' next word; words read before the lists
     gap_range = 3.0 - 1e-3
-    groups: dict[tuple, list[tuple]] = {}
+    groups: dict[tuple, list[array]] = {}
     for _ in range(count):
-        beta = -2.0 + 4.0 * draw()
+        if len(doubles) - i < 9:  # a sample reads at most 9 words, bar a redraw
+            used += i
+            doubles, lows, highs = _more_words(bitgen, doubles, lows, highs, i)
+            i = 0
+        beta = -2.0 + 4.0 * doubles[i]
         if abs(beta) < 1e-9:
+            i += 1
             continue
-        u1, u2, delta, zeta, theta = draw(5).tolist()
-        nu1, nu2 = 1e-3 + gap_range * u1, 1e-3 + gap_range * u2
-        mode = ("symmetric", "asymmetric", "cs")[pick(0, 3)]
-        branch = alpha = None
+        u1, u2, delta, zeta, theta = doubles[i + 1:i + 6]
+        i += 6
+        while True:
+            if has_half:
+                u32, has_half = half, 0
+            else:
+                u32, half, has_half = lows[i], highs[i], 1
+                i += 1
+            if u32:
+                break
+            # the mode's redraw: fresh words keep the rest of the sample in the lists
+            used += i
+            doubles, lows, highs = _more_words(bitgen, doubles, lows, highs, i)
+            i = 0
+        mode = ("symmetric", "asymmetric", "cs")[(u32 * 3) >> 32]
+        branch = None
         if mode == "symmetric":
             zeta = delta
         elif mode == "cs":
             theta *= 0.5
-            alpha = draw()
-            branch = ("plus", "minus")[pick(0, 2)]
-        groups.setdefault((mode, branch), []).append(
-            (beta, nu1, nu2, delta, zeta, theta, alpha)
-        )
+            alpha = doubles[i]
+            i += 1
+            if has_half:
+                u32, has_half = half, 0
+            else:
+                u32, half, has_half = lows[i], highs[i], 1
+                i += 1
+            branch = ("plus", "minus")[(u32 * 2) >> 32]
+        columns = groups.get((mode, branch))
+        if columns is None:
+            width = 6 if branch is None else 7
+            columns = groups[mode, branch] = [array("d") for _ in range(width)]
+        columns[0].append(beta)
+        columns[1].append(1e-3 + gap_range * u1)
+        columns[2].append(1e-3 + gap_range * u2)
+        columns[3].append(delta)
+        columns[4].append(zeta)
+        columns[5].append(theta)
+        if branch is not None:
+            columns[6].append(alpha)
+    bitgen.state = start
+    bitgen.advance(used + i)
+    state = bitgen.state
+    state["has_uint32"], state["uinteger"] = has_half, half
+    bitgen.state = state
     return groups
 
 
@@ -468,9 +545,10 @@ def _cmd_verify_bounds(cfg: dict) -> None:
     branch as ``integers(0, 2)`` indexing (plus, minus).  Each u is one
     double of ``random()`` (the five after beta come from one
     ``random(5)``, the same doubles); ``uniform(a, b)`` and ``choice``
-    of a tuple draw the same stream.  Samples are drawn in blocks of
-    ``_BLOCK_POINTS``, and each block's bounds are evaluated as arrays,
-    one call per mode and branch.
+    of a tuple draw the same stream.  The order is read from raw PCG64
+    words, decoded as ``Generator`` decodes them (:func:`_campaign_draws`).
+    Samples are drawn in blocks of ``_CAMPAIGN_BLOCK``, and each block's
+    bounds are evaluated as arrays, one call per mode and branch.
     """
     samples = 10000 if cfg.get("samples") is None else cfg["samples"]
     if samples < 1:
@@ -478,12 +556,11 @@ def _cmd_verify_bounds(cfg: dict) -> None:
     seed = cfg.get("seed") or 0
     rng = np.random.default_rng(seed)
     counts: dict[str, list[int]] = {}
-    for start in range(0, samples, _BLOCK_POINTS):
-        groups = _campaign_draws(rng, min(_BLOCK_POINTS, samples - start))
-        for (mode, branch), points in groups.items():
-            *cycle, alpha = zip(*points)
-            control = (alpha, branch) if mode == "cs" else (None, "minus")
-            reports = analysis.verify_bounds_block(*cycle, mode, *control)
+    for start in range(0, samples, _CAMPAIGN_BLOCK):
+        groups = _campaign_draws(rng, min(_CAMPAIGN_BLOCK, samples - start))
+        for (mode, branch), columns in groups.items():
+            control = (columns[6], branch) if mode == "cs" else (None, "minus")
+            reports = analysis.verify_bounds_block(*columns[:6], mode, *control)
             for rep in reports:
                 slot = counts.setdefault(rep.name, [0, 0, 0])
                 slot[0] += int(np.count_nonzero(rep.applicable & rep.satisfied))

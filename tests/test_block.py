@@ -728,18 +728,113 @@ def scalar_campaign_draws(rng, count):
     return groups
 
 
+def campaign_rows(groups):
+    """``cli._campaign_draws``'s columns as the scalar draws' tuples."""
+    return {
+        key: [row + (None,) * (7 - len(row)) for row in zip(*columns)]
+        for key, columns in groups.items()
+    }
+
+
 @pytest.mark.parametrize("seed", [1, 2, 101, 12345])
 def test_campaign_draws_replay_the_scalar_stream(seed):
     reference, rng = np.random.default_rng(seed), np.random.default_rng(seed)
     want = scalar_campaign_draws(reference, 3000)
     got = {}
     for start in range(0, 3000, 256):  # block after block, as the campaign draws
-        for key, points in _campaign_draws(rng, min(256, 3000 - start)).items():
+        for key, points in campaign_rows(_campaign_draws(rng, min(256, 3000 - start))).items():
             got.setdefault(key, []).extend(points)
     assert got == want
     assert sorted(got) == [("asymmetric", None), ("cs", "minus"), ("cs", "plus"),
                            ("symmetric", None)]
     assert rng.random() == reference.random()  # the streams end in step
+
+
+# PCG64 steps its 128-bit state s -> s * M + inc, then outputs the XSL-RR
+# word rotr(hi ^ lo, s >> 122); a state with its top six bits clear outputs
+# hi ^ lo.  Stepping back with M's inverse puts a chosen word anywhere.
+PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def generators_with_word(word, position):
+    """Two Generators on one PCG64 state whose raw word number ``position``
+    (from 0) is ``word``."""
+    inc = np.random.PCG64(0).state["state"]["inc"]
+    high = 0x0123456789ABCDEF
+    state = (high << 64) | (high ^ word)
+    inverse = pow(PCG64_MULTIPLIER, -1, 2**128)
+    for _ in range(position + 1):
+        state = (state - inc) * inverse % 2**128
+    generators = []
+    for _ in range(2):
+        bitgen = np.random.PCG64()
+        bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                        "has_uint32": 0, "uinteger": 0}
+        generators.append(np.random.Generator(bitgen))
+    return generators
+
+
+def assert_replays_the_scalar_stream(blocks, reference, rng):
+    want = scalar_campaign_draws(reference, sum(blocks))
+    got = {}
+    for count in blocks:
+        for key, points in campaign_rows(_campaign_draws(rng, count)).items():
+            got.setdefault(key, []).extend(points)
+    assert got == want
+    assert rng.bit_generator.state == reference.bit_generator.state
+    assert rng.random() == reference.random()
+
+
+def test_generators_with_word_put_the_word_in_place():
+    live, _ = generators_with_word(0xDEADBEEF00000000, 6)
+    assert live.bit_generator.random_raw(8)[6] == 0xDEADBEEF00000000
+
+
+def test_campaign_draws_redraw_a_zero_low_half():
+    # the first sample's mode reads the low half of word 6: 0, so Lemire's
+    # method redraws, from the high half of the same word
+    high = 0xDEADBEEF
+    live, _ = generators_with_word(high << 32, 6)
+    live.random(6)
+    assert live.integers(0, 3) == (high * 3) >> 32 == 2
+    assert_replays_the_scalar_stream([40], *generators_with_word(high << 32, 6))
+
+
+def test_campaign_draws_redraw_a_zero_buffered_half():
+    # word 6 = 1: the first sample is symmetric ((1 * 3) >> 32 = 0) and
+    # keeps the high half, 0, which the second sample's mode reads after
+    # words 7-12 and redraws from the low half of word 13
+    live, raw = generators_with_word(1, 6)
+    word13 = int(raw.bit_generator.random_raw(14)[13])
+    live.random(6)
+    assert live.integers(0, 3) == 0
+    live.random(6)
+    assert live.integers(0, 3) == ((word13 & 0xFFFFFFFF) * 3) >> 32
+    assert live.bit_generator.state["uinteger"] == word13 >> 32
+    assert_replays_the_scalar_stream([40], *generators_with_word(1, 6))
+
+
+def test_buffered_half_crosses_a_block_boundary():
+    _, rng = generators_with_word(1, 6)
+    _campaign_draws(rng, 1)
+    assert rng.bit_generator.state["has_uint32"] == 1  # word 6's high half, 0
+    reference, rng = generators_with_word(1, 6)
+    assert_replays_the_scalar_stream([1, 1, 5, 1, 64, 3], reference, rng)
+
+
+# beta = -2 + 4 (w >> 11) 2**-53 is within 1e-9 of 0 for w >> 11 = 2**52 + k,
+# |k| <= 2251799; the sample is skipped, drawing nothing more
+@pytest.mark.parametrize("k, kept", [(0, False), (2251799, False), (-2251799, False),
+                                     (2251800, True), (-2251800, True)])
+def test_campaign_draws_skip_a_beta_near_zero(k, kept):
+    word = ((2**52 + k) << 11) | 0x5A5
+    live, _ = generators_with_word(word, 0)
+    beta = -2.0 + 4.0 * live.random()
+    assert (abs(beta) < 1e-9) is not kept
+    reference, rng = generators_with_word(word, 0)
+    assert_replays_the_scalar_stream([30], reference, rng)
+    groups = _campaign_draws(generators_with_word(word, 0)[1], 1)
+    assert sum(len(columns[0]) for columns in groups.values()) == int(kept)
 
 
 @pytest.mark.parametrize("samples, seed", [(600, 3), (257, 12345)])
@@ -754,3 +849,67 @@ def test_campaign_tallies_are_those_of_the_scalar_rows(capsys, samples, seed):
     assert main(["verify-bounds", "--samples", str(samples), "--seed", str(seed)]) == 0
     rows = capsys.readouterr().out.splitlines()[2:]
     assert rows == [f"{name},{sat},{vio},{inap}" for name, (sat, vio, inap) in sorted(tallies.items())]
+
+
+# The whole stdout of four campaigns, captured from the sample-at-a-time
+# draw loop that the raw-word decoder replaced: the benchmark's seed-1 input,
+# one sample, 4097 samples (one past two 2048-sample blocks) and a long run.
+# The reference model checks only the per-mode sums, so the
+# satisfied/inapplicable split is pinned here.
+PINNED_CAMPAIGNS = {
+    (15000, 376577454): """\
+# command=verify-bounds samples=15000 seed=376577454
+bound_name,satisfied,violated,inapplicable
+cs_eta_branch_order,1255,0,3740
+cs_eta_le_otto,1255,0,3740
+cs_qt_nonpositive,2507,0,2488
+equal_gap_work_nonpositive,0,0,10005
+eta_le_otto,2494,0,7511
+eta_sq_le_ratio,1776,0,8229
+otto_sq_le_ratio,706,0,4246
+qt_nonpositive,5043,0,4962
+ratio_le_one,1776,0,8229
+""",
+    (1, 1): """\
+# command=verify-bounds samples=1 seed=1
+bound_name,satisfied,violated,inapplicable
+equal_gap_work_nonpositive,0,0,1
+eta_le_otto,0,0,1
+eta_sq_le_ratio,0,0,1
+otto_sq_le_ratio,0,0,1
+qt_nonpositive,1,0,0
+ratio_le_one,0,0,1
+""",
+    (4097, 2): """\
+# command=verify-bounds samples=4097 seed=2
+bound_name,satisfied,violated,inapplicable
+cs_eta_branch_order,322,0,1001
+cs_eta_le_otto,322,0,1001
+cs_qt_nonpositive,679,0,644
+equal_gap_work_nonpositive,0,0,2774
+eta_le_otto,700,0,2074
+eta_sq_le_ratio,520,0,2254
+otto_sq_le_ratio,202,0,1190
+qt_nonpositive,1356,0,1418
+ratio_le_one,520,0,2254
+""",
+    (40000, 12345): """\
+# command=verify-bounds samples=40000 seed=12345
+bound_name,satisfied,violated,inapplicable
+cs_eta_branch_order,3287,0,9822
+cs_eta_le_otto,3287,0,9822
+cs_qt_nonpositive,6532,0,6577
+equal_gap_work_nonpositive,0,0,26891
+eta_le_otto,6756,0,20135
+eta_sq_le_ratio,4853,0,22038
+otto_sq_le_ratio,1899,0,11543
+qt_nonpositive,13472,0,13419
+ratio_le_one,4853,0,22038
+""",
+}
+
+
+@pytest.mark.parametrize("samples, seed", sorted(PINNED_CAMPAIGNS))
+def test_campaign_csv_is_pinned(capsys, samples, seed):
+    assert main(["verify-bounds", "--samples", str(samples), "--seed", str(seed)]) == 0
+    assert capsys.readouterr().out == PINNED_CAMPAIGNS[samples, seed]

@@ -71,6 +71,30 @@ def test_measurement_angle_channel_spec(capsys):
     assert float(enum_row.split(",")[1]) == pytest.approx(0.241747, abs=1e-5)
 
 
+@pytest.mark.parametrize("angle", ["4", "-1", "nan", "inf"])
+def test_measurement_angle_is_checked_as_lz_compare_checks_it(angle, capsys):
+    cycle = ["--beta", "0.7", "--nu1", "1", "--nu2", "2"]
+    code, out, err = run(capsys, "cumulants", *cycle, "--delta", "0.1", "--zeta", "0.1",
+                         "--alpha-m", angle)
+    message = "angles must be finite" if angle in ("nan", "inf") else "alpha_m must lie in [0, pi]"
+    assert (code, out, err) == (2, "", f"config error: {message}\n")
+    lz = run(capsys, "lz-compare", *cycle, "--alpha-m", angle,
+             "--axis", "delta", "--start", "0", "--stop", "1", "--steps", "3")
+    assert lz == (code, out, err)
+
+
+@pytest.mark.parametrize("command, grid", [
+    ("sweep", []),
+    ("classify", ["--axis2", "beta", "--start2", "0.5", "--stop2", "1", "--steps2", "2"]),
+])
+def test_swept_measurement_angle_beyond_pi_is_config_error(command, grid, capsys):
+    axis = ["--axis", "alpha-m", "--steps", "5"]
+    code, out, err = run(capsys, command, *BASE, *axis, "--start", "3", "--stop", "4", *grid)
+    assert (code, out, err) == (2, "", "config error: alpha_m must lie in [0, pi]\n")
+    code, out, _ = run(capsys, command, *BASE, *axis, "--start", "0", "--stop", repr(math.pi), *grid)
+    assert code == 0 and out.count("\n") == 2 + 5 * (2 if grid else 1)
+
+
 def test_sweep_finds_work_sign_change(capsys):
     code, out, _ = run(
         capsys, "sweep", "--axis", "delta", "--start", "0.106", "--stop", "0.107",
