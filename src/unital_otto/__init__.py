@@ -16,12 +16,8 @@ from .qstate import (
     MeasurementChannel,
     PauliChannel,
     PhysicsError,
-    apply_channel,
-    classify_exchange,
     hamiltonian,
-    superpose_apply,
     thermal_state,
-    von_neumann_entropy,
 )
 from .trajectory import (
     CycleParams,
@@ -55,9 +51,7 @@ from .analysis import (
     Regime,
     WorkThreshold,
     bound_reports_to_csv,
-    classify_regime,
     classify_regime_array,
-    classify_regime_means,
     cumulant_ratio_scan,
     efficiency,
     efficiency_block,

@@ -43,8 +43,6 @@ __all__ = [
     "WorkThreshold",
     "CumulantRatioRecord",
     "bound_reports_to_csv",
-    "classify_regime",
-    "classify_regime_means",
     "classify_regime_array",
     "positive_work_threshold",
     "efficiency",
@@ -69,64 +67,33 @@ class Regime(Enum):
         return self.value
 
 
-# The sign rule, keyed by (beta > 0, <W> > 0, <Q_M> > 0, <Q_T> > 0): a
+# The sign rule, indexed by (beta > 0, <W> > 0, <Q_M> > 0, <Q_T> > 0): a
 # positive-temperature bath must not feed heat in (Q_T <= 0), a
-# negative-temperature one must (Q_T > 0).  Patterns not listed are
+# negative-temperature one must (Q_T > 0).  Patterns not set are
 # undetermined.
-_REGIMES = {
-    (True, True, True, False): Regime.ENGINE,
-    (True, False, True, False): Regime.ACCELERATOR,
-    (True, False, False, False): Regime.HEATER,
-    (False, True, False, True): Regime.ENGINE,
-    (False, False, False, True): Regime.ACCELERATOR,
-    (False, True, True, True): Regime.ENGINE_PRIME,
-}
-
-# The same table as a 2 x 2 x 2 x 2 array, for whole grids.
-_REGIME_ARRAY = np.full((2, 2, 2, 2), Regime.UNDETERMINED, dtype=object)
-for _signs, _regime in _REGIMES.items():
-    _REGIME_ARRAY[tuple(map(int, _signs))] = _regime
-
-
-def classify_regime_means(
-    w_mean: float,
-    qm_mean: float,
-    qt_mean: float,
-    beta: float,
-    tol: float = _REGIME_TOL,
-) -> Regime:
-    """Operating mode from the signs of the three mean energy flows.
-
-    Any flow within ``tol`` of zero (or an inconsistent sign pattern,
-    or beta = 0) yields UNDETERMINED.
-    """
-    if abs(beta) <= tol or beta == 0.0:
-        return Regime.UNDETERMINED
-    if abs(w_mean) <= tol or abs(qm_mean) <= tol or abs(qt_mean) <= tol:
-        return Regime.UNDETERMINED
-    signs = (beta > 0.0, w_mean > 0.0, qm_mean > 0.0, qt_mean > 0.0)
-    return _REGIMES.get(signs, Regime.UNDETERMINED)
+_REGIMES = np.full((2, 2, 2, 2), Regime.UNDETERMINED, dtype=object)
+_REGIMES[1, 1, 1, 0] = Regime.ENGINE
+_REGIMES[1, 0, 1, 0] = Regime.ACCELERATOR
+_REGIMES[1, 0, 0, 0] = Regime.HEATER
+_REGIMES[0, 1, 0, 1] = Regime.ENGINE
+_REGIMES[0, 0, 0, 1] = Regime.ACCELERATOR
+_REGIMES[0, 1, 1, 1] = Regime.ENGINE_PRIME
 
 
 def classify_regime_array(w_mean, qm_mean, qt_mean, beta, tol: float = _REGIME_TOL) -> np.ndarray:
-    """:func:`classify_regime_means` elementwise over broadcast arrays; an
-    object array of :class:`Regime` members."""
+    """Operating mode from the signs of the three mean energy flows, at
+    every point of broadcast arrays: an object array of :class:`Regime`
+    members.  A flow within ``tol`` of zero, an inconsistent sign pattern,
+    or beta within ``tol`` of 0 is UNDETERMINED."""
     flows = np.broadcast_arrays(beta, w_mean, qm_mean, qt_mean)
     signs = tuple(np.asarray(x > 0.0, dtype=np.intp) for x in flows)
-    regimes = np.asarray(_REGIME_ARRAY[signs], dtype=object)
+    regimes = np.asarray(_REGIMES[signs], dtype=object)
     beta = flows[0]
     small = (np.abs(beta) <= tol) | (beta == 0.0)
     for flow in flows[1:]:
         small |= np.abs(flow) <= tol
     regimes[small] = Regime.UNDETERMINED
     return regimes
-
-
-def classify_regime(cumulants, beta: float, tol: float = _REGIME_TOL) -> Regime:
-    """Classify any cumulant record exposing w_mean / qm_mean / qt_mean."""
-    return classify_regime_means(
-        cumulants.w_mean, cumulants.qm_mean, cumulants.qt_mean, beta, tol
-    )
 
 
 @dataclass(frozen=True)

@@ -61,13 +61,16 @@ def _read_config_file(path: str, known: dict) -> dict[str, str]:
     return values
 
 
-def _add_common(parser: argparse.ArgumentParser, channel: bool = True) -> None:
+def _add_common(
+    parser: argparse.ArgumentParser,
+    cycle: tuple[str, ...] = ("beta", "nu1", "nu2", "delta", "zeta"),
+    channel: bool = True,
+) -> None:
+    """The config file, the ``cycle`` parameters the subcommand reads, the
+    output path and, with ``channel``, the channel and its control."""
     parser.add_argument("--config", help="flat key=value config file; flags override")
-    parser.add_argument("--beta", type=float)
-    parser.add_argument("--nu1", type=float)
-    parser.add_argument("--nu2", type=float)
-    parser.add_argument("--delta", type=float)
-    parser.add_argument("--zeta", type=float)
+    for name in cycle:
+        parser.add_argument(f"--{name}", type=float)
     parser.add_argument("--out", help="output CSV path (default: stdout)")
     if channel:
         parser.add_argument("--theta", type=float)
@@ -109,7 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(f"--steps{suffix}", type=int)
 
     p = sub.add_parser("verify-bounds", help="randomized bound-verification campaign")
-    _add_common(p, channel=False)
+    # every cycle is drawn at random, so no cycle parameter is taken
+    _add_common(p, cycle=(), channel=False)
     p.add_argument("--samples", type=int)
     p.add_argument("--seed", type=int)
 
@@ -119,7 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
 
     p = sub.add_parser("lz-compare", help="monitored vs unmonitored Landau-Zener table")
-    _add_common(p, channel=False)
+    # delta = zeta comes from the axis
+    _add_common(p, cycle=("beta", "nu1", "nu2"), channel=False)
     p.add_argument("--alpha-m", type=float, dest="alpha_m")
     p.add_argument("--chi", type=float)
     p.add_argument("--phi", type=float)
@@ -236,14 +241,19 @@ def _run(cfg: dict, axes=()) -> tuple[list[np.ndarray], str, str]:
     Each swept key takes its axis's values along its own dimension of the
     grid, axis after axis.  On a symmetric base (delta = zeta) a swept
     delta or zeta moves the other with it, unless both are swept.  A
-    swept alpha-m replaces --theta (Pauli weights still win).  The
-    columns are beta, nu1, nu2, delta, zeta, theta and, under coherent
-    control, cs-alpha, broadcast to the grid's shape (0-d without axes).
-    The mode is cs under coherent control, symmetric where the coupling
-    keeps delta = zeta, asymmetric otherwise.
+    swept alpha-m replaces --theta (Pauli weights still win); theta and
+    alpha-m set the same flip probability, so they are not swept
+    together.  The columns are beta, nu1, nu2, delta, zeta, theta and,
+    under coherent control, cs-alpha, broadcast to the grid's shape (0-d
+    without axes).  The mode is cs under coherent control, symmetric
+    where the coupling keeps delta = zeta, asymmetric otherwise.
     """
     point = dict(cfg)
     swept = {axis for axis, _ in axes}
+    if {"theta", "alpha-m"} <= swept:
+        raise ConfigError(
+            "axes theta and alpha-m both set the flip probability: sweep one of them"
+        )
     symmetric = cfg.get("delta") == cfg.get("zeta") and not {"delta", "zeta"} <= swept
     for dim, (axis, values) in enumerate(axes):
         values = values.reshape((-1,) + (1,) * (len(axes) - 1 - dim))
@@ -605,7 +615,7 @@ def _cmd_lz_compare(cfg: dict) -> None:
         beta, nu1, nu2, float(values[0]),
         cfg.get("phi") or 0.0, alpha_m, cfg.get("chi") or 0.0,
     )
-    rows = landauzener.monitored_vs_unmonitored(base, values)
+    rows = landauzener.monitored_vs_unmonitored(base, values, _tolerance(cfg))
     buf = io.StringIO()
     buf.write(_config_comment("lz-compare", cfg))
     landauzener.comparison_to_csv(rows, buf)

@@ -23,7 +23,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .analysis import Regime, _divide, classify_regime_array
+from .analysis import _REGIME_TOL, Regime, _divide, classify_regime_array
 from .cumulants import closed_form_block, closed_form_first_second, is_rounding_residue
 from .qstate import MeasurementChannel, hamiltonian, thermal_state
 from .trajectory import CycleParams
@@ -88,19 +88,16 @@ class LZParams:
         )
 
 
-def lz_unitaries(params: LZParams) -> tuple[np.ndarray, np.ndarray]:
-    """Expansion and compression unitaries (U, V) in the energy basis.
+def lz_unitaries(delta, phi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Expansion and compression unitaries (U, V) in the energy basis, at
+    every delta: stacks shaped ``np.shape(delta) + (2, 2)``.
 
     The phase convention is pinned by the unmonitored heat: with this U
     the interference term of <Q_M>um comes out as +cos(phi + chi).  The
     transition probabilities are |<+2|U|-1>|^2 = |<+1|V|-2>|^2 = delta
     regardless of the convention.
     """
-    return _unitary_stacks(np.asarray(params.delta), params.phi)
-
-
-def _unitary_stacks(delta: np.ndarray, phi: float) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`lz_unitaries` at every delta: stacks shaped ``delta.shape + (2, 2)``."""
+    delta = np.asarray(delta, dtype=float)
     root_stay = np.sqrt(1.0 - delta)
     root_jump = np.sqrt(delta)
     phase = np.exp(1.0j * phi)
@@ -153,7 +150,7 @@ def _unmonitored_block(params: LZParams, delta: np.ndarray) -> CycleAverages:
     ulps of nu2 (the largest energy they can read) has no efficiency.
     """
     cyc = params.cycle
-    u, v = _unitary_stacks(delta, params.phi)
+    u, v = lz_unitaries(delta, params.phi)
     h1 = hamiltonian(cyc.nu1)
     h2 = hamiltonian(cyc.nu2)
     rho1 = thermal_state(cyc.beta, cyc.nu1).mat
@@ -239,10 +236,11 @@ class ComparisonRow:
 
 
 def monitored_vs_unmonitored(
-    params: LZParams, deltas: Iterable[float]
+    params: LZParams, deltas: Iterable[float], tol: float = _REGIME_TOL
 ) -> list[ComparisonRow]:
     """Work, efficiency and regime of both cycle variants over a delta grid,
-    each variant evaluated as one block over the whole column."""
+    each variant evaluated as one block over the whole column; a flow
+    within ``tol`` of zero leaves the regime undetermined."""
     delta = np.array([float(d) for d in deltas], dtype=float)
     invalid = ~((delta >= 0.0) & (delta <= 1.0))
     if invalid.any():
@@ -256,10 +254,10 @@ def monitored_vs_unmonitored(
         delta,
         mon.w,
         mon.eta,
-        classify_regime_array(mon.w, mon.q_m, mon.q_t, cyc.beta),
+        classify_regime_array(mon.w, mon.q_m, mon.q_t, cyc.beta, tol),
         um.w,
         um.eta,
-        classify_regime_array(um.w, um.q_m, um.q_t, cyc.beta),
+        classify_regime_array(um.w, um.q_m, um.q_t, cyc.beta, tol),
     )
     return [ComparisonRow(*row) for row in zip(*(c.tolist() for c in columns))]
 

@@ -13,9 +13,12 @@ Hamiltonian they are expressed in.  Channels come in three flavours:
 * :class:`GeneralQubitChannel` -- an arbitrary Kraus set, not
   necessarily unital.
 
-:func:`superpose_apply` routes a state through a measurement channel on
-both arms of a control qubit in superposition and post-selects the
-control in the Fourier basis.
+:class:`ControlSpec` prepares a control qubit that sends the state
+through the channel on both arms of a superposition and post-selects the
+control in the Fourier basis.  On the monitored populations the kept
+branch acts as the plain channel at the flip probability
+theta / (2 p_branch) (:meth:`ControlSpec.flip_probability`), so every
+statistic of a controlled cycle is computed through that one number.
 """
 
 from __future__ import annotations
@@ -34,10 +37,6 @@ __all__ = [
     "ControlSpec",
     "hamiltonian",
     "thermal_state",
-    "apply_channel",
-    "superpose_apply",
-    "von_neumann_entropy",
-    "classify_exchange",
 ]
 
 # Pauli matrices in the energy eigenbasis, |+> first.
@@ -50,8 +49,6 @@ SIGMA = (
 
 _TRACE_DRIFT_TOL = 1e-10
 _EIGVAL_TOL = 1e-12
-_ENTROPY_TOL = 1e-10
-_ENERGY_TOL = 1e-12
 
 
 class PhysicsError(ValueError):
@@ -103,15 +100,6 @@ class DensityMatrix:
     def populations(self) -> tuple[float, float]:
         """(excited, ground) diagonal occupations."""
         return (self.mat[0, 0].real, self.mat[1, 1].real)
-
-    @property
-    def bloch(self) -> tuple[float, float, float]:
-        """Bloch components (v_x, v_y, v_z)."""
-        return (
-            2.0 * self.mat[0, 1].real,
-            -2.0 * self.mat[0, 1].imag,
-            (self.mat[0, 0] - self.mat[1, 1]).real,
-        )
 
 
 def hamiltonian(nu: float) -> np.ndarray:
@@ -301,80 +289,3 @@ class ControlSpec:
                 f"{doubled!r}, the flip probability would exceed 1"
             )
         return theta / doubled
-
-
-Channel = PauliChannel | MeasurementChannel | GeneralQubitChannel
-
-
-def apply_channel(channel: Channel, rho: DensityMatrix) -> DensityMatrix:
-    """Apply a channel, sum_j K_j rho K_j^dag, preserving the gap label."""
-    out = sum(k @ rho.mat @ k.conj().T for k in channel.kraus_ops())
-    return DensityMatrix(out, gap=rho.gap)
-
-
-def superpose_apply(
-    channel: MeasurementChannel, rho: DensityMatrix, ctrl: ControlSpec
-) -> tuple[DensityMatrix, float]:
-    """Apply a measurement channel on both arms of a superposed control.
-
-    Returns the normalised post-selected state
-
-        (1 / 2 p_branch) (sum_j pi_j rho pi_j +- sqrt(alpha(1-alpha)) rho)
-
-    together with the branch probability.  The branch probability is
-    evaluated from the interference trace rather than assumed; for a
-    projector pair summing to the identity the two coincide, and
-    :class:`PhysicsError` is raised if they do not.
-    """
-    if not isinstance(channel, MeasurementChannel):
-        raise TypeError("coherent superposition is defined for the measurement channel")
-    kraus = channel.kraus_ops()
-    n_ops = len(kraus)
-    direct = sum(k @ rho.mat @ k.conj().T for k in kraus)
-    ksum = sum(kraus)
-    cross = ksum @ rho.mat @ ksum.conj().T
-    coh = ctrl.coherence
-    p_branch = 0.5 + ctrl.sign * coh * float(np.trace(cross).real) / n_ops
-    if not abs(p_branch - ctrl.branch_probability) < 1e-12:
-        raise PhysicsError(
-            f"interference trace gives branch probability {p_branch!r}, "
-            f"not {ctrl.branch_probability!r}"
-        )
-    numer = 0.5 * direct + ctrl.sign * (coh / n_ops) * cross
-    eigs = np.linalg.eigvalsh(0.5 * (numer + numer.conj().T))
-    if eigs[0] < -1e-10 * max(1.0, p_branch):
-        raise PhysicsError(
-            f"superposed branch produced negative weight {eigs[0]:.3g}"
-        )
-    return DensityMatrix(numer / p_branch, gap=rho.gap), p_branch
-
-
-def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """-Tr rho ln rho in nats, with the 0 ln 0 = 0 convention."""
-    eigs = np.linalg.eigvalsh(rho.mat)
-    s = 0.0
-    for lam in eigs:
-        if lam > 0.0:
-            s -= lam * math.log(lam)
-    return s
-
-
-def classify_exchange(
-    rho_before: DensityMatrix, rho_after: DensityMatrix, h_matrix: np.ndarray
-) -> str:
-    """Label the energy moved by a transformation as work-like or heat-like.
-
-    Entropy-conserving maps move ordered energy (work); an entropy change
-    marks the exchange as heat.  Returns one of ``"none"``,
-    ``"work-like"``, ``"heat-like"``.
-    """
-    if rho_before.gap != rho_after.gap:
-        raise ValueError("states are expressed against different Hamiltonians")
-    h_matrix = _as_matrix(h_matrix)
-    d_energy = float(np.trace((rho_after.mat - rho_before.mat) @ h_matrix).real)
-    if abs(d_energy) < _ENERGY_TOL:
-        return "none"
-    d_entropy = von_neumann_entropy(rho_after) - von_neumann_entropy(rho_before)
-    if abs(d_entropy) < _ENTROPY_TOL:
-        return "work-like"
-    return "heat-like"

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from unital_otto import CycleParams, DensityMatrix
+from unital_otto import CycleParams, DensityMatrix, classify_regime_array
 
 
 def finite(lo, hi):
@@ -56,6 +56,12 @@ def random_params(rng, beta_range=(-2.0, 2.0), nu_range=(1e-3, 3.0)):
         rng.random(),
         rng.random(),
     )
+
+
+def regime_of(record, beta, tol=1e-12):
+    """The regime of any record with w_mean, qm_mean and qt_mean: a 0-d row
+    of the array classifier."""
+    return classify_regime_array(record.w_mean, record.qm_mean, record.qt_mean, beta, tol).item()
 
 
 def close(a, b, tol):

@@ -16,8 +16,7 @@ from unital_otto import (
     LZParams,
     Regime,
     cf_unital,
-    classify_regime,
-    classify_regime_means,
+    classify_regime_array,
     closed_form_block,
     closed_form_first_second,
     cs_distribution,
@@ -30,6 +29,8 @@ from unital_otto import (
     sample,
     unmonitored_cycle,
 )
+
+from conftest import regime_of
 
 
 def report(num, ok, detail):
@@ -97,8 +98,8 @@ def test_criterion_3_regime_flip_at_exact_rational_root():
         return cumulants_from_distribution(enumerate_paths(params, theta)).w[0]
 
     root = bisect(work, 0.05, 0.9)
-    below = classify_regime(closed_form_first_second(params, root - 1e-4), 0.5)
-    above = classify_regime(closed_form_first_second(params, root + 1e-4), 0.5)
+    below = regime_of(closed_form_first_second(params, root - 1e-4), 0.5)
+    above = regime_of(closed_form_first_second(params, root + 1e-4), 0.5)
     ok = (
         abs(root - 0.1875) < 1e-6
         and below is Regime.ACCELERATOR
@@ -207,17 +208,14 @@ def test_criterion_5_proved_inequality_suite():
         points.append(_random_cycle(gen, symmetric=symmetric))
         thetas.append(gen.random())
     fwd, bwd = _closed_forms(points, thetas, "forward", "backward")
-    flows = zip(
-        points, (fwd.w_mean + bwd.w_mean).tolist(), (fwd.qm_mean + bwd.qm_mean).tolist(),
-        fwd.qt_mean.tolist(),
-    )
+    work, heat = fwd.w_mean + bwd.w_mean, fwd.qm_mean + bwd.qm_mean
+    regimes = classify_regime_array(work, heat, fwd.qt_mean, [p.beta for p in points])
     engines = 0
-    for params, work, heat, qt in flows:
-        regime = classify_regime_means(work, heat, qt, params.beta)
+    for params, w, q, regime in zip(points, work.tolist(), heat.tolist(), regimes):
         if regime is not Regime.ENGINE:
             continue
         engines += 1
-        if work / heat > 1.0 - params.nu1 / params.nu2 + margin:
+        if w / q > 1.0 - params.nu1 / params.nu2 + margin:
             violations.append("eta_le_otto")
 
     # symmetric cycle: eta^2 <= ratio <= 1 under its precondition, and

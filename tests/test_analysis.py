@@ -11,8 +11,7 @@ from unital_otto import (
     CycleParams,
     PhysicsError,
     Regime,
-    classify_regime,
-    classify_regime_means,
+    classify_regime_array,
     closed_form_first_second,
     cumulant_ratio_scan,
     cumulants_from_distribution,
@@ -23,36 +22,40 @@ from unital_otto import (
     verify_bounds,
 )
 
-from conftest import close, cycle_params, finite, probs
+from conftest import close, cycle_params, finite, probs, regime_of
 
 FIG3 = CycleParams(0.5, 1.0, 2.0, 0.1, 0.1)
 
 
 def test_classification_sign_table():
-    assert classify_regime_means(0.5, 1.0, -0.5, beta=0.7) is Regime.ENGINE
-    assert classify_regime_means(-0.5, 1.0, -1.5, beta=0.7) is Regime.ACCELERATOR
-    assert classify_regime_means(-0.5, -0.2, -0.3, beta=0.7) is Regime.HEATER
-    assert classify_regime_means(0.5, 0.2, 0.3, beta=-0.7) is Regime.ENGINE_PRIME
-    assert classify_regime_means(0.5, -0.2, 0.7, beta=-0.7) is Regime.ENGINE
-    assert classify_regime_means(-0.5, -0.7, 0.2, beta=-0.7) is Regime.ACCELERATOR
-    assert classify_regime_means(0.0, 0.0, 0.0, beta=0.0) is Regime.UNDETERMINED
-    # inconsistent pattern: positive bath heat at positive temperature
-    assert classify_regime_means(0.5, 1.0, 0.5, beta=0.7) is Regime.UNDETERMINED
+    points = [  # (w_mean, qm_mean, qt_mean, beta, regime)
+        (0.5, 1.0, -0.5, 0.7, Regime.ENGINE),
+        (-0.5, 1.0, -1.5, 0.7, Regime.ACCELERATOR),
+        (-0.5, -0.2, -0.3, 0.7, Regime.HEATER),
+        (0.5, 0.2, 0.3, -0.7, Regime.ENGINE_PRIME),
+        (0.5, -0.2, 0.7, -0.7, Regime.ENGINE),
+        (-0.5, -0.7, 0.2, -0.7, Regime.ACCELERATOR),
+        (0.0, 0.0, 0.0, 0.0, Regime.UNDETERMINED),
+        # inconsistent pattern: positive bath heat at positive temperature
+        (0.5, 1.0, 0.5, 0.7, Regime.UNDETERMINED),
+    ]
+    *flows, want = zip(*points)
+    assert list(classify_regime_array(*flows)) == list(want)
 
 
 def test_classify_accepts_cumulant_records():
     cums = cumulants_from_distribution(enumerate_paths(FIG3, 0.3))
-    assert classify_regime(cums, FIG3.beta) is Regime.ENGINE
+    assert regime_of(cums, FIG3.beta) is Regime.ENGINE
     first = closed_form_first_second(FIG3, 0.3)
-    assert classify_regime(first, FIG3.beta) is Regime.ENGINE
+    assert regime_of(first, FIG3.beta) is Regime.ENGINE
 
 
 def test_heater_to_engine_prime_under_bath_inversion():
     hot = CycleParams(0.7, 1.0, 2.0, 0.6, 0.6)
-    assert classify_regime(closed_form_first_second(hot, 0.3), 0.7) is Regime.HEATER
+    assert regime_of(closed_form_first_second(hot, 0.3), 0.7) is Regime.HEATER
     cold = CycleParams(-0.7, 1.0, 2.0, 0.6, 0.6)
     prime = closed_form_first_second(cold, 0.3)
-    assert classify_regime(prime, -0.7) is Regime.ENGINE_PRIME
+    assert regime_of(prime, -0.7) is Regime.ENGINE_PRIME
     # the unit-efficiency regime: all absorbed heat leaves as work
     assert prime.w_mean / (prime.qm_mean + prime.qt_mean) == pytest.approx(1.0, rel=1e-14)
 
@@ -176,7 +179,7 @@ def test_cancelled_forward_and_backward_heat_is_no_heat():
 def test_bounds_all_hold_in_engine_regime():
     params = CycleParams(0.5, 1.0, 2.0, 0.1, 0.1)
     reports = {r.name: r for r in verify_bounds(params, 0.3, "symmetric")}
-    assert classify_regime(closed_form_first_second(params, 0.3), 0.5) is Regime.ENGINE
+    assert regime_of(closed_form_first_second(params, 0.3), 0.5) is Regime.ENGINE
     for name in ("qt_nonpositive", "eta_le_otto", "eta_sq_le_ratio", "ratio_le_one",
                  "otto_sq_le_ratio"):
         assert reports[name].applicable, name
@@ -187,7 +190,7 @@ def test_bounds_all_hold_in_engine_regime():
 def test_heater_reverses_relative_fluctuation_order():
     params = CycleParams(0.7, 1.0, 2.0, 0.6, 0.6)
     first = closed_form_first_second(params, 0.3)
-    assert classify_regime(first, 0.7) is Regime.HEATER
+    assert regime_of(first, 0.7) is Regime.HEATER
     rf_w = first.w_var / first.w_mean**2
     rf_q = first.qm_var / first.qm_mean**2
     assert rf_w < rf_q
@@ -200,7 +203,7 @@ def test_violated_upper_bound_is_reported_inapplicable():
     for delta in np.linspace(0.05, 0.45, 41):
         params = CycleParams(0.5, 1.0, 1.05, float(delta), float(delta))
         first = closed_form_first_second(params, 0.15)
-        if classify_regime(first, 0.5) is not Regime.ACCELERATOR:
+        if regime_of(first, 0.5) is not Regime.ACCELERATOR:
             continue
         reports = {r.name: r for r in verify_bounds(params, 0.15, "symmetric")}
         rep = reports["ratio_le_one"]
@@ -306,7 +309,7 @@ def test_equal_gaps_forbid_work(params, theta):
 @settings(max_examples=300, deadline=None)
 def test_engine_efficiency_capped_by_otto(params, theta):
     first = closed_form_first_second(params, theta)
-    if classify_regime(first, params.beta) is not Regime.ENGINE:
+    if regime_of(first, params.beta) is not Regime.ENGINE:
         return
     eta = first.w_mean / first.qm_mean
     assert eta <= 1.0 - params.nu1 / params.nu2 + 1e-12

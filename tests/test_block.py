@@ -13,7 +13,6 @@ from unital_otto import (
     PhysicsError,
     Regime,
     classify_regime_array,
-    classify_regime_means,
     closed_form_block,
     closed_form_first_second,
     cs_distribution,
@@ -31,6 +30,7 @@ from unital_otto import (
 from unital_otto.cli import SWEEPABLE, _campaign_draws, main
 
 from conftest import mp_cumulants
+from references import regime_sign_rule
 
 
 def assert_cumulants_match(block_w, block_q, block_qt, ref, gap_sum):
@@ -154,12 +154,12 @@ def test_regime_array_matches_scalar_rule():
     grid = np.array(np.meshgrid(values, values, values, values, indexing="ij")).reshape(4, -1)
     beta, w, q, t = grid
     got = classify_regime_array(w, q, t, beta)
-    want = [classify_regime_means(*point) for point in zip(w, q, t, beta)]
+    want = [regime_sign_rule(*point) for point in zip(w, q, t, beta)]
     assert list(got) == want
     assert Regime.ENGINE in want and Regime.ENGINE_PRIME in want and Regime.HEATER in want
     loose = classify_regime_array(w, q, t, beta, tol=1e-14)
     assert list(loose) == [
-        classify_regime_means(*point, tol=1e-14) for point in zip(w, q, t, beta)
+        regime_sign_rule(*point, tol=1e-14) for point in zip(w, q, t, beta)
     ]
 
 
@@ -231,7 +231,7 @@ def test_sweep_rows_match_scalar_route(capsys, axis, base):
         assert_cumulants_match(
             numbers[0:4], numbers[4:8], numbers[8], ref, point["nu1"] + point["nu2"]
         )
-        assert cells[12] == str(classify_regime_means(
+        assert cells[12] == str(regime_sign_rule(
             ref.w_mean, ref.qm_mean, ref.qt_mean, point["beta"]))
 
 
@@ -267,7 +267,7 @@ def test_classify_cells_match_scalar_route(capsys, base, axes):
         assert abs(float(w) - ref.w_mean) <= 1e-14 * energy
         assert abs(float(q) - ref.qm_mean) <= 1e-14 * energy
         assert abs(float(qt) - ref.qt_mean) <= 1e-14 * energy
-        assert regime == str(classify_regime_means(
+        assert regime == str(regime_sign_rule(
             ref.w_mean, ref.qm_mean, ref.qt_mean, point["beta"]))
 
 
@@ -384,7 +384,7 @@ def reference_bounds(beta, nu1, nu2, d, z, theta, mode, alpha=None, branch="minu
         w_var, qm_var = fwd[1] + bwd[1], fwd[3] + bwd[3]
     else:
         out.append(report("cs_qt_nonpositive", fwd[4], 0.0, beta > 0.0 and theta <= 0.5))
-    engine = classify_regime_means(work, heat, fwd[4], beta) is Regime.ENGINE
+    engine = regime_sign_rule(work, heat, fwd[4], beta) is Regime.ENGINE
     eta = ratio(work, heat, abs(heat) > 0.0)
     if mode == "cs":
         out.append(report("cs_eta_le_otto", eta, otto, engine))
@@ -551,7 +551,7 @@ def test_bound_and_efficiency_blocks_match_scalar_rule_verdicts(rng, mode, branc
                ((point[3], point[4]), (point[4], point[3]))]
         flows = (ref[0][0], ref[0][2]) if mode == "symmetric" else (
             ref[0][0] + ref[1][0], ref[0][2] + ref[1][2])
-        if regimes[i] != classify_regime_means(*flows, ref[0][4], point[0]):
+        if regimes[i] != regime_sign_rule(*flows, ref[0][4], point[0]):
             differ.add(i)
     assert differ <= set(ROUNDING_TIES[mode, branch]), sorted(differ)
     # every bound is applicable somewhere and inapplicable somewhere, and

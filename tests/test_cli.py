@@ -436,6 +436,10 @@ def test_config_file_value_outside_choices_is_config_error(tmp_path, capsys):
     assert code == 2 and "axis = theta" in err
     code, _, _ = run(capsys, "cumulants", *BASE, "--theta", "0.2", "--config", str(cfg))
     assert code == 0
+    # verify-bounds takes no cycle flag, yet a shared file may hold cycle keys
+    cfg.write_text("beta = 0.7\ndelta = 0.1\n")
+    code, out, _ = run(capsys, "verify-bounds", "--samples", "10", "--config", str(cfg))
+    assert code == 0 and "beta=0.69999999999999996" in out.splitlines()[0].split()
 
 
 def test_explicit_zero_samples_is_not_the_default(capsys):
@@ -627,3 +631,50 @@ def test_readme_command_runs(argv, tmp_path, capsys):
     code, _, err = run(capsys, *argv)
     assert code == 0, err
     assert out.read_text().startswith(f"# command={argv[0]} ")
+
+
+LZ_POINT = ["--beta", "0.5", "--nu1", "0.4", "--nu2", "0.9", "--alpha-m", "1",
+            "--axis", "delta", "--start", "0", "--stop", "1", "--steps", "3"]
+
+
+def test_lz_compare_regimes_use_the_tolerance(monkeypatch, capsys):
+    # at delta = 0 both cycles are engines with <W> = 0.0699, below a
+    # tolerance of 0.5 and far above the default one
+    _, plain, _ = run(capsys, "lz-compare", *LZ_POINT)
+    assert plain.splitlines()[2].split(",")[3::3] == ["Engine", "Engine"]
+    monkeypatch.setenv("OTTO_TOL", "0.5")
+    code, out, _ = run(capsys, "lz-compare", *LZ_POINT)
+    assert code == 0
+    assert "tol=0.5" in out.splitlines()[0].split()
+    rows, plain_rows = out.splitlines()[2:], plain.splitlines()[2:]
+    for row, plain_row in zip(rows, plain_rows):
+        cells, plain_cells = row.split(","), plain_row.split(",")
+        assert cells[3::3] == ["Undetermined", "Undetermined"]
+        # the numbers do not depend on the tolerance
+        del cells[3::3], plain_cells[3::3]
+        assert cells == plain_cells
+
+
+@pytest.mark.parametrize("axes", [("theta", "alpha-m"), ("alpha-m", "theta")])
+def test_theta_and_alpha_m_grid_is_config_error(axes, capsys):
+    # both axes set the flip probability, so one of them would change nothing
+    code, out, err = run(
+        capsys, "classify", "--beta", "0.5", "--nu1", "1", "--nu2", "2", "--delta", "0.1",
+        "--zeta", "0.1", "--axis", axes[0], "--start", "0.1", "--stop", "0.3", "--steps", "2",
+        "--axis2", axes[1], "--start2", "0.5", "--stop2", "1", "--steps2", "2",
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: ") and "theta" in err and "alpha-m" in err
+
+
+@pytest.mark.parametrize("command, flag", [
+    *[("verify-bounds", flag) for flag in ("--beta", "--nu1", "--nu2", "--delta", "--zeta")],
+    ("lz-compare", "--delta"),
+    ("lz-compare", "--zeta"),
+])
+def test_flags_a_subcommand_would_ignore_are_rejected(command, flag, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, flag, "0.1"])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {flag} 0.1" in capsys.readouterr().err
+

@@ -12,7 +12,7 @@ from unital_otto import (
     LZParams,
     MeasurementChannel,
     Regime,
-    classify_regime_means,
+    classify_regime_array,
     comparison_to_csv,
     cumulants_from_distribution,
     enumerate_paths,
@@ -47,25 +47,25 @@ def test_params_enforce_symmetric_cycle():
 
 
 def test_adiabatic_unitaries_are_diagonal_phases():
-    u, v = lz_unitaries(LZParams.build(0.5, 1.0, 2.0, 0.0, 0.0))
+    u, v = lz_unitaries(0.0, 0.0)
     assert np.allclose(u, np.eye(2), atol=1e-15)
     assert np.allclose(v, np.eye(2), atol=1e-15)
 
 
 def test_full_transition_is_swap_up_to_sign():
-    u, _ = lz_unitaries(LZParams.build(0.5, 1.0, 2.0, 1.0, 0.3))
+    u, _ = lz_unitaries(1.0, 0.3)
     assert np.allclose(np.abs(u), [[0.0, 1.0], [1.0, 0.0]], atol=1e-15)
 
 
 def test_unitarity_and_transition_probability_grid():
-    for delta in np.linspace(0.0, 1.0, 11):
-        for phi in np.linspace(0.0, 2 * math.pi, 7):
-            p = LZParams.build(0.5, 1.0, 2.0, float(delta), float(phi))
-            u, v = lz_unitaries(p)
-            assert np.max(np.abs(u @ u.conj().T - np.eye(2))) < 1e-12
-            assert np.max(np.abs(v @ v.conj().T - np.eye(2))) < 1e-12
-            assert abs(abs(u[0, 1]) ** 2 - delta) < 1e-12
-            assert abs(abs(v[0, 1]) ** 2 - delta) < 1e-12
+    delta = np.linspace(0.0, 1.0, 11)
+    for phi in np.linspace(0.0, 2 * math.pi, 7):
+        u, v = lz_unitaries(delta, float(phi))
+        assert u.shape == v.shape == (11, 2, 2)
+        for stack in (u, v):
+            unit = stack @ np.swapaxes(stack.conj(), -1, -2)
+            assert np.max(np.abs(unit - np.eye(2))) < 1e-12
+            assert np.max(np.abs(np.abs(stack[:, 0, 1]) ** 2 - delta)) < 1e-12
 
 
 def test_unmonitored_heat_matches_closed_form_on_grid():
@@ -261,4 +261,4 @@ def test_comparison_rows_are_the_single_point_averages():
         mon, um = monitored_averages(point), unmonitored_cycle(point)
         got = [row.delta, row.w_mon, row.eta_mon, row.w_um, row.eta_um]
         assert np.array_equal(got, [delta, mon.w, mon.eta, um.w, um.eta], equal_nan=True)
-        assert row.regime_mon is classify_regime_means(mon.w, mon.q_m, mon.q_t, FIG6F["beta"])
+        assert row.regime_mon is classify_regime_array(mon.w, mon.q_m, mon.q_t, FIG6F["beta"]).item()
