@@ -29,7 +29,7 @@ import numpy as np
 # closed_form_first_second is not called here: perfbench's tracer and its
 # tests look the name up on this module
 from .cumulants import (
-    closed_form_block,
+    _closed_form,
     closed_form_first_second,
     cumulants_from_distribution,
     is_rounding_residue,
@@ -156,7 +156,6 @@ def _divide(num, den, defined) -> np.ndarray:
     return np.divide(num, den, out=np.full(np.shape(num), math.nan), where=defined)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def efficiency_block(
     beta, nu1, nu2, delta, zeta, theta, mode: str = "symmetric",
     alpha=None, branch: str = "minus",
@@ -173,12 +172,19 @@ def efficiency_block(
     residue count as no heat.
     """
     *cycle, _, flip = _checked(beta, nu1, nu2, delta, zeta, theta, mode, alpha, branch)
-    fwd = closed_form_block(*cycle, flip)
+    return _efficiency(*cycle, flip, mode)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _efficiency(beta, nu1, nu2, delta, zeta, flip, mode: str) -> np.ndarray:
+    """:func:`efficiency_block` on checked columns and the flip probability."""
+    cycle = (beta, nu1, nu2, delta, zeta)
+    fwd = _closed_form(*cycle, flip)
     if mode == "symmetric":
         work, heat = fwd.w_mean, fwd.qm_mean
         largest = np.abs(heat)
     else:
-        bwd = closed_form_block(*cycle, flip, "backward")
+        bwd = _closed_form(*cycle, flip, "backward")
         work, heat = fwd.w_mean + bwd.w_mean, fwd.qm_mean + bwd.qm_mean
         largest = np.maximum(np.abs(fwd.qm_mean), np.abs(bwd.qm_mean))
     no_heat = (np.abs(heat) < 1e-300) | is_rounding_residue(heat, largest)
@@ -249,8 +255,8 @@ def verify_bounds_block(
     """
     *cycle, theta, flip = _checked(beta, nu1, nu2, delta, zeta, theta, mode, alpha, branch)
     beta, nu1, nu2, d, z = cycle
-    fwd = closed_form_block(*cycle, flip)
-    bwd = closed_form_block(*cycle, flip, "backward")
+    fwd = _closed_form(*cycle, flip)
+    bwd = _closed_form(*cycle, flip, "backward")
     work, heat = fwd.w_mean + bwd.w_mean, fwd.qm_mean + bwd.qm_mean
     otto = 1.0 - nu1 / nu2
     reports: list[BoundReport] = []
@@ -277,7 +283,7 @@ def verify_bounds_block(
     if mode == "cs":
         reports.append(_report("cs_eta_le_otto", eta, otto, engine))
         # Branch ordering of efficiencies around the incoherent cycle.
-        eta_plain = efficiency_block(*cycle, theta, "asymmetric")
+        eta_plain = _efficiency(*cycle, theta, "asymmetric")
         comparable = engine & np.isfinite(eta_plain)
         pair = (eta_plain, eta) if branch == "minus" else (eta, eta_plain)
         reports.append(_report("cs_eta_branch_order", *pair, comparable))

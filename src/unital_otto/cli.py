@@ -17,7 +17,6 @@ import io
 import math
 import os
 import sys
-from array import array
 
 import numpy as np
 
@@ -241,9 +240,9 @@ def _run(cfg: dict, axes=()) -> tuple[list[np.ndarray], str, str]:
     Each swept key takes its axis's values along its own dimension of the
     grid, axis after axis.  On a symmetric base (delta = zeta) a swept
     delta or zeta moves the other with it, unless both are swept.  A
-    swept alpha-m replaces --theta (Pauli weights still win); theta and
-    alpha-m set the same flip probability, so they are not swept
-    together.  The columns are beta, nu1, nu2, delta, zeta, theta and,
+    swept alpha-m replaces --theta.  theta, alpha-m and the Pauli weights
+    each set the flip probability, so a swept alpha-m takes no Pauli
+    weights, and theta and alpha-m are not swept together.  The columns are beta, nu1, nu2, delta, zeta, theta and,
     under coherent control, cs-alpha, broadcast to the grid's shape (0-d
     without axes).  The mode is cs under coherent control, symmetric
     where the coupling keeps delta = zeta, asymmetric otherwise.
@@ -253,6 +252,10 @@ def _run(cfg: dict, axes=()) -> tuple[list[np.ndarray], str, str]:
     if {"theta", "alpha-m"} <= swept:
         raise ConfigError(
             "axes theta and alpha-m both set the flip probability: sweep one of them"
+        )
+    if "alpha-m" in swept and any(cfg.get(k) is not None for k in ("p0", "p1", "p2", "p3")):
+        raise ConfigError(
+            "axis alpha-m and the Pauli weights both set the flip probability: give one of them"
         )
     symmetric = cfg.get("delta") == cfg.get("zeta") and not {"delta", "zeta"} <= swept
     for dim, (axis, values) in enumerate(axes):
@@ -439,106 +442,158 @@ def _cmd_classify(cfg: dict) -> None:
 
 
 # Samples per bound-campaign block: decoded, then checked with one
-# verify_bounds_block call per mode and branch, 32 calls for 15000 samples.
-# The benchmark's 15000-sample campaign peaked at the old 256-sample
-# blocks' RSS with 2048-sample blocks and 256-word reads; 4096-sample
-# blocks, or 1024-word reads, cost 0.15-0.4 MB more at about the same speed.
-_CAMPAIGN_BLOCK = 2048
+# verify_bounds_block call per mode and branch, 16 calls for 15000 samples.
+# A block is decoded _DECODE_SAMPLES at a time, so that the word tables stay
+# small: on a 15000-sample campaign one table per 4096-sample block raised
+# peak RSS by 2.5 MB over 2048-sample word-list decoding, 512-sample
+# chunks by 0.1 MB.
+_CAMPAIGN_BLOCK = 4096
+_DECODE_SAMPLES = 512
 
-# Raw PCG64 words read at a time while a block is decoded.
-_RAW_WORDS = 256
+# The most raw words one sample reads, bar a redraw: beta, five doubles,
+# alpha, and one fresh word whose halves serve the mode and the branch.
+_SAMPLE_WORDS = 8
 
+# A sample's (mode, branch) group by its code: the mode's index, plus the
+# branch's index in cs.
+_GROUPS = (("symmetric", None), ("asymmetric", None), ("cs", "plus"), ("cs", "minus"))
 
-def _more_words(bitgen, doubles: list, lows: list, highs: list, i: int) -> tuple:
-    """The words from index ``i`` on, then ``_RAW_WORDS`` fresh ones, each
-    as the double ``random()`` makes of it and as its low and high uint32."""
-    raw = bitgen.random_raw(_RAW_WORDS)
-    return (
-        doubles[i:] + ((raw >> 11) * 2.0**-53).tolist(),
-        lows[i:] + (raw & 0xFFFFFFFF).tolist(),
-        highs[i:] + (raw >> 32).tolist(),
-    )
+_GAP_RANGE = 3.0 - 1e-3
 
 
-def _campaign_draws(rng: np.random.Generator, count: int) -> dict[tuple, list[array]]:
+def _one_sample(rng: np.random.Generator) -> tuple[tuple, int] | None:
+    """The next campaign sample, drawn by ``Generator`` calls in the order
+    :func:`_cmd_verify_bounds` states: its seven cells (alpha is 0 outside
+    cs) and its group code, or None when beta is skipped."""
+    beta = -2.0 + 4.0 * rng.random()
+    if abs(beta) < 1e-9:
+        return None
+    u1, u2, delta, zeta, theta = rng.random(5)
+    code = int(rng.integers(0, 3))
+    alpha = 0.0
+    if code == 0:
+        zeta = delta
+    elif code == 2:
+        theta *= 0.5
+        alpha = rng.random()
+        code += int(rng.integers(0, 2))
+    return (beta, 1e-3 + _GAP_RANGE * u1, 1e-3 + _GAP_RANGE * u2, delta, zeta, theta, alpha), code
+
+
+def _decode_chunk(rng: np.random.Generator, cells: np.ndarray, codes: np.ndarray) -> int:
+    """Decode campaign samples from raw PCG64 words into ``cells``, seven
+    rows as :func:`_one_sample` gives them, and their group ``codes``, up
+    to the length of ``codes``; returns how many.  Decoding stops before
+    the first sample that skips beta or redraws its mode; ``rng`` is left
+    before that sample or, without one, after the last.
+
+    A sample starting at word p reads beta from word p and five doubles from
+    words p + 1 to p + 5.  Without a buffered 32-bit half, the mode takes
+    the low half of word p + 6 and, in cs, alpha is word p + 7 and the
+    branch takes the high half of word p + 6.  With one, that half is the
+    high half of word p - 1 and takes the mode; in cs, alpha is word p + 6
+    and the branch takes the low half of word p + 7.  So the next start and
+    buffer state follow from the words alone, and are tabulated for every
+    start and both buffer states, then walked once per sample.
+    """
+    count = len(codes)
+    bitgen = rng.bit_generator
+    start = bitgen.state
+    # word 0 stands for the word before the chunk: its high half is the
+    # buffered half, if any
+    raw = np.empty(1 + _SAMPLE_WORDS * count, dtype=np.uint64)
+    raw[0] = start["uinteger"] << 32
+    raw[1:] = bitgen.random_raw(_SAMPLE_WORDS * count)
+    doubles = (raw >> 11) * 2.0**-53
+    # a sample starts at word p, for p = 1 .. ``last`` (the furthest that
+    # count samples reach), without (h = 0) or with (h = 1) a buffered
+    # half: state h L + p, with L = ``width`` above every p reached
+    last, width = len(raw) - _SAMPLE_WORDS, len(raw) + 1
+    modes = np.stack((raw[7:last + 7] & 0xFFFFFFFF, raw[:last] >> 32))
+    # a skipped beta (which may leave a buffered half that is not word
+    # p - 1's) and a zero mode half (which Lemire's method redraws) are left
+    # to _one_sample: their next state is 0, which leads to itself
+    stop = (modes == 0) | (np.abs(-2.0 + 4.0 * doubles[1:last + 1]) < 1e-9)
+    # integers(0, n) gives (u * n) >> 32 of a 32-bit draw u
+    modes *= 3
+    modes >>= 32
+    # the next state: p + 8 + h L in cs, else p + 7 + L or p + 6
+    table = np.zeros((2, width), dtype=np.intp)
+    after = table[:, 1:last + 1]
+    after[...] = np.where(modes == 2, [[8], [width + 8]], [[width + 7], [6]])
+    after += np.arange(1, last + 1)
+    after[stop] = 0
+    starts = np.empty(count, dtype=np.intp)
+    out, walk = memoryview(starts), memoryview(table.ravel())
+    state = start["has_uint32"] * width + 1
+    for i in range(count):
+        out[i] = state
+        state = walk[state]
+    if not state:  # the last sample before state 0 is left to _one_sample
+        starts = starts[:np.count_nonzero(starts) - 1]
+    n = len(starts)
+    h, p = np.divmod(starts, width)
+    code = codes[:n]
+    code[:] = modes[h, p - 1]
+    branch = np.where(h, raw[p + 7] & 0xFFFFFFFF, raw[p + 6] >> 32) >> 31
+    code += (code == 2) & (branch == 1)
+    cells[0, :n] = -2.0 + 4.0 * doubles[p]
+    cells[1, :n] = 1e-3 + _GAP_RANGE * doubles[p + 1]
+    cells[2, :n] = 1e-3 + _GAP_RANGE * doubles[p + 2]
+    cells[3, :n] = doubles[p + 3]
+    cells[4, :n] = np.where(code == 0, doubles[p + 3], doubles[p + 4])
+    cells[5, :n] = np.where(code >= 2, 0.5, 1.0) * doubles[p + 5]
+    cells[6, :n] = doubles[p + 7 - h]
+    if n:
+        # words read past the last sample are given back; the buffered half,
+        # or the last one drawn, is the high half of the word that gave it
+        h, p = divmod(int(starts[-1]), width)
+        word = p + 6 if not h else p + 7 if code[-1] >= 2 else p - 1
+        h_end, p_end = divmod(walk[starts[-1]], width)
+        bitgen.state = start
+        bitgen.advance(p_end - 1)
+        start = bitgen.state
+        start["has_uint32"], start["uinteger"] = h_end, int(raw[word] >> 32)
+    bitgen.state = start
+    return n
+
+
+def _campaign_draws(rng: np.random.Generator, count: int) -> dict[tuple, list[np.ndarray]]:
     """The next ``count`` samples of a bound campaign, in the order
     :func:`_cmd_verify_bounds` states, grouped by (mode, branch); branch
     is None outside cs.  Each group holds its kept samples in draw order
-    as ``array('d')`` columns: beta, nu1, nu2, delta, zeta, theta and, in
-    cs, alpha.
+    as columns: beta, nu1, nu2, delta, zeta, theta and, in cs, alpha.
 
     The samples are decoded from raw PCG64 words as ``Generator`` reads
-    them.  A double is ``(w >> 11) * 2**-53``.  ``integers(0, n)`` is
-    Lemire's method on the 32-bit stream: ``(u * n) >> 32``, with u
-    redrawn while ``(u * n) % 2**32 < (2**32 - n) % n``, that is u = 0
-    for n = 3 and never for n = 2.  The 32-bit stream takes the low half
-    of a fresh word and keeps the high half for its next draw, across any
-    doubles drawn in between.  Words read past the last sample are given
-    back, so ``rng`` ends where the generator's own calls leave it.
+    them, ``_DECODE_SAMPLES`` at a time (:func:`_decode_chunk`).  A double
+    is ``(w >> 11) * 2**-53``.  ``integers(0, n)`` is Lemire's method on the
+    32-bit stream: ``(u * n) >> 32``, with u redrawn while
+    ``(u * n) % 2**32 < (2**32 - n) % n``, that is u = 0 for n = 3 and
+    never for n = 2.  The 32-bit stream takes the low half of a fresh word
+    and keeps the high half for its next draw, across any doubles drawn in
+    between.  A sample that skips beta or redraws its mode, about one in
+    1e9, is drawn by :func:`_one_sample`.  ``rng`` ends where the
+    generator's own calls leave it.
     """
-    bitgen = rng.bit_generator
-    start = bitgen.state
-    has_half, half = start["has_uint32"], start["uinteger"]
-    doubles: list[float] = []
-    lows: list[int] = []
-    highs: list[int] = []
-    i = used = 0  # the lists' next word; words read before the lists
-    gap_range = 3.0 - 1e-3
-    groups: dict[tuple, list[array]] = {}
-    for _ in range(count):
-        if len(doubles) - i < 9:  # a sample reads at most 9 words, bar a redraw
-            used += i
-            doubles, lows, highs = _more_words(bitgen, doubles, lows, highs, i)
-            i = 0
-        beta = -2.0 + 4.0 * doubles[i]
-        if abs(beta) < 1e-9:
-            i += 1
-            continue
-        u1, u2, delta, zeta, theta = doubles[i + 1:i + 6]
-        i += 6
-        while True:
-            if has_half:
-                u32, has_half = half, 0
-            else:
-                u32, half, has_half = lows[i], highs[i], 1
-                i += 1
-            if u32:
-                break
-            # the mode's redraw: fresh words keep the rest of the sample in the lists
-            used += i
-            doubles, lows, highs = _more_words(bitgen, doubles, lows, highs, i)
-            i = 0
-        mode = ("symmetric", "asymmetric", "cs")[(u32 * 3) >> 32]
-        branch = None
-        if mode == "symmetric":
-            zeta = delta
-        elif mode == "cs":
-            theta *= 0.5
-            alpha = doubles[i]
-            i += 1
-            if has_half:
-                u32, has_half = half, 0
-            else:
-                u32, half, has_half = lows[i], highs[i], 1
-                i += 1
-            branch = ("plus", "minus")[(u32 * 2) >> 32]
-        columns = groups.get((mode, branch))
-        if columns is None:
-            width = 6 if branch is None else 7
-            columns = groups[mode, branch] = [array("d") for _ in range(width)]
-        columns[0].append(beta)
-        columns[1].append(1e-3 + gap_range * u1)
-        columns[2].append(1e-3 + gap_range * u2)
-        columns[3].append(delta)
-        columns[4].append(zeta)
-        columns[5].append(theta)
-        if branch is not None:
-            columns[6].append(alpha)
-    bitgen.state = start
-    bitgen.advance(used + i)
-    state = bitgen.state
-    state["has_uint32"], state["uinteger"] = has_half, half
-    bitgen.state = state
+    cells = np.empty((7, count))
+    codes = np.empty(count, dtype=np.intp)
+    kept = done = 0
+    while done < count:
+        want = min(_DECODE_SAMPLES, count - done)
+        decoded = _decode_chunk(rng, cells[:, kept:], codes[kept:kept + want])
+        kept += decoded
+        done += decoded
+        if decoded < want:
+            sample = _one_sample(rng)
+            done += 1
+            if sample is not None:
+                cells[:, kept], codes[kept] = sample
+                kept += 1
+    groups: dict[tuple, list[np.ndarray]] = {}
+    for code, (mode, branch) in enumerate(_GROUPS):
+        picked = cells[:6 if branch is None else 7, :kept][:, codes[:kept] == code]
+        if picked.size:
+            groups[mode, branch] = list(picked)
     return groups
 
 
@@ -557,8 +612,9 @@ def _cmd_verify_bounds(cfg: dict) -> None:
     ``random(5)``, the same doubles); ``uniform(a, b)`` and ``choice``
     of a tuple draw the same stream.  The order is read from raw PCG64
     words, decoded as ``Generator`` decodes them (:func:`_campaign_draws`).
-    Samples are drawn in blocks of ``_CAMPAIGN_BLOCK``, and each block's
-    bounds are evaluated as arrays, one call per mode and branch.
+    Samples are drawn in blocks of ``_CAMPAIGN_BLOCK``, decoded as arrays
+    ``_DECODE_SAMPLES`` at a time, and each block's bounds are evaluated
+    as arrays, one call per mode and branch.
     """
     samples = 10000 if cfg.get("samples") is None else cfg["samples"]
     if samples < 1:
@@ -567,8 +623,9 @@ def _cmd_verify_bounds(cfg: dict) -> None:
     rng = np.random.default_rng(seed)
     counts: dict[str, list[int]] = {}
     for start in range(0, samples, _CAMPAIGN_BLOCK):
-        groups = _campaign_draws(rng, min(_CAMPAIGN_BLOCK, samples - start))
-        for (mode, branch), columns in groups.items():
+        count = min(_CAMPAIGN_BLOCK, samples - start)
+        # no name keeps the groups, so they are freed before the next block
+        for (mode, branch), columns in _campaign_draws(rng, count).items():
             control = (columns[6], branch) if mode == "cs" else (None, "minus")
             reports = analysis.verify_bounds_block(*columns[:6], mode, *control)
             for rep in reports:

@@ -226,8 +226,6 @@ def cumulants_from_block(block: DistributionBlock) -> CumulantBlock:
     return CumulantBlock(w=kw, q_m=kq, qt_mean=qt)
 
 
-# overflow gives inf and inf - inf nan, silently, as Python floats do
-@np.errstate(over="ignore", invalid="ignore")
 def closed_form_block(
     beta, nu1, nu2, delta, zeta, theta, direction: str = "forward"
 ) -> FirstTwoCumulants:
@@ -238,7 +236,14 @@ def closed_form_block(
     points are invalid, the error of the single-point checks at the first
     of them (in C order) is raised.
     """
-    beta, nu1, nu2, d, z, theta, _ = _checked_columns(beta, nu1, nu2, delta, zeta, theta)
+    cycle = _checked_columns(beta, nu1, nu2, delta, zeta, theta)[:6]
+    return _closed_form(*cycle, direction)
+
+
+# overflow gives inf and inf - inf nan, silently, as Python floats do
+@np.errstate(over="ignore", invalid="ignore")
+def _closed_form(beta, nu1, nu2, d, z, theta, direction: str = "forward") -> FirstTwoCumulants:
+    """:func:`closed_form_block` on columns that passed its checks."""
     if direction == "backward":
         d, z = z, d
     elif direction != "forward":

@@ -27,7 +27,7 @@ from unital_otto import (
     verify_bounds,
     verify_bounds_block,
 )
-from unital_otto.cli import SWEEPABLE, _campaign_draws, main
+from unital_otto.cli import _DECODE_SAMPLES, SWEEPABLE, _campaign_draws, main
 
 from conftest import mp_cumulants
 from references import regime_sign_rule
@@ -213,8 +213,13 @@ def point_cumulants(base, *swept):
     return point, mp_cumulants(*cycle, theta)
 
 
-@pytest.mark.parametrize("base", sorted(BASES))
-@pytest.mark.parametrize("axis", SWEEPABLE)
+# a swept alpha-m on Pauli weights is a configuration error, which
+# test_cli.py::test_swept_alpha_m_on_pauli_weights_is_config_error checks
+SWEEPS = [(axis, base) for axis in SWEEPABLE for base in sorted(BASES)
+          if (axis, base) != ("alpha-m", "asymmetric-pauli")]
+
+
+@pytest.mark.parametrize("axis, base", SWEEPS, ids=[f"{axis}-{base}" for axis, base in SWEEPS])
 def test_sweep_rows_match_scalar_route(capsys, axis, base):
     lo, hi = RANGES[axis]
     code = main(["sweep", *flags(BASES[base]), "--axis", axis, "--start", str(lo),
@@ -703,6 +708,23 @@ def test_bound_blocks_warn_nowhere():
         verify_bounds_block(*cycle, "cs", 0.0, "plus")
 
 
+@pytest.mark.parametrize("mode, control", [("symmetric", ()), ("asymmetric", ()),
+                                           ("cs", (0.3, "plus")), ("cs", (0.3, "minus"))],
+                         ids=["symmetric", "asymmetric", "cs-plus", "cs-minus"])
+def test_verify_bounds_block_checks_its_columns_once(mode, control, monkeypatch):
+    from unital_otto import analysis, cumulants
+
+    calls = []
+    original = trajectory._checked_columns
+    # each layer that calls the front door holds it under its own name
+    for module in (trajectory, cumulants, analysis):
+        monkeypatch.setattr(module, "_checked_columns",
+                            lambda *a, **k: calls.append(1) or original(*a, **k))
+    delta = np.linspace(0.0, 0.4, 5)
+    verify_bounds_block(0.7, 1.0, 2.0, delta, delta[::-1], 0.3, mode, *control)
+    assert len(calls) == 1
+
+
 # --- the bound campaign's draws ---------------------------------------------
 
 
@@ -835,6 +857,44 @@ def test_campaign_draws_skip_a_beta_near_zero(k, kept):
     assert_replays_the_scalar_stream([30], reference, rng)
     groups = _campaign_draws(generators_with_word(word, 0)[1], 1)
     assert sum(len(columns[0]) for columns in groups.values()) == int(kept)
+
+
+def next_sample(word, position, samples):
+    """After ``samples`` campaign samples of the stream with ``word`` at
+    ``position``: whether a 32-bit half is buffered, the next sample's beta,
+    and the 32-bit half its mode would read."""
+    live, _ = generators_with_word(word, position)
+    scalar_campaign_draws(live, samples)
+    buffered = live.bit_generator.state["has_uint32"]
+    beta = -2.0 + 4.0 * live.random()
+    live.random(5)
+    state = live.bit_generator.state
+    if state["has_uint32"]:
+        return buffered, beta, state["uinteger"]
+    return buffered, beta, int(live.bit_generator.random_raw()) & 0xFFFFFFFF
+
+
+def test_campaign_draws_skip_a_beta_with_a_buffered_half():
+    # the first sample is not cs: it reads words 0-6 and keeps the high half
+    # of word 6, and the second starts at word 7 with beta = 0; skipped, it
+    # leaves that half to the third sample's mode
+    word = 2**63 | 1  # w >> 11 = 2**52
+    assert next_sample(word, 7, 1)[:2] == (1, 0.0)
+    assert_replays_the_scalar_stream([40], *generators_with_word(word, 7))
+
+
+# Crafted so that the last sample of the first decode chunk starts at word
+# 3563 with beta = 0 (a skip), or reads the zero low half of word 3545 as
+# its mode (a redraw, from the high half 0x1C).
+@pytest.mark.parametrize("word, position, zero", [(2**63 | 0xA, 3563, "beta"),
+                                                  (0x1C << 32, 3545, "mode half")],
+                         ids=["skip", "redraw"])
+def test_campaign_draws_on_the_last_sample_of_a_decode_chunk(word, position, zero):
+    last = _DECODE_SAMPLES - 1
+    _, beta, half = next_sample(word, position, last)
+    assert (beta if zero == "beta" else half) == 0
+    for blocks in ([last + 1, 40], [last + 41]):
+        assert_replays_the_scalar_stream(blocks, *generators_with_word(word, position))
 
 
 @pytest.mark.parametrize("samples, seed", [(600, 3), (257, 12345)])

@@ -667,6 +667,24 @@ def test_theta_and_alpha_m_grid_is_config_error(axes, capsys):
     assert err.startswith("config error: ") and "theta" in err and "alpha-m" in err
 
 
+PAULI_BASE = ["--beta", "0.5", "--nu1", "1", "--nu2", "2", "--delta", "0.1", "--zeta", "0.1",
+              "--p0", "0.5", "--p1", "0.2", "--p2", "0.1", "--p3", "0.2"]
+
+
+@pytest.mark.parametrize("command, axes", [
+    ("sweep", ["--axis", "alpha-m", "--start", "0.5", "--stop", "1", "--steps", "3"]),
+    ("classify", ["--axis", "alpha-m", "--start", "0.5", "--stop", "1", "--steps", "3",
+                  "--axis2", "delta", "--start2", "0", "--stop2", "0.2", "--steps2", "2"]),
+    ("classify", ["--axis", "delta", "--start", "0", "--stop", "0.2", "--steps", "2",
+                  "--axis2", "alpha-m", "--start2", "0.5", "--stop2", "1", "--steps2", "3"]),
+], ids=["sweep", "classify-first-axis", "classify-second-axis"])
+def test_swept_alpha_m_on_pauli_weights_is_config_error(command, axes, capsys):
+    # the weights would fix the flip probability and the angle change nothing
+    code, out, err = run(capsys, command, *PAULI_BASE, *axes)
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: ") and "alpha-m" in err and "Pauli" in err
+
+
 @pytest.mark.parametrize("command, flag", [
     *[("verify-bounds", flag) for flag in ("--beta", "--nu1", "--nu2", "--delta", "--zeta")],
     ("lz-compare", "--delta"),
