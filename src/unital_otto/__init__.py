@@ -24,7 +24,6 @@ from .trajectory import (
     DistributionBlock,
     JointDistribution,
     SampleStats,
-    backward_distribution,
     cs_distribution,
     distribution_to_csv,
     enumerate_block,
@@ -53,10 +52,8 @@ from .analysis import (
     bound_reports_to_csv,
     classify_regime_array,
     cumulant_ratio_scan,
-    efficiency,
     efficiency_block,
     positive_work_threshold,
-    verify_bounds,
     verify_bounds_block,
 )
 from .landauzener import (

@@ -11,11 +11,10 @@ applicability condition: a report can be "violated" only where its
 precondition actually held.
 
 Efficiencies and bound checks are array arithmetic over broadcast
-parameter columns (:func:`efficiency_block`, :func:`verify_bounds_block`);
-:func:`efficiency` and :func:`verify_bounds` are one point of them.  Both
-blocks check their columns as every block function does, in the order
-cycle, control, theta range, flip bound, and raise the first failing
-point's own error, so a point fails in a block as it fails alone.
+parameter columns (:func:`efficiency_block`, :func:`verify_bounds_block`),
+scalars included: one point is a 0-d block.  Both check their columns as
+every block function does, in the order cycle, control, theta range, flip
+bound, and raise the first failing point's own error.
 """
 
 from __future__ import annotations
@@ -45,9 +44,7 @@ __all__ = [
     "bound_reports_to_csv",
     "classify_regime_array",
     "positive_work_threshold",
-    "efficiency",
     "efficiency_block",
-    "verify_bounds",
     "verify_bounds_block",
     "cumulant_ratio_scan",
 ]
@@ -191,40 +188,17 @@ def _efficiency(beta, nu1, nu2, delta, zeta, flip, mode: str) -> np.ndarray:
     return _divide(work, heat, ~no_heat)
 
 
-def _point(params: CycleParams, theta: float, ctrl: ControlSpec | None) -> tuple:
-    """One point as the block functions' arguments: 0-d columns and the
-    control."""
-    cycle = (params.beta, params.nu1, params.nu2, params.delta, params.zeta, theta)
-    control = (None, "minus") if ctrl is None else (ctrl.alpha, ctrl.branch)
-    return (*cycle, *control)
-
-
-def efficiency(
-    params: CycleParams,
-    theta: float,
-    mode: str = "symmetric",
-    ctrl: ControlSpec | None = None,
-) -> float:
-    """One point of :func:`efficiency_block`, with the control ``ctrl`` under
-    ``cs``; raises :class:`PhysicsError` where no heat is absorbed."""
-    *columns, alpha, branch = _point(params, theta, ctrl)
-    eta = float(efficiency_block(*columns, mode, alpha, branch))
-    if math.isnan(eta):
-        raise PhysicsError("efficiency undefined: no heat absorbed from the channel")
-    return eta
-
-
 @dataclass(frozen=True)
 class BoundReport:
-    """Outcome of checking one inequality ``left <= right``: floats and
-    bools at one point, arrays over a block."""
+    """Outcome of checking one inequality ``left <= right`` at every point
+    of a block: arrays of its shape, 0-d at one point."""
 
     name: str
-    left: float
-    right: float
-    applicable: bool
-    satisfied: bool
-    margin: float
+    left: np.ndarray
+    right: np.ndarray
+    applicable: np.ndarray
+    satisfied: np.ndarray
+    margin: np.ndarray
 
 
 def _report(name: str, left, right, applicable) -> BoundReport:
@@ -321,27 +295,9 @@ def verify_bounds_block(
     return reports
 
 
-def verify_bounds(
-    params: CycleParams,
-    theta: float,
-    mode: str = "symmetric",
-    ctrl: ControlSpec | None = None,
-) -> list[BoundReport]:
-    """Every proved inequality at one point: one row of
-    :func:`verify_bounds_block`, with the control ``ctrl`` under ``cs``."""
-    *columns, alpha, branch = _point(params, theta, ctrl)
-    return [
-        BoundReport(
-            r.name, float(r.left), float(r.right), bool(r.applicable), bool(r.satisfied),
-            float(r.margin),
-        )
-        for r in verify_bounds_block(*columns, mode, alpha, branch)
-    ]
-
-
 def bound_reports_to_csv(reports, fileobj) -> None:
-    """Serialise bound reports with one row per inequality; a negative zero
-    prints as 0."""
+    """Serialise the reports of one point (0-d blocks) with one row per
+    inequality; a negative zero prints as 0."""
     fileobj.write("bound_name,left,right,applicable,satisfied,margin\n")
     for r in reports:
         fileobj.write(

@@ -78,7 +78,6 @@ def _add_common(
         parser.add_argument("--p2", type=float)
         parser.add_argument("--p3", type=float)
         parser.add_argument("--alpha-m", type=float, dest="alpha_m")
-        parser.add_argument("--chi", type=float)
         parser.add_argument("--cs-alpha", type=float, dest="cs_alpha")
         parser.add_argument("--branch", choices=("plus", "minus"))
 
@@ -159,7 +158,8 @@ def _config_types(
 
 
 def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
-    """OTTO_TOL first, then file values, command-line flags on top."""
+    """OTTO_TOL first, then file values, command-line flags on top.  The
+    tolerance, from either, must be finite and nonnegative."""
     merged: dict = {}
     if os.environ.get("OTTO_TOL"):
         merged["tol"] = float(os.environ["OTTO_TOL"])
@@ -177,6 +177,8 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
             continue
         if val is not None:
             merged[key] = val
+    if not 0.0 <= merged.get("tol", 0.0) < math.inf:
+        raise ConfigError(f"tol must be finite and nonnegative, not {merged['tol']!r}")
     return merged
 
 
@@ -208,7 +210,7 @@ def _resolve_theta(cfg: dict):
             MeasurementChannel(float(alpha_m.flat[np.argmax(outside)]))
         # sin^2(alpha_m) / 2, the rule of MeasurementChannel.theta
         return np.square(np.sin(alpha_m)) / 2.0
-    raise ConfigError("specify a channel: --theta, --p0..--p3, or --alpha-m [--chi]")
+    raise ConfigError("specify a channel: --theta, --p0..--p3, or --alpha-m")
 
 
 def _tolerance(cfg: dict) -> float:
@@ -301,19 +303,17 @@ def _grid_blocks(grid: list[np.ndarray], branch: str, tol: float):
         yield start, block, dist, cums, regimes
 
 
-def _distribution(cfg: dict):
-    """(cycle, theta, control, flip probability, mode, joint distribution)
-    at one parameter point.  The flip probability is theta's unital
-    equivalent, ``ctrl.flip_probability(theta)`` under coherent control;
-    the unital closed forms take it."""
-    columns, branch, mode = _run(cfg)
+def _distribution(columns: list[np.ndarray], branch: str):
+    """(cycle, flip probability, joint distribution) at the one point of a
+    run's 0-d columns.  The flip probability is theta's unital equivalent,
+    ``ctrl.flip_probability(theta)`` under coherent control; the unital
+    closed forms take it."""
     beta, nu1, nu2, delta, zeta, theta, *alpha = (float(c) for c in columns)
     params = trajectory.CycleParams(beta, nu1, nu2, delta, zeta)
     if not alpha:
-        return params, theta, None, theta, mode, trajectory.enumerate_paths(params, theta)
+        return params, theta, trajectory.enumerate_paths(params, theta)
     ctrl = ControlSpec(alpha[0], branch)
-    dist = trajectory.cs_distribution(params, theta, ctrl)
-    return params, theta, ctrl, ctrl.flip_probability(theta), mode, dist
+    return params, ctrl.flip_probability(theta), trajectory.cs_distribution(params, theta, ctrl)
 
 
 def _open_out(cfg: dict):
@@ -333,7 +333,8 @@ def _emit(cfg: dict, text: str) -> None:
 
 
 def _cmd_cumulants(cfg: dict) -> None:
-    params, theta, ctrl, flip, mode, dist = _distribution(cfg)
+    columns, branch, mode = _run(cfg)
+    params, flip, dist = _distribution(columns, branch)
     exact = cumulants.cumulants_from_distribution(dist)
     fd = cumulants.cf_derivative_check(params, flip)
 
@@ -360,7 +361,7 @@ def _cmd_cumulants(cfg: dict) -> None:
     row("enumeration", exact.w, exact.q_m, exact.qt_mean)
     closed = cumulants.closed_form_first_second(params, flip)
     # the paper gives the coherently controlled closed forms for means only
-    w_var, qm_var = (closed.w_var, closed.qm_var) if ctrl is None else (math.nan, math.nan)
+    w_var, qm_var = (math.nan, math.nan) if mode == "cs" else (closed.w_var, closed.qm_var)
     route_and_delta(
         "closed_form",
         (closed.w_mean, w_var, math.nan, math.nan),
@@ -376,7 +377,8 @@ def _cmd_cumulants(cfg: dict) -> None:
             trajectory.distribution_to_csv(dist, fh)
 
     if cfg.get("bounds_out"):
-        reports = analysis.verify_bounds(params, theta, mode, ctrl)
+        # the control column, alpha, is the seventh of a cs run
+        reports = analysis.verify_bounds_block(*columns[:6], mode, *columns[6:], branch=branch)
         with open(cfg["bounds_out"], "w", encoding="utf-8", newline="") as fh:
             fh.write(_config_comment("cumulants", cfg))
             analysis.bound_reports_to_csv(reports, fh)
@@ -399,9 +401,8 @@ def _cmd_sweep(cfg: dict) -> None:
         no_mean = cumulants.is_rounding_residue(
             cums.w_mean, np.abs(dist.prob * dist.w).max(axis=-1)
         )
-        control = (columns[6] if len(columns) == 7 else None, branch)
-        etas = analysis.efficiency_block(*columns[:6], mode, *control)
-        bounds = analysis.verify_bounds_block(*columns[:6], mode, *control)
+        etas = analysis.efficiency_block(*columns[:6], mode, *columns[6:], branch=branch)
+        bounds = analysis.verify_bounds_block(*columns[:6], mode, *columns[6:], branch=branch)
         bound_names = [b.name for b in bounds]
         points = zip(
             values[start:start + len(etas)].tolist(),
@@ -641,7 +642,7 @@ def _cmd_verify_bounds(cfg: dict) -> None:
 
 
 def _cmd_sample(cfg: dict) -> None:
-    *_, dist = _distribution(cfg)
+    *_, dist = _distribution(*_run(cfg)[:2])
     n = 10**6 if cfg.get("samples") is None else cfg["samples"]
     seed = cfg.get("seed") or 0
     stats = trajectory.sample(dist, n, seed)

@@ -79,7 +79,6 @@ class CumulantSet:
     w: tuple[float, float, float, float]
     q_m: tuple[float, float, float, float]
     qt_mean: float
-    direction: str = "forward"
 
     def __post_init__(self):
         values = (*self.w, *self.q_m, self.qt_mean)
@@ -107,7 +106,6 @@ class FirstTwoCumulants:
     qm_mean: float
     qm_var: float
     qt_mean: float
-    direction: str = "forward"
 
 
 def _unital_terms(params: CycleParams, theta: float) -> tuple:
@@ -187,9 +185,7 @@ def cumulants_from_distribution(dist: JointDistribution) -> CumulantSet:
     """
     kw = tuple(map(float, _marginal_cumulants(dist.w, dist.prob)))
     kq = tuple(map(float, _marginal_cumulants(dist.q_m, dist.prob)))
-    return CumulantSet(
-        w=kw, q_m=kq, qt_mean=kw[0] - kq[0], direction=dist.direction
-    )
+    return CumulantSet(w=kw, q_m=kq, qt_mean=kw[0] - kq[0])
 
 
 @dataclass(frozen=True)
@@ -268,7 +264,6 @@ def _closed_form(beta, nu1, nu2, d, z, theta, direction: str = "forward") -> Fir
         qm_mean=qm_mean,
         qm_var=qm_var,
         qt_mean=qt_mean,
-        direction=direction,
     )
 
 
@@ -283,7 +278,7 @@ def closed_form_first_second(
     cycle = (params.beta, params.nu1, params.nu2, params.delta, params.zeta, theta)
     row = closed_form_block(*cycle, direction=direction)
     values = (row.w_mean, row.w_var, row.qm_mean, row.qm_var, row.qt_mean)
-    return FirstTwoCumulants(*map(float, values), direction=direction)
+    return FirstTwoCumulants(*map(float, values))
 
 
 def cs_first_cumulants(

@@ -18,13 +18,13 @@ interference term.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from .analysis import _REGIME_TOL, Regime, _divide, classify_regime_array
-from .cumulants import closed_form_block, closed_form_first_second, is_rounding_residue
+from .cumulants import closed_form_block, is_rounding_residue
 from .qstate import MeasurementChannel, hamiltonian, thermal_state
 from .trajectory import CycleParams
 
@@ -113,34 +113,24 @@ def lz_unitaries(delta, phi: float) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class CycleAverages:
-    """Mean energies at the four cycle points and the derived flows:
-    floats at one point, arrays over a delta column."""
+    """Mean energies at the four cycle points and the derived flows, arrays
+    of the delta column's shape."""
 
-    e1: float
-    e2: float
-    e3: float
-    e4: float
-    w: float
-    q_m: float
-    q_t: float
-    eta: float
-
-
-def _row(block: CycleAverages) -> CycleAverages:
-    """The one point of a 0-d block, as floats."""
-    return CycleAverages(*(float(getattr(block, f.name)) for f in fields(block)))
-
-
-def unmonitored_cycle(params: LZParams) -> CycleAverages:
-    """Averages of the unmonitored cycle by direct state propagation: the
-    one row of :func:`_unmonitored_block` at ``params.delta``."""
-    return _row(_unmonitored_block(params, np.asarray(params.delta)))
+    e1: np.ndarray
+    e2: np.ndarray
+    e3: np.ndarray
+    e4: np.ndarray
+    w: np.ndarray
+    q_m: np.ndarray
+    q_t: np.ndarray
+    eta: np.ndarray
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _unmonitored_block(params: LZParams, delta: np.ndarray) -> CycleAverages:
-    """Unmonitored averages at every delta of a checked column, the other
-    inputs taken from ``params``.
+def unmonitored_cycle(params: LZParams, delta) -> CycleAverages:
+    """Averages of the unmonitored cycle by direct state propagation at
+    every delta (scalar or array), the other inputs taken from ``params``.
+    The first delta outside [0, 1] raises its :class:`LZParams` error.
 
     rho1 -> U rho1 U^dag -> sum_j pi_j . pi_j -> V . V^dag, with energies
     read against H1, H2, H2, H1.  No projective measurements interrupt
@@ -149,6 +139,10 @@ def _unmonitored_block(params: LZParams, delta: np.ndarray) -> CycleAverages:
     E2 and E3 are themselves traces that cancel, so a heat within a few
     ulps of nu2 (the largest energy they can read) has no efficiency.
     """
+    delta = np.asarray(delta, dtype=float)
+    invalid = ~((delta >= 0.0) & (delta <= 1.0))
+    if invalid.any():
+        params.with_delta(float(delta.flat[np.argmax(invalid)]))
     cyc = params.cycle
     u, v = lz_unitaries(delta, params.phi)
     h1 = hamiltonian(cyc.nu1)
@@ -195,23 +189,25 @@ def qm_unmonitored_closed_form(params: LZParams) -> float:
     )
 
 
-def monitored_averages(params: LZParams) -> CycleAverages:
-    """Monitored-cycle averages routed through the cumulant machinery.
+def monitored_averages(params: LZParams, delta) -> CycleAverages:
+    """Monitored-cycle averages at every delta (scalar or array), routed
+    through the closed-form cumulants.
 
     E1 and E2 are unchanged by monitoring (the first measurement
     commutes with the thermal state and E2 reads only populations); the
     measurement at B erases the coherence the projector channel would
     otherwise act on, so E3 and E4 differ from the unmonitored route.
     """
-    first = closed_form_first_second(params.cycle, params.channel.theta)
-    shared = unmonitored_cycle(params)
-    return _row(_monitored_from(shared, first.w_mean, first.qm_mean, first.qt_mean))
+    return _monitored_from(params, delta, unmonitored_cycle(params, delta))
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _monitored_from(shared: CycleAverages, w, q_m, q_t) -> CycleAverages:
-    """:func:`monitored_averages` over a block, given the unmonitored
-    averages and the closed-form means of W, Q_M and Q_T."""
+def _monitored_from(params: LZParams, delta, shared: CycleAverages) -> CycleAverages:
+    """:func:`monitored_averages` at deltas that :func:`unmonitored_cycle`
+    checked, given its averages ``shared`` there."""
+    cyc = params.cycle
+    first = closed_form_block(cyc.beta, cyc.nu1, cyc.nu2, delta, delta, params.channel.theta)
+    w, q_m, q_t = first.w_mean, first.qm_mean, first.qt_mean
     return CycleAverages(
         e1=shared.e1,
         e2=shared.e2,
@@ -242,14 +238,9 @@ def monitored_vs_unmonitored(
     each variant evaluated as one block over the whole column; a flow
     within ``tol`` of zero leaves the regime undetermined."""
     delta = np.array([float(d) for d in deltas], dtype=float)
-    invalid = ~((delta >= 0.0) & (delta <= 1.0))
-    if invalid.any():
-        # the first failing delta raises the single-point error
-        params.with_delta(float(delta[np.argmax(invalid)]))
+    um = unmonitored_cycle(params, delta)
+    mon = _monitored_from(params, delta, um)
     cyc = params.cycle
-    closed = closed_form_block(cyc.beta, cyc.nu1, cyc.nu2, delta, delta, params.channel.theta)
-    um = _unmonitored_block(params, delta)
-    mon = _monitored_from(um, closed.w_mean, closed.qm_mean, closed.qt_mean)
     columns = (
         delta,
         mon.w,

@@ -15,9 +15,9 @@ downstream (cumulants, bounds, regime maps) is exact arithmetic on this
 finite list.  A unital channel enters as the symmetric flip matrix of
 theta, any other qubit channel through its own transition matrix.
 
-The backward cycle follows from the forward one by swapping delta and
-zeta.  The coherently controlled variant is the unital cycle at the flip
-probability theta / (2 p_branch) of
+The backward cycle is the forward one with delta and zeta swapped
+(:attr:`CycleParams.swapped`).  The coherently controlled variant is the
+unital cycle at the flip probability theta / (2 p_branch) of
 :meth:`~unital_otto.qstate.ControlSpec.flip_probability`.
 
 One array routine evaluates the table at any number of points.
@@ -48,7 +48,6 @@ __all__ = [
     "SampleStats",
     "enumerate_paths",
     "enumerate_block",
-    "backward_distribution",
     "cs_distribution",
     "sample",
     "distribution_to_csv",
@@ -118,8 +117,6 @@ class JointDistribution:
     w: np.ndarray
     q_m: np.ndarray
     prob: np.ndarray
-    direction: str = "forward"
-    control: ControlSpec | None = None
 
     def __post_init__(self):
         w = np.asarray(self.w, dtype=float)
@@ -127,8 +124,6 @@ class JointDistribution:
         p = np.array(self.prob, dtype=float)
         if not (w.shape == q.shape == p.shape) or w.ndim != 1:
             raise ValueError("w, q_m, prob must be 1-d arrays of equal length")
-        if self.direction not in ("forward", "backward"):
-            raise ValueError("direction must be 'forward' or 'backward'")
         if p.min(initial=0.0) < -_CLAMP_TOL:
             raise PhysicsError(
                 f"outcome probability {p.min():.3g} below -{_CLAMP_TOL:g}"
@@ -209,12 +204,7 @@ def _evaluate(beta, nu1, nu2, delta, zeta, channel) -> DistributionBlock:
     return DistributionBlock(w, q, prob)
 
 
-def _point(
-    params: CycleParams,
-    channel: np.ndarray,
-    direction: str = "forward",
-    control: ControlSpec | None = None,
-) -> JointDistribution:
+def _point(params: CycleParams, channel: np.ndarray) -> JointDistribution:
     """One point of :func:`_evaluate`, ``channel`` its 2x2 transition matrix.
 
     Outcomes come out sorted by (W, Q_M, p), without zero-probability
@@ -226,9 +216,7 @@ def _point(
     keep = p != 0.0
     w, q, p = w[keep], q[keep], p[keep]
     order = np.lexsort((p, q, w))
-    return JointDistribution(
-        w[order], q[order], p[order], direction=direction, control=control
-    )
+    return JointDistribution(w[order], q[order], p[order])
 
 
 def _check_theta(theta: float) -> None:
@@ -246,12 +234,6 @@ def enumerate_paths(params: CycleParams, theta: float) -> JointDistribution:
     return _point(params, _flip_matrices(theta))
 
 
-def backward_distribution(params: CycleParams, theta: float) -> JointDistribution:
-    """Joint distribution of the backward cycle: delta and zeta swapped."""
-    _check_theta(theta)
-    return _point(params.swapped, _flip_matrices(theta), direction="backward")
-
-
 def cs_distribution(
     params: CycleParams, theta: float, ctrl: ControlSpec
 ) -> JointDistribution:
@@ -264,8 +246,7 @@ def cs_distribution(
     raised.
     """
     _check_theta(theta)
-    flip = _flip_matrices(ctrl.flip_probability(theta))
-    return _point(params, flip, control=ctrl)
+    return _point(params, _flip_matrices(ctrl.flip_probability(theta)))
 
 
 def _channel_distribution(

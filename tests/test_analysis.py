@@ -1,6 +1,7 @@
 """Regime classification, thresholds, efficiencies and fluctuation bounds."""
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -15,11 +16,11 @@ from unital_otto import (
     closed_form_first_second,
     cumulant_ratio_scan,
     cumulants_from_distribution,
-    efficiency,
+    efficiency_block,
     enumerate_paths,
     is_rounding_residue,
     positive_work_threshold,
-    verify_bounds,
+    verify_bounds_block,
 )
 
 from conftest import close, cycle_params, finite, probs, regime_of
@@ -138,25 +139,22 @@ def test_cs_threshold_matches_paper_numerator():
 
 
 def test_efficiency_adiabatic_limit_is_otto():
-    params = CycleParams(0.5, 1.0, 2.0, 0.0, 0.0)
-    assert efficiency(params, 0.3, "symmetric") == pytest.approx(0.5, abs=1e-15)
+    cycle = (0.5, 1.0, 2.0, 0.0, 0.0, 0.3)
+    assert efficiency_block(*cycle, "symmetric") == pytest.approx(0.5, abs=1e-15)
     for branch in ("plus", "minus"):
-        eta = efficiency(params, 0.3, "cs", ControlSpec(0.5, branch))
+        eta = efficiency_block(*cycle, "cs", 0.5, branch)
         assert eta == pytest.approx(0.5, abs=1e-14)
 
 
 def test_efficiency_below_otto_over_engine_sweep():
     # Otto ceiling 0.5 for nu1 = 1, nu2 = 2
-    for delta in np.linspace(0.0, 0.49, 50):
-        params = CycleParams(0.5, 1.0, 2.0, float(delta), float(delta))
-        assert efficiency(params, 0.4, "symmetric") <= 0.5 + 1e-12
+    delta = np.linspace(0.0, 0.49, 50)
+    assert (efficiency_block(0.5, 1.0, 2.0, delta, delta, 0.4, "symmetric") <= 0.5 + 1e-12).all()
 
 
 def test_efficiency_needs_heat():
-    with pytest.raises(PhysicsError):
-        efficiency(CycleParams(0.0, 1.0, 2.0, 0.1, 0.1), 0.3, "symmetric")
-    with pytest.raises(PhysicsError):
-        efficiency(CycleParams(0.7, 1.0, 2.0, 0.5, 0.5), 0.3, "symmetric")
+    assert np.isnan(efficiency_block(0.0, 1.0, 2.0, 0.1, 0.1, 0.3, "symmetric"))
+    assert np.isnan(efficiency_block(0.7, 1.0, 2.0, 0.5, 0.5, 0.3, "symmetric"))
 
 
 def test_cancelled_forward_and_backward_heat_is_no_heat():
@@ -168,17 +166,16 @@ def test_cancelled_forward_and_backward_heat_is_no_heat():
     bwd = closed_form_first_second(params, flip, direction="backward")
     assert 0.0 < abs(fwd.qm_mean + bwd.qm_mean) < 1e-14
     assert is_rounding_residue(fwd.qm_mean + bwd.qm_mean, abs(fwd.qm_mean))
-    with pytest.raises(PhysicsError):
-        efficiency(params, 0.3, "cs", ctrl)
-    near = CycleParams(1.3, 0.7, 3.0, 0.925, 0.05)
-    assert math.isfinite(efficiency(near, 0.3, "cs", ctrl))
+    assert np.isnan(efficiency_block(*astuple(params), 0.3, "cs", ctrl.alpha, ctrl.branch))
+    near = (1.3, 0.7, 3.0, 0.925, 0.05, 0.3)
+    assert math.isfinite(efficiency_block(*near, "cs", ctrl.alpha, ctrl.branch))
     assert not is_rounding_residue(1e-12, 1.0)
     assert list(is_rounding_residue(np.array([1e-17, 1e-14]), np.array([1.0, 1.0]))) == [True, False]
 
 
 def test_bounds_all_hold_in_engine_regime():
     params = CycleParams(0.5, 1.0, 2.0, 0.1, 0.1)
-    reports = {r.name: r for r in verify_bounds(params, 0.3, "symmetric")}
+    reports = {r.name: r for r in verify_bounds_block(*astuple(params), 0.3, "symmetric")}
     assert regime_of(closed_form_first_second(params, 0.3), 0.5) is Regime.ENGINE
     for name in ("qt_nonpositive", "eta_le_otto", "eta_sq_le_ratio", "ratio_le_one",
                  "otto_sq_le_ratio"):
@@ -205,7 +202,7 @@ def test_violated_upper_bound_is_reported_inapplicable():
         first = closed_form_first_second(params, 0.15)
         if regime_of(first, 0.5) is not Regime.ACCELERATOR:
             continue
-        reports = {r.name: r for r in verify_bounds(params, 0.15, "symmetric")}
+        reports = {r.name: r for r in verify_bounds_block(*astuple(params), 0.15, "symmetric")}
         rep = reports["ratio_le_one"]
         if not rep.applicable:
             assert not rep.satisfied
@@ -215,9 +212,9 @@ def test_violated_upper_bound_is_reported_inapplicable():
 
 
 def test_cs_bounds_hold_for_engine_tuple():
-    params = CycleParams(0.7, 1.0, 2.0, 0.05, 0.05)
     for branch in ("plus", "minus"):
-        reports = {r.name: r for r in verify_bounds(params, 0.4, "cs", ControlSpec(0.5, branch))}
+        reports = verify_bounds_block(0.7, 1.0, 2.0, 0.05, 0.05, 0.4, "cs", 0.5, branch)
+        reports = {r.name: r for r in reports}
         assert reports["cs_qt_nonpositive"].applicable
         assert reports["cs_qt_nonpositive"].satisfied
         if reports["cs_eta_le_otto"].applicable:
@@ -227,10 +224,10 @@ def test_cs_bounds_hold_for_engine_tuple():
 
 
 def test_cs_branch_efficiency_ordering():
-    params = CycleParams(0.7, 1.0, 2.0, 0.1, 0.1)
-    eta_minus = efficiency(params, 0.4, "cs", ControlSpec(0.5, "minus"))
-    eta_plain = efficiency(params, 0.4, "symmetric")
-    eta_plus = efficiency(params, 0.4, "cs", ControlSpec(0.5, "plus"))
+    cycle = (0.7, 1.0, 2.0, 0.1, 0.1, 0.4)
+    eta_minus = efficiency_block(*cycle, "cs", 0.5, "minus")
+    eta_plain = efficiency_block(*cycle, "symmetric")
+    eta_plus = efficiency_block(*cycle, "cs", 0.5, "plus")
     assert eta_minus >= eta_plain >= eta_plus
 
 

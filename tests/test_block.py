@@ -18,13 +18,11 @@ from unital_otto import (
     cs_distribution,
     cumulants_from_block,
     cumulants_from_distribution,
-    efficiency,
     efficiency_block,
     enumerate_block,
     enumerate_paths,
     is_rounding_residue,
     trajectory,
-    verify_bounds,
     verify_bounds_block,
 )
 from unital_otto.cli import _DECODE_SAMPLES, SWEEPABLE, _campaign_draws, main
@@ -571,6 +569,8 @@ def outcomes(w, q, prob) -> dict:
 
 @pytest.mark.parametrize("mode, branch", MODES)
 def test_scalar_bounds_and_efficiency_are_rows_of_the_block(rng, mode, branch):
+    # a single point is a 0-d block: its cells are those of the point in a
+    # longer block
     points, alphas = bound_points(rng, 400, mode, branch)
     # block lengths around numpy's SIMD widths and the command line's
     # 256-point blocks: a ufunc such as np.tanh treats a block's tail apart
@@ -584,23 +584,20 @@ def test_scalar_bounds_and_efficiency_are_rows_of_the_block(rng, mode, branch):
         closed = closed_form_block(*cycle)
         dists = enumerate_block(*cycle, *(() if alpha is None else (alpha, branch)))
         for i in range(n):
-            params = CycleParams(*(float(c[i]) for c in cycle[:5]))
-            theta = float(cycle[5][i])
+            point = [float(c[i]) for c in cycle]
+            params, theta = CycleParams(*point[:5]), point[5]
             ctrl = None if alpha is None else ControlSpec(float(alpha[i]), branch)
-            row = verify_bounds(params, theta, mode, ctrl)
+            control = (None, branch) if ctrl is None else (ctrl.alpha, branch)
+            row = verify_bounds_block(*point, mode, *control)
             for r, block in zip(row, reports):
-                assert type(r.left) is float and type(r.applicable) is bool
+                assert np.shape(r.left) == np.shape(r.applicable) == ()
                 assert r.name == block.name
                 assert same_bits(
                     [r.left, r.right, r.applicable, r.satisfied, r.margin],
                     [block.left[i], block.right[i], block.applicable[i], block.satisfied[i],
                      block.margin[i]],
                 ), (n, i)
-            if np.isnan(etas[i]):
-                with pytest.raises(PhysicsError, match="no heat absorbed"):
-                    efficiency(params, theta, mode, ctrl)
-            else:
-                assert same_bits(efficiency(params, theta, mode, ctrl), etas[i]), (n, i)
+            assert same_bits(efficiency_block(*point, mode, *control), etas[i]), (n, i)
             one = closed_form_first_second(params, theta)
             fields = ("w_mean", "w_var", "qm_mean", "qm_var", "qt_mean")
             assert same_bits([getattr(one, f) for f in fields],
@@ -689,10 +686,10 @@ def test_every_block_function_raises_the_first_failing_points_error():
             calls.append(lambda: closed_form_block(*cycle, theta))
         for call in calls:
             assert scalar_error(call) == (kind, message)
-    # the single points raise what the controlled distribution raises
+    # 0-d blocks raise what the controlled distribution raises
     kind, message = scalar_error(lambda: cs_distribution(point, 1.5, ControlSpec(0.3, "minus")))
-    for call in (efficiency, verify_bounds):
-        got = scalar_error(lambda: call(point, 1.5, "cs", ControlSpec(0.3, "minus")))
+    for call in (efficiency_block, verify_bounds_block):
+        got = scalar_error(lambda: call(0.5, 1.0, 2.0, 0.1, 0.1, 1.5, "cs", 0.3, "minus"))
         assert got == (kind, message) == (ValueError, "theta must lie in [0, 1]")
 
 
@@ -902,8 +899,7 @@ def test_campaign_tallies_are_those_of_the_scalar_rows(capsys, samples, seed):
     tallies = {}
     for (mode, branch), points in scalar_campaign_draws(np.random.default_rng(seed), samples).items():
         for *cycle, theta, alpha in points:
-            ctrl = None if alpha is None else ControlSpec(alpha, branch)
-            for r in verify_bounds(CycleParams(*cycle), theta, mode, ctrl):
+            for r in verify_bounds_block(*cycle, theta, mode, alpha, branch or "minus"):
                 slot = tallies.setdefault(r.name, [0, 0, 0])
                 slot[0 if r.applicable and r.satisfied else 1 if r.applicable else 2] += 1
     assert main(["verify-bounds", "--samples", str(samples), "--seed", str(seed)]) == 0

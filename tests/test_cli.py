@@ -328,6 +328,94 @@ def test_bound_report_dump(tmp_path, capsys):
             assert (float(r[1]) <= float(r[2]) + 1e-10) == (r[4] == "true")
 
 
+# Both dumps of `cumulants` at one point of each mode, captured before
+# --bounds-out took its 0-d columns from the run's own resolution.
+DUMP_POINTS = {
+    "symmetric": "--beta 0.5 --nu1 1 --nu2 2 --delta 0.1 --zeta 0.1 --theta 0.3",
+    "asymmetric": "--beta 0.7 --nu1 1 --nu2 2.5 --delta 0.1 --zeta 0.2 --theta 0.3",
+    "cs": "--beta 0.7 --nu1 1 --nu2 3 --delta 0.1 --zeta 0.1 --theta 0.2 --cs-alpha 0.3 "
+          "--branch plus",
+}
+PINNED_DUMPS = {
+    ("symmetric", "bounds"): """\
+# command=cumulants beta=0.5 bounds-out=bounds.csv delta=0.10000000000000001 dist-out=dist.csv nu1=1 nu2=2 theta=0.29999999999999999 zeta=0.10000000000000001
+bound_name,left,right,applicable,satisfied,margin
+qt_nonpositive,-0.34381516500144726,0,true,true,0.34381516500144726
+equal_gap_work_nonpositive,0.19963461193632415,0,false,false,-0.19963461193632415
+eta_le_otto,0.22499999999999995,0.5,true,true,0.27500000000000002
+eta_sq_le_ratio,0.050624999999999976,0.52964061514741456,true,true,0.47901561514741459
+ratio_le_one,0.52964061514741456,1,true,true,0.47035938485258544
+otto_sq_le_ratio,0.25,0.52964061514741456,true,true,0.27964061514741456
+""",
+    ("symmetric", "dist"): """\
+# command=cumulants beta=0.5 bounds-out=bounds.csv delta=0.10000000000000001 dist-out=dist.csv nu1=1 nu2=2 theta=0.29999999999999999 zeta=0.10000000000000001
+w,q_m,prob
+-6,-4,0.0021931757358900146
+-4,-4,0.027
+-2,-4,0.06535276539290881
+-2,0,0.09211338090738061
+0,0,0.57399999999999995
+2,0,0.033886619092619384
+2,4,0.1776472346070912
+4,4,0.027000000000000003
+6,4,0.00080682426410998544
+""",
+    ("asymmetric", "bounds"): """\
+# command=cumulants beta=0.69999999999999996 bounds-out=bounds.csv delta=0.10000000000000001 dist-out=dist.csv nu1=1 nu2=2.5 theta=0.29999999999999999 zeta=0.20000000000000001
+bound_name,left,right,applicable,satisfied,margin
+qt_nonpositive,-0.48832916391066805,0,true,true,0.48832916391066805
+equal_gap_work_nonpositive,0.29251400412470696,0,false,false,-0.29251400412470696
+eta_le_otto,0.23047619047619039,0.59999999999999998,true,true,0.36952380952380959
+eta_sq_le_ratio,0.053119274376417197,0.68928395854726843,true,true,0.63616468417085126
+ratio_le_one,0.68928395854726843,1,true,true,0.31071604145273157
+""",
+    ("asymmetric", "dist"): """\
+# command=cumulants beta=0.69999999999999996 bounds-out=bounds.csv delta=0.10000000000000001 dist-out=dist.csv nu1=1 nu2=2.5 theta=0.29999999999999999 zeta=0.20000000000000001
+w,q_m,prob
+-7,-5,0.0048131033313514905
+-5,-5,0.02993448334324255
+-3,-5,0.04272828007134636
+-2,0,0.14599746771766187
+0,0,0.5179999999999999
+2,0,0.036002532282338129
+3,5,0.17327171992865364
+5,5,0.04806551665675745
+7,5,0.0011868966686485098
+""",
+    ("cs", "bounds"): """\
+# command=cumulants beta=0.69999999999999996 bounds-out=bounds.csv branch=plus cs-alpha=0.29999999999999999 delta=0.10000000000000001 dist-out=dist.csv nu1=1 nu2=3 theta=0.20000000000000001 zeta=0.10000000000000001
+bound_name,left,right,applicable,satisfied,margin
+cs_qt_nonpositive,-0.32367035816023559,0,true,true,0.32367035816023559
+cs_eta_le_otto,0.18648674477248942,0.66666666666666674,true,true,0.48017992189417735
+cs_eta_branch_order,0.18648674477248942,0.35833333333333345,true,true,0.17184658856084403
+""",
+    ("cs", "dist"): """\
+# command=cumulants beta=0.69999999999999996 bounds-out=bounds.csv branch=plus cs-alpha=0.29999999999999999 delta=0.10000000000000001 dist-out=dist.csv nu1=1 nu2=3 theta=0.20000000000000001 zeta=0.10000000000000001
+w,q_m,prob
+-8,-6,0.0011001950620233159
+-6,-6,0.012343498416556319
+-4,-6,0.021975685725118273
+-2,0,0.12458958882412505
+0,0,0.7075370144269314
+2,0,0.030723414342762351
+4,6,0.089115800023888567
+6,6,0.012343498416556315
+8,6,0.00027130476203849718
+""",
+
+}
+
+
+@pytest.mark.parametrize("mode", DUMP_POINTS)
+def test_dumps_are_pinned(mode, tmp_path, monkeypatch, capsys):
+    # relative paths, so the header holds no temporary directory
+    monkeypatch.chdir(tmp_path)
+    argv = DUMP_POINTS[mode].split() + ["--bounds-out", "bounds.csv", "--dist-out", "dist.csv"]
+    assert run(capsys, "cumulants", *argv)[0] == 0
+    for kind in ("bounds", "dist"):
+        assert (tmp_path / f"{kind}.csv").read_text() == PINNED_DUMPS[mode, kind]
+
+
 def test_tolerance_env_var_controls_regime_zero(monkeypatch, capsys):
     # a huge zero-tolerance makes every flow "zero" and the map Undetermined
     args = [
@@ -373,6 +461,35 @@ def test_otto_tol_is_recorded_in_the_header(monkeypatch, tmp_path, capsys):
     code, out, err = run(capsys, *args)
     assert (code, out) == (2, "")
     assert err.startswith("config error: ")
+
+
+# At the grid's first point, theta = delta = zeta = 0, every mean flow is
+# exactly 0, so its regime is Undetermined under any valid tolerance.
+ZERO_GRID = ["classify", "--beta", "0.5", "--nu1", "1", "--nu2", "2", "--delta", "0",
+             "--zeta", "0", "--theta", "0", "--axis", "theta", "--start", "0", "--stop", "0.5",
+             "--steps", "2", "--axis2", "delta", "--start2", "0", "--stop2", "0.5",
+             "--steps2", "2"]
+
+
+@pytest.mark.parametrize("route", ["OTTO_TOL", "config-file"])
+@pytest.mark.parametrize("value", ["nan", "-1", "inf", "-0.5e-12"])
+def test_tol_outside_the_tolerances_is_config_error(route, value, tmp_path, monkeypatch, capsys):
+    argv = list(ZERO_GRID)
+    if route == "OTTO_TOL":
+        monkeypatch.setenv("OTTO_TOL", value)
+    else:
+        (tmp_path / "tol.cfg").write_text(f"tol = {value}\n")
+        argv += ["--config", str(tmp_path / "tol.cfg")]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: tol must be finite and nonnegative")
+
+
+def test_zero_tolerance_leaves_the_zero_point_undetermined(monkeypatch, capsys):
+    monkeypatch.setenv("OTTO_TOL", "0")
+    code, out, _ = run(capsys, *ZERO_GRID)
+    assert code == 0
+    assert out.splitlines()[2] == "0,0,0,0,0,Undetermined"
 
 
 @pytest.mark.parametrize("slot", range(4))
@@ -608,12 +725,24 @@ def test_sweep_prints_no_ratio_of_a_cancelled_denominator(capsys):
     assert [row.split(",")[column] for row in rows] == ["inf"] * 11
 
 
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
 def readme_commands():
     """The ``unital-otto`` invocations of README's command-line block."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    block = README.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
     lines = block.replace("\\\n", " ").splitlines()
     return [shlex.split(l)[1:] for l in lines if l.strip().startswith("unital-otto")]
+
+
+def test_readme_python_blocks_run_in_order():
+    # each block builds on the names the blocks before it defined
+    blocks = [b.split("```", 1)[0] for b in README.split("```python\n")[1:]]
+    assert len(blocks) == 3
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert {"reports", "engine_checks", "eta", "regimes"} <= set(namespace)
 
 
 def test_readme_lists_every_command():
@@ -689,6 +818,8 @@ def test_swept_alpha_m_on_pauli_weights_is_config_error(command, axes, capsys):
     *[("verify-bounds", flag) for flag in ("--beta", "--nu1", "--nu2", "--delta", "--zeta")],
     ("lz-compare", "--delta"),
     ("lz-compare", "--zeta"),
+    # the monitored cycle sees only theta = sin^2(alpha_m)/2, never chi
+    *[(command, "--chi") for command in ("cumulants", "sweep", "classify", "sample")],
 ])
 def test_flags_a_subcommand_would_ignore_are_rejected(command, flag, capsys):
     with pytest.raises(SystemExit) as exit_info:

@@ -12,7 +12,6 @@ from unital_otto import (
     CycleParams,
     GeneralQubitChannel,
     PauliChannel,
-    backward_distribution,
     cf_derivative_check,
     cf_general,
     cf_unital,
@@ -111,7 +110,7 @@ def test_cf_unital_is_transform_of_enumeration(params, theta, seed):
 
 def test_backward_cf_is_swapped_forward():
     params = CycleParams(0.6, 1.0, 1.7, 0.1, 0.35)
-    back = backward_distribution(params, 0.3)
+    back = enumerate_paths(params.swapped, 0.3)
     gen = np.random.default_rng(8)
     for gw, gm in gen.uniform(-4.0, 4.0, size=(20, 2)):
         swapped = cf_unital(params.swapped, 0.3, gw, gm)
@@ -313,7 +312,7 @@ def test_enumeration_matches_closed_form(params, theta):
     assert close(cums.q_m[1], first.qm_var, 1e-12)
     assert close(cums.qt_mean, first.qt_mean, 1e-12)
 
-    back = cumulants_from_distribution(backward_distribution(params, theta))
+    back = cumulants_from_distribution(enumerate_paths(params.swapped, theta))
     first_b = closed_form_first_second(params, theta, direction="backward")
     assert close(back.w[0], first_b.w_mean, 1e-12)
     assert close(back.w[1], first_b.w_var, 1e-12)

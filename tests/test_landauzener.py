@@ -74,13 +74,13 @@ def test_unmonitored_heat_matches_closed_form_on_grid():
             for phi in (0.0, 0.7, 2.1):
                 for chi in (0.0, 1.3):
                     p = LZParams.build(0.5, 0.7, 1.3, float(delta), phi, float(alpha_m), chi)
-                    um = unmonitored_cycle(p)
+                    um = unmonitored_cycle(p, p.delta)
                     assert abs(um.q_m - qm_unmonitored_closed_form(p)) < 1e-12
 
 
 def test_energy_bookkeeping_closes_the_cycle():
     p = build(0.35, **FIG6F)
-    um = unmonitored_cycle(p)
+    um = unmonitored_cycle(p, p.delta)
     w1 = um.e2 - um.e1
     w2 = um.e4 - um.e3
     assert um.q_m == pytest.approx(um.e3 - um.e2, abs=1e-15)
@@ -92,8 +92,8 @@ def test_monitoring_changes_the_post_channel_energies():
     # the measurement at B erases the coherence the projector channel
     # feeds on, so the two routes split at E3 (and stay split at E4)
     p = build(0.35, **FIG6F)
-    um = unmonitored_cycle(p)
-    mon = monitored_averages(p)
+    um = unmonitored_cycle(p, p.delta)
+    mon = monitored_averages(p, p.delta)
     assert mon.e1 == um.e1
     assert mon.e2 == um.e2
     assert mon.e3 != um.e3
@@ -105,7 +105,7 @@ def test_monitored_column_reproduces_cumulant_route():
     p = build(0.27, **FIG6F)
     theta = math.sin(FIG6F["alpha_m"]) ** 2 / 2.0
     assert p.channel.theta == pytest.approx(theta, abs=1e-15)
-    mon = monitored_averages(p)
+    mon = monitored_averages(p, p.delta)
     cums = cumulants_from_distribution(enumerate_paths(p.cycle, theta))
     assert mon.w == pytest.approx(cums.w[0], abs=1e-14)
     assert mon.q_m == pytest.approx(cums.q_m[0], abs=1e-14)
@@ -114,18 +114,18 @@ def test_monitored_column_reproduces_cumulant_route():
 
 def test_zero_transition_probability_equalises_routes():
     p = build(0.0, **FIG6F)
-    um = unmonitored_cycle(p)
-    mon = monitored_averages(p)
+    um = unmonitored_cycle(p, p.delta)
+    mon = monitored_averages(p, p.delta)
     assert um.q_m == pytest.approx(mon.q_m, abs=1e-14)
 
 
 def test_phases_enter_only_through_their_sum():
-    base = unmonitored_cycle(LZParams.build(0.5, 0.4, 0.9, 0.3, 0.45, 1.1, 0.15))
-    shifted = unmonitored_cycle(LZParams.build(0.5, 0.4, 0.9, 0.3, 0.15, 1.1, 0.45))
+    base = unmonitored_cycle(LZParams.build(0.5, 0.4, 0.9, 0.3, 0.45, 1.1, 0.15), 0.3)
+    shifted = unmonitored_cycle(LZParams.build(0.5, 0.4, 0.9, 0.3, 0.15, 1.1, 0.45), 0.3)
     assert base.q_m == pytest.approx(shifted.q_m, abs=1e-14)
     # the monitored route ignores both phases entirely
-    m1 = monitored_averages(LZParams.build(0.5, 0.4, 0.9, 0.3, 0.45, 1.1, 0.15))
-    m2 = monitored_averages(LZParams.build(0.5, 0.4, 0.9, 0.3, 2.75, 1.1, 4.0))
+    m1 = monitored_averages(LZParams.build(0.5, 0.4, 0.9, 0.3, 0.45, 1.1, 0.15), 0.3)
+    m2 = monitored_averages(LZParams.build(0.5, 0.4, 0.9, 0.3, 2.75, 1.1, 4.0), 0.3)
     assert m1.w == m2.w and m1.q_m == m2.q_m
 
 
@@ -165,8 +165,8 @@ def test_one_block_propagation_per_table(monkeypatch):
     base = build(0.0, **FIG6F)
     deltas = np.linspace(0.0, 1.0, 7)
     want = [
-        (monitored_averages(base.with_delta(float(d))), unmonitored_cycle(base.with_delta(float(d))))
-        for d in deltas
+        (monitored_averages(base, d), unmonitored_cycle(base, d))
+        for d in deltas.tolist()
     ]
     calls = []
 
@@ -174,7 +174,6 @@ def test_one_block_propagation_per_table(monkeypatch):
         original = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *a: calls.append(name) or original(*a))
 
-    counted(landauzener, "_unmonitored_block")
     counted(landauzener, "unmonitored_cycle")
     counted(landauzener, "thermal_state")
     counted(landauzener, "hamiltonian")
@@ -182,7 +181,7 @@ def test_one_block_propagation_per_table(monkeypatch):
     rows = monitored_vs_unmonitored(base, deltas)
     # the state, both Hamiltonians and the projectors are built once per table
     assert sorted(calls) == sorted(
-        ["_unmonitored_block", "thermal_state", "hamiltonian", "hamiltonian", "kraus_ops"]
+        ["unmonitored_cycle", "thermal_state", "hamiltonian", "hamiltonian", "kraus_ops"]
     )
     for row, (mon, um) in zip(rows, want):
         got = [row.w_mon, row.eta_mon, row.w_um, row.eta_um]
@@ -221,7 +220,7 @@ def _random_tables(seed, count):
 
 def test_block_rows_equal_the_per_row_propagation_bitwise():
     for base, deltas in _random_tables(7, 40):
-        block = landauzener._unmonitored_block(base, deltas)
+        block = unmonitored_cycle(base, deltas)
         rows = monitored_vs_unmonitored(base, deltas)
         for i, delta in enumerate(deltas.tolist()):
             e1, e2, e3, e4 = _per_row_cycle(base.with_delta(delta))
@@ -239,7 +238,7 @@ def test_block_rows_equal_the_per_row_propagation_bitwise():
 
 def test_block_heat_matches_the_closed_form_on_random_tables():
     for base, deltas in _random_tables(8, 40):
-        block = landauzener._unmonitored_block(base, deltas)
+        block = unmonitored_cycle(base, deltas)
         want = [qm_unmonitored_closed_form(base.with_delta(d)) for d in deltas.tolist()]
         assert np.max(np.abs(block.q_m - want)) <= 1e-13 * base.cycle.nu2
 
@@ -258,7 +257,7 @@ def test_comparison_rows_are_the_single_point_averages():
     rows = monitored_vs_unmonitored(build(0.0, **FIG6F), deltas)
     for row, delta in zip(rows, deltas.tolist()):
         point = build(delta, **FIG6F)
-        mon, um = monitored_averages(point), unmonitored_cycle(point)
+        mon, um = monitored_averages(point, delta), unmonitored_cycle(point, delta)
         got = [row.delta, row.w_mon, row.eta_mon, row.w_um, row.eta_um]
         assert np.array_equal(got, [delta, mon.w, mon.eta, um.w, um.eta], equal_nan=True)
         assert row.regime_mon is classify_regime_array(mon.w, mon.q_m, mon.q_t, FIG6F["beta"]).item()

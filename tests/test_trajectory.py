@@ -1,4 +1,4 @@
-"""Path enumeration, backward/controlled variants and the sampler."""
+"""Path enumeration, the backward and controlled cycles and the sampler."""
 
 import io
 import math
@@ -15,7 +15,6 @@ from unital_otto import (
     JointDistribution,
     PhysicsError,
     SampleStats,
-    backward_distribution,
     cs_distribution,
     distribution_to_csv,
     enumerate_paths,
@@ -68,22 +67,21 @@ def test_theta_out_of_range():
 
 def test_backward_is_delta_zeta_swap():
     params = CycleParams(0.6, 1.0, 1.7, 0.1, 0.3)
-    back = backward_distribution(params, 0.25)
+    back = enumerate_paths(params.swapped, 0.25)
     fwd_swapped = enumerate_paths(CycleParams(0.6, 1.0, 1.7, 0.3, 0.1), 0.25)
-    assert back.direction == "backward"
     assert np.array_equal(back.w, fwd_swapped.w)
     assert np.array_equal(back.prob, fwd_swapped.prob)
 
     sym = CycleParams(0.6, 1.0, 1.7, 0.2, 0.2)
     assert np.array_equal(
-        backward_distribution(sym, 0.25).prob, enumerate_paths(sym, 0.25).prob
+        enumerate_paths(sym.swapped, 0.25).prob, enumerate_paths(sym, 0.25).prob
     )
 
 
 def test_no_work_without_gap_change():
     params = CycleParams(0.8, 1.3, 1.3, 0.15, 0.4)
     fwd = enumerate_paths(params, 0.6)
-    bwd = backward_distribution(params, 0.6)
+    bwd = enumerate_paths(params.swapped, 0.6)
     total = float(np.dot(fwd.prob, fwd.w) + np.dot(bwd.prob, bwd.w))
     assert total <= 1e-12
 
@@ -103,7 +101,6 @@ def test_cs_minus_branch_stays_a_distribution():
     dist = cs_distribution(params, 0.5, ControlSpec(0.5, "minus"))
     assert dist.prob.min() >= 0.0
     assert dist.prob.sum() == pytest.approx(1.0, abs=1e-12)
-    assert dist.control is not None and dist.control.branch == "minus"
 
 
 def test_cs_unphysical_theta_raises():
