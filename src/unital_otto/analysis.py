@@ -20,8 +20,8 @@ bound, and raise the first failing point's own error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -93,8 +93,7 @@ def classify_regime_array(w_mean, qm_mean, qt_mean, beta, tol: float = _REGIME_T
     return regimes
 
 
-@dataclass(frozen=True)
-class WorkThreshold:
+class WorkThreshold(NamedTuple):
     """Minimal nu2 for positive mean work; ``strict`` records > vs >=."""
 
     nu2_min: float
@@ -188,8 +187,7 @@ def _efficiency(beta, nu1, nu2, delta, zeta, flip, mode: str) -> np.ndarray:
     return _divide(work, heat, ~no_heat)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Outcome of checking one inequality ``left <= right`` at every point
     of a block: arrays of its shape, 0-d at one point."""
 
@@ -306,8 +304,7 @@ def bound_reports_to_csv(reports, fileobj) -> None:
         )
 
 
-@dataclass(frozen=True)
-class CumulantRatioRecord:
+class CumulantRatioRecord(NamedTuple):
     """kappa_n(W) / kappa_n(Q_M) with its bound-violation flags."""
 
     order: int

@@ -316,10 +316,17 @@ def _distribution(columns: list[np.ndarray], branch: str):
     return params, ctrl.flip_probability(theta), trajectory.cs_distribution(params, theta, ctrl)
 
 
+def _open_write(path: str):
+    try:
+        return open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def _open_out(cfg: dict):
     path = cfg.get("out")
     if path:
-        return open(path, "w", encoding="utf-8", newline="")
+        return _open_write(path)
     return None
 
 
@@ -372,14 +379,14 @@ def _cmd_cumulants(cfg: dict) -> None:
     _emit(cfg, buf.getvalue())
 
     if cfg.get("dist_out"):
-        with open(cfg["dist_out"], "w", encoding="utf-8", newline="") as fh:
+        with _open_write(cfg["dist_out"]) as fh:
             fh.write(_config_comment("cumulants", cfg))
             trajectory.distribution_to_csv(dist, fh)
 
     if cfg.get("bounds_out"):
         # the control column, alpha, is the seventh of a cs run
         reports = analysis.verify_bounds_block(*columns[:6], mode, *columns[6:], branch=branch)
-        with open(cfg["bounds_out"], "w", encoding="utf-8", newline="") as fh:
+        with _open_write(cfg["bounds_out"]) as fh:
             fh.write(_config_comment("cumulants", cfg))
             analysis.bound_reports_to_csv(reports, fh)
 

@@ -30,11 +30,12 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .qstate import ControlSpec, GeneralQubitChannel
+from .qstate import ControlSpec, GeneralQubitChannel, _Checked
 from .trajectory import (
     CycleParams,
     DistributionBlock,
@@ -72,20 +73,18 @@ def is_rounding_residue(total, largest):
     return abs(total) <= _RESIDUE_ULPS * largest
 
 
-@dataclass(frozen=True)
-class CumulantSet:
+class CumulantSet(_Checked, namedtuple("CumulantSet", "w q_m qt_mean")):
     """First four cumulants of W and Q_M plus the mean bath heat."""
 
-    w: tuple[float, float, float, float]
-    q_m: tuple[float, float, float, float]
-    qt_mean: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        values = (*self.w, *self.q_m, self.qt_mean)
+    def __new__(cls, w: tuple[float, ...], q_m: tuple[float, ...], qt_mean: float):
+        values = (*w, *q_m, qt_mean)
         if not all(math.isfinite(v) for v in values):
             raise ValueError("cumulants must be finite")
-        if self.w[1] < -_VARIANCE_TOL or self.q_m[1] < -_VARIANCE_TOL:
+        if w[1] < -_VARIANCE_TOL or q_m[1] < -_VARIANCE_TOL:
             raise ValueError("variances must be nonnegative")
+        return super().__new__(cls, w, q_m, qt_mean)
 
     @property
     def w_mean(self) -> float:
@@ -96,8 +95,7 @@ class CumulantSet:
         return self.q_m[0]
 
 
-@dataclass(frozen=True)
-class FirstTwoCumulants:
+class FirstTwoCumulants(NamedTuple):
     """Closed-form means and variances (second route): floats at one point,
     arrays over a block."""
 
@@ -188,8 +186,7 @@ def cumulants_from_distribution(dist: JointDistribution) -> CumulantSet:
     return CumulantSet(w=kw, q_m=kq, qt_mean=kw[0] - kq[0])
 
 
-@dataclass(frozen=True)
-class CumulantBlock:
+class CumulantBlock(NamedTuple):
     """First four cumulants over a grid: ``w`` and ``q_m`` shaped (..., 4)."""
 
     w: np.ndarray

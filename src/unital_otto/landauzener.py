@@ -18,14 +18,14 @@ interference term.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from collections import namedtuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .analysis import _REGIME_TOL, Regime, _divide, classify_regime_array
 from .cumulants import closed_form_block, is_rounding_residue
-from .qstate import MeasurementChannel, hamiltonian, thermal_state
+from .qstate import MeasurementChannel, _Checked, hamiltonian, thermal_state
 from .trajectory import CycleParams
 
 __all__ = [
@@ -41,22 +41,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LZParams:
+class LZParams(_Checked, namedtuple("LZParams", "delta phi channel cycle")):
     """Inputs of one Landau-Zener cycle; the cycle is symmetric (zeta = delta)."""
 
-    delta: float
-    phi: float
-    channel: MeasurementChannel
-    cycle: CycleParams
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not math.isfinite(self.phi):
+    def __new__(cls, delta: float, phi: float, channel: MeasurementChannel, cycle: CycleParams):
+        if not math.isfinite(phi):
             raise ValueError("phi must be finite")
-        if not 0.0 <= self.delta <= 1.0:
+        if not 0.0 <= delta <= 1.0:
             raise ValueError("delta must lie in [0, 1]")
-        if self.cycle.delta != self.delta or self.cycle.zeta != self.delta:
+        if cycle.delta != delta or cycle.zeta != delta:
             raise ValueError("Landau-Zener cycle requires zeta = delta in CycleParams")
+        return super().__new__(cls, delta, phi, channel, cycle)
 
     @classmethod
     def build(
@@ -111,8 +108,7 @@ def lz_unitaries(delta, phi: float) -> tuple[np.ndarray, np.ndarray]:
     return u, v
 
 
-@dataclass(frozen=True)
-class CycleAverages:
+class CycleAverages(NamedTuple):
     """Mean energies at the four cycle points and the derived flows, arrays
     of the delta column's shape."""
 
@@ -220,8 +216,7 @@ def _monitored_from(params: LZParams, delta, shared: CycleAverages) -> CycleAver
     )
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
+class ComparisonRow(NamedTuple):
     delta: float
     w_mon: float
     eta_mon: float

@@ -24,7 +24,7 @@ statistic of a controlled cycle is computed through that one number.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -55,6 +55,17 @@ class PhysicsError(ValueError):
     """A physically inconsistent quantity was produced or requested."""
 
 
+class _Checked:
+    """Base of the package's validated named tuples: ``_make``, and so
+    ``_replace``, builds through the constructor and its checks."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
 def _as_matrix(mat) -> np.ndarray:
     out = np.asarray(mat, dtype=complex)
     if out.shape != (2, 2):
@@ -64,8 +75,7 @@ def _as_matrix(mat) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
+class DensityMatrix(_Checked, namedtuple("DensityMatrix", "mat gap")):
     """A valid qubit state in the energy eigenbasis of a gap-``nu`` Hamiltonian.
 
     The constructor symmetrises (rho + rho^dag)/2 and renormalises the
@@ -74,12 +84,11 @@ class DensityMatrix:
     instead of being silently repaired.
     """
 
-    mat: np.ndarray
-    gap: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        mat = _as_matrix(self.mat)
-        if not math.isfinite(self.gap):
+    def __new__(cls, mat: np.ndarray, gap: float = 1.0):
+        mat = _as_matrix(mat)
+        if not math.isfinite(gap):
             raise ValueError("gap label must be finite")
         herm_drift = np.max(np.abs(mat - mat.conj().T))
         trace_drift = abs(mat.trace() - 1.0)
@@ -94,7 +103,7 @@ class DensityMatrix:
         if eigs[0] < -_EIGVAL_TOL or eigs[-1] > 1.0 + _EIGVAL_TOL:
             raise PhysicsError(f"eigenvalues {eigs} outside [0, 1]")
         mat.setflags(write=False)
-        object.__setattr__(self, "mat", mat)
+        return super().__new__(cls, mat, gap)
 
     @property
     def populations(self) -> tuple[float, float]:
@@ -126,21 +135,18 @@ def thermal_state(beta: float, nu: float) -> DensityMatrix:
     return DensityMatrix(np.diag([p_exc, 1.0 - p_exc]), gap=nu)
 
 
-@dataclass(frozen=True)
-class PauliChannel:
+class PauliChannel(_Checked, namedtuple("PauliChannel", "p0 p1 p2 p3")):
     """Unital qubit channel sum_i p_i sigma_i rho sigma_i."""
 
-    p0: float
-    p1: float
-    p2: float
-    p3: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        probs = (self.p0, self.p1, self.p2, self.p3)
+    def __new__(cls, p0: float, p1: float, p2: float, p3: float):
+        probs = (p0, p1, p2, p3)
         if not all(math.isfinite(p) and p >= 0.0 for p in probs):
             raise ValueError("Pauli weights must be finite and nonnegative")
         if abs(sum(probs) - 1.0) > 1e-12:
             raise PhysicsError(f"Pauli weights sum to {sum(probs)!r}, not 1")
+        return super().__new__(cls, *probs)
 
     @property
     def theta(self) -> float:
@@ -155,8 +161,7 @@ class PauliChannel:
         ]
 
 
-@dataclass(frozen=True)
-class MeasurementChannel:
+class MeasurementChannel(_Checked, namedtuple("MeasurementChannel", "alpha_m chi")):
     """Projective measurement channel with Kraus projectors pi_1, pi_2.
 
     The measurement axis is tilted by the polar angle ``alpha_m`` in
@@ -169,14 +174,14 @@ class MeasurementChannel:
     exceed 1/2 (it equals 2 p (1-p) with p = |<-|psi_1>|^2).
     """
 
-    alpha_m: float
-    chi: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (math.isfinite(self.alpha_m) and math.isfinite(self.chi)):
+    def __new__(cls, alpha_m: float, chi: float = 0.0):
+        if not (math.isfinite(alpha_m) and math.isfinite(chi)):
             raise ValueError("angles must be finite")
-        if not 0.0 <= self.alpha_m <= math.pi:
+        if not 0.0 <= alpha_m <= math.pi:
             raise ValueError("alpha_m must lie in [0, pi]")
+        return super().__new__(cls, alpha_m, chi)
 
     @property
     def theta(self) -> float:
@@ -193,13 +198,12 @@ class MeasurementChannel:
         return [np.outer(psi1, psi1.conj()), np.outer(psi2, psi2.conj())]
 
 
-@dataclass(frozen=True)
-class GeneralQubitChannel:
+class GeneralQubitChannel(_Checked, namedtuple("GeneralQubitChannel", "kraus")):
     """Arbitrary qubit channel given by a finite Kraus set."""
 
-    kraus: tuple[np.ndarray, ...]
+    __slots__ = ()
 
-    def __init__(self, kraus):
+    def __new__(cls, kraus):
         mats = tuple(_as_matrix(k) for k in kraus)
         if not mats:
             raise ValueError("need at least one Kraus operator")
@@ -208,7 +212,7 @@ class GeneralQubitChannel:
             raise PhysicsError("Kraus operators do not satisfy sum K^dag K = 1")
         for k in mats:
             k.setflags(write=False)
-        object.__setattr__(self, "kraus", mats)
+        return super().__new__(cls, mats)
 
     @property
     def h(self) -> float:
@@ -232,8 +236,7 @@ class GeneralQubitChannel:
         return list(self.kraus)
 
 
-@dataclass(frozen=True)
-class ControlSpec:
+class ControlSpec(_Checked, namedtuple("ControlSpec", "alpha branch")):
     """Control-qubit preparation for a coherently superposed channel.
 
     ``alpha`` is the weight of the |0> arm in sqrt(alpha)|0> +
@@ -241,14 +244,14 @@ class ControlSpec:
     the control measurement is kept.
     """
 
-    alpha: float
-    branch: str = "minus"
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not math.isfinite(self.alpha) or not 0.0 <= self.alpha <= 1.0:
+    def __new__(cls, alpha: float, branch: str = "minus"):
+        if not math.isfinite(alpha) or not 0.0 <= alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
-        if self.branch not in ("plus", "minus"):
+        if branch not in ("plus", "minus"):
             raise ValueError("branch must be 'plus' or 'minus'")
+        return super().__new__(cls, alpha, branch)
 
     @property
     def sign(self) -> int:

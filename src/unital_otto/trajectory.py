@@ -35,11 +35,12 @@ The first failing point (in C order) raises the error it raises alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .qstate import ControlSpec, GeneralQubitChannel, PhysicsError
+from .qstate import ControlSpec, GeneralQubitChannel, PhysicsError, _Checked
 
 __all__ = [
     "CycleParams",
@@ -76,8 +77,7 @@ _OUTCOMES = {
 }
 
 
-@dataclass(frozen=True)
-class CycleParams:
+class CycleParams(_Checked, namedtuple("CycleParams", "beta nu1 nu2 delta zeta")):
     """All scalar inputs of one Otto cycle.
 
     beta is the bath inverse temperature (negative values allowed), nu1
@@ -85,20 +85,18 @@ class CycleParams:
     probabilities of the expansion and compression strokes.
     """
 
-    beta: float
-    nu1: float
-    nu2: float
-    delta: float
-    zeta: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("beta", "nu1", "nu2", "delta", "zeta"):
-            if not math.isfinite(getattr(self, name)):
+    def __new__(cls, beta: float, nu1: float, nu2: float, delta: float, zeta: float):
+        cycle = (beta, nu1, nu2, delta, zeta)
+        for name, value in zip(cls._fields, cycle):
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
-        if self.nu1 <= 0.0 or self.nu2 <= 0.0:
+        if nu1 <= 0.0 or nu2 <= 0.0:
             raise ValueError("gaps nu1, nu2 must be positive")
-        if not (0.0 <= self.delta <= 1.0 and 0.0 <= self.zeta <= 1.0):
+        if not (0.0 <= delta <= 1.0 and 0.0 <= zeta <= 1.0):
             raise ValueError("delta and zeta must lie in [0, 1]")
+        return super().__new__(cls, *cycle)
 
     @property
     def tanh_beta_nu1(self) -> float:
@@ -110,18 +108,16 @@ class CycleParams:
         return CycleParams(self.beta, self.nu1, self.nu2, self.zeta, self.delta)
 
 
-@dataclass(frozen=True)
-class JointDistribution:
-    """Finite joint distribution of (W, Q_M), one entry per distinct outcome."""
+class JointDistribution(_Checked, namedtuple("JointDistribution", "w q_m prob")):
+    """Finite joint distribution of (W, Q_M), one entry per distinct outcome;
+    its arrays are read-only."""
 
-    w: np.ndarray
-    q_m: np.ndarray
-    prob: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        w = np.asarray(self.w, dtype=float)
-        q = np.asarray(self.q_m, dtype=float)
-        p = np.array(self.prob, dtype=float)
+    def __new__(cls, w: np.ndarray, q_m: np.ndarray, prob: np.ndarray):
+        w = np.asarray(w, dtype=float)
+        q = np.asarray(q_m, dtype=float)
+        p = np.array(prob, dtype=float)
         if not (w.shape == q.shape == p.shape) or w.ndim != 1:
             raise ValueError("w, q_m, prob must be 1-d arrays of equal length")
         if p.min(initial=0.0) < -_CLAMP_TOL:
@@ -134,12 +130,7 @@ class JointDistribution:
             raise PhysicsError(f"probabilities sum to {total!r}, not 1")
         for arr in (w, q, p):
             arr.setflags(write=False)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "q_m", q)
-        object.__setattr__(self, "prob", p)
-
-    def __len__(self) -> int:
-        return self.w.size
+        return super().__new__(cls, w, q, p)
 
     def characteristic_value(self, gamma_w: float, gamma_m: float) -> complex:
         """Brute-force discrete transform sum_k p_k e^{i gw W_k + i gm Q_k}."""
@@ -154,8 +145,7 @@ _N, _M, _K, _L = (np.array(col) for col in zip(*(path[:4] for path in _PATHS)))
 _KEY_A, _KEY_B = (np.array(col, dtype=float) for col in zip(*_OUTCOMES))
 
 
-@dataclass(frozen=True)
-class DistributionBlock:
+class DistributionBlock(NamedTuple):
     """Joint distributions of (W, Q_M) over a grid of parameter points.
 
     Each array is shaped ``(..., 9)``: the grid's shape, then one entry per
@@ -324,8 +314,7 @@ def enumerate_block(
     return DistributionBlock(w.reshape(out), q.reshape(out), clamped.reshape(out))
 
 
-@dataclass(frozen=True)
-class MomentSummary:
+class MomentSummary(NamedTuple):
     """Empirical raw moments of one variable, orders 1 through 4."""
 
     count: int
@@ -360,8 +349,7 @@ class MomentSummary:
         return math.sqrt(max(spread, 0.0) / self.count)
 
 
-@dataclass(frozen=True)
-class SampleStats:
+class SampleStats(NamedTuple):
     """Moments of an i.i.d. sample drawn from a JointDistribution."""
 
     count: int

@@ -1,7 +1,6 @@
 """Regime classification, thresholds, efficiencies and fluctuation bounds."""
 
 import math
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -166,7 +165,7 @@ def test_cancelled_forward_and_backward_heat_is_no_heat():
     bwd = closed_form_first_second(params, flip, direction="backward")
     assert 0.0 < abs(fwd.qm_mean + bwd.qm_mean) < 1e-14
     assert is_rounding_residue(fwd.qm_mean + bwd.qm_mean, abs(fwd.qm_mean))
-    assert np.isnan(efficiency_block(*astuple(params), 0.3, "cs", ctrl.alpha, ctrl.branch))
+    assert np.isnan(efficiency_block(*params, 0.3, "cs", ctrl.alpha, ctrl.branch))
     near = (1.3, 0.7, 3.0, 0.925, 0.05, 0.3)
     assert math.isfinite(efficiency_block(*near, "cs", ctrl.alpha, ctrl.branch))
     assert not is_rounding_residue(1e-12, 1.0)
@@ -175,7 +174,7 @@ def test_cancelled_forward_and_backward_heat_is_no_heat():
 
 def test_bounds_all_hold_in_engine_regime():
     params = CycleParams(0.5, 1.0, 2.0, 0.1, 0.1)
-    reports = {r.name: r for r in verify_bounds_block(*astuple(params), 0.3, "symmetric")}
+    reports = {r.name: r for r in verify_bounds_block(*params, 0.3, "symmetric")}
     assert regime_of(closed_form_first_second(params, 0.3), 0.5) is Regime.ENGINE
     for name in ("qt_nonpositive", "eta_le_otto", "eta_sq_le_ratio", "ratio_le_one",
                  "otto_sq_le_ratio"):
@@ -202,7 +201,7 @@ def test_violated_upper_bound_is_reported_inapplicable():
         first = closed_form_first_second(params, 0.15)
         if regime_of(first, 0.5) is not Regime.ACCELERATOR:
             continue
-        reports = {r.name: r for r in verify_bounds_block(*astuple(params), 0.15, "symmetric")}
+        reports = {r.name: r for r in verify_bounds_block(*params, 0.15, "symmetric")}
         rep = reports["ratio_le_one"]
         if not rep.applicable:
             assert not rep.satisfied

@@ -309,6 +309,16 @@ def test_dist_dump(tmp_path, capsys):
     assert sum(probs) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("target", ["missing", "directory"])
+@pytest.mark.parametrize("flag", ["--out", "--dist-out", "--bounds-out"])
+def test_unwritable_output_path_is_config_error(flag, target, tmp_path, capsys):
+    path = str(tmp_path / "no-such-dir" / "x.csv" if target == "missing" else tmp_path)
+    code, _, err = run(capsys, "cumulants", *BASE, "--theta", "0.2", flag, path)
+    assert code == 2
+    assert err.startswith(f"config error: cannot write {path}: ")
+    assert err.count("\n") == 1
+
+
 def test_bound_report_dump(tmp_path, capsys):
     dump = tmp_path / "bounds.csv"
     code, _, _ = run(

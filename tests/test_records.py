@@ -1,0 +1,94 @@
+"""The record types: immutable named tuples whose validated kinds re-check
+every field on ``_replace``, and no dataclass anywhere in the library."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from unital_otto import (
+    ControlSpec,
+    CumulantSet,
+    CycleParams,
+    DensityMatrix,
+    GeneralQubitChannel,
+    JointDistribution,
+    LZParams,
+    MeasurementChannel,
+    PauliChannel,
+)
+
+LAYERS = ("qstate", "trajectory", "cumulants", "analysis", "landauzener")
+SRC = Path(__file__).resolve().parents[1] / "src" / "unital_otto"
+
+# every public tuple type a layer defines, exported or not (MomentSummary)
+RECORDS = sorted(
+    (
+        value
+        for module in (importlib.import_module(f"unital_otto.{layer}") for layer in LAYERS)
+        for name, value in vars(module).items()
+        if not name.startswith("_") and isinstance(value, type) and issubclass(value, tuple)
+        and value.__module__ == module.__name__
+    ),
+    key=lambda cls: cls.__name__,
+)
+
+# each validated type: a valid instance, and one field set outside its checks
+VALIDATED = {
+    CycleParams: (CycleParams(0.7, 1.0, 2.0, 0.1, 0.2), "delta", 5.0),
+    JointDistribution: (JointDistribution([0.0, 2.0], [0.0, 0.0], [0.5, 0.5]), "prob", [0.5, 0.6]),
+    DensityMatrix: (DensityMatrix(np.diag([0.3, 0.7]), gap=2.0), "mat", np.diag([0.3, 0.8])),
+    PauliChannel: (PauliChannel(0.7, 0.1, 0.1, 0.1), "p1", 0.5),
+    MeasurementChannel: (MeasurementChannel(1.0, 0.1), "alpha_m", 4.0),
+    GeneralQubitChannel: (GeneralQubitChannel([np.eye(2)]), "kraus", [2.0 * np.eye(2)]),
+    ControlSpec: (ControlSpec(0.3, "plus"), "branch", "both"),
+    CumulantSet: (CumulantSet((0.0, 1.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0), 0.0), "q_m", (0.0, -1.0, 0.0, 0.0)),
+    LZParams: (LZParams.build(0.5, 1.0, 2.0, 0.1), "delta", 0.2),
+}
+
+
+def _error(call):
+    try:
+        call()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_every_record_type_is_listed():
+    assert len(RECORDS) == 19
+    # a type that wraps the constructor namedtuple generates in checks of
+    # its own needs a _replace case below
+    custom = {cls for cls in RECORDS if "__new__" in vars(cls) and tuple not in cls.__bases__}
+    assert custom == set(VALIDATED)
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_record_contract(cls):
+    if cls in VALIDATED:
+        record, field, bad = VALIDATED[cls]
+    else:
+        record = cls._make([0.0] * len(cls._fields))
+    with pytest.raises(AttributeError):
+        setattr(record, cls._fields[0], record[0])
+    # no instance dictionary: no attribute can be added either
+    with pytest.raises(AttributeError):
+        record.extra = 1.0
+    if cls in VALIDATED:
+        fields = record._asdict() | {field: bad}
+        built = _error(lambda: cls(**fields))
+        assert built is not None
+        assert _error(lambda: record._replace(**{field: bad})) == built
+        assert _error(lambda: cls._make(fields.values())) == built
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_no_module_imports_dataclasses(path):
+    # frozen dataclasses generate their methods with exec at import time,
+    # which was most of the package's import cost
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "dataclasses" not in imported

@@ -42,7 +42,7 @@ def test_degenerate_limit_single_path():
     # delta = zeta = 0 and theta = 1 at zero temperature: the only
     # surviving record is ground -> ground -> flip -> stay
     dist = enumerate_paths(CycleParams(40.0, 1.0, 2.0, 0.0, 0.0), 1.0)
-    assert len(dist) == 1
+    assert dist.w.size == 1
     assert dist.w[0] == 2.0 * (2.0 - 1.0)
     assert dist.q_m[0] == 2.0 * 2.0
     assert dist.prob[0] == pytest.approx(1.0, abs=1e-12)
@@ -199,7 +199,7 @@ def test_csv_round_trip():
     lines = buf.getvalue().strip().split("\n")
     assert lines[0] == "w,q_m,prob"
     rows = [line.split(",") for line in lines[1:]]
-    assert len(rows) == len(dist)
+    assert len(rows) == dist.w.size
     for (w_text, q_text, p_text), w, q, p in zip(rows, dist.w, dist.q_m, dist.prob):
         assert float(w_text) == w
         assert float(q_text) == q
@@ -212,7 +212,7 @@ def test_sampler_moments_are_those_of_the_draws():
     # the same stream and indices, moments taken over the draws themselves
     rng = np.random.default_rng(11)
     idx = np.searchsorted(np.cumsum(dist.prob), rng.random(20000), side="right")
-    idx = np.minimum(idx, len(dist) - 1)
+    idx = np.minimum(idx, dist.w.size - 1)
     for summary, values in ((stats.w, dist.w), (stats.q_m, dist.q_m)):
         for k, raw in enumerate(summary.raw, 1):
             assert raw == pytest.approx(float(np.mean(values[idx] ** k)), rel=1e-13, abs=1e-13)
@@ -223,7 +223,7 @@ def _searchsorted_stats(dist, n, seed):
     clipped to the last outcome, as the sampler drew before it streamed."""
     rng = np.random.default_rng(seed)
     idx = np.searchsorted(np.cumsum(dist.prob), rng.random(n), side="right")
-    freq = np.bincount(np.minimum(idx, len(dist) - 1), minlength=len(dist)) / n
+    freq = np.bincount(np.minimum(idx, dist.w.size - 1), minlength=dist.w.size) / n
 
     def moments(values):
         return trajectory.MomentSummary(count=n, raw=tuple(float(freq @ values**k) for k in (1, 2, 3, 4)))
