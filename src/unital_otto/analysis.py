@@ -20,7 +20,7 @@ bound, and raise the first failing point's own error.
 from __future__ import annotations
 
 import math
-from enum import Enum
+from enum import IntEnum
 from typing import NamedTuple
 
 import numpy as np
@@ -53,22 +53,29 @@ _REGIME_TOL = 1e-12
 _BOUND_SLACK = 1e-10
 
 
-class Regime(Enum):
-    ENGINE = "Engine"
-    ACCELERATOR = "Accelerator"
-    HEATER = "Heater"
-    ENGINE_PRIME = "EnginePrime"
-    UNDETERMINED = "Undetermined"
+# The printed name of each regime, indexed by its code.
+_REGIME_LABELS = ("Engine", "Accelerator", "Heater", "EnginePrime", "Undetermined")
+
+
+class Regime(IntEnum):
+    """An operating regime; its value is its code in the arrays of
+    :func:`classify_regime_array`, and ``str`` gives its printed name."""
+
+    ENGINE = 0
+    ACCELERATOR = 1
+    HEATER = 2
+    ENGINE_PRIME = 3
+    UNDETERMINED = 4
 
     def __str__(self) -> str:
-        return self.value
+        return _REGIME_LABELS[self]
 
 
 # The sign rule, indexed by (beta > 0, <W> > 0, <Q_M> > 0, <Q_T> > 0): a
 # positive-temperature bath must not feed heat in (Q_T <= 0), a
 # negative-temperature one must (Q_T > 0).  Patterns not set are
 # undetermined.
-_REGIMES = np.full((2, 2, 2, 2), Regime.UNDETERMINED, dtype=object)
+_REGIMES = np.full((2, 2, 2, 2), Regime.UNDETERMINED, dtype=np.int8)
 _REGIMES[1, 1, 1, 0] = Regime.ENGINE
 _REGIMES[1, 0, 1, 0] = Regime.ACCELERATOR
 _REGIMES[1, 0, 0, 0] = Regime.HEATER
@@ -79,12 +86,12 @@ _REGIMES[0, 1, 1, 1] = Regime.ENGINE_PRIME
 
 def classify_regime_array(w_mean, qm_mean, qt_mean, beta, tol: float = _REGIME_TOL) -> np.ndarray:
     """Operating mode from the signs of the three mean energy flows, at
-    every point of broadcast arrays: an object array of :class:`Regime`
-    members.  A flow within ``tol`` of zero, an inconsistent sign pattern,
+    every point of broadcast arrays: an int8 array of :class:`Regime`
+    codes.  A flow within ``tol`` of zero, an inconsistent sign pattern,
     or beta within ``tol`` of 0 is UNDETERMINED."""
     flows = np.broadcast_arrays(beta, w_mean, qm_mean, qt_mean)
     signs = tuple(np.asarray(x > 0.0, dtype=np.intp) for x in flows)
-    regimes = np.asarray(_REGIMES[signs], dtype=object)
+    regimes = np.asarray(_REGIMES[signs])
     beta = flows[0]
     small = (np.abs(beta) <= tol) | (beta == 0.0)
     for flow in flows[1:]:
@@ -200,7 +207,14 @@ class BoundReport(NamedTuple):
 
 
 def _report(name: str, left, right, applicable) -> BoundReport:
-    left, right, applicable = np.broadcast_arrays(left, right, applicable)
+    """The report of ``left <= right`` where ``applicable``.  Each field is
+    an array of the block's shape with cells of its own: an operand of
+    another shape (a constant bound) is broadcast and copied."""
+    shape = np.broadcast(left, right, applicable).shape
+    left, right, applicable = (
+        np.asarray(x) if np.shape(x) == shape else np.full(shape, x)
+        for x in (left, right, applicable)
+    )
     return BoundReport(
         name=name,
         left=left,

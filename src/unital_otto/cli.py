@@ -4,7 +4,11 @@ Every subcommand writes CSV (to --out or stdout) whose first line is a
 ``#``-comment recording the fully resolved configuration (OTTO_TOL
 included, as ``tol``), so a rerun with the same inputs, on the same
 machine and numpy build, byte-reproduces the file.  Numbers are printed
-with 17 significant digits.
+with 17 significant digits.  Every output path is opened before any text
+is written.  ``classify`` and ``sweep`` evaluate, and so check, every
+point of their grid before writing any row, then format and write the
+rows one block of points at a time: an invalid point leaves no output,
+and a table's text is never held in memory whole.
 
 Exit codes: 0 success (bound violations are data, not failures),
 2 configuration error, 3 physics-domain error.
@@ -13,6 +17,7 @@ Exit codes: 0 success (bound violations are data, not failures),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import math
 import os
@@ -278,12 +283,12 @@ def _run(cfg: dict, axes=()) -> tuple[list[np.ndarray], str, str]:
     return grid, point.get("branch") or "minus", mode
 
 
-# Grid points per evaluation call: enough that numpy's per-call cost is
-# spread thin, few enough that the block's temporaries (16 paths and 9
-# outcomes per point) stay small beside the output text.  On a 101 x 101
-# classify grid 1024-point blocks raised peak RSS by 1.3 MB (4%), 256-point
-# blocks by 0.5 MB, at the same speed.  verify-bounds has its own block
-# size, _CAMPAIGN_BLOCK.
+# Grid points per evaluation call and per chunk of rows written: enough
+# that numpy's per-call cost is spread thin, few enough that the block's
+# temporaries (16 paths and 9 outcomes per point) and its text stay small.
+# On a 101 x 101 classify grid 1024-point blocks raised peak RSS by 1.3 MB
+# (4%), 256-point blocks by 0.5 MB, at the same speed.  verify-bounds has
+# its own block size, _CAMPAIGN_BLOCK.
 _BLOCK_POINTS = 256
 
 
@@ -323,20 +328,21 @@ def _open_write(path: str):
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
-def _open_out(cfg: dict):
-    path = cfg.get("out")
-    if path:
-        return _open_write(path)
-    return None
+@contextlib.contextmanager
+def _output(cfg: dict):
+    """The --out file, opened for writing and closed after, or stdout."""
+    if not cfg.get("out"):
+        yield sys.stdout
+        return
+    with _open_write(cfg["out"]) as fh:
+        yield fh
 
 
-def _emit(cfg: dict, text: str) -> None:
-    fh = _open_out(cfg)
-    if fh is None:
-        sys.stdout.write(text)
-    else:
-        with fh:
-            fh.write(text)
+def _emit(cfg: dict, text) -> None:
+    """Write ``text``, a string or an iterable of strings, in order to --out
+    or stdout."""
+    with _output(cfg) as fh:
+        fh.writelines([text] if isinstance(text, str) else text)
 
 
 def _cmd_cumulants(cfg: dict) -> None:
@@ -376,32 +382,34 @@ def _cmd_cumulants(cfg: dict) -> None:
         closed.qt_mean,
     )
     route_and_delta("cf_derivative", fd.w, fd.q_m, fd.qt_mean)
-    _emit(cfg, buf.getvalue())
 
+    dumps = []
     if cfg.get("dist_out"):
-        with _open_write(cfg["dist_out"]) as fh:
-            fh.write(_config_comment("cumulants", cfg))
-            trajectory.distribution_to_csv(dist, fh)
-
+        dumps.append((cfg["dist_out"], trajectory.distribution_to_csv, dist))
     if cfg.get("bounds_out"):
         # the control column, alpha, is the seventh of a cs run
         reports = analysis.verify_bounds_block(*columns[:6], mode, *columns[6:], branch=branch)
-        with _open_write(cfg["bounds_out"]) as fh:
+        dumps.append((cfg["bounds_out"], analysis.bound_reports_to_csv, reports))
+    with contextlib.ExitStack() as stack:
+        # every file is opened, so every path checked, before any text is written
+        out = stack.enter_context(_output(cfg))
+        files = [stack.enter_context(_open_write(path)) for path, _, _ in dumps]
+        out.write(buf.getvalue())
+        for fh, (_, write, data) in zip(files, dumps):
             fh.write(_config_comment("cumulants", cfg))
-            analysis.bound_reports_to_csv(reports, fh)
+            write(data, fh)
 
 
-def _bound_cells(report: analysis.BoundReport) -> list[str]:
-    """A block's report of one bound as sweep cells: ok, violated or n/a."""
-    cells = np.where(report.satisfied, "ok", "violated")
-    return np.where(report.applicable, cells, "n/a").tolist()
+# A sweep's cell of a bound, indexed by its code.
+_VERDICTS = ("ok", "violated", "n/a")
 
 
 def _cmd_sweep(cfg: dict) -> None:
     axis, values = _axis_values(cfg)
     grid, branch, mode = _run(cfg, [(axis, values)])
     bound_names: list[str] = []
-    rows = []
+    blocks = []
+    # every point is evaluated, and so checked, before any row is written
     for start, columns, dist, cums, regimes in _grid_blocks(grid, branch, _tolerance(cfg)):
         # <W> is a sum over outcomes; cancelled to rounding residue it has
         # no relative fluctuation worth printing
@@ -411,25 +419,40 @@ def _cmd_sweep(cfg: dict) -> None:
         etas = analysis.efficiency_block(*columns[:6], mode, *columns[6:], branch=branch)
         bounds = analysis.verify_bounds_block(*columns[:6], mode, *columns[6:], branch=branch)
         bound_names = [b.name for b in bounds]
-        points = zip(
-            values[start:start + len(etas)].tolist(),
-            cums.w.tolist(), cums.q_m.tolist(), cums.qt_mean.tolist(), no_mean, etas.tolist(),
-            regimes, *map(_bound_cells, bounds),
-        )
-        for value, kw, kq, qt, zero_mean, eta, regime, *verdicts in points:
-            cells = [_fmt(v) for v in (value, *kw, *kq, qt)]
-            cells.append(_fmt(math.inf if zero_mean else kw[1] / kw[0] ** 2))
-            cells.append(_fmt(eta))
-            cells.append(str(regime))
-            cells.extend(verdicts)
-            rows.append(",".join(cells))
+        verdicts = [np.where(b.applicable, ~b.satisfied, 2).astype(np.int8) for b in bounds]
+        blocks.append((start, cums, no_mean, etas, regimes, verdicts))
     header = (
         [axis, "w_k1", "w_k2", "w_k3", "w_k4", "qm_k1", "qm_k2", "qm_k3", "qm_k4",
          "qt_mean", "w_rf", "efficiency", "regime"]
         + bound_names
     )
-    text = _config_comment("sweep", cfg) + ",".join(header) + "\n" + "\n".join(rows) + "\n"
-    _emit(cfg, text)
+    # twelve numbers, printed as _fmt prints a float, then the regime and
+    # one verdict per bound
+    template = "%.17g," * 12 + ",".join(["%s"] * (1 + len(bound_names))) + "\n"
+    labels = analysis._REGIME_LABELS
+
+    def lines():
+        yield _config_comment("sweep", cfg)
+        yield ",".join(header) + "\n"
+        for start, cums, no_mean, etas, regimes, verdicts in blocks:
+            points = zip(
+                values[start:start + len(etas)].tolist(), cums.w.tolist(), cums.q_m.tolist(),
+                cums.qt_mean.tolist(), no_mean.tolist(), etas.tolist(), regimes.tolist(),
+                *(v.tolist() for v in verdicts),
+            )
+            rows = []
+            for value, kw, kq, qt, zero_mean, eta, regime, *codes in points:
+                w_rf = math.inf if zero_mean else kw[1] / kw[0] ** 2
+                cells = [_VERDICTS[c] for c in codes]
+                rows.append(template % (value, *kw, *kq, qt, w_rf, eta, labels[regime], *cells))
+            yield "".join(rows)
+
+    _emit(cfg, lines())
+
+
+# A classify row: the two axis cells, then <W>, <Q_M> and <Q_T> as _fmt
+# prints a float, then the regime.
+_CLASSIFY_ROW = "%s,%s,%.17g,%.17g,%.17g,%s\n"
 
 
 def _cmd_classify(cfg: dict) -> None:
@@ -438,15 +461,30 @@ def _cmd_classify(cfg: dict) -> None:
     if axis1 == axis2:
         raise ConfigError("the two grid axes must differ")
     grid, branch, _ = _run(cfg, [(axis1, values1), (axis2, values2)])
+    # every point is evaluated, and so checked, before any row is written;
+    # a block keeps only its printed columns, the means copied out of the
+    # (N, 4) cumulant arrays so that those are freed
+    blocks = [
+        (start, cums.w_mean.copy(), cums.qm_mean.copy(), cums.qt_mean, regimes)
+        for start, _, _, cums, regimes in _grid_blocks(grid, branch, _tolerance(cfg))
+    ]
     cells1 = [_fmt(v) for v in values1.tolist()]
     cells2 = [_fmt(v) for v in values2.tolist()]
-    lines = [f"{axis1},{axis2},w_mean,qm_mean,qt_mean,regime"]
-    for start, _, _, cums, regimes in _grid_blocks(grid, branch, _tolerance(cfg)):
-        means = zip(cums.w_mean.tolist(), cums.qm_mean.tolist(), cums.qt_mean.tolist(), regimes)
-        for index, (w, q, qt, regime) in enumerate(means, start):
-            i1, i2 = divmod(index, len(cells2))
-            lines.append(f"{cells1[i1]},{cells2[i2]},{w:.17g},{q:.17g},{qt:.17g},{regime.value}")
-    _emit(cfg, _config_comment("classify", cfg) + "\n".join(lines) + "\n")
+    labels = analysis._REGIME_LABELS
+
+    def lines():
+        yield _config_comment("classify", cfg)
+        yield f"{axis1},{axis2},w_mean,qm_mean,qt_mean,regime\n"
+        n2 = len(cells2)
+        for start, *columns in blocks:
+            w, q, qt, regimes = (column.tolist() for column in columns)
+            points = zip(range(start, start + len(w)), w, q, qt, regimes)
+            yield "".join([
+                _CLASSIFY_ROW % (cells1[i // n2], cells2[i % n2], wi, qi, ti, labels[r])
+                for i, wi, qi, ti, r in points
+            ])
+
+    _emit(cfg, lines())
 
 
 # Samples per bound-campaign block: decoded, then checked with one
@@ -681,10 +719,9 @@ def _cmd_lz_compare(cfg: dict) -> None:
         cfg.get("phi") or 0.0, alpha_m, cfg.get("chi") or 0.0,
     )
     rows = landauzener.monitored_vs_unmonitored(base, values, _tolerance(cfg))
-    buf = io.StringIO()
-    buf.write(_config_comment("lz-compare", cfg))
-    landauzener.comparison_to_csv(rows, buf)
-    _emit(cfg, buf.getvalue())
+    with _output(cfg) as fh:
+        fh.write(_config_comment("lz-compare", cfg))
+        landauzener.comparison_to_csv(rows, fh)
 
 
 _COMMANDS = {

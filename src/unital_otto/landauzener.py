@@ -235,17 +235,21 @@ def monitored_vs_unmonitored(
     delta = np.array([float(d) for d in deltas], dtype=float)
     um = unmonitored_cycle(params, delta)
     mon = _monitored_from(params, delta, um)
-    cyc = params.cycle
+
+    def regimes(avg: CycleAverages):
+        codes = classify_regime_array(avg.w, avg.q_m, avg.q_t, params.cycle.beta, tol)
+        return map(Regime, codes.tolist())
+
     columns = (
-        delta,
-        mon.w,
-        mon.eta,
-        classify_regime_array(mon.w, mon.q_m, mon.q_t, cyc.beta, tol),
-        um.w,
-        um.eta,
-        classify_regime_array(um.w, um.q_m, um.q_t, cyc.beta, tol),
+        delta.tolist(),
+        mon.w.tolist(),
+        mon.eta.tolist(),
+        regimes(mon),
+        um.w.tolist(),
+        um.eta.tolist(),
+        regimes(um),
     )
-    return [ComparisonRow(*row) for row in zip(*(c.tolist() for c in columns))]
+    return [ComparisonRow(*row) for row in zip(*columns)]
 
 
 def comparison_to_csv(rows: Iterable[ComparisonRow], fileobj) -> None:

@@ -204,7 +204,8 @@ class GeneralQubitChannel(_Checked, namedtuple("GeneralQubitChannel", "kraus")):
     __slots__ = ()
 
     def __new__(cls, kraus):
-        mats = tuple(_as_matrix(k) for k in kraus)
+        # copies, so that the caller's arrays stay writable
+        mats = tuple(_as_matrix(k).copy() for k in kraus)
         if not mats:
             raise ValueError("need at least one Kraus operator")
         total = sum(k.conj().T @ k for k in mats)

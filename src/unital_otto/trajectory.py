@@ -115,8 +115,9 @@ class JointDistribution(_Checked, namedtuple("JointDistribution", "w q_m prob"))
     __slots__ = ()
 
     def __new__(cls, w: np.ndarray, q_m: np.ndarray, prob: np.ndarray):
-        w = np.asarray(w, dtype=float)
-        q = np.asarray(q_m, dtype=float)
+        # copies, so that the caller's arrays stay writable
+        w = np.array(w, dtype=float)
+        q = np.array(q_m, dtype=float)
         p = np.array(prob, dtype=float)
         if not (w.shape == q.shape == p.shape) or w.ndim != 1:
             raise ValueError("w, q_m, prob must be 1-d arrays of equal length")

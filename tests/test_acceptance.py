@@ -212,7 +212,7 @@ def test_criterion_5_proved_inequality_suite():
     regimes = classify_regime_array(work, heat, fwd.qt_mean, [p.beta for p in points])
     engines = 0
     for params, w, q, regime in zip(points, work.tolist(), heat.tolist(), regimes):
-        if regime is not Regime.ENGINE:
+        if regime != Regime.ENGINE:
             continue
         engines += 1
         if w / q > 1.0 - params.nu1 / params.nu2 + margin:

@@ -1,6 +1,7 @@
 """Regime classification, thresholds, efficiencies and fluctuation bounds."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -181,6 +182,19 @@ def test_bounds_all_hold_in_engine_regime():
         assert reports[name].applicable, name
         assert reports[name].satisfied, name
     assert not reports["equal_gap_work_nonpositive"].applicable
+
+
+def test_bound_reports_own_their_cells():
+    # a constant bound is copied to the block's shape, not one stride-0
+    # cell that every point shares
+    reports = verify_bounds_block(0.7, 1.0, np.array([2.0, 3.0]), 0.1, 0.1, 0.3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for r in reports:
+            assert all(x.shape == (2,) and x.flags.writeable for x in (r.left, r.right, r.applicable))
+    right = reports[0].right
+    right[0] = 1.0
+    assert right[1] == 0.0
 
 
 def test_heater_reverses_relative_fluctuation_order():

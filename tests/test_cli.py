@@ -1,10 +1,12 @@
 """Command-line interface: outputs, config handling, exit codes."""
 
+import hashlib
 import math
 import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -247,6 +249,79 @@ def test_classify_emits_full_grid(capsys):
                for r in rows)
 
 
+# sha256 of whole outputs, captured before rows were written a block at a
+# time: a classify grid showing every regime label (beta through 0), a
+# 600-point sweep and an lz-compare table, each more than one block long
+PINNED_TABLES = {
+    "classify": (
+        "classify --beta 0.7 --nu1 1 --nu2 2 --delta 0.1 --zeta 0.1 --theta 0.3 "
+        "--axis beta --start -2 --stop 2 --steps 41 --axis2 delta --start2 0 --stop2 1 --steps2 41",
+        "a5dff7e0d3f07e7b3ae67b76b394859e82fc6015c3b6a1d6669f6655a30c33fb",
+    ),
+    "sweep": (
+        "sweep --beta 0.7 --nu1 1 --nu2 2 --delta 0.1 --zeta 0.1 --theta 0.3 "
+        "--axis delta --start 0 --stop 1 --steps 600",
+        "ec3b514792e3bb9347f23589fd9f2aa13ae4ab7c205dae7130a6e23bd5eb56a5",
+    ),
+    "lz-compare": (
+        "lz-compare --beta 0.5 --nu1 0.4 --nu2 0.9 --alpha-m 1 --phi 0.3 --chi -1 "
+        "--axis delta --start 0 --stop 1 --steps 301",
+        "b1d92ac4ffc51bf331a976858fc9f2d70bfab78aabbf6feab92f55caec491329",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", PINNED_TABLES)
+def test_tables_are_pinned(command, capsys):
+    argv, digest = PINNED_TABLES[command]
+    code, out, err = run(capsys, *argv.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    if command == "classify":
+        labels = {row.rsplit(",", 1)[1] for row in out.splitlines()[2:]}
+        assert labels == {"Engine", "Accelerator", "Heater", "EnginePrime", "Undetermined"}
+
+
+def test_invalid_point_in_the_last_block_leaves_no_output(tmp_path, capsys):
+    # 17 x 17 points; only the last, theta = 0.5001 at cs-alpha = 0.5 on
+    # the minus branch, has a flip probability above 1
+    argv = [
+        "classify", "--beta", "0.7", "--nu1", "1", "--nu2", "2", "--delta", "0.1",
+        "--zeta", "0.1", "--axis", "theta", "--start", "0", "--stop", "0.5001",
+        "--steps", "17", "--axis2", "cs-alpha", "--start2", "0.1", "--stop2", "0.5",
+        "--steps2", "17",
+    ]
+    message = (
+        "physics error: minus branch: theta 0.5001 exceeds 2 p_branch = 0.5, "
+        "the flip probability would exceed 1\n"
+    )
+    assert run(capsys, *argv) == (3, "", message)
+    out = tmp_path / "map.csv"
+    assert run(capsys, *argv, "--out", str(out)) == (3, "", message)
+    assert not out.exists()
+
+
+def test_grid_memory_does_not_grow_with_the_text(tmp_path, capsys):
+    # rows go out one block at a time: what is held is the grid's printed
+    # numbers, about 32 bytes a point, not its 4 MB of text
+    out = tmp_path / "map.csv"
+    argv = [
+        "classify", "--beta", "0.7", "--nu1", "1", "--nu2", "2", "--delta", "0",
+        "--zeta", "0", "--theta", "0.2", "--axis", "delta", "--start", "0",
+        "--stop", "0.5", "--steps", "201", "--axis2", "theta", "--start2", "0",
+        "--stop2", "1", "--steps2", "201", "--out", str(out),
+    ]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert len(out.read_text().splitlines()) == 2 + 201 * 201
+    assert peak < out.stat().st_size / 2
+
+
 def test_lz_compare_table(capsys):
     code, out, _ = run(
         capsys, "lz-compare", "--beta", "0.5", "--nu1", "0.4", "--nu2", "0.4",
@@ -313,8 +388,10 @@ def test_dist_dump(tmp_path, capsys):
 @pytest.mark.parametrize("flag", ["--out", "--dist-out", "--bounds-out"])
 def test_unwritable_output_path_is_config_error(flag, target, tmp_path, capsys):
     path = str(tmp_path / "no-such-dir" / "x.csv" if target == "missing" else tmp_path)
-    code, _, err = run(capsys, "cumulants", *BASE, "--theta", "0.2", flag, path)
+    code, out, err = run(capsys, "cumulants", *BASE, "--theta", "0.2", flag, path)
     assert code == 2
+    # every path is opened before any text is written
+    assert out == ""
     assert err.startswith(f"config error: cannot write {path}: ")
     assert err.count("\n") == 1
 

@@ -156,7 +156,7 @@ def test_comparison_csv_header():
     lines = buf.getvalue().strip().split("\n")
     assert lines[0] == "delta,w_mon,eta_mon,regime_mon,w_um,eta_um,regime_um"
     assert len(lines) == 3
-    assert lines[1].split(",")[3] in {r.value for r in Regime}
+    assert lines[1].split(",")[3] in {str(r) for r in Regime}
 
 
 def test_one_block_propagation_per_table(monkeypatch):
@@ -260,4 +260,4 @@ def test_comparison_rows_are_the_single_point_averages():
         mon, um = monitored_averages(point, delta), unmonitored_cycle(point, delta)
         got = [row.delta, row.w_mon, row.eta_mon, row.w_um, row.eta_um]
         assert np.array_equal(got, [delta, mon.w, mon.eta, um.w, um.eta], equal_nan=True)
-        assert row.regime_mon is classify_regime_array(mon.w, mon.q_m, mon.q_t, FIG6F["beta"]).item()
+        assert row.regime_mon == classify_regime_array(mon.w, mon.q_m, mon.q_t, FIG6F["beta"]).item()

@@ -92,3 +92,18 @@ def test_no_module_imports_dataclasses(path):
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
     imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
     assert "dataclasses" not in imported
+
+
+@pytest.mark.parametrize(
+    "build, arrays",
+    [
+        (JointDistribution, [np.array([0.0, 2.0]), np.array([0.0, 1.0]), np.array([0.5, 0.5])]),
+        (lambda *kraus: GeneralQubitChannel(kraus), [np.eye(2, dtype=complex)]),
+    ],
+    ids=["JointDistribution", "GeneralQubitChannel"],
+)
+def test_read_only_fields_leave_the_callers_arrays_writable(build, arrays):
+    record = build(*arrays)
+    assert all(arr.flags.writeable for arr in arrays)
+    fields = record if isinstance(record, JointDistribution) else record.kraus
+    assert not any(field.flags.writeable for field in fields)
