@@ -24,7 +24,6 @@ from .trajectory import (
     DistributionBlock,
     JointDistribution,
     SampleStats,
-    cs_distribution,
     distribution_to_csv,
     enumerate_block,
     enumerate_paths,
@@ -32,7 +31,6 @@ from .trajectory import (
 )
 from .cumulants import (
     CumulantBlock,
-    CumulantSet,
     FirstTwoCumulants,
     cf_derivative_check,
     cf_general,
@@ -41,7 +39,6 @@ from .cumulants import (
     closed_form_first_second,
     cs_first_cumulants,
     cumulants_from_block,
-    cumulants_from_distribution,
     is_rounding_residue,
 )
 from .analysis import (

@@ -28,10 +28,7 @@ import numpy as np
 # closed_form_first_second is not called here: perfbench's tracer and its
 # tests look the name up on this module
 from .cumulants import (
-    _closed_form,
-    closed_form_first_second,
-    cumulants_from_distribution,
-    is_rounding_residue,
+    _closed_form, closed_form_first_second, cumulants_from_block, is_rounding_residue,
 )
 from .qstate import ControlSpec, PhysicsError
 from .trajectory import CycleParams, _check_theta, _checked_columns, enumerate_paths
@@ -343,12 +340,12 @@ def cumulant_ratio_scan(
     if order not in (2, 3, 4):
         raise ValueError("order must be 2, 3 or 4")
     dist = enumerate_paths(params, theta)
-    cums = cumulants_from_distribution(dist)
+    cums = cumulants_from_block(dist)
+    kw, kq = cums.w.tolist(), cums.q_m.tolist()  # the record holds Python floats
     # <Q_M> cancelled to rounding residue is no heat, as in efficiency
-    no_heat = is_rounding_residue(cums.qm_mean, float(np.max(np.abs(dist.prob * dist.q_m))))
-    eta = math.nan if no_heat else cums.w_mean / cums.qm_mean
-    num = cums.w[order - 1]
-    den = cums.q_m[order - 1]
+    no_heat = is_rounding_residue(kq[0], float(np.max(np.abs(dist.prob * dist.q_m))))
+    eta = math.nan if no_heat else kw[0] / kq[0]
+    num, den = kw[order - 1], kq[order - 1]
     eta_power = eta**order
     # den has dimension energy^order: compare it with the largest |Q_M|
     # outcome, 2 nu2, to that power

@@ -310,15 +310,15 @@ def _grid_blocks(grid: list[np.ndarray], branch: str, tol: float):
 
 def _distribution(columns: list[np.ndarray], branch: str):
     """(cycle, flip probability, joint distribution) at the one point of a
-    run's 0-d columns.  The flip probability is theta's unital equivalent,
+    run's 0-d columns, checked as every point is: cycle, control, theta
+    range, flip bound.  The flip probability is theta's unital equivalent,
     ``ctrl.flip_probability(theta)`` under coherent control; the unital
     closed forms take it."""
     beta, nu1, nu2, delta, zeta, theta, *alpha = (float(c) for c in columns)
     params = trajectory.CycleParams(beta, nu1, nu2, delta, zeta)
-    if not alpha:
-        return params, theta, trajectory.enumerate_paths(params, theta)
-    ctrl = ControlSpec(alpha[0], branch)
-    return params, ctrl.flip_probability(theta), trajectory.cs_distribution(params, theta, ctrl)
+    ctrl = ControlSpec(alpha[0], branch) if alpha else None
+    dist = trajectory.enumerate_paths(params, theta, ctrl)
+    return params, theta if ctrl is None else ctrl.flip_probability(theta), dist
 
 
 def _open_write(path: str):
@@ -348,7 +348,7 @@ def _emit(cfg: dict, text) -> None:
 def _cmd_cumulants(cfg: dict) -> None:
     columns, branch, mode = _run(cfg)
     params, flip, dist = _distribution(columns, branch)
-    exact = cumulants.cumulants_from_distribution(dist)
+    exact = cumulants.cumulants_from_block(dist)
     fd = cumulants.cf_derivative_check(params, flip)
 
     buf = io.StringIO()
@@ -364,12 +364,7 @@ def _cmd_cumulants(cfg: dict) -> None:
 
     def route_and_delta(route, w, q, qt):
         row(route, w, q, qt)
-        row(
-            route + "_delta",
-            tuple(abs(a - b) for a, b in zip(w, exact.w)),
-            tuple(abs(a - b) for a, b in zip(q, exact.q_m)),
-            abs(qt - exact.qt_mean),
-        )
+        row(route + "_delta", abs(w - exact.w), abs(q - exact.q_m), abs(qt - exact.qt_mean))
 
     row("enumeration", exact.w, exact.q_m, exact.qt_mean)
     closed = cumulants.closed_form_first_second(params, flip)
@@ -691,7 +686,7 @@ def _cmd_sample(cfg: dict) -> None:
     n = 10**6 if cfg.get("samples") is None else cfg["samples"]
     seed = cfg.get("seed") or 0
     stats = trajectory.sample(dist, n, seed)
-    exact = cumulants.cumulants_from_distribution(dist)
+    exact = cumulants.cumulants_from_block(dist)
     lines = ["variable,exact_mean,empirical_mean,mean_stderr,z_mean,"
              "exact_var,empirical_var,var_stderr,z_var"]
 

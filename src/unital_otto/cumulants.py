@@ -4,8 +4,9 @@ Three independent routes to the same numbers:
 
 1. exact enumeration -- raw/central moments of the finite joint
    distribution, converted algebraically to cumulants (the ground
-   truth; no differentiation error); :func:`cumulants_from_block` does
-   the same for every point of a grid at once;
+   truth; no differentiation error) by :func:`cumulants_from_block`, at
+   every point of a grid at once or at the one point of a
+   :class:`~unital_otto.trajectory.JointDistribution`;
 2. closed forms -- the first and second cumulants transcribed from the
    analytic expressions (third and fourth have no published closed
    form and are deliberately not transcribed), over whole grids with
@@ -30,12 +31,11 @@ from __future__ import annotations
 
 import math
 import sys
-from collections import namedtuple
 from typing import NamedTuple
 
 import numpy as np
 
-from .qstate import ControlSpec, GeneralQubitChannel, _Checked
+from .qstate import ControlSpec, GeneralQubitChannel
 from .trajectory import (
     CycleParams,
     DistributionBlock,
@@ -46,12 +46,10 @@ from .trajectory import (
 )
 
 __all__ = [
-    "CumulantSet",
     "CumulantBlock",
     "FirstTwoCumulants",
     "cf_unital",
     "cf_general",
-    "cumulants_from_distribution",
     "cumulants_from_block",
     "closed_form_first_second",
     "closed_form_block",
@@ -71,28 +69,6 @@ def is_rounding_residue(total, largest):
     ``largest``, is within a few ulps of that summand: what is left of
     summands that cancel, not a value.  Elementwise on arrays."""
     return abs(total) <= _RESIDUE_ULPS * largest
-
-
-class CumulantSet(_Checked, namedtuple("CumulantSet", "w q_m qt_mean")):
-    """First four cumulants of W and Q_M plus the mean bath heat."""
-
-    __slots__ = ()
-
-    def __new__(cls, w: tuple[float, ...], q_m: tuple[float, ...], qt_mean: float):
-        values = (*w, *q_m, qt_mean)
-        if not all(math.isfinite(v) for v in values):
-            raise ValueError("cumulants must be finite")
-        if w[1] < -_VARIANCE_TOL or q_m[1] < -_VARIANCE_TOL:
-            raise ValueError("variances must be nonnegative")
-        return super().__new__(cls, w, q_m, qt_mean)
-
-    @property
-    def w_mean(self) -> float:
-        return self.w[0]
-
-    @property
-    def qm_mean(self) -> float:
-        return self.q_m[0]
 
 
 class FirstTwoCumulants(NamedTuple):
@@ -171,23 +147,10 @@ def _marginal_cumulants(values: np.ndarray, prob: np.ndarray) -> tuple:
         return (mean, c2, c3, c4 - 3.0 * c2 * c2)
 
 
-def cumulants_from_distribution(dist: JointDistribution) -> CumulantSet:
-    """Exact first four cumulants of both marginals of a joint distribution.
-
-    The moment-to-cumulant identities (kappa1 = mu1, kappa2 = mu2 - mu1^2,
-    kappa3 = mu3 - 3 mu2 mu1 + 2 mu1^3, kappa4 = mu4 - 4 mu3 mu1 - 3 mu2^2
-    + 12 mu2 mu1^2 - 6 mu1^4) are evaluated in centred form, which is
-    algebraically identical and numerically exact on a finite support.
-    The mean bath heat follows from energy conservation,
-    <Q_T> = <W> - <Q_M>.
-    """
-    kw = tuple(map(float, _marginal_cumulants(dist.w, dist.prob)))
-    kq = tuple(map(float, _marginal_cumulants(dist.q_m, dist.prob)))
-    return CumulantSet(w=kw, q_m=kq, qt_mean=kw[0] - kq[0])
-
-
 class CumulantBlock(NamedTuple):
-    """First four cumulants over a grid: ``w`` and ``q_m`` shaped (..., 4)."""
+    """First four cumulants of W and Q_M plus the mean bath heat: ``w`` and
+    ``q_m`` shaped (..., 4), ``qt_mean`` shaped (...); one point is a 0-d
+    block."""
 
     w: np.ndarray
     q_m: np.ndarray
@@ -202,21 +165,38 @@ class CumulantBlock(NamedTuple):
         return self.q_m[..., 0]
 
 
-def cumulants_from_block(block: DistributionBlock) -> CumulantBlock:
-    """:func:`cumulants_from_distribution` at every point of a block.
+# a mean bath heat that overflows or is nan fails the finiteness check
+@np.errstate(over="ignore", invalid="ignore")
+def _checked_block(kw: np.ndarray, kq: np.ndarray) -> CumulantBlock:
+    """The cumulant block of ``kw`` and ``kq``, its mean bath heat from
+    energy conservation, <Q_T> = <W> - <Q_M>.
 
-    The checks of :class:`CumulantSet` run over the whole block; where
-    points fail, its error at the first of them (in C order) is raised.
+    Every point must be finite and have nonnegative variances; where points
+    fail, the first of them (in C order) raises its error, finiteness
+    checked before the variances.
+    """
+    qt = kw[..., 0] - kq[..., 0]
+    finite = np.isfinite(kw).all(-1) & np.isfinite(kq).all(-1) & np.isfinite(qt)
+    ok = finite & (kw[..., 1] >= -_VARIANCE_TOL) & (kq[..., 1] >= -_VARIANCE_TOL)
+    if not ok.all():
+        i = np.unravel_index(np.argmin(ok), ok.shape)
+        raise ValueError("variances must be nonnegative" if finite[i]
+                         else "cumulants must be finite")
+    return CumulantBlock(w=kw, q_m=kq, qt_mean=qt)
+
+
+def cumulants_from_block(block: DistributionBlock | JointDistribution) -> CumulantBlock:
+    """Exact first four cumulants of both marginals at every point of a
+    block; a :class:`JointDistribution` is a block of one point.
+
+    The moment-to-cumulant identities (kappa1 = mu1, kappa2 = mu2 - mu1^2,
+    kappa3 = mu3 - 3 mu2 mu1 + 2 mu1^3, kappa4 = mu4 - 4 mu3 mu1 - 3 mu2^2
+    + 12 mu2 mu1^2 - 6 mu1^4) are evaluated in centred form, which is
+    algebraically identical and numerically exact on a finite support.
     """
     kw = np.stack(_marginal_cumulants(block.w, block.prob), axis=-1)
     kq = np.stack(_marginal_cumulants(block.q_m, block.prob), axis=-1)
-    qt = kw[..., 0] - kq[..., 0]
-    ok = np.isfinite(kw).all(-1) & np.isfinite(kq).all(-1) & np.isfinite(qt)
-    ok &= ~((kw[..., 1] < -_VARIANCE_TOL) | (kq[..., 1] < -_VARIANCE_TOL))
-    if not ok.all():
-        i = np.unravel_index(np.argmin(ok), ok.shape)
-        CumulantSet(tuple(map(float, kw[i])), tuple(map(float, kq[i])), float(qt[i]))
-    return CumulantBlock(w=kw, q_m=kq, qt_mean=qt)
+    return _checked_block(kw, kq)
 
 
 def closed_form_block(
@@ -286,7 +266,7 @@ def cs_first_cumulants(
     return closed_form_first_second(params, ctrl.flip_probability(theta), direction)
 
 
-def cf_derivative_check(params: CycleParams, theta: float) -> CumulantSet:
+def cf_derivative_check(params: CycleParams, theta: float) -> CumulantBlock:
     """Cumulants from the exact derivatives of ln(chi) at 0 (third route).
 
     Reads the terms of :func:`cf_unital`, not the path table; for the
@@ -295,7 +275,8 @@ def cf_derivative_check(params: CycleParams, theta: float) -> CumulantSet:
     coefficients a_n = (-i f)^n / n!, times sign * t when n is odd.  The
     coefficients b_n of ln(chi) follow from the log-series recurrence
     b_n = a_n - (1/n) sum_{k<n} k b_k a_{n-k}, and kappa_n = n! b_n / i^n.
-    No step size is involved.
+    No step size is involved.  The result is a 0-d block, checked as
+    :func:`cumulants_from_block` checks its points.
     """
     terms = _unital_terms(params, theta)
     t = params.tanh_beta_nu1
@@ -320,5 +301,4 @@ def cf_derivative_check(params: CycleParams, theta: float) -> CumulantSet:
             k2 = 0.0
         return k1, k2, k3, k4
 
-    kw, kq = kappas(1), kappas(2)
-    return CumulantSet(w=kw, q_m=kq, qt_mean=kw[0] - kq[0])
+    return _checked_block(np.array(kappas(1)), np.array(kappas(2)))

@@ -22,9 +22,10 @@ unital cycle at the flip probability theta / (2 p_branch) of
 
 One array routine evaluates the table at any number of points.
 :func:`enumerate_block` returns its rows for whole parameter grids (a
-:class:`DistributionBlock`, one row of the nine outcome keys per point);
-the single-point functions take one row, drop its zero-probability
-outcomes and sort the rest.  One row costs more than a plain-Python
+:class:`DistributionBlock`, one row of the nine outcome keys per point),
+with or without coherent control; one point is a 0-d block, and
+:func:`enumerate_paths` is that point with its zero-probability outcomes
+dropped and the rest sorted.  One row costs more than a plain-Python
 loop would, but a command-line run evaluates at most one single point.
 
 Every block function checks its parameter columns in one routine, in
@@ -49,7 +50,6 @@ __all__ = [
     "SampleStats",
     "enumerate_paths",
     "enumerate_block",
-    "cs_distribution",
     "sample",
     "distribution_to_csv",
 ]
@@ -195,17 +195,11 @@ def _evaluate(beta, nu1, nu2, delta, zeta, channel) -> DistributionBlock:
     return DistributionBlock(w, q, prob)
 
 
-def _point(params: CycleParams, channel: np.ndarray) -> JointDistribution:
-    """One point of :func:`_evaluate`, ``channel`` its 2x2 transition matrix.
-
-    Outcomes come out sorted by (W, Q_M, p), without zero-probability
-    entries.
-    """
-    cycle = (params.beta, params.nu1, params.nu2, params.delta, params.zeta)
-    block = _evaluate(*(np.array([x]) for x in cycle), channel[None])
-    w, q, p = block.w[0], block.q_m[0], block.prob[0]
-    keep = p != 0.0
-    w, q, p = w[keep], q[keep], p[keep]
+def _point(block: DistributionBlock) -> JointDistribution:
+    """The one point of a block, its arrays shaped (9,): the outcomes of
+    nonzero probability, sorted by (W, Q_M, p)."""
+    keep = block.prob != 0.0
+    w, q, p = block.w[keep], block.q_m[keep], block.prob[keep]
     order = np.lexsort((p, q, w))
     return JointDistribution(w[order], q[order], p[order])
 
@@ -215,29 +209,23 @@ def _check_theta(theta: float) -> None:
         raise ValueError("theta must lie in [0, 1]")
 
 
-def enumerate_paths(params: CycleParams, theta: float) -> JointDistribution:
-    """Exact forward joint distribution of (W, Q_M) for a unital channel.
+def enumerate_paths(
+    params: CycleParams, theta: float, ctrl: ControlSpec | None = None
+) -> JointDistribution:
+    """Exact forward joint distribution of (W, Q_M): the one point of
+    :func:`enumerate_block`, its zero-probability outcomes dropped and the
+    rest sorted by (W, Q_M, p).
 
     W takes values in {0, +-2 nu1, +-2 nu2, +-2(nu2-nu1), +-2(nu1+nu2)}
     and Q_M in {0, +-2 nu2}; paths with the same outcome are merged.
+    Under coherent control ``ctrl`` the post-selected branch is the unital
+    cycle at the flip probability ``ctrl.flip_probability(theta)``.  The
+    measurement channel keeps theta <= 1/2, which keeps that probability
+    in [0, 1]; beyond that regime the minus branch can exceed 1 and
+    :class:`PhysicsError` is raised.
     """
-    _check_theta(theta)
-    return _point(params, _flip_matrices(theta))
-
-
-def cs_distribution(
-    params: CycleParams, theta: float, ctrl: ControlSpec
-) -> JointDistribution:
-    """Joint distribution with the channel applied under coherent control.
-
-    The post-selected branch is the unital cycle at the flip probability
-    ``ctrl.flip_probability(theta)``.  The measurement channel keeps
-    theta <= 1/2, which keeps that probability in [0, 1]; beyond that
-    regime the minus branch can exceed 1 and :class:`PhysicsError` is
-    raised.
-    """
-    _check_theta(theta)
-    return _point(params, _flip_matrices(ctrl.flip_probability(theta)))
+    control = () if ctrl is None else (ctrl.alpha, ctrl.branch)
+    return _point(enumerate_block(*params, theta, *control))
 
 
 def _channel_distribution(
@@ -246,7 +234,9 @@ def _channel_distribution(
     """Forward joint distribution for an arbitrary qubit channel."""
     # qstate stores the excited state first, the path table the ground
     # state first: reverse both indices of the channel's matrix.
-    return _point(params, channel.transition_matrix()[::-1, ::-1])
+    matrix = channel.transition_matrix()[None, ::-1, ::-1]
+    block = _evaluate(*(np.array([x]) for x in params), matrix)
+    return _point(DistributionBlock(*(x[0] for x in block)))
 
 
 def _controlled_flip(theta, alpha, branch: str) -> np.ndarray:
@@ -294,12 +284,11 @@ def enumerate_block(
 ) -> DistributionBlock:
     """Forward joint distributions at every point of broadcast parameter arrays.
 
-    The array form of :func:`enumerate_paths` and, when the control's arm
-    weight ``alpha`` (scalar or array) is given with ``branch``, of
-    :func:`cs_distribution`; a point's row holds the same probabilities.
-    Every check of the single-point functions runs over the whole block;
-    where points fail, the error they raise at the first of them (in C
-    order) is raised.
+    With the control's arm weight ``alpha`` (scalar or array) and
+    ``branch``, each point is the coherently controlled cycle, the unital
+    one at the controlled flip probability.  Every point is checked as a
+    single point is; where points fail, the error of the first of them (in
+    C order) is raised.
     """
     *cycle, _, flip = _checked_columns(beta, nu1, nu2, delta, zeta, theta, alpha, branch)
     shape = flip.shape

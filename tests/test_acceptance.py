@@ -19,9 +19,8 @@ from unital_otto import (
     classify_regime_array,
     closed_form_block,
     closed_form_first_second,
-    cs_distribution,
     cumulant_ratio_scan,
-    cumulants_from_distribution,
+    cumulants_from_block,
     cf_derivative_check,
     enumerate_paths,
     monitored_vs_unmonitored,
@@ -54,7 +53,7 @@ def test_criterion_1_quoted_work_and_relative_fluctuations():
     params = CycleParams(0.7, 1.0, 2.0, 0.0, 0.0)
     checks = []
     for theta, mean_ref, rf_ref in ((0.2, 0.241747, 12.6889), (0.7, 0.846115, 2.9111)):
-        cums = cumulants_from_distribution(enumerate_paths(params, theta))
+        cums = cumulants_from_block(enumerate_paths(params, theta))
         rf = cums.w[1] / cums.w[0] ** 2
         checks.append(abs(cums.w[0] - mean_ref) < 1e-5)
         checks.append(abs(rf - rf_ref) / rf_ref < 1e-3)
@@ -65,14 +64,14 @@ def test_criterion_2_zero_work_thresholds():
     beta, nu1, nu2 = 0.7, 1.0, 2.0
 
     def plain_work(theta):
-        return lambda d: cumulants_from_distribution(
+        return lambda d: cumulants_from_block(
             enumerate_paths(CycleParams(beta, nu1, nu2, d, d), theta)
         ).w[0]
 
     def cs_work(theta, branch):
         ctrl = ControlSpec(0.5, branch)
-        return lambda d: cumulants_from_distribution(
-            cs_distribution(CycleParams(beta, nu1, nu2, d, d), theta, ctrl)
+        return lambda d: cumulants_from_block(
+            enumerate_paths(CycleParams(beta, nu1, nu2, d, d), theta, ctrl)
         ).w[0]
 
     targets = [
@@ -95,7 +94,7 @@ def test_criterion_3_regime_flip_at_exact_rational_root():
     params = CycleParams(0.5, 1.0, 2.0, 0.1, 0.1)
 
     def work(theta):
-        return cumulants_from_distribution(enumerate_paths(params, theta)).w[0]
+        return cumulants_from_block(enumerate_paths(params, theta)).w[0]
 
     root = bisect(work, 0.05, 0.9)
     below = regime_of(closed_form_first_second(params, root - 1e-4), 0.5)
@@ -123,7 +122,7 @@ def test_criterion_4_route_agreement():
     for _ in range(10_000):
         params = _random_cycle(gen)
         theta = gen.random()
-        cums = cumulants_from_distribution(enumerate_paths(params, theta))
+        cums = cumulants_from_block(enumerate_paths(params, theta))
         first = closed_form_first_second(params, theta)
         for a, b in (
             (cums.w[0], first.w_mean),
@@ -301,7 +300,7 @@ def test_criterion_6_adiabatic_cumulant_identities():
         nu2 = gen.uniform(0.1, 3.0)
         theta = gen.uniform(0.01, 1.0)
         params = CycleParams(beta, nu1, nu2, 0.0, 0.0)
-        cums = cumulants_from_distribution(enumerate_paths(params, theta))
+        cums = cumulants_from_block(enumerate_paths(params, theta))
         otto = 1.0 - nu1 / nu2
         for n in range(4):
             # cross-multiplied form keeps the identity well conditioned
@@ -374,7 +373,7 @@ def test_criterion_9_monte_carlo_oracle():
         params = _random_cycle(gen)
         theta = gen.random()
         dist = enumerate_paths(params, theta)
-        exact = cumulants_from_distribution(dist)
+        exact = cumulants_from_block(dist)
         stats = sample(dist, 10**6, seed=7000 + trial)
         for summary, kappa in ((stats.w, exact.w), (stats.q_m, exact.q_m)):
             if summary.mean_stderr > 0:

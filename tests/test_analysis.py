@@ -15,7 +15,7 @@ from unital_otto import (
     classify_regime_array,
     closed_form_first_second,
     cumulant_ratio_scan,
-    cumulants_from_distribution,
+    cumulants_from_block,
     efficiency_block,
     enumerate_paths,
     is_rounding_residue,
@@ -45,7 +45,7 @@ def test_classification_sign_table():
 
 
 def test_classify_accepts_cumulant_records():
-    cums = cumulants_from_distribution(enumerate_paths(FIG3, 0.3))
+    cums = cumulants_from_block(enumerate_paths(FIG3, 0.3))
     assert regime_of(cums, FIG3.beta) is Regime.ENGINE
     first = closed_form_first_second(FIG3, 0.3)
     assert regime_of(first, FIG3.beta) is Regime.ENGINE
@@ -290,7 +290,7 @@ def test_ratio_scan_is_scale_invariant():
 def test_ratio_scan_takes_no_efficiency_from_cancelled_heat():
     # delta = 1/2 makes <Q_M> = 0; the enumeration leaves a residue of ~6e-17
     params = CycleParams(0.7, 1.0, 2.3, 0.5, 0.2)
-    assert cumulants_from_distribution(enumerate_paths(params, 0.3)).qm_mean != 0.0
+    assert cumulants_from_block(enumerate_paths(params, 0.3)).qm_mean != 0.0
     for order in (2, 3, 4):
         record = cumulant_ratio_scan(params, 0.3, order)
         assert math.isnan(record.eta_power)

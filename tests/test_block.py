@@ -15,9 +15,7 @@ from unital_otto import (
     classify_regime_array,
     closed_form_block,
     closed_form_first_second,
-    cs_distribution,
     cumulants_from_block,
-    cumulants_from_distribution,
     efficiency_block,
     enumerate_block,
     enumerate_paths,
@@ -72,7 +70,7 @@ def test_block_cumulants_match_scalar_route(rng, symmetric):
 
 
 @pytest.mark.parametrize("branch", ["plus", "minus"])
-def test_controlled_block_matches_cs_distribution(rng, branch):
+def test_controlled_block_matches_the_oracle(rng, branch):
     beta, nu1, nu2, delta, zeta, theta = random_points(rng, 300, False)
     theta = 0.5 * theta  # the measurement channel's range
     alpha = rng.random(300)
@@ -139,12 +137,26 @@ def test_block_raises_the_error_of_the_first_failing_point():
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
 def test_block_cumulant_overflow_is_the_scalar_error():
     params = CycleParams(0.5, 1e80, 2e80, 0.1, 0.1)
-    kind, message = scalar_error(
-        lambda: cumulants_from_distribution(enumerate_paths(params, 0.2))
-    )
+    assert scalar_error(lambda: cumulants_from_block(enumerate_paths(params, 0.2))) == (
+        ValueError, "cumulants must be finite")
     block = enumerate_block(0.5, np.array([1.0, 1e80]), np.array([2.0, 2e80]), 0.1, 0.1, 0.2)
-    with pytest.raises(kind, match=message):
+    assert scalar_error(lambda: cumulants_from_block(block)) == (
+        ValueError, "cumulants must be finite")
+
+
+def test_first_failing_point_decides_the_cumulant_error():
+    # a (3, 4) cumulant block: point 0 has a negative variance, point 1
+    # infinite cumulants, point 2 is valid; the first failing point's own
+    # error is raised, though finiteness is checked before the variances
+    w = np.array([[0.0, 1.0], [1e200, -1e200], [0.0, 1.0]])
+    prob = np.array([[1.5, -0.5], [0.5, 0.5], [0.5, 0.5]])
+    block = trajectory.DistributionBlock(w, np.zeros_like(w), prob)
+    with pytest.raises(ValueError, match="^variances must be nonnegative$"):
         cumulants_from_block(block)
+    with pytest.raises(ValueError, match="^cumulants must be finite$"):
+        cumulants_from_block(trajectory.DistributionBlock(*(x[1:] for x in block)))
+    valid = cumulants_from_block(trajectory.DistributionBlock(*(x[2:] for x in block)))
+    assert valid.w.tolist() == [[0.5, 0.25, 0.0, -0.125]]
 
 
 def test_regime_array_matches_scalar_rule():
@@ -276,11 +288,10 @@ def test_classify_cells_match_scalar_route(capsys, base, axes):
 
 def test_classify_makes_no_per_point_scalar_call(capsys, monkeypatch):
     calls = []
-    for name in ("enumerate_paths", "cs_distribution"):
-        original = getattr(trajectory, name)
-        monkeypatch.setattr(
-            trajectory, name, lambda *a, _f=original, **k: calls.append(1) or _f(*a, **k)
-        )
+    original = trajectory.enumerate_paths
+    monkeypatch.setattr(
+        trajectory, "enumerate_paths", lambda *a, **k: calls.append(1) or original(*a, **k)
+    )
     for extra in ([], ["--cs-alpha", "0.3"]):
         code = main(["classify", *flags(BASES["symmetric-theta"]), *extra,
                      "--axis", "delta", "--start", "0", "--stop", "0.5", "--steps", "6",
@@ -602,8 +613,7 @@ def test_scalar_bounds_and_efficiency_are_rows_of_the_block(rng, mode, branch):
             fields = ("w_mean", "w_var", "qm_mean", "qm_var", "qt_mean")
             assert same_bits([getattr(one, f) for f in fields],
                              [getattr(closed, f)[i] for f in fields]), (n, i)
-            dist = enumerate_paths(params, theta) if ctrl is None else cs_distribution(
-                params, theta, ctrl)
+            dist = enumerate_paths(params, theta, ctrl)
             assert outcomes(dist.w, dist.q_m, dist.prob) == outcomes(
                 dists.w[i], dists.q_m[i], dists.prob[i]), (n, i)
 
@@ -670,7 +680,7 @@ def test_every_block_function_raises_the_first_failing_points_error():
          lambda: CycleParams(0.5, 1.0, 2.0, 1.5, 0.1)),
         # the theta range is checked before the flip bound
         ((0.5, 1.0, 2.0, 0.1, 0.1), 1.5, 0.3, "minus",
-         lambda: cs_distribution(point, 1.5, ControlSpec(0.3, "minus"))),
+         lambda: enumerate_paths(point, 1.5, ControlSpec(0.3, "minus"))),
         ((0.5, 1.0, 2.0, 0.1, 0.1), 0.2, 0.3, "sideways",
          lambda: ControlSpec(0.3, "sideways")),
     ]
@@ -687,7 +697,7 @@ def test_every_block_function_raises_the_first_failing_points_error():
         for call in calls:
             assert scalar_error(call) == (kind, message)
     # 0-d blocks raise what the controlled distribution raises
-    kind, message = scalar_error(lambda: cs_distribution(point, 1.5, ControlSpec(0.3, "minus")))
+    kind, message = scalar_error(lambda: enumerate_paths(point, 1.5, ControlSpec(0.3, "minus")))
     for call in (efficiency_block, verify_bounds_block):
         got = scalar_error(lambda: call(0.5, 1.0, 2.0, 0.1, 0.1, 1.5, "cs", 0.3, "minus"))
         assert got == (kind, message) == (ValueError, "theta must lie in [0, 1]")

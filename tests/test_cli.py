@@ -130,6 +130,22 @@ def test_unphysical_cs_mixture_is_physics_error(capsys):
     assert "physics" in err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["cumulants"], ["sample"], ["sweep", "--axis", "beta", "--start", "0.5", "--stop", "0.6",
+                                 "--steps", "2"]],
+    ids=["cumulants", "sample", "sweep"],
+)
+def test_controlled_point_checks_theta_range_before_flip_bound(command, capsys):
+    # theta 1.5 lies outside [0, 1] and beyond 2 p_minus: a single point is
+    # checked in the order every point of a grid is
+    code, out, err = run(
+        capsys, *command, "--beta", "0.5", "--nu1", "1", "--nu2", "2", "--delta", "0.1",
+        "--zeta", "0.1", "--cs-alpha", "0.3", "--branch", "minus", "--theta", "1.5",
+    )
+    assert (code, out, err) == (2, "", "config error: theta must lie in [0, 1]\n")
+
+
 def test_bound_violations_are_not_failures(capsys):
     code, out, _ = run(capsys, "verify-bounds", "--samples", "200", "--seed", "7")
     assert code == 0

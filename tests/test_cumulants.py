@@ -16,9 +16,8 @@ from unital_otto import (
     cf_general,
     cf_unital,
     closed_form_first_second,
-    cs_distribution,
     cs_first_cumulants,
-    cumulants_from_distribution,
+    cumulants_from_block,
     enumerate_paths,
 )
 
@@ -230,16 +229,16 @@ def test_cf_real_at_infinite_temperature():
 
 def test_single_outcome_has_no_higher_cumulants():
     dist = enumerate_paths(CycleParams(40.0, 1.0, 2.0, 0.0, 0.0), 1.0)
-    cums = cumulants_from_distribution(dist)
-    assert cums.w[1:] == (0.0, 0.0, 0.0)
-    assert cums.q_m[1:] == (0.0, 0.0, 0.0)
+    cums = cumulants_from_block(dist)
+    assert cums.w[1:].tolist() == [0.0, 0.0, 0.0]
+    assert cums.q_m[1:].tolist() == [0.0, 0.0, 0.0]
 
 
 def test_quoted_work_statistics():
     # maximum work point delta = zeta = 0 for theta = 0.2 and 0.7
     params = CycleParams(0.7, 1.0, 2.0, 0.0, 0.0)
     for theta, mean, rf in ((0.2, 0.241747, 12.6889), (0.7, 0.846115, 2.9111)):
-        cums = cumulants_from_distribution(enumerate_paths(params, theta))
+        cums = cumulants_from_block(enumerate_paths(params, theta))
         assert cums.w[0] == pytest.approx(mean, abs=1e-5)
         assert cums.w[1] / cums.w[0] ** 2 == pytest.approx(rf, rel=1e-3)
 
@@ -249,9 +248,9 @@ def test_inverted_bath_endpoint_work():
     # carries the quoted work values, with the same RF as delta = 0
     params = CycleParams(-0.7, 1.0, 2.0, 1.0, 1.0)
     for theta, endpoint in ((0.2, 0.725241), (0.7, 2.53834)):
-        cums = cumulants_from_distribution(enumerate_paths(params, theta))
+        cums = cumulants_from_block(enumerate_paths(params, theta))
         assert cums.w[0] == pytest.approx(endpoint, abs=1e-5)
-        rf_origin = cumulants_from_distribution(
+        rf_origin = cumulants_from_block(
             enumerate_paths(CycleParams(0.7, 1.0, 2.0, 0.0, 0.0), theta)
         )
         assert cums.w[1] / cums.w[0] ** 2 == pytest.approx(
@@ -304,7 +303,7 @@ def test_closed_form_infinite_temperature():
 @given(params=cycle_params(), theta=probs)
 @settings(max_examples=500, deadline=None)
 def test_enumeration_matches_closed_form(params, theta):
-    cums = cumulants_from_distribution(enumerate_paths(params, theta))
+    cums = cumulants_from_block(enumerate_paths(params, theta))
     first = closed_form_first_second(params, theta)
     assert close(cums.w[0], first.w_mean, 1e-12)
     assert close(cums.w[1], first.w_var, 1e-12)
@@ -312,7 +311,7 @@ def test_enumeration_matches_closed_form(params, theta):
     assert close(cums.q_m[1], first.qm_var, 1e-12)
     assert close(cums.qt_mean, first.qt_mean, 1e-12)
 
-    back = cumulants_from_distribution(enumerate_paths(params.swapped, theta))
+    back = cumulants_from_block(enumerate_paths(params.swapped, theta))
     first_b = closed_form_first_second(params, theta, direction="backward")
     assert close(back.w[0], first_b.w_mean, 1e-12)
     assert close(back.w[1], first_b.w_var, 1e-12)
@@ -321,15 +320,15 @@ def test_enumeration_matches_closed_form(params, theta):
 @given(params=cycle_params(), theta=probs)
 @settings(max_examples=200, deadline=None)
 def test_channel_heat_vanishes_without_flips(params, theta):
-    cums = cumulants_from_distribution(enumerate_paths(params, 0.0))
-    assert cums.q_m == (0.0, 0.0, 0.0, 0.0)
+    cums = cumulants_from_block(enumerate_paths(params, 0.0))
+    assert cums.q_m.tolist() == [0.0, 0.0, 0.0, 0.0]
 
 
 @given(params=cycle_params(), theta=probs)
 @settings(max_examples=200, deadline=None)
 def test_beta_flip_parity(params, theta):
-    cums = cumulants_from_distribution(enumerate_paths(params, theta))
-    flipped = cumulants_from_distribution(
+    cums = cumulants_from_block(enumerate_paths(params, theta))
+    flipped = cumulants_from_block(
         enumerate_paths(
             CycleParams(-params.beta, params.nu1, params.nu2, params.delta, params.zeta),
             theta,
@@ -347,7 +346,7 @@ def test_beta_flip_parity(params, theta):
 def test_bath_heat_never_positive_for_cold_bath(params, theta):
     if params.beta <= 0:
         params = CycleParams(-params.beta, params.nu1, params.nu2, params.delta, params.zeta)
-    cums = cumulants_from_distribution(enumerate_paths(params, theta))
+    cums = cumulants_from_block(enumerate_paths(params, theta))
     assert cums.qt_mean <= 1e-12
     assert close(cums.w[0], cums.q_m[0] + cums.qt_mean, 1e-12)
 
@@ -356,7 +355,7 @@ def test_adiabatic_cumulant_ratios():
     gen = np.random.default_rng(11)
     otto = 1.0 - 1.0 / 2.4
     params = CycleParams(0.8, 1.0, 2.4, 0.0, 0.0)
-    cums = cumulants_from_distribution(enumerate_paths(params, 0.3))
+    cums = cumulants_from_block(enumerate_paths(params, 0.3))
     for n in range(4):
         ratio = cums.w[n] / cums.q_m[n]
         assert close(ratio, otto ** (n + 1), 1e-12)
@@ -364,7 +363,7 @@ def test_adiabatic_cumulant_ratios():
 
 def test_cs_cf_matches_distribution_transform():
     ctrl = ControlSpec(0.5, "minus")
-    dist = cs_distribution(REF, 0.2, ctrl)
+    dist = enumerate_paths(REF, 0.2, ctrl)
     gen = np.random.default_rng(6)
     for gw, gm in gen.uniform(-4.0, 4.0, size=(50, 2)):
         chi = cf_unital(REF, ctrl.flip_probability(0.2), gw, gm)
@@ -406,7 +405,7 @@ def test_cs_first_cumulants_match_distribution_route(params, theta, alpha):
     for branch in ("plus", "minus"):
         ctrl = ControlSpec(alpha, branch)
         closed = cs_first_cumulants(params, theta, ctrl)
-        cums = cumulants_from_distribution(cs_distribution(params, theta, ctrl))
+        cums = cumulants_from_block(enumerate_paths(params, theta, ctrl))
         assert close(closed.w_mean, cums.w[0], 1e-12)
         assert close(closed.qm_mean, cums.q_m[0], 1e-12)
         assert close(closed.qt_mean, cums.qt_mean, 1e-12)
@@ -442,14 +441,14 @@ def test_cs_minus_branch_beats_incoherent_work():
 
 
 def test_derivative_route_first_order():
-    exact = cumulants_from_distribution(enumerate_paths(REF, 0.2))
+    exact = cumulants_from_block(enumerate_paths(REF, 0.2))
     fd = cf_derivative_check(REF, 0.2)
     assert abs(fd.w[0] - exact.w[0]) < 1e-8
     assert abs(fd.q_m[0] - exact.q_m[0]) < 1e-8
 
 
 def test_derivative_route_fourth_order():
-    exact = cumulants_from_distribution(enumerate_paths(REF, 0.2))
+    exact = cumulants_from_block(enumerate_paths(REF, 0.2))
     fd = cf_derivative_check(REF, 0.2)
     for got, ref in ((fd.w[3], exact.w[3]), (fd.q_m[3], exact.q_m[3])):
         assert abs(got - ref) < max(1e-6, 1e-6 * abs(ref))
@@ -467,13 +466,21 @@ def test_derivative_route_variance_of_a_certain_heat_is_zero():
     # theta = delta = 1 and t = -1: every record pays Q_M = 2 nu2, and at
     # this gap mu_2 - mu_1^2 rounds to a residue below zero
     params = CycleParams(-52.51936446075948, 0.8772885040320562, 1854.5650753270318, 1.0, 0.8574958478957697)
-    assert cumulants_from_distribution(enumerate_paths(params, 1.0)).q_m[1] == 0.0
+    assert cumulants_from_block(enumerate_paths(params, 1.0)).q_m[1] == 0.0
     assert cf_derivative_check(params, 1.0).q_m[1] == 0.0
+
+
+def test_derivative_route_is_a_checked_point():
+    fd = cf_derivative_check(REF, 0.2)
+    assert fd.w.shape == fd.q_m.shape == (4,) and fd.qt_mean.shape == ()
+    # the series coefficients overflow at these gaps
+    with pytest.raises(ValueError, match="^cumulants must be finite$"):
+        cf_derivative_check(CycleParams(0.5, 1e80, 2e80, 0.1, 0.1), 0.2)
 
 
 def test_derivative_route_cs_variant():
     ctrl = ControlSpec(0.5, "minus")
-    exact = cumulants_from_distribution(cs_distribution(REF, 0.2, ctrl))
+    exact = cumulants_from_block(enumerate_paths(REF, 0.2, ctrl))
     fd = cf_derivative_check(REF, ctrl.flip_probability(0.2))
     assert close(fd.w[0], exact.w[0], 1e-6)
     assert close(fd.w[1], exact.w[1], 1e-6)

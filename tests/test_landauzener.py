@@ -14,7 +14,7 @@ from unital_otto import (
     Regime,
     classify_regime_array,
     comparison_to_csv,
-    cumulants_from_distribution,
+    cumulants_from_block,
     enumerate_paths,
     hamiltonian,
     is_rounding_residue,
@@ -106,7 +106,7 @@ def test_monitored_column_reproduces_cumulant_route():
     theta = math.sin(FIG6F["alpha_m"]) ** 2 / 2.0
     assert p.channel.theta == pytest.approx(theta, abs=1e-15)
     mon = monitored_averages(p, p.delta)
-    cums = cumulants_from_distribution(enumerate_paths(p.cycle, theta))
+    cums = cumulants_from_block(enumerate_paths(p.cycle, theta))
     assert mon.w == pytest.approx(cums.w[0], abs=1e-14)
     assert mon.q_m == pytest.approx(cums.q_m[0], abs=1e-14)
     assert mon.q_t == pytest.approx(cums.qt_mean, abs=1e-14)

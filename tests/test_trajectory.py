@@ -15,7 +15,6 @@ from unital_otto import (
     JointDistribution,
     PhysicsError,
     SampleStats,
-    cs_distribution,
     distribution_to_csv,
     enumerate_paths,
     sample,
@@ -90,7 +89,7 @@ def test_cs_alpha_zero_equals_plain():
     params = CycleParams(0.7, 1.0, 2.0, 0.1, 0.1)
     plain = enumerate_paths(params, 0.2)
     for branch in ("plus", "minus"):
-        mixed = cs_distribution(params, 0.2, ControlSpec(0.0, branch))
+        mixed = enumerate_paths(params, 0.2, ControlSpec(0.0, branch))
         assert np.array_equal(mixed.w, plain.w)
         assert np.array_equal(mixed.q_m, plain.q_m)
         assert np.max(np.abs(mixed.prob - plain.prob)) < 1e-15
@@ -98,7 +97,7 @@ def test_cs_alpha_zero_equals_plain():
 
 def test_cs_minus_branch_stays_a_distribution():
     params = CycleParams(0.7, 1.0, 2.0, 0.1, 0.1)
-    dist = cs_distribution(params, 0.5, ControlSpec(0.5, "minus"))
+    dist = enumerate_paths(params, 0.5, ControlSpec(0.5, "minus"))
     assert dist.prob.min() >= 0.0
     assert dist.prob.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -108,7 +107,7 @@ def test_cs_unphysical_theta_raises():
     # minus branch then mixes to a negative weight
     params = CycleParams(0.7, 1.0, 2.0, 0.1, 0.1)
     with pytest.raises(PhysicsError):
-        cs_distribution(params, 0.9, ControlSpec(0.5, "minus"))
+        enumerate_paths(params, 0.9, ControlSpec(0.5, "minus"))
 
 
 def test_negative_probability_rejected():
