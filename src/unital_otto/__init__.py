@@ -12,9 +12,7 @@ Monte Carlo sampler is included as an independent statistical oracle).
 from .qstate import (
     ControlSpec,
     DensityMatrix,
-    GeneralQubitChannel,
     MeasurementChannel,
-    PauliChannel,
     PhysicsError,
     hamiltonian,
     thermal_state,
@@ -33,7 +31,6 @@ from .cumulants import (
     CumulantBlock,
     FirstTwoCumulants,
     cf_derivative_check,
-    cf_general,
     cf_unital,
     closed_form_block,
     closed_form_first_second,

@@ -21,6 +21,7 @@ import contextlib
 import io
 import math
 import os
+import stat
 import sys
 
 import numpy as np
@@ -322,26 +323,34 @@ def _distribution(columns: list[np.ndarray], branch: str):
 
 
 def _open_write(path: str):
+    # not truncated yet: an existing file keeps its text until every output
+    # path of the run has been opened
     try:
-        return open(path, "w", encoding="utf-8", newline="")
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
+    return open(fd, "w", encoding="utf-8", newline="")
 
 
 @contextlib.contextmanager
-def _output(cfg: dict):
-    """The --out file, opened for writing and closed after, or stdout."""
-    if not cfg.get("out"):
-        yield sys.stdout
-        return
-    with _open_write(cfg["out"]) as fh:
-        yield fh
+def _output(cfg: dict, *paths: str):
+    """The --out file or stdout, then one file per further path, closed
+    after.  Every path is opened, so checked, before any file is emptied."""
+    named = [cfg["out"], *paths] if cfg.get("out") else list(paths)
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(_open_write(path)) for path in named]
+        for fh in files:
+            # a device such as /dev/null has nothing to empty, and
+            # truncating it fails
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate(0)
+        yield files if cfg.get("out") else [sys.stdout, *files]
 
 
 def _emit(cfg: dict, text) -> None:
     """Write ``text``, a string or an iterable of strings, in order to --out
     or stdout."""
-    with _output(cfg) as fh:
+    with _output(cfg) as (fh,):
         fh.writelines([text] if isinstance(text, str) else text)
 
 
@@ -385,10 +394,7 @@ def _cmd_cumulants(cfg: dict) -> None:
         # the control column, alpha, is the seventh of a cs run
         reports = analysis.verify_bounds_block(*columns[:6], mode, *columns[6:], branch=branch)
         dumps.append((cfg["bounds_out"], analysis.bound_reports_to_csv, reports))
-    with contextlib.ExitStack() as stack:
-        # every file is opened, so every path checked, before any text is written
-        out = stack.enter_context(_output(cfg))
-        files = [stack.enter_context(_open_write(path)) for path, _, _ in dumps]
+    with _output(cfg, *(path for path, _, _ in dumps)) as (out, *files):
         out.write(buf.getvalue())
         for fh, (_, write, data) in zip(files, dumps):
             fh.write(_config_comment("cumulants", cfg))
@@ -714,7 +720,7 @@ def _cmd_lz_compare(cfg: dict) -> None:
         cfg.get("phi") or 0.0, alpha_m, cfg.get("chi") or 0.0,
     )
     rows = landauzener.monitored_vs_unmonitored(base, values, _tolerance(cfg))
-    with _output(cfg) as fh:
+    with _output(cfg) as (fh,):
         fh.write(_config_comment("lz-compare", cfg))
         landauzener.comparison_to_csv(rows, fh)
 

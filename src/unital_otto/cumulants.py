@@ -21,10 +21,9 @@ terms weight * (cos x -+ i t sin x) with t = tanh(beta nu1), the form
 cos(x + i*beta*nu1) / Z collapses to, so nothing overflows at large
 |beta nu1|.  :func:`cf_unital` sums them and :func:`cf_derivative_check`
 reads their series coefficients, so the closed form is written once.
-The characteristic function of an arbitrary channel is the discrete
-transform of the path table.  The coherently controlled cycle is the
-unital one at :meth:`~unital_otto.qstate.ControlSpec.flip_probability`,
-so every closed form here covers it too.
+The coherently controlled cycle is the unital one at
+:meth:`~unital_otto.qstate.ControlSpec.flip_probability`, so every
+closed form here covers it too.
 """
 
 from __future__ import annotations
@@ -35,12 +34,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qstate import ControlSpec, GeneralQubitChannel
+from .qstate import ControlSpec
 from .trajectory import (
     CycleParams,
     DistributionBlock,
     JointDistribution,
-    _channel_distribution,
     _check_theta,
     _checked_columns,
 )
@@ -49,7 +47,6 @@ __all__ = [
     "CumulantBlock",
     "FirstTwoCumulants",
     "cf_unital",
-    "cf_general",
     "cumulants_from_block",
     "closed_form_first_second",
     "closed_form_block",
@@ -116,21 +113,6 @@ def cf_unital(
         x = f_w * gamma_w + f_q * gamma_m
         chi += weight * complex(math.cos(x), -sign * t * math.sin(x))
     return chi
-
-
-def cf_general(
-    params: CycleParams,
-    channel: GeneralQubitChannel,
-    gamma_w: float,
-    gamma_m: float,
-) -> complex:
-    """Forward characteristic function for an arbitrary qubit channel.
-
-    The discrete transform of the path table with the channel's own
-    transition matrix; for unital channels it equals :func:`cf_unital`.
-    """
-    dist = _channel_distribution(params, channel)
-    return dist.characteristic_value(gamma_w, gamma_m)
 
 
 def _marginal_cumulants(values: np.ndarray, prob: np.ndarray) -> tuple:

@@ -1,17 +1,13 @@
-"""Qubit states and channels for the unital Otto cycle.
+"""Qubit states and the measurement channel for the unital Otto cycle.
 
 Everything lives in a declared energy eigenbasis: index 0 is the excited
 state |+> (energy +nu), index 1 the ground state |-> (energy -nu).  States
 are immutable 2x2 density matrices tagged with the gap nu of the
-Hamiltonian they are expressed in.  Channels come in three flavours:
-
-* :class:`PauliChannel` -- a probabilistic mixture of the four Pauli
-  unitaries; the generic unital qubit channel.
-* :class:`MeasurementChannel` -- the rank-1 projective (measurement)
-  channel built from two orthogonal projectors; its flip probability
-  theta never exceeds 1/2.
-* :class:`GeneralQubitChannel` -- an arbitrary Kraus set, not
-  necessarily unital.
+Hamiltonian they are expressed in.  The monitored cycle sees a channel
+only through its flip probability theta; the one channel written out as
+Kraus operators is :class:`MeasurementChannel`, the rank-1 projective
+channel built from two orthogonal projectors, whose theta never exceeds
+1/2 and which the Landau-Zener density-matrix propagation applies.
 
 :class:`ControlSpec` prepares a control qubit that sends the state
 through the channel on both arms of a superposition and post-selects the
@@ -31,21 +27,11 @@ import numpy as np
 __all__ = [
     "PhysicsError",
     "DensityMatrix",
-    "PauliChannel",
     "MeasurementChannel",
-    "GeneralQubitChannel",
     "ControlSpec",
     "hamiltonian",
     "thermal_state",
 ]
-
-# Pauli matrices in the energy eigenbasis, |+> first.
-SIGMA = (
-    np.eye(2, dtype=complex),
-    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-)
 
 _TRACE_DRIFT_TOL = 1e-10
 _EIGVAL_TOL = 1e-12
@@ -66,15 +52,6 @@ class _Checked:
         return cls(*iterable)
 
 
-def _as_matrix(mat) -> np.ndarray:
-    out = np.asarray(mat, dtype=complex)
-    if out.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {out.shape}")
-    if not np.all(np.isfinite(out.view(float))):
-        raise ValueError("matrix entries must be finite")
-    return out
-
-
 class DensityMatrix(_Checked, namedtuple("DensityMatrix", "mat gap")):
     """A valid qubit state in the energy eigenbasis of a gap-``nu`` Hamiltonian.
 
@@ -87,7 +64,11 @@ class DensityMatrix(_Checked, namedtuple("DensityMatrix", "mat gap")):
     __slots__ = ()
 
     def __new__(cls, mat: np.ndarray, gap: float = 1.0):
-        mat = _as_matrix(mat)
+        mat = np.asarray(mat, dtype=complex)
+        if mat.shape != (2, 2):
+            raise ValueError(f"expected a 2x2 matrix, got shape {mat.shape}")
+        if not np.all(np.isfinite(mat.view(float))):
+            raise ValueError("matrix entries must be finite")
         if not math.isfinite(gap):
             raise ValueError("gap label must be finite")
         herm_drift = np.max(np.abs(mat - mat.conj().T))
@@ -135,32 +116,6 @@ def thermal_state(beta: float, nu: float) -> DensityMatrix:
     return DensityMatrix(np.diag([p_exc, 1.0 - p_exc]), gap=nu)
 
 
-class PauliChannel(_Checked, namedtuple("PauliChannel", "p0 p1 p2 p3")):
-    """Unital qubit channel sum_i p_i sigma_i rho sigma_i."""
-
-    __slots__ = ()
-
-    def __new__(cls, p0: float, p1: float, p2: float, p3: float):
-        probs = (p0, p1, p2, p3)
-        if not all(math.isfinite(p) and p >= 0.0 for p in probs):
-            raise ValueError("Pauli weights must be finite and nonnegative")
-        if abs(sum(probs) - 1.0) > 1e-12:
-            raise PhysicsError(f"Pauli weights sum to {sum(probs)!r}, not 1")
-        return super().__new__(cls, *probs)
-
-    @property
-    def theta(self) -> float:
-        """Excited-to-ground flip probability p1 + p2; anywhere in [0, 1]."""
-        return self.p1 + self.p2
-
-    def kraus_ops(self) -> list[np.ndarray]:
-        return [
-            math.sqrt(p) * s
-            for p, s in zip((self.p0, self.p1, self.p2, self.p3), SIGMA)
-            if p > 0.0
-        ]
-
-
 class MeasurementChannel(_Checked, namedtuple("MeasurementChannel", "alpha_m chi")):
     """Projective measurement channel with Kraus projectors pi_1, pi_2.
 
@@ -196,45 +151,6 @@ class MeasurementChannel(_Checked, namedtuple("MeasurementChannel", "alpha_m chi
         psi1 = np.array([phase * s, -c])
         psi2 = np.array([c, np.conj(phase) * s])
         return [np.outer(psi1, psi1.conj()), np.outer(psi2, psi2.conj())]
-
-
-class GeneralQubitChannel(_Checked, namedtuple("GeneralQubitChannel", "kraus")):
-    """Arbitrary qubit channel given by a finite Kraus set."""
-
-    __slots__ = ()
-
-    def __new__(cls, kraus):
-        # copies, so that the caller's arrays stay writable
-        mats = tuple(_as_matrix(k).copy() for k in kraus)
-        if not mats:
-            raise ValueError("need at least one Kraus operator")
-        total = sum(k.conj().T @ k for k in mats)
-        if np.max(np.abs(total - np.eye(2))) > 1e-12:
-            raise PhysicsError("Kraus operators do not satisfy sum K^dag K = 1")
-        for k in mats:
-            k.setflags(write=False)
-        return super().__new__(cls, mats)
-
-    @property
-    def h(self) -> float:
-        """sum_j <-| K_j K_j^dag |->; equals 1 exactly for unital channels."""
-        return float(sum((k @ k.conj().T)[1, 1].real for k in self.kraus))
-
-    @property
-    def theta(self) -> float:
-        """sum_j |<-| K_j |+>|^2, the excited-to-ground flip probability."""
-        return float(sum(abs(k[1, 0]) ** 2 for k in self.kraus))
-
-    def transition_matrix(self) -> np.ndarray:
-        """T[k, m] = sum_j |<k| K_j |m>|^2, the probability of m -> k.
-
-        Indices follow this module's storage basis (0 excited, 1 ground);
-        each column sums to 1.
-        """
-        return sum(np.abs(k) ** 2 for k in self.kraus)
-
-    def kraus_ops(self) -> list[np.ndarray]:
-        return list(self.kraus)
 
 
 class ControlSpec(_Checked, namedtuple("ControlSpec", "alpha branch")):

@@ -13,7 +13,7 @@ Q_M = b nu2.  Summing the table on the keys (a, b) gives the joint
 distribution of the stochastic work W and channel heat Q_M; everything
 downstream (cumulants, bounds, regime maps) is exact arithmetic on this
 finite list.  A unital channel enters as the symmetric flip matrix of
-theta, any other qubit channel through its own transition matrix.
+its flip probability theta.
 
 The backward cycle is the forward one with delta and zeta swapped
 (:attr:`CycleParams.swapped`).  The coherently controlled variant is the
@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qstate import ControlSpec, GeneralQubitChannel, PhysicsError, _Checked
+from .qstate import ControlSpec, PhysicsError, _Checked
 
 __all__ = [
     "CycleParams",
@@ -133,11 +133,6 @@ class JointDistribution(_Checked, namedtuple("JointDistribution", "w q_m prob"))
             arr.setflags(write=False)
         return super().__new__(cls, w, q, p)
 
-    def characteristic_value(self, gamma_w: float, gamma_m: float) -> complex:
-        """Brute-force discrete transform sum_k p_k e^{i gw W_k + i gm Q_k}."""
-        phase = np.exp(1j * (gamma_w * self.w + gamma_m * self.q_m))
-        return complex(np.sum(self.prob * phase))
-
 
 # The table as columns: the state index at each of the four measurements
 # of every path, and the integer coefficients (a, b) of each outcome key
@@ -226,17 +221,6 @@ def enumerate_paths(
     """
     control = () if ctrl is None else (ctrl.alpha, ctrl.branch)
     return _point(enumerate_block(*params, theta, *control))
-
-
-def _channel_distribution(
-    params: CycleParams, channel: GeneralQubitChannel
-) -> JointDistribution:
-    """Forward joint distribution for an arbitrary qubit channel."""
-    # qstate stores the excited state first, the path table the ground
-    # state first: reverse both indices of the channel's matrix.
-    matrix = channel.transition_matrix()[None, ::-1, ::-1]
-    block = _evaluate(*(np.array([x]) for x in params), matrix)
-    return _point(DistributionBlock(*(x[0] for x in block)))
 
 
 def _controlled_flip(theta, alpha, branch: str) -> np.ndarray:

@@ -412,6 +412,26 @@ def test_unwritable_output_path_is_config_error(flag, target, tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flag", ["--dist-out", "--bounds-out"])
+def test_unwritable_dump_path_leaves_the_out_file_as_it_was(flag, tmp_path, capsys):
+    keep = tmp_path / "keep.csv"
+    keep.write_text("old\n")
+    missing = str(tmp_path / "no-such-dir" / "x.csv")
+    code, out, err = run(
+        capsys, "cumulants", *BASE, "--theta", "0.3", "--out", str(keep), flag, missing
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith(f"config error: cannot write {missing}: ")
+    assert keep.read_text() == "old\n"
+
+
+def test_device_outputs_are_not_truncated(capsys):
+    # truncating a device such as /dev/null fails (EINVAL)
+    argv = ["--out", os.devnull, "--dist-out", os.devnull, "--bounds-out", os.devnull]
+    code, out, err = run(capsys, "cumulants", *BASE, "--theta", "0.3", *argv)
+    assert (code, out, err) == (0, "", "")
+
+
 def test_bound_report_dump(tmp_path, capsys):
     dump = tmp_path / "bounds.csv"
     code, _, _ = run(

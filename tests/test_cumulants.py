@@ -10,10 +10,7 @@ from hypothesis import given, settings
 from unital_otto import (
     ControlSpec,
     CycleParams,
-    GeneralQubitChannel,
-    PauliChannel,
     cf_derivative_check,
-    cf_general,
     cf_unital,
     closed_form_first_second,
     cs_first_cumulants,
@@ -22,6 +19,7 @@ from unital_otto import (
 )
 
 from conftest import close, cycle_params, finite, mp_cumulants, probs, random_params
+from references import flip_h, flip_theta, path_table_cf, pauli_kraus, transition_matrix
 
 REF = CycleParams(0.7, 1.0, 2.0, 0.1, 0.1)
 
@@ -87,8 +85,8 @@ def test_cf_normalisation():
     assert cf_unital(REF, 0.2, 0.0, 0.0) == pytest.approx(1.0, abs=1e-15)
     ctrl = ControlSpec(0.5, "minus")
     assert cf_unital(REF, ctrl.flip_probability(0.2), 0.0, 0.0) == pytest.approx(1.0, abs=1e-15)
-    ch = GeneralQubitChannel(PauliChannel(0.4, 0.3, 0.2, 0.1).kraus_ops())
-    assert cf_general(REF, ch, 0.0, 0.0) == pytest.approx(1.0, abs=1e-14)
+    matrix = transition_matrix(pauli_kraus(0.4, 0.3, 0.2, 0.1))
+    assert path_table_cf(REF, matrix, 0.0, 0.0) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_cf_unital_matches_discrete_transform_at_fixed_point():
@@ -120,11 +118,11 @@ def test_cf_general_reduces_to_unital():
     gen = np.random.default_rng(3)
     for _ in range(20):
         weights = gen.dirichlet(np.ones(4))
-        ch = GeneralQubitChannel(PauliChannel(*weights).kraus_ops())
+        kraus = pauli_kraus(*weights)
         params = random_params(gen)
         for gw, gm in gen.uniform(-3.0, 3.0, size=(5, 2)):
-            unital = cf_unital(params, ch.theta, gw, gm)
-            general = cf_general(params, ch, gw, gm)
+            unital = cf_unital(params, flip_theta(kraus), gw, gm)
+            general = path_table_cf(params, transition_matrix(kraus), gw, gm)
             assert abs(unital - general) < 1e-12
 
 
@@ -135,12 +133,12 @@ def test_cf_general_diagonal_kraus_ignores_heat_variable():
         math.sqrt(0.3) * np.diag(phases[:2]),
         math.sqrt(0.7) * np.diag(phases[2:]),
     ]
-    ch = GeneralQubitChannel(kraus)
-    assert ch.theta == 0.0
+    assert flip_theta(kraus) == 0.0
+    matrix = transition_matrix(kraus)
     for gw in (0.0, 0.4, -1.3):
-        base = cf_general(REF, ch, gw, 0.0)
+        base = path_table_cf(REF, matrix, gw, 0.0)
         for gm in (0.5, -2.0, 3.3):
-            assert abs(cf_general(REF, ch, gw, gm) - base) < 1e-14
+            assert abs(path_table_cf(REF, matrix, gw, gm) - base) < 1e-14
 
 
 def test_cf_general_nonunital_channel_is_normalised():
@@ -149,18 +147,17 @@ def test_cf_general_nonunital_channel_is_normalised():
         np.array([[1.0, 0.0], [0.0, math.sqrt(1 - gamma)]]),
         np.array([[0.0, math.sqrt(gamma)], [0.0, 0.0]]),
     ]
-    ch = GeneralQubitChannel(kraus)
-    assert ch.h == pytest.approx(1 - gamma, abs=1e-15)
-    assert cf_general(REF, ch, 0.0, 0.0) == pytest.approx(1.0, abs=1e-14)
+    assert flip_h(kraus) == pytest.approx(1 - gamma, abs=1e-15)
+    assert path_table_cf(REF, transition_matrix(kraus), 0.0, 0.0) == pytest.approx(1.0, abs=1e-14)
 
 
-def paper_cf_general(params, channel, gamma_w, gamma_m):
+def paper_cf_general(params, kraus, gamma_w, gamma_m):
     """The paper's eight path groups, written out by hand.
 
     The channel enters only through theta and
     h = sum_j <-|K_j K_j^dag|->; an oracle for non-unital channels.
     """
-    th, h = channel.theta, channel.h
+    th, h = flip_theta(kraus), flip_h(kraus)
     t = params.tanh_beta_nu1
     a, b = 0.5 * (1.0 + t), 0.5 * (1.0 - t)
     nu1, nu2 = params.nu1, params.nu2
@@ -206,18 +203,20 @@ def amplitude_damping(gamma, decay_to_ground):
     [
         amplitude_damping(0.35, decay_to_ground=True),
         amplitude_damping(0.35, decay_to_ground=False),
-        PauliChannel(*np.random.default_rng(11).dirichlet(np.ones(4))).kraus_ops(),
+        pauli_kraus(*np.random.default_rng(11).dirichlet(np.ones(4))),
     ],
     ids=["damping-to-ground", "damping-to-excited", "pauli"],
 )
 def test_cf_general_matches_paper_path_groups(kraus):
-    ch = GeneralQubitChannel(kraus)
+    # the path table at a channel's own transition matrix, which for
+    # amplitude damping is not symmetric
+    matrix = transition_matrix(kraus)
     gen = np.random.default_rng(12)
     for _ in range(20):
         params = random_params(gen)
         for gw, gm in gen.uniform(-3.0, 3.0, size=(5, 2)):
-            oracle = paper_cf_general(params, ch, gw, gm)
-            assert abs(cf_general(params, ch, gw, gm) - oracle) <= 1e-14
+            oracle = paper_cf_general(params, kraus, gw, gm)
+            assert abs(path_table_cf(params, matrix, gw, gm) - oracle) <= 1e-14
 
 
 def test_cf_real_at_infinite_temperature():

@@ -11,9 +11,7 @@ from hypothesis import strategies as st
 from unital_otto import (
     ControlSpec,
     DensityMatrix,
-    GeneralQubitChannel,
     MeasurementChannel,
-    PauliChannel,
     PhysicsError,
     hamiltonian,
     thermal_state,
@@ -22,7 +20,14 @@ from unital_otto import (
 from unital_otto.cli import _resolve_theta
 
 from conftest import bloch_states, finite, probs
-from references import apply_channel, superpose_apply
+from references import (
+    apply_channel,
+    flip_h,
+    flip_theta,
+    pauli_kraus,
+    superpose_apply,
+    transition_matrix,
+)
 
 
 def test_thermal_state_infinite_temperature():
@@ -66,20 +71,20 @@ def test_apply_pauli_population_mixing():
     # diagonal input diag(1-a, a): excited population moves to
     # 1 - (a + (1-2a) q) with q = p1 + p2
     a, q = 0.8, 0.3
-    ch = PauliChannel(0.5, 0.2, 0.1, 0.2)
-    assert abs(ch.theta - q) < 1e-15
-    out = apply_channel(ch, DensityMatrix(np.diag([1 - a, a])))
+    kraus = pauli_kraus(0.5, 0.2, 0.1, 0.2)
+    assert abs(flip_theta(kraus) - q) < 1e-15
+    out = apply_channel(kraus, DensityMatrix(np.diag([1 - a, a])))
     assert abs(out.populations[0] - (1 - (a + (1 - 2 * a) * q))) < 1e-14
 
 
 def test_apply_channel_fixed_point():
     maximally_mixed = DensityMatrix(np.eye(2) / 2)
-    for ch in (
-        PauliChannel(0.1, 0.2, 0.3, 0.4),
-        MeasurementChannel(0.8, 1.3),
-        PauliChannel(0.0, 1.0, 0.0, 0.0),
+    for kraus in (
+        pauli_kraus(0.1, 0.2, 0.3, 0.4),
+        MeasurementChannel(0.8, 1.3).kraus_ops(),
+        pauli_kraus(0.0, 1.0, 0.0, 0.0),
     ):
-        out = apply_channel(ch, maximally_mixed)
+        out = apply_channel(kraus, maximally_mixed)
         assert np.allclose(out.mat, maximally_mixed.mat, atol=1e-14)
 
 
@@ -90,14 +95,14 @@ def test_apply_channel_dephases_and_flips():
     rho = DensityMatrix(
         0.5 * np.array([[1 + vz, vx - 1j * vy], [vx + 1j * vy, 1 - vz]])
     )
-    out = apply_channel(PauliChannel(0.0, 0.5, 0.5, 0.0), rho)
+    out = apply_channel(pauli_kraus(0.0, 0.5, 0.5, 0.0), rho)
     assert abs(out.mat[0, 1]) < 1e-15
     # v_z = rho_00 - rho_11
     assert abs((out.mat[0, 0] - out.mat[1, 1]).real + vz) < 1e-14
 
 
 def test_theta_values():
-    assert PauliChannel(0.4, 0.3, 0.2, 0.1).theta == pytest.approx(0.5, abs=1e-15)
+    assert flip_theta(pauli_kraus(0.4, 0.3, 0.2, 0.1)) == pytest.approx(0.5, abs=1e-15)
     assert MeasurementChannel(math.pi / 2).theta == pytest.approx(0.5, abs=1e-15)
     ch0 = MeasurementChannel(0.0)
     assert ch0.theta == 0.0
@@ -123,26 +128,20 @@ def test_measurement_theta_is_exact_at_every_angle(alpha_m):
 
 
 def test_general_channel_from_pauli_kraus():
-    pauli = PauliChannel(0.4, 0.3, 0.2, 0.1)
-    ch = GeneralQubitChannel(pauli.kraus_ops())
-    assert abs(ch.h - 1.0) < 1e-13
-    assert abs(ch.theta - pauli.theta) < 1e-13
+    # a Pauli channel is unital, and flips with probability p1 + p2
+    kraus = pauli_kraus(0.4, 0.3, 0.2, 0.1)
+    assert abs(flip_h(kraus) - 1.0) < 1e-13
+    assert abs(flip_theta(kraus) - 0.5) < 1e-13
 
 
 def test_transition_matrix_holds_flip_probabilities():
     gamma = 0.3
     kraus = [np.diag([1.0, math.sqrt(1 - gamma)]), np.array([[0.0, math.sqrt(gamma)], [0.0, 0.0]])]
-    ch = GeneralQubitChannel(kraus)
-    t = ch.transition_matrix()
+    t = transition_matrix(kraus)
     assert np.allclose(t, [[1.0, gamma], [0.0, 1.0 - gamma]], atol=1e-15)
     assert np.allclose(t.sum(axis=0), 1.0, atol=1e-15)
-    assert t[1, 0] == pytest.approx(ch.theta, abs=1e-15)
-    assert t[1].sum() == pytest.approx(ch.h, abs=1e-15)
-
-
-def test_general_channel_completeness_enforced():
-    with pytest.raises(PhysicsError):
-        GeneralQubitChannel([np.eye(2) * 0.9])
+    assert t[1, 0] == pytest.approx(flip_theta(kraus), abs=1e-15)
+    assert t[1].sum() == pytest.approx(flip_h(kraus), abs=1e-15)
 
 
 def test_superpose_alpha_zero_reduces_to_plain_channel():
@@ -151,7 +150,7 @@ def test_superpose_alpha_zero_reduces_to_plain_channel():
     for branch in ("plus", "minus"):
         out, p = superpose_apply(ch, rho, ControlSpec(0.0, branch))
         assert abs(p - 0.5) < 1e-15
-        assert np.allclose(out.mat, apply_channel(ch, rho).mat, atol=1e-12)
+        assert np.allclose(out.mat, apply_channel(ch.kraus_ops(), rho).mat, atol=1e-12)
 
 
 def test_superpose_half_alpha_branch_probabilities():
@@ -191,8 +190,8 @@ def test_pauli_unitality(p1, p2, p3):
     if total > 1.0:
         scale = total * (1.0 + 1e-12)
         p1, p2, p3 = p1 / scale, p2 / scale, p3 / scale
-    ch = PauliChannel(max(0.0, 1.0 - p1 - p2 - p3), p1, p2, p3)
-    out = apply_channel(ch, DensityMatrix(np.eye(2) / 2))
+    kraus = pauli_kraus(max(0.0, 1.0 - p1 - p2 - p3), p1, p2, p3)
+    out = apply_channel(kraus, DensityMatrix(np.eye(2) / 2))
     assert np.allclose(out.mat, np.eye(2) / 2, atol=1e-14)
 
 
@@ -220,7 +219,7 @@ def test_branch_probabilities_sum_to_one(rho, alpha_m, alpha):
 @settings(max_examples=100)
 def test_superpose_extremes_match_plain_application(rho, alpha_m):
     ch = MeasurementChannel(alpha_m)
-    plain = apply_channel(ch, rho)
+    plain = apply_channel(ch.kraus_ops(), rho)
     for alpha in (0.0, 1.0):
         out, p = superpose_apply(ch, rho, ControlSpec(alpha, "minus"))
         assert abs(p - 0.5) < 1e-14
@@ -241,8 +240,7 @@ def test_unital_kraus_sets_have_unit_h(weights, seed):
         z = gen.normal(size=(2, 2)) + 1j * gen.normal(size=(2, 2))
         q, _ = np.linalg.qr(z)
         kraus.append(math.sqrt(w) * q)
-    ch = GeneralQubitChannel(kraus)
-    assert abs(ch.h - 1.0) < 1e-12
+    assert abs(flip_h(kraus) - 1.0) < 1e-12
 
 
 def test_superpose_branch_mismatch_is_physics_error(monkeypatch):

@@ -3,21 +3,22 @@ every field on ``_replace``, and no dataclass anywhere in the library."""
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import unital_otto
 from unital_otto import (
     ControlSpec,
     CycleParams,
     DensityMatrix,
-    GeneralQubitChannel,
     JointDistribution,
     LZParams,
     MeasurementChannel,
-    PauliChannel,
 )
+from unital_otto.qstate import _Checked
 
 LAYERS = ("qstate", "trajectory", "cumulants", "analysis", "landauzener")
 SRC = Path(__file__).resolve().parents[1] / "src" / "unital_otto"
@@ -39,9 +40,7 @@ VALIDATED = {
     CycleParams: (CycleParams(0.7, 1.0, 2.0, 0.1, 0.2), "delta", 5.0),
     JointDistribution: (JointDistribution([0.0, 2.0], [0.0, 0.0], [0.5, 0.5]), "prob", [0.5, 0.6]),
     DensityMatrix: (DensityMatrix(np.diag([0.3, 0.7]), gap=2.0), "mat", np.diag([0.3, 0.8])),
-    PauliChannel: (PauliChannel(0.7, 0.1, 0.1, 0.1), "p1", 0.5),
     MeasurementChannel: (MeasurementChannel(1.0, 0.1), "alpha_m", 4.0),
-    GeneralQubitChannel: (GeneralQubitChannel([np.eye(2)]), "kraus", [2.0 * np.eye(2)]),
     ControlSpec: (ControlSpec(0.3, "plus"), "branch", "both"),
     LZParams: (LZParams.build(0.5, 1.0, 2.0, 0.1), "delta", 0.2),
 }
@@ -56,7 +55,7 @@ def _error(call):
 
 
 def test_every_record_type_is_listed():
-    assert len(RECORDS) == 18
+    assert len(RECORDS) == 16
     # a type that wraps the constructor namedtuple generates in checks of
     # its own needs a _replace case below
     custom = {cls for cls in RECORDS if "__new__" in vars(cls) and tuple not in cls.__bases__}
@@ -96,12 +95,22 @@ def test_no_module_imports_dataclasses(path):
     "build, arrays",
     [
         (JointDistribution, [np.array([0.0, 2.0]), np.array([0.0, 1.0]), np.array([0.5, 0.5])]),
-        (lambda *kraus: GeneralQubitChannel(kraus), [np.eye(2, dtype=complex)]),
+        (DensityMatrix, [np.diag([0.3, 0.7]).astype(complex)]),
     ],
-    ids=["JointDistribution", "GeneralQubitChannel"],
+    ids=["JointDistribution", "DensityMatrix"],
 )
 def test_read_only_fields_leave_the_callers_arrays_writable(build, arrays):
     record = build(*arrays)
     assert all(arr.flags.writeable for arr in arrays)
-    fields = record if isinstance(record, JointDistribution) else record.kraus
-    assert not any(field.flags.writeable for field in fields)
+    fields = [field for field in record if isinstance(field, np.ndarray)]
+    assert fields and not any(field.flags.writeable for field in fields)
+
+
+def test_readme_lists_the_validated_types():
+    readme = (SRC.parents[1] / "README.md").read_text(encoding="utf-8")
+    listed = re.search(r"validated types \(([^)]*)\)", readme).group(1)
+    exported = {
+        name for name, value in vars(unital_otto).items()
+        if isinstance(value, type) and issubclass(value, _Checked)
+    }
+    assert set(re.findall(r"`(\w+)`", listed)) == exported
