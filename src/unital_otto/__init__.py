@@ -5,8 +5,9 @@ replaced by an arbitrary unital qubit channel and every stroke is
 bracketed by projective energy measurements.  The joint distribution of
 stochastic work and channel heat is a finite list that this package
 enumerates exactly, so cumulants, efficiencies, operating regimes and
-every fluctuation bound can be checked without sampling error (a seeded
-Monte Carlo sampler is included as an independent statistical oracle).
+every fluctuation bound can be checked without sampling error.  A seeded
+Monte Carlo sampler draws from the enumerated distribution, so its
+z-scores test the sampler and the moment formulas, not the path table.
 """
 
 from .qstate import (

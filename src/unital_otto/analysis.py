@@ -81,18 +81,18 @@ _REGIMES[0, 0, 0, 1] = Regime.ACCELERATOR
 _REGIMES[0, 1, 1, 1] = Regime.ENGINE_PRIME
 
 
-def classify_regime_array(w_mean, qm_mean, qt_mean, beta, tol: float = _REGIME_TOL) -> np.ndarray:
+def classify_regime_array(w_mean, qm_mean, qt_mean, beta) -> np.ndarray:
     """Operating mode from the signs of the three mean energy flows, at
     every point of broadcast arrays: an int8 array of :class:`Regime`
-    codes.  A flow within ``tol`` of zero, an inconsistent sign pattern,
-    or beta within ``tol`` of 0 is UNDETERMINED."""
+    codes.  A flow within ``_REGIME_TOL`` of zero, an inconsistent sign
+    pattern, or beta within ``_REGIME_TOL`` of 0 is UNDETERMINED."""
     flows = np.broadcast_arrays(beta, w_mean, qm_mean, qt_mean)
     signs = tuple(np.asarray(x > 0.0, dtype=np.intp) for x in flows)
     regimes = np.asarray(_REGIMES[signs])
     beta = flows[0]
-    small = (np.abs(beta) <= tol) | (beta == 0.0)
+    small = (np.abs(beta) <= _REGIME_TOL) | (beta == 0.0)
     for flow in flows[1:]:
-        small |= np.abs(flow) <= tol
+        small |= np.abs(flow) <= _REGIME_TOL
     regimes[small] = Regime.UNDETERMINED
     return regimes
 
@@ -222,7 +222,6 @@ def _report(name: str, left, right, applicable) -> BoundReport:
     )
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def verify_bounds_block(
     beta, nu1, nu2, delta, zeta, theta, mode: str = "symmetric",
     alpha=None, branch: str = "minus",
@@ -236,8 +235,14 @@ def verify_bounds_block(
     violation is never counted against the proof.  Modes and the control
     (``alpha``, ``branch``) are those of :func:`efficiency_block`.
     """
-    *cycle, theta, flip = _checked(beta, nu1, nu2, delta, zeta, theta, mode, alpha, branch)
-    beta, nu1, nu2, d, z = cycle
+    columns = _checked(beta, nu1, nu2, delta, zeta, theta, mode, alpha, branch)
+    return _bounds(*columns, mode, branch)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _bounds(beta, nu1, nu2, d, z, theta, flip, mode: str, branch: str) -> list[BoundReport]:
+    """:func:`verify_bounds_block` on checked columns and the flip probability."""
+    cycle = (beta, nu1, nu2, d, z)
     fwd = _closed_form(*cycle, flip)
     bwd = _closed_form(*cycle, flip, "backward")
     work, heat = fwd.w_mean + bwd.w_mean, fwd.qm_mean + bwd.qm_mean

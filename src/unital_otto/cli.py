@@ -1,14 +1,15 @@
 """Command-line front end: evaluations, sweeps, regime maps, bound campaigns.
 
 Every subcommand writes CSV (to --out or stdout) whose first line is a
-``#``-comment recording the fully resolved configuration (OTTO_TOL
-included, as ``tol``), so a rerun with the same inputs, on the same
-machine and numpy build, byte-reproduces the file.  Numbers are printed
-with 17 significant digits.  Every output path is opened before any text
-is written.  ``classify`` and ``sweep`` evaluate, and so check, every
-point of their grid before writing any row, then format and write the
-rows one block of points at a time: an invalid point leaves no output,
-and a table's text is never held in memory whole.
+``#``-comment recording the fully resolved configuration, so a rerun
+with the same inputs, on the same machine and numpy build,
+byte-reproduces the file.  Numbers are printed with 17 significant
+digits.  Every output path is opened before any text is written, and two
+outputs on one file are a configuration error.  ``classify`` and
+``sweep`` write one grid table (:func:`_grid_table`): they evaluate, and
+so check, every point of their grid before writing any row, then format
+and write the rows one block of points at a time.  An invalid point
+leaves no output, and a table's text is never held in memory whole.
 
 Exit codes: 0 success (bound violations are data, not failures),
 2 configuration error, 3 physics-domain error.
@@ -30,9 +31,6 @@ from . import analysis, cumulants, landauzener, trajectory
 from .qstate import ControlSpec, MeasurementChannel, PhysicsError
 
 SWEEPABLE = ("beta", "nu1", "nu2", "delta", "zeta", "theta", "cs-alpha", "alpha-m")
-
-# Keys a config file may hold without a matching flag.
-_FILE_ONLY_KEYS = {"tol": float}
 
 
 class ConfigError(Exception):
@@ -144,10 +142,10 @@ def _config_types(
     parser: argparse.ArgumentParser, command: str
 ) -> dict[str, tuple[str, type, tuple | None]]:
     """Config-file key -> (destination, value type, allowed values) for
-    every long flag of every subcommand, plus the file-only keys.  Allowed
-    values are the flag's ``choices`` in ``command``, the subcommand that
-    runs; a key only other subcommands take has none."""
-    types = {key: (key, kind, None) for key, kind in _FILE_ONLY_KEYS.items()}
+    every long flag of every subcommand.  Allowed values are the flag's
+    ``choices`` in ``command``, the subcommand that runs; a key only other
+    subcommands take has none."""
+    types: dict[str, tuple[str, type, tuple | None]] = {}
     subparsers = next(
         a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
     )
@@ -164,11 +162,8 @@ def _config_types(
 
 
 def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
-    """OTTO_TOL first, then file values, command-line flags on top.  The
-    tolerance, from either, must be finite and nonnegative."""
+    """File values, then command-line flags on top."""
     merged: dict = {}
-    if os.environ.get("OTTO_TOL"):
-        merged["tol"] = float(os.environ["OTTO_TOL"])
     if getattr(args, "config", None):
         types = _config_types(parser, args.command)
         for key, text in _read_config_file(args.config, types).items():
@@ -183,8 +178,6 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
             continue
         if val is not None:
             merged[key] = val
-    if not 0.0 <= merged.get("tol", 0.0) < math.inf:
-        raise ConfigError(f"tol must be finite and nonnegative, not {merged['tol']!r}")
     return merged
 
 
@@ -217,12 +210,6 @@ def _resolve_theta(cfg: dict):
         # sin^2(alpha_m) / 2, the rule of MeasurementChannel.theta
         return np.square(np.sin(alpha_m)) / 2.0
     raise ConfigError("specify a channel: --theta, --p0..--p3, or --alpha-m")
-
-
-def _tolerance(cfg: dict) -> float:
-    """Comparison tolerance for regimes/bounds: the tol key, which OTTO_TOL
-    fills when no config file or flag sets it."""
-    return cfg.get("tol", 1e-12)
 
 
 def _config_comment(command: str, cfg: dict) -> str:
@@ -293,22 +280,6 @@ def _run(cfg: dict, axes=()) -> tuple[list[np.ndarray], str, str]:
 _BLOCK_POINTS = 256
 
 
-def _grid_blocks(grid: list[np.ndarray], branch: str, tol: float):
-    """Evaluate a run's columns in C order, one block of points at a time.
-
-    Yields (index of the block's first point, the block's parameter
-    columns, joint distributions, cumulants, regimes).
-    """
-    for start in range(0, grid[0].size, _BLOCK_POINTS):
-        block = [c.flat[start:start + _BLOCK_POINTS] for c in grid]
-        dist = trajectory.enumerate_block(*block, branch=branch)
-        cums = cumulants.cumulants_from_block(dist)
-        regimes = analysis.classify_regime_array(
-            cums.w_mean, cums.qm_mean, cums.qt_mean, block[0], tol
-        )
-        yield start, block, dist, cums, regimes
-
-
 def _distribution(columns: list[np.ndarray], branch: str):
     """(cycle, flip probability, joint distribution) at the one point of a
     run's 0-d columns, checked as every point is: cycle, control, theta
@@ -335,15 +306,22 @@ def _open_write(path: str):
 @contextlib.contextmanager
 def _output(cfg: dict, *paths: str):
     """The --out file or stdout, then one file per further path, closed
-    after.  Every path is opened, so checked, before any file is emptied."""
+    after.  Every path is opened, so checked, before any file is emptied;
+    two paths on one regular file are a configuration error."""
     named = [cfg["out"], *paths] if cfg.get("out") else list(paths)
     with contextlib.ExitStack() as stack:
         files = [stack.enter_context(_open_write(path)) for path in named]
-        for fh in files:
-            # a device such as /dev/null has nothing to empty, and
-            # truncating it fails
-            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                fh.truncate(0)
+        regular = {}  # (device, inode) -> (path, file)
+        for path, fh in zip(named, files):
+            st = os.fstat(fh.fileno())
+            # a device such as /dev/null has nothing to empty (truncating it
+            # fails), and any number of outputs may write to it
+            if stat.S_ISREG(st.st_mode):
+                other, first = regular.setdefault((st.st_dev, st.st_ino), (path, fh))
+                if first is not fh:
+                    raise ConfigError(f"{other} and {path} are the same file")
+        for _, fh in regular.values():
+            fh.truncate(0)
         yield files if cfg.get("out") else [sys.stdout, *files]
 
 
@@ -403,89 +381,97 @@ def _cmd_cumulants(cfg: dict) -> None:
 
 # A sweep's cell of a bound, indexed by its code.
 _VERDICTS = ("ok", "violated", "n/a")
+_KAPPAS = [f"{var}_k{n}" for var in ("w", "qm") for n in (1, 2, 3, 4)]
+
+# A grid table's columns after its axes: header, printf conversion, the
+# field of _block_fields that it prints and, for a field of codes, each
+# code's label.  The "bounds" field stands for one column per bound.
+_REGIME = ("regime", "%s", "regime", analysis._REGIME_LABELS)
+_NUMBERS = [(name, "%.17g", name, ()) for name in (*_KAPPAS, "qt_mean", "w_rf", "efficiency")]
+_SWEEP = [*_NUMBERS, _REGIME, ("bounds", "%s", "bounds", _VERDICTS)]
+_CLASSIFY = [("w_mean", "%.17g", "w_k1", ()), ("qm_mean", "%.17g", "qm_k1", ()),
+             ("qt_mean", "%.17g", "qt_mean", ()), _REGIME]
+
+
+def _block_fields(block: list[np.ndarray], mode: str, branch: str, wanted: set) -> dict:
+    """The ``wanted`` fields of a block of points, each its own array, with
+    the block's parameter columns checked once.  The cumulants, ``qt_mean`` and the
+    regime are always evaluated; ``w_rf``, ``efficiency`` and each bound's
+    verdict, under the bound's name, only when wanted."""
+    checked = trajectory._checked_columns(*block, branch=branch)
+    beta, nu1, nu2, delta, zeta, _, flip = checked
+    dist = trajectory._enumerate(beta, nu1, nu2, delta, zeta, flip)
+    cums = cumulants.cumulants_from_block(dist)
+    values = dict(zip(_KAPPAS, np.concatenate((cums.w, cums.q_m), axis=-1).T))
+    values["qt_mean"] = cums.qt_mean
+    values["regime"] = analysis.classify_regime_array(cums.w_mean, cums.qm_mean, cums.qt_mean, beta)
+    if "w_rf" in wanted:
+        # <W> is a sum over outcomes; cancelled to rounding residue it has
+        # no relative fluctuation worth printing.  Python's x ** 2 (the C
+        # library's pow) can differ from np.square in the last bit.
+        largest = np.abs(dist.prob * dist.w).max(axis=-1)
+        residue = cumulants.is_rounding_residue(cums.w_mean, largest).tolist()
+        points = zip(residue, values["w_k1"].tolist(), values["w_k2"].tolist())
+        values["w_rf"] = np.array([math.inf if zero else k2 / k1**2 for zero, k1, k2 in points])
+    if "efficiency" in wanted:
+        values["efficiency"] = analysis._efficiency(beta, nu1, nu2, delta, zeta, flip, mode)
+    if not wanted <= values.keys():  # the fields left are bounds
+        for report in analysis._bounds(*checked, mode, branch):
+            verdict = np.where(report.applicable, ~report.satisfied, 2)
+            values[report.name] = verdict.astype(np.int8)
+    # copies, so that a block keeps nothing else of the evaluation
+    return {field: values[field].copy() for field in wanted}
+
+
+def _grid_table(cfg: dict, command: str, axes: list, columns: list[tuple]) -> None:
+    """Write ``command``'s table over the grid of ``axes``: one row per
+    point, in C order, of the point's axis values and then ``columns``.
+
+    Every point is evaluated, and so checked, before any row is written,
+    ``_BLOCK_POINTS`` at a time, each block keeping only the fields its
+    columns print.  The rows are then written one block at a time.
+    """
+    grid, branch, mode = _run(cfg, axes)
+    if columns[-1][2] == "bounds":  # the mode's bounds, as its reports over no points name them
+        bounds = analysis._bounds(*np.empty((7, 0)), mode, branch)
+        columns = columns[:-1] + [(r.name, "%s", r.name, _VERDICTS) for r in bounds]
+    wanted = {field for _, _, field, _ in columns}
+    shape, size = grid[0].shape, grid[0].size
+    blocks = [
+        (start, _block_fields([c.flat[start:start + _BLOCK_POINTS] for c in grid],
+                              mode, branch, wanted))
+        for start in range(0, size, _BLOCK_POINTS)
+    ]
+    template = "%s," * len(axes) + ",".join(conversion for _, conversion, _, _ in columns) + "\n"
+
+    def lines():
+        yield _config_comment(command, cfg)
+        yield ",".join([axis for axis, _ in axes] + [header for header, *_ in columns]) + "\n"
+        for start, fields in blocks:
+            index = np.unravel_index(np.arange(start, min(start + _BLOCK_POINTS, size)), shape)
+            cells = []
+            for (_, values), i in zip(axes, index):
+                # each axis value the block reaches is formatted once
+                low = i.min()
+                text = [_fmt(v) for v in values[low:i.max() + 1].tolist()]
+                cells.append(map(text.__getitem__, (i - low).tolist()))
+            for _, _, field, labels in columns:
+                cell = fields[field].tolist()
+                cells.append(map(labels.__getitem__, cell) if labels else cell)
+            yield "".join([template % row for row in zip(*cells)])
+
+    _emit(cfg, lines())
 
 
 def _cmd_sweep(cfg: dict) -> None:
-    axis, values = _axis_values(cfg)
-    grid, branch, mode = _run(cfg, [(axis, values)])
-    bound_names: list[str] = []
-    blocks = []
-    # every point is evaluated, and so checked, before any row is written
-    for start, columns, dist, cums, regimes in _grid_blocks(grid, branch, _tolerance(cfg)):
-        # <W> is a sum over outcomes; cancelled to rounding residue it has
-        # no relative fluctuation worth printing
-        no_mean = cumulants.is_rounding_residue(
-            cums.w_mean, np.abs(dist.prob * dist.w).max(axis=-1)
-        )
-        etas = analysis.efficiency_block(*columns[:6], mode, *columns[6:], branch=branch)
-        bounds = analysis.verify_bounds_block(*columns[:6], mode, *columns[6:], branch=branch)
-        bound_names = [b.name for b in bounds]
-        verdicts = [np.where(b.applicable, ~b.satisfied, 2).astype(np.int8) for b in bounds]
-        blocks.append((start, cums, no_mean, etas, regimes, verdicts))
-    header = (
-        [axis, "w_k1", "w_k2", "w_k3", "w_k4", "qm_k1", "qm_k2", "qm_k3", "qm_k4",
-         "qt_mean", "w_rf", "efficiency", "regime"]
-        + bound_names
-    )
-    # twelve numbers, printed as _fmt prints a float, then the regime and
-    # one verdict per bound
-    template = "%.17g," * 12 + ",".join(["%s"] * (1 + len(bound_names))) + "\n"
-    labels = analysis._REGIME_LABELS
-
-    def lines():
-        yield _config_comment("sweep", cfg)
-        yield ",".join(header) + "\n"
-        for start, cums, no_mean, etas, regimes, verdicts in blocks:
-            points = zip(
-                values[start:start + len(etas)].tolist(), cums.w.tolist(), cums.q_m.tolist(),
-                cums.qt_mean.tolist(), no_mean.tolist(), etas.tolist(), regimes.tolist(),
-                *(v.tolist() for v in verdicts),
-            )
-            rows = []
-            for value, kw, kq, qt, zero_mean, eta, regime, *codes in points:
-                w_rf = math.inf if zero_mean else kw[1] / kw[0] ** 2
-                cells = [_VERDICTS[c] for c in codes]
-                rows.append(template % (value, *kw, *kq, qt, w_rf, eta, labels[regime], *cells))
-            yield "".join(rows)
-
-    _emit(cfg, lines())
-
-
-# A classify row: the two axis cells, then <W>, <Q_M> and <Q_T> as _fmt
-# prints a float, then the regime.
-_CLASSIFY_ROW = "%s,%s,%.17g,%.17g,%.17g,%s\n"
+    _grid_table(cfg, "sweep", [_axis_values(cfg)], _SWEEP)
 
 
 def _cmd_classify(cfg: dict) -> None:
-    axis1, values1 = _axis_values(cfg)
-    axis2, values2 = _axis_values(cfg, "2")
-    if axis1 == axis2:
+    axes = [_axis_values(cfg), _axis_values(cfg, "2")]
+    if axes[0][0] == axes[1][0]:
         raise ConfigError("the two grid axes must differ")
-    grid, branch, _ = _run(cfg, [(axis1, values1), (axis2, values2)])
-    # every point is evaluated, and so checked, before any row is written;
-    # a block keeps only its printed columns, the means copied out of the
-    # (N, 4) cumulant arrays so that those are freed
-    blocks = [
-        (start, cums.w_mean.copy(), cums.qm_mean.copy(), cums.qt_mean, regimes)
-        for start, _, _, cums, regimes in _grid_blocks(grid, branch, _tolerance(cfg))
-    ]
-    cells1 = [_fmt(v) for v in values1.tolist()]
-    cells2 = [_fmt(v) for v in values2.tolist()]
-    labels = analysis._REGIME_LABELS
-
-    def lines():
-        yield _config_comment("classify", cfg)
-        yield f"{axis1},{axis2},w_mean,qm_mean,qt_mean,regime\n"
-        n2 = len(cells2)
-        for start, *columns in blocks:
-            w, q, qt, regimes = (column.tolist() for column in columns)
-            points = zip(range(start, start + len(w)), w, q, qt, regimes)
-            yield "".join([
-                _CLASSIFY_ROW % (cells1[i // n2], cells2[i % n2], wi, qi, ti, labels[r])
-                for i, wi, qi, ti, r in points
-            ])
-
-    _emit(cfg, lines())
+    _grid_table(cfg, "classify", axes, _CLASSIFY)
 
 
 # Samples per bound-campaign block: decoded, then checked with one
@@ -719,7 +705,7 @@ def _cmd_lz_compare(cfg: dict) -> None:
         beta, nu1, nu2, float(values[0]),
         cfg.get("phi") or 0.0, alpha_m, cfg.get("chi") or 0.0,
     )
-    rows = landauzener.monitored_vs_unmonitored(base, values, _tolerance(cfg))
+    rows = landauzener.monitored_vs_unmonitored(base, values)
     with _output(cfg) as (fh,):
         fh.write(_config_comment("lz-compare", cfg))
         landauzener.comparison_to_csv(rows, fh)

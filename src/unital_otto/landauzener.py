@@ -23,7 +23,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .analysis import _REGIME_TOL, Regime, _divide, classify_regime_array
+from .analysis import Regime, _divide, classify_regime_array
 from .cumulants import closed_form_block, is_rounding_residue
 from .qstate import MeasurementChannel, _Checked, hamiltonian, thermal_state
 from .trajectory import CycleParams
@@ -226,18 +226,16 @@ class ComparisonRow(NamedTuple):
     regime_um: Regime
 
 
-def monitored_vs_unmonitored(
-    params: LZParams, deltas: Iterable[float], tol: float = _REGIME_TOL
-) -> list[ComparisonRow]:
+def monitored_vs_unmonitored(params: LZParams, deltas: Iterable[float]) -> list[ComparisonRow]:
     """Work, efficiency and regime of both cycle variants over a delta grid,
-    each variant evaluated as one block over the whole column; a flow
-    within ``tol`` of zero leaves the regime undetermined."""
+    each variant evaluated as one block over the whole column; regimes are
+    those of :func:`~unital_otto.analysis.classify_regime_array`."""
     delta = np.array([float(d) for d in deltas], dtype=float)
     um = unmonitored_cycle(params, delta)
     mon = _monitored_from(params, delta, um)
 
     def regimes(avg: CycleAverages):
-        codes = classify_regime_array(avg.w, avg.q_m, avg.q_t, params.cycle.beta, tol)
+        codes = classify_regime_array(avg.w, avg.q_m, avg.q_t, params.cycle.beta)
         return map(Regime, codes.tolist())
 
     columns = (

@@ -275,8 +275,16 @@ def enumerate_block(
     C order) is raised.
     """
     *cycle, _, flip = _checked_columns(beta, nu1, nu2, delta, zeta, theta, alpha, branch)
+    return _enumerate(*cycle, flip)
+
+
+def _enumerate(beta, nu1, nu2, delta, zeta, flip) -> DistributionBlock:
+    """:func:`enumerate_block` on checked columns and the flip probability:
+    probabilities clamped at 0 and guarded as :class:`JointDistribution`
+    guards them, the first failing point (in C order) raising its error."""
     shape = flip.shape
-    block = _evaluate(*(x.ravel() for x in cycle), _flip_matrices(flip.ravel()))
+    cycle = (x.ravel() for x in (beta, nu1, nu2, delta, zeta))
+    block = _evaluate(*cycle, _flip_matrices(flip.ravel()))
     w, q, prob = block.w, block.q_m, block.prob
     clamped = np.maximum(prob, 0.0)
     ok = ~(prob.min(axis=1) < -_CLAMP_TOL)

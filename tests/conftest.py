@@ -58,10 +58,10 @@ def random_params(rng, beta_range=(-2.0, 2.0), nu_range=(1e-3, 3.0)):
     )
 
 
-def regime_of(record, beta, tol=1e-12):
+def regime_of(record, beta):
     """The regime of any record with w_mean, qm_mean and qt_mean: a 0-d row
     of the array classifier, as a Regime member."""
-    return Regime(classify_regime_array(record.w_mean, record.qm_mean, record.qt_mean, beta, tol).item())
+    return Regime(classify_regime_array(record.w_mean, record.qm_mean, record.qt_mean, beta).item())
 
 
 def close(a, b, tol):

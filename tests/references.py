@@ -124,10 +124,11 @@ _REGIMES = {
 }
 
 
-def regime_sign_rule(w_mean, qm_mean, qt_mean, beta, tol=1e-12) -> Regime:
+def regime_sign_rule(w_mean, qm_mean, qt_mean, beta) -> Regime:
     """Operating mode of one point from the signs of its three mean energy
-    flows; any flow or beta within ``tol`` of zero, or an inconsistent sign
+    flows; any flow or beta within 1e-12 of zero, or an inconsistent sign
     pattern, is undetermined."""
+    tol = 1e-12
     if abs(beta) <= tol or beta == 0.0:
         return Regime.UNDETERMINED
     if abs(w_mean) <= tol or abs(qm_mean) <= tol or abs(qt_mean) <= tol:

@@ -167,10 +167,6 @@ def test_regime_array_matches_scalar_rule():
     want = [regime_sign_rule(*point) for point in zip(w, q, t, beta)]
     assert list(got) == want
     assert Regime.ENGINE in want and Regime.ENGINE_PRIME in want and Regime.HEATER in want
-    loose = classify_regime_array(w, q, t, beta, tol=1e-14)
-    assert list(loose) == [
-        regime_sign_rule(*point, tol=1e-14) for point in zip(w, q, t, beta)
-    ]
 
 
 # --- the CLI's grids --------------------------------------------------------
@@ -730,6 +726,30 @@ def test_verify_bounds_block_checks_its_columns_once(mode, control, monkeypatch)
     delta = np.linspace(0.0, 0.4, 5)
     verify_bounds_block(0.7, 1.0, 2.0, delta, delta[::-1], 0.3, mode, *control)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--delta", "0.1", "--zeta", "0.1"],
+    ["sweep", "--delta", "0.1", "--zeta", "0.2"],
+    ["sweep", "--delta", "0.1", "--zeta", "0.1", "--cs-alpha", "0.3"],
+    ["classify", "--delta", "0.1", "--zeta", "0.1", "--axis2", "beta", "--start2", "0.5",
+     "--stop2", "1", "--steps2", "25"],
+], ids=["sweep-symmetric", "sweep-asymmetric", "sweep-cs", "classify"])
+def test_grid_commands_check_each_block_once(argv, monkeypatch, capsys):
+    from unital_otto import analysis, cumulants
+
+    calls = []
+    original = trajectory._checked_columns
+    # each layer that calls the front door holds it under its own name
+    for module in (trajectory, cumulants, analysis):
+        monkeypatch.setattr(module, "_checked_columns",
+                            lambda *a, **k: calls.append(1) or original(*a, **k))
+    steps = "1000" if argv[0] == "sweep" else "40"
+    axis = ["--axis", "nu2", "--start", "1", "--stop", "3", "--steps", steps]
+    assert main([*argv, "--beta", "0.7", "--nu1", "1", "--theta", "0.3", *axis]) == 0
+    capsys.readouterr()
+    # 1000 points in blocks of 256
+    assert len(calls) == 4
 
 
 # --- the bound campaign's draws ---------------------------------------------

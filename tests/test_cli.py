@@ -210,7 +210,7 @@ def test_config_file_output_paths(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
         "beta = 0.7\nnu1 = 1\nnu2 = 2\ndelta = 0\nzeta = 0\ntheta = 0.2\n"
-        f"dist-out = {dist}\nbounds_out = {bounds}\ntol = 1e-9\n"
+        f"dist-out = {dist}\nbounds_out = {bounds}\n"
     )
     code, _, _ = run(capsys, "cumulants", "--config", str(cfg))
     assert code == 0
@@ -299,43 +299,50 @@ def test_tables_are_pinned(command, capsys):
 
 
 def test_invalid_point_in_the_last_block_leaves_no_output(tmp_path, capsys):
-    # 17 x 17 points; only the last, theta = 0.5001 at cs-alpha = 0.5 on
-    # the minus branch, has a flip probability above 1
-    argv = [
-        "classify", "--beta", "0.7", "--nu1", "1", "--nu2", "2", "--delta", "0.1",
-        "--zeta", "0.1", "--axis", "theta", "--start", "0", "--stop", "0.5001",
-        "--steps", "17", "--axis2", "cs-alpha", "--start2", "0.1", "--stop2", "0.5",
-        "--steps2", "17",
-    ]
+    # only the last point, theta = 0.5001 at cs-alpha = 0.5 on the minus
+    # branch, has a flip probability above 1: of a 17 x 17 classify grid
+    # and of a 700-point sweep
+    base = ["--beta", "0.7", "--nu1", "1", "--nu2", "2", "--delta", "0.1", "--zeta", "0.1",
+            "--axis", "theta", "--start", "0", "--stop", "0.5001"]
+    grids = {
+        "classify": ["--steps", "17", "--axis2", "cs-alpha", "--start2", "0.1",
+                     "--stop2", "0.5", "--steps2", "17"],
+        "sweep": ["--steps", "700", "--cs-alpha", "0.5"],
+    }
     message = (
         "physics error: minus branch: theta 0.5001 exceeds 2 p_branch = 0.5, "
         "the flip probability would exceed 1\n"
     )
-    assert run(capsys, *argv) == (3, "", message)
-    out = tmp_path / "map.csv"
-    assert run(capsys, *argv, "--out", str(out)) == (3, "", message)
-    assert not out.exists()
+    for command, grid in grids.items():
+        argv = [command, *base, *grid]
+        assert run(capsys, *argv) == (3, "", message)
+        out = tmp_path / f"{command}.csv"
+        assert run(capsys, *argv, "--out", str(out)) == (3, "", message)
+        assert not out.exists()
 
 
 def test_grid_memory_does_not_grow_with_the_text(tmp_path, capsys):
-    # rows go out one block at a time: what is held is the grid's printed
-    # numbers, about 32 bytes a point, not its 4 MB of text
-    out = tmp_path / "map.csv"
-    argv = [
-        "classify", "--beta", "0.7", "--nu1", "1", "--nu2", "2", "--delta", "0",
-        "--zeta", "0", "--theta", "0.2", "--axis", "delta", "--start", "0",
-        "--stop", "0.5", "--steps", "201", "--axis2", "theta", "--start2", "0",
-        "--stop2", "1", "--steps2", "201", "--out", str(out),
-    ]
-    tracemalloc.start()
-    try:
-        code = main(argv)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == 0
-    assert len(out.read_text().splitlines()) == 2 + 201 * 201
-    assert peak < out.stat().st_size / 2
+    # rows go out one block at a time: what is held is each point's printed
+    # numbers and codes, about 25 bytes a point for classify and 95 for
+    # sweep, not the 4 MB or 11 MB of text
+    base = ["--beta", "0.7", "--nu1", "1", "--nu2", "2", "--delta", "0", "--zeta", "0",
+            "--theta", "0.2", "--axis", "delta", "--start", "0", "--stop", "0.5"]
+    grids = {
+        "classify": ["--steps", "201", "--axis2", "theta", "--start2", "0", "--stop2", "1",
+                     "--steps2", "201"],
+        "sweep": ["--steps", str(201 * 201)],
+    }
+    for command, grid in grids.items():
+        out = tmp_path / f"{command}.csv"
+        tracemalloc.start()
+        try:
+            code = main([command, *base, *grid, "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert len(out.read_text().splitlines()) == 2 + 201 * 201
+        assert peak < out.stat().st_size / 2, command
 
 
 def test_lz_compare_table(capsys):
@@ -430,6 +437,19 @@ def test_device_outputs_are_not_truncated(capsys):
     argv = ["--out", os.devnull, "--dist-out", os.devnull, "--bounds-out", os.devnull]
     code, out, err = run(capsys, "cumulants", *BASE, "--theta", "0.3", *argv)
     assert (code, out, err) == (0, "", "")
+
+
+@pytest.mark.parametrize("flags", [("--out", "--dist-out"), ("--out", "--bounds-out"),
+                                   ("--dist-out", "--bounds-out")],
+                         ids=["out-dist", "out-bounds", "dist-bounds"])
+def test_two_outputs_on_one_file_are_config_error(flags, tmp_path, monkeypatch, capsys):
+    # each output would be written over the other's text at offset 0
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "x.csv").write_text("old\n")
+    argv = [flags[0], "x.csv", flags[1], "./x.csv"]
+    code, out, err = run(capsys, "cumulants", *BASE, "--theta", "0.3", *argv)
+    assert (code, out, err) == (2, "", "config error: x.csv and ./x.csv are the same file\n")
+    assert (tmp_path / "x.csv").read_text() == "old\n"
 
 
 def test_bound_report_dump(tmp_path, capsys):
@@ -539,80 +559,31 @@ def test_dumps_are_pinned(mode, tmp_path, monkeypatch, capsys):
         assert (tmp_path / f"{kind}.csv").read_text() == PINNED_DUMPS[mode, kind]
 
 
-def test_tolerance_env_var_controls_regime_zero(monkeypatch, capsys):
-    # a huge zero-tolerance makes every flow "zero" and the map Undetermined
-    args = [
-        "classify", "--axis", "delta", "--start", "0", "--stop", "0.2",
-        "--steps", "2", "--axis2", "theta", "--start2", "0.3", "--stop2", "0.6",
-        "--steps2", "2", "--beta", "0.5", "--nu1", "1", "--nu2", "2",
-        "--delta", "0", "--zeta", "0", "--theta", "0.2",
-    ]
-    code, out, _ = run(capsys, *args)
-    assert "Engine" in out
-    monkeypatch.setenv("OTTO_TOL", "100")
-    code, out, _ = run(capsys, *args)
-    assert code == 0
-    rows = [l for l in out.splitlines() if not l.startswith(("#", "delta"))]
-    assert all(r.endswith("Undetermined") for r in rows)
-
-
-def test_otto_tol_is_recorded_in_the_header(monkeypatch, tmp_path, capsys):
-    args = [
-        "classify", "--axis", "delta", "--start", "0", "--stop", "0.2",
-        "--steps", "2", "--axis2", "theta", "--start2", "0.3", "--stop2", "0.6",
-        "--steps2", "2", "--beta", "0.5", "--nu1", "1", "--nu2", "2",
-        "--delta", "0", "--zeta", "0", "--theta", "0.2",
-    ]
-    _, plain, _ = run(capsys, *args)
-    assert " tol=" not in plain.splitlines()[0]
-    monkeypatch.setenv("OTTO_TOL", "100")
-    code, out, _ = run(capsys, *args)
-    assert code == 0
-    assert "tol=100" in out.splitlines()[0].split()
-    # the header's configuration reproduces the file without the variable
-    cfg = tmp_path / "tol.cfg"
-    cfg.write_text("tol = 100\n")
-    monkeypatch.delenv("OTTO_TOL")
-    assert run(capsys, *args, "--config", str(cfg))[1] == out
-    # a config file's tol wins over OTTO_TOL; a bad value is a config error
-    cfg.write_text("tol = 1e-12\n")
-    monkeypatch.setenv("OTTO_TOL", "100")
-    _, out, _ = run(capsys, *args, "--config", str(cfg))
-    assert out.splitlines()[1:] == plain.splitlines()[1:]
-    assert "tol=9.9999999999999998e-13" in out.splitlines()[0]
-    monkeypatch.setenv("OTTO_TOL", "abc")
-    code, out, err = run(capsys, *args)
-    assert (code, out) == (2, "")
-    assert err.startswith("config error: ")
-
-
 # At the grid's first point, theta = delta = zeta = 0, every mean flow is
-# exactly 0, so its regime is Undetermined under any valid tolerance.
+# exactly 0, so its regime is Undetermined.
 ZERO_GRID = ["classify", "--beta", "0.5", "--nu1", "1", "--nu2", "2", "--delta", "0",
              "--zeta", "0", "--theta", "0", "--axis", "theta", "--start", "0", "--stop", "0.5",
              "--steps", "2", "--axis2", "delta", "--start2", "0", "--stop2", "0.5",
              "--steps2", "2"]
+LZ_POINT = ["--beta", "0.5", "--nu1", "0.4", "--nu2", "0.9", "--alpha-m", "1",
+            "--axis", "delta", "--start", "0", "--stop", "1", "--steps", "3"]
 
 
-@pytest.mark.parametrize("route", ["OTTO_TOL", "config-file"])
-@pytest.mark.parametrize("value", ["nan", "-1", "inf", "-0.5e-12"])
-def test_tol_outside_the_tolerances_is_config_error(route, value, tmp_path, monkeypatch, capsys):
-    argv = list(ZERO_GRID)
-    if route == "OTTO_TOL":
-        monkeypatch.setenv("OTTO_TOL", value)
-    else:
-        (tmp_path / "tol.cfg").write_text(f"tol = {value}\n")
-        argv += ["--config", str(tmp_path / "tol.cfg")]
-    code, out, err = run(capsys, *argv)
-    assert (code, out) == (2, "")
-    assert err.startswith("config error: tol must be finite and nonnegative")
-
-
-def test_zero_tolerance_leaves_the_zero_point_undetermined(monkeypatch, capsys):
-    monkeypatch.setenv("OTTO_TOL", "0")
-    code, out, _ = run(capsys, *ZERO_GRID)
-    assert code == 0
-    assert out.splitlines()[2] == "0,0,0,0,0,Undetermined"
+def test_regime_tolerance_is_not_a_setting(tmp_path, monkeypatch, capsys):
+    # regimes have one fixed zero tolerance: a config file cannot hold it
+    # and the environment does not change it
+    cfg = tmp_path / "tol.cfg"
+    cfg.write_text("tol = 100\n")
+    code, out, err = run(capsys, *ZERO_GRID, "--config", str(cfg))
+    assert (code, out, err) == (2, "", f"config error: {cfg}:1: unknown key 'tol'\n")
+    plain = run(capsys, *ZERO_GRID)
+    lz = run(capsys, "lz-compare", *LZ_POINT)
+    assert plain[1].splitlines()[2] == "0,0,0,0,0,Undetermined"
+    # at delta = 0 both Landau-Zener cycles are engines, <W> = 0.0699
+    assert lz[1].splitlines()[2].split(",")[3::3] == ["Engine", "Engine"]
+    monkeypatch.setenv("OTTO_TOL", "100")
+    assert run(capsys, *ZERO_GRID) == plain
+    assert run(capsys, "lz-compare", *LZ_POINT) == lz
 
 
 @pytest.mark.parametrize("slot", range(4))
@@ -883,28 +854,6 @@ def test_readme_command_runs(argv, tmp_path, capsys):
     code, _, err = run(capsys, *argv)
     assert code == 0, err
     assert out.read_text().startswith(f"# command={argv[0]} ")
-
-
-LZ_POINT = ["--beta", "0.5", "--nu1", "0.4", "--nu2", "0.9", "--alpha-m", "1",
-            "--axis", "delta", "--start", "0", "--stop", "1", "--steps", "3"]
-
-
-def test_lz_compare_regimes_use_the_tolerance(monkeypatch, capsys):
-    # at delta = 0 both cycles are engines with <W> = 0.0699, below a
-    # tolerance of 0.5 and far above the default one
-    _, plain, _ = run(capsys, "lz-compare", *LZ_POINT)
-    assert plain.splitlines()[2].split(",")[3::3] == ["Engine", "Engine"]
-    monkeypatch.setenv("OTTO_TOL", "0.5")
-    code, out, _ = run(capsys, "lz-compare", *LZ_POINT)
-    assert code == 0
-    assert "tol=0.5" in out.splitlines()[0].split()
-    rows, plain_rows = out.splitlines()[2:], plain.splitlines()[2:]
-    for row, plain_row in zip(rows, plain_rows):
-        cells, plain_cells = row.split(","), plain_row.split(",")
-        assert cells[3::3] == ["Undetermined", "Undetermined"]
-        # the numbers do not depend on the tolerance
-        del cells[3::3], plain_cells[3::3]
-        assert cells == plain_cells
 
 
 @pytest.mark.parametrize("axes", [("theta", "alpha-m"), ("alpha-m", "theta")])
