@@ -38,6 +38,7 @@ from .cumulants import (
     cs_first_cumulants,
     cumulants_from_block,
     is_rounding_residue,
+    mean_magnitudes,
 )
 from .analysis import (
     BoundReport,

@@ -15,6 +15,12 @@ parameter columns (:func:`efficiency_block`, :func:`verify_bounds_block`),
 scalars included: one point is a 0-d block.  Both check their columns as
 every block function does, in the order cycle, control, theta range, flip
 bound, and raise the first failing point's own error.
+
+An energy-valued quantity is zero here when it is a rounding residue of
+its summands' magnitudes (:func:`~unital_otto.cumulants.is_rounding_residue`),
+a comparison holds up to its operands' rounding, beta is zero only at 0
+and equal gaps are nu1 == nu2.  A regime, an efficiency or a bound verdict
+is therefore the same in every energy unit.
 """
 
 from __future__ import annotations
@@ -28,7 +34,8 @@ import numpy as np
 # closed_form_first_second is not called here: perfbench's tracer and its
 # tests look the name up on this module
 from .cumulants import (
-    _closed_form, closed_form_first_second, cumulants_from_block, is_rounding_residue,
+    FirstTwoCumulants, _closed_form, closed_form_first_second, cumulants_from_block,
+    is_rounding_residue,
 )
 from .qstate import ControlSpec, PhysicsError
 from .trajectory import CycleParams, _check_theta, _checked_columns, enumerate_paths
@@ -45,10 +52,6 @@ __all__ = [
     "verify_bounds_block",
     "cumulant_ratio_scan",
 ]
-
-_REGIME_TOL = 1e-12
-_BOUND_SLACK = 1e-10
-
 
 # The printed name of each regime, indexed by its code.
 _REGIME_LABELS = ("Engine", "Accelerator", "Heater", "EnginePrime", "Undetermined")
@@ -81,19 +84,23 @@ _REGIMES[0, 0, 0, 1] = Regime.ACCELERATOR
 _REGIMES[0, 1, 1, 1] = Regime.ENGINE_PRIME
 
 
-def classify_regime_array(w_mean, qm_mean, qt_mean, beta) -> np.ndarray:
+def classify_regime_array(w_mean, qm_mean, qt_mean, beta, magnitudes) -> np.ndarray:
     """Operating mode from the signs of the three mean energy flows, at
     every point of broadcast arrays: an int8 array of :class:`Regime`
-    codes.  A flow within ``_REGIME_TOL`` of zero, an inconsistent sign
-    pattern, or beta within ``_REGIME_TOL`` of 0 is UNDETERMINED."""
-    flows = np.broadcast_arrays(beta, w_mean, qm_mean, qt_mean)
-    signs = tuple(np.asarray(x > 0.0, dtype=np.intp) for x in flows)
+    codes.  ``magnitudes`` holds the flows' magnitudes in the same order,
+    as :func:`~unital_otto.cumulants.mean_magnitudes` gives them for an
+    enumerated block.  A flow that is a rounding residue
+    (:func:`~unital_otto.cumulants.is_rounding_residue`), an inconsistent
+    sign pattern, or beta = 0 is UNDETERMINED, so the label does not
+    depend on the energy unit."""
+    beta, *flows = np.broadcast_arrays(beta, w_mean, qm_mean, qt_mean, *magnitudes)
+    flows, magnitudes = flows[:3], flows[3:]
+    signs = tuple(np.asarray(x > 0.0, dtype=np.intp) for x in (beta, *flows))
     regimes = np.asarray(_REGIMES[signs])
-    beta = flows[0]
-    small = (np.abs(beta) <= _REGIME_TOL) | (beta == 0.0)
-    for flow in flows[1:]:
-        small |= np.abs(flow) <= _REGIME_TOL
-    regimes[small] = Regime.UNDETERMINED
+    zero = beta == 0.0
+    for flow, magnitude in zip(flows, magnitudes):
+        zero |= is_rounding_residue(flow, magnitude)
+    regimes[zero] = Regime.UNDETERMINED
     return regimes
 
 
@@ -151,9 +158,15 @@ def _checked(beta, nu1, nu2, delta, zeta, theta, mode: str, alpha, branch: str) 
     return _checked_columns(beta, nu1, nu2, delta, zeta, theta, *control)
 
 
-def _divide(num, den, defined) -> np.ndarray:
-    """num / den where ``defined``, nan elsewhere."""
-    return np.divide(num, den, out=np.full(np.shape(num), math.nan), where=defined)
+def _quotient(num, den, num_magnitude, den_magnitude) -> tuple:
+    """num / den and the magnitude of its rounding to first order,
+    (M_num + |q| M_den) / |den|; both ``nan`` where den is a rounding
+    residue (:func:`~unital_otto.cumulants.is_rounding_residue`)."""
+    defined = ~is_rounding_residue(den, den_magnitude)
+    q = np.divide(num, den, out=np.full(np.shape(num), math.nan), where=defined)
+    magnitude = num_magnitude + np.abs(q) * den_magnitude
+    out = np.full_like(magnitude, math.nan)
+    return q, np.divide(magnitude, np.abs(den), out=out, where=defined)
 
 
 def efficiency_block(
@@ -168,27 +181,32 @@ def efficiency_block(
     footing, (W_F + W_B) / (Q_MF + Q_MB), which is what restores the
     Otto ceiling for asymmetric driving; ``cs`` is ``asymmetric`` at the
     flip probability of the control with arm weight ``alpha`` on
-    ``branch``.  Forward and backward heat that cancel to rounding
-    residue count as no heat.
+    ``branch``.  Heat that is a rounding residue
+    (:func:`~unital_otto.cumulants.is_rounding_residue`), as where forward
+    and backward heat cancel, counts as no heat.
     """
     *cycle, _, flip = _checked(beta, nu1, nu2, delta, zeta, theta, mode, alpha, branch)
-    return _efficiency(*cycle, flip, mode)
+    return _efficiency(*cycle, flip, mode)[0]
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _efficiency(beta, nu1, nu2, delta, zeta, flip, mode: str) -> np.ndarray:
-    """:func:`efficiency_block` on checked columns and the flip probability."""
-    cycle = (beta, nu1, nu2, delta, zeta)
-    fwd = _closed_form(*cycle, flip)
+def _efficiency(beta, nu1, nu2, delta, zeta, flip, mode: str) -> tuple:
+    """:func:`efficiency_block` on checked columns and the flip probability,
+    with the magnitude of its rounding."""
+    means, mags, _, _ = _mode_means((beta, nu1, nu2, delta, zeta, flip), mode)
+    return _quotient(means.w_mean, means.qm_mean, mags.w_mean, mags.qm_mean)
+
+
+def _mode_means(cycle: tuple, mode: str) -> tuple:
+    """The closed form that ``mode`` reads and its magnitudes: the forward
+    cycle's in ``symmetric``, forward plus backward field by field
+    otherwise; then the forward cycle's."""
+    fwd, fwd_mag = (_closed_form(*cycle, "forward", magnitudes) for magnitudes in (False, True))
     if mode == "symmetric":
-        work, heat = fwd.w_mean, fwd.qm_mean
-        largest = np.abs(heat)
-    else:
-        bwd = _closed_form(*cycle, flip, "backward")
-        work, heat = fwd.w_mean + bwd.w_mean, fwd.qm_mean + bwd.qm_mean
-        largest = np.maximum(np.abs(fwd.qm_mean), np.abs(bwd.qm_mean))
-    no_heat = (np.abs(heat) < 1e-300) | is_rounding_residue(heat, largest)
-    return _divide(work, heat, ~no_heat)
+        return fwd, fwd_mag, fwd, fwd_mag
+    bwd, bwd_mag = (_closed_form(*cycle, "backward", magnitudes) for magnitudes in (False, True))
+    pair = FirstTwoCumulants(*map(np.add, fwd, bwd))
+    return pair, FirstTwoCumulants(*map(np.add, fwd_mag, bwd_mag)), fwd, fwd_mag
 
 
 class BoundReport(NamedTuple):
@@ -203,22 +221,26 @@ class BoundReport(NamedTuple):
     margin: np.ndarray
 
 
-def _report(name: str, left, right, applicable) -> BoundReport:
-    """The report of ``left <= right`` where ``applicable``.  Each field is
-    an array of the block's shape with cells of its own: an operand of
-    another shape (a constant bound) is broadcast and copied."""
+def _report(name: str, left, right, applicable, magnitude) -> BoundReport:
+    """The report of ``left <= right`` where ``applicable``.  The comparison
+    holds where right - left is nonnegative or a rounding residue of
+    ``magnitude``, the magnitude of the difference: the operands' rounding
+    and nothing more.  Each field is an array of the block's shape with
+    cells of its own: an operand of another shape (a constant bound) is
+    broadcast and copied."""
     shape = np.broadcast(left, right, applicable).shape
     left, right, applicable = (
         np.asarray(x) if np.shape(x) == shape else np.full(shape, x)
         for x in (left, right, applicable)
     )
+    margin = right - left
     return BoundReport(
         name=name,
         left=left,
         right=right,
         applicable=applicable,
-        satisfied=left <= right + _BOUND_SLACK,
-        margin=right - left,
+        satisfied=(margin >= 0.0) | is_rounding_residue(margin, magnitude),
+        margin=margin,
     )
 
 
@@ -243,69 +265,73 @@ def verify_bounds_block(
 def _bounds(beta, nu1, nu2, d, z, theta, flip, mode: str, branch: str) -> list[BoundReport]:
     """:func:`verify_bounds_block` on checked columns and the flip probability."""
     cycle = (beta, nu1, nu2, d, z)
-    fwd = _closed_form(*cycle, flip)
-    bwd = _closed_form(*cycle, flip, "backward")
-    work, heat = fwd.w_mean + bwd.w_mean, fwd.qm_mean + bwd.qm_mean
-    otto = 1.0 - nu1 / nu2
+    pair, pair_mag, fwd, fwd_mag = _mode_means((*cycle, flip), "asymmetric")
+    otto, otto_mag = 1.0 - nu1 / nu2, 1.0 + nu1 / nu2
     reports: list[BoundReport] = []
 
     if mode == "cs":
-        reports.append(
-            _report("cs_qt_nonpositive", fwd.qt_mean, 0.0, (beta > 0.0) & (theta <= 0.5))
-        )
+        heated = (beta > 0.0) & (theta <= 0.5)
+        reports.append(_report("cs_qt_nonpositive", fwd.qt_mean, 0.0, heated, fwd_mag.qt_mean))
     else:
-        reports.append(_report("qt_nonpositive", fwd.qt_mean, 0.0, beta > 0.0))
+        reports.append(_report("qt_nonpositive", fwd.qt_mean, 0.0, beta > 0.0, fwd_mag.qt_mean))
+        # equal gaps are nu1 == nu2: nu1 - nu2 is exact for gaps within a
+        # factor of 2 of each other (Sterbenz), so a tolerance on it would
+        # only admit unequal gaps
+        equal = (beta > 0.0) & (nu1 == nu2)
         reports.append(
-            _report(
-                "equal_gap_work_nonpositive",
-                work,
-                0.0,
-                (beta > 0.0) & (np.abs(nu1 - nu2) <= 1e-12),
-            )
+            _report("equal_gap_work_nonpositive", pair.w_mean, 0.0, equal, pair_mag.w_mean)
         )
-    if mode == "symmetric":
-        work, heat = fwd.w_mean, fwd.qm_mean  # the forward cycle alone
-    engine = classify_regime_array(work, heat, fwd.qt_mean, beta) == Regime.ENGINE
-    eta = _divide(work, heat, np.abs(heat) > 0.0)
+    # the forward cycle alone in symmetric mode
+    means, mags = (fwd, fwd_mag) if mode == "symmetric" else (pair, pair_mag)
+    flows = (means.w_mean, means.qm_mean, fwd.qt_mean)
+    magnitudes = (mags.w_mean, mags.qm_mean, fwd_mag.qt_mean)
+    engine = classify_regime_array(*flows, beta, magnitudes) == Regime.ENGINE
+    eta, eta_mag = _quotient(means.w_mean, means.qm_mean, mags.w_mean, mags.qm_mean)
 
     if mode == "cs":
-        reports.append(_report("cs_eta_le_otto", eta, otto, engine))
+        reports.append(_report("cs_eta_le_otto", eta, otto, engine, eta_mag + otto_mag))
         # Branch ordering of efficiencies around the incoherent cycle.
-        eta_plain = _efficiency(*cycle, theta, "asymmetric")
-        comparable = engine & np.isfinite(eta_plain)
-        pair = (eta_plain, eta) if branch == "minus" else (eta, eta_plain)
-        reports.append(_report("cs_eta_branch_order", *pair, comparable))
+        plain, plain_mag = _efficiency(*cycle, theta, "asymmetric")
+        comparable = engine & np.isfinite(plain)
+        order = (plain, eta) if branch == "minus" else (eta, plain)
+        reports.append(_report("cs_eta_branch_order", *order, comparable, plain_mag + eta_mag))
         return reports
 
     # Eq-level preconditions of the corridor eta^2 <= ratio <= 1, kept in
-    # multiplied-out form so no division by (1 - 2 delta) is needed.
+    # multiplied-out form so no division by (1 - 2 delta) is needed.  Each
+    # is written once with ``sub`` for a - b: its value, and with a + b (on
+    # nonnegative inputs) its magnitude; a residue counts as 0, which meets
+    # the precondition.
+    def preconditions(sub):
+        if mode == "symmetric":
+            corridor = sub(
+                2.0 * sub(1.0, 2.0 * d) * theta * nu2,
+                (theta + 2.0 * d * sub(1.0, d) * sub(1.0, 2.0 * theta)) * nu1,
+            )
+        else:
+            s = sub(d + z, 2.0 * d * z)
+            corridor = sub(
+                2.0 * theta * sub(sub(1.0, d), z) * nu2, (theta + sub(1.0, 2.0 * theta) * s) * nu1
+            )
+        hopm = sub(
+            sub(1.0, 2.0 * d) * theta * nu2, sub(1.0, d) * sub(d + theta, 2.0 * d * theta) * nu1
+        )
+        return corridor, hopm
+
+    corridor, hopm = (
+        (value >= 0.0) | is_rounding_residue(value, magnitude)
+        for value, magnitude in zip(preconditions(np.subtract), preconditions(np.add))
+    )
+    ratio, ratio_mag = _quotient(means.w_var, means.qm_var, mags.w_var, mags.qm_var)
+    corridor &= ~np.isnan(ratio) & ~np.isnan(eta)
+    reports.append(_report("eta_le_otto", eta, otto, engine, eta_mag + otto_mag))
+    eta_sq_mag = 2.0 * np.abs(eta) * eta_mag + ratio_mag
+    reports.append(_report("eta_sq_le_ratio", eta * eta, ratio, corridor, eta_sq_mag))
+    reports.append(_report("ratio_le_one", ratio, 1.0, corridor, ratio_mag))
     if mode == "symmetric":
-        w_var, qm_var = fwd.w_var, fwd.qm_var
-        corridor = (
-            2.0 * (1.0 - 2.0 * d) * theta * nu2
-            - (theta + 2.0 * d * (1.0 - d) * (1.0 - 2.0 * theta)) * nu1
-            >= 0.0
-        )
-    else:
-        w_var, qm_var = fwd.w_var + bwd.w_var, fwd.qm_var + bwd.qm_var
-        s = d + z - 2.0 * d * z
-        corridor = (
-            2.0 * theta * (1.0 - d - z) * nu2
-            - (theta + (1.0 - 2.0 * theta) * s) * nu1
-            >= 0.0
-        )
-    ratio = _divide(w_var, qm_var, qm_var > 0.0)
-    corridor &= (qm_var > 0.0) & (np.abs(heat) > 0.0)
-    reports.append(_report("eta_le_otto", eta, otto, engine))
-    reports.append(_report("eta_sq_le_ratio", eta * eta, ratio, corridor))
-    reports.append(_report("ratio_le_one", ratio, 1.0, corridor))
-    if mode == "symmetric":
-        hopm = (
-            (1.0 - 2.0 * d) * theta * nu2
-            - (1.0 - d) * (d + theta - 2.0 * d * theta) * nu1
-            >= 0.0
-        )
-        reports.append(_report("otto_sq_le_ratio", otto * otto, ratio, hopm & (qm_var > 0.0)))
+        otto_sq_mag = 2.0 * np.abs(otto) * otto_mag + ratio_mag
+        spread = ~np.isnan(ratio)
+        reports.append(_report("otto_sq_le_ratio", otto * otto, ratio, hopm & spread, otto_sq_mag))
     return reports
 
 
@@ -347,14 +373,12 @@ def cumulant_ratio_scan(
     dist = enumerate_paths(params, theta)
     cums = cumulants_from_block(dist)
     kw, kq = cums.w.tolist(), cums.q_m.tolist()  # the record holds Python floats
+    mw, mq = _cumulant_magnitudes(dist.w, dist.prob), _cumulant_magnitudes(dist.q_m, dist.prob)
     # <Q_M> cancelled to rounding residue is no heat, as in efficiency
-    no_heat = is_rounding_residue(kq[0], float(np.max(np.abs(dist.prob * dist.q_m))))
-    eta = math.nan if no_heat else kw[0] / kq[0]
+    eta = math.nan if is_rounding_residue(kq[0], mq[0]) else kw[0] / kq[0]
     num, den = kw[order - 1], kq[order - 1]
     eta_power = eta**order
-    # den has dimension energy^order: compare it with the largest |Q_M|
-    # outcome, 2 nu2, to that power
-    if abs(den) < 1e-14 * (2.0 * params.nu2) ** order:
+    if is_rounding_residue(den, mq[order - 1]):
         return CumulantRatioRecord(order, math.nan, eta_power, False, False, False, True)
     ratio = num / den
     return CumulantRatioRecord(
@@ -363,6 +387,16 @@ def cumulant_ratio_scan(
         eta_power=eta_power,
         below_eta_power=bool(ratio < eta_power),
         above_one=bool(ratio > 1.0),
-        sign_mismatch=bool(num * den < 0.0),
+        sign_mismatch=not is_rounding_residue(num, mw[order - 1]) and num * den < 0.0,
         undefined=False,
     )
+
+
+def _cumulant_magnitudes(values: np.ndarray, prob: np.ndarray) -> list[float]:
+    """The magnitudes of the mean and of the centred sums that
+    :func:`~unital_otto.cumulants.cumulants_from_block` forms for kappa_2
+    to kappa_4, each x - mean read as |x| + sum p |x|."""
+    first = float(prob @ np.abs(values))
+    spread = np.abs(values) + first
+    second = float(prob @ spread**2)
+    return [first, second, float(prob @ spread**3), float(prob @ spread**4) + 3.0 * second**2]

@@ -393,6 +393,14 @@ _CLASSIFY = [("w_mean", "%.17g", "w_k1", ()), ("qm_mean", "%.17g", "qm_k1", ()),
              ("qt_mean", "%.17g", "qt_mean", ()), _REGIME]
 
 
+def _relative(k2: float, k1: float) -> float:
+    """k2 / k1**2 for a nonzero k1.  Python's k1 ** 2 (the C library's pow)
+    can differ from np.square in the last bit; where the square would
+    leave the normal range, where pow underflows to 0 or raises, the
+    quotient is taken as k2 / k1 / k1."""
+    return k2 / k1**2 if 1e-150 < abs(k1) < 1e150 else k2 / k1 / k1
+
+
 def _block_fields(block: list[np.ndarray], mode: str, branch: str, wanted: set) -> dict:
     """The ``wanted`` fields of a block of points, each its own array, with
     the block's parameter columns checked once.  The cumulants, ``qt_mean`` and the
@@ -402,19 +410,21 @@ def _block_fields(block: list[np.ndarray], mode: str, branch: str, wanted: set) 
     beta, nu1, nu2, delta, zeta, _, flip = checked
     dist = trajectory._enumerate(beta, nu1, nu2, delta, zeta, flip)
     cums = cumulants.cumulants_from_block(dist)
+    magnitudes = cumulants.mean_magnitudes(dist)
     values = dict(zip(_KAPPAS, np.concatenate((cums.w, cums.q_m), axis=-1).T))
     values["qt_mean"] = cums.qt_mean
-    values["regime"] = analysis.classify_regime_array(cums.w_mean, cums.qm_mean, cums.qt_mean, beta)
+    values["regime"] = analysis.classify_regime_array(
+        cums.w_mean, cums.qm_mean, cums.qt_mean, beta, magnitudes
+    )
     if "w_rf" in wanted:
-        # <W> is a sum over outcomes; cancelled to rounding residue it has
-        # no relative fluctuation worth printing.  Python's x ** 2 (the C
-        # library's pow) can differ from np.square in the last bit.
-        largest = np.abs(dist.prob * dist.w).max(axis=-1)
-        residue = cumulants.is_rounding_residue(cums.w_mean, largest).tolist()
+        # <W> cancelled to rounding residue has no relative fluctuation
+        # worth printing
+        residue = cumulants.is_rounding_residue(cums.w_mean, magnitudes[0]).tolist()
         points = zip(residue, values["w_k1"].tolist(), values["w_k2"].tolist())
-        values["w_rf"] = np.array([math.inf if zero else k2 / k1**2 for zero, k1, k2 in points])
+        values["w_rf"] = np.array([math.inf if zero else _relative(k2, k1)
+                                   for zero, k1, k2 in points])
     if "efficiency" in wanted:
-        values["efficiency"] = analysis._efficiency(beta, nu1, nu2, delta, zeta, flip, mode)
+        values["efficiency"] = analysis._efficiency(beta, nu1, nu2, delta, zeta, flip, mode)[0]
     if not wanted <= values.keys():  # the fields left are bounds
         for report in analysis._bounds(*checked, mode, branch):
             verdict = np.where(report.applicable, ~report.satisfied, 2)

@@ -53,19 +53,43 @@ __all__ = [
     "cs_first_cumulants",
     "cf_derivative_check",
     "is_rounding_residue",
+    "mean_magnitudes",
 ]
 
 
-# Rounding may leave a variance this far below zero.
-_VARIANCE_TOL = 1e-10
-_RESIDUE_ULPS = 8.0 * sys.float_info.epsilon
+_RESIDUE = 32.0 * sys.float_info.epsilon  # c eps of is_rounding_residue
 
 
-def is_rounding_residue(total, largest):
-    """Whether ``total``, a sum whose largest summand has magnitude
-    ``largest``, is within a few ulps of that summand: what is left of
-    summands that cancel, not a value.  Elementwise on arrays."""
-    return abs(total) <= _RESIDUE_ULPS * largest
+def is_rounding_residue(total, magnitude):
+    """Whether ``total`` is what rounding leaves of an exact zero,
+    elementwise: the package's one zero test for an energy-valued quantity.
+    ``magnitude`` is the sum of the magnitudes of the summands ``total``
+    came from: sum p |x| for an enumerated mean (:func:`mean_magnitudes`),
+    the terms of a closed form, the trace bound of a Landau-Zener energy
+    difference.
+
+    The rule is |total| <= c eps magnitude with c = 32.  With u = eps / 2
+    per rounding, a sum reached through chains of at most n roundings lies
+    within gamma_n M of its exact value, gamma_n = n u / (1 - n u) and M the
+    exact magnitude; M is at most M' / (1 - gamma_n) for the computed M', so
+    the error is at most n u / (1 - 2 n u) M', below 32 eps M' for every
+    n <= 63.  The longest chains are 21 roundings for an enumerated mean
+    (four factors 1 - x, three products, four paths an outcome, p x, nine
+    outcomes, <Q_T> = <W> - <Q_M>) and under 40 for the Landau-Zener work;
+    c = 16 would cover only n <= 31.  So an exact zero always reads as a
+    residue, a value beyond it has its exact sign (inputs taken as exact,
+    underflow aside), and the test is the same in every energy unit.
+    """
+    return abs(total) <= _RESIDUE * magnitude
+
+
+def mean_magnitudes(block: DistributionBlock | JointDistribution) -> tuple:
+    """The magnitudes of the mean flows at every point of a block, for
+    :func:`is_rounding_residue`: sum p |W|, sum p |Q_M| and, for
+    <Q_T> = <W> - <Q_M>, their sum."""
+    w = np.vecdot(block.prob, np.abs(block.w))
+    q = np.vecdot(block.prob, np.abs(block.q_m))
+    return w, q, w + q
 
 
 class FirstTwoCumulants(NamedTuple):
@@ -153,13 +177,15 @@ def _checked_block(kw: np.ndarray, kq: np.ndarray) -> CumulantBlock:
     """The cumulant block of ``kw`` and ``kq``, its mean bath heat from
     energy conservation, <Q_T> = <W> - <Q_M>.
 
-    Every point must be finite and have nonnegative variances; where points
+    Every point must be finite and have nonnegative variances (an
+    enumerated variance is a sum of nonnegative terms, and the
+    characteristic-function route clamps its rounding residue); where points
     fail, the first of them (in C order) raises its error, finiteness
     checked before the variances.
     """
     qt = kw[..., 0] - kq[..., 0]
     finite = np.isfinite(kw).all(-1) & np.isfinite(kq).all(-1) & np.isfinite(qt)
-    ok = finite & (kw[..., 1] >= -_VARIANCE_TOL) & (kq[..., 1] >= -_VARIANCE_TOL)
+    ok = finite & (kw[..., 1] >= 0.0) & (kq[..., 1] >= 0.0)
     if not ok.all():
         i = np.unravel_index(np.argmin(ok), ok.shape)
         raise ValueError("variances must be nonnegative" if finite[i]
@@ -197,32 +223,36 @@ def closed_form_block(
 
 # overflow gives inf and inf - inf nan, silently, as Python floats do
 @np.errstate(over="ignore", invalid="ignore")
-def _closed_form(beta, nu1, nu2, d, z, theta, direction: str = "forward") -> FirstTwoCumulants:
-    """:func:`closed_form_block` on columns that passed its checks."""
+def _closed_form(
+    beta, nu1, nu2, d, z, theta, direction: str = "forward", magnitudes: bool = False
+) -> FirstTwoCumulants:
+    """:func:`closed_form_block` on columns that passed its checks.  With
+    ``magnitudes``, the same expressions with |t| and every difference
+    a - b read as a + b: every input is then nonnegative, so each field is
+    the sum of its terms' magnitudes, for :func:`is_rounding_residue`."""
     if direction == "backward":
         d, z = z, d
     elif direction != "forward":
         raise ValueError("direction must be 'forward' or 'backward'")
+    sub = np.add if magnitudes else np.subtract
     t = np.tanh(beta * nu1)
-    s = d + z - 2.0 * d * z
-    g = theta + (1.0 - 2.0 * theta) * s
-    qm_mean = 2.0 * (1.0 - 2.0 * d) * theta * nu2 * t
+    t = np.abs(t) if magnitudes else t
+    s = sub(d + z, 2.0 * d * z)
+    g = theta + sub(1.0, 2.0 * theta) * s
+    qm_mean = 2.0 * sub(1.0, 2.0 * d) * theta * nu2 * t
     nu2_sq = nu2 * nu2
-    qm_var = 4.0 * theta * nu2_sq * (1.0 - np.square(1.0 - 2.0 * d) * theta * t * t)
-    qt_mean = -2.0 * g * nu1 * t
-    w_mean = qm_mean + qt_mean
-    w_var = (
-        4.0 * g * np.square(nu1)
-        + 8.0 * theta * (d + z - 1.0) * nu1 * nu2
-        + 4.0 * theta * nu2_sq
-        - 4.0 * np.square(g * nu1 + (2.0 * d - 1.0) * theta * nu2) * t * t
+    qm_var = 4.0 * theta * nu2_sq * sub(1.0, np.square(sub(1.0, 2.0 * d)) * theta * t * t)
+    bath = 2.0 * g * nu1 * t  # the heat given to the bath, -<Q_T>
+    w_var = sub(
+        4.0 * g * np.square(nu1) + 8.0 * theta * sub(d + z, 1.0) * nu1 * nu2 + 4.0 * theta * nu2_sq,
+        4.0 * np.square(g * nu1 + sub(2.0 * d, 1.0) * theta * nu2) * t * t,
     )
     return FirstTwoCumulants(
-        w_mean=w_mean,
+        w_mean=sub(qm_mean, bath),
         w_var=w_var,
         qm_mean=qm_mean,
         qm_var=qm_var,
-        qt_mean=qt_mean,
+        qt_mean=bath if magnitudes else -bath,
     )
 
 
@@ -279,7 +309,7 @@ def cf_derivative_check(params: CycleParams, theta: float) -> CumulantBlock:
         )
         # kappa_2 = mu_2 - mu_1^2 cancels where the variable is nearly
         # certain; rounding below zero there is no variance
-        if k2 < 0.0 and is_rounding_residue(k2, -2.0 * a[2].real):
+        if k2 < 0.0 and is_rounding_residue(k2, -2.0 * a[2].real + k1 * k1):
             k2 = 0.0
         return k1, k2, k3, k4
 

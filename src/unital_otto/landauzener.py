@@ -23,8 +23,8 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .analysis import Regime, _divide, classify_regime_array
-from .cumulants import closed_form_block, is_rounding_residue
+from .analysis import Regime, _quotient, classify_regime_array
+from .cumulants import _closed_form, closed_form_block
 from .qstate import MeasurementChannel, _Checked, hamiltonian, thermal_state
 from .trajectory import CycleParams
 
@@ -74,15 +74,7 @@ class LZParams(_Checked, namedtuple("LZParams", "delta phi channel cycle")):
         )
 
     def with_delta(self, delta: float) -> "LZParams":
-        return LZParams.build(
-            self.cycle.beta,
-            self.cycle.nu1,
-            self.cycle.nu2,
-            delta,
-            self.phi,
-            self.channel.alpha_m,
-            self.channel.chi,
-        )
+        return LZParams.build(*self.cycle[:3], delta, self.phi, *self.channel)
 
 
 def lz_unitaries(delta, phi: float) -> tuple[np.ndarray, np.ndarray]:
@@ -132,8 +124,11 @@ def unmonitored_cycle(params: LZParams, delta) -> CycleAverages:
     read against H1, H2, H2, H1.  No projective measurements interrupt
     the cycle, so coherence created by U survives into the compression.
     Only U and V depend on delta, so each product is one stacked matmul.
-    E2 and E3 are themselves traces that cancel, so a heat within a few
-    ulps of nu2 (the largest energy they can read) has no efficiency.
+    Each energy is a trace tr(rho H) with |tr(rho H)| <= nu, so the flows'
+    magnitudes are the trace bounds 2 nu2 (Q_M = E3 - E2), 2 nu1
+    (Q_T = E1 - E4) and their sum (W); against 50-digit propagation of
+    the same inputs the rounding of each flow stays below 2 eps nu.  A
+    heat that is a rounding residue of 2 nu2 has no efficiency.
     """
     delta = np.asarray(delta, dtype=float)
     invalid = ~((delta >= 0.0) & (delta <= 1.0))
@@ -154,9 +149,13 @@ def unmonitored_cycle(params: LZParams, delta) -> CycleAverages:
     q_m = e3 - e2
     q_t = e1 - e4
     w = q_m + q_t
-    no_heat = (np.abs(q_m) <= 1e-300) | is_rounding_residue(q_m, cyc.nu2)
-    eta = _divide(w, q_m, ~no_heat)
+    eta = _quotient(w, q_m, *_trace_bounds(cyc)[:2])[0]
     return CycleAverages(e1=e1, e2=e2, e3=e3, e4=e4, w=w, q_m=q_m, q_t=q_t, eta=eta)
+
+
+def _trace_bounds(cycle: CycleParams) -> tuple:
+    """The magnitudes of the unmonitored W, Q_M and Q_T."""
+    return 2.0 * (cycle.nu1 + cycle.nu2), 2.0 * cycle.nu2, 2.0 * cycle.nu1
 
 
 def _dagger(mat: np.ndarray) -> np.ndarray:
@@ -212,8 +211,14 @@ def _monitored_from(params: LZParams, delta, shared: CycleAverages) -> CycleAver
         w=w,
         q_m=q_m,
         q_t=q_t,
-        eta=_divide(w, q_m, np.abs(q_m) > 1e-300),
+        eta=_quotient(w, q_m, *_monitored_magnitudes(params, delta)[:2])[0],
     )
+
+
+def _monitored_magnitudes(params: LZParams, delta) -> tuple:
+    """The magnitudes of the monitored W, Q_M and Q_T: the closed forms'."""
+    mag = _closed_form(*params.cycle[:3], delta, delta, params.channel.theta, magnitudes=True)
+    return mag.w_mean, mag.qm_mean, mag.qt_mean
 
 
 class ComparisonRow(NamedTuple):
@@ -234,18 +239,18 @@ def monitored_vs_unmonitored(params: LZParams, deltas: Iterable[float]) -> list[
     um = unmonitored_cycle(params, delta)
     mon = _monitored_from(params, delta, um)
 
-    def regimes(avg: CycleAverages):
-        codes = classify_regime_array(avg.w, avg.q_m, avg.q_t, params.cycle.beta)
+    def regimes(avg: CycleAverages, magnitudes: tuple):
+        codes = classify_regime_array(avg.w, avg.q_m, avg.q_t, params.cycle.beta, magnitudes)
         return map(Regime, codes.tolist())
 
     columns = (
         delta.tolist(),
         mon.w.tolist(),
         mon.eta.tolist(),
-        regimes(mon),
+        regimes(mon, _monitored_magnitudes(params, delta)),
         um.w.tolist(),
         um.eta.tolist(),
-        regimes(um),
+        regimes(um, _trace_bounds(params.cycle)),
     )
     return [ComparisonRow(*row) for row in zip(*columns)]
 

@@ -56,8 +56,6 @@ __all__ = [
 
 _CLAMP_TOL = 1e-10
 _SUM_TOL = 1e-10
-# uniforms drawn at a time by sample(): 512 kB of doubles
-_SAMPLE_CHUNK = 1 << 16
 
 # The path table: one entry per measurement record (n, m, k, l), the
 # state indices at the four measurements (0 ground, 1 excited), with
@@ -341,25 +339,20 @@ class SampleStats(NamedTuple):
 
 
 def sample(dist: JointDistribution, n: int, seed: int) -> SampleStats:
-    """Draw n outcomes by inverse CDF with a seeded PCG64 generator.
+    """Draw n i.i.d. outcomes with a seeded PCG64 generator: one multinomial
+    draw of how many fall on each outcome, so neither time nor memory
+    grows with n.
 
     Deterministic for a fixed seed: two calls with identical arguments
-    return equal :class:`SampleStats`.  The uniforms are drawn in chunks
-    of the one stream and only counted per outcome, so memory does not
-    grow with n.
+    return equal :class:`SampleStats`.
     """
     if n < 1:
         raise ValueError("need at least one draw")
     rng = np.random.default_rng(seed)
-    # a uniform u falls past outcome j when u >= cdf[j]; the last outcome
-    # also takes every u at or above a final cdf entry that rounds below 1
-    edges = np.cumsum(dist.prob)[:-1]
-    past = np.zeros(len(edges), dtype=np.int64)
-    for start in range(0, n, _SAMPLE_CHUNK):
-        u = rng.random(min(_SAMPLE_CHUNK, n - start))
-        for j, edge in enumerate(edges):
-            past[j] += np.count_nonzero(u >= edge)
-    counts = -np.diff(np.concatenate(([n], past, [0])))
+    # partial sums clamped at 1, so that no leading outcomes hold more than
+    # everything; the last outcome takes what the others leave
+    prob = np.diff(np.minimum(np.cumsum(dist.prob), 1.0), prepend=0.0)
+    counts = rng.multinomial(n, prob)
     # the moments of the draws are those of the outcomes weighted by how
     # often each was drawn
     freq = counts / n

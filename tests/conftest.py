@@ -60,8 +60,11 @@ def random_params(rng, beta_range=(-2.0, 2.0), nu_range=(1e-3, 3.0)):
 
 def regime_of(record, beta):
     """The regime of any record with w_mean, qm_mean and qt_mean: a 0-d row
-    of the array classifier, as a Regime member."""
-    return Regime(classify_regime_array(record.w_mean, record.qm_mean, record.qt_mean, beta).item())
+    of the array classifier, as a Regime member.  Each flow is taken as its
+    own magnitude, so only an exact zero is undetermined: the records read
+    here are far from zero."""
+    flows = (record.w_mean, record.qm_mean, record.qt_mean)
+    return Regime(classify_regime_array(*flows, beta, np.abs(flows)).item())
 
 
 def close(a, b, tol):
@@ -71,11 +74,14 @@ def close(a, b, tol):
 
 @dataclass(frozen=True)
 class ReferenceCumulants:
-    """First four cumulants of W and Q_M, and <Q_T>, rounded from 60 digits."""
+    """First four cumulants of W and Q_M, and <Q_T>, rounded from 60 digits,
+    with the magnitudes of the three means: sum p |W|, sum p |Q_M| and
+    their sum."""
 
     w: tuple
     q_m: tuple
     qt_mean: float
+    magnitudes: tuple
 
     @property
     def w_mean(self):
@@ -123,8 +129,10 @@ def mp_cumulants(beta, nu1, nu2, delta, zeta, theta, alpha=None, branch="minus")
             return (mean, c2, c3, c4 - 3 * c2**2)
 
         kw, kq = cumulants(0), cumulants(1)
+        mw, mq = (sum(abs(r[index]) * r[2] for r in records) for index in (0, 1))
         return ReferenceCumulants(
-            tuple(map(float, kw)), tuple(map(float, kq)), float(kw[0] - kq[0])
+            tuple(map(float, kw)), tuple(map(float, kq)), float(kw[0] - kq[0]),
+            (float(mw), float(mq), float(mw + mq)),
         )
 
 

@@ -16,9 +16,17 @@ by its own:
 * :func:`regime_sign_rule` is the operating-mode sign rule written as
   plain-Python comparisons, against which the array classifier
   ``analysis.classify_regime_array`` is checked.
+* :func:`exact_means` and :func:`exact_bounds` are the sign oracle: the
+  16 path records expanded in exact rational arithmetic on the float
+  inputs, against which every sign the package decides by its rounding
+  rule is checked.
 """
 
+import functools
+import itertools
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 
@@ -124,14 +132,135 @@ _REGIMES = {
 }
 
 
-def regime_sign_rule(w_mean, qm_mean, qt_mean, beta) -> Regime:
+def residue(total, magnitude) -> bool:
+    """The package's zero rule for a sum: |total| <= 32 eps magnitude, with
+    magnitude the sum of its summands' magnitudes."""
+    return abs(total) <= 32.0 * sys.float_info.epsilon * magnitude
+
+
+def regime_sign_rule(w_mean, qm_mean, qt_mean, beta, magnitudes) -> Regime:
     """Operating mode of one point from the signs of its three mean energy
-    flows; any flow or beta within 1e-12 of zero, or an inconsistent sign
-    pattern, is undetermined."""
-    tol = 1e-12
-    if abs(beta) <= tol or beta == 0.0:
+    flows; beta = 0, a flow that is a rounding residue of its magnitude
+    (``magnitudes`` in the same order), or an inconsistent sign pattern is
+    undetermined."""
+    if beta == 0.0:
         return Regime.UNDETERMINED
-    if abs(w_mean) <= tol or abs(qm_mean) <= tol or abs(qt_mean) <= tol:
+    if any(residue(f, m) for f, m in zip((w_mean, qm_mean, qt_mean), magnitudes)):
         return Regime.UNDETERMINED
     signs = (beta > 0.0, w_mean > 0.0, qm_mean > 0.0, qt_mean > 0.0)
     return _REGIMES.get(signs, Regime.UNDETERMINED)
+
+
+def _common_scale(*values) -> tuple[list[int], int]:
+    """Integers x L for every rational x given (a float is the rational it
+    holds), and L, the least common multiple of their denominators."""
+    ratios = [x.as_integer_ratio() for x in values]
+    scale = math.lcm(*(den for _, den in ratios))
+    return [num * (scale // den) for num, den in ratios], scale
+
+
+@functools.lru_cache(maxsize=4096)
+def exact_means(t, nu1, nu2, delta, zeta, theta) -> tuple:
+    """(<W>, Var W, <Q_M>, Var Q_M, <Q_T>) of the forward cycle as exact
+    Fractions, from its 16 path records, every input taken as the exact
+    rational its float is: t = tanh(beta nu1) as the package computes it,
+    the gaps, the transition probabilities and the flip probability.
+
+    A record (n, m, k, l) of levels (0 ground, 1 excited) has probability
+    w[n] T(m|n; delta) T(k|m; theta) T(l|k; zeta), with w = ((1 + t) / 2,
+    (1 - t) / 2) and T(b|a; x) = x on a flip, 1 - x otherwise, and pays
+    W = 2 (n - l) nu1 + 2 (k - m) nu2 and Q_M = 2 (k - m) nu2.  The sums
+    run on integers at one common scale, so nothing is rounded; inputs may
+    also be Fractions.
+    """
+    (t, nu1, nu2, delta, zeta, theta), one = _common_scale(t, nu1, nu2, delta, zeta, theta)
+    weight = (one + t, one - t)
+
+    def move(p, before, after):
+        return p if before != after else one - p
+
+    sums = [0, 0, 0, 0]
+    for n, m, k, l in itertools.product((0, 1), repeat=4):
+        p = weight[n] * move(delta, n, m) * move(theta, m, k) * move(zeta, k, l)
+        w = 2 * (n - l) * nu1 + 2 * (k - m) * nu2
+        q = 2 * (k - m) * nu2
+        sums[0] += p * w
+        sums[1] += p * w * w
+        sums[2] += p * q
+        sums[3] += p * q * q
+    scale = 2 * one**4  # the probabilities' scale, the weights' 1/2 included
+    mean, var = scale * one, (scale * one) ** 2  # var = <x^2> - <x>^2
+    return (
+        Fraction(sums[0], mean), Fraction(sums[1] * scale - sums[0] ** 2, var),
+        Fraction(sums[2], mean), Fraction(sums[3] * scale - sums[2] ** 2, var),
+        Fraction(sums[0] - sums[2], mean),
+    )
+
+
+def exact_regime(w_mean, qm_mean, qt_mean, beta) -> Regime:
+    """The regime of exact flows: undetermined at an exact zero."""
+    if beta == 0 or 0 in (w_mean, qm_mean, qt_mean):
+        return Regime.UNDETERMINED
+    return _REGIMES.get((beta > 0, w_mean > 0, qm_mean > 0, qt_mean > 0), Regime.UNDETERMINED)
+
+
+def exact_bounds(beta, t, nu1, nu2, delta, zeta, theta, flip, mode, branch="minus", zero=None):
+    """(name, applicable, satisfied) of every bound of ``mode``, in the
+    order ``verify_bounds_block`` reports them, decided in exact
+    arithmetic on the same float inputs (``flip`` is the package's flip
+    probability of theta, theta itself outside cs).
+
+    ``zero(name, value)`` says whether a deciding quantity reads as 0: by
+    default only an exact 0, but a caller may also admit values that a
+    rounding rule cannot tell from 0.  The names are ``qt`` (forward
+    <Q_T>), ``pair_work`` (forward plus backward <W>), ``work``, ``heat``
+    and ``qm_var`` (of the means ``mode`` reads) and, in cs, ``plain_heat``
+    (forward plus backward <Q_M> at theta itself).
+    """
+    zero = zero or (lambda name, value: value == 0)
+
+    def read(name, value):
+        return 0 if zero(name, value) else value
+
+    fwd = exact_means(t, nu1, nu2, delta, zeta, flip)
+    pair = [a + b for a, b in zip(fwd, exact_means(t, nu1, nu2, zeta, delta, flip))]
+    means = fwd if mode == "symmetric" else pair
+    qt, work, heat = read("qt", fwd[4]), read("work", means[0]), read("heat", means[2])
+    d, z, th = Fraction(delta), Fraction(zeta), Fraction(flip)
+    g1, g2 = Fraction(nu1), Fraction(nu2)
+    otto = 1 - g1 / g2
+    out = []
+    if mode == "cs":
+        out.append(("cs_qt_nonpositive", beta > 0 and theta <= 0.5, qt <= 0))
+    else:
+        out.append(("qt_nonpositive", beta > 0, qt <= 0))
+        pair_work = read("pair_work", pair[0])
+        out.append(("equal_gap_work_nonpositive", beta > 0 and nu1 == nu2, pair_work <= 0))
+    engine = exact_regime(work, heat, qt, beta) is Regime.ENGINE
+    eta = work / heat if heat != 0 else None
+    if mode == "cs":
+        out.append(("cs_eta_le_otto", engine, eta is not None and eta <= otto))
+        plain = [a + b for a, b in zip(exact_means(t, nu1, nu2, delta, zeta, theta),
+                                       exact_means(t, nu1, nu2, zeta, delta, theta))]
+        plain_heat = read("plain_heat", plain[2])
+        plain_eta = plain[0] / plain_heat if plain_heat != 0 else None
+        comparable = engine and plain_eta is not None
+        left, right = (plain_eta, eta) if branch == "minus" else (eta, plain_eta)
+        out.append(("cs_eta_branch_order", comparable, comparable and left <= right))
+        return out
+    qm_var = read("qm_var", means[3])
+    ratio = means[1] / qm_var if qm_var != 0 else None
+    defined = ratio is not None and eta is not None
+    if mode == "symmetric":
+        corridor = 2 * (1 - 2 * d) * th * g2 - (th + 2 * d * (1 - d) * (1 - 2 * th)) * g1 >= 0
+    else:
+        s = d + z - 2 * d * z
+        corridor = 2 * th * (1 - d - z) * g2 - (th + (1 - 2 * th) * s) * g1 >= 0
+    out.append(("eta_le_otto", engine, eta is not None and eta <= otto))
+    out.append(("eta_sq_le_ratio", corridor and defined, defined and eta * eta <= ratio))
+    out.append(("ratio_le_one", corridor and defined, defined and ratio <= 1))
+    if mode == "symmetric":
+        hopm = (1 - 2 * d) * th * g2 - (1 - d) * (d + th - 2 * d * th) * g1 >= 0
+        out.append(("otto_sq_le_ratio", hopm and ratio is not None,
+                    ratio is not None and otto * otto <= ratio))
+    return out

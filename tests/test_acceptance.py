@@ -28,6 +28,7 @@ from unital_otto import (
     sample,
     unmonitored_cycle,
 )
+from unital_otto.cumulants import _closed_form
 
 from conftest import regime_of
 
@@ -208,7 +209,14 @@ def test_criterion_5_proved_inequality_suite():
         thetas.append(gen.random())
     fwd, bwd = _closed_forms(points, thetas, "forward", "backward")
     work, heat = fwd.w_mean + bwd.w_mean, fwd.qm_mean + bwd.qm_mean
-    regimes = classify_regime_array(work, heat, fwd.qt_mean, [p.beta for p in points])
+    # the flows' magnitudes, those of the same closed forms
+    keys = ("beta", "nu1", "nu2", "delta", "zeta")
+    columns = [np.array([getattr(p, k) for p in points]) for k in keys]
+    fwd_mag, bwd_mag = (_closed_form(*columns, np.array(thetas), d, magnitudes=True)
+                        for d in ("forward", "backward"))
+    magnitudes = (fwd_mag.w_mean + bwd_mag.w_mean, fwd_mag.qm_mean + bwd_mag.qm_mean,
+                  fwd_mag.qt_mean)
+    regimes = classify_regime_array(work, heat, fwd.qt_mean, [p.beta for p in points], magnitudes)
     engines = 0
     for params, w, q, regime in zip(points, work.tolist(), heat.tolist(), regimes):
         if regime != Regime.ENGINE:

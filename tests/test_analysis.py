@@ -41,7 +41,8 @@ def test_classification_sign_table():
         (0.5, 1.0, 0.5, 0.7, Regime.UNDETERMINED),
     ]
     *flows, want = zip(*points)
-    assert list(classify_regime_array(*flows)) == list(want)
+    # each flow its own magnitude: only an exact zero is undetermined
+    assert list(classify_regime_array(*flows, np.abs(flows[:3]))) == list(want)
 
 
 def test_classify_accepts_cumulant_records():
@@ -169,8 +170,13 @@ def test_cancelled_forward_and_backward_heat_is_no_heat():
     assert np.isnan(efficiency_block(*params, 0.3, "cs", ctrl.alpha, ctrl.branch))
     near = (1.3, 0.7, 3.0, 0.925, 0.05, 0.3)
     assert math.isfinite(efficiency_block(*near, "cs", ctrl.alpha, ctrl.branch))
-    assert not is_rounding_residue(1e-12, 1.0)
-    assert list(is_rounding_residue(np.array([1e-17, 1e-14]), np.array([1.0, 1.0]))) == [True, False]
+    # the rule is relative to the magnitude: 32 eps of it, at every scale
+    bound = 32.0 * np.finfo(float).eps
+    for magnitude in (2.0**-1000, 1e-12, 1.0, 1e12, 2.0**1000):
+        edge = bound * magnitude
+        assert is_rounding_residue(np.array([-edge, 0.0, edge]), magnitude).all()
+        beyond = np.nextafter(np.array([-edge, edge]), [-np.inf, np.inf])
+        assert not is_rounding_residue(beyond, magnitude).any()
 
 
 def test_bounds_all_hold_in_engine_regime():

@@ -12,6 +12,7 @@ from unital_otto import (
     CycleParams,
     PhysicsError,
     Regime,
+    analysis,
     classify_regime_array,
     closed_form_block,
     closed_form_first_second,
@@ -19,14 +20,13 @@ from unital_otto import (
     efficiency_block,
     enumerate_block,
     enumerate_paths,
-    is_rounding_residue,
     trajectory,
     verify_bounds_block,
 )
 from unital_otto.cli import _DECODE_SAMPLES, SWEEPABLE, _campaign_draws, main
 
 from conftest import mp_cumulants
-from references import regime_sign_rule
+from references import regime_sign_rule, residue
 
 
 def assert_cumulants_match(block_w, block_q, block_qt, ref, gap_sum):
@@ -160,13 +160,19 @@ def test_first_failing_point_decides_the_cumulant_error():
 
 
 def test_regime_array_matches_scalar_rule():
-    values = [-1.0, -1e-13, 0.0, 1e-13, 1.0]
+    # flows relative to a magnitude of 1: the residue bound 32 eps, just
+    # within it, just beyond it, and a clear sign; the labels are the same
+    # at every scale of the flows and their magnitudes
+    bound = 32.0 * np.finfo(float).eps
+    values = [-1.0, -np.nextafter(bound, 1.0), -bound, 0.0, 0.5 * bound, np.nextafter(bound, 1.0), 1.0]
     grid = np.array(np.meshgrid(values, values, values, values, indexing="ij")).reshape(4, -1)
     beta, w, q, t = grid
-    got = classify_regime_array(w, q, t, beta)
-    want = [regime_sign_rule(*point) for point in zip(w, q, t, beta)]
-    assert list(got) == want
+    want = [regime_sign_rule(*point, (1.0, 1.0, 1.0)) for point in zip(w, q, t, beta)]
+    for scale in (1.0, 2.0**-600, 1e-12, 1e12, 2.0**600):
+        got = classify_regime_array(w * scale, q * scale, t * scale, beta / scale, [scale] * 3)
+        assert list(got) == want
     assert Regime.ENGINE in want and Regime.ENGINE_PRIME in want and Regime.HEATER in want
+    assert Regime.UNDETERMINED in [want[i] for i in range(len(want)) if 0.0 not in grid[:, i]]
 
 
 # --- the CLI's grids --------------------------------------------------------
@@ -243,7 +249,7 @@ def test_sweep_rows_match_scalar_route(capsys, axis, base):
             numbers[0:4], numbers[4:8], numbers[8], ref, point["nu1"] + point["nu2"]
         )
         assert cells[12] == str(regime_sign_rule(
-            ref.w_mean, ref.qm_mean, ref.qt_mean, point["beta"]))
+            ref.w_mean, ref.qm_mean, ref.qt_mean, point["beta"], ref.magnitudes))
 
 
 # the delta axis (0, 0.25, ...) of the asymmetric-theta grid hits its base zeta
@@ -279,7 +285,7 @@ def test_classify_cells_match_scalar_route(capsys, base, axes):
         assert abs(float(q) - ref.qm_mean) <= 1e-14 * energy
         assert abs(float(qt) - ref.qt_mean) <= 1e-14 * energy
         assert regime == str(regime_sign_rule(
-            ref.w_mean, ref.qm_mean, ref.qt_mean, point["beta"]))
+            ref.w_mean, ref.qm_mean, ref.qt_mean, point["beta"], ref.magnitudes))
 
 
 def test_classify_makes_no_per_point_scalar_call(capsys, monkeypatch):
@@ -351,79 +357,119 @@ def reference_closed_form(beta, nu1, nu2, d, z, theta):
     return qm_mean + qt_mean, w_var, qm_mean, qm_var, qt_mean
 
 
+def reference_magnitudes(beta, nu1, nu2, d, z, theta):
+    """The magnitudes of :func:`reference_closed_form`'s values in plain
+    Python: each written with every difference a - b as |a| + |b|."""
+    t = abs(math.tanh(beta * nu1))
+    g = theta + (1.0 + 2.0 * theta) * (d + z + 2.0 * d * z)
+    qm_mean = 2.0 * (1.0 + 2.0 * d) * theta * nu2 * t
+    qm_var = 4.0 * theta * nu2**2 * (1.0 + (1.0 + 2.0 * d) ** 2 * theta * t * t)
+    qt_mean = 2.0 * g * nu1 * t
+    w_var = (
+        4.0 * g * nu1**2
+        + 8.0 * theta * (d + z + 1.0) * nu1 * nu2
+        + 4.0 * theta * nu2**2
+        + 4.0 * (g * nu1 + (2.0 * d + 1.0) * theta * nu2) ** 2 * t * t
+    )
+    return qm_mean + qt_mean, w_var, qm_mean, qm_var, qt_mean
+
+
+def reference_quotient(num, den, num_mag, den_mag):
+    """num / den and the magnitude of its rounding; nan where den is a
+    rounding residue."""
+    if residue(den, den_mag):
+        return math.nan, math.nan
+    q = num / den
+    return q, (num_mag + abs(q) * den_mag) / abs(den)
+
+
+def reference_means(beta, nu1, nu2, d, z, theta, mode):
+    """(values, magnitudes) of the closed form ``mode`` reads, forward plus
+    backward outside ``symmetric``, then the forward cycle's."""
+    fwd = reference_closed_form(beta, nu1, nu2, d, z, theta)
+    fwd_mag = reference_magnitudes(beta, nu1, nu2, d, z, theta)
+    if mode == "symmetric":
+        return fwd, fwd_mag, fwd, fwd_mag
+    bwd = reference_closed_form(beta, nu1, nu2, z, d, theta)
+    bwd_mag = reference_magnitudes(beta, nu1, nu2, z, d, theta)
+    both = [a + b for a, b in zip(fwd, bwd)]
+    return both, [a + b for a, b in zip(fwd_mag, bwd_mag)], fwd, fwd_mag
+
+
 def reference_efficiency(beta, nu1, nu2, d, z, theta, mode, alpha=None, branch="minus"):
-    """The scalar efficiency rule in plain Python; nan where no heat."""
+    """The scalar efficiency rule in plain Python, with the magnitude of its
+    rounding; nan where the heat is a rounding residue."""
     if mode == "cs":
         theta, mode = ControlSpec(alpha, branch).flip_probability(theta), "asymmetric"
-    fwd = reference_closed_form(beta, nu1, nu2, d, z, theta)
-    if mode == "symmetric":
-        work, heat, largest = fwd[0], fwd[2], abs(fwd[2])
-    else:
-        bwd = reference_closed_form(beta, nu1, nu2, z, d, theta)
-        work, heat = fwd[0] + bwd[0], fwd[2] + bwd[2]
-        largest = max(abs(fwd[2]), abs(bwd[2]))
-    if abs(heat) < 1e-300 or is_rounding_residue(heat, largest):
-        return math.nan
-    return work / heat
+    means, mags, _, _ = reference_means(beta, nu1, nu2, d, z, theta, mode)
+    return reference_quotient(means[0], means[2], mags[0], mags[2])
 
 
 def reference_bounds(beta, nu1, nu2, d, z, theta, mode, alpha=None, branch="minus"):
     """The proved inequalities checked one point at a time in plain Python:
-    (name, left, right, applicable, satisfied, margin) per bound."""
+    (name, left, right, applicable, satisfied, margin) per bound.  A
+    comparison holds where right - left is nonnegative or a rounding
+    residue of the operands' magnitudes."""
 
-    def report(name, left, right, applicable):
-        return (name, left, right, bool(applicable), bool(left <= right + 1e-10), right - left)
+    def report(name, left, right, applicable, magnitude):
+        margin = right - left
+        holds = margin >= 0.0 or residue(margin, magnitude)
+        return (name, left, right, bool(applicable), bool(holds), margin)
 
-    def ratio(num, den, defined):
-        return num / den if defined else math.nan
+    def at_least_zero(value, magnitude):
+        return value >= 0.0 or residue(value, magnitude)
 
     flip = ControlSpec(alpha, branch).flip_probability(theta) if mode == "cs" else theta
-    fwd = reference_closed_form(beta, nu1, nu2, d, z, flip)
-    bwd = reference_closed_form(beta, nu1, nu2, z, d, flip)
-    work, heat = fwd[0] + bwd[0], fwd[2] + bwd[2]
-    otto = 1.0 - nu1 / nu2
+    pair, pair_mag, fwd, fwd_mag = reference_means(beta, nu1, nu2, d, z, flip, "asymmetric")
+    otto, otto_mag = 1.0 - nu1 / nu2, 1.0 + nu1 / nu2
     out = []
     if mode != "cs":
-        out.append(report("qt_nonpositive", fwd[4], 0.0, beta > 0.0))
+        out.append(report("qt_nonpositive", fwd[4], 0.0, beta > 0.0, fwd_mag[4]))
         out.append(report(
-            "equal_gap_work_nonpositive", work, 0.0, beta > 0.0 and abs(nu1 - nu2) <= 1e-12
+            "equal_gap_work_nonpositive", pair[0], 0.0, beta > 0.0 and nu1 == nu2, pair_mag[0]
         ))
-    if mode == "symmetric":
-        work, heat, w_var, qm_var = fwd[0], fwd[2], fwd[1], fwd[3]
-    elif mode == "asymmetric":
-        w_var, qm_var = fwd[1] + bwd[1], fwd[3] + bwd[3]
     else:
-        out.append(report("cs_qt_nonpositive", fwd[4], 0.0, beta > 0.0 and theta <= 0.5))
-    engine = regime_sign_rule(work, heat, fwd[4], beta) is Regime.ENGINE
-    eta = ratio(work, heat, abs(heat) > 0.0)
+        out.append(report(
+            "cs_qt_nonpositive", fwd[4], 0.0, beta > 0.0 and theta <= 0.5, fwd_mag[4]
+        ))
+    means, mags = (fwd, fwd_mag) if mode == "symmetric" else (pair, pair_mag)
+    magnitudes = (mags[0], mags[2], fwd_mag[4])
+    engine = regime_sign_rule(means[0], means[2], fwd[4], beta, magnitudes) is Regime.ENGINE
+    eta, eta_mag = reference_quotient(means[0], means[2], mags[0], mags[2])
     if mode == "cs":
-        out.append(report("cs_eta_le_otto", eta, otto, engine))
-        plain = reference_efficiency(beta, nu1, nu2, d, z, theta, "asymmetric")
-        pair = (plain, eta) if branch == "minus" else (eta, plain)
-        out.append(report("cs_eta_branch_order", *pair, engine and math.isfinite(plain)))
+        out.append(report("cs_eta_le_otto", eta, otto, engine, eta_mag + otto_mag))
+        plain, plain_mag = reference_efficiency(beta, nu1, nu2, d, z, theta, "asymmetric")
+        order = (plain, eta) if branch == "minus" else (eta, plain)
+        comparable = engine and math.isfinite(plain)
+        out.append(report("cs_eta_branch_order", *order, comparable, plain_mag + eta_mag))
         return out
-    w_ratio = ratio(w_var, qm_var, qm_var > 0.0)
-    defined = qm_var > 0.0 and abs(heat) > 0.0
+    w_ratio, ratio_mag = reference_quotient(means[1], means[3], mags[1], mags[3])
+    defined = not math.isnan(w_ratio) and not math.isnan(eta)
     if mode == "symmetric":
-        corridor = (
+        corridor = at_least_zero(
             2.0 * (1.0 - 2.0 * d) * theta * nu2
-            - (theta + 2.0 * d * (1.0 - d) * (1.0 - 2.0 * theta)) * nu1
-            >= 0.0
+            - (theta + 2.0 * d * (1.0 - d) * (1.0 - 2.0 * theta)) * nu1,
+            2.0 * (1.0 + 2.0 * d) * theta * nu2
+            + (theta + 2.0 * d * (1.0 + d) * (1.0 + 2.0 * theta)) * nu1,
         )
     else:
-        s = d + z - 2.0 * d * z
-        corridor = (
-            2.0 * theta * (1.0 - d - z) * nu2 - (theta + (1.0 - 2.0 * theta) * s) * nu1 >= 0.0
+        s, s_mag = d + z - 2.0 * d * z, d + z + 2.0 * d * z
+        corridor = at_least_zero(
+            2.0 * theta * (1.0 - d - z) * nu2 - (theta + (1.0 - 2.0 * theta) * s) * nu1,
+            2.0 * theta * (1.0 + d + z) * nu2 + (theta + (1.0 + 2.0 * theta) * s_mag) * nu1,
         )
-    out.append(report("eta_le_otto", eta, otto, engine))
-    out.append(report("eta_sq_le_ratio", eta * eta, w_ratio, corridor and defined))
-    out.append(report("ratio_le_one", w_ratio, 1.0, corridor and defined))
+    eta_sq_mag = 2.0 * abs(eta) * eta_mag + ratio_mag
+    out.append(report("eta_le_otto", eta, otto, engine, eta_mag + otto_mag))
+    out.append(report("eta_sq_le_ratio", eta * eta, w_ratio, corridor and defined, eta_sq_mag))
+    out.append(report("ratio_le_one", w_ratio, 1.0, corridor and defined, ratio_mag))
     if mode == "symmetric":
-        hopm = (
-            (1.0 - 2.0 * d) * theta * nu2 - (1.0 - d) * (d + theta - 2.0 * d * theta) * nu1
-            >= 0.0
+        hopm = at_least_zero(
+            (1.0 - 2.0 * d) * theta * nu2 - (1.0 - d) * (d + theta - 2.0 * d * theta) * nu1,
+            (1.0 + 2.0 * d) * theta * nu2 + (1.0 + d) * (d + theta + 2.0 * d * theta) * nu1,
         )
-        out.append(report("otto_sq_le_ratio", otto * otto, w_ratio, hopm and qm_var > 0.0))
+        otto_sq_mag = 2.0 * abs(otto) * otto_mag + ratio_mag
+        applicable = hopm and not math.isnan(w_ratio)
+        out.append(report("otto_sq_le_ratio", otto * otto, w_ratio, applicable, otto_sq_mag))
     return out
 
 
@@ -540,11 +586,9 @@ def test_bound_and_efficiency_blocks_match_scalar_rule_verdicts(rng, mode, branc
     reports = verify_bounds_block(*cycle, mode, alpha, branch)
     etas = efficiency_block(*cycle, mode, alpha, branch)
     flip = cycle[5] if alpha is None else trajectory._controlled_flip(cycle[5], alpha, branch)
-    fwd, bwd = (closed_form_block(*cycle[:5], flip, d) for d in ("forward", "backward"))
-    work, heat = fwd.w_mean + bwd.w_mean, fwd.qm_mean + bwd.qm_mean
-    if mode == "symmetric":
-        work, heat = fwd.w_mean, fwd.qm_mean
-    regimes = classify_regime_array(work, heat, fwd.qt_mean, cycle[0])
+    means, mags, fwd, fwd_mag = analysis._mode_means((*cycle[:5], flip), mode)
+    magnitudes = (mags.w_mean, mags.qm_mean, fwd_mag.qt_mean)
+    regimes = classify_regime_array(means.w_mean, means.qm_mean, fwd.qt_mean, cycle[0], magnitudes)
     cells = [verdict_cells(r.applicable, r.satisfied) for r in reports]
     differ = set()
     for i in range(n):
@@ -555,13 +599,11 @@ def test_bound_and_efficiency_blocks_match_scalar_rule_verdicts(rng, mode, branc
         got = [(bool(r.applicable[i]), str(c[i])) for r, c in zip(reports, cells)]
         if got != [(w[3], str(verdict_cells(w[3], w[4]))) for w in want]:
             differ.add(i)
-        if np.isnan(etas[i]) != math.isnan(reference_efficiency(*point, mode, *control)):
+        if np.isnan(etas[i]) != math.isnan(reference_efficiency(*point, mode, *control)[0]):
             differ.add(i)
-        ref = [reference_closed_form(*point[:3], *args, float(flip[i])) for args in
-               ((point[3], point[4]), (point[4], point[3]))]
-        flows = (ref[0][0], ref[0][2]) if mode == "symmetric" else (
-            ref[0][0] + ref[1][0], ref[0][2] + ref[1][2])
-        if regimes[i] != regime_sign_rule(*flows, ref[0][4], point[0]):
+        ref, ref_mag, ref_fwd, ref_fwd_mag = reference_means(*point[:5], float(flip[i]), mode)
+        flows = (ref[0], ref[2], ref_fwd[4])
+        if regimes[i] != regime_sign_rule(*flows, point[0], (ref_mag[0], ref_mag[2], ref_fwd_mag[4])):
             differ.add(i)
     assert differ <= set(ROUNDING_TIES[mode, branch]), sorted(differ)
     # every bound is applicable somewhere and inapplicable somewhere, and

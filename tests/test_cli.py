@@ -819,7 +819,24 @@ def test_sweep_prints_no_ratio_of_a_cancelled_denominator(capsys):
     assert [row.split(",")[column] for row in rows] == ["inf"] * 11
 
 
-README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+def test_sweep_prints_a_row_where_the_squared_mean_work_underflows(capsys):
+    # gaps of 1e-170: <W>^2 underflows to 0, and w_rf is still a row's cell
+    code, out, err = run(
+        capsys, "sweep", "--beta", "0.7", "--nu1", "1e-170", "--nu2", "2e-170", "--delta", "0.1",
+        "--zeta", "0.1", "--theta", "0.2", "--axis", "beta", "--start", "1e160",
+        "--stop", "2e160", "--steps", "2",
+    )
+    assert code == 0 and err == ""
+    header, *rows = out.splitlines()[1:]
+    column = header.split(",").index("w_rf")
+    assert len(rows) == 2
+    for row in rows:
+        cells = [float(c) for c in row.split(",")[:column + 1]]
+        assert cells[1] != 0.0 and cells[1] ** 2 == 0.0
+        assert cells[column] == cells[2] / cells[1] / cells[1]
+
+
+README =(Path(__file__).resolve().parents[1] / "README.md").read_text()
 
 
 def readme_commands():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from unital_otto import landauzener
+from unital_otto.landauzener import _monitored_magnitudes
 from unital_otto import (
     CycleParams,
     LZParams,
@@ -232,7 +233,8 @@ def test_block_rows_equal_the_per_row_propagation_bitwise():
                 (x, math.copysign(1.0, x)) for x in want
             ]
             assert rows[i].w_um == want[4]
-            residue = is_rounding_residue(q_m, base.cycle.nu2)
+            # the trace bound of Q_M = E3 - E2
+            residue = is_rounding_residue(q_m, 2.0 * base.cycle.nu2)
             assert np.array_equal(rows[i].eta_um, math.nan if residue else want[4] / q_m, equal_nan=True)
 
 
@@ -260,4 +262,6 @@ def test_comparison_rows_are_the_single_point_averages():
         mon, um = monitored_averages(point, delta), unmonitored_cycle(point, delta)
         got = [row.delta, row.w_mon, row.eta_mon, row.w_um, row.eta_um]
         assert np.array_equal(got, [delta, mon.w, mon.eta, um.w, um.eta], equal_nan=True)
-        assert row.regime_mon == classify_regime_array(mon.w, mon.q_m, mon.q_t, FIG6F["beta"]).item()
+        magnitudes = _monitored_magnitudes(point, delta)
+        regime = classify_regime_array(mon.w, mon.q_m, mon.q_t, FIG6F["beta"], magnitudes)
+        assert row.regime_mon == regime.item()

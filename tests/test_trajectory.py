@@ -8,13 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from unital_otto import trajectory
 from unital_otto import (
     ControlSpec,
     CycleParams,
     JointDistribution,
     PhysicsError,
-    SampleStats,
+    cumulants_from_block,
     distribution_to_csv,
     enumerate_paths,
     sample,
@@ -207,42 +206,45 @@ def test_csv_round_trip():
 
 def test_sampler_moments_are_those_of_the_draws():
     dist = enumerate_paths(CycleParams(0.7, 1.0, 2.0, 0.1, 0.2), 0.3)
+    assert np.cumsum(dist.prob)[-2] <= 1.0  # the clamp leaves this distribution as it is
     stats = sample(dist, 20000, seed=11)
-    # the same stream and indices, moments taken over the draws themselves
-    rng = np.random.default_rng(11)
-    idx = np.searchsorted(np.cumsum(dist.prob), rng.random(20000), side="right")
-    idx = np.minimum(idx, dist.w.size - 1)
+    # the same stream's one multinomial draw, moments taken over the draws
+    idx = np.repeat(np.arange(dist.w.size), np.random.default_rng(11).multinomial(20000, dist.prob))
     for summary, values in ((stats.w, dist.w), (stats.q_m, dist.q_m)):
         for k, raw in enumerate(summary.raw, 1):
             assert raw == pytest.approx(float(np.mean(values[idx] ** k)), rel=1e-13, abs=1e-13)
 
 
-def _searchsorted_stats(dist, n, seed):
-    """SampleStats from one random(n) call indexed by searchsorted and
-    clipped to the last outcome, as the sampler drew before it streamed."""
-    rng = np.random.default_rng(seed)
-    idx = np.searchsorted(np.cumsum(dist.prob), rng.random(n), side="right")
-    freq = np.bincount(np.minimum(idx, dist.w.size - 1), minlength=dist.w.size) / n
+def test_sampler_z_scores_look_standard_normal_over_seeds():
+    # seeds 1-200 of one distribution: the z-scores of the sample mean and
+    # variance of both variables against the exact cumulants, 800 in all;
+    # 0.27% of a standard normal lies beyond |z| = 3, 2.2 of 800 expected
+    dist = enumerate_paths(CycleParams(0.7, 1.0, 2.0, 0.1, 0.2), 0.3)
+    exact = cumulants_from_block(dist)
+    z = []
+    for seed in range(1, 201):
+        stats = sample(dist, 10**6, seed)
+        for summary, kappa in ((stats.w, exact.w), (stats.q_m, exact.q_m)):
+            z.append((summary.mean - kappa[0]) / summary.mean_stderr)
+            z.append((summary.variance - kappa[1]) / summary.variance_stderr)
+    z = np.array(z)
+    assert abs(z.mean()) < 0.15 and 0.85 < z.var() < 1.15
+    # eight or more beyond 3 would have probability below 0.3%
+    assert np.count_nonzero(np.abs(z) > 3.0) <= 7
 
-    def moments(values):
-        return trajectory.MomentSummary(count=n, raw=tuple(float(freq @ values**k) for k in (1, 2, 3, 4)))
 
-    return SampleStats(count=n, seed=seed, w=moments(dist.w), q_m=moments(dist.q_m))
-
-
-def test_streamed_counts_equal_one_searchsorted_over_the_stream():
-    chunk = trajectory._SAMPLE_CHUNK
-    dists = [
-        enumerate_paths(CycleParams(0.7, 1.0, 2.0, 0.1, 0.2), 0.3),
-        # zero-probability outcomes, the last one among them
-        JointDistribution([0.0, 1.0, 2.0, 3.0, 4.0, 5.0], [0.0] * 6, [0.3, 0.0, 0.2, 0.0, 0.5, 0.0]),
-        # ten tenths: the last cdf entry rounds to 0.9999999999999999
-        JointDistribution(np.arange(10.0), np.arange(10.0) ** 2, [0.1] * 10),
-    ]
-    assert np.cumsum(dists[2].prob)[-1] < 1.0
-    for dist in dists:
-        for n in (1, chunk - 1, chunk, chunk + 1, 3 * chunk + 7):
-            assert sample(dist, n, seed=n) == _searchsorted_stats(dist, n, n)
+def test_sampler_clamps_partial_sums_at_one():
+    # probabilities that sum to 1 + 5e-11, within JointDistribution's
+    # tolerance: the leading outcomes are cut back to a total of 1, so the
+    # outcomes after them are never drawn
+    dist = JointDistribution([0.0, 1.0, 2.0], [0.0] * 3, [0.5, 0.5 + 5e-11, 0.2e-10])
+    stats = sample(dist, 10**6, seed=4)
+    assert stats.w.raw[0] == stats.w.raw[1] and 0.49 < stats.w.mean < 0.51
+    # ten tenths: the partial sums stay below 1, and the last outcome takes
+    # what the others leave
+    tenths = JointDistribution(np.arange(10.0), np.zeros(10), [0.1] * 10)
+    assert np.cumsum(tenths.prob)[-1] < 1.0
+    assert sample(tenths, 10**12, seed=5).w.mean == pytest.approx(4.5, abs=1e-4)
 
 
 def test_sampler_memory_does_not_grow_with_draws():
