@@ -308,26 +308,6 @@ class MomentSummary(NamedTuple):
     def variance(self) -> float:
         return self.raw[1] - self.raw[0] ** 2
 
-    def central(self, order: int) -> float:
-        m1, m2, m3, m4 = self.raw
-        if order == 2:
-            return m2 - m1 * m1
-        if order == 3:
-            return m3 - 3.0 * m2 * m1 + 2.0 * m1**3
-        if order == 4:
-            return m4 - 4.0 * m3 * m1 + 6.0 * m2 * m1 * m1 - 3.0 * m1**4
-        raise ValueError("central moments implemented for orders 2-4")
-
-    @property
-    def mean_stderr(self) -> float:
-        return math.sqrt(max(self.variance, 0.0) / self.count)
-
-    @property
-    def variance_stderr(self) -> float:
-        # Var(s^2) ~ (mu4 - mu2^2)/n for large n
-        spread = self.central(4) - self.central(2) ** 2
-        return math.sqrt(max(spread, 0.0) / self.count)
-
 
 class SampleStats(NamedTuple):
     """Moments of an i.i.d. sample drawn from a JointDistribution."""

@@ -1,6 +1,7 @@
 """Shared strategies and helpers for the test suite."""
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import mpmath
@@ -65,6 +66,13 @@ def regime_of(record, beta):
     here are far from zero."""
     flows = (record.w_mean, record.qm_mean, record.qt_mean)
     return Regime(classify_regime_array(*flows, beta, np.abs(flows)).item())
+
+
+def sample_errors(kappa, n):
+    """The standard errors of the mean and the variance of n i.i.d. draws,
+    from the exact cumulants: sqrt(k2 / n) and sqrt((k4 + 2 k2^2) / n)."""
+    k2, k4 = float(kappa[1]), float(kappa[3])
+    return math.sqrt(max(k2, 0.0) / n), math.sqrt(max(k4 + 2.0 * k2 * k2, 0.0) / n)
 
 
 def close(a, b, tol):

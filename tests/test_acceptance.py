@@ -30,7 +30,7 @@ from unital_otto import (
 )
 from unital_otto.cumulants import _closed_form
 
-from conftest import regime_of
+from conftest import regime_of, sample_errors
 
 
 def report(num, ok, detail):
@@ -384,12 +384,13 @@ def test_criterion_9_monte_carlo_oracle():
         exact = cumulants_from_block(dist)
         stats = sample(dist, 10**6, seed=7000 + trial)
         for summary, kappa in ((stats.w, exact.w), (stats.q_m, exact.q_m)):
-            if summary.mean_stderr > 0:
-                ok = ok and abs(summary.mean - kappa[0]) < 5 * summary.mean_stderr
+            mean_err, var_err = sample_errors(kappa, stats.count)
+            if mean_err > 0:
+                ok = ok and abs(summary.mean - kappa[0]) < 5 * mean_err
             else:
                 ok = ok and summary.mean == kappa[0]
-            if summary.variance_stderr > 0:
-                ok = ok and abs(summary.variance - kappa[1]) < 5 * summary.variance_stderr
+            if var_err > 0:
+                ok = ok and abs(summary.variance - kappa[1]) < 5 * var_err
     repro = sample(enumerate_paths(CycleParams(0.7, 1.0, 2.0, 0.1, 0.1), 0.2), 10**5, seed=1)
     again = sample(enumerate_paths(CycleParams(0.7, 1.0, 2.0, 0.1, 0.1), 0.2), 10**5, seed=1)
     ok = ok and repro == again

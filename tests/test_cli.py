@@ -1,5 +1,6 @@
 """Command-line interface: outputs, config handling, exit codes."""
 
+import gc
 import hashlib
 import math
 import os
@@ -248,6 +249,26 @@ def test_sample_reproducible_and_calibrated(tmp_path):
             cells = line.split(",")
             assert abs(float(cells[4])) < 5.0  # z of the mean
             assert abs(float(cells[8])) < 5.0  # z of the variance
+
+
+def test_sample_z_scores_of_an_undrawn_rare_outcome_are_finite(capsys):
+    # p ~ 2e-9 for the one outcome with work, so 1e6 draws never hit it: the
+    # empirical mean and variance are 0, and each z is its row's difference
+    # over the standard error the exact cumulants give, not over the draws'
+    code, out, _ = run(
+        capsys, "sample", "--beta", "40", "--nu1", "1", "--nu2", "2", "--delta", "0",
+        "--zeta", "0", "--theta", "1e-9", "--samples", "1000000", "--seed", "3",
+    )
+    assert code == 0
+    rows = {line.split(",")[0]: [float(c) for c in line.split(",")[1:]]
+            for line in out.splitlines()[2:]}
+    assert set(rows) == {"w", "q_m"}
+    for exact_mean, mean, mean_err, z_mean, exact_var, var, var_err, z_var in rows.values():
+        assert mean == var == 0.0
+        assert mean_err > 0.0 and var_err > 0.0
+        assert z_mean == (mean - exact_mean) / mean_err
+        assert z_var == (var - exact_var) / var_err
+        assert -0.1 < z_mean < 0.0 and -0.1 < z_var < 0.0
 
 
 def test_classify_emits_full_grid(capsys):
@@ -780,17 +801,84 @@ def test_closed_form_and_bound_rows_print_no_negative_zero(tmp_path, capsys):
     assert "-0" not in cells
 
 
-def test_overflowing_cumulants_print_only_the_error():
-    # a fresh interpreter, whose default filters print each RuntimeWarning
+def fresh_python(*args, cwd=None, **env):
+    """Run ``python *args`` in a fresh interpreter that imports this
+    checkout's package."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "unital_otto.cli", "cumulants", "--beta", "0.7",
-         "--nu1", "1e80", "--nu2", "2e80", "--delta", "0.1", "--zeta", "0.1", "--theta", "0.2"],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path, PYTHONWARNINGS="default"),
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=path, **env))
+
+
+def test_overflowing_cumulants_print_only_the_error():
+    # a fresh interpreter, whose default filters print each RuntimeWarning
+    proc = fresh_python(
+        "-m", "unital_otto.cli", "cumulants", "--beta", "0.7", "--nu1", "1e80",
+        "--nu2", "2e80", "--delta", "0.1", "--zeta", "0.1", "--theta", "0.2",
+        PYTHONWARNINGS="default",
     )
     assert proc.returncode == 2
     assert proc.stderr == "config error: cumulants must be finite\n"
+
+
+POINT = ["--beta", "0.7", "--nu1", "1", "--nu2", "2", "--delta", "0.1", "--zeta", "0.1",
+         "--theta", "0.2"]
+
+
+def test_a_run_freezes_the_import_time_heap():
+    # everything alive once the package is imported is frozen by main, so
+    # the interpreter's exit collections skip it
+    proc = fresh_python("-c", f"""
+import gc, os
+import unital_otto.cli
+imported = len(gc.get_objects())
+assert unital_otto.cli.main({["cumulants", *POINT, "--out", os.devnull]!r}) == 0
+print(imported, gc.get_freeze_count())
+""")
+    assert proc.returncode == 0, proc.stderr
+    imported, frozen = map(int, proc.stdout.split())
+    assert frozen >= imported > 10000
+
+
+def test_a_second_run_in_one_process_freezes_nothing(capsys):
+    # a long-lived caller's later garbage stays collectable
+    assert run(capsys, "cumulants", *POINT)[0] == 0
+    frozen = gc.get_freeze_count()
+    assert frozen > 0
+    junk = [[i] for i in range(1000)]
+    assert run(capsys, "cumulants", *POINT)[0] == 0
+    assert gc.get_freeze_count() == frozen
+    del junk
+
+
+FILE_RUNS = {
+    "cumulants": ["cumulants", *POINT, "--out", "a.csv", "--dist-out", "b.csv",
+                  "--bounds-out", "c.csv"],
+    "classify": ["classify", *POINT, "--axis", "delta", "--start", "0", "--stop", "0.5",
+                 "--steps", "21", "--axis2", "theta", "--start2", "0", "--stop2", "1",
+                 "--steps2", "21", "--out", "a.csv"],
+    "lz-compare": ["lz-compare", "--beta", "0.5", "--nu1", "0.4", "--nu2", "0.9",
+                   "--alpha-m", "1", "--phi", "0.3", "--chi", "-1", "--axis", "delta",
+                   "--start", "0", "--stop", "1", "--steps", "301", "--out", "a.csv"],
+}
+
+
+@pytest.mark.parametrize("command", FILE_RUNS)
+def test_files_of_a_fresh_run_are_whole_at_exit(command, tmp_path, monkeypatch, capsys):
+    # every output file is closed by main itself, not by a finalizer that
+    # the frozen heap would skip: a fresh interpreter leaves the same bytes
+    # as an in-process run
+    argv = FILE_RUNS[command]
+    (tmp_path / "fresh").mkdir()
+    proc = fresh_python("-m", "unital_otto.cli", *argv, cwd=tmp_path / "fresh")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, *argv) == (0, "", "")
+    names = sorted(p.name for p in (tmp_path / "fresh").iterdir())
+    assert names == sorted(a for a in argv if a.endswith(".csv"))
+    for name in names:
+        fresh = (tmp_path / "fresh" / name).read_bytes()
+        assert fresh.startswith(b"# command=") and fresh == (tmp_path / name).read_bytes()
 
 
 def test_sweep_prints_no_ratio_of_a_cancelled_denominator(capsys):

@@ -19,7 +19,7 @@ from unital_otto import (
     sample,
 )
 
-from conftest import cycle_params, probs
+from conftest import cycle_params, probs, sample_errors
 
 
 def w_support(params):
@@ -180,7 +180,8 @@ def test_sampler_agrees_with_enumeration():
     dist = enumerate_paths(params, 0.2)
     stats = sample(dist, 10**6, seed=99)
     exact_qm = float(np.dot(dist.prob, dist.q_m))
-    assert abs(stats.q_m.mean - exact_qm) < 5 * stats.q_m.mean_stderr
+    mean_err, _ = sample_errors(cumulants_from_block(dist).q_m, stats.count)
+    assert abs(stats.q_m.mean - exact_qm) < 5 * mean_err
     assert abs(exact_qm - 0.386795) < 1e-6
 
 
@@ -217,7 +218,8 @@ def test_sampler_moments_are_those_of_the_draws():
 
 def test_sampler_z_scores_look_standard_normal_over_seeds():
     # seeds 1-200 of one distribution: the z-scores of the sample mean and
-    # variance of both variables against the exact cumulants, 800 in all;
+    # variance of both variables against the exact cumulants, over the
+    # standard errors the exact cumulants give, 800 in all;
     # 0.27% of a standard normal lies beyond |z| = 3, 2.2 of 800 expected
     dist = enumerate_paths(CycleParams(0.7, 1.0, 2.0, 0.1, 0.2), 0.3)
     exact = cumulants_from_block(dist)
@@ -225,8 +227,9 @@ def test_sampler_z_scores_look_standard_normal_over_seeds():
     for seed in range(1, 201):
         stats = sample(dist, 10**6, seed)
         for summary, kappa in ((stats.w, exact.w), (stats.q_m, exact.q_m)):
-            z.append((summary.mean - kappa[0]) / summary.mean_stderr)
-            z.append((summary.variance - kappa[1]) / summary.variance_stderr)
+            mean_err, var_err = sample_errors(kappa, stats.count)
+            z.append((summary.mean - kappa[0]) / mean_err)
+            z.append((summary.variance - kappa[1]) / var_err)
     z = np.array(z)
     assert abs(z.mean()) < 0.15 and 0.85 < z.var() < 1.15
     # eight or more beyond 3 would have probability below 0.3%
