@@ -23,7 +23,6 @@ from .trajectory import (
     DistributionBlock,
     JointDistribution,
     SampleStats,
-    distribution_to_csv,
     enumerate_block,
     enumerate_paths,
     sample,
@@ -45,7 +44,6 @@ from .analysis import (
     CumulantRatioRecord,
     Regime,
     WorkThreshold,
-    bound_reports_to_csv,
     classify_regime_array,
     cumulant_ratio_scan,
     efficiency_block,
@@ -53,10 +51,9 @@ from .analysis import (
     verify_bounds_block,
 )
 from .landauzener import (
-    ComparisonRow,
+    Comparison,
     CycleAverages,
     LZParams,
-    comparison_to_csv,
     lz_unitaries,
     monitored_averages,
     monitored_vs_unmonitored,

@@ -45,7 +45,6 @@ __all__ = [
     "BoundReport",
     "WorkThreshold",
     "CumulantRatioRecord",
-    "bound_reports_to_csv",
     "classify_regime_array",
     "positive_work_threshold",
     "efficiency_block",
@@ -333,17 +332,6 @@ def _bounds(beta, nu1, nu2, d, z, theta, flip, mode: str, branch: str) -> list[B
         spread = ~np.isnan(ratio)
         reports.append(_report("otto_sq_le_ratio", otto * otto, ratio, hopm & spread, otto_sq_mag))
     return reports
-
-
-def bound_reports_to_csv(reports, fileobj) -> None:
-    """Serialise the reports of one point (0-d blocks) with one row per
-    inequality; a negative zero prints as 0."""
-    fileobj.write("bound_name,left,right,applicable,satisfied,margin\n")
-    for r in reports:
-        fileobj.write(
-            f"{r.name},{r.left + 0.0:.17g},{r.right + 0.0:.17g},"
-            f"{str(r.applicable).lower()},{str(r.satisfied).lower()},{r.margin + 0.0:.17g}\n"
-        )
 
 
 class CumulantRatioRecord(NamedTuple):

@@ -3,13 +3,15 @@
 Every subcommand writes CSV (to --out or stdout) whose first line is a
 ``#``-comment recording the fully resolved configuration, so a rerun
 with the same inputs, on the same machine and numpy build,
-byte-reproduces the file.  Numbers are printed with 17 significant
-digits.  Every output path is opened before any text is written, and two
-outputs on one file are a configuration error.  ``classify`` and
+byte-reproduces the file.  Every table, side files included, goes
+through one writer (:func:`_write_table`): numbers print with 17
+significant digits, a negative zero as 0, and a field of codes prints
+its labels.  Every output path is opened before any text is written,
+and two outputs on one file are a configuration error.  ``classify`` and
 ``sweep`` write one grid table (:func:`_grid_table`): they evaluate, and
-so check, every point of their grid before writing any row, then format
-and write the rows one block of points at a time.  An invalid point
-leaves no output, and a table's text is never held in memory whole.
+so check, every point of their grid before writing any row.  An invalid
+point leaves no output, and rows are formatted and written one block at
+a time, so a table's text is never held in memory whole.
 
 Exit codes: 0 success (bound violations are data, not failures),
 2 configuration error, 3 physics-domain error.
@@ -20,7 +22,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import gc
-import io
 import math
 import os
 import stat
@@ -38,10 +39,15 @@ class ConfigError(Exception):
     pass
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
+# The printf conversion of a number, in a table and in the config comment:
+# 17 significant digits read back as the exact float.
+_NUMBER = "%.17g"
+
+
+def _numbers(values) -> list[float]:
+    """``values`` as Python floats, a negative zero made 0, so that it
+    prints as 0."""
+    return (np.asarray(values, dtype=float) + 0.0).tolist()
 
 
 def _read_config_file(path: str, known: dict) -> dict[str, str]:
@@ -215,9 +221,10 @@ def _resolve_theta(cfg: dict):
 
 def _config_comment(command: str, cfg: dict) -> str:
     parts = [f"command={command}"]
-    for key in sorted(cfg):
-        if cfg[key] is not None:
-            parts.append(f"{key.replace('_', '-')}={_fmt(cfg[key])}")
+    for key, value in sorted(cfg.items()):
+        if value is not None:
+            value = _NUMBER % value if isinstance(value, float) else value
+            parts.append(f"{key.replace('_', '-')}={value}")
     return "# " + " ".join(parts) + "\n"
 
 
@@ -326,11 +333,74 @@ def _output(cfg: dict, *paths: str):
         yield files if cfg.get("out") else [sys.stdout, *files]
 
 
-def _emit(cfg: dict, text) -> None:
-    """Write ``text``, a string or an iterable of strings, in order to --out
-    or stdout."""
+def _write_table(fh, comment: str, columns: list[tuple], blocks) -> None:
+    """Write one table to ``fh``: the ``#`` ``comment``, the header of
+    ``columns``, then one row per entry of each block of ``blocks``.
+
+    A block maps each column's field to its entries, an array or a
+    sequence.  A column is (header, printf conversion, field, labels): a
+    number (conversion ``_NUMBER``) reads back as the exact float, and a
+    negative zero prints as 0; a field of codes prints each code's label;
+    any other field prints its entries as they are.  At most
+    ``_BLOCK_POINTS`` rows are formatted at a time, whatever the size of
+    a block.
+    """
+    fh.write(comment + ",".join(header for header, *_ in columns) + "\n")
+    template = ",".join(conversion for _, conversion, _, _ in columns) + "\n"
+    for block in blocks:
+        for start in range(0, len(block[columns[0][2]]), _BLOCK_POINTS):
+            cells = []
+            for _, conversion, field, labels in columns:
+                entries = block[field][start:start + _BLOCK_POINTS]
+                if conversion == _NUMBER:
+                    cells.append(_numbers(entries))
+                elif labels:
+                    cells.append(map(labels.__getitem__, np.asarray(entries).tolist()))
+                else:
+                    cells.append(entries)
+            fh.write("".join([template % row for row in zip(*cells)]))
+
+
+def _emit(cfg: dict, command: str, columns: list[tuple], blocks) -> None:
+    """Write ``command``'s one table to --out or stdout."""
     with _output(cfg) as (fh,):
-        fh.writelines([text] if isinstance(text, str) else text)
+        _write_table(fh, _config_comment(command, cfg), columns, blocks)
+
+
+def _block(columns: list[tuple], rows) -> dict:
+    """The block of ``rows``, each the entries of ``columns`` in order."""
+    return {field: [row[j] for row in rows] for j, (_, _, field, _) in enumerate(columns)}
+
+
+def _number_columns(*names: str) -> list[tuple]:
+    return [(name, _NUMBER, name, ()) for name in names]
+
+
+# Each table's columns: header, printf conversion, the field that it
+# prints and, for a field of codes, each code's label.
+_KAPPAS = [f"{var}_k{n}" for var in ("w", "qm") for n in (1, 2, 3, 4)]
+_CUMULANTS = [("route", "%s", "route", ()), *_number_columns(*_KAPPAS, "qt_mean")]
+_DISTRIBUTION = _number_columns("w", "q_m", "prob")
+_BOOLEANS = ("false", "true")
+_BOUNDS = [("bound_name", "%s", "name", ()), *_number_columns("left", "right"),
+           ("applicable", "%s", "applicable", _BOOLEANS),
+           ("satisfied", "%s", "satisfied", _BOOLEANS), *_number_columns("margin")]
+# A sweep's cell of a bound, indexed by its code.
+_VERDICTS = ("ok", "violated", "n/a")
+# A grid table's columns after its axes, each printing a field of
+# _block_fields.  The "bounds" field stands for one column per bound.
+_REGIME = ("regime", "%s", "regime", analysis._REGIME_LABELS)
+_SWEEP = [*_number_columns(*_KAPPAS, "qt_mean", "w_rf", "efficiency"), _REGIME,
+          ("bounds", "%s", "bounds", _VERDICTS)]
+_CLASSIFY = [("w_mean", _NUMBER, "w_k1", ()), ("qm_mean", _NUMBER, "qm_k1", ()),
+             ("qt_mean", _NUMBER, "qt_mean", ()), _REGIME]
+_TALLY = [("bound_name", "%s", "bound_name", ()),
+          *[(name, "%d", name, ()) for name in ("satisfied", "violated", "inapplicable")]]
+_SAMPLE = [("variable", "%s", "variable", ()), *_number_columns(
+    "exact_mean", "empirical_mean", "mean_stderr", "z_mean",
+    "exact_var", "empirical_var", "var_stderr", "z_var")]
+_COMPARISON = [(name, "%s", name, analysis._REGIME_LABELS) if name.startswith("regime")
+               else (name, _NUMBER, name, ()) for name in landauzener.Comparison._fields]
 
 
 def _cmd_cumulants(cfg: dict) -> None:
@@ -338,60 +408,31 @@ def _cmd_cumulants(cfg: dict) -> None:
     params, flip, dist = _distribution(columns, branch)
     exact = cumulants.cumulants_from_block(dist)
     fd = cumulants.cf_derivative_check(params, flip)
-
-    buf = io.StringIO()
-    buf.write(_config_comment("cumulants", cfg))
-    buf.write(
-        "route,w_k1,w_k2,w_k3,w_k4,qm_k1,qm_k2,qm_k3,qm_k4,qt_mean\n"
-    )
-
-    def row(route, w, q, qt):
-        # + 0.0 prints a negative zero as 0
-        cells = [route] + [_fmt(v + 0.0) for v in (*w, *q, qt)]
-        buf.write(",".join(cells) + "\n")
-
-    def route_and_delta(route, w, q, qt):
-        row(route, w, q, qt)
-        row(route + "_delta", abs(w - exact.w), abs(q - exact.q_m), abs(qt - exact.qt_mean))
-
-    row("enumeration", exact.w, exact.q_m, exact.qt_mean)
     closed = cumulants.closed_form_first_second(params, flip)
+    nan = math.nan
     # the paper gives the coherently controlled closed forms for means only
-    w_var, qm_var = (math.nan, math.nan) if mode == "cs" else (closed.w_var, closed.qm_var)
-    route_and_delta(
-        "closed_form",
-        (closed.w_mean, w_var, math.nan, math.nan),
-        (closed.qm_mean, qm_var, math.nan, math.nan),
-        closed.qt_mean,
-    )
-    route_and_delta("cf_derivative", fd.w, fd.q_m, fd.qt_mean)
+    w_var, qm_var = (nan, nan) if mode == "cs" else (closed.w_var, closed.qm_var)
+    enumeration = np.concatenate((exact.w, exact.q_m, [exact.qt_mean]))
+    rows = [("enumeration", *enumeration)]
+    for route, values in (
+        ("closed_form",
+         [closed.w_mean, w_var, nan, nan, closed.qm_mean, qm_var, nan, nan, closed.qt_mean]),
+        ("cf_derivative", np.concatenate((fd.w, fd.q_m, [fd.qt_mean]))),
+    ):
+        rows += [(route, *values), (route + "_delta", *np.abs(np.subtract(values, enumeration)))]
 
-    dumps = []
+    # each table's path, columns and one block
+    tables = [(cfg.get("out"), _CUMULANTS, _block(_CUMULANTS, rows))]
     if cfg.get("dist_out"):
-        dumps.append((cfg["dist_out"], trajectory.distribution_to_csv, dist))
+        tables.append((cfg["dist_out"], _DISTRIBUTION, dist._asdict()))
     if cfg.get("bounds_out"):
         # the control column, alpha, is the seventh of a cs run
         reports = analysis.verify_bounds_block(*columns[:6], mode, *columns[6:], branch=branch)
-        dumps.append((cfg["bounds_out"], analysis.bound_reports_to_csv, reports))
-    with _output(cfg, *(path for path, _, _ in dumps)) as (out, *files):
-        out.write(buf.getvalue())
-        for fh, (_, write, data) in zip(files, dumps):
-            fh.write(_config_comment("cumulants", cfg))
-            write(data, fh)
-
-
-# A sweep's cell of a bound, indexed by its code.
-_VERDICTS = ("ok", "violated", "n/a")
-_KAPPAS = [f"{var}_k{n}" for var in ("w", "qm") for n in (1, 2, 3, 4)]
-
-# A grid table's columns after its axes: header, printf conversion, the
-# field of _block_fields that it prints and, for a field of codes, each
-# code's label.  The "bounds" field stands for one column per bound.
-_REGIME = ("regime", "%s", "regime", analysis._REGIME_LABELS)
-_NUMBERS = [(name, "%.17g", name, ()) for name in (*_KAPPAS, "qt_mean", "w_rf", "efficiency")]
-_SWEEP = [*_NUMBERS, _REGIME, ("bounds", "%s", "bounds", _VERDICTS)]
-_CLASSIFY = [("w_mean", "%.17g", "w_k1", ()), ("qm_mean", "%.17g", "qm_k1", ()),
-             ("qt_mean", "%.17g", "qt_mean", ()), _REGIME]
+        tables.append((cfg["bounds_out"], _BOUNDS, _block(_BOUNDS, reports)))
+    comment = _config_comment("cumulants", cfg)
+    with _output(cfg, *(path for path, _, _ in tables[1:])) as files:
+        for fh, (_, layout, block) in zip(files, tables):
+            _write_table(fh, comment, layout, [block])
 
 
 def _relative(k2: float, k1: float) -> float:
@@ -453,25 +494,21 @@ def _grid_table(cfg: dict, command: str, axes: list, columns: list[tuple]) -> No
                               mode, branch, wanted))
         for start in range(0, size, _BLOCK_POINTS)
     ]
-    template = "%s," * len(axes) + ",".join(conversion for _, conversion, _, _ in columns) + "\n"
 
-    def lines():
-        yield _config_comment(command, cfg)
-        yield ",".join([axis for axis, _ in axes] + [header for header, *_ in columns]) + "\n"
+    def with_axes():
         for start, fields in blocks:
             index = np.unravel_index(np.arange(start, min(start + _BLOCK_POINTS, size)), shape)
-            cells = []
-            for (_, values), i in zip(axes, index):
-                # each axis value the block reaches is formatted once
+            # each axis value the block reaches is formatted once, into a
+            # dict of the block's own: the held blocks keep no text
+            block = dict(fields)
+            for (axis, values), i in zip(axes, index):
                 low = i.min()
-                text = [_fmt(v) for v in values[low:i.max() + 1].tolist()]
-                cells.append(map(text.__getitem__, (i - low).tolist()))
-            for _, _, field, labels in columns:
-                cell = fields[field].tolist()
-                cells.append(map(labels.__getitem__, cell) if labels else cell)
-            yield "".join([template % row for row in zip(*cells)])
+                text = [_NUMBER % v for v in _numbers(values[low:i.max() + 1])]
+                block[axis] = list(map(text.__getitem__, (i - low).tolist()))
+            yield block
 
-    _emit(cfg, lines())
+    axis_columns = [(axis, "%s", axis, ()) for axis, _ in axes]
+    _emit(cfg, command, axis_columns + columns, with_axes())
 
 
 def _cmd_sweep(cfg: dict) -> None:
@@ -677,11 +714,8 @@ def _cmd_verify_bounds(cfg: dict) -> None:
                 slot[0] += int(np.count_nonzero(rep.applicable & rep.satisfied))
                 slot[1] += int(np.count_nonzero(rep.applicable & ~rep.satisfied))
                 slot[2] += int(np.count_nonzero(~rep.applicable))
-    lines = ["bound_name,satisfied,violated,inapplicable"]
-    for name in sorted(counts):
-        sat, vio, inap = counts[name]
-        lines.append(f"{name},{sat},{vio},{inap}")
-    _emit(cfg, _config_comment("verify-bounds", cfg) + "\n".join(lines) + "\n")
+    rows = [(name, *counts[name]) for name in sorted(counts)]
+    _emit(cfg, "verify-bounds", _TALLY, [_block(_TALLY, rows)])
 
 
 def _cmd_sample(cfg: dict) -> None:
@@ -690,8 +724,7 @@ def _cmd_sample(cfg: dict) -> None:
     seed = cfg.get("seed") or 0
     stats = trajectory.sample(dist, n, seed)
     exact = cumulants.cumulants_from_block(dist)
-    lines = ["variable,exact_mean,empirical_mean,mean_stderr,z_mean,"
-             "exact_var,empirical_var,var_stderr,z_var"]
+    rows = []
 
     def zscore(diff: float, stderr: float) -> float:
         if stderr > 0.0:
@@ -704,12 +737,11 @@ def _cmd_sample(cfg: dict) -> None:
         # cumulants: Var(mean) = k2/n, Var(variance) ~ (k4 + 2 k2^2)/n
         mean_err = math.sqrt(max(k2, 0.0) / n)
         var_err = math.sqrt(max(k4 + 2.0 * k2 * k2, 0.0) / n)
-        values = (
-            k1, summary.mean, mean_err, zscore(summary.mean - k1, mean_err),
+        rows.append((
+            label, k1, summary.mean, mean_err, zscore(summary.mean - k1, mean_err),
             k2, summary.variance, var_err, zscore(summary.variance - k2, var_err),
-        )
-        lines.append(label + "," + ",".join(_fmt(v) for v in values))
-    _emit(cfg, _config_comment("sample", cfg) + "\n".join(lines) + "\n")
+        ))
+    _emit(cfg, "sample", _SAMPLE, [_block(_SAMPLE, rows)])
 
 
 def _cmd_lz_compare(cfg: dict) -> None:
@@ -719,10 +751,8 @@ def _cmd_lz_compare(cfg: dict) -> None:
         beta, nu1, nu2, float(values[0]),
         cfg.get("phi") or 0.0, alpha_m, cfg.get("chi") or 0.0,
     )
-    rows = landauzener.monitored_vs_unmonitored(base, values)
-    with _output(cfg) as (fh,):
-        fh.write(_config_comment("lz-compare", cfg))
-        landauzener.comparison_to_csv(rows, fh)
+    comparison = landauzener.monitored_vs_unmonitored(base, values)
+    _emit(cfg, "lz-compare", _COMPARISON, [comparison._asdict()])
 
 
 _COMMANDS = {

@@ -23,7 +23,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .analysis import Regime, _quotient, classify_regime_array
+from .analysis import _quotient, classify_regime_array
 from .cumulants import _closed_form, closed_form_block
 from .qstate import MeasurementChannel, _Checked, hamiltonian, thermal_state
 from .trajectory import CycleParams
@@ -31,13 +31,12 @@ from .trajectory import CycleParams
 __all__ = [
     "LZParams",
     "CycleAverages",
-    "ComparisonRow",
+    "Comparison",
     "lz_unitaries",
     "unmonitored_cycle",
     "qm_unmonitored_closed_form",
     "monitored_averages",
     "monitored_vs_unmonitored",
-    "comparison_to_csv",
 ]
 
 
@@ -221,17 +220,21 @@ def _monitored_magnitudes(params: LZParams, delta) -> tuple:
     return mag.w_mean, mag.qm_mean, mag.qt_mean
 
 
-class ComparisonRow(NamedTuple):
-    delta: float
-    w_mon: float
-    eta_mon: float
-    regime_mon: Regime
-    w_um: float
-    eta_um: float
-    regime_um: Regime
+class Comparison(NamedTuple):
+    """Work, efficiency and regime of both cycle variants over a delta
+    column: arrays of the column's length, the regimes as int8
+    :class:`~unital_otto.analysis.Regime` codes."""
+
+    delta: np.ndarray
+    w_mon: np.ndarray
+    eta_mon: np.ndarray
+    regime_mon: np.ndarray
+    w_um: np.ndarray
+    eta_um: np.ndarray
+    regime_um: np.ndarray
 
 
-def monitored_vs_unmonitored(params: LZParams, deltas: Iterable[float]) -> list[ComparisonRow]:
+def monitored_vs_unmonitored(params: LZParams, deltas: Iterable[float]) -> Comparison:
     """Work, efficiency and regime of both cycle variants over a delta grid,
     each variant evaluated as one block over the whole column; regimes are
     those of :func:`~unital_otto.analysis.classify_regime_array`."""
@@ -239,27 +242,8 @@ def monitored_vs_unmonitored(params: LZParams, deltas: Iterable[float]) -> list[
     um = unmonitored_cycle(params, delta)
     mon = _monitored_from(params, delta, um)
 
-    def regimes(avg: CycleAverages, magnitudes: tuple):
-        codes = classify_regime_array(avg.w, avg.q_m, avg.q_t, params.cycle.beta, magnitudes)
-        return map(Regime, codes.tolist())
+    def regimes(avg: CycleAverages, magnitudes: tuple) -> np.ndarray:
+        return classify_regime_array(avg.w, avg.q_m, avg.q_t, params.cycle.beta, magnitudes)
 
-    columns = (
-        delta.tolist(),
-        mon.w.tolist(),
-        mon.eta.tolist(),
-        regimes(mon, _monitored_magnitudes(params, delta)),
-        um.w.tolist(),
-        um.eta.tolist(),
-        regimes(um, _trace_bounds(params.cycle)),
-    )
-    return [ComparisonRow(*row) for row in zip(*columns)]
-
-
-def comparison_to_csv(rows: Iterable[ComparisonRow], fileobj) -> None:
-    fileobj.write("delta,w_mon,eta_mon,regime_mon,w_um,eta_um,regime_um\n")
-    for r in rows:
-        # + 0.0 prints a negative zero as 0
-        fileobj.write(
-            f"{r.delta + 0.0:.17g},{r.w_mon + 0.0:.17g},{r.eta_mon + 0.0:.17g},{r.regime_mon},"
-            f"{r.w_um + 0.0:.17g},{r.eta_um + 0.0:.17g},{r.regime_um}\n"
-        )
+    return Comparison(delta, mon.w, mon.eta, regimes(mon, _monitored_magnitudes(params, delta)),
+                      um.w, um.eta, regimes(um, _trace_bounds(params.cycle)))

@@ -51,7 +51,6 @@ __all__ = [
     "enumerate_paths",
     "enumerate_block",
     "sample",
-    "distribution_to_csv",
 ]
 
 _CLAMP_TOL = 1e-10
@@ -328,6 +327,8 @@ def sample(dist: JointDistribution, n: int, seed: int) -> SampleStats:
     """
     if n < 1:
         raise ValueError("need at least one draw")
+    if n > 2**63 - 1:  # the most that numpy's multinomial draw counts
+        raise ValueError("need at most 2**63 - 1 draws")
     rng = np.random.default_rng(seed)
     # partial sums clamped at 1, so that no leading outcomes hold more than
     # everything; the last outcome takes what the others leave
@@ -343,9 +344,3 @@ def sample(dist: JointDistribution, n: int, seed: int) -> SampleStats:
 
     return SampleStats(count=n, seed=seed, w=moments(dist.w), q_m=moments(dist.q_m))
 
-
-def distribution_to_csv(dist: JointDistribution, fileobj) -> None:
-    """Write outcomes as CSV rows ``w,q_m,prob`` (17 significant digits)."""
-    fileobj.write("w,q_m,prob\n")
-    for w, q, p in zip(dist.w, dist.q_m, dist.prob):
-        fileobj.write(f"{w:.17g},{q:.17g},{p:.17g}\n")

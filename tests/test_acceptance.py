@@ -349,8 +349,8 @@ def test_criterion_8_landau_zener():
 
     grid = np.linspace(0.0, 1.0, 101)
     equal_gap = LZParams.build(0.5, 0.4, 0.4, 0.0, 0.0, math.pi / 4, 0.0)
-    rows_a = monitored_vs_unmonitored(equal_gap, grid)
-    fig6a_ok = max(r.w_mon for r in rows_a) <= 1e-12 and any(r.w_um > 1e-9 for r in rows_a)
+    table_a = monitored_vs_unmonitored(equal_gap, grid)
+    fig6a_ok = table_a.w_mon.max() <= 1e-12 and (table_a.w_um > 1e-9).any()
 
     otto_ok = True
     exceeds = False
@@ -359,12 +359,11 @@ def test_criterion_8_landau_zener():
         LZParams.build(0.5, 0.4, 0.9, 0.0, 0.1, math.pi / 3, 0.1),
     ):
         otto = 1.0 - spec.cycle.nu1 / spec.cycle.nu2
-        rows = monitored_vs_unmonitored(spec, np.linspace(0.001, 0.999, 199))
-        for r in rows:
-            if r.regime_mon is Regime.ENGINE and r.eta_mon > otto + 1e-12:
-                otto_ok = False
-            if r.regime_um is Regime.ENGINE and r.eta_um > otto + 1e-9:
-                exceeds = True
+        table = monitored_vs_unmonitored(spec, np.linspace(0.001, 0.999, 199))
+        if (table.eta_mon[table.regime_mon == Regime.ENGINE] > otto + 1e-12).any():
+            otto_ok = False
+        if (table.eta_um[table.regime_um == Regime.ENGINE] > otto + 1e-9).any():
+            exceeds = True
     ok = formula_ok and fig6a_ok and otto_ok and exceeds
     report(
         8,

@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import io
 import math
 import os
 import shlex
@@ -12,7 +13,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from unital_otto import CycleParams, LZParams, Regime, enumerate_paths, monitored_vs_unmonitored
+from unital_otto import cli
 from unital_otto.cli import _COMMANDS, _merge_config, _run, build_parser, main
 
 
@@ -428,6 +433,123 @@ def test_dist_dump(tmp_path, capsys):
     assert sum(probs) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_csv_round_trip(tmp_path, capsys):
+    dump = tmp_path / "dist.csv"
+    argv = ("--beta 0.7 --nu1 1 --nu2 2 --delta 0.1 --zeta 0.2 --theta 0.3 "
+            f"--out {os.devnull} --dist-out {dump}").split()
+    assert run(capsys, "cumulants", *argv) == (0, "", "")
+    dist = enumerate_paths(CycleParams(0.7, 1.0, 2.0, 0.1, 0.2), 0.3)
+    lines = dump.read_text().splitlines()
+    assert lines[1] == "w,q_m,prob"
+    rows = [line.split(",") for line in lines[2:]]
+    assert len(rows) == dist.w.size
+    for (w_text, q_text, p_text), w, q, p in zip(rows, dist.w, dist.q_m, dist.prob):
+        assert float(w_text) == w
+        assert float(q_text) == q
+        assert float(p_text) == p  # 17 significant digits round-trip
+
+
+def test_comparison_csv_header(capsys):
+    code, out, err = run(
+        capsys, "lz-compare", "--beta", "0.5", "--nu1", "0.4", "--nu2", "0.4",
+        "--alpha-m", repr(math.pi / 4), "--axis", "delta", "--start", "0", "--stop", "0.5",
+        "--steps", "2",
+    )
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[1] == "delta,w_mon,eta_mon,regime_mon,w_um,eta_um,regime_um"
+    assert len(lines) == 4
+    table = monitored_vs_unmonitored(
+        LZParams.build(0.5, 0.4, 0.4, 0.0, 0.0, math.pi / 4, 0.0), [0.0, 0.5]
+    )
+    for i, line in enumerate(lines[2:]):
+        cells = line.split(",")
+        assert {cells[3], cells[6]} <= {str(r) for r in Regime}
+        assert [cells[3], cells[6]] == [str(Regime(table.regime_mon[i])),
+                                        str(Regime(table.regime_um[i]))]
+        numbers = [float(cells[j]) for j in (0, 1, 2, 4, 5)]
+        want = [table.delta[i], table.w_mon[i], table.eta_mon[i], table.w_um[i], table.eta_um[i]]
+        assert np.array_equal(numbers, want, equal_nan=True)
+
+
+# Every layout the table writer prints, by the command and output that
+# print it; a grid table's axes come first, as axis columns.
+TABLE_LAYOUTS = {
+    "cumulants": cli._CUMULANTS,
+    "cumulants --dist-out": cli._DISTRIBUTION,
+    "cumulants --bounds-out": cli._BOUNDS,
+    "sweep": [("delta", "%s", "delta", ()), *cli._SWEEP],
+    "classify": [("delta", "%s", "delta", ()), ("theta", "%s", "theta", ()), *cli._CLASSIFY],
+    "verify-bounds": cli._TALLY,
+    "sample": cli._SAMPLE,
+    "lz-compare": cli._COMPARISON,
+}
+
+
+def _table(columns, blocks) -> list[list[str]]:
+    buf = io.StringIO()
+    cli._write_table(buf, "# comment\n", columns, blocks)
+    lines = buf.getvalue().splitlines()
+    assert lines[:2] == ["# comment", ",".join(header for header, *_ in columns)]
+    return [line.split(",") for line in lines[2:]]
+
+
+@pytest.mark.parametrize("layout", TABLE_LAYOUTS)
+def test_every_table_prints_negative_zero_as_0_and_codes_as_labels(layout):
+    columns = TABLE_LAYOUTS[layout]
+    # two rows: every number -0.0 and then 1.5, every code 0 and then its
+    # last, every other field as it is
+    block = {}
+    for _, conversion, field, labels in columns:
+        if conversion == cli._NUMBER:
+            block[field] = np.array([-0.0, 1.5])
+        elif labels:
+            block[field] = np.array([0, len(labels) - 1], dtype=np.int8)
+        else:
+            block[field] = ["x", "y"] if conversion == "%s" else [3, 4]
+    rows = _table(columns, [block])
+    assert len(rows) == 2
+    for j, (_, conversion, field, labels) in enumerate(columns):
+        if conversion == cli._NUMBER:
+            assert [row[j] for row in rows] == ["0", "1.5"]
+        elif labels:
+            assert [row[j] for row in rows] == [labels[0], labels[-1]]
+        else:
+            assert [row[j] for row in rows] == (["x", "y"] if conversion == "%s" else ["3", "4"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=3 * cli._BLOCK_POINTS))
+def test_every_number_cell_parses_back_to_its_float(values):
+    # more rows than one block: the writer formats a block at a time
+    rows = _table(cli._number_columns("x"), [{"x": np.array(values)}])
+    assert len(rows) == len(values)
+    for (text,), value in zip(rows, values):
+        assert float(text) == value and text != "-0"
+
+
+def test_grid_tables_print_no_negative_zero(capsys):
+    # at beta < 0, delta = zeta = theta = 1/2 the efficiency W / Q_M is
+    # -0.0 / Q_M, a negative zero
+    code, out, _ = run(
+        capsys, "sweep", "--beta", "-1.3", "--nu1", "1", "--nu2", "2", "--delta", "0.5",
+        "--zeta", "0.5", "--theta", "0.5", "--axis", "delta", "--start", "0", "--stop", "1",
+        "--steps", "37",
+    )
+    assert code == 0
+    header, *rows = (line.split(",") for line in out.splitlines()[1:])
+    assert "0" in [row[header.index("efficiency")] for row in rows]
+    assert "-0" not in [cell for row in rows for cell in row]
+    # an axis that stops at -0.0 ends on it
+    base = ["--beta", "0.7", "--nu1", "1", "--nu2", "2", "--delta", "0.1", "--zeta", "0.1",
+            "--theta", "0.3", "--axis", "beta", "--start", "-1", "--stop", "-0.0", "--steps", "3"]
+    for grid in ([], ["--axis2", "theta", "--start2", "0", "--stop2", "0.5", "--steps2", "2"]):
+        code, out, _ = run(capsys, "classify" if grid else "sweep", *base, *grid)
+        assert code == 0
+        beta = [line.split(",")[0] for line in out.splitlines()[2:]]
+        assert beta[-1] == "0" and "-0" not in beta
+
+
 @pytest.mark.parametrize("target", ["missing", "directory"])
 @pytest.mark.parametrize("flag", ["--out", "--dist-out", "--bounds-out"])
 def test_unwritable_output_path_is_config_error(flag, target, tmp_path, capsys):
@@ -680,6 +802,11 @@ def test_explicit_zero_samples_is_not_the_default(capsys):
     )
     assert (code, out) == (2, "")
     assert "at least one draw" in err
+    # beyond the most that numpy's multinomial draw counts
+    code, out, err = run(
+        capsys, "sample", *BASE, "--theta", "0.2", "--samples", str(2**63), "--seed", "1"
+    )
+    assert (code, out, err) == (2, "", "config error: need at most 2**63 - 1 draws\n")
     for samples in ("0", "-3"):
         code, out, err = run(capsys, "verify-bounds", "--samples", samples)
         assert (code, out) == (2, "")

@@ -1,6 +1,5 @@
 """Monitored vs unmonitored Landau-Zener cycle."""
 
-import io
 import math
 
 import numpy as np
@@ -14,7 +13,6 @@ from unital_otto import (
     MeasurementChannel,
     Regime,
     classify_regime_array,
-    comparison_to_csv,
     cumulants_from_block,
     enumerate_paths,
     hamiltonian,
@@ -132,32 +130,32 @@ def test_phases_enter_only_through_their_sum():
 
 def test_equal_gaps_only_unmonitored_engine():
     p = build(0.0, **FIG6A)
-    rows = monitored_vs_unmonitored(p, np.linspace(0.0, 1.0, 101))
-    assert max(r.w_mon for r in rows) <= 1e-12
-    assert any(r.w_um > 1e-6 for r in rows)
-    assert all(r.regime_mon is not Regime.ENGINE for r in rows)
-    assert any(r.regime_um is Regime.ENGINE for r in rows)
+    table = monitored_vs_unmonitored(p, np.linspace(0.0, 1.0, 101))
+    assert table.w_mon.max() <= 1e-12
+    assert (table.w_um > 1e-6).any()
+    assert not (table.regime_mon == Regime.ENGINE).any()
+    assert (table.regime_um == Regime.ENGINE).any()
 
 
 def test_monitored_efficiency_under_otto_unmonitored_can_exceed():
     p = build(0.0, **FIG6F)
     otto = 1.0 - FIG6F["nu1"] / FIG6F["nu2"]
-    rows = monitored_vs_unmonitored(p, np.linspace(0.001, 0.999, 199))
-    mon_engine = [r.eta_mon for r in rows if r.regime_mon is Regime.ENGINE]
-    um_engine = [r.eta_um for r in rows if r.regime_um is Regime.ENGINE]
-    assert mon_engine and max(mon_engine) <= otto + 1e-12
-    assert max(um_engine) > otto
+    table = monitored_vs_unmonitored(p, np.linspace(0.001, 0.999, 199))
+    mon_engine = table.eta_mon[table.regime_mon == Regime.ENGINE]
+    um_engine = table.eta_um[table.regime_um == Regime.ENGINE]
+    assert mon_engine.size and mon_engine.max() <= otto + 1e-12
+    assert um_engine.max() > otto
 
 
-def test_comparison_csv_header():
-    p = build(0.0, **FIG6A)
-    rows = monitored_vs_unmonitored(p, [0.0, 0.5])
-    buf = io.StringIO()
-    comparison_to_csv(rows, buf)
-    lines = buf.getvalue().strip().split("\n")
-    assert lines[0] == "delta,w_mon,eta_mon,regime_mon,w_um,eta_um,regime_um"
-    assert len(lines) == 3
-    assert lines[1].split(",")[3] in {str(r) for r in Regime}
+def test_comparison_is_columns():
+    deltas = [0.0, 0.25, 0.5]
+    table = monitored_vs_unmonitored(build(0.0, **FIG6F), deltas)
+    assert table._fields == (
+        "delta", "w_mon", "eta_mon", "regime_mon", "w_um", "eta_um", "regime_um"
+    )
+    assert all(isinstance(column, np.ndarray) and column.shape == (3,) for column in table)
+    assert table.delta.tolist() == deltas
+    assert table.regime_mon.dtype == table.regime_um.dtype == np.int8
 
 
 def test_one_block_propagation_per_table(monkeypatch):
@@ -179,13 +177,13 @@ def test_one_block_propagation_per_table(monkeypatch):
     counted(landauzener, "thermal_state")
     counted(landauzener, "hamiltonian")
     counted(qstate.MeasurementChannel, "kraus_ops")
-    rows = monitored_vs_unmonitored(base, deltas)
+    table = monitored_vs_unmonitored(base, deltas)
     # the state, both Hamiltonians and the projectors are built once per table
     assert sorted(calls) == sorted(
         ["unmonitored_cycle", "thermal_state", "hamiltonian", "hamiltonian", "kraus_ops"]
     )
-    for row, (mon, um) in zip(rows, want):
-        got = [row.w_mon, row.eta_mon, row.w_um, row.eta_um]
+    for i, (mon, um) in enumerate(want):
+        got = [table.w_mon[i], table.eta_mon[i], table.w_um[i], table.eta_um[i]]
         assert np.array_equal(got, [mon.w, mon.eta, um.w, um.eta], equal_nan=True)
 
 
@@ -222,7 +220,7 @@ def _random_tables(seed, count):
 def test_block_rows_equal_the_per_row_propagation_bitwise():
     for base, deltas in _random_tables(7, 40):
         block = unmonitored_cycle(base, deltas)
-        rows = monitored_vs_unmonitored(base, deltas)
+        table = monitored_vs_unmonitored(base, deltas)
         for i, delta in enumerate(deltas.tolist()):
             e1, e2, e3, e4 = _per_row_cycle(base.with_delta(delta))
             q_m, q_t = e3 - e2, e1 - e4
@@ -232,10 +230,10 @@ def test_block_rows_equal_the_per_row_propagation_bitwise():
             assert [(x, math.copysign(1.0, x)) for x in got] == [
                 (x, math.copysign(1.0, x)) for x in want
             ]
-            assert rows[i].w_um == want[4]
+            assert table.w_um[i] == want[4]
             # the trace bound of Q_M = E3 - E2
             residue = is_rounding_residue(q_m, 2.0 * base.cycle.nu2)
-            assert np.array_equal(rows[i].eta_um, math.nan if residue else want[4] / q_m, equal_nan=True)
+            assert np.array_equal(table.eta_um[i], math.nan if residue else want[4] / q_m, equal_nan=True)
 
 
 def test_block_heat_matches_the_closed_form_on_random_tables():
@@ -256,12 +254,12 @@ def test_invalid_delta_fails_at_the_first_failing_point():
 def test_comparison_rows_are_the_single_point_averages():
     # the table takes its monitored means from one block of closed forms
     deltas = np.linspace(0.0, 1.0, 41)
-    rows = monitored_vs_unmonitored(build(0.0, **FIG6F), deltas)
-    for row, delta in zip(rows, deltas.tolist()):
+    table = monitored_vs_unmonitored(build(0.0, **FIG6F), deltas)
+    for i, delta in enumerate(deltas.tolist()):
         point = build(delta, **FIG6F)
         mon, um = monitored_averages(point, delta), unmonitored_cycle(point, delta)
-        got = [row.delta, row.w_mon, row.eta_mon, row.w_um, row.eta_um]
+        got = [table.delta[i], table.w_mon[i], table.eta_mon[i], table.w_um[i], table.eta_um[i]]
         assert np.array_equal(got, [delta, mon.w, mon.eta, um.w, um.eta], equal_nan=True)
         magnitudes = _monitored_magnitudes(point, delta)
         regime = classify_regime_array(mon.w, mon.q_m, mon.q_t, FIG6F["beta"], magnitudes)
-        assert row.regime_mon == regime.item()
+        assert table.regime_mon[i] == regime.item()

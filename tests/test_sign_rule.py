@@ -230,5 +230,5 @@ def test_landauzener_flows_use_the_trace_bound():
         avg = landauzener.unmonitored_cycle(base, 0.5)
         assert avg.q_m != 0.0 and abs(avg.q_m) <= 64.0 * np.finfo(float).eps * 0.9 * s
         assert math.isnan(avg.eta)
-        row = landauzener.monitored_vs_unmonitored(base, [0.5])[0]
-        assert row.regime_um is Regime.UNDETERMINED and row.regime_mon is Regime.UNDETERMINED
+        table = landauzener.monitored_vs_unmonitored(base, [0.5])
+        assert table.regime_um.tolist() == table.regime_mon.tolist() == [Regime.UNDETERMINED]
