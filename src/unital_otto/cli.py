@@ -2,16 +2,20 @@
 
 Every subcommand writes CSV (to --out or stdout) whose first line is a
 ``#``-comment recording the fully resolved configuration, so a rerun
-with the same inputs, on the same machine and numpy build,
-byte-reproduces the file.  Every table, side files included, goes
-through one writer (:func:`_write_table`): numbers print with 17
-significant digits, a negative zero as 0, and a field of codes prints
-its labels.  Every output path is opened before any text is written,
-and two outputs on one file are a configuration error.  ``classify`` and
+with the same inputs, on the same machine, Python version and numpy
+build, byte-reproduces the file (``sample`` draws from the standard
+library's MT19937 stream, ``verify-bounds`` from numpy's PCG64).  Every
+table, side files included, goes through one writer
+(:func:`_write_table`): numbers print with 17 significant digits, a
+negative zero as 0, and a field of codes prints its labels.  Every
+output path is opened before any text is written, and two outputs on
+one file are a configuration error.  ``classify`` and
 ``sweep`` write one grid table (:func:`_grid_table`): they evaluate, and
 so check, every point of their grid before writing any row.  An invalid
 point leaves no output, and rows are formatted and written one block at
-a time, so a table's text is never held in memory whole.
+a time, so a table's text is never held in memory whole.  ``lz-compare``
+checks its whole delta column, then evaluates and writes it a block at a
+time.
 
 Exit codes: 0 success (bound violations are data, not failures),
 2 configuration error, 3 physics-domain error.
@@ -751,8 +755,10 @@ def _cmd_lz_compare(cfg: dict) -> None:
         beta, nu1, nu2, float(values[0]),
         cfg.get("phi") or 0.0, alpha_m, cfg.get("chi") or 0.0,
     )
-    comparison = landauzener.monitored_vs_unmonitored(base, values)
-    _emit(cfg, "lz-compare", _COMPARISON, [comparison._asdict()])
+    landauzener._checked_deltas(base, values)
+    blocks = (landauzener.monitored_vs_unmonitored(base, values[i:i + _BLOCK_POINTS])._asdict()
+              for i in range(0, values.size, _BLOCK_POINTS))
+    _emit(cfg, "lz-compare", _COMPARISON, blocks)
 
 
 _COMMANDS = {

@@ -129,10 +129,7 @@ def unmonitored_cycle(params: LZParams, delta) -> CycleAverages:
     the same inputs the rounding of each flow stays below 2 eps nu.  A
     heat that is a rounding residue of 2 nu2 has no efficiency.
     """
-    delta = np.asarray(delta, dtype=float)
-    invalid = ~((delta >= 0.0) & (delta <= 1.0))
-    if invalid.any():
-        params.with_delta(float(delta.flat[np.argmax(invalid)]))
+    delta = _checked_deltas(params, delta)
     cyc = params.cycle
     u, v = lz_unitaries(delta, params.phi)
     h1 = hamiltonian(cyc.nu1)
@@ -150,6 +147,16 @@ def unmonitored_cycle(params: LZParams, delta) -> CycleAverages:
     w = q_m + q_t
     eta = _quotient(w, q_m, *_trace_bounds(cyc)[:2])[0]
     return CycleAverages(e1=e1, e2=e2, e3=e3, e4=e4, w=w, q_m=q_m, q_t=q_t, eta=eta)
+
+
+def _checked_deltas(params: LZParams, delta) -> np.ndarray:
+    """``delta`` as a float array, every entry checked: the first one
+    outside [0, 1] (in C order) raises its :class:`LZParams` error."""
+    delta = np.asarray(delta, dtype=float)
+    invalid = ~((delta >= 0.0) & (delta <= 1.0))
+    if invalid.any():
+        params.with_delta(float(delta.flat[np.argmax(invalid)]))
+    return delta
 
 
 def _trace_bounds(cycle: CycleParams) -> tuple:

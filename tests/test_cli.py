@@ -256,6 +256,11 @@ def test_sample_reproducible_and_calibrated(tmp_path):
             assert abs(float(cells[8])) < 5.0  # z of the variance
 
 
+def test_sample_negative_seed_is_config_error(capsys):
+    code, out, err = run(capsys, "sample", *BASE, "--theta", "0.2", "--seed", "-3")
+    assert (code, out, err) == (2, "", "config error: expected non-negative integer\n")
+
+
 def test_sample_z_scores_of_an_undrawn_rare_outcome_are_finite(capsys):
     # p ~ 2e-9 for the one outcome with work, so 1e6 draws never hit it: the
     # empirical mean and variance are 0, and each z is its row's difference
@@ -350,19 +355,23 @@ def test_invalid_point_in_the_last_block_leaves_no_output(tmp_path, capsys):
 def test_grid_memory_does_not_grow_with_the_text(tmp_path, capsys):
     # rows go out one block at a time: what is held is each point's printed
     # numbers and codes, about 25 bytes a point for classify and 95 for
-    # sweep, not the 4 MB or 11 MB of text
-    base = ["--beta", "0.7", "--nu1", "1", "--nu2", "2", "--delta", "0", "--zeta", "0",
-            "--theta", "0.2", "--axis", "delta", "--start", "0", "--stop", "0.5"]
+    # sweep, not the 4 MB or 11 MB of text; lz-compare holds its delta
+    # column and evaluates it one block at a time
+    gaps = ["--beta", "0.7", "--nu1", "1", "--nu2", "2"]
+    base = [*gaps, "--delta", "0", "--zeta", "0", "--theta", "0.2",
+            "--axis", "delta", "--start", "0", "--stop", "0.5"]
     grids = {
-        "classify": ["--steps", "201", "--axis2", "theta", "--start2", "0", "--stop2", "1",
-                     "--steps2", "201"],
-        "sweep": ["--steps", str(201 * 201)],
+        "classify": [*base, "--steps", "201", "--axis2", "theta", "--start2", "0",
+                     "--stop2", "1", "--steps2", "201"],
+        "sweep": [*base, "--steps", str(201 * 201)],
+        "lz-compare": [*gaps, "--alpha-m", "1", "--axis", "delta", "--start", "0",
+                       "--stop", "1", "--steps", str(201 * 201)],
     }
     for command, grid in grids.items():
         out = tmp_path / f"{command}.csv"
         tracemalloc.start()
         try:
-            code = main([command, *base, *grid, "--out", str(out)])
+            code = main([command, *grid, "--out", str(out)])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -802,7 +811,7 @@ def test_explicit_zero_samples_is_not_the_default(capsys):
     )
     assert (code, out) == (2, "")
     assert "at least one draw" in err
-    # beyond the most that numpy's multinomial draw counts
+    # beyond the most draws the sampler counts
     code, out, err = run(
         capsys, "sample", *BASE, "--theta", "0.2", "--samples", str(2**63), "--seed", "1"
     )
@@ -965,6 +974,32 @@ print(imported, gc.get_freeze_count())
     assert proc.returncode == 0, proc.stderr
     imported, frozen = map(int, proc.stdout.split())
     assert frozen >= imported > 10000
+
+
+def test_only_verify_bounds_imports_numpy_random():
+    # numpy.random (its legacy mtrand, four bit generators and, through
+    # secrets, OpenSSL's hashes) costs a run about 16 ms and 6 MB: only
+    # verify-bounds, whose campaign is numpy's PCG64 stream, imports it
+    axis = ["--axis", "delta", "--start", "0", "--stop", "0.5", "--steps", "3"]
+    runs = {
+        "cumulants": [*POINT],
+        "sweep": [*POINT, *axis],
+        "classify": [*POINT, *axis, "--axis2", "theta", "--start2", "0", "--stop2", "1",
+                     "--steps2", "3"],
+        "verify-bounds": ["--samples", "10", "--seed", "1"],
+        "sample": [*POINT, "--samples", "1000", "--seed", "1"],
+        "lz-compare": [*POINT[:6], "--alpha-m", "1", *axis],
+    }
+    assert runs.keys() == _COMMANDS.keys()
+    for command, argv in runs.items():
+        proc = fresh_python("-c", f"""
+import os, sys
+from unital_otto.cli import main
+assert main({[command, *argv, "--out", os.devnull]!r}) == 0
+print("numpy.random" in sys.modules)
+""")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"{command == 'verify-bounds'}\n", command
 
 
 def test_a_second_run_in_one_process_freezes_nothing(capsys):

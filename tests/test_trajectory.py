@@ -1,7 +1,9 @@
 """Path enumeration, the backward and controlled cycles and the sampler."""
 
 import math
+import random
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from unital_otto import (
     enumerate_paths,
     sample,
 )
+from unital_otto.trajectory import _binomial
 
 from conftest import cycle_params, probs, sample_errors
 
@@ -196,8 +199,13 @@ def test_sampler_moments_are_those_of_the_draws():
     dist = enumerate_paths(CycleParams(0.7, 1.0, 2.0, 0.1, 0.2), 0.3)
     assert np.cumsum(dist.prob)[-2] <= 1.0  # the clamp leaves this distribution as it is
     stats = sample(dist, 20000, seed=11)
-    # the same stream's one multinomial draw, moments taken over the draws
-    idx = np.repeat(np.arange(dist.w.size), np.random.default_rng(11).multinomial(20000, dist.prob))
+    # the same stream's chain of binomials, each outcome drawing from what
+    # the earlier ones left, moments taken over the draws
+    rng, left, rest, counts = random.Random(11), 20000, 1.0, []
+    for p in dist.prob[:-1].tolist():
+        counts.append(_binomial(rng, left, p / rest))
+        left, rest = left - counts[-1], rest - p
+    idx = np.repeat(np.arange(dist.w.size), counts + [left])
     for summary, values in ((stats.w, dist.w), (stats.q_m, dist.q_m)):
         for k, raw in enumerate(summary.raw, 1):
             assert raw == pytest.approx(float(np.mean(values[idx] ** k)), rel=1e-13, abs=1e-13)
@@ -246,3 +254,44 @@ def test_sampler_memory_does_not_grow_with_draws():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+def _chi2_critical(df: int, z: float = 4.0) -> float:
+    """The chi-square quantile z standard deviations up, by Wilson-Hilferty."""
+    c = 2.0 / (9.0 * df)
+    return df * (1.0 - c + z * math.sqrt(c)) ** 3
+
+
+@pytest.mark.parametrize("n", [5, 40, 1000])
+@pytest.mark.parametrize("p", [0.1, 0.5, 0.93])
+def test_binomial_counts_follow_the_binomial_pmf(n, p):
+    # 10 000 draws binned against the exact pmf, adjacent counts merged
+    # until each bin expects at least 20
+    draws = 10_000
+    rng = random.Random(1000 * n + round(100 * p))
+    seen = Counter(_binomial(rng, n, p) for _ in range(draws))
+    assert set(seen) <= set(range(n + 1))
+    stat, bins, expected, observed = 0.0, 0, 0.0, 0
+    for k in range(n + 1):
+        expected += draws * math.comb(n, k) * p**k * (1.0 - p) ** (n - k)
+        observed += seen[k]
+        if expected >= 20.0 or k == n:
+            stat += (observed - expected) ** 2 / expected
+            bins, expected, observed = bins + 1, 0.0, 0
+    assert stat < _chi2_critical(bins - 1)
+
+
+@pytest.mark.parametrize("n", [10**6, 10**12, 2**50, 2**62])
+def test_binomial_count_variance_is_npq(n):
+    # the variance of 2000 draws about the exact mean n p, against n p q:
+    # its relative standard error is sqrt(2 / 2000) = 0.032; the median's
+    # normal limit keeps 2**62 draws there (Gamma draws of Cheng's
+    # algorithm alone give about 1.6 n p q)
+    draws, p = 2000, 0.3
+    rng = random.Random(n)
+    counts = [_binomial(rng, n, p) for _ in range(draws)]
+    npq = n * p * (1.0 - p)
+    mean = sum(counts) / draws
+    assert abs(mean - n * p) < 5.0 * math.sqrt(npq / draws)
+    variance = sum((c - n * p) ** 2 for c in counts) / draws
+    assert abs(variance / npq - 1.0) < 5.0 * math.sqrt(2.0 / draws)
