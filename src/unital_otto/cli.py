@@ -4,8 +4,9 @@ Every subcommand writes CSV (to --out or stdout) whose first line is a
 ``#``-comment recording the fully resolved configuration, so a rerun
 with the same inputs, on the same machine, Python version and numpy
 build, byte-reproduces the file (``sample`` draws from the standard
-library's MT19937 stream, ``verify-bounds`` from numpy's PCG64).  Every
-table, side files included, goes through one writer
+library's MT19937 stream, ``verify-bounds`` from numpy's PCG64 word
+stream, which the package computes itself, so that no command imports
+``numpy.random``).  Every table, side files included, goes through one writer
 (:func:`_write_table`): numbers print with 17 significant digits, a
 negative zero as 0, and a field of codes prints its labels.  Every
 output path is opened before any text is written, and two outputs on
@@ -546,30 +547,63 @@ _GROUPS = (("symmetric", None), ("asymmetric", None), ("cs", "plus"), ("cs", "mi
 _GAP_RANGE = 3.0 - 1e-3
 
 
-def _one_sample(rng: np.random.Generator) -> tuple[tuple, int] | None:
-    """The next campaign sample, drawn by ``Generator`` calls in the order
+class _Draws:
+    """The campaign's draws as ``np.random.Generator`` reads them from its
+    PCG64 ``words``: a double from each word, and 32-bit integers from the
+    low half of a fresh word, whose high half is buffered for the next
+    (``buffered``, ``half``; ``half`` keeps the last buffered value, as
+    numpy's ``uinteger`` does)."""
+
+    def __init__(self, words):
+        self.words = words
+        self.buffered, self.half = False, 0
+
+    def _word(self) -> int:
+        word = int(self.words.peek(1)[0])
+        self.words.advance(1)
+        return word
+
+    def random(self) -> float:
+        return (self._word() >> 11) * 2.0**-53
+
+    def integers(self, n: int) -> int:
+        """``integers(0, n)`` for 1 < n < 2**32: Lemire's method, ``(u * n)
+        >> 32`` of a 32-bit draw u, redrawn while ``(u * n) % 2**32 <
+        (2**32 - n) % n``."""
+        while True:
+            if self.buffered:
+                u, self.buffered = self.half, False
+            else:
+                word = self._word()
+                u, self.buffered, self.half = word & 0xFFFFFFFF, True, word >> 32
+            if (u * n) & 0xFFFFFFFF >= (2**32 - n) % n:
+                return (u * n) >> 32
+
+
+def _one_sample(draws: _Draws) -> tuple[tuple, int] | None:
+    """The next campaign sample, drawn one value at a time in the order
     :func:`_cmd_verify_bounds` states: its seven cells (alpha is 0 outside
     cs) and its group code, or None when beta is skipped."""
-    beta = -2.0 + 4.0 * rng.random()
+    beta = -2.0 + 4.0 * draws.random()
     if abs(beta) < 1e-9:
         return None
-    u1, u2, delta, zeta, theta = rng.random(5)
-    code = int(rng.integers(0, 3))
+    u1, u2, delta, zeta, theta = (draws.random() for _ in range(5))
+    code = draws.integers(3)
     alpha = 0.0
     if code == 0:
         zeta = delta
     elif code == 2:
         theta *= 0.5
-        alpha = rng.random()
-        code += int(rng.integers(0, 2))
+        alpha = draws.random()
+        code += draws.integers(2)
     return (beta, 1e-3 + _GAP_RANGE * u1, 1e-3 + _GAP_RANGE * u2, delta, zeta, theta, alpha), code
 
 
-def _decode_chunk(rng: np.random.Generator, cells: np.ndarray, codes: np.ndarray) -> int:
+def _decode_chunk(draws: _Draws, cells: np.ndarray, codes: np.ndarray) -> int:
     """Decode campaign samples from raw PCG64 words into ``cells``, seven
     rows as :func:`_one_sample` gives them, and their group ``codes``, up
     to the length of ``codes``; returns how many.  Decoding stops before
-    the first sample that skips beta or redraws its mode; ``rng`` is left
+    the first sample that skips beta or redraws its mode; ``draws`` is left
     before that sample or, without one, after the last.
 
     A sample starting at word p reads beta from word p and five doubles from
@@ -582,13 +616,11 @@ def _decode_chunk(rng: np.random.Generator, cells: np.ndarray, codes: np.ndarray
     start and both buffer states, then walked once per sample.
     """
     count = len(codes)
-    bitgen = rng.bit_generator
-    start = bitgen.state
     # word 0 stands for the word before the chunk: its high half is the
     # buffered half, if any
     raw = np.empty(1 + _SAMPLE_WORDS * count, dtype=np.uint64)
-    raw[0] = start["uinteger"] << 32
-    raw[1:] = bitgen.random_raw(_SAMPLE_WORDS * count)
+    raw[0] = draws.half << 32
+    raw[1:] = draws.words.peek(_SAMPLE_WORDS * count)
     doubles = (raw >> 11) * 2.0**-53
     # a sample starts at word p, for p = 1 .. ``last`` (the furthest that
     # count samples reach), without (h = 0) or with (h = 1) a buffered
@@ -610,7 +642,7 @@ def _decode_chunk(rng: np.random.Generator, cells: np.ndarray, codes: np.ndarray
     after[stop] = 0
     starts = np.empty(count, dtype=np.intp)
     out, walk = memoryview(starts), memoryview(table.ravel())
-    state = start["has_uint32"] * width + 1
+    state = draws.buffered * width + 1
     for i in range(count):
         out[i] = state
         state = walk[state]
@@ -630,46 +662,43 @@ def _decode_chunk(rng: np.random.Generator, cells: np.ndarray, codes: np.ndarray
     cells[5, :n] = np.where(code >= 2, 0.5, 1.0) * doubles[p + 5]
     cells[6, :n] = doubles[p + 7 - h]
     if n:
-        # words read past the last sample are given back; the buffered half,
-        # or the last one drawn, is the high half of the word that gave it
+        # the stream moves past the words the samples read; the buffered
+        # half, or the last one drawn, is the high half of the word that gave it
         h, p = divmod(int(starts[-1]), width)
         word = p + 6 if not h else p + 7 if code[-1] >= 2 else p - 1
         h_end, p_end = divmod(walk[starts[-1]], width)
-        bitgen.state = start
-        bitgen.advance(p_end - 1)
-        start = bitgen.state
-        start["has_uint32"], start["uinteger"] = h_end, int(raw[word] >> 32)
-    bitgen.state = start
+        draws.words.advance(p_end - 1)
+        draws.buffered, draws.half = bool(h_end), int(raw[word] >> 32)
     return n
 
 
-def _campaign_draws(rng: np.random.Generator, count: int) -> dict[tuple, list[np.ndarray]]:
+def _campaign_draws(draws: _Draws, count: int) -> dict[tuple, list[np.ndarray]]:
     """The next ``count`` samples of a bound campaign, in the order
     :func:`_cmd_verify_bounds` states, grouped by (mode, branch); branch
     is None outside cs.  Each group holds its kept samples in draw order
     as columns: beta, nu1, nu2, delta, zeta, theta and, in cs, alpha.
 
-    The samples are decoded from raw PCG64 words as ``Generator`` reads
-    them, ``_DECODE_SAMPLES`` at a time (:func:`_decode_chunk`).  A double
-    is ``(w >> 11) * 2**-53``.  ``integers(0, n)`` is Lemire's method on the
-    32-bit stream: ``(u * n) >> 32``, with u redrawn while
-    ``(u * n) % 2**32 < (2**32 - n) % n``, that is u = 0 for n = 3 and
-    never for n = 2.  The 32-bit stream takes the low half of a fresh word
-    and keeps the high half for its next draw, across any doubles drawn in
-    between.  A sample that skips beta or redraws its mode, about one in
-    1e9, is drawn by :func:`_one_sample`.  ``rng`` ends where the
-    generator's own calls leave it.
+    The samples are decoded from the stream's raw PCG64 words as numpy's
+    ``Generator`` reads them (:class:`_Draws`), ``_DECODE_SAMPLES`` at a
+    time (:func:`_decode_chunk`).  A double is ``(w >> 11) * 2**-53``.
+    ``integers(0, n)`` is Lemire's method on the 32-bit stream, whose
+    redraw takes u = 0 for n = 3 and never fires for n = 2.  The 32-bit
+    stream takes the low half of a fresh word and keeps the high half for
+    its next draw, across any doubles drawn in between.  A sample that
+    skips beta or redraws its mode, about one in 1e9, is drawn by
+    :func:`_one_sample` from the same words.  ``draws`` ends where
+    ``Generator``'s own calls would leave it.
     """
     cells = np.empty((7, count))
     codes = np.empty(count, dtype=np.intp)
     kept = done = 0
     while done < count:
         want = min(_DECODE_SAMPLES, count - done)
-        decoded = _decode_chunk(rng, cells[:, kept:], codes[kept:kept + want])
+        decoded = _decode_chunk(draws, cells[:, kept:], codes[kept:kept + want])
         kept += decoded
         done += decoded
         if decoded < want:
-            sample = _one_sample(rng)
+            sample = _one_sample(draws)
             done += 1
             if sample is not None:
                 cells[:, kept], codes[kept] = sample
@@ -686,31 +715,37 @@ def _cmd_verify_bounds(cfg: dict) -> None:
     """Tally every bound over random cycles: ok, violated, inapplicable.
 
     The draw order is part of the output's definition (``perfbench/
-    oracle.py`` replays it).  On one PCG64 stream seeded with --seed,
-    each sample draws beta = -2 + 4 u and is skipped, drawing nothing
-    more, when |beta| < 1e-9; then nu1 and nu2 = 1e-3 + (3 - 1e-3) u,
-    then delta, zeta and theta = u, then the mode as ``integers(0, 3)``
-    indexing (symmetric, asymmetric, cs).  Symmetric sets zeta = delta;
-    cs halves theta, then draws the control weight alpha = u and the
-    branch as ``integers(0, 2)`` indexing (plus, minus).  Each u is one
-    double of ``random()`` (the five after beta come from one
-    ``random(5)``, the same doubles); ``uniform(a, b)`` and ``choice``
-    of a tuple draw the same stream.  The order is read from raw PCG64
-    words, decoded as ``Generator`` decodes them (:func:`_campaign_draws`).
-    Samples are drawn in blocks of ``_CAMPAIGN_BLOCK``, decoded as arrays
-    ``_DECODE_SAMPLES`` at a time, and each block's bounds are evaluated
-    as arrays, one call per mode and branch.
+    oracle.py`` replays it with numpy's ``Generator``).  On the PCG64
+    stream of ``np.random.default_rng(--seed)``, each sample draws beta =
+    -2 + 4 u and is skipped, drawing nothing more, when |beta| < 1e-9;
+    then nu1 and nu2 = 1e-3 + (3 - 1e-3) u, then delta, zeta and theta =
+    u, then the mode as ``integers(0, 3)`` indexing (symmetric,
+    asymmetric, cs).  Symmetric sets zeta = delta; cs halves theta, then
+    draws the control weight alpha = u and the branch as ``integers(0,
+    2)`` indexing (plus, minus).  Each u is one double of ``random()``
+    (the five after beta come from one ``random(5)``, the same doubles);
+    ``uniform(a, b)`` and ``choice`` of a tuple draw the same stream.
+    The package computes that stream's words itself (:mod:`.pcg64`), so
+    no command imports ``numpy.random``, and decodes them as
+    ``Generator`` does (:func:`_campaign_draws`).  A negative seed is a
+    configuration error, as it is for numpy.  Samples are drawn in blocks
+    of ``_CAMPAIGN_BLOCK``, decoded as arrays ``_DECODE_SAMPLES`` at a
+    time, and each block's bounds are evaluated as arrays, one call per
+    mode and branch.
     """
     samples = 10000 if cfg.get("samples") is None else cfg["samples"]
     if samples < 1:
         raise ConfigError("--samples must be at least 1")
     seed = cfg.get("seed") or 0
-    rng = np.random.default_rng(seed)
+    # imported here, so that no other command pays for it
+    from .pcg64 import PCG64
+
+    draws = _Draws(PCG64.from_seed(seed))
     counts: dict[str, list[int]] = {}
     for start in range(0, samples, _CAMPAIGN_BLOCK):
         count = min(_CAMPAIGN_BLOCK, samples - start)
         # no name keeps the groups, so they are freed before the next block
-        for (mode, branch), columns in _campaign_draws(rng, count).items():
+        for (mode, branch), columns in _campaign_draws(draws, count).items():
             control = (columns[6], branch) if mode == "cs" else (None, "minus")
             reports = analysis.verify_bounds_block(*columns[:6], mode, *control)
             for rep in reports:

@@ -277,21 +277,20 @@ def enumerate_block(
 
 
 def _enumerate(beta, nu1, nu2, delta, zeta, flip) -> DistributionBlock:
-    """:func:`enumerate_block` on checked columns and the flip probability:
-    probabilities clamped at 0 and guarded as :class:`JointDistribution`
-    guards them, the first failing point (in C order) raising its error."""
+    """:func:`enumerate_block` on checked columns and the flip probability.
+    Every path probability is a product of factors in [0, 1], so none is
+    negative; the sums are checked as :class:`JointDistribution` checks
+    them, the first failing point (in C order) raising its error."""
     shape = flip.shape
     cycle = (x.ravel() for x in (beta, nu1, nu2, delta, zeta))
     block = _evaluate(*cycle, _flip_matrices(flip.ravel()))
     w, q, prob = block.w, block.q_m, block.prob
-    clamped = np.maximum(prob, 0.0)
-    ok = ~(prob.min(axis=1) < -_CLAMP_TOL)
-    ok &= ~(np.abs(clamped.sum(axis=1) - 1.0) > _SUM_TOL)
-    if not ok.all():
-        i = int(np.argmin(ok))
+    failed = np.abs(prob.sum(axis=1) - 1.0) > _SUM_TOL
+    if failed.any():
+        i = int(np.argmax(failed))
         JointDistribution(w[i], q[i], prob[i])
     out = shape + (len(_OUTCOMES),)
-    return DistributionBlock(w.reshape(out), q.reshape(out), clamped.reshape(out))
+    return DistributionBlock(w.reshape(out), q.reshape(out), prob.reshape(out))
 
 
 class MomentSummary(NamedTuple):

@@ -23,7 +23,8 @@ from unital_otto import (
     trajectory,
     verify_bounds_block,
 )
-from unital_otto.cli import _DECODE_SAMPLES, SWEEPABLE, _campaign_draws, main
+from unital_otto.cli import _DECODE_SAMPLES, SWEEPABLE, _campaign_draws, _Draws, main
+from unital_otto.pcg64 import PCG64
 
 from conftest import mp_cumulants
 from references import regime_sign_rule, residue
@@ -827,18 +828,30 @@ def campaign_rows(groups):
     }
 
 
-@pytest.mark.parametrize("seed", [1, 2, 101, 12345])
-def test_campaign_draws_replay_the_scalar_stream(seed):
-    reference, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    want = scalar_campaign_draws(reference, 3000)
+def assert_replays_the_scalar_stream(blocks, reference, draws):
+    """The campaign's ``draws``, block after block, are the samples that
+    numpy's Generator ``reference`` draws one call at a time, and both
+    streams end in step; returns the samples."""
+    want = scalar_campaign_draws(reference, sum(blocks))
     got = {}
-    for start in range(0, 3000, 256):  # block after block, as the campaign draws
-        for key, points in campaign_rows(_campaign_draws(rng, min(256, 3000 - start))).items():
+    for count in blocks:
+        for key, points in campaign_rows(_campaign_draws(draws, count)).items():
             got.setdefault(key, []).extend(points)
     assert got == want
+    state = reference.bit_generator.state
+    assert (draws.words.state, draws.buffered, draws.half) == (
+        state["state"]["state"], state["has_uint32"], state["uinteger"])
+    assert draws.random() == reference.random()
+    return got
+
+
+@pytest.mark.parametrize("seed", [1, 2, 101, 12345])
+def test_campaign_draws_replay_the_scalar_stream(seed):
+    blocks = [256] * 11 + [184]  # block after block, as the campaign draws
+    reference, draws = np.random.default_rng(seed), _Draws(PCG64.from_seed(seed))
+    got = assert_replays_the_scalar_stream(blocks, reference, draws)
     assert sorted(got) == [("asymmetric", None), ("cs", "minus"), ("cs", "plus"),
                            ("symmetric", None)]
-    assert rng.random() == reference.random()  # the streams end in step
 
 
 # PCG64 steps its 128-bit state s -> s * M + inc, then outputs the XSL-RR
@@ -848,46 +861,35 @@ PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def generators_with_word(word, position):
-    """Two Generators on one PCG64 state whose raw word number ``position``
-    (from 0) is ``word``."""
+    """numpy's Generator and the campaign's draws, on one PCG64 state whose
+    raw word number ``position`` (from 0) is ``word``."""
     inc = np.random.PCG64(0).state["state"]["inc"]
     high = 0x0123456789ABCDEF
     state = (high << 64) | (high ^ word)
     inverse = pow(PCG64_MULTIPLIER, -1, 2**128)
     for _ in range(position + 1):
         state = (state - inc) * inverse % 2**128
-    generators = []
-    for _ in range(2):
-        bitgen = np.random.PCG64()
-        bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                        "has_uint32": 0, "uinteger": 0}
-        generators.append(np.random.Generator(bitgen))
-    return generators
-
-
-def assert_replays_the_scalar_stream(blocks, reference, rng):
-    want = scalar_campaign_draws(reference, sum(blocks))
-    got = {}
-    for count in blocks:
-        for key, points in campaign_rows(_campaign_draws(rng, count)).items():
-            got.setdefault(key, []).extend(points)
-    assert got == want
-    assert rng.bit_generator.state == reference.bit_generator.state
-    assert rng.random() == reference.random()
+    bitgen = np.random.PCG64()
+    bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                    "has_uint32": 0, "uinteger": 0}
+    return np.random.Generator(bitgen), _Draws(PCG64(state, inc))
 
 
 def test_generators_with_word_put_the_word_in_place():
-    live, _ = generators_with_word(0xDEADBEEF00000000, 6)
+    live, draws = generators_with_word(0xDEADBEEF00000000, 6)
     assert live.bit_generator.random_raw(8)[6] == 0xDEADBEEF00000000
+    assert draws.words.peek(8)[6] == 0xDEADBEEF00000000
 
 
 def test_campaign_draws_redraw_a_zero_low_half():
     # the first sample's mode reads the low half of word 6: 0, so Lemire's
     # method redraws, from the high half of the same word
     high = 0xDEADBEEF
-    live, _ = generators_with_word(high << 32, 6)
+    live, draws = generators_with_word(high << 32, 6)
     live.random(6)
-    assert live.integers(0, 3) == (high * 3) >> 32 == 2
+    for _ in range(6):
+        draws.random()
+    assert live.integers(0, 3) == draws.integers(3) == (high * 3) >> 32 == 2
     assert_replays_the_scalar_stream([40], *generators_with_word(high << 32, 6))
 
 
@@ -895,8 +897,8 @@ def test_campaign_draws_redraw_a_zero_buffered_half():
     # word 6 = 1: the first sample is symmetric ((1 * 3) >> 32 = 0) and
     # keeps the high half, 0, which the second sample's mode reads after
     # words 7-12 and redraws from the low half of word 13
-    live, raw = generators_with_word(1, 6)
-    word13 = int(raw.bit_generator.random_raw(14)[13])
+    live, _ = generators_with_word(1, 6)
+    word13 = int(generators_with_word(1, 6)[0].bit_generator.random_raw(14)[13])
     live.random(6)
     assert live.integers(0, 3) == 0
     live.random(6)
@@ -906,11 +908,10 @@ def test_campaign_draws_redraw_a_zero_buffered_half():
 
 
 def test_buffered_half_crosses_a_block_boundary():
-    _, rng = generators_with_word(1, 6)
-    _campaign_draws(rng, 1)
-    assert rng.bit_generator.state["has_uint32"] == 1  # word 6's high half, 0
-    reference, rng = generators_with_word(1, 6)
-    assert_replays_the_scalar_stream([1, 1, 5, 1, 64, 3], reference, rng)
+    _, draws = generators_with_word(1, 6)
+    _campaign_draws(draws, 1)
+    assert (draws.buffered, draws.half) == (True, 0)  # word 6's high half
+    assert_replays_the_scalar_stream([1, 1, 5, 1, 64, 3], *generators_with_word(1, 6))
 
 
 # beta = -2 + 4 (w >> 11) 2**-53 is within 1e-9 of 0 for w >> 11 = 2**52 + k,
@@ -922,8 +923,7 @@ def test_campaign_draws_skip_a_beta_near_zero(k, kept):
     live, _ = generators_with_word(word, 0)
     beta = -2.0 + 4.0 * live.random()
     assert (abs(beta) < 1e-9) is not kept
-    reference, rng = generators_with_word(word, 0)
-    assert_replays_the_scalar_stream([30], reference, rng)
+    assert_replays_the_scalar_stream([30], *generators_with_word(word, 0))
     groups = _campaign_draws(generators_with_word(word, 0)[1], 1)
     assert sum(len(columns[0]) for columns in groups.values()) == int(kept)
 
