@@ -12,7 +12,6 @@ z-scores test the sampler and the moment formulas, not the path table.
 
 from .qstate import (
     ControlSpec,
-    DensityMatrix,
     MeasurementChannel,
     PhysicsError,
     hamiltonian,

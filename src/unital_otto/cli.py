@@ -29,6 +29,7 @@ import contextlib
 import gc
 import math
 import os
+import re
 import stat
 import sys
 
@@ -98,6 +99,10 @@ def _add_common(
         parser.add_argument("--branch", choices=("plus", "minus"))
 
 
+# argparse's own negative-number pattern has no exponent and reads -1e3 as an option
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="unital-otto",
@@ -147,6 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stop", type=float)
     p.add_argument("--steps", type=int)
 
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 
@@ -791,7 +798,8 @@ def _cmd_lz_compare(cfg: dict) -> None:
         cfg.get("phi") or 0.0, alpha_m, cfg.get("chi") or 0.0,
     )
     landauzener._checked_deltas(base, values)
-    blocks = (landauzener.monitored_vs_unmonitored(base, values[i:i + _BLOCK_POINTS])._asdict()
+    fixed = landauzener._fixed_matrices(base)
+    blocks = (landauzener._compare(base, values[i:i + _BLOCK_POINTS], fixed)._asdict()
               for i in range(0, values.size, _BLOCK_POINTS))
     _emit(cfg, "lz-compare", _COMPARISON, blocks)
 

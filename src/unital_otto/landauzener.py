@@ -13,6 +13,9 @@ phase chi.  The monitored cycle sees only the transition probabilities
 cycle propagates the full density matrix, so surviving coherences feed
 the compression stroke and its averages pick up a cos(phi + chi)
 interference term.
+
+The propagation's 2x2 products are written out in real arithmetic, with
+no BLAS or LAPACK call, and what no delta changes is built once a column.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .analysis import _quotient, classify_regime_array
-from .cumulants import _closed_form, closed_form_block
+from .cumulants import _closed_form
 from .qstate import MeasurementChannel, _Checked, hamiltonian, thermal_state
 from .trajectory import CycleParams
 
@@ -113,7 +116,6 @@ class CycleAverages(NamedTuple):
     eta: np.ndarray
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def unmonitored_cycle(params: LZParams, delta) -> CycleAverages:
     """Averages of the unmonitored cycle by direct state propagation at
     every delta (scalar or array), the other inputs taken from ``params``.
@@ -122,30 +124,43 @@ def unmonitored_cycle(params: LZParams, delta) -> CycleAverages:
     rho1 -> U rho1 U^dag -> sum_j pi_j . pi_j -> V . V^dag, with energies
     read against H1, H2, H2, H1.  No projective measurements interrupt
     the cycle, so coherence created by U survives into the compression.
-    Only U and V depend on delta, so each product is one stacked matmul.
-    Each energy is a trace tr(rho H) with |tr(rho H)| <= nu, so the flows'
-    magnitudes are the trace bounds 2 nu2 (Q_M = E3 - E2), 2 nu1
-    (Q_T = E1 - E4) and their sum (W); against 50-digit propagation of
-    the same inputs the rounding of each flow stays below 2 eps nu.  A
-    heat that is a rounding residue of 2 nu2 has no efficiency.
+    Only U and V depend on delta; every product is the written-out 2x2
+    product of :func:`_product`, so a row's bits are the same alone and in
+    any column.  Each energy is a trace tr(rho H) with |tr(rho H)| <= nu,
+    so the flows' magnitudes are the trace bounds 2 nu2 (Q_M = E3 - E2),
+    2 nu1 (Q_T = E1 - E4) and their sum (W); against 60-digit propagation
+    of the same inputs the rounding of each flow stays below 2 eps times
+    its trace bound.  A heat that is a rounding residue of 2 nu2 has no
+    efficiency.
     """
-    delta = _checked_deltas(params, delta)
+    return _propagate(params, _checked_deltas(params, delta), _fixed_matrices(params))
+
+
+def _fixed_matrices(params: LZParams) -> tuple:
+    """What no delta changes, each a stack of one matrix (:func:`_split`):
+    (rho1, H1, H2), the Gibbs state and the Hamiltonians, and the projectors."""
     cyc = params.cycle
-    u, v = lz_unitaries(delta, params.phi)
-    h1 = hamiltonian(cyc.nu1)
-    h2 = hamiltonian(cyc.nu2)
-    rho1 = thermal_state(cyc.beta, cyc.nu1).mat
-    rho2 = u @ rho1 @ _dagger(u)
-    rho3 = sum(k @ rho2 @ _dagger(k) for k in params.channel.kraus_ops())
-    rho4 = v @ rho3 @ _dagger(v)
-    e1 = np.full(delta.shape, _energy(rho1, h1))
-    e2 = _energy(rho2, h2)
-    e3 = _energy(rho3, h2)
-    e4 = _energy(rho4, h1)
+    fixed = [thermal_state(cyc.beta, cyc.nu1), hamiltonian(cyc.nu1), hamiltonian(cyc.nu2)]
+    return [_split(m[None]) for m in fixed], [_split(k[None]) for k in params.channel.kraus_ops()]
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _propagate(params: LZParams, delta: np.ndarray, fixed: tuple) -> CycleAverages:
+    """:func:`unmonitored_cycle` at checked deltas, given the
+    :func:`_fixed_matrices` of ``params``."""
+    (rho1, h1, h2), projectors = fixed
+    u, v = (_split(m) for m in lz_unitaries(delta.reshape(-1), params.phi))
+    rho2 = _conjugated(u, rho1)
+    (ar, ai), (br, bi) = (_conjugated(k, rho2) for k in projectors)
+    rho3 = (ar + br, ai + bi)
+    rho4 = _conjugated(v, rho3)
+    e1 = np.full(delta.shape, _energy(rho1, h1)[0])
+    e2, e3, e4 = (_energy(rho, h).reshape(delta.shape)
+                  for rho, h in ((rho2, h2), (rho3, h2), (rho4, h1)))
     q_m = e3 - e2
     q_t = e1 - e4
     w = q_m + q_t
-    eta = _quotient(w, q_m, *_trace_bounds(cyc)[:2])[0]
+    eta = _quotient(w, q_m, *_trace_bounds(params.cycle)[:2])[0]
     return CycleAverages(e1=e1, e2=e2, e3=e3, e4=e4, w=w, q_m=q_m, q_t=q_t, eta=eta)
 
 
@@ -164,13 +179,36 @@ def _trace_bounds(cycle: CycleParams) -> tuple:
     return 2.0 * (cycle.nu1 + cycle.nu2), 2.0 * cycle.nu2, 2.0 * cycle.nu1
 
 
-def _dagger(mat: np.ndarray) -> np.ndarray:
-    return np.swapaxes(mat.conj(), -1, -2)
+def _split(stack: np.ndarray) -> tuple:
+    """A stack of n complex 2x2 matrices, shaped (n, 2, 2), as the matrices
+    of :func:`_product`: a (real, imaginary) pair of (2, 2, n) arrays."""
+    return np.moveaxis(stack.real, 0, -1), np.moveaxis(stack.imag, 0, -1)
 
 
-def _energy(rho: np.ndarray, ham: np.ndarray) -> np.ndarray:
-    """tr(rho H) of each matrix in a stack."""
-    return np.trace(rho @ ham, axis1=-2, axis2=-1).real
+def _product(a: tuple, b: tuple) -> tuple:
+    """The 2x2 products a b along two stacks of :func:`_split` matrices,
+    broadcast along the stack; written out in real arithmetic, so each
+    entry is rounded the same way at any stack size and on any CPU, with
+    no BLAS call and no fused multiply-add."""
+    (ar, ai), (br, bi) = a, b
+    # the terms a_ij b_jk, indexed [i, j, k]
+    xr, xi, yr, yi = ar[:, :, None], ai[:, :, None], br[None], bi[None]
+    re, im = xr * yr - xi * yi, xr * yi + xi * yr
+    return re[:, 0] + re[:, 1], im[:, 0] + im[:, 1]
+
+
+def _conjugated(k: tuple, rho: tuple) -> tuple:
+    """k rho k^dag."""
+    kr, ki = k
+    return _product(_product(k, rho), (kr.swapaxes(0, 1), -ki.swapaxes(0, 1)))
+
+
+def _energy(rho: tuple, ham: tuple) -> np.ndarray:
+    """tr(rho H) of each matrix in a stack, summed as the diagonal of
+    :func:`_product` would be."""
+    (rr, ri), (hr, hi) = rho, ham
+    re = rr * hr.swapaxes(0, 1) - ri * hi.swapaxes(0, 1)
+    return (re[0, 0] + re[0, 1]) + (re[1, 0] + re[1, 1])
 
 
 def qm_unmonitored_closed_form(params: LZParams) -> float:
@@ -199,32 +237,21 @@ def monitored_averages(params: LZParams, delta) -> CycleAverages:
     measurement at B erases the coherence the projector channel would
     otherwise act on, so E3 and E4 differ from the unmonitored route.
     """
-    return _monitored_from(params, delta, unmonitored_cycle(params, delta))
+    return _monitored_from(params, delta, unmonitored_cycle(params, delta))[0]
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _monitored_from(params: LZParams, delta, shared: CycleAverages) -> CycleAverages:
+def _monitored_from(params: LZParams, delta, shared: CycleAverages) -> tuple:
     """:func:`monitored_averages` at deltas that :func:`unmonitored_cycle`
-    checked, given its averages ``shared`` there."""
-    cyc = params.cycle
-    first = closed_form_block(cyc.beta, cyc.nu1, cyc.nu2, delta, delta, params.channel.theta)
+    checked, given its averages ``shared`` there, and the magnitudes of the
+    monitored W, Q_M and Q_T: the closed forms' terms'."""
+    inputs = (*params.cycle[:3], delta, delta, params.channel.theta)
+    first, mag = (_closed_form(*inputs, magnitudes=m) for m in (False, True))
     w, q_m, q_t = first.w_mean, first.qm_mean, first.qt_mean
-    return CycleAverages(
-        e1=shared.e1,
-        e2=shared.e2,
-        e3=shared.e2 + q_m,
-        e4=shared.e1 - q_t,
-        w=w,
-        q_m=q_m,
-        q_t=q_t,
-        eta=_quotient(w, q_m, *_monitored_magnitudes(params, delta)[:2])[0],
-    )
-
-
-def _monitored_magnitudes(params: LZParams, delta) -> tuple:
-    """The magnitudes of the monitored W, Q_M and Q_T: the closed forms'."""
-    mag = _closed_form(*params.cycle[:3], delta, delta, params.channel.theta, magnitudes=True)
-    return mag.w_mean, mag.qm_mean, mag.qt_mean
+    magnitudes = (mag.w_mean, mag.qm_mean, mag.qt_mean)
+    averages = CycleAverages(e1=shared.e1, e2=shared.e2, e3=shared.e2 + q_m, e4=shared.e1 - q_t,
+                             w=w, q_m=q_m, q_t=q_t, eta=_quotient(w, q_m, *magnitudes[:2])[0])
+    return averages, magnitudes
 
 
 class Comparison(NamedTuple):
@@ -246,11 +273,17 @@ def monitored_vs_unmonitored(params: LZParams, deltas: Iterable[float]) -> Compa
     each variant evaluated as one block over the whole column; regimes are
     those of :func:`~unital_otto.analysis.classify_regime_array`."""
     delta = np.array([float(d) for d in deltas], dtype=float)
-    um = unmonitored_cycle(params, delta)
-    mon = _monitored_from(params, delta, um)
+    return _compare(params, _checked_deltas(params, delta), _fixed_matrices(params))
+
+
+def _compare(params: LZParams, delta: np.ndarray, fixed: tuple) -> Comparison:
+    """:func:`monitored_vs_unmonitored` at checked deltas, given the
+    :func:`_fixed_matrices` of ``params``."""
+    um = _propagate(params, delta, fixed)
+    mon, magnitudes = _monitored_from(params, delta, um)
 
     def regimes(avg: CycleAverages, magnitudes: tuple) -> np.ndarray:
         return classify_regime_array(avg.w, avg.q_m, avg.q_t, params.cycle.beta, magnitudes)
 
-    return Comparison(delta, mon.w, mon.eta, regimes(mon, _monitored_magnitudes(params, delta)),
+    return Comparison(delta, mon.w, mon.eta, regimes(mon, magnitudes),
                       um.w, um.eta, regimes(um, _trace_bounds(params.cycle)))

@@ -1,13 +1,13 @@
 """Qubit states and the measurement channel for the unital Otto cycle.
 
 Everything lives in a declared energy eigenbasis: index 0 is the excited
-state |+> (energy +nu), index 1 the ground state |-> (energy -nu).  States
-are immutable 2x2 density matrices tagged with the gap nu of the
-Hamiltonian they are expressed in.  The monitored cycle sees a channel
-only through its flip probability theta; the one channel written out as
-Kraus operators is :class:`MeasurementChannel`, the rank-1 projective
-channel built from two orthogonal projectors, whose theta never exceeds
-1/2 and which the Landau-Zener density-matrix propagation applies.
+state |+> (energy +nu), index 1 the ground state |-> (energy -nu).  A state
+is a 2x2 density matrix in the eigenbasis of the Hamiltonian of its gap
+nu.  The monitored cycle sees a channel only through its flip
+probability theta; the one channel written out as Kraus operators is
+:class:`MeasurementChannel`, the rank-1 projective channel built from
+two orthogonal projectors, whose theta never exceeds 1/2 and which the
+Landau-Zener density-matrix propagation applies.
 
 :class:`ControlSpec` prepares a control qubit that sends the state
 through the channel on both arms of a superposition and post-selects the
@@ -26,15 +26,11 @@ import numpy as np
 
 __all__ = [
     "PhysicsError",
-    "DensityMatrix",
     "MeasurementChannel",
     "ControlSpec",
     "hamiltonian",
     "thermal_state",
 ]
-
-_TRACE_DRIFT_TOL = 1e-10
-_EIGVAL_TOL = 1e-12
 
 
 class PhysicsError(ValueError):
@@ -52,46 +48,6 @@ class _Checked:
         return cls(*iterable)
 
 
-class DensityMatrix(_Checked, namedtuple("DensityMatrix", "mat gap")):
-    """A valid qubit state in the energy eigenbasis of a gap-``nu`` Hamiltonian.
-
-    The constructor symmetrises (rho + rho^dag)/2 and renormalises the
-    trace as long as the drift stays below 1e-10; larger drift or
-    eigenvalues outside [-1e-12, 1 + 1e-12] raise :class:`PhysicsError`
-    instead of being silently repaired.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, mat: np.ndarray, gap: float = 1.0):
-        mat = np.asarray(mat, dtype=complex)
-        if mat.shape != (2, 2):
-            raise ValueError(f"expected a 2x2 matrix, got shape {mat.shape}")
-        if not np.all(np.isfinite(mat.view(float))):
-            raise ValueError("matrix entries must be finite")
-        if not math.isfinite(gap):
-            raise ValueError("gap label must be finite")
-        herm_drift = np.max(np.abs(mat - mat.conj().T))
-        trace_drift = abs(mat.trace() - 1.0)
-        if herm_drift > _TRACE_DRIFT_TOL or trace_drift > _TRACE_DRIFT_TOL:
-            raise PhysicsError(
-                f"not a density matrix: hermiticity drift {herm_drift:.3g}, "
-                f"trace drift {trace_drift:.3g}"
-            )
-        mat = 0.5 * (mat + mat.conj().T)
-        mat = mat / mat.trace().real
-        eigs = np.linalg.eigvalsh(mat)
-        if eigs[0] < -_EIGVAL_TOL or eigs[-1] > 1.0 + _EIGVAL_TOL:
-            raise PhysicsError(f"eigenvalues {eigs} outside [0, 1]")
-        mat.setflags(write=False)
-        return super().__new__(cls, mat, gap)
-
-    @property
-    def populations(self) -> tuple[float, float]:
-        """(excited, ground) diagonal occupations."""
-        return (self.mat[0, 0].real, self.mat[1, 1].real)
-
-
 def hamiltonian(nu: float) -> np.ndarray:
     """H = nu (|+><+| - |-><-|) as a matrix in the storage basis."""
     if not math.isfinite(nu):
@@ -99,12 +55,15 @@ def hamiltonian(nu: float) -> np.ndarray:
     return np.array([[nu, 0.0], [0.0, -nu]], dtype=complex)
 
 
-def thermal_state(beta: float, nu: float) -> DensityMatrix:
-    """Gibbs state exp(-beta H)/Z for the gap-``nu`` Hamiltonian.
+def thermal_state(beta: float, nu: float) -> np.ndarray:
+    """Gibbs state exp(-beta H)/Z for the gap-``nu`` Hamiltonian: the real
+    diagonal matrix of its (excited, ground) populations.
 
     Negative beta (population inversion) is allowed; beta and nu must be
     finite and nu positive.  Populations are computed through logistic
-    forms so extreme |beta nu| saturates cleanly to a pure state.
+    forms so extreme |beta nu| saturates cleanly to a pure state.  The
+    ground population is fl(1 - p), and p + fl(1 - p) rounds to exactly 1,
+    so the trace needs no renormalising.
     """
     if not (math.isfinite(beta) and math.isfinite(nu)):
         raise ValueError("beta and nu must be finite")
@@ -113,7 +72,7 @@ def thermal_state(beta: float, nu: float) -> DensityMatrix:
     # p_excited = e^{-beta nu}/Z, stable for any sign and size of beta nu
     x = 2.0 * beta * nu
     p_exc = 1.0 / (1.0 + math.exp(x)) if x < 700.0 else 0.0
-    return DensityMatrix(np.diag([p_exc, 1.0 - p_exc]), gap=nu)
+    return np.diag([p_exc, 1.0 - p_exc])
 
 
 class MeasurementChannel(_Checked, namedtuple("MeasurementChannel", "alpha_m chi")):

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from unital_otto import CycleParams, DensityMatrix, Regime, classify_regime_array
+from unital_otto import CycleParams, Regime, classify_regime_array
+
+from references import DensityMatrix
 
 
 def finite(lo, hi):

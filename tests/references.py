@@ -3,6 +3,11 @@
 Each one computes, by a second argument, something the package computes
 by its own:
 
+* :class:`DensityMatrix` validates a qubit state: hermiticity, trace and
+  eigenvalues in [0, 1].  The package builds its one state, the diagonal
+  Gibbs state of ``thermal_state``, without it; the tests check that
+  state against it.
+
 * :func:`apply_channel` and :func:`superpose_apply` propagate the density
   matrix through a channel and through its coherently superposed version.
   They are the density-matrix argument for the package's reduction of a
@@ -20,6 +25,9 @@ by its own:
   16 path records expanded in exact rational arithmetic on the float
   inputs, against which every sign the package decides by its rounding
   rule is checked.
+* :func:`lz_unmonitored_mp` propagates the unmonitored Landau-Zener cycle
+  in 60-digit arithmetic on the float inputs, against which the rounding
+  of ``landauzener.unmonitored_cycle`` is checked.
 """
 
 import functools
@@ -28,10 +36,17 @@ import math
 import sys
 from fractions import Fraction
 
+from collections import namedtuple
+
+import mpmath
 import numpy as np
 
-from unital_otto import ControlSpec, DensityMatrix, MeasurementChannel, PhysicsError, Regime
+from unital_otto import ControlSpec, MeasurementChannel, PhysicsError, Regime
+from unital_otto.qstate import _Checked
 from unital_otto.trajectory import _evaluate
+
+_TRACE_DRIFT_TOL = 1e-10
+_EIGVAL_TOL = 1e-12
 
 # Pauli matrices in the package's storage basis, |+> (excited) first.
 SIGMA = (
@@ -40,6 +55,46 @@ SIGMA = (
     np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
     np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 )
+
+
+class DensityMatrix(_Checked, namedtuple("DensityMatrix", "mat gap")):
+    """A valid qubit state in the energy eigenbasis of a gap-``nu`` Hamiltonian.
+
+    The constructor symmetrises (rho + rho^dag)/2 and renormalises the
+    trace as long as the drift stays below 1e-10; larger drift or
+    eigenvalues outside [-1e-12, 1 + 1e-12] raise :class:`PhysicsError`
+    instead of being silently repaired.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, mat: np.ndarray, gap: float = 1.0):
+        mat = np.asarray(mat, dtype=complex)
+        if mat.shape != (2, 2):
+            raise ValueError(f"expected a 2x2 matrix, got shape {mat.shape}")
+        if not np.all(np.isfinite(mat.view(float))):
+            raise ValueError("matrix entries must be finite")
+        if not math.isfinite(gap):
+            raise ValueError("gap label must be finite")
+        herm_drift = np.max(np.abs(mat - mat.conj().T))
+        trace_drift = abs(mat.trace() - 1.0)
+        if herm_drift > _TRACE_DRIFT_TOL or trace_drift > _TRACE_DRIFT_TOL:
+            raise PhysicsError(
+                f"not a density matrix: hermiticity drift {herm_drift:.3g}, "
+                f"trace drift {trace_drift:.3g}"
+            )
+        mat = 0.5 * (mat + mat.conj().T)
+        mat = mat / mat.trace().real
+        eigs = np.linalg.eigvalsh(mat)
+        if eigs[0] < -_EIGVAL_TOL or eigs[-1] > 1.0 + _EIGVAL_TOL:
+            raise PhysicsError(f"eigenvalues {eigs} outside [0, 1]")
+        mat.setflags(write=False)
+        return super().__new__(cls, mat, gap)
+
+    @property
+    def populations(self) -> tuple[float, float]:
+        """(excited, ground) diagonal occupations."""
+        return (self.mat[0, 0].real, self.mat[1, 1].real)
 
 
 def apply_channel(kraus, rho: DensityMatrix) -> DensityMatrix:
@@ -264,3 +319,34 @@ def exact_bounds(beta, t, nu1, nu2, delta, zeta, theta, flip, mode, branch="minu
         out.append(("otto_sq_le_ratio", hopm and ratio is not None,
                     ratio is not None and otto * otto <= ratio))
     return out
+
+
+def lz_unmonitored_mp(params, delta: float) -> tuple:
+    """(W, Q_M, Q_T) of the unmonitored Landau-Zener cycle at ``delta``,
+    the other inputs taken from ``params``: the density matrix propagated
+    as ``unmonitored_cycle`` propagates it, in 60-digit mpmath arithmetic
+    on the float inputs, as mpmath floats."""
+    cyc, channel = params.cycle, params.channel
+    with mpmath.workdps(60):
+        beta, nu1, nu2, d, phi, alpha_m, chi = (
+            mpmath.mpf(x) for x in (cyc.beta, cyc.nu1, cyc.nu2, delta, params.phi, *channel)
+        )
+        excited = 1 / (1 + mpmath.exp(2 * beta * nu1))
+        rho1 = mpmath.matrix([[excited, 0], [0, 1 - excited]])
+        stay, jump, phase = mpmath.sqrt(1 - d), mpmath.sqrt(d), mpmath.expj(phi)
+        u = mpmath.matrix([[stay * phase, jump], [-jump, stay * mpmath.conj(phase)]])
+        c, s, tilt = mpmath.cos(alpha_m / 2), mpmath.sin(alpha_m / 2), mpmath.expj(-chi)
+        projectors = []
+        for psi in ([tilt * s, -c], [c, mpmath.conj(tilt) * s]):
+            ket = mpmath.matrix(psi)
+            projectors.append(ket * ket.H)
+        rho2 = u * rho1 * u.H
+        rho3 = sum((k * rho2 * k.H for k in projectors), mpmath.zeros(2, 2))
+        rho4 = u.T * rho3 * u.T.H
+
+        def energy(rho, nu):
+            return mpmath.re(rho[0, 0] - rho[1, 1]) * nu
+
+        q_m = energy(rho3, nu2) - energy(rho2, nu2)
+        q_t = energy(rho1, nu1) - energy(rho4, nu1)
+        return q_m + q_t, q_m, q_t

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from unital_otto import landauzener
-from unital_otto.landauzener import _monitored_magnitudes
+from unital_otto.cli import main
+from unital_otto.cumulants import _closed_form
 from unital_otto import (
     CycleParams,
     LZParams,
@@ -15,15 +16,15 @@ from unital_otto import (
     classify_regime_array,
     cumulants_from_block,
     enumerate_paths,
-    hamiltonian,
     is_rounding_residue,
     lz_unitaries,
     monitored_averages,
     monitored_vs_unmonitored,
     qm_unmonitored_closed_form,
-    thermal_state,
     unmonitored_cycle,
 )
+
+from references import lz_unmonitored_mp
 
 FIG6A = dict(beta=0.5, nu1=0.4, nu2=0.4, phi=0.0, alpha_m=math.pi / 4, chi=0.0)
 FIG6F = dict(beta=0.5, nu1=0.4, nu2=0.9, phi=0.1, alpha_m=math.pi / 3, chi=0.1)
@@ -173,37 +174,49 @@ def test_one_block_propagation_per_table(monkeypatch):
         original = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *a: calls.append(name) or original(*a))
 
-    counted(landauzener, "unmonitored_cycle")
+    counted(landauzener, "_propagate")
     counted(landauzener, "thermal_state")
     counted(landauzener, "hamiltonian")
     counted(qstate.MeasurementChannel, "kraus_ops")
     table = monitored_vs_unmonitored(base, deltas)
     # the state, both Hamiltonians and the projectors are built once per table
     assert sorted(calls) == sorted(
-        ["unmonitored_cycle", "thermal_state", "hamiltonian", "hamiltonian", "kraus_ops"]
+        ["_propagate", "thermal_state", "hamiltonian", "hamiltonian", "kraus_ops"]
     )
     for i, (mon, um) in enumerate(want):
         got = [table.w_mon[i], table.eta_mon[i], table.w_um[i], table.eta_um[i]]
         assert np.array_equal(got, [mon.w, mon.eta, um.w, um.eta], equal_nan=True)
 
 
-def _per_row_cycle(params):
-    """The unmonitored cycle propagated one 2x2 row at a time, as the
-    table was evaluated before it became one stacked propagation."""
-    cyc = params.cycle
-    root_stay, root_jump = math.sqrt(1.0 - params.delta), math.sqrt(params.delta)
-    phase = np.exp(1.0j * params.phi)
-    u = np.array([[root_stay * phase, root_jump], [-root_jump, root_stay * np.conj(phase)]])
-    v = u.T.copy()
-    h1, h2 = hamiltonian(cyc.nu1), hamiltonian(cyc.nu2)
-    rho1 = thermal_state(cyc.beta, cyc.nu1).mat
-    rho2 = u @ rho1 @ u.conj().T
-    rho3 = sum(k @ rho2 @ k.conj().T for k in params.channel.kraus_ops())
-    rho4 = v @ rho3 @ v.conj().T
-    return [
-        float(np.trace(rho @ h).real)
-        for rho, h in ((rho1, h1), (rho2, h2), (rho3, h2), (rho4, h1))
-    ]
+def test_fixed_matrices_are_built_once_a_run(monkeypatch, tmp_path):
+    # three blocks of 256, 256 and 88 rows: the state, each Hamiltonian and
+    # the projectors once a run, the closed forms once for values and once
+    # for magnitudes a block
+    from unital_otto import qstate
+
+    calls = []
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def count(*args, **kwargs):
+            calls.append((name, *args[-1:]) if name == "hamiltonian" else name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, count)
+
+    for name in ("thermal_state", "hamiltonian", "_closed_form"):
+        counted(landauzener, name)
+    counted(qstate.MeasurementChannel, "kraus_ops")
+    argv = ["lz-compare", "--beta", "0.5", "--nu1", "0.4", "--nu2", "0.9", "--alpha-m", "1",
+            "--axis", "delta", "--start", "0", "--stop", "1", "--steps", "600"]
+    out = tmp_path / "lz.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 2 + 600
+    assert sorted(calls, key=str) == sorted(
+        ["thermal_state", ("hamiltonian", 0.4), ("hamiltonian", 0.9), "kraus_ops"]
+        + ["_closed_form"] * 6, key=str
+    )
 
 
 def _random_tables(seed, count):
@@ -222,18 +235,30 @@ def test_block_rows_equal_the_per_row_propagation_bitwise():
         block = unmonitored_cycle(base, deltas)
         table = monitored_vs_unmonitored(base, deltas)
         for i, delta in enumerate(deltas.tolist()):
-            e1, e2, e3, e4 = _per_row_cycle(base.with_delta(delta))
-            q_m, q_t = e3 - e2, e1 - e4
-            want = [e1, e2, e3, e4, q_m + q_t, q_m, q_t]
+            row = unmonitored_cycle(base.with_delta(delta), delta)
+            want = [row.e1, row.e2, row.e3, row.e4, row.w, row.q_m, row.q_t]
             got = [block.e1[i], block.e2[i], block.e3[i], block.e4[i], block.w[i], block.q_m[i], block.q_t[i]]
             # equal with the sign of every zero
             assert [(x, math.copysign(1.0, x)) for x in got] == [
                 (x, math.copysign(1.0, x)) for x in want
             ]
-            assert table.w_um[i] == want[4]
+            assert table.w_um[i] == row.w
             # the trace bound of Q_M = E3 - E2
-            residue = is_rounding_residue(q_m, 2.0 * base.cycle.nu2)
-            assert np.array_equal(table.eta_um[i], math.nan if residue else want[4] / q_m, equal_nan=True)
+            residue = is_rounding_residue(row.q_m, 2.0 * base.cycle.nu2)
+            assert np.array_equal(table.eta_um[i], math.nan if residue else row.w / row.q_m, equal_nan=True)
+
+
+def test_flows_are_within_two_eps_of_their_trace_bounds():
+    # against the cycle propagated at 60 digits on the same float inputs
+    eps = np.finfo(float).eps
+    for base, deltas in _random_tables(7, 40):
+        block = unmonitored_cycle(base, deltas)
+        cyc = base.cycle
+        bounds = (2.0 * (cyc.nu1 + cyc.nu2), 2.0 * cyc.nu2, 2.0 * cyc.nu1)
+        for i, delta in enumerate(deltas.tolist()):
+            got = (block.w[i], block.q_m[i], block.q_t[i])
+            for flow, exact, bound in zip(got, lz_unmonitored_mp(base, delta), bounds):
+                assert abs(flow - exact) <= 2.0 * eps * bound, (base, delta)
 
 
 def test_block_heat_matches_the_closed_form_on_random_tables():
@@ -260,6 +285,7 @@ def test_comparison_rows_are_the_single_point_averages():
         mon, um = monitored_averages(point, delta), unmonitored_cycle(point, delta)
         got = [table.delta[i], table.w_mon[i], table.eta_mon[i], table.w_um[i], table.eta_um[i]]
         assert np.array_equal(got, [delta, mon.w, mon.eta, um.w, um.eta], equal_nan=True)
-        magnitudes = _monitored_magnitudes(point, delta)
+        mag = _closed_form(*point.cycle[:3], delta, delta, point.channel.theta, magnitudes=True)
+        magnitudes = (mag.w_mean, mag.qm_mean, mag.qt_mean)
         regime = classify_regime_array(mon.w, mon.q_m, mon.q_t, FIG6F["beta"], magnitudes)
         assert table.regime_mon[i] == regime.item()

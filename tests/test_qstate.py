@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from unital_otto import (
     ControlSpec,
-    DensityMatrix,
     MeasurementChannel,
     PhysicsError,
     hamiltonian,
@@ -21,6 +20,7 @@ from unital_otto.cli import _resolve_theta
 
 from conftest import bloch_states, finite, probs
 from references import (
+    DensityMatrix,
     apply_channel,
     flip_h,
     flip_theta,
@@ -32,21 +32,36 @@ from references import (
 
 def test_thermal_state_infinite_temperature():
     rho = thermal_state(0.0, 1.0)
-    assert np.allclose(rho.mat, np.eye(2) / 2, atol=1e-15)
+    assert np.allclose(rho, np.eye(2) / 2, atol=1e-15)
 
 
 def test_thermal_state_zero_temperature_limit():
     rho = thermal_state(1e3, 1.0)
-    assert np.allclose(rho.mat, np.diag([0.0, 1.0]), atol=1e-15)
+    assert np.allclose(rho, np.diag([0.0, 1.0]), atol=1e-15)
     inverted = thermal_state(-1e3, 1.0)
-    assert np.allclose(inverted.mat, np.diag([1.0, 0.0]), atol=1e-15)
+    assert np.allclose(inverted, np.diag([1.0, 0.0]), atol=1e-15)
 
 
 def test_thermal_state_gibbs_ratio():
     rho = thermal_state(0.7, 1.0)
     expected = math.exp(-0.7) / (math.exp(0.7) + math.exp(-0.7))
-    assert abs(rho.populations[0] - expected) < 1e-15
-    assert abs(rho.populations[0] - 0.197816) < 1e-6
+    assert abs(rho[0, 0] - expected) < 1e-15
+    assert abs(rho[0, 0] - 0.197816) < 1e-6
+
+
+def test_thermal_state_is_a_valid_state_unchanged_by_validation():
+    # |beta nu| up to 1e4 and either sign of beta: the validator's
+    # symmetrising and renormalising change no bit of a Gibbs state
+    gen = np.random.default_rng(29)
+    betas = gen.choice([-1.0, 1.0], 1000) * 10.0 ** gen.uniform(-3.0, 2.0, 1000)
+    nus = 10.0 ** gen.uniform(-3.0, 2.0, 1000)
+    betas[:4], nus[:4] = [350.0, -350.0, 0.0, -1e3], 1.0
+    products = np.abs(betas * nus)
+    assert (products >= 350.0).sum() >= 40 and (betas < 0.0).sum() >= 400
+    for beta, nu in zip(betas.tolist(), nus.tolist()):
+        rho = thermal_state(beta, nu)
+        assert np.array_equal(DensityMatrix(rho, gap=nu).mat, rho)
+        assert rho[0, 1] == rho[1, 0] == 0.0 and rho[0, 0] + rho[1, 1] == 1.0
 
 
 def test_thermal_state_rejects_bad_input():
@@ -146,7 +161,7 @@ def test_transition_matrix_holds_flip_probabilities():
 
 def test_superpose_alpha_zero_reduces_to_plain_channel():
     ch = MeasurementChannel(1.1, 0.4)
-    rho = thermal_state(0.6, 2.0)
+    rho = DensityMatrix(thermal_state(0.6, 2.0), gap=2.0)
     for branch in ("plus", "minus"):
         out, p = superpose_apply(ch, rho, ControlSpec(0.0, branch))
         assert abs(p - 0.5) < 1e-15
@@ -175,7 +190,8 @@ def test_superposed_populations_follow_flip_matrix_at_flip_probability():
     gen = np.random.default_rng(13)
     for _ in range(2000):
         ch = MeasurementChannel(gen.uniform(0.0, math.pi), gen.uniform(-math.pi, math.pi))
-        rho = thermal_state(gen.uniform(-3.0, 3.0), gen.uniform(0.01, 3.0))
+        nu = gen.uniform(0.01, 3.0)
+        rho = DensityMatrix(thermal_state(gen.uniform(-3.0, 3.0), nu), gap=nu)
         ctrl = ControlSpec(gen.random(), "plus" if gen.random() < 0.5 else "minus")
         out, _ = superpose_apply(ch, rho, ctrl)
         flip = ctrl.flip_probability(ch.theta)
@@ -245,7 +261,7 @@ def test_unital_kraus_sets_have_unit_h(weights, seed):
 
 def test_superpose_branch_mismatch_is_physics_error(monkeypatch):
     ch = MeasurementChannel(1.0, 0.0)
-    rho = thermal_state(0.7, 1.0)
+    rho = DensityMatrix(thermal_state(0.7, 1.0))
     monkeypatch.setattr(ControlSpec, "branch_probability", property(lambda self: 0.9))
     with pytest.raises(PhysicsError, match="branch probability"):
         superpose_apply(ch, rho, ControlSpec(0.3, "minus"))

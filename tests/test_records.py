@@ -13,25 +13,27 @@ import unital_otto
 from unital_otto import (
     ControlSpec,
     CycleParams,
-    DensityMatrix,
     JointDistribution,
     LZParams,
     MeasurementChannel,
 )
 from unital_otto.qstate import _Checked
 
+from references import DensityMatrix
+
 LAYERS = ("qstate", "trajectory", "cumulants", "analysis", "landauzener")
 SRC = Path(__file__).resolve().parents[1] / "src" / "unital_otto"
 
-# every public tuple type a layer defines, exported or not (MomentSummary)
+# every public tuple type a layer defines, exported or not (MomentSummary),
+# and the tests' own validated type, DensityMatrix
 RECORDS = sorted(
-    (
+    [
         value
         for module in (importlib.import_module(f"unital_otto.{layer}") for layer in LAYERS)
         for name, value in vars(module).items()
         if not name.startswith("_") and isinstance(value, type) and issubclass(value, tuple)
         and value.__module__ == module.__name__
-    ),
+    ] + [DensityMatrix],
     key=lambda cls: cls.__name__,
 )
 

@@ -198,7 +198,6 @@ def test_verdicts_are_invariant_under_a_power_of_two_energy_unit(
     # difference between the two runs would come from a zero test
     def run(s):
         cycle = [beta / s, nu1 * s, nu1 * ratio * s]
-        # --flag=value, as a negative value in exponent form reads as an option
         flags = [f"--{name}={x!r}" for name, x in zip(("beta", "nu1", "nu2"), cycle)]
         point = flags + ["--delta", "0.25", f"--zeta={zeta!r}", f"--theta={theta!r}"]
         point += ["--cs-alpha", "0.3", "--branch", cs] if cs else []
@@ -223,10 +222,11 @@ def test_verdicts_are_invariant_under_a_power_of_two_energy_unit(
 
 def test_landauzener_flows_use_the_trace_bound():
     # alpha-m = pi/2 and delta = 1/2: the unmonitored heat is 0 up to the
-    # rounding of cos(alpha-m), and the propagation leaves a nonzero residue
-    # of its trace bound 2 nu2, which reads as 0 in every unit
+    # rounding of cos(alpha-m), and at phi = -3, chi = 0.3 the propagation
+    # leaves a nonzero residue of its trace bound 2 nu2 (at chi = 0 it
+    # cancels to 0.0), which reads as 0 in every unit
     for s in (2.0**-30, 1.0, 2.0**30):
-        base = landauzener.LZParams.build(0.5 / s, 0.4 * s, 0.9 * s, 0.5, -3.0, math.pi / 2, 0.0)
+        base = landauzener.LZParams.build(0.5 / s, 0.4 * s, 0.9 * s, 0.5, -3.0, math.pi / 2, 0.3)
         avg = landauzener.unmonitored_cycle(base, 0.5)
         assert avg.q_m != 0.0 and abs(avg.q_m) <= 64.0 * np.finfo(float).eps * 0.9 * s
         assert math.isnan(avg.eta)
