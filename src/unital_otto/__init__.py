@@ -12,6 +12,7 @@ z-scores test the sampler and the moment formulas, not the path table.
 
 from .qstate import (
     ControlSpec,
+    InputError,
     MeasurementChannel,
     PhysicsError,
     hamiltonian,
@@ -40,14 +41,17 @@ from .cumulants import (
 )
 from .analysis import (
     BoundReport,
+    CumulantRatioBlock,
     CumulantRatioRecord,
     Regime,
     WorkThreshold,
     classify_regime_array,
+    cumulant_ratio_block,
     cumulant_ratio_scan,
     efficiency_block,
     positive_work_threshold,
     verify_bounds_block,
+    work_threshold_block,
 )
 from .landauzener import (
     Comparison,

@@ -37,8 +37,11 @@ from .cumulants import (
     FirstTwoCumulants, _closed_form, closed_form_first_second, cumulants_from_block,
     is_rounding_residue,
 )
-from .qstate import ControlSpec, PhysicsError
-from .trajectory import CycleParams, _check_theta, _checked_columns, enumerate_paths
+from .qstate import ControlSpec, InputError, PhysicsError
+from .trajectory import (
+    CycleParams, DistributionBlock, JointDistribution, _check_theta, _checked_columns,
+    enumerate_paths,
+)
 
 __all__ = [
     "Regime",
@@ -50,6 +53,9 @@ __all__ = [
     "efficiency_block",
     "verify_bounds_block",
     "cumulant_ratio_scan",
+    "work_threshold_block",
+    "CumulantRatioBlock",
+    "cumulant_ratio_block",
 ]
 
 # The printed name of each regime, indexed by its code.
@@ -208,6 +214,39 @@ def _mode_means(cycle: tuple, mode: str) -> tuple:
     return pair, FirstTwoCumulants(*map(np.add, fwd_mag, bwd_mag)), fwd, fwd_mag
 
 
+def work_threshold_block(
+    beta, nu1, nu2, delta, zeta, theta, mode: str = "symmetric",
+    alpha=None, branch: str = "minus",
+) -> np.ndarray:
+    """The gap nu2_min beyond which the mean work of ``mode`` is positive,
+    at every point of broadcast parameter arrays, checked as
+    :func:`efficiency_block` checks them; beta and nu2 are checked but do
+    not enter.
+
+    ``symmetric`` reads the forward work of the delta = zeta cycle (zeta
+    does not enter) and needs nu2 > nu2_min; ``cs`` is ``symmetric`` at the
+    flip probability of the control; ``asymmetric`` reads the forward plus
+    backward work and needs nu2 >= nu2_min.  ``inf`` where no gap makes work
+    positive (theta = 0, or asymmetric with delta + zeta >= 1), ``nan``
+    where the symmetric heat is never absorbed (delta >= 1/2).
+    """
+    _, nu1, _, d, z, _, flip = _checked(beta, nu1, nu2, delta, zeta, theta, mode, alpha, branch)
+    return _threshold(nu1, d, z, flip, mode)
+
+
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def _threshold(nu1, d, z, flip, mode: str) -> np.ndarray:
+    """:func:`work_threshold_block` on checked columns and the flip
+    probability."""
+    if mode == "asymmetric":
+        num = flip + (1.0 - 2.0 * flip) * (d + z - 2.0 * d * z)
+        nu2_min = num * nu1 / (flip * (1.0 - d - z))
+        return np.where((flip > 0.0) & (d + z < 1.0), nu2_min, math.inf)
+    num = flip + 2.0 * d * (1.0 - 2.0 * flip) * (1.0 - d)
+    nu2_min = np.where(flip > 0.0, num * nu1 / (flip * (1.0 - 2.0 * d)), math.inf)
+    return np.where(d < 0.5, nu2_min, math.nan)
+
+
 class BoundReport(NamedTuple):
     """Outcome of checking one inequality ``left <= right`` at every point
     of a block: arrays of its shape, 0-d at one point."""
@@ -220,11 +259,16 @@ class BoundReport(NamedTuple):
     margin: np.ndarray
 
 
+def _holds(margin, magnitude):
+    """Whether ``left <= right`` holds, given the margin right - left: where
+    it is nonnegative or a rounding residue of ``magnitude``, the magnitude
+    of the difference, so the operands' rounding and nothing more decides."""
+    return (margin >= 0.0) | is_rounding_residue(margin, magnitude)
+
+
 def _report(name: str, left, right, applicable, magnitude) -> BoundReport:
-    """The report of ``left <= right`` where ``applicable``.  The comparison
-    holds where right - left is nonnegative or a rounding residue of
-    ``magnitude``, the magnitude of the difference: the operands' rounding
-    and nothing more.  Each field is an array of the block's shape with
+    """The report of ``left <= right`` where ``applicable``, decided by
+    :func:`_holds`.  Each field is an array of the block's shape with
     cells of its own: an operand of another shape (a constant bound) is
     broadcast and copied."""
     shape = np.broadcast(left, right, applicable).shape
@@ -238,7 +282,7 @@ def _report(name: str, left, right, applicable, magnitude) -> BoundReport:
         left=left,
         right=right,
         applicable=applicable,
-        satisfied=(margin >= 0.0) | is_rounding_residue(margin, magnitude),
+        satisfied=_holds(margin, magnitude),
         margin=margin,
     )
 
@@ -361,7 +405,7 @@ def cumulant_ratio_scan(
     dist = enumerate_paths(params, theta)
     cums = cumulants_from_block(dist)
     kw, kq = cums.w.tolist(), cums.q_m.tolist()  # the record holds Python floats
-    mw, mq = _cumulant_magnitudes(dist.w, dist.prob), _cumulant_magnitudes(dist.q_m, dist.prob)
+    mw, mq = _cumulant_magnitudes_scalar(dist.w, dist.prob), _cumulant_magnitudes_scalar(dist.q_m, dist.prob)
     # <Q_M> cancelled to rounding residue is no heat, as in efficiency
     eta = math.nan if is_rounding_residue(kq[0], mq[0]) else kw[0] / kq[0]
     num, den = kw[order - 1], kq[order - 1]
@@ -380,7 +424,71 @@ def cumulant_ratio_scan(
     )
 
 
-def _cumulant_magnitudes(values: np.ndarray, prob: np.ndarray) -> list[float]:
+class CumulantRatioBlock(NamedTuple):
+    """kappa_n(W) / kappa_n(Q_M) at every point of a block and where it
+    leaves the corridor [eta^n, 1]: arrays of the block's shape, 0-d at one
+    point."""
+
+    ratio: np.ndarray
+    eta_power: np.ndarray
+    below_eta_power: np.ndarray
+    above_one: np.ndarray
+    sign_mismatch: np.ndarray
+    undefined: np.ndarray
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def cumulant_ratio_block(
+    block: DistributionBlock | JointDistribution, order: int
+) -> CumulantRatioBlock:
+    """The ratio of the ``order``-th cumulants (2, 3 or 4) of W and Q_M at
+    every point of an enumerated block, as :func:`~unital_otto.trajectory.
+    enumerate_block` returns it, or of one point's distribution.
+
+    eta is the forward efficiency <W> / <Q_M>.  The ratio and eta are
+    ``nan`` where their denominators are rounding residues; a ``nan`` ratio
+    is ``undefined`` and flags nothing else.  ``below_eta_power`` and
+    ``above_one`` are the corridor's comparisons failing beyond their
+    operands' rounding, ``sign_mismatch`` is a kappa_n(W) beyond its
+    rounding residue of the opposite sign to kappa_n(Q_M).  The second
+    cumulants keep to the corridor under the precondition of the
+    ``eta_sq_le_ratio`` bound; the third and fourth escape it on both
+    sides.
+    """
+    if order not in (2, 3, 4):
+        raise InputError("order must be 2, 3 or 4")
+    cums = cumulants_from_block(block)
+    mw, mq = (_cumulant_magnitudes(x, block.prob) for x in (block.w, block.q_m))
+    n = order - 1
+    eta, eta_mag = _quotient(cums.w[..., 0], cums.q_m[..., 0], mw[0], mq[0])
+    num, den = cums.w[..., n], cums.q_m[..., n]
+    ratio, ratio_mag = _quotient(num, den, mw[n], mq[n])
+    eta_power = eta**order
+    # to first order, d(eta^n) = n eta^(n-1) d eta
+    power_mag = order * np.abs(eta) ** n * eta_mag
+    undefined = np.isnan(ratio)
+    return CumulantRatioBlock(
+        ratio=ratio,
+        eta_power=eta_power,
+        below_eta_power=~undefined & ~np.isnan(eta_power)
+        & ~_holds(ratio - eta_power, ratio_mag + power_mag),
+        above_one=~undefined & ~_holds(1.0 - ratio, ratio_mag),
+        sign_mismatch=~undefined & ~is_rounding_residue(num, mw[n]) & (num * den < 0.0),
+        undefined=undefined,
+    )
+
+
+def _cumulant_magnitudes(values: np.ndarray, prob: np.ndarray) -> tuple:
+    """The magnitudes of the mean and of the centred sums that
+    :func:`~unital_otto.cumulants.cumulants_from_block` forms for kappa_2
+    to kappa_4 at every point, each x - mean read as |x| + sum p |x|."""
+    first = np.vecdot(prob, np.abs(values))
+    spread = np.abs(values) + first[..., None]
+    second = np.vecdot(prob, spread**2)
+    return first, second, np.vecdot(prob, spread**3), np.vecdot(prob, spread**4) + 3.0 * second**2
+
+
+def _cumulant_magnitudes_scalar(values: np.ndarray, prob: np.ndarray) -> list[float]:
     """The magnitudes of the mean and of the centred sums that
     :func:`~unital_otto.cumulants.cumulants_from_block` forms for kappa_2
     to kappa_4, each x - mean read as |x| + sum p |x|."""

@@ -25,12 +25,18 @@ from collections import namedtuple
 import numpy as np
 
 __all__ = [
+    "InputError",
     "PhysicsError",
     "MeasurementChannel",
     "ControlSpec",
     "hamiltonian",
     "thermal_state",
 ]
+
+
+class InputError(ValueError):
+    """An argument failed an input check: out of its domain, of the wrong
+    shape or kind."""
 
 
 class PhysicsError(ValueError):

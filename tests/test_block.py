@@ -795,6 +795,78 @@ def test_grid_commands_check_each_block_once(argv, monkeypatch, capsys):
     assert len(calls) == 4
 
 
+# --- the work threshold and the cumulant-ratio corridor --------------------
+
+def corridor_points(rng, n, mode, branch):
+    """:func:`bound_points` with theta = 1 at a further 60 points, and the
+    block's control: none outside ``cs``."""
+    cycle, alpha = bound_points(rng, n, mode, branch)
+    cycle[5][280:340] = 0.0 if mode == "cs" else 1.0
+    return cycle, () if alpha is None else (alpha, branch)
+
+
+def within_one_ulp(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    close = np.abs(a - b) <= np.spacing(np.maximum(np.abs(a), np.abs(b)))
+    return bool((nan == np.isnan(b)).all() and (close | (a == b) | nan).all())
+
+
+@pytest.mark.parametrize("mode, branch", MODES)
+def test_threshold_and_ratio_blocks_match_the_scalar_rules(rng, mode, branch):
+    from unital_otto.analysis import (
+        CumulantRatioBlock, _cumulant_magnitudes, _quotient, cumulant_ratio_scan,
+        positive_work_threshold,
+    )
+
+    cycle, control = corridor_points(rng, 5000, mode, branch)
+    got = analysis.work_threshold_block(*cycle, mode, *control)
+    raised = 0
+    for i in range(len(got)):
+        params, theta = CycleParams(*(float(c[i]) for c in cycle[:5])), float(cycle[5][i])
+        ctrl = ControlSpec(float(control[0][i]), branch) if control else None
+        try:
+            want = positive_work_threshold(params, theta, mode, ctrl).nu2_min
+        except PhysicsError:
+            raised += 1
+            want = math.nan
+        assert same_bits(got[i], want), (i, got[i], want)
+    assert raised == (mode != "asymmetric") * int((cycle[3] >= 0.5).sum())
+
+    # the rules on the distribution the scalar rule enumerates: a grid's row
+    # holds its outcomes in another order (test below for the grid)
+    flip = cycle[5] if not control else trajectory._controlled_flip(cycle[5], *control)
+    differ = {"below_eta_power": 0, "above_one": 0}
+    counts = dict.fromkeys(CumulantRatioBlock._fields[2:], 0)
+    for i in range(len(flip)):
+        params = CycleParams(*(float(c[i]) for c in cycle[:5]))
+        dist = enumerate_paths(params, float(flip[i]))
+        cums = cumulants_from_block(dist)
+        mw, mq = (_cumulant_magnitudes(x, dist.prob) for x in (dist.w, dist.q_m))
+        eta, eta_mag = _quotient(cums.w[0], cums.q_m[0], mw[0], mq[0])
+        for order in (2, 3, 4):
+            got = analysis.cumulant_ratio_block(dist, order)
+            want = cumulant_ratio_scan(params, float(flip[i]), order)
+            assert same_bits(got.ratio, want.ratio), (order, i)
+            assert got.undefined == want.undefined, (order, i)
+            assert got.sign_mismatch == want.sign_mismatch, (order, i)
+            assert within_one_ulp(got.eta_power, want.eta_power), (order, i)
+            # the magnitudes of the two comparisons, as the block forms them
+            n = order - 1
+            ratio_mag = _quotient(cums.w[n], cums.q_m[n], mw[n], mq[n])[1]
+            magnitude = {"below_eta_power": ratio_mag + order * np.abs(eta) ** n * eta_mag,
+                         "above_one": ratio_mag}
+            for flag in differ:
+                if getattr(got, flag) != getattr(want, flag):
+                    # the scalar rule compared rounding residues as numbers
+                    other = want.eta_power if flag == "below_eta_power" else 1.0
+                    differ[flag] += 1
+                    assert residue(want.ratio - other, magnitude[flag]), (order, flag, i)
+            for flag in counts:
+                counts[flag] += bool(getattr(got, flag))
+    print(mode, branch, differ, counts)
+
+
 # --- the bound campaign's draws ---------------------------------------------
 
 
