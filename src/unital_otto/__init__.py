@@ -42,14 +42,10 @@ from .cumulants import (
 from .analysis import (
     BoundReport,
     CumulantRatioBlock,
-    CumulantRatioRecord,
     Regime,
-    WorkThreshold,
     classify_regime_array,
     cumulant_ratio_block,
-    cumulant_ratio_scan,
     efficiency_block,
-    positive_work_threshold,
     verify_bounds_block,
     work_threshold_block,
 )

@@ -1,26 +1,32 @@
-"""Operating regimes, efficiencies, thresholds and fluctuation bounds.
+"""Operating regimes, efficiencies, thresholds, fluctuation bounds and the
+cumulant-ratio corridor.
 
 The cycle acts as an Engine, Accelerator or Heater for a positive-
 temperature bath, and as an Accelerator, Engine or unit-efficiency
 EnginePrime when the bath temperature is negative.  Work extraction
 requires opening the gap (nu2 > nu1) beyond a theta- and delta-
-dependent threshold, and in the engine regime the ratio of work and
-heat fluctuations is squeezed between the squared efficiency (indeed
-the squared Otto efficiency) and one.  Every bound carries its own
+dependent threshold (:func:`work_threshold_block`), and in the engine
+regime the ratio of work and heat fluctuations is squeezed between the
+squared efficiency (indeed the squared Otto efficiency) and one.  The
+third and fourth cumulant ratios leave that corridor [eta^n, 1] on both
+sides (:func:`cumulant_ratio_block`).  Every bound carries its own
 applicability condition: a report can be "violated" only where its
 precondition actually held.
 
-Efficiencies and bound checks are array arithmetic over broadcast
-parameter columns (:func:`efficiency_block`, :func:`verify_bounds_block`),
-scalars included: one point is a 0-d block.  Both check their columns as
-every block function does, in the order cycle, control, theta range, flip
-bound, and raise the first failing point's own error.
+Thresholds, efficiencies and bound checks are array arithmetic over
+broadcast parameter columns, scalars included: one point is a 0-d block.
+Each checks its columns as every block function does (:func:`_checked`),
+in the order cycle, control, theta range, flip bound, and raises the
+first failing point's own error.  The cumulant ratios take an enumerated
+block instead.
 
 An energy-valued quantity is zero here when it is a rounding residue of
 its summands' magnitudes (:func:`~unital_otto.cumulants.is_rounding_residue`),
-a comparison holds up to its operands' rounding, beta is zero only at 0
-and equal gaps are nu1 == nu2.  A regime, an efficiency or a bound verdict
-is therefore the same in every energy unit.
+a quotient is ``nan`` where its denominator is one (:func:`_quotient`),
+a comparison holds up to its operands' rounding (:func:`_holds`), beta is
+zero only at 0 and equal gaps are nu1 == nu2.  A regime, an efficiency,
+a bound verdict or a corridor flag is therefore the same in every energy
+unit.
 """
 
 from __future__ import annotations
@@ -31,30 +37,23 @@ from typing import NamedTuple
 
 import numpy as np
 
-# closed_form_first_second is not called here: perfbench's tracer and its
-# tests look the name up on this module
+# closed_form_first_second and enumerate_paths are not called here:
+# perfbench's tracer and its tests look both names up on this module
 from .cumulants import (
     FirstTwoCumulants, _closed_form, closed_form_first_second, cumulants_from_block,
     is_rounding_residue,
 )
-from .qstate import ControlSpec, InputError, PhysicsError
-from .trajectory import (
-    CycleParams, DistributionBlock, JointDistribution, _check_theta, _checked_columns,
-    enumerate_paths,
-)
+from .qstate import InputError
+from .trajectory import DistributionBlock, JointDistribution, _checked_columns, enumerate_paths
 
 __all__ = [
     "Regime",
     "BoundReport",
-    "WorkThreshold",
-    "CumulantRatioRecord",
+    "CumulantRatioBlock",
     "classify_regime_array",
-    "positive_work_threshold",
+    "work_threshold_block",
     "efficiency_block",
     "verify_bounds_block",
-    "cumulant_ratio_scan",
-    "work_threshold_block",
-    "CumulantRatioBlock",
     "cumulant_ratio_block",
 ]
 
@@ -109,56 +108,12 @@ def classify_regime_array(w_mean, qm_mean, qt_mean, beta, magnitudes) -> np.ndar
     return regimes
 
 
-class WorkThreshold(NamedTuple):
-    """Minimal nu2 for positive mean work; ``strict`` records > vs >=."""
-
-    nu2_min: float
-    strict: bool
-    mode: str
-
-
-def positive_work_threshold(
-    params: CycleParams,
-    theta: float,
-    mode: str = "symmetric",
-    ctrl: ControlSpec | None = None,
-) -> WorkThreshold:
-    """Gap threshold above which the mean extracted work turns positive.
-
-    Modes: ``symmetric`` (delta = zeta cycle, forward work),
-    ``asymmetric`` (positivity of the forward + backward sum) and
-    ``cs`` (coherently controlled symmetric cycle; needs ``ctrl``; the
-    symmetric threshold at ``ctrl.flip_probability(theta)``).
-    Returns ``inf`` when no finite gap can make work positive.
-    """
-    _check_theta(theta)
-    d, z, nu1 = params.delta, params.zeta, params.nu1
-    if mode == "cs":
-        if ctrl is None:
-            raise ValueError("cs mode needs a ControlSpec")
-        theta = ctrl.flip_probability(theta)
-    if mode in ("symmetric", "cs"):
-        if d >= 0.5:
-            raise PhysicsError(f"no {mode} threshold: delta >= 1/2 makes Q_M <= 0")
-        if theta <= 0.0:
-            return WorkThreshold(math.inf, True, mode)
-        num = theta + 2.0 * d * (1.0 - 2.0 * theta) * (1.0 - d)
-        return WorkThreshold(num * nu1 / (theta * (1.0 - 2.0 * d)), True, mode)
-    if mode == "asymmetric":
-        if theta <= 0.0 or d + z >= 1.0:
-            return WorkThreshold(math.inf, False, mode)
-        s = d + z - 2.0 * d * z
-        num = theta + (1.0 - 2.0 * theta) * s
-        return WorkThreshold(num * nu1 / (theta * (1.0 - d - z)), False, mode)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
 def _checked(beta, nu1, nu2, delta, zeta, theta, mode: str, alpha, branch: str) -> tuple:
     """Checked columns and the flip probability of ``mode``."""
     if mode not in ("symmetric", "asymmetric", "cs"):
-        raise ValueError(f"unknown mode {mode!r}")
+        raise InputError(f"unknown mode {mode!r}")
     if mode == "cs" and alpha is None:
-        raise ValueError("cs mode needs a control weight alpha")
+        raise InputError("cs mode needs a control weight alpha")
     control = (alpha, branch) if mode == "cs" else ()
     return _checked_columns(beta, nu1, nu2, delta, zeta, theta, *control)
 
@@ -218,17 +173,20 @@ def work_threshold_block(
     beta, nu1, nu2, delta, zeta, theta, mode: str = "symmetric",
     alpha=None, branch: str = "minus",
 ) -> np.ndarray:
-    """The gap nu2_min beyond which the mean work of ``mode`` is positive,
+    """The gap nu2_min at which the mean work of ``mode`` turns positive,
     at every point of broadcast parameter arrays, checked as
-    :func:`efficiency_block` checks them; beta and nu2 are checked but do
-    not enter.
+    :func:`efficiency_block` checks them; beta and nu2 are checked but not
+    read.
 
-    ``symmetric`` reads the forward work of the delta = zeta cycle (zeta
-    does not enter) and needs nu2 > nu2_min; ``cs`` is ``symmetric`` at the
-    flip probability of the control; ``asymmetric`` reads the forward plus
-    backward work and needs nu2 >= nu2_min.  ``inf`` where no gap makes work
-    positive (theta = 0, or asymmetric with delta + zeta >= 1), ``nan``
-    where the symmetric heat is never absorbed (delta >= 1/2).
+    ``symmetric`` reads the forward work of the delta = zeta cycle (zeta is
+    not read), ``cs`` that work at the control's flip probability, and
+    ``asymmetric`` the forward plus backward work.  The work is affine in
+    nu2 and zero at nu2_min; for beta > 0 it is positive above nu2_min and
+    negative below.  So positive work needs nu2 > nu2_min in the symmetric
+    and cs modes, and the asymmetric condition nu2 >= nu2_min is that for
+    nonnegative summed work.  ``inf`` where no gap makes work positive
+    (theta = 0, or asymmetric with delta + zeta >= 1), ``nan`` where the
+    symmetric or cs heat is never absorbed (delta >= 1/2).
     """
     _, nu1, _, d, z, _, flip = _checked(beta, nu1, nu2, delta, zeta, theta, mode, alpha, branch)
     return _threshold(nu1, d, z, flip, mode)
@@ -239,8 +197,13 @@ def _threshold(nu1, d, z, flip, mode: str) -> np.ndarray:
     """:func:`work_threshold_block` on checked columns and the flip
     probability."""
     if mode == "asymmetric":
-        num = flip + (1.0 - 2.0 * flip) * (d + z - 2.0 * d * z)
-        nu2_min = num * nu1 / (flip * (1.0 - d - z))
+        # theta + (1 - 2 theta) s as a sum of nonnegative terms, 1 - s =
+        # (1 - d)(1 - z) + d z; and 1 - d - z with the rounding error of
+        # 1 - d, exact by Fast2Sum, put back after the cancellation
+        s = d + z - 2.0 * d * z
+        num = flip * ((1.0 - d) * (1.0 - z) + d * z) + (1.0 - flip) * s
+        rest = 1.0 - d
+        nu2_min = num * nu1 / (flip * ((rest - z) - ((rest - 1.0) + d)))
         return np.where((flip > 0.0) & (d + z < 1.0), nu2_min, math.inf)
     num = flip + 2.0 * d * (1.0 - 2.0 * flip) * (1.0 - d)
     nu2_min = np.where(flip > 0.0, num * nu1 / (flip * (1.0 - 2.0 * d)), math.inf)
@@ -378,52 +341,6 @@ def _bounds(beta, nu1, nu2, d, z, theta, flip, mode: str, branch: str) -> list[B
     return reports
 
 
-class CumulantRatioRecord(NamedTuple):
-    """kappa_n(W) / kappa_n(Q_M) with its bound-violation flags."""
-
-    order: int
-    ratio: float
-    eta_power: float
-    below_eta_power: bool
-    above_one: bool
-    sign_mismatch: bool
-    undefined: bool
-
-
-def cumulant_ratio_scan(
-    params: CycleParams, theta: float, order: int
-) -> CumulantRatioRecord:
-    """Flag where a cumulant ratio escapes the [eta^n, 1] corridor.
-
-    Cumulants come from exact enumeration; eta is the forward-cycle
-    efficiency.  The second-cumulant corridor is a theorem (under its
-    precondition); for orders three and four escapes and sign
-    mismatches do occur.
-    """
-    if order not in (2, 3, 4):
-        raise ValueError("order must be 2, 3 or 4")
-    dist = enumerate_paths(params, theta)
-    cums = cumulants_from_block(dist)
-    kw, kq = cums.w.tolist(), cums.q_m.tolist()  # the record holds Python floats
-    mw, mq = _cumulant_magnitudes_scalar(dist.w, dist.prob), _cumulant_magnitudes_scalar(dist.q_m, dist.prob)
-    # <Q_M> cancelled to rounding residue is no heat, as in efficiency
-    eta = math.nan if is_rounding_residue(kq[0], mq[0]) else kw[0] / kq[0]
-    num, den = kw[order - 1], kq[order - 1]
-    eta_power = eta**order
-    if is_rounding_residue(den, mq[order - 1]):
-        return CumulantRatioRecord(order, math.nan, eta_power, False, False, False, True)
-    ratio = num / den
-    return CumulantRatioRecord(
-        order=order,
-        ratio=ratio,
-        eta_power=eta_power,
-        below_eta_power=bool(ratio < eta_power),
-        above_one=bool(ratio > 1.0),
-        sign_mismatch=not is_rounding_residue(num, mw[order - 1]) and num * den < 0.0,
-        undefined=False,
-    )
-
-
 class CumulantRatioBlock(NamedTuple):
     """kappa_n(W) / kappa_n(Q_M) at every point of a block and where it
     leaves the corridor [eta^n, 1]: arrays of the block's shape, 0-d at one
@@ -486,13 +403,3 @@ def _cumulant_magnitudes(values: np.ndarray, prob: np.ndarray) -> tuple:
     spread = np.abs(values) + first[..., None]
     second = np.vecdot(prob, spread**2)
     return first, second, np.vecdot(prob, spread**3), np.vecdot(prob, spread**4) + 3.0 * second**2
-
-
-def _cumulant_magnitudes_scalar(values: np.ndarray, prob: np.ndarray) -> list[float]:
-    """The magnitudes of the mean and of the centred sums that
-    :func:`~unital_otto.cumulants.cumulants_from_block` forms for kappa_2
-    to kappa_4, each x - mean read as |x| + sum p |x|."""
-    first = float(prob @ np.abs(values))
-    spread = np.abs(values) + first
-    second = float(prob @ spread**2)
-    return [first, second, float(prob @ spread**3), float(prob @ spread**4) + 3.0 * second**2]

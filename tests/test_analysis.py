@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,20 +11,21 @@ from hypothesis import given, settings
 from unital_otto import (
     ControlSpec,
     CycleParams,
-    PhysicsError,
     Regime,
     classify_regime_array,
     closed_form_first_second,
-    cumulant_ratio_scan,
+    cumulant_ratio_block,
     cumulants_from_block,
     efficiency_block,
+    enumerate_block,
     enumerate_paths,
     is_rounding_residue,
-    positive_work_threshold,
     verify_bounds_block,
+    work_threshold_block,
 )
 
 from conftest import close, cycle_params, finite, probs, regime_of
+from references import exact_means
 
 FIG3 = CycleParams(0.5, 1.0, 2.0, 0.1, 0.1)
 
@@ -65,8 +67,7 @@ def test_heater_to_engine_prime_under_bath_inversion():
 def test_threshold_formula_marks_zero_work():
     for theta in (0.2, 0.7):
         for delta in (0.05, 0.2, 0.4):
-            params = CycleParams(0.7, 1.0, 2.0, delta, delta)
-            nu2_min = positive_work_threshold(params, theta, "symmetric").nu2_min
+            nu2_min = float(work_threshold_block(0.7, 1.0, 2.0, delta, delta, theta))
             at_threshold = CycleParams(0.7, 1.0, nu2_min, delta, delta)
             assert closed_form_first_second(at_threshold, theta).w_mean == pytest.approx(
                 0.0, abs=1e-14
@@ -74,33 +75,22 @@ def test_threshold_formula_marks_zero_work():
 
 
 def test_threshold_requires_heat_absorption():
-    with pytest.raises(PhysicsError):
-        positive_work_threshold(CycleParams(0.7, 1.0, 2.0, 0.6, 0.6), 0.2, "symmetric")
-    assert math.isinf(
-        positive_work_threshold(CycleParams(0.7, 1.0, 2.0, 0.1, 0.1), 0.0, "symmetric").nu2_min
-    )
-    assert math.isinf(
-        positive_work_threshold(CycleParams(0.7, 1.0, 2.0, 0.7, 0.6), 0.3, "asymmetric").nu2_min
-    )
+    # no heat is absorbed at delta >= 1/2: no threshold, and no error
+    assert math.isnan(work_threshold_block(0.7, 1.0, 2.0, 0.6, 0.6, 0.2, "symmetric"))
+    assert math.isnan(work_threshold_block(0.7, 1.0, 2.0, 0.6, 0.6, 0.2, "cs", 0.3, "plus"))
+    assert math.isinf(work_threshold_block(0.7, 1.0, 2.0, 0.1, 0.1, 0.0, "symmetric"))
+    assert math.isinf(work_threshold_block(0.7, 1.0, 2.0, 0.7, 0.6, 0.3, "asymmetric"))
 
 
 @pytest.mark.parametrize("theta", [1.5, -0.1, math.nan, math.inf])
 @pytest.mark.parametrize("mode", ["symmetric", "asymmetric", "cs"])
 def test_threshold_checks_theta_in_every_mode(mode, theta):
-    params = CycleParams(0.7, 1.0, 2.0, 0.1, 0.2)
     with pytest.raises(ValueError, match=r"^theta must lie in \[0, 1\]$"):
-        positive_work_threshold(params, theta, mode, ControlSpec(0.3, "minus"))
-
-
-def test_threshold_strictness_flags():
-    params = CycleParams(0.7, 1.0, 2.0, 0.1, 0.2)
-    assert positive_work_threshold(params, 0.3, "symmetric").strict
-    assert not positive_work_threshold(params, 0.3, "asymmetric").strict
+        work_threshold_block(0.7, 1.0, 2.0, 0.1, 0.2, theta, mode, 0.3, "minus")
 
 
 def test_asymmetric_threshold_marks_zero_summed_work():
-    params = CycleParams(0.7, 1.0, 2.0, 0.1, 0.25)
-    nu2_min = positive_work_threshold(params, 0.3, "asymmetric").nu2_min
+    nu2_min = float(work_threshold_block(0.7, 1.0, 2.0, 0.1, 0.25, 0.3, "asymmetric"))
     at = CycleParams(0.7, 1.0, nu2_min, 0.1, 0.25)
     total = (
         closed_form_first_second(at, 0.3).w_mean
@@ -110,10 +100,10 @@ def test_asymmetric_threshold_marks_zero_summed_work():
 
 
 def test_cs_threshold_shifts_with_branch():
-    params = CycleParams(0.7, 1.0, 2.0, 0.1, 0.1)
-    plain = positive_work_threshold(params, 0.2, "symmetric").nu2_min
-    minus = positive_work_threshold(params, 0.2, "cs", ControlSpec(0.5, "minus")).nu2_min
-    plus = positive_work_threshold(params, 0.2, "cs", ControlSpec(0.5, "plus")).nu2_min
+    cycle = (0.7, 1.0, 2.0, 0.1, 0.1, 0.2)
+    plain = work_threshold_block(*cycle, "symmetric")
+    minus = float(work_threshold_block(*cycle, "cs", 0.5, "minus"))
+    plus = work_threshold_block(*cycle, "cs", 0.5, "plus")
     assert minus < plain < plus
     at = CycleParams(0.7, 1.0, minus, 0.1, 0.1)
     flip = ControlSpec(0.5, "minus").flip_probability(0.2)
@@ -124,19 +114,83 @@ def test_cs_threshold_matches_paper_numerator():
     # the paper's cs threshold: nu2 > num nu1 / (theta (1 - 2 delta)) with
     # num = theta + 2 delta (1 - delta) (1 - 2 theta) +- 2 delta (1 - delta) c
     gen = np.random.default_rng(31)
-    for _ in range(5000):
-        d, theta = 0.5 * gen.random(), 0.5 * gen.random()
-        params = CycleParams(0.7, gen.uniform(1e-3, 3.0), 2.0, d, d)
-        ctrl = ControlSpec(gen.random(), "plus" if gen.random() < 0.5 else "minus")
-        num = (
-            theta
-            + 2.0 * d * (1.0 - d) * (1.0 - 2.0 * theta)
-            + ctrl.sign * 2.0 * d * (1.0 - d) * ctrl.coherence
-        )
-        paper = num * params.nu1 / (theta * (1.0 - 2.0 * d))
-        got = positive_work_threshold(params, theta, "cs", ctrl)
-        assert got.mode == "cs" and got.strict
-        assert close(got.nu2_min, paper, 1e-14)
+    n = 5000
+    d, theta = 0.5 * gen.random(n), 0.5 * gen.random(n)
+    nu1 = gen.uniform(1e-3, 3.0, n)
+    alpha = gen.random(n)
+    sign = np.where(gen.random(n) < 0.5, 1.0, -1.0)
+    for branch, side in (("plus", 1.0), ("minus", -1.0)):
+        mine = sign == side
+        coherence = np.sqrt(alpha * (1.0 - alpha))
+        num = theta + 2.0 * d * (1.0 - d) * (1.0 - 2.0 * theta) + side * 2.0 * d * (1.0 - d) * coherence
+        paper = num * nu1 / (theta * (1.0 - 2.0 * d))
+        got = work_threshold_block(0.7, nu1[mine], 2.0, d[mine], d[mine], theta[mine], "cs",
+                                   alpha[mine], branch)
+        assert all(close(g, p, 1e-14) for g, p in zip(got.tolist(), paper[mine].tolist()))
+
+
+def affine_work(t, nu1, d, z, theta, mode):
+    """(A, B) of the exact mean work A + B nu2 that ``mode`` reads, from the
+    16 path records: their probabilities do not depend on nu2, so at nu2 = 1
+    B is <Q_M> and A is <W> - <Q_M>."""
+    directions = [(d, z)] if mode == "symmetric" else [(d, z), (z, d)]
+    means = [exact_means(t, nu1, 1.0, *pair, theta) for pair in directions]
+    return sum(m[0] - m[2] for m in means), sum(m[2] for m in means)
+
+
+def assert_exact_thresholds(t, nu1, delta, zeta, theta, mode, nu2_min):
+    """Where ``nu2_min`` is finite, the exact mean work A + B nu2 rises
+    through zero (B > 0) at a gap within 4 ulps of it; elsewhere no gap
+    makes it positive (A <= 0 and B <= 0)."""
+    for i in range(len(nu2_min)):
+        point = (float(nu1[i]), float(delta[i]), float(zeta[i]), float(theta[i]))
+        a, b = affine_work(float(t[i]), *point, mode)
+        if not math.isfinite(nu2_min[i]):
+            assert a <= 0 and b <= 0, i
+            continue
+        assert b > 0, i
+        exact = -a / b
+        assert abs(Fraction(nu2_min[i]) - exact) <= 4 * Fraction(math.ulp(float(exact))), i
+
+
+@pytest.mark.parametrize("mode", ["symmetric", "asymmetric"])
+def test_threshold_is_the_exact_zero_of_the_mean_work(mode):
+    # beta > 0: the mean work is zero at the threshold, positive above it
+    # and negative below
+    gen = np.random.default_rng(29)
+    n = 20000
+    beta = gen.uniform(1e-3, 2.0, n)
+    nu1 = np.exp(gen.uniform(math.log(1e-2), math.log(20.0), n))
+    delta, zeta, theta = gen.random(n), gen.random(n), gen.random(n)
+    if mode == "symmetric":
+        delta = zeta = 0.5 * delta
+    else:
+        # delta + zeta < 1, exactly: 1 - x is exact for these draws
+        folded = delta + zeta >= 1.0
+        delta[folded], zeta[folded] = 1.0 - delta[folded], 1.0 - zeta[folded]
+    # edges: theta in {0, 1}, adiabatic strokes, delta = 1/2, delta + zeta = 1
+    theta[:100], theta[100:200] = 0.0, 1.0
+    delta[200:300] = zeta[200:300] = 0.0
+    delta[300:400] = 0.5
+    zeta[300:400] = 0.5 if mode == "symmetric" else 1.0 - delta[300:400]
+    nu2_min = work_threshold_block(beta, nu1, 1.0, delta, zeta, theta, mode)
+    assert np.isfinite(nu2_min[400:]).all() and not np.isfinite(nu2_min[:100]).any()
+    assert_exact_thresholds(np.tanh(beta * nu1), nu1, delta, zeta, theta, mode, nu2_min)
+
+
+def test_asymmetric_threshold_keeps_its_accuracy_near_cancelling_strokes():
+    # delta + zeta near 1 with delta's last bits below 2**-53, so that
+    # 1 - delta rounds, and theta up to 1, where theta + (1 - 2 theta) s
+    # written as such would cancel
+    gen = np.random.default_rng(30)
+    n = 2000
+    delta = 0.3 * gen.random(n) + 0.01
+    zeta = 1.0 - delta - gen.uniform(1e-3, 0.2, n) * delta
+    theta = gen.random(n)
+    theta[:100] = 1.0
+    nu2_min = work_threshold_block(1.0, 1.0, 1.0, delta, zeta, theta, "asymmetric")
+    assert_exact_thresholds(np.full(n, math.tanh(1.0)), np.ones(n), delta, zeta, theta,
+                            "asymmetric", nu2_min)
 
 
 def test_efficiency_adiabatic_limit_is_otto():
@@ -251,61 +305,58 @@ def test_cs_branch_efficiency_ordering():
 
 
 def test_ratio_scan_adiabatic_identity():
-    params = CycleParams(0.8, 1.0, 2.5, 0.0, 0.0)
+    dist = enumerate_paths(CycleParams(0.8, 1.0, 2.5, 0.0, 0.0), 0.3)
     otto = 1.0 - 1.0 / 2.5
     for order in (2, 3, 4):
-        record = cumulant_ratio_scan(params, 0.3, order)
+        record = cumulant_ratio_block(dist, order)
         assert close(record.ratio, otto**order, 1e-12)
         assert not record.sign_mismatch
         assert not record.above_one
+        # the ratio is eta^n up to rounding, which decides no flag
+        assert not record.below_eta_power
 
 
 def test_ratio_scan_finds_corridor_escapes():
     # the theta sweep of the engine/accelerator crossover region shows
     # third and fourth cumulant ratios outside [eta^n, 1], some negative
-    seen_out3 = seen_out4 = seen_neg3 = seen_neg4 = False
-    for theta in np.linspace(0.01, 1.0, 150):
-        r3 = cumulant_ratio_scan(FIG3, float(theta), 3)
-        r4 = cumulant_ratio_scan(FIG3, float(theta), 4)
-        if r3.below_eta_power or r3.above_one:
-            seen_out3 = True
-        if r4.below_eta_power or r4.above_one:
-            seen_out4 = True
-        seen_neg3 = seen_neg3 or (not r3.undefined and r3.ratio < 0.0)
-        seen_neg4 = seen_neg4 or (not r4.undefined and r4.ratio < 0.0)
-    assert seen_out3 and seen_out4 and seen_neg3 and seen_neg4
+    block = enumerate_block(*FIG3, np.linspace(0.01, 1.0, 150))
+    r3, r4 = (cumulant_ratio_block(block, order) for order in (3, 4))
+    assert (r3.below_eta_power | r3.above_one).any()
+    assert (r4.below_eta_power | r4.above_one).any()
+    assert (~r3.undefined & (r3.ratio < 0.0)).any()
+    assert (~r4.undefined & (r4.ratio < 0.0)).any()
 
 
 def test_ratio_scan_undefined_flag():
-    record = cumulant_ratio_scan(CycleParams(0.5, 1.0, 2.0, 0.1, 0.1), 0.0, 3)
+    record = cumulant_ratio_block(enumerate_paths(CycleParams(0.5, 1.0, 2.0, 0.1, 0.1), 0.0), 3)
     assert record.undefined
     assert math.isnan(record.ratio)
+    assert not (record.below_eta_power or record.above_one or record.sign_mismatch)
 
 
 def test_ratio_scan_is_scale_invariant():
     # every energy scaled by s scales kappa_n by s^n in both marginals
-    records = [
-        cumulant_ratio_scan(CycleParams(0.7 / s, 1.0 * s, 2.3 * s, 0.2, 0.3), 0.4, 4)
-        for s in (1.0, 1e-2, 1e-4)
-    ]
-    assert not any(r.undefined for r in records)
-    for r in records[1:]:
-        assert close(r.ratio, records[0].ratio, 1e-9)
+    s = np.array([1.0, 1e-2, 1e-4])
+    records = cumulant_ratio_block(enumerate_block(0.7 / s, 1.0 * s, 2.3 * s, 0.2, 0.3, 0.4), 4)
+    assert not records.undefined.any()
+    for ratio in records.ratio[1:]:
+        assert close(ratio, records.ratio[0], 1e-9)
 
 
 def test_ratio_scan_takes_no_efficiency_from_cancelled_heat():
     # delta = 1/2 makes <Q_M> = 0; the enumeration leaves a residue of ~6e-17
-    params = CycleParams(0.7, 1.0, 2.3, 0.5, 0.2)
-    assert cumulants_from_block(enumerate_paths(params, 0.3)).qm_mean != 0.0
+    dist = enumerate_paths(CycleParams(0.7, 1.0, 2.3, 0.5, 0.2), 0.3)
+    assert cumulants_from_block(dist).qm_mean != 0.0
     for order in (2, 3, 4):
-        record = cumulant_ratio_scan(params, 0.3, order)
+        record = cumulant_ratio_block(dist, order)
         assert math.isnan(record.eta_power)
         assert not record.below_eta_power
 
 
 def test_ratio_scan_order_validation():
-    with pytest.raises(ValueError):
-        cumulant_ratio_scan(FIG3, 0.3, 1)
+    for order in (1, 5):
+        with pytest.raises(ValueError, match="^order must be 2, 3 or 4$"):
+            cumulant_ratio_block(enumerate_paths(FIG3, 0.3), order)
 
 
 @given(params=cycle_params(), theta=probs)
