@@ -19,7 +19,8 @@ checks its whole delta column, then evaluates and writes it a block at a
 time.
 
 Exit codes: 0 success (bound violations are data, not failures),
-2 configuration error, 3 physics-domain error.
+2 configuration error or rejected input (:class:`~unital_otto.qstate.InputError`),
+3 physics-domain error; any other exception is a fault and propagates.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import sys
 import numpy as np
 
 from . import analysis, cumulants, landauzener, trajectory
-from .qstate import ControlSpec, MeasurementChannel, PhysicsError
+from .qstate import ControlSpec, InputError, MeasurementChannel, PhysicsError
 
 SWEEPABLE = ("beta", "nu1", "nu2", "delta", "zeta", "theta", "cs-alpha", "alpha-m")
 
@@ -74,6 +75,8 @@ def _read_config_file(path: str, known: dict) -> dict[str, str]:
                 values[key] = val.strip()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(str(exc)) from exc
     return values
 
 
@@ -187,7 +190,10 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         types = _config_types(parser, args.command)
         for key, text in _read_config_file(args.config, types).items():
             dest, kind, choices = types[key]
-            merged[dest] = kind(text)
+            try:
+                merged[dest] = kind(text)
+            except ValueError as exc:  # as the flag's type rejects it
+                raise ConfigError(str(exc)) from exc
             if choices is not None and merged[dest] not in choices:
                 raise ConfigError(
                     f"{args.config}: {key} = {text}: choose from {', '.join(choices)}"
@@ -814,12 +820,22 @@ _COMMANDS = {
 }
 
 
+# Whether main has frozen the heap in this process (gc.get_freeze_count
+# walks the permanent generation on every call).
+_frozen = False
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Run one command: exit 2 on a configuration or input error, 3 on a
+    physics error; any other exception is a fault and propagates."""
+    global _frozen
     # the import-time heap lives until exit: frozen, the exit's collections
     # skip it, and a one-point run's teardown falls from 25-40 ms to 6-9 ms;
     # once per process: a long-lived caller's later garbage stays collectable
-    if not gc.get_freeze_count():
-        gc.freeze()
+    if not _frozen:
+        _frozen = True
+        if not gc.get_freeze_count():
+            gc.freeze()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -828,7 +844,7 @@ def main(argv: list[str] | None = None) -> int:
     except PhysicsError as exc:
         print(f"physics error: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, InputError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qstate import ControlSpec
+from .qstate import ControlSpec, InputError
 from .trajectory import (
     CycleParams,
     DistributionBlock,
@@ -188,7 +188,7 @@ def _checked_block(kw: np.ndarray, kq: np.ndarray) -> CumulantBlock:
     ok = finite & (kw[..., 1] >= 0.0) & (kq[..., 1] >= 0.0)
     if not ok.all():
         i = np.unravel_index(np.argmin(ok), ok.shape)
-        raise ValueError("variances must be nonnegative" if finite[i]
+        raise InputError("variances must be nonnegative" if finite[i]
                          else "cumulants must be finite")
     return CumulantBlock(w=kw, q_m=kq, qt_mean=qt)
 
@@ -233,7 +233,7 @@ def _closed_form(
     if direction == "backward":
         d, z = z, d
     elif direction != "forward":
-        raise ValueError("direction must be 'forward' or 'backward'")
+        raise InputError("direction must be 'forward' or 'backward'")
     sub = np.add if magnitudes else np.subtract
     t = np.tanh(beta * nu1)
     t = np.abs(t) if magnitudes else t

@@ -28,7 +28,7 @@ import numpy as np
 
 from .analysis import _quotient, classify_regime_array
 from .cumulants import _closed_form
-from .qstate import MeasurementChannel, _Checked, hamiltonian, thermal_state
+from .qstate import InputError, MeasurementChannel, _Checked, hamiltonian, thermal_state
 from .trajectory import CycleParams
 
 __all__ = [
@@ -50,11 +50,11 @@ class LZParams(_Checked, namedtuple("LZParams", "delta phi channel cycle")):
 
     def __new__(cls, delta: float, phi: float, channel: MeasurementChannel, cycle: CycleParams):
         if not math.isfinite(phi):
-            raise ValueError("phi must be finite")
+            raise InputError("phi must be finite")
         if not 0.0 <= delta <= 1.0:
-            raise ValueError("delta must lie in [0, 1]")
+            raise InputError("delta must lie in [0, 1]")
         if cycle.delta != delta or cycle.zeta != delta:
-            raise ValueError("Landau-Zener cycle requires zeta = delta in CycleParams")
+            raise InputError("Landau-Zener cycle requires zeta = delta in CycleParams")
         return super().__new__(cls, delta, phi, channel, cycle)
 
     @classmethod

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .qstate import InputError
+
 _MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32 = 0xFFFFFFFF
 _MASK64 = 2**64 - 1
@@ -35,7 +37,7 @@ _POOL_SIZE = 4
 def _seed_state(seed: int) -> tuple[int, int]:
     """The (state, increment) of ``np.random.PCG64(seed)``."""
     if seed < 0:
-        raise ValueError("expected non-negative integer")
+        raise InputError("expected non-negative integer")
     # the entropy as 32-bit words, least significant first
     entropy = [seed & _MASK32]
     seed >>= 32
@@ -110,8 +112,8 @@ class PCG64:
 
     @classmethod
     def from_seed(cls, seed: int) -> PCG64:
-        """The stream of ``np.random.PCG64(seed)``; a negative seed is a
-        ``ValueError``, as numpy's."""
+        """The stream of ``np.random.PCG64(seed)``; a negative seed is an
+        :class:`~unital_otto.qstate.InputError`, a ``ValueError`` as numpy's."""
         return cls(*_seed_state(seed))
 
     def _jump(self, n: int) -> tuple[int, int]:

@@ -57,7 +57,7 @@ class _Checked:
 def hamiltonian(nu: float) -> np.ndarray:
     """H = nu (|+><+| - |-><-|) as a matrix in the storage basis."""
     if not math.isfinite(nu):
-        raise ValueError("gap must be finite")
+        raise InputError("gap must be finite")
     return np.array([[nu, 0.0], [0.0, -nu]], dtype=complex)
 
 
@@ -72,9 +72,9 @@ def thermal_state(beta: float, nu: float) -> np.ndarray:
     so the trace needs no renormalising.
     """
     if not (math.isfinite(beta) and math.isfinite(nu)):
-        raise ValueError("beta and nu must be finite")
+        raise InputError("beta and nu must be finite")
     if nu <= 0.0:
-        raise ValueError("gap nu must be positive")
+        raise InputError("gap nu must be positive")
     # p_excited = e^{-beta nu}/Z, stable for any sign and size of beta nu
     x = 2.0 * beta * nu
     p_exc = 1.0 / (1.0 + math.exp(x)) if x < 700.0 else 0.0
@@ -98,9 +98,9 @@ class MeasurementChannel(_Checked, namedtuple("MeasurementChannel", "alpha_m chi
 
     def __new__(cls, alpha_m: float, chi: float = 0.0):
         if not (math.isfinite(alpha_m) and math.isfinite(chi)):
-            raise ValueError("angles must be finite")
+            raise InputError("angles must be finite")
         if not 0.0 <= alpha_m <= math.pi:
-            raise ValueError("alpha_m must lie in [0, pi]")
+            raise InputError("alpha_m must lie in [0, pi]")
         return super().__new__(cls, alpha_m, chi)
 
     @property
@@ -130,9 +130,9 @@ class ControlSpec(_Checked, namedtuple("ControlSpec", "alpha branch")):
 
     def __new__(cls, alpha: float, branch: str = "minus"):
         if not math.isfinite(alpha) or not 0.0 <= alpha <= 1.0:
-            raise ValueError("alpha must lie in [0, 1]")
+            raise InputError("alpha must lie in [0, 1]")
         if branch not in ("plus", "minus"):
-            raise ValueError("branch must be 'plus' or 'minus'")
+            raise InputError("branch must be 'plus' or 'minus'")
         return super().__new__(cls, alpha, branch)
 
     @property

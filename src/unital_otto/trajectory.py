@@ -42,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qstate import ControlSpec, PhysicsError, _Checked
+from .qstate import ControlSpec, InputError, PhysicsError, _Checked
 
 __all__ = [
     "CycleParams",
@@ -89,11 +89,11 @@ class CycleParams(_Checked, namedtuple("CycleParams", "beta nu1 nu2 delta zeta")
         cycle = (beta, nu1, nu2, delta, zeta)
         for name, value in zip(cls._fields, cycle):
             if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite")
+                raise InputError(f"{name} must be finite")
         if nu1 <= 0.0 or nu2 <= 0.0:
-            raise ValueError("gaps nu1, nu2 must be positive")
+            raise InputError("gaps nu1, nu2 must be positive")
         if not (0.0 <= delta <= 1.0 and 0.0 <= zeta <= 1.0):
-            raise ValueError("delta and zeta must lie in [0, 1]")
+            raise InputError("delta and zeta must lie in [0, 1]")
         return super().__new__(cls, *cycle)
 
     @property
@@ -118,7 +118,7 @@ class JointDistribution(_Checked, namedtuple("JointDistribution", "w q_m prob"))
         q = np.array(q_m, dtype=float)
         p = np.array(prob, dtype=float)
         if not (w.shape == q.shape == p.shape) or w.ndim != 1:
-            raise ValueError("w, q_m, prob must be 1-d arrays of equal length")
+            raise InputError("w, q_m, prob must be 1-d arrays of equal length")
         if p.min(initial=0.0) < -_CLAMP_TOL:
             raise PhysicsError(
                 f"outcome probability {p.min():.3g} below -{_CLAMP_TOL:g}"
@@ -199,7 +199,7 @@ def _point(block: DistributionBlock) -> JointDistribution:
 
 def _check_theta(theta: float) -> None:
     if not math.isfinite(theta) or not 0.0 <= theta <= 1.0:
-        raise ValueError("theta must lie in [0, 1]")
+        raise InputError("theta must lie in [0, 1]")
 
 
 def enumerate_paths(
@@ -392,11 +392,11 @@ def sample(dist: JointDistribution, n: int, seed: int) -> SampleStats:
     identical arguments return equal :class:`SampleStats`.
     """
     if n < 1:
-        raise ValueError("need at least one draw")
+        raise InputError("need at least one draw")
     if n > 2**63 - 1:  # the counts are taken as int64
-        raise ValueError("need at most 2**63 - 1 draws")
+        raise InputError("need at most 2**63 - 1 draws")
     if seed < 0:
-        raise ValueError("expected non-negative integer")
+        raise InputError("expected non-negative integer")
     # partial sums clamped at 1, so that no leading outcomes hold more than
     # everything; the last outcome takes what the others leave
     prob = np.diff(np.minimum(np.cumsum(dist.prob), 1.0), prepend=0.0)

@@ -10,6 +10,7 @@ import pytest
 from unital_otto import (
     ControlSpec,
     CycleParams,
+    InputError,
     PhysicsError,
     Regime,
     analysis,
@@ -139,10 +140,10 @@ def test_block_raises_the_error_of_the_first_failing_point():
 def test_block_cumulant_overflow_is_the_scalar_error():
     params = CycleParams(0.5, 1e80, 2e80, 0.1, 0.1)
     assert scalar_error(lambda: cumulants_from_block(enumerate_paths(params, 0.2))) == (
-        ValueError, "cumulants must be finite")
+        InputError, "cumulants must be finite")
     block = enumerate_block(0.5, np.array([1.0, 1e80]), np.array([2.0, 2e80]), 0.1, 0.1, 0.2)
     assert scalar_error(lambda: cumulants_from_block(block)) == (
-        ValueError, "cumulants must be finite")
+        InputError, "cumulants must be finite")
 
 
 def test_first_failing_point_decides_the_cumulant_error():
@@ -739,7 +740,7 @@ def test_every_block_function_raises_the_first_failing_points_error():
     kind, message = scalar_error(lambda: enumerate_paths(point, 1.5, ControlSpec(0.3, "minus")))
     for call in (efficiency_block, verify_bounds_block):
         got = scalar_error(lambda: call(0.5, 1.0, 2.0, 0.1, 0.1, 1.5, "cs", 0.3, "minus"))
-        assert got == (kind, message) == (ValueError, "theta must lie in [0, 1]")
+        assert got == (kind, message) == (InputError, "theta must lie in [0, 1]")
 
 
 def test_bound_blocks_warn_nowhere():

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, config handling, exit codes."""
 
+import ast
 import gc
 import hashlib
 import io
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unital_otto import CycleParams, LZParams, Regime, enumerate_paths, monitored_vs_unmonitored
-from unital_otto import cli
+from unital_otto import cli, landauzener
 from unital_otto.cli import _COMMANDS, _merge_config, _run, build_parser, main
 
 
@@ -1040,6 +1041,49 @@ def test_a_second_run_in_one_process_freezes_nothing(capsys):
     assert run(capsys, "cumulants", *POINT)[0] == 0
     assert gc.get_freeze_count() == frozen
     del junk
+
+
+def test_a_second_run_does_not_walk_the_frozen_heap(capsys, monkeypatch):
+    # gc.get_freeze_count walks the permanent generation on every call
+    assert run(capsys, "cumulants", *POINT)[0] == 0
+
+    def walk():
+        raise AssertionError("gc.get_freeze_count called again")
+
+    monkeypatch.setattr(gc, "get_freeze_count", walk)
+    assert run(capsys, "cumulants", *POINT)[0] == 0
+
+
+def test_a_config_value_its_flag_rejects_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("beta = abc\n")
+    code, out, err = run(capsys, "cumulants", *POINT[2:], "--config", str(cfg))
+    assert (code, out, err) == (2, "", "config error: could not convert string to float: 'abc'\n")
+
+
+def test_a_program_fault_is_not_a_config_error(capsys, monkeypatch):
+    # exit 2 is for input the program rejects; an error of the program
+    # itself propagates
+    def broken(params):
+        raise ValueError("a slip inside the program")
+
+    monkeypatch.setattr(landauzener, "_fixed_matrices", broken)
+    with pytest.raises(ValueError, match="^a slip inside the program$"):
+        main(["lz-compare", *LZ_POINT])
+    assert "config error" not in capsys.readouterr().err
+
+
+def test_every_input_check_raises_input_error():
+    # a bare ValueError would read as a fault of the program
+    src = Path(cli.__file__).parent
+    raised = [
+        (path.name, node.lineno)
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+        and getattr(node.exc.func, "id", None) == "ValueError"
+    ]
+    assert raised == []
 
 
 FILE_RUNS = {
