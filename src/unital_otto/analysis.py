@@ -5,28 +5,24 @@ The cycle acts as an Engine, Accelerator or Heater for a positive-
 temperature bath, and as an Accelerator, Engine or unit-efficiency
 EnginePrime when the bath temperature is negative.  Work extraction
 requires opening the gap (nu2 > nu1) beyond a theta- and delta-
-dependent threshold (:func:`work_threshold_block`), and in the engine
-regime the ratio of work and heat fluctuations is squeezed between the
-squared efficiency (indeed the squared Otto efficiency) and one.  The
-third and fourth cumulant ratios leave that corridor [eta^n, 1] on both
-sides (:func:`cumulant_ratio_block`).  Every bound carries its own
-applicability condition: a report can be "violated" only where its
-precondition actually held.
+dependent threshold, and in the engine regime the ratio of work and
+heat fluctuations is squeezed between the squared efficiency (indeed
+the squared Otto efficiency) and one; the third and fourth cumulant
+ratios escape that corridor.  Every bound carries its own applicability
+condition: a report can be "violated" only where its precondition
+actually held.
 
 Thresholds, efficiencies and bound checks are array arithmetic over
 broadcast parameter columns, scalars included: one point is a 0-d block.
-Each checks its columns as every block function does (:func:`_checked`),
-in the order cycle, control, theta range, flip bound, and raises the
-first failing point's own error.  The cumulant ratios take an enumerated
-block instead.
+Each checks its columns as every block function does, in the order
+cycle, control, theta range, flip bound, and raises the first failing
+point's own error.  Cumulant ratios are read from an enumerated block.
 
 An energy-valued quantity is zero here when it is a rounding residue of
 its summands' magnitudes (:func:`~unital_otto.cumulants.is_rounding_residue`),
-a quotient is ``nan`` where its denominator is one (:func:`_quotient`),
-a comparison holds up to its operands' rounding (:func:`_holds`), beta is
-zero only at 0 and equal gaps are nu1 == nu2.  A regime, an efficiency,
-a bound verdict or a corridor flag is therefore the same in every energy
-unit.
+a comparison holds up to its operands' rounding, beta is zero only at 0
+and equal gaps are nu1 == nu2.  A regime, an efficiency, a bound verdict
+or a corridor flag is therefore the same in every energy unit.
 """
 
 from __future__ import annotations
@@ -40,8 +36,8 @@ import numpy as np
 # closed_form_first_second and enumerate_paths are not called here:
 # perfbench's tracer and its tests look both names up on this module
 from .cumulants import (
-    FirstTwoCumulants, _closed_form, closed_form_first_second, cumulants_from_block,
-    is_rounding_residue,
+    FirstTwoCumulants, _closed_form, _marginal_cumulants, closed_form_first_second,
+    cumulants_from_block, is_rounding_residue,
 )
 from .qstate import InputError
 from .trajectory import DistributionBlock, JointDistribution, _checked_columns, enumerate_paths
@@ -173,41 +169,27 @@ def work_threshold_block(
     beta, nu1, nu2, delta, zeta, theta, mode: str = "symmetric",
     alpha=None, branch: str = "minus",
 ) -> np.ndarray:
-    """The gap nu2_min at which the mean work of ``mode`` turns positive,
-    at every point of broadcast parameter arrays, checked as
-    :func:`efficiency_block` checks them; beta and nu2 are checked but not
-    read.
-
-    ``symmetric`` reads the forward work of the delta = zeta cycle (zeta is
-    not read), ``cs`` that work at the control's flip probability, and
-    ``asymmetric`` the forward plus backward work.  The work is affine in
-    nu2 and zero at nu2_min; for beta > 0 it is positive above nu2_min and
-    negative below.  So positive work needs nu2 > nu2_min in the symmetric
-    and cs modes, and the asymmetric condition nu2 >= nu2_min is that for
-    nonnegative summed work.  ``inf`` where no gap makes work positive
-    (theta = 0, or asymmetric with delta + zeta >= 1), ``nan`` where the
-    symmetric or cs heat is never absorbed (delta >= 1/2).
-    """
+    """The gap nu2_min at which the mean work turns positive, at every point
+    of broadcast parameter arrays checked as :func:`efficiency_block` checks
+    them; beta and nu2 are not read.  ``symmetric`` and ``cs`` read the
+    forward work of the delta = zeta cycle, at theta or the control's flip
+    probability, ``asymmetric`` the forward plus backward work.  For beta >
+    0 the work is zero at nu2_min and positive beyond: nu2 > nu2_min is the
+    symmetric and cs condition, nu2 >= nu2_min the asymmetric one (summed
+    work nonnegative).  ``inf`` where no gap works (theta = 0, or asymmetric
+    with delta + zeta >= 1), ``nan`` where the symmetric or cs heat is never
+    absorbed (delta >= 1/2)."""
     _, nu1, _, d, z, _, flip = _checked(beta, nu1, nu2, delta, zeta, theta, mode, alpha, branch)
-    return _threshold(nu1, d, z, flip, mode)
-
-
-@np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def _threshold(nu1, d, z, flip, mode: str) -> np.ndarray:
-    """:func:`work_threshold_block` on checked columns and the flip
-    probability."""
-    if mode == "asymmetric":
-        # theta + (1 - 2 theta) s as a sum of nonnegative terms, 1 - s =
-        # (1 - d)(1 - z) + d z; and 1 - d - z with the rounding error of
-        # 1 - d, exact by Fast2Sum, put back after the cancellation
-        s = d + z - 2.0 * d * z
-        num = flip * ((1.0 - d) * (1.0 - z) + d * z) + (1.0 - flip) * s
+    if mode != "asymmetric":
+        z = d  # the forward work at delta = zeta is half the forward plus backward
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # theta + (1 - 2 theta) s as nonnegative terms, and 1 - d - z with the
+        # rounding of 1 - d (exact, Fast2Sum) added after the cancellation
+        num = flip * ((1.0 - d) * (1.0 - z) + d * z) + (1.0 - flip) * (d + z - 2.0 * d * z)
         rest = 1.0 - d
         nu2_min = num * nu1 / (flip * ((rest - z) - ((rest - 1.0) + d)))
-        return np.where((flip > 0.0) & (d + z < 1.0), nu2_min, math.inf)
-    num = flip + 2.0 * d * (1.0 - 2.0 * flip) * (1.0 - d)
-    nu2_min = np.where(flip > 0.0, num * nu1 / (flip * (1.0 - 2.0 * d)), math.inf)
-    return np.where(d < 0.5, nu2_min, math.nan)
+    nu2_min = np.where((flip > 0.0) & (d + z < 1.0), nu2_min, math.inf)
+    return nu2_min if mode == "asymmetric" else np.where(d < 0.5, nu2_min, math.nan)
 
 
 class BoundReport(NamedTuple):
@@ -222,16 +204,11 @@ class BoundReport(NamedTuple):
     margin: np.ndarray
 
 
-def _holds(margin, magnitude):
-    """Whether ``left <= right`` holds, given the margin right - left: where
-    it is nonnegative or a rounding residue of ``magnitude``, the magnitude
-    of the difference, so the operands' rounding and nothing more decides."""
-    return (margin >= 0.0) | is_rounding_residue(margin, magnitude)
-
-
 def _report(name: str, left, right, applicable, magnitude) -> BoundReport:
-    """The report of ``left <= right`` where ``applicable``, decided by
-    :func:`_holds`.  Each field is an array of the block's shape with
+    """The report of ``left <= right`` where ``applicable``.  The comparison
+    holds where right - left is nonnegative or a rounding residue of
+    ``magnitude``, the magnitude of the difference: the operands' rounding
+    and nothing more.  Each field is an array of the block's shape with
     cells of its own: an operand of another shape (a constant bound) is
     broadcast and copied."""
     shape = np.broadcast(left, right, applicable).shape
@@ -245,7 +222,7 @@ def _report(name: str, left, right, applicable, magnitude) -> BoundReport:
         left=left,
         right=right,
         applicable=applicable,
-        satisfied=_holds(margin, magnitude),
+        satisfied=(margin >= 0.0) | is_rounding_residue(margin, magnitude),
         margin=margin,
     )
 
@@ -342,9 +319,8 @@ def _bounds(beta, nu1, nu2, d, z, theta, flip, mode: str, branch: str) -> list[B
 
 
 class CumulantRatioBlock(NamedTuple):
-    """kappa_n(W) / kappa_n(Q_M) at every point of a block and where it
-    leaves the corridor [eta^n, 1]: arrays of the block's shape, 0-d at one
-    point."""
+    """kappa_n(W) / kappa_n(Q_M) and where it leaves the corridor [eta^n, 1]:
+    arrays of the block's shape, 0-d at one point."""
 
     ratio: np.ndarray
     eta_power: np.ndarray
@@ -358,24 +334,20 @@ class CumulantRatioBlock(NamedTuple):
 def cumulant_ratio_block(
     block: DistributionBlock | JointDistribution, order: int
 ) -> CumulantRatioBlock:
-    """The ratio of the ``order``-th cumulants (2, 3 or 4) of W and Q_M at
-    every point of an enumerated block, as :func:`~unital_otto.trajectory.
-    enumerate_block` returns it, or of one point's distribution.
-
-    eta is the forward efficiency <W> / <Q_M>.  The ratio and eta are
-    ``nan`` where their denominators are rounding residues; a ``nan`` ratio
-    is ``undefined`` and flags nothing else.  ``below_eta_power`` and
-    ``above_one`` are the corridor's comparisons failing beyond their
-    operands' rounding, ``sign_mismatch`` is a kappa_n(W) beyond its
-    rounding residue of the opposite sign to kappa_n(Q_M).  The second
-    cumulants keep to the corridor under the precondition of the
-    ``eta_sq_le_ratio`` bound; the third and fourth escape it on both
-    sides.
+    """kappa_n(W) / kappa_n(Q_M), n = ``order`` in 2..4, at every point of an
+    enumerated block (:func:`~unital_otto.trajectory.enumerate_block`, or one
+    point's distribution), and eta^n, eta = <W> / <Q_M>.  Each quotient is
+    ``nan`` where its denominator is a rounding residue; a ``nan`` ratio is
+    ``undefined`` and sets no other flag.  The corridor flags mark
+    comparisons that fail beyond their operands' rounding, ``sign_mismatch``
+    a kappa_n(W) beyond its residue of the opposite sign to kappa_n(Q_M).
+    The second cumulants keep to [eta^2, 1] under the precondition of the
+    ``eta_sq_le_ratio`` bound; the third and fourth escape on both sides.
     """
     if order not in (2, 3, 4):
         raise InputError("order must be 2, 3 or 4")
     cums = cumulants_from_block(block)
-    mw, mq = (_cumulant_magnitudes(x, block.prob) for x in (block.w, block.q_m))
+    mw, mq = (_marginal_cumulants(x, block.prob, magnitudes=True) for x in (block.w, block.q_m))
     n = order - 1
     eta, eta_mag = _quotient(cums.w[..., 0], cums.q_m[..., 0], mw[0], mq[0])
     num, den = cums.w[..., n], cums.q_m[..., n]
@@ -384,22 +356,15 @@ def cumulant_ratio_block(
     # to first order, d(eta^n) = n eta^(n-1) d eta
     power_mag = order * np.abs(eta) ** n * eta_mag
     undefined = np.isnan(ratio)
+    # the corridor's two comparisons, where both sides are numbers
+    lower = _report("eta_power_le_ratio", eta_power, ratio, ~np.isnan(ratio - eta_power),
+                    ratio_mag + power_mag)
+    upper = _report("ratio_le_one", ratio, 1.0, ~undefined, ratio_mag)
     return CumulantRatioBlock(
         ratio=ratio,
         eta_power=eta_power,
-        below_eta_power=~undefined & ~np.isnan(eta_power)
-        & ~_holds(ratio - eta_power, ratio_mag + power_mag),
-        above_one=~undefined & ~_holds(1.0 - ratio, ratio_mag),
+        below_eta_power=lower.applicable & ~lower.satisfied,
+        above_one=upper.applicable & ~upper.satisfied,
         sign_mismatch=~undefined & ~is_rounding_residue(num, mw[n]) & (num * den < 0.0),
         undefined=undefined,
     )
-
-
-def _cumulant_magnitudes(values: np.ndarray, prob: np.ndarray) -> tuple:
-    """The magnitudes of the mean and of the centred sums that
-    :func:`~unital_otto.cumulants.cumulants_from_block` forms for kappa_2
-    to kappa_4 at every point, each x - mean read as |x| + sum p |x|."""
-    first = np.vecdot(prob, np.abs(values))
-    spread = np.abs(values) + first[..., None]
-    second = np.vecdot(prob, spread**2)
-    return first, second, np.vecdot(prob, spread**3), np.vecdot(prob, spread**4) + 3.0 * second**2

@@ -19,8 +19,7 @@ checks its whole delta column, then evaluates and writes it a block at a
 time.
 
 Exit codes: 0 success (bound violations are data, not failures),
-2 configuration error or rejected input (:class:`~unital_otto.qstate.InputError`),
-3 physics-domain error; any other exception is a fault and propagates.
+2 configuration or input error, 3 physics-domain error; faults propagate.
 """
 
 from __future__ import annotations
@@ -73,10 +72,8 @@ def _read_config_file(path: str, known: dict) -> dict[str, str]:
                 if key not in known:
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
                 values[key] = val.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ConfigError(str(exc)) from exc
     return values
 
 
@@ -820,22 +817,17 @@ _COMMANDS = {
 }
 
 
-# Whether main has frozen the heap in this process (gc.get_freeze_count
-# walks the permanent generation on every call).
-_frozen = False
+_frozen = False  # main has frozen the heap; gc.get_freeze_count would walk it
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command: exit 2 on a configuration or input error, 3 on a
-    physics error; any other exception is a fault and propagates."""
     global _frozen
     # the import-time heap lives until exit: frozen, the exit's collections
     # skip it, and a one-point run's teardown falls from 25-40 ms to 6-9 ms;
     # once per process: a long-lived caller's later garbage stays collectable
     if not _frozen:
+        gc.freeze()
         _frozen = True
-        if not gc.get_freeze_count():
-            gc.freeze()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

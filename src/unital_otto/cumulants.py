@@ -139,18 +139,22 @@ def cf_unital(
     return chi
 
 
-def _marginal_cumulants(values: np.ndarray, prob: np.ndarray) -> tuple:
-    """First four cumulants of each distribution along the last axis."""
+def _marginal_cumulants(values: np.ndarray, prob: np.ndarray, magnitudes: bool = False) -> tuple:
+    """First four cumulants of each distribution along the last axis.  With
+    ``magnitudes``, the same sums over |x| with every difference a - b read
+    as a + b: the magnitude of each, for :func:`is_rounding_residue`."""
+    sub = np.add if magnitudes else np.subtract
     # powers of outcomes near the float limit overflow to inf; the callers'
     # finiteness checks report that, so numpy need not warn
     with np.errstate(over="ignore", invalid="ignore"):
+        values = np.abs(values) if magnitudes else values
         mean = np.vecdot(prob, values)
-        centred = values - mean[..., None]
+        centred = sub(values, mean[..., None])
         sq = centred * centred
         c2 = np.vecdot(prob, sq)
         c3 = np.vecdot(prob, sq * centred)
         c4 = np.vecdot(prob, sq * sq)
-        return (mean, c2, c3, c4 - 3.0 * c2 * c2)
+        return (mean, c2, c3, sub(c4, 3.0 * c2 * c2))
 
 
 class CumulantBlock(NamedTuple):

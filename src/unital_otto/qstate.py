@@ -35,8 +35,7 @@ __all__ = [
 
 
 class InputError(ValueError):
-    """An argument failed an input check: out of its domain, of the wrong
-    shape or kind."""
+    """An argument failed an input check."""
 
 
 class PhysicsError(ValueError):

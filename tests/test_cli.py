@@ -1054,11 +1054,16 @@ def test_a_second_run_does_not_walk_the_frozen_heap(capsys, monkeypatch):
     assert run(capsys, "cumulants", *POINT)[0] == 0
 
 
-def test_a_config_value_its_flag_rejects_is_a_config_error(tmp_path, capsys):
+@pytest.mark.parametrize("text, message", [
+    (b"beta = abc\n", "could not convert string to float: 'abc'"),
+    (b"beta = \xff\n", "cannot read config file {}: 'utf-8' codec can't decode byte 0xff "
+                         "in position 7: invalid start byte"),
+], ids=["value", "encoding"])
+def test_a_config_file_its_flags_reject_is_a_config_error(text, message, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("beta = abc\n")
+    cfg.write_bytes(text)
     code, out, err = run(capsys, "cumulants", *POINT[2:], "--config", str(cfg))
-    assert (code, out, err) == (2, "", "config error: could not convert string to float: 'abc'\n")
+    assert (code, out, err) == (2, "", f"config error: {message.format(cfg)}\n")
 
 
 def test_a_program_fault_is_not_a_config_error(capsys, monkeypatch):
@@ -1172,11 +1177,12 @@ def readme_commands():
 def test_readme_python_blocks_run_in_order():
     # each block builds on the names the blocks before it defined
     blocks = [b.split("```", 1)[0] for b in README.split("```python\n")[1:]]
-    assert len(blocks) == 3
+    assert len(blocks) == 4
     namespace = {}
     for block in blocks:
         exec(compile(block, "README.md", "exec"), namespace)
-    assert {"reports", "engine_checks", "eta", "regimes"} <= set(namespace)
+    assert {"reports", "engine_checks", "eta", "regimes", "nu2_min", "escapes"} <= set(namespace)
+    assert namespace["escapes"] == {2: 0, 3: 21, 4: 28}
 
 
 def test_readme_lists_every_command():
