@@ -799,8 +799,9 @@ def test_grid_commands_check_each_block_once(argv, monkeypatch, capsys):
 # --- the work threshold and the cumulant-ratio corridor --------------------
 
 def corridor_points(rng, n, mode, branch):
-    """:func:`bound_points` with theta = 1 at a further 60 points, and the
-    block's control: none outside ``cs``."""
+    """:func:`bound_points` with theta = 1 at a further 60 points (0 in
+    ``cs``, where 1 can pass the flip bound), and the block's control: none
+    outside ``cs``."""
     cycle, alpha = bound_points(rng, n, mode, branch)
     cycle[5][280:340] = 0.0 if mode == "cs" else 1.0
     return cycle, () if alpha is None else (alpha, branch)
