@@ -15,8 +15,6 @@ from .qstate import (
     InputError,
     MeasurementChannel,
     PhysicsError,
-    hamiltonian,
-    thermal_state,
 )
 from .trajectory import (
     CycleParams,
@@ -53,7 +51,6 @@ from .landauzener import (
     Comparison,
     CycleAverages,
     LZParams,
-    lz_unitaries,
     monitored_averages,
     monitored_vs_unmonitored,
     qm_unmonitored_closed_form,

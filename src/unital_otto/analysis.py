@@ -171,25 +171,30 @@ def work_threshold_block(
 ) -> np.ndarray:
     """The gap nu2_min at which the mean work turns positive, at every point
     of broadcast parameter arrays checked as :func:`efficiency_block` checks
-    them; beta and nu2 are not read.  ``symmetric`` and ``cs`` read the
-    forward work of the delta = zeta cycle, at theta or the control's flip
-    probability, ``asymmetric`` the forward plus backward work.  For beta >
-    0 the work is zero at nu2_min and positive beyond: nu2 > nu2_min is the
-    symmetric and cs condition, nu2 >= nu2_min the asymmetric one (summed
-    work nonnegative).  ``inf`` where no gap works (theta = 0, or asymmetric
-    with delta + zeta >= 1), ``nan`` where the symmetric or cs heat is never
-    absorbed (delta >= 1/2)."""
+    them; beta and nu2 are not read.  It reads the work that
+    :func:`efficiency_block` reads: the forward work in ``symmetric``, the
+    forward plus backward work in ``asymmetric`` and ``cs``, at theta or
+    the control's flip probability.  For beta > 0 the work is zero at
+    nu2_min and positive beyond: nu2 > nu2_min is the symmetric and cs
+    condition, nu2 >= nu2_min the asymmetric one (summed work
+    nonnegative).  ``inf`` where no gap works (theta = 0, or asymmetric
+    with delta + zeta >= 1), ``nan`` where the heat that is read is never
+    absorbed (delta >= 1/2 in symmetric, delta + zeta >= 1 in cs)."""
     _, nu1, _, d, z, _, flip = _checked(beta, nu1, nu2, delta, zeta, theta, mode, alpha, branch)
-    if mode != "asymmetric":
-        z = d  # the forward work at delta = zeta is half the forward plus backward
+    # the heat that is read, over t nu2: 2 theta (1 - 2 delta) of the
+    # forward cycle, 2 theta (2 - 2 delta - 2 zeta) of the pair; the work's
+    # other term, theta + (1 - 2 theta) s with s = delta + zeta - 2 delta
+    # zeta, has the true zeta in every mode
+    z_heat = d if mode == "symmetric" else z
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # theta + (1 - 2 theta) s as nonnegative terms, and 1 - d - z with the
         # rounding of 1 - d (exact, Fast2Sum) added after the cancellation
         num = flip * ((1.0 - d) * (1.0 - z) + d * z) + (1.0 - flip) * (d + z - 2.0 * d * z)
         rest = 1.0 - d
-        nu2_min = num * nu1 / (flip * ((rest - z) - ((rest - 1.0) + d)))
-    nu2_min = np.where((flip > 0.0) & (d + z < 1.0), nu2_min, math.inf)
-    return nu2_min if mode == "asymmetric" else np.where(d < 0.5, nu2_min, math.nan)
+        nu2_min = num * nu1 / (flip * ((rest - z_heat) - ((rest - 1.0) + d)))
+    absorbs = d + z_heat < 1.0
+    nu2_min = np.where((flip > 0.0) & absorbs, nu2_min, math.inf)
+    return nu2_min if mode == "asymmetric" else np.where(absorbs, nu2_min, math.nan)
 
 
 class BoundReport(NamedTuple):

@@ -801,8 +801,7 @@ def _cmd_lz_compare(cfg: dict) -> None:
         cfg.get("phi") or 0.0, alpha_m, cfg.get("chi") or 0.0,
     )
     landauzener._checked_deltas(base, values)
-    fixed = landauzener._fixed_matrices(base)
-    blocks = (landauzener._compare(base, values[i:i + _BLOCK_POINTS], fixed)._asdict()
+    blocks = (landauzener.monitored_vs_unmonitored(base, values[i:i + _BLOCK_POINTS])._asdict()
               for i in range(0, values.size, _BLOCK_POINTS))
     _emit(cfg, "lz-compare", _COMPARISON, blocks)
 

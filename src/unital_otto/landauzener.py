@@ -10,12 +10,14 @@ with C the entrywise complex conjugation in the energy basis.  The heat
 source is the projective measurement channel tilted by alpha_m with
 phase chi.  The monitored cycle sees only the transition probabilities
 (theta = sin^2(alpha_m)/2) and is blind to phi and chi; the unmonitored
-cycle propagates the full density matrix, so surviving coherences feed
-the compression stroke and its averages pick up a cos(phi + chi)
+cycle keeps the qubit's coherences, so surviving coherences feed the
+compression stroke and its averages pick up a cos(phi + chi)
 interference term.
 
-The propagation's 2x2 products are written out in real arithmetic, with
-no BLAS or LAPACK call, and what no delta changes is built once a column.
+The unmonitored cycle starts in the diagonal Gibbs state and is read out
+in energy, so it is propagated as the state's Bloch vector, in closed
+form and real arithmetic: U and V rotate it and the channel projects it
+onto the measurement axis (:attr:`MeasurementChannel.axis`).
 """
 
 from __future__ import annotations
@@ -28,14 +30,13 @@ import numpy as np
 
 from .analysis import _quotient, classify_regime_array
 from .cumulants import _closed_form
-from .qstate import InputError, MeasurementChannel, _Checked, hamiltonian, thermal_state
+from .qstate import InputError, MeasurementChannel, _Checked
 from .trajectory import CycleParams
 
 __all__ = [
     "LZParams",
     "CycleAverages",
     "Comparison",
-    "lz_unitaries",
     "unmonitored_cycle",
     "qm_unmonitored_closed_form",
     "monitored_averages",
@@ -79,29 +80,6 @@ class LZParams(_Checked, namedtuple("LZParams", "delta phi channel cycle")):
         return LZParams.build(*self.cycle[:3], delta, self.phi, *self.channel)
 
 
-def lz_unitaries(delta, phi: float) -> tuple[np.ndarray, np.ndarray]:
-    """Expansion and compression unitaries (U, V) in the energy basis, at
-    every delta: stacks shaped ``np.shape(delta) + (2, 2)``.
-
-    The phase convention is pinned by the unmonitored heat: with this U
-    the interference term of <Q_M>um comes out as +cos(phi + chi).  The
-    transition probabilities are |<+2|U|-1>|^2 = |<+1|V|-2>|^2 = delta
-    regardless of the convention.
-    """
-    delta = np.asarray(delta, dtype=float)
-    root_stay = np.sqrt(1.0 - delta)
-    root_jump = np.sqrt(delta)
-    phase = np.exp(1.0j * phi)
-    u = np.empty(delta.shape + (2, 2), dtype=complex)
-    u[..., 0, 0] = root_stay * phase
-    u[..., 0, 1] = root_jump
-    u[..., 1, 0] = -root_jump
-    u[..., 1, 1] = root_stay * np.conj(phase)
-    # V = C U^dag C with C the entrywise conjugation, i.e. conj(U^dag) = U^T
-    v = np.swapaxes(u, -1, -2).copy()
-    return u, v
-
-
 class CycleAverages(NamedTuple):
     """Mean energies at the four cycle points and the derived flows, arrays
     of the delta column's shape."""
@@ -124,43 +102,46 @@ def unmonitored_cycle(params: LZParams, delta) -> CycleAverages:
     rho1 -> U rho1 U^dag -> sum_j pi_j . pi_j -> V . V^dag, with energies
     read against H1, H2, H2, H1.  No projective measurements interrupt
     the cycle, so coherence created by U survives into the compression.
-    Only U and V depend on delta; every product is the written-out 2x2
-    product of :func:`_product`, so a row's bits are the same alone and in
-    any column.  Each energy is a trace tr(rho H) with |tr(rho H)| <= nu,
-    so the flows' magnitudes are the trace bounds 2 nu2 (Q_M = E3 - E2),
-    2 nu1 (Q_T = E1 - E4) and their sum (W); against 60-digit propagation
-    of the same inputs the rounding of each flow stays below 2 eps times
-    its trace bound.  A heat that is a rounding residue of 2 nu2 has no
-    efficiency.
+    The state is propagated as its Bloch vector (:func:`_propagate`),
+    elementwise, so a row's bits are the same alone and in any column.
+    Each energy is a trace tr(rho H) with |tr(rho H)| <= nu, so the flows'
+    magnitudes are the trace bounds 2 nu2 (Q_M = E3 - E2), 2 nu1 (Q_T =
+    E1 - E4) and their sum (W); against 60-digit propagation of the same
+    inputs the rounding of each flow stays below 2 eps times its trace
+    bound.  A heat that is a rounding residue of 2 nu2 has no efficiency.
     """
-    return _propagate(params, _checked_deltas(params, delta), _fixed_matrices(params))
-
-
-def _fixed_matrices(params: LZParams) -> tuple:
-    """What no delta changes, each a stack of one matrix (:func:`_split`):
-    (rho1, H1, H2), the Gibbs state and the Hamiltonians, and the projectors."""
-    cyc = params.cycle
-    fixed = [thermal_state(cyc.beta, cyc.nu1), hamiltonian(cyc.nu1), hamiltonian(cyc.nu2)]
-    return [_split(m[None]) for m in fixed], [_split(k[None]) for k in params.channel.kraus_ops()]
+    return _propagate(params, _checked_deltas(params, delta))
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _propagate(params: LZParams, delta: np.ndarray, fixed: tuple) -> CycleAverages:
-    """:func:`unmonitored_cycle` at checked deltas, given the
-    :func:`_fixed_matrices` of ``params``."""
-    (rho1, h1, h2), projectors = fixed
-    u, v = (_split(m) for m in lz_unitaries(delta.reshape(-1), params.phi))
-    rho2 = _conjugated(u, rho1)
-    (ar, ai), (br, bi) = (_conjugated(k, rho2) for k in projectors)
-    rho3 = (ar + br, ai + bi)
-    rho4 = _conjugated(v, rho3)
-    e1 = np.full(delta.shape, _energy(rho1, h1)[0])
-    e2, e3, e4 = (_energy(rho, h).reshape(delta.shape)
-                  for rho, h in ((rho2, h2), (rho3, h2), (rho4, h1)))
+def _propagate(params: LZParams, delta: np.ndarray) -> CycleAverages:
+    """:func:`unmonitored_cycle` at checked deltas.
+
+    With t = tanh(beta nu1), s = sqrt(delta (1 - delta)), c = 1 - 2 delta
+    and n the measurement axis, the Gibbs state's Bloch vector (0, 0, -t)
+    becomes r2 = -t (-2 s cos phi, 2 s sin phi, c) under U; the channel
+    keeps (n.r2) n; V = U^T turns that into a state whose z component is
+    (n.r2) (c n_z - 2 s (n_x cos phi + n_y sin phi)).  Each energy is nu
+    times the z component against its Hamiltonian.
+    """
+    cyc = params.cycle
+    t = cyc.tanh_beta_nu1
+    nx, ny, nz = params.channel.axis
+    cos_phi, sin_phi = math.cos(params.phi), math.sin(params.phi)
+    d = delta.reshape(-1)
+    c = 1.0 - 2.0 * d
+    two_s = 2.0 * np.sqrt(d * (1.0 - d))
+    along = -t * (nz * c - two_s * (nx * cos_phi - ny * sin_phi))  # n.r2
+    e1 = np.full(delta.shape, -cyc.nu1 * t)
+    e2, e3, e4 = (e.reshape(delta.shape) for e in (
+        -cyc.nu2 * (t * c),
+        cyc.nu2 * (along * nz),
+        cyc.nu1 * (along * (nz * c - two_s * (nx * cos_phi + ny * sin_phi))),
+    ))
     q_m = e3 - e2
     q_t = e1 - e4
     w = q_m + q_t
-    eta = _quotient(w, q_m, *_trace_bounds(params.cycle)[:2])[0]
+    eta = _quotient(w, q_m, *_trace_bounds(cyc)[:2])[0]
     return CycleAverages(e1=e1, e2=e2, e3=e3, e4=e4, w=w, q_m=q_m, q_t=q_t, eta=eta)
 
 
@@ -179,53 +160,12 @@ def _trace_bounds(cycle: CycleParams) -> tuple:
     return 2.0 * (cycle.nu1 + cycle.nu2), 2.0 * cycle.nu2, 2.0 * cycle.nu1
 
 
-def _split(stack: np.ndarray) -> tuple:
-    """A stack of n complex 2x2 matrices, shaped (n, 2, 2), as the matrices
-    of :func:`_product`: a (real, imaginary) pair of (2, 2, n) arrays."""
-    return np.moveaxis(stack.real, 0, -1), np.moveaxis(stack.imag, 0, -1)
-
-
-def _product(a: tuple, b: tuple) -> tuple:
-    """The 2x2 products a b along two stacks of :func:`_split` matrices,
-    broadcast along the stack; written out in real arithmetic, so each
-    entry is rounded the same way at any stack size and on any CPU, with
-    no BLAS call and no fused multiply-add."""
-    (ar, ai), (br, bi) = a, b
-    # the terms a_ij b_jk, indexed [i, j, k]
-    xr, xi, yr, yi = ar[:, :, None], ai[:, :, None], br[None], bi[None]
-    re, im = xr * yr - xi * yi, xr * yi + xi * yr
-    return re[:, 0] + re[:, 1], im[:, 0] + im[:, 1]
-
-
-def _conjugated(k: tuple, rho: tuple) -> tuple:
-    """k rho k^dag."""
-    kr, ki = k
-    return _product(_product(k, rho), (kr.swapaxes(0, 1), -ki.swapaxes(0, 1)))
-
-
-def _energy(rho: tuple, ham: tuple) -> np.ndarray:
-    """tr(rho H) of each matrix in a stack, summed as the diagonal of
-    :func:`_product` would be."""
-    (rr, ri), (hr, hi) = rho, ham
-    re = rr * hr.swapaxes(0, 1) - ri * hi.swapaxes(0, 1)
-    return (re[0, 0] + re[0, 1]) + (re[1, 0] + re[1, 1])
-
-
 def qm_unmonitored_closed_form(params: LZParams) -> float:
-    """Unmonitored channel heat: the interference term rides on cos(phi+chi)."""
-    a = params.channel.alpha_m
-    d = params.delta
-    phase = math.cos(params.phi + params.channel.chi)
-    return (
-        params.cycle.nu2
-        * math.sin(a)
-        * (
-            2.0 * math.sqrt(d * (1.0 - d)) * math.cos(a) * phase
-            + math.sin(a)
-            - 2.0 * d * math.sin(a)
-        )
-        * params.cycle.tanh_beta_nu1
-    )
+    """Unmonitored channel heat at ``params.delta``, nu2 tanh(beta nu1)
+    sin(alpha_m) (2 sqrt(delta (1 - delta)) cos(alpha_m) cos(phi + chi) +
+    (1 - 2 delta) sin(alpha_m)): the interference term rides on
+    cos(phi + chi)."""
+    return float(_propagate(params, np.asarray(params.delta)).q_m)
 
 
 def monitored_averages(params: LZParams, delta) -> CycleAverages:
@@ -272,14 +212,8 @@ def monitored_vs_unmonitored(params: LZParams, deltas: Iterable[float]) -> Compa
     """Work, efficiency and regime of both cycle variants over a delta grid,
     each variant evaluated as one block over the whole column; regimes are
     those of :func:`~unital_otto.analysis.classify_regime_array`."""
-    delta = np.array([float(d) for d in deltas], dtype=float)
-    return _compare(params, _checked_deltas(params, delta), _fixed_matrices(params))
-
-
-def _compare(params: LZParams, delta: np.ndarray, fixed: tuple) -> Comparison:
-    """:func:`monitored_vs_unmonitored` at checked deltas, given the
-    :func:`_fixed_matrices` of ``params``."""
-    um = _propagate(params, delta, fixed)
+    delta = _checked_deltas(params, [float(d) for d in deltas])
+    um = _propagate(params, delta)
     mon, magnitudes = _monitored_from(params, delta, um)
 
     def regimes(avg: CycleAverages, magnitudes: tuple) -> np.ndarray:

@@ -1,13 +1,12 @@
-"""Qubit states and the measurement channel for the unital Otto cycle.
+"""The measurement channel, the control qubit and the package's errors.
 
 Everything lives in a declared energy eigenbasis: index 0 is the excited
-state |+> (energy +nu), index 1 the ground state |-> (energy -nu).  A state
-is a 2x2 density matrix in the eigenbasis of the Hamiltonian of its gap
-nu.  The monitored cycle sees a channel only through its flip
-probability theta; the one channel written out as Kraus operators is
-:class:`MeasurementChannel`, the rank-1 projective channel built from
-two orthogonal projectors, whose theta never exceeds 1/2 and which the
-Landau-Zener density-matrix propagation applies.
+state |+> (energy +nu), index 1 the ground state |-> (energy -nu).  The
+monitored cycle sees a channel only through its flip probability theta.
+:class:`MeasurementChannel` is the rank-1 projective channel built from
+two orthogonal projectors, whose theta never exceeds 1/2; the
+Landau-Zener propagation applies it to the qubit's Bloch vector, which it
+projects onto the channel's measurement axis.
 
 :class:`ControlSpec` prepares a control qubit that sends the state
 through the channel on both arms of a superposition and post-selects the
@@ -22,15 +21,11 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-import numpy as np
-
 __all__ = [
     "InputError",
     "PhysicsError",
     "MeasurementChannel",
     "ControlSpec",
-    "hamiltonian",
-    "thermal_state",
 ]
 
 
@@ -51,33 +46,6 @@ class _Checked:
     @classmethod
     def _make(cls, iterable):
         return cls(*iterable)
-
-
-def hamiltonian(nu: float) -> np.ndarray:
-    """H = nu (|+><+| - |-><-|) as a matrix in the storage basis."""
-    if not math.isfinite(nu):
-        raise InputError("gap must be finite")
-    return np.array([[nu, 0.0], [0.0, -nu]], dtype=complex)
-
-
-def thermal_state(beta: float, nu: float) -> np.ndarray:
-    """Gibbs state exp(-beta H)/Z for the gap-``nu`` Hamiltonian: the real
-    diagonal matrix of its (excited, ground) populations.
-
-    Negative beta (population inversion) is allowed; beta and nu must be
-    finite and nu positive.  Populations are computed through logistic
-    forms so extreme |beta nu| saturates cleanly to a pure state.  The
-    ground population is fl(1 - p), and p + fl(1 - p) rounds to exactly 1,
-    so the trace needs no renormalising.
-    """
-    if not (math.isfinite(beta) and math.isfinite(nu)):
-        raise InputError("beta and nu must be finite")
-    if nu <= 0.0:
-        raise InputError("gap nu must be positive")
-    # p_excited = e^{-beta nu}/Z, stable for any sign and size of beta nu
-    x = 2.0 * beta * nu
-    p_exc = 1.0 / (1.0 + math.exp(x)) if x < 700.0 else 0.0
-    return np.diag([p_exc, 1.0 - p_exc])
 
 
 class MeasurementChannel(_Checked, namedtuple("MeasurementChannel", "alpha_m chi")):
@@ -109,12 +77,13 @@ class MeasurementChannel(_Checked, namedtuple("MeasurementChannel", "alpha_m chi
         s = math.sin(self.alpha_m)
         return s * s / 2.0
 
-    def kraus_ops(self) -> list[np.ndarray]:
-        c, s = math.cos(self.alpha_m / 2.0), math.sin(self.alpha_m / 2.0)
-        phase = np.exp(-1.0j * self.chi)
-        psi1 = np.array([phase * s, -c])
-        psi2 = np.array([c, np.conj(phase) * s])
-        return [np.outer(psi1, psi1.conj()), np.outer(psi2, psi2.conj())]
+    @property
+    def axis(self) -> tuple[float, float, float]:
+        """n = (sin alpha_m cos chi, sin alpha_m sin chi, cos alpha_m), the
+        Bloch vector of |psi_2>; the channel maps a Bloch vector r to
+        (n.r) n."""
+        s = math.sin(self.alpha_m)
+        return s * math.cos(self.chi), s * math.sin(self.chi), math.cos(self.alpha_m)
 
 
 class ControlSpec(_Checked, namedtuple("ControlSpec", "alpha branch")):

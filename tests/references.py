@@ -4,10 +4,13 @@ Each one computes, by a second argument, something the package computes
 by its own:
 
 * :class:`DensityMatrix` validates a qubit state: hermiticity, trace and
-  eigenvalues in [0, 1].  The package builds its one state, the diagonal
-  Gibbs state of ``thermal_state``, without it; the tests check that
-  state against it.
-
+  eigenvalues in [0, 1].  :func:`thermal_state` builds the Gibbs state and
+  :func:`hamiltonian` the gap-nu Hamiltonian as matrices in the energy
+  basis; the tests check the one against the other.
+* :func:`measurement_kraus` writes ``MeasurementChannel`` out as its two
+  Kraus projectors, and :func:`lz_unitaries` the Landau-Zener stroke
+  unitaries as matrix stacks: the density-matrix form of what the
+  package propagates as Bloch vectors.
 * :func:`apply_channel` and :func:`superpose_apply` propagate the density
   matrix through a channel and through its coherently superposed version.
   They are the density-matrix argument for the package's reduction of a
@@ -24,10 +27,14 @@ by its own:
 * :func:`exact_means` and :func:`exact_bounds` are the sign oracle: the
   16 path records expanded in exact rational arithmetic on the float
   inputs, against which every sign the package decides by its rounding
-  rule is checked.
+  rule is checked.  :func:`exact_work_line` sums the same records for the
+  mean work's two coefficients alone, against which the work threshold
+  is checked.
 * :func:`lz_unmonitored_mp` propagates the unmonitored Landau-Zener cycle
   in 60-digit arithmetic on the float inputs, against which the rounding
-  of ``landauzener.unmonitored_cycle`` is checked.
+  of ``landauzener.unmonitored_cycle`` is checked, and
+  :func:`qm_unmonitored_paper` is the paper's closed form of its channel
+  heat.
 """
 
 import functools
@@ -41,7 +48,7 @@ from collections import namedtuple
 import mpmath
 import numpy as np
 
-from unital_otto import ControlSpec, MeasurementChannel, PhysicsError, Regime
+from unital_otto import ControlSpec, InputError, MeasurementChannel, PhysicsError, Regime
 from unital_otto.qstate import _Checked
 from unital_otto.trajectory import _evaluate
 
@@ -95,6 +102,43 @@ class DensityMatrix(_Checked, namedtuple("DensityMatrix", "mat gap")):
     def populations(self) -> tuple[float, float]:
         """(excited, ground) diagonal occupations."""
         return (self.mat[0, 0].real, self.mat[1, 1].real)
+
+
+def hamiltonian(nu: float) -> np.ndarray:
+    """H = nu (|+><+| - |-><-|) as a matrix in the storage basis."""
+    if not math.isfinite(nu):
+        raise InputError("gap must be finite")
+    return np.array([[nu, 0.0], [0.0, -nu]], dtype=complex)
+
+
+def thermal_state(beta: float, nu: float) -> np.ndarray:
+    """Gibbs state exp(-beta H)/Z for the gap-``nu`` Hamiltonian: the real
+    diagonal matrix of its (excited, ground) populations.
+
+    Negative beta (population inversion) is allowed; beta and nu must be
+    finite and nu positive.  Populations are computed through logistic
+    forms so extreme |beta nu| saturates cleanly to a pure state.  The
+    ground population is fl(1 - p), and p + fl(1 - p) rounds to exactly 1,
+    so the trace needs no renormalising.
+    """
+    if not (math.isfinite(beta) and math.isfinite(nu)):
+        raise InputError("beta and nu must be finite")
+    if nu <= 0.0:
+        raise InputError("gap nu must be positive")
+    # p_excited = e^{-beta nu}/Z, stable for any sign and size of beta nu
+    x = 2.0 * beta * nu
+    p_exc = 1.0 / (1.0 + math.exp(x)) if x < 700.0 else 0.0
+    return np.diag([p_exc, 1.0 - p_exc])
+
+
+def measurement_kraus(channel: MeasurementChannel) -> list[np.ndarray]:
+    """The Kraus projectors [pi_1, pi_2] = [|psi_1><psi_1|, |psi_2><psi_2|]
+    of ``channel`` in the storage basis."""
+    c, s = math.cos(channel.alpha_m / 2.0), math.sin(channel.alpha_m / 2.0)
+    phase = np.exp(-1.0j * channel.chi)
+    psi1 = np.array([phase * s, -c])
+    psi2 = np.array([c, np.conj(phase) * s])
+    return [np.outer(psi1, psi1.conj()), np.outer(psi2, psi2.conj())]
 
 
 def apply_channel(kraus, rho: DensityMatrix) -> DensityMatrix:
@@ -153,7 +197,7 @@ def superpose_apply(
     """
     if not isinstance(channel, MeasurementChannel):
         raise TypeError("coherent superposition is defined for the measurement channel")
-    kraus = channel.kraus_ops()
+    kraus = measurement_kraus(channel)
     n_ops = len(kraus)
     direct = sum(k @ rho.mat @ k.conj().T for k in kraus)
     ksum = sum(kraus)
@@ -252,6 +296,25 @@ def exact_means(t, nu1, nu2, delta, zeta, theta) -> tuple:
     )
 
 
+def exact_work_line(t, nu1, delta, zeta, theta) -> tuple[int, int]:
+    """Integers (A, B) with the exact forward mean work (A + B nu2) / L for
+    some L > 0, from the 16 path records as :func:`exact_means` sums them:
+    their probabilities do not depend on nu2, so only the two coefficients
+    are summed, on integers at one common scale."""
+    (t, nu1, delta, zeta, theta), one = _common_scale(t, nu1, delta, zeta, theta)
+    weight = (one + t, one - t)
+
+    def move(p, before, after):
+        return p if before != after else one - p
+
+    bath = gap = 0  # sum p (n - l) and sum p (k - m)
+    for n, m, k, l in itertools.product((0, 1), repeat=4):
+        p = weight[n] * move(delta, n, m) * move(theta, m, k) * move(zeta, k, l)
+        bath += p * (n - l)
+        gap += p * (k - m)
+    return bath * nu1, gap * one
+
+
 def exact_regime(w_mean, qm_mean, qt_mean, beta) -> Regime:
     """The regime of exact flows: undetermined at an exact zero."""
     if beta == 0 or 0 in (w_mean, qm_mean, qt_mean):
@@ -319,6 +382,47 @@ def exact_bounds(beta, t, nu1, nu2, delta, zeta, theta, flip, mode, branch="minu
         out.append(("otto_sq_le_ratio", hopm and ratio is not None,
                     ratio is not None and otto * otto <= ratio))
     return out
+
+
+def lz_unitaries(delta, phi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Expansion and compression unitaries (U, V) in the energy basis, at
+    every delta: stacks shaped ``np.shape(delta) + (2, 2)``.
+
+    The phase convention is pinned by the unmonitored heat: with this U
+    the interference term of <Q_M>um comes out as +cos(phi + chi).  The
+    transition probabilities are |<+2|U|-1>|^2 = |<+1|V|-2>|^2 = delta
+    regardless of the convention.
+    """
+    delta = np.asarray(delta, dtype=float)
+    root_stay = np.sqrt(1.0 - delta)
+    root_jump = np.sqrt(delta)
+    phase = np.exp(1.0j * phi)
+    u = np.empty(delta.shape + (2, 2), dtype=complex)
+    u[..., 0, 0] = root_stay * phase
+    u[..., 0, 1] = root_jump
+    u[..., 1, 0] = -root_jump
+    u[..., 1, 1] = root_stay * np.conj(phase)
+    # V = C U^dag C with C the entrywise conjugation, i.e. conj(U^dag) = U^T
+    v = np.swapaxes(u, -1, -2).copy()
+    return u, v
+
+
+def qm_unmonitored_paper(params) -> float:
+    """The paper's unmonitored channel heat at ``params.delta``: the
+    interference term rides on cos(phi + chi)."""
+    a = params.channel.alpha_m
+    d = params.delta
+    phase = math.cos(params.phi + params.channel.chi)
+    return (
+        params.cycle.nu2
+        * math.sin(a)
+        * (
+            2.0 * math.sqrt(d * (1.0 - d)) * math.cos(a) * phase
+            + math.sin(a)
+            - 2.0 * d * math.sin(a)
+        )
+        * params.cycle.tanh_beta_nu1
+    )
 
 
 def lz_unmonitored_mp(params, delta: float) -> tuple:

@@ -25,13 +25,13 @@ from unital_otto import (
     enumerate_block,
     enumerate_paths,
     monitored_vs_unmonitored,
-    qm_unmonitored_closed_form,
     sample,
     unmonitored_cycle,
 )
 from unital_otto.cumulants import _closed_form
 
 from conftest import regime_of, sample_errors
+from references import qm_unmonitored_paper
 
 
 def report(num, ok, detail):
@@ -340,7 +340,7 @@ def test_criterion_8_landau_zener():
                     p = LZParams.build(0.5, 0.7, 1.3, float(delta), float(phi),
                                        float(alpha_m), float(chi))
                     heat = unmonitored_cycle(p, p.delta).q_m
-                    worst = max(worst, abs(heat - qm_unmonitored_closed_form(p)))
+                    worst = max(worst, abs(heat - qm_unmonitored_paper(p)))
     formula_ok = worst <= 1e-12
 
     grid = np.linspace(0.0, 1.0, 101)

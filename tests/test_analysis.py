@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from unital_otto import trajectory
 from unital_otto import (
     ControlSpec,
     CycleParams,
@@ -25,7 +26,7 @@ from unital_otto import (
 )
 
 from conftest import close, cycle_params, finite, probs, regime_of
-from references import exact_means
+from references import exact_work_line
 
 FIG3 = CycleParams(0.5, 1.0, 2.0, 0.1, 0.1)
 
@@ -129,53 +130,85 @@ def test_cs_threshold_matches_paper_numerator():
         assert all(close(g, p, 1e-14) for g, p in zip(got.tolist(), paper[mine].tolist()))
 
 
-def affine_work(t, nu1, d, z, theta, mode):
-    """(A, B) of the exact mean work A + B nu2 that ``mode`` reads, from the
-    16 path records: their probabilities do not depend on nu2, so at nu2 = 1
-    B is <Q_M> and A is <W> - <Q_M>."""
+def affine_work(t, nu1, d, z, flip, mode):
+    """Integers (A, B) with the exact mean work that ``mode`` reads (A + B
+    nu2) / L for some L > 0: the forward work in ``symmetric``, forward plus
+    backward otherwise, at the flip probability ``flip``.  Both directions
+    sum their records at the same scale, L."""
     directions = [(d, z)] if mode == "symmetric" else [(d, z), (z, d)]
-    means = [exact_means(t, nu1, 1.0, *pair, theta) for pair in directions]
-    return sum(m[0] - m[2] for m in means), sum(m[2] for m in means)
+    lines = [exact_work_line(t, nu1, *pair, flip) for pair in directions]
+    return sum(a for a, _ in lines), sum(b for _, b in lines)
 
 
-def assert_exact_thresholds(t, nu1, delta, zeta, theta, mode, nu2_min):
+def assert_exact_thresholds(t, nu1, delta, zeta, flip, mode, nu2_min, ulps=4):
     """Where ``nu2_min`` is finite, the exact mean work A + B nu2 rises
-    through zero (B > 0) at a gap within 4 ulps of it; elsewhere no gap
-    makes it positive (A <= 0 and B <= 0)."""
+    through zero (B > 0) at a gap within ``ulps`` ulps of it; elsewhere no
+    gap makes it positive (A <= 0 and B <= 0)."""
     for i in range(len(nu2_min)):
-        point = (float(nu1[i]), float(delta[i]), float(zeta[i]), float(theta[i]))
+        point = (float(nu1[i]), float(delta[i]), float(zeta[i]), float(flip[i]))
         a, b = affine_work(float(t[i]), *point, mode)
         if not math.isfinite(nu2_min[i]):
             assert a <= 0 and b <= 0, i
             continue
         assert b > 0, i
-        exact = -a / b
-        assert abs(Fraction(nu2_min[i]) - exact) <= 4 * Fraction(math.ulp(float(exact))), i
+        exact = -a / b  # the quotient of two ints is correctly rounded
+        num, den = float(nu2_min[i]).as_integer_ratio()
+        ulp_num, ulp_den = math.ulp(exact).as_integer_ratio()
+        # |num / den + a / b| <= 4 ulp, multiplied through by den b ulp_den
+        assert abs(num * b + a * den) * ulp_den <= ulps * ulp_num * den * b, i
 
 
-@pytest.mark.parametrize("mode", ["symmetric", "asymmetric"])
-def test_threshold_is_the_exact_zero_of_the_mean_work(mode):
+@pytest.mark.parametrize("case", ["symmetric", "asymmetric", "symmetric-unequal",
+                                  "cs-plus", "cs-minus"])
+def test_threshold_is_the_exact_zero_of_the_mean_work(case):
     # beta > 0: the mean work is zero at the threshold, positive above it
     # and negative below
+    mode, _, branch = case.partition("-")
     gen = np.random.default_rng(29)
     n = 20000
     beta = gen.uniform(1e-3, 2.0, n)
     nu1 = np.exp(gen.uniform(math.log(1e-2), math.log(20.0), n))
     delta, zeta, theta = gen.random(n), gen.random(n), gen.random(n)
-    if mode == "symmetric":
+    if case == "symmetric":
         delta = zeta = 0.5 * delta
+    elif case == "symmetric-unequal":
+        delta = 0.5 * delta  # the forward heat is absorbed, at any zeta
     else:
         # delta + zeta < 1, exactly: 1 - x is exact for these draws
         folded = delta + zeta >= 1.0
         delta[folded], zeta[folded] = 1.0 - delta[folded], 1.0 - zeta[folded]
-    # edges: theta in {0, 1}, adiabatic strokes, delta = 1/2, delta + zeta = 1
+    # edges: theta at its ends (1/2 in cs, where 1 can fail the flip
+    # bound), adiabatic strokes, delta = 1/2, delta + zeta = 1
     theta[:100], theta[100:200] = 0.0, 1.0
     delta[200:300] = zeta[200:300] = 0.0
     delta[300:400] = 0.5
-    zeta[300:400] = 0.5 if mode == "symmetric" else 1.0 - delta[300:400]
-    nu2_min = work_threshold_block(beta, nu1, 1.0, delta, zeta, theta, mode)
+    if case != "symmetric-unequal":
+        zeta[300:400] = 0.5 if mode == "symmetric" else 1.0 - delta[300:400]
+    control, flip = (), theta
+    if mode == "cs":
+        theta *= 0.5
+        control = (gen.random(n), branch)
+        flip = trajectory._controlled_flip(theta, *control)
+    nu2_min = work_threshold_block(beta, nu1, 1.0, delta, zeta, theta, mode, *control)
     assert np.isfinite(nu2_min[400:]).all() and not np.isfinite(nu2_min[:100]).any()
-    assert_exact_thresholds(np.tanh(beta * nu1), nu1, delta, zeta, theta, mode, nu2_min)
+    # with zeta free of delta, the numerator's roundings of 1 - zeta, delta
+    # zeta and delta + zeta - 2 delta zeta (which cancels up to threefold
+    # for zeta near 1) no longer track the denominator's of 1 - 2 delta:
+    # 4.76 ulps at worst on these draws
+    ulps = 5 if case == "symmetric-unequal" else 4
+    assert_exact_thresholds(np.tanh(beta * nu1), nu1, delta, zeta, flip, mode, nu2_min, ulps)
+
+
+def test_threshold_reads_the_work_that_the_efficiency_reads():
+    # cs reads the forward plus backward work and symmetric the forward
+    # work, at the true zeta; the efficiency turns positive between the gaps
+    cycle = (0.1, 0.3, 0.2)
+    for mode, control, below, above in (("cs", (0.3, "minus"), 2.06, 2.07),
+                                        ("symmetric", (), 2.52, 2.53)):
+        nu2_min = work_threshold_block(0.7, 1.0, 2.0, *cycle, mode, *control)
+        assert below < nu2_min < above
+        for nu2, sign in ((below, -1.0), (above, 1.0)):
+            assert sign * efficiency_block(0.7, 1.0, nu2, *cycle, mode, *control) > 0.0
 
 
 def test_asymmetric_threshold_keeps_its_accuracy_near_cancelling_strokes():

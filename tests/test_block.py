@@ -828,8 +828,9 @@ def test_threshold_and_ratio_blocks_keep_their_pinned_values(rng, mode, branch):
     nu2_min = analysis.work_threshold_block(*cycle, mode, *control)
     flip = cycle[5] if not control else trajectory._controlled_flip(cycle[5], *control)
     delta, zeta = cycle[3], cycle[4]
-    # nan where the symmetric heat is never absorbed, inf where no gap works
-    absorbs = (delta < 0.5) if mode != "asymmetric" else np.ones_like(delta, dtype=bool)
+    # nan where the heat that is read is never absorbed, inf where no gap works
+    absorbs = {"symmetric": delta < 0.5, "cs": delta + zeta < 1.0}.get(
+        mode, np.ones_like(delta, dtype=bool))
     works = (flip > 0.0) & ((delta + zeta < 1.0) if mode == "asymmetric" else True)
     assert np.array_equal(np.isnan(nu2_min), ~absorbs)
     assert np.array_equal(np.isinf(nu2_min), absorbs & ~works)

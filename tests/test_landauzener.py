@@ -17,14 +17,13 @@ from unital_otto import (
     cumulants_from_block,
     enumerate_paths,
     is_rounding_residue,
-    lz_unitaries,
     monitored_averages,
     monitored_vs_unmonitored,
     qm_unmonitored_closed_form,
     unmonitored_cycle,
 )
 
-from references import lz_unmonitored_mp
+from references import lz_unitaries, lz_unmonitored_mp, qm_unmonitored_paper
 
 FIG6A = dict(beta=0.5, nu1=0.4, nu2=0.4, phi=0.0, alpha_m=math.pi / 4, chi=0.0)
 FIG6F = dict(beta=0.5, nu1=0.4, nu2=0.9, phi=0.1, alpha_m=math.pi / 3, chi=0.1)
@@ -75,7 +74,8 @@ def test_unmonitored_heat_matches_closed_form_on_grid():
                 for chi in (0.0, 1.3):
                     p = LZParams.build(0.5, 0.7, 1.3, float(delta), phi, float(alpha_m), chi)
                     um = unmonitored_cycle(p, p.delta)
-                    assert abs(um.q_m - qm_unmonitored_closed_form(p)) < 1e-12
+                    assert abs(um.q_m - qm_unmonitored_paper(p)) < 1e-12
+                    assert qm_unmonitored_closed_form(p) == um.q_m
 
 
 def test_energy_bookkeeping_closes_the_cycle():
@@ -160,8 +160,6 @@ def test_comparison_is_columns():
 
 
 def test_one_block_propagation_per_table(monkeypatch):
-    from unital_otto import qstate
-
     base = build(0.0, **FIG6F)
     deltas = np.linspace(0.0, 1.0, 7)
     want = [
@@ -169,54 +167,37 @@ def test_one_block_propagation_per_table(monkeypatch):
         for d in deltas.tolist()
     ]
     calls = []
-
-    def counted(owner, name):
-        original = getattr(owner, name)
-        monkeypatch.setattr(owner, name, lambda *a: calls.append(name) or original(*a))
-
-    counted(landauzener, "_propagate")
-    counted(landauzener, "thermal_state")
-    counted(landauzener, "hamiltonian")
-    counted(qstate.MeasurementChannel, "kraus_ops")
+    original = landauzener._propagate
+    monkeypatch.setattr(landauzener, "_propagate", lambda *a: calls.append(1) or original(*a))
     table = monitored_vs_unmonitored(base, deltas)
-    # the state, both Hamiltonians and the projectors are built once per table
-    assert sorted(calls) == sorted(
-        ["_propagate", "thermal_state", "hamiltonian", "hamiltonian", "kraus_ops"]
-    )
+    assert len(calls) == 1
     for i, (mon, um) in enumerate(want):
         got = [table.w_mon[i], table.eta_mon[i], table.w_um[i], table.eta_um[i]]
         assert np.array_equal(got, [mon.w, mon.eta, um.w, um.eta], equal_nan=True)
 
 
-def test_fixed_matrices_are_built_once_a_run(monkeypatch, tmp_path):
-    # three blocks of 256, 256 and 88 rows: the state, each Hamiltonian and
-    # the projectors once a run, the closed forms once for values and once
-    # for magnitudes a block
-    from unital_otto import qstate
-
+def test_each_block_of_a_run_is_propagated_once(monkeypatch, tmp_path):
+    # three blocks of 256, 256 and 88 rows: one propagation a block, and the
+    # closed forms once for values and once for magnitudes a block
     calls = []
 
-    def counted(owner, name):
-        original = getattr(owner, name)
+    def counted(name):
+        original = getattr(landauzener, name)
 
         def count(*args, **kwargs):
-            calls.append((name, *args[-1:]) if name == "hamiltonian" else name)
+            calls.append(name)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(owner, name, count)
+        monkeypatch.setattr(landauzener, name, count)
 
-    for name in ("thermal_state", "hamiltonian", "_closed_form"):
-        counted(landauzener, name)
-    counted(qstate.MeasurementChannel, "kraus_ops")
+    for name in ("_propagate", "_closed_form"):
+        counted(name)
     argv = ["lz-compare", "--beta", "0.5", "--nu1", "0.4", "--nu2", "0.9", "--alpha-m", "1",
             "--axis", "delta", "--start", "0", "--stop", "1", "--steps", "600"]
     out = tmp_path / "lz.csv"
     assert main([*argv, "--out", str(out)]) == 0
     assert len(out.read_text().splitlines()) == 2 + 600
-    assert sorted(calls, key=str) == sorted(
-        ["thermal_state", ("hamiltonian", 0.4), ("hamiltonian", 0.9), "kraus_ops"]
-        + ["_closed_form"] * 6, key=str
-    )
+    assert sorted(calls) == ["_closed_form"] * 6 + ["_propagate"] * 3
 
 
 def _random_tables(seed, count):
@@ -264,7 +245,7 @@ def test_flows_are_within_two_eps_of_their_trace_bounds():
 def test_block_heat_matches_the_closed_form_on_random_tables():
     for base, deltas in _random_tables(8, 40):
         block = unmonitored_cycle(base, deltas)
-        want = [qm_unmonitored_closed_form(base.with_delta(d)) for d in deltas.tolist()]
+        want = [qm_unmonitored_paper(base.with_delta(d)) for d in deltas.tolist()]
         assert np.max(np.abs(block.q_m - want)) <= 1e-13 * base.cycle.nu2
 
 

@@ -12,20 +12,22 @@ from unital_otto import (
     ControlSpec,
     MeasurementChannel,
     PhysicsError,
-    hamiltonian,
-    thermal_state,
 )
 
 from unital_otto.cli import _resolve_theta
 
 from conftest import bloch_states, finite, probs
 from references import (
+    SIGMA,
     DensityMatrix,
     apply_channel,
     flip_h,
     flip_theta,
+    hamiltonian,
+    measurement_kraus,
     pauli_kraus,
     superpose_apply,
+    thermal_state,
     transition_matrix,
 )
 
@@ -96,7 +98,7 @@ def test_apply_channel_fixed_point():
     maximally_mixed = DensityMatrix(np.eye(2) / 2)
     for kraus in (
         pauli_kraus(0.1, 0.2, 0.3, 0.4),
-        MeasurementChannel(0.8, 1.3).kraus_ops(),
+        measurement_kraus(MeasurementChannel(0.8, 1.3)),
         pauli_kraus(0.0, 1.0, 0.0, 0.0),
     ):
         out = apply_channel(kraus, maximally_mixed)
@@ -116,6 +118,20 @@ def test_apply_channel_dephases_and_flips():
     assert abs((out.mat[0, 0] - out.mat[1, 1]).real + vz) < 1e-14
 
 
+def test_channel_projects_the_bloch_vector_onto_its_axis():
+    # sum_j pi_j rho pi_j has Bloch vector (n.r) n, n the axis
+    gen = np.random.default_rng(5)
+    for _ in range(50):
+        ch = MeasurementChannel(gen.uniform(0.0, math.pi), gen.uniform(-4.0, 4.0))
+        r = gen.uniform(-1.0, 1.0, 3) / math.sqrt(3.0)
+        rho = DensityMatrix(0.5 * (SIGMA[0] + sum(x * s for x, s in zip(r, SIGMA[1:]))))
+        out = apply_channel(measurement_kraus(ch), rho).mat
+        got = [np.trace(out @ s).real for s in SIGMA[1:]]
+        n = np.array(ch.axis)
+        assert np.allclose(got, np.dot(n, r) * n, atol=1e-15)
+        assert np.dot(n, n) == pytest.approx(1.0, abs=1e-15)
+
+
 def test_theta_values():
     assert flip_theta(pauli_kraus(0.4, 0.3, 0.2, 0.1)) == pytest.approx(0.5, abs=1e-15)
     assert MeasurementChannel(math.pi / 2).theta == pytest.approx(0.5, abs=1e-15)
@@ -123,7 +139,7 @@ def test_theta_values():
     assert ch0.theta == 0.0
     # alpha_m = 0 projectors commute with the Hamiltonian
     h2 = hamiltonian(2.0)
-    for k in ch0.kraus_ops():
+    for k in measurement_kraus(ch0):
         assert np.allclose(k @ h2 - h2 @ k, 0.0, atol=1e-15)
 
 
@@ -165,7 +181,7 @@ def test_superpose_alpha_zero_reduces_to_plain_channel():
     for branch in ("plus", "minus"):
         out, p = superpose_apply(ch, rho, ControlSpec(0.0, branch))
         assert abs(p - 0.5) < 1e-15
-        assert np.allclose(out.mat, apply_channel(ch.kraus_ops(), rho).mat, atol=1e-12)
+        assert np.allclose(out.mat, apply_channel(measurement_kraus(ch), rho).mat, atol=1e-12)
 
 
 def test_superpose_half_alpha_branch_probabilities():
@@ -176,7 +192,7 @@ def test_superpose_half_alpha_branch_probabilities():
     out_plus, p_plus = superpose_apply(ch, rho, ControlSpec(0.5, "plus"))
     assert abs(p_plus - 0.75) < 1e-15
     # state proportional to sum_j pi_j rho pi_j -+ rho / 2
-    direct = sum(k @ rho.mat @ k.conj().T for k in ch.kraus_ops())
+    direct = sum(k @ rho.mat @ k.conj().T for k in measurement_kraus(ch))
     expected = (direct - 0.5 * rho.mat) / (2 * 0.25)
     assert np.allclose(out_minus.mat, expected, atol=1e-14)
     expected = (direct + 0.5 * rho.mat) / (2 * 0.75)
@@ -215,7 +231,7 @@ def test_pauli_unitality(p1, p2, p3):
 def test_measurement_channel_theta_capped(alpha_m, chi):
     ch = MeasurementChannel(alpha_m, chi)
     assert -1e-15 <= ch.theta <= 0.5 + 1e-12
-    k1, k2 = ch.kraus_ops()
+    k1, k2 = measurement_kraus(ch)
     assert np.allclose(k1 + k2, np.eye(2), atol=1e-12)
     assert np.allclose(k1 @ k1, k1, atol=1e-12)
     assert np.allclose(k2 @ k2, k2, atol=1e-12)
@@ -235,7 +251,7 @@ def test_branch_probabilities_sum_to_one(rho, alpha_m, alpha):
 @settings(max_examples=100)
 def test_superpose_extremes_match_plain_application(rho, alpha_m):
     ch = MeasurementChannel(alpha_m)
-    plain = apply_channel(ch.kraus_ops(), rho)
+    plain = apply_channel(measurement_kraus(ch), rho)
     for alpha in (0.0, 1.0):
         out, p = superpose_apply(ch, rho, ControlSpec(alpha, "minus"))
         assert abs(p - 0.5) < 1e-14
