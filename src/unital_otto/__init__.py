@@ -29,7 +29,6 @@ from .cumulants import (
     CumulantBlock,
     FirstTwoCumulants,
     cf_derivative_check,
-    cf_unital,
     closed_form_block,
     closed_form_first_second,
     cs_first_cumulants,

@@ -16,7 +16,9 @@ Thresholds, efficiencies and bound checks are array arithmetic over
 broadcast parameter columns, scalars included: one point is a 0-d block.
 Each checks its columns as every block function does, in the order
 cycle, control, theta range, flip bound, and raises the first failing
-point's own error.  Cumulant ratios are read from an enumerated block.
+point's own error; every mode reads the forward plus backward pair, so
+symmetric, its delta = zeta case, then needs zeta = delta.  Cumulant
+ratios are read from an enumerated block.
 
 An energy-valued quantity is zero here when it is a rounding residue of
 its summands' magnitudes (:func:`~unital_otto.cumulants.is_rounding_residue`),
@@ -105,13 +107,20 @@ def classify_regime_array(w_mean, qm_mean, qt_mean, beta, magnitudes) -> np.ndar
 
 
 def _checked(beta, nu1, nu2, delta, zeta, theta, mode: str, alpha, branch: str) -> tuple:
-    """Checked columns and the flip probability of ``mode``."""
+    """Checked columns and the flip probability of ``mode``; in ``symmetric``
+    the first point (in C order) with zeta != delta then raises."""
     if mode not in ("symmetric", "asymmetric", "cs"):
         raise InputError(f"unknown mode {mode!r}")
     if mode == "cs" and alpha is None:
         raise InputError("cs mode needs a control weight alpha")
     control = (alpha, branch) if mode == "cs" else ()
-    return _checked_columns(beta, nu1, nu2, delta, zeta, theta, *control)
+    columns = _checked_columns(beta, nu1, nu2, delta, zeta, theta, *control)
+    if mode == "symmetric" and (unequal := columns[3] != columns[4]).any():
+        i = np.unravel_index(np.argmax(unequal), unequal.shape)
+        where = f" (index {tuple(map(int, i))})" if i else ""
+        raise InputError(f"symmetric mode needs zeta = delta, not zeta {float(columns[4][i])!r}"
+                         f" at delta {float(columns[3][i])!r}{where}")
+    return columns
 
 
 def _quotient(num, den, num_magnitude, den_magnitude) -> tuple:
@@ -132,35 +141,36 @@ def efficiency_block(
     """Mean efficiency <W> / <Q_M> at every point of broadcast parameter
     arrays; ``nan`` where no heat is absorbed from the channel.
 
-    ``symmetric`` uses the forward cycle alone (meant for delta = zeta);
-    ``asymmetric`` and ``cs`` treat forward and backward on an equal
-    footing, (W_F + W_B) / (Q_MF + Q_MB), which is what restores the
-    Otto ceiling for asymmetric driving; ``cs`` is ``asymmetric`` at the
-    flip probability of the control with arm weight ``alpha`` on
-    ``branch``.  Heat that is a rounding residue
+    Every mode reads forward and backward on an equal footing,
+    (W_F + W_B) / (Q_MF + Q_MB), which restores the Otto ceiling for
+    asymmetric driving.  ``symmetric`` is that pair at delta = zeta, which
+    it needs at every point, and so keeps the forward cycle's bits unless
+    the doubled flows overflow; ``cs`` is the pair at the flip probability
+    of the control with arm weight ``alpha`` on ``branch``.  Heat that is
+    a rounding residue
     (:func:`~unital_otto.cumulants.is_rounding_residue`), as where forward
     and backward heat cancel, counts as no heat.
     """
     *cycle, _, flip = _checked(beta, nu1, nu2, delta, zeta, theta, mode, alpha, branch)
-    return _efficiency(*cycle, flip, mode)[0]
+    return _efficiency(*cycle, flip)[0]
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _efficiency(beta, nu1, nu2, delta, zeta, flip, mode: str) -> tuple:
+def _efficiency(beta, nu1, nu2, delta, zeta, flip) -> tuple:
     """:func:`efficiency_block` on checked columns and the flip probability,
     with the magnitude of its rounding."""
-    means, mags, _, _ = _mode_means((beta, nu1, nu2, delta, zeta, flip), mode)
+    means, mags, _, _ = _mode_means((beta, nu1, nu2, delta, zeta, flip))
     return _quotient(means.w_mean, means.qm_mean, mags.w_mean, mags.qm_mean)
 
 
-def _mode_means(cycle: tuple, mode: str) -> tuple:
-    """The closed form that ``mode`` reads and its magnitudes: the forward
-    cycle's in ``symmetric``, forward plus backward field by field
-    otherwise; then the forward cycle's."""
-    fwd, fwd_mag = (_closed_form(*cycle, "forward", magnitudes) for magnitudes in (False, True))
-    if mode == "symmetric":
-        return fwd, fwd_mag, fwd, fwd_mag
-    bwd, bwd_mag = (_closed_form(*cycle, "backward", magnitudes) for magnitudes in (False, True))
+def _mode_means(cycle: tuple) -> tuple:
+    """The closed form that every mode reads, forward plus backward field by
+    field, and its magnitudes; then the forward cycle's.  At delta = zeta
+    (the symmetric cycle) each sum doubles the forward field exactly, so
+    every quotient and residue test reads as on the forward cycle."""
+    fwd, fwd_mag, bwd, bwd_mag = (_closed_form(*cycle, direction, magnitudes)
+                                  for direction in ("forward", "backward")
+                                  for magnitudes in (False, True))
     pair = FirstTwoCumulants(*map(np.add, fwd, bwd))
     return pair, FirstTwoCumulants(*map(np.add, fwd_mag, bwd_mag)), fwd, fwd_mag
 
@@ -172,29 +182,21 @@ def work_threshold_block(
     """The gap nu2_min at which the mean work turns positive, at every point
     of broadcast parameter arrays checked as :func:`efficiency_block` checks
     them; beta and nu2 are not read.  It reads the work that
-    :func:`efficiency_block` reads: the forward work in ``symmetric``, the
-    forward plus backward work in ``asymmetric`` and ``cs``, at theta or
-    the control's flip probability.  For beta > 0 the work is zero at
-    nu2_min and positive beyond: nu2 > nu2_min is the symmetric and cs
-    condition, nu2 >= nu2_min the asymmetric one (summed work
-    nonnegative).  ``inf`` where no gap works (theta = 0, or asymmetric
-    with delta + zeta >= 1), ``nan`` where the heat that is read is never
-    absorbed (delta >= 1/2 in symmetric, delta + zeta >= 1 in cs)."""
+    :func:`efficiency_block` reads, forward plus backward in every mode, at
+    theta or the control's flip probability p:
+    nu2_min - nu1 = nu1 [(1 - p) s + 2 p delta zeta] / (p (1 - delta - zeta))
+    with s = delta + zeta - 2 delta zeta, so the exact nu2_min is at least
+    nu1.  For beta > 0 the work is zero at nu2_min and positive beyond.
+    ``inf`` wherever no gap works: theta = 0 or delta + zeta >= 1."""
     _, nu1, _, d, z, _, flip = _checked(beta, nu1, nu2, delta, zeta, theta, mode, alpha, branch)
-    # the heat that is read, over t nu2: 2 theta (1 - 2 delta) of the
-    # forward cycle, 2 theta (2 - 2 delta - 2 zeta) of the pair; the work's
-    # other term, theta + (1 - 2 theta) s with s = delta + zeta - 2 delta
-    # zeta, has the true zeta in every mode
-    z_heat = d if mode == "symmetric" else z
+    # the pair's work over 4 t is p (1 - delta - zeta) nu2 - (p + (1 - 2 p) s) nu1
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # theta + (1 - 2 theta) s as nonnegative terms, and 1 - d - z with the
+        # p + (1 - 2 p) s as nonnegative terms, and 1 - d - z with the
         # rounding of 1 - d (exact, Fast2Sum) added after the cancellation
         num = flip * ((1.0 - d) * (1.0 - z) + d * z) + (1.0 - flip) * (d + z - 2.0 * d * z)
         rest = 1.0 - d
-        nu2_min = num * nu1 / (flip * ((rest - z_heat) - ((rest - 1.0) + d)))
-    absorbs = d + z_heat < 1.0
-    nu2_min = np.where((flip > 0.0) & absorbs, nu2_min, math.inf)
-    return nu2_min if mode == "asymmetric" else np.where(absorbs, nu2_min, math.nan)
+        nu2_min = num * nu1 / (flip * ((rest - z) - ((rest - 1.0) + d)))
+    return np.where((flip > 0.0) & (d + z < 1.0), nu2_min, math.inf)
 
 
 class BoundReport(NamedTuple):
@@ -243,7 +245,8 @@ def verify_bounds_block(
     Each report records the stated applicability condition separately
     from whether the comparison held, so an out-of-precondition
     violation is never counted against the proof.  Modes and the control
-    (``alpha``, ``branch``) are those of :func:`efficiency_block`.
+    (``alpha``, ``branch``) are those of :func:`efficiency_block`, whose
+    means they read; the mode picks the bounds and their preconditions' form.
     """
     columns = _checked(beta, nu1, nu2, delta, zeta, theta, mode, alpha, branch)
     return _bounds(*columns, mode, branch)
@@ -253,7 +256,7 @@ def verify_bounds_block(
 def _bounds(beta, nu1, nu2, d, z, theta, flip, mode: str, branch: str) -> list[BoundReport]:
     """:func:`verify_bounds_block` on checked columns and the flip probability."""
     cycle = (beta, nu1, nu2, d, z)
-    pair, pair_mag, fwd, fwd_mag = _mode_means((*cycle, flip), "asymmetric")
+    means, mags, fwd, fwd_mag = _mode_means((*cycle, flip))
     otto, otto_mag = 1.0 - nu1 / nu2, 1.0 + nu1 / nu2
     reports: list[BoundReport] = []
 
@@ -267,10 +270,8 @@ def _bounds(beta, nu1, nu2, d, z, theta, flip, mode: str, branch: str) -> list[B
         # only admit unequal gaps
         equal = (beta > 0.0) & (nu1 == nu2)
         reports.append(
-            _report("equal_gap_work_nonpositive", pair.w_mean, 0.0, equal, pair_mag.w_mean)
+            _report("equal_gap_work_nonpositive", means.w_mean, 0.0, equal, mags.w_mean)
         )
-    # the forward cycle alone in symmetric mode
-    means, mags = (fwd, fwd_mag) if mode == "symmetric" else (pair, pair_mag)
     flows = (means.w_mean, means.qm_mean, fwd.qt_mean)
     magnitudes = (mags.w_mean, mags.qm_mean, fwd_mag.qt_mean)
     engine = classify_regime_array(*flows, beta, magnitudes) == Regime.ENGINE
@@ -279,7 +280,7 @@ def _bounds(beta, nu1, nu2, d, z, theta, flip, mode: str, branch: str) -> list[B
     if mode == "cs":
         reports.append(_report("cs_eta_le_otto", eta, otto, engine, eta_mag + otto_mag))
         # Branch ordering of efficiencies around the incoherent cycle.
-        plain, plain_mag = _efficiency(*cycle, theta, "asymmetric")
+        plain, plain_mag = _efficiency(*cycle, theta)
         comparable = engine & np.isfinite(plain)
         order = (plain, eta) if branch == "minus" else (eta, plain)
         reports.append(_report("cs_eta_branch_order", *order, comparable, plain_mag + eta_mag))

@@ -409,6 +409,7 @@ _SWEEP = [*_number_columns(*_KAPPAS, "qt_mean", "w_rf", "efficiency"), _REGIME,
           ("bounds", "%s", "bounds", _VERDICTS)]
 _CLASSIFY = [("w_mean", _NUMBER, "w_k1", ()), ("qm_mean", _NUMBER, "qm_k1", ()),
              ("qt_mean", _NUMBER, "qt_mean", ()), _REGIME]
+_MEANS = {field for _, _, field, _ in _CLASSIFY}  # what the means alone give
 _TALLY = [("bound_name", "%s", "bound_name", ()),
           *[(name, "%d", name, ()) for name in ("satisfied", "violated", "inapplicable")]]
 _SAMPLE = [("variable", "%s", "variable", ()), *_number_columns(
@@ -461,14 +462,21 @@ def _relative(k2: float, k1: float) -> float:
 def _block_fields(block: list[np.ndarray], mode: str, branch: str, wanted: set) -> dict:
     """The ``wanted`` fields of a block of points, each its own array, with
     the block's parameter columns checked once.  The cumulants, ``qt_mean`` and the
-    regime are always evaluated; ``w_rf``, ``efficiency`` and each bound's
-    verdict, under the bound's name, only when wanted."""
+    regime are always evaluated, the cumulants beyond the means only when a
+    field other than classify's is wanted; ``w_rf``, ``efficiency`` and each
+    bound's verdict, under the bound's name, only when wanted."""
     checked = trajectory._checked_columns(*block, branch=branch)
     beta, nu1, nu2, delta, zeta, _, flip = checked
     dist = trajectory._enumerate(beta, nu1, nu2, delta, zeta, flip)
-    cums = cumulants.cumulants_from_block(dist)
+    if wanted <= _MEANS:
+        # the means of cumulants_from_block, bitwise, checked alone: a higher
+        # cumulant that overflows fails no cell that is printed
+        kappas = ["w_k1", "qm_k1"]
+        cums = cumulants._checked_block(*(np.vecdot(dist.prob, x)[:, None] for x in dist[:2]))
+    else:
+        kappas, cums = _KAPPAS, cumulants.cumulants_from_block(dist)
     magnitudes = cumulants.mean_magnitudes(dist)
-    values = dict(zip(_KAPPAS, np.concatenate((cums.w, cums.q_m), axis=-1).T))
+    values = dict(zip(kappas, np.concatenate((cums.w, cums.q_m), axis=-1).T))
     values["qt_mean"] = cums.qt_mean
     values["regime"] = analysis.classify_regime_array(
         cums.w_mean, cums.qm_mean, cums.qt_mean, beta, magnitudes
@@ -481,7 +489,7 @@ def _block_fields(block: list[np.ndarray], mode: str, branch: str, wanted: set) 
         values["w_rf"] = np.array([math.inf if zero else _relative(k2, k1)
                                    for zero, k1, k2 in points])
     if "efficiency" in wanted:
-        values["efficiency"] = analysis._efficiency(beta, nu1, nu2, delta, zeta, flip, mode)[0]
+        values["efficiency"] = analysis._efficiency(beta, nu1, nu2, delta, zeta, flip)[0]
     if not wanted <= values.keys():  # the fields left are bounds
         for report in analysis._bounds(*checked, mode, branch):
             verdict = np.where(report.applicable, ~report.satisfied, 2)

@@ -19,8 +19,7 @@ Three independent routes to the same numbers:
 The closed-form characteristic function of the unital cycle is six
 terms weight * (cos x -+ i t sin x) with t = tanh(beta nu1), the form
 cos(x + i*beta*nu1) / Z collapses to, so nothing overflows at large
-|beta nu1|.  :func:`cf_unital` sums them and :func:`cf_derivative_check`
-reads their series coefficients, so the closed form is written once.
+|beta nu1|; :func:`cf_derivative_check` reads their series coefficients.
 The coherently controlled cycle is the unital one at
 :meth:`~unital_otto.qstate.ControlSpec.flip_probability`, so every
 closed form here covers it too.
@@ -46,7 +45,6 @@ from .trajectory import (
 __all__ = [
     "CumulantBlock",
     "FirstTwoCumulants",
-    "cf_unital",
     "cumulants_from_block",
     "closed_form_first_second",
     "closed_form_block",
@@ -122,23 +120,6 @@ def _unital_terms(params: CycleParams, theta: float) -> tuple:
     )
 
 
-def cf_unital(
-    params: CycleParams, theta: float, gamma_w: float, gamma_m: float
-) -> complex:
-    """Forward characteristic function for a unital channel.
-
-    Equals the discrete transform of :func:`~unital_otto.trajectory.
-    enumerate_paths`; the backward variant is obtained by evaluating at
-    ``params.swapped``.
-    """
-    t = params.tanh_beta_nu1
-    chi = 0j
-    for weight, f_w, f_q, sign in _unital_terms(params, theta):
-        x = f_w * gamma_w + f_q * gamma_m
-        chi += weight * complex(math.cos(x), -sign * t * math.sin(x))
-    return chi
-
-
 def _marginal_cumulants(values: np.ndarray, prob: np.ndarray, magnitudes: bool = False) -> tuple:
     """First four cumulants of each distribution along the last axis.  With
     ``magnitudes``, the same sums over |x| with every difference a - b read
@@ -178,7 +159,8 @@ class CumulantBlock(NamedTuple):
 # a mean bath heat that overflows or is nan fails the finiteness check
 @np.errstate(over="ignore", invalid="ignore")
 def _checked_block(kw: np.ndarray, kq: np.ndarray) -> CumulantBlock:
-    """The cumulant block of ``kw`` and ``kq``, its mean bath heat from
+    """The cumulant block of ``kw`` and ``kq``, the first four cumulants or
+    the means alone (a last axis of length 4 or 1), its mean bath heat from
     energy conservation, <Q_T> = <W> - <Q_M>.
 
     Every point must be finite and have nonnegative variances (an
@@ -189,7 +171,7 @@ def _checked_block(kw: np.ndarray, kq: np.ndarray) -> CumulantBlock:
     """
     qt = kw[..., 0] - kq[..., 0]
     finite = np.isfinite(kw).all(-1) & np.isfinite(kq).all(-1) & np.isfinite(qt)
-    ok = finite & (kw[..., 1] >= 0.0) & (kq[..., 1] >= 0.0)
+    ok = finite & (kw[..., 1:2] >= 0.0).all(-1) & (kq[..., 1:2] >= 0.0).all(-1)
     if not ok.all():
         i = np.unravel_index(np.argmin(ok), ok.shape)
         raise InputError("variances must be nonnegative" if finite[i]
@@ -285,7 +267,7 @@ def cs_first_cumulants(
 def cf_derivative_check(params: CycleParams, theta: float) -> CumulantBlock:
     """Cumulants from the exact derivatives of ln(chi) at 0 (third route).
 
-    Reads the terms of :func:`cf_unital`, not the path table; for the
+    Reads the characteristic function's terms, not the path table; for the
     coherently controlled cycle pass ``ctrl.flip_probability(theta)`` as
     ``theta``.  Along one variable, a term with frequency f has Taylor
     coefficients a_n = (-i f)^n / n!, times sign * t when n is odd.  The

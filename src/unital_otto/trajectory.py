@@ -54,8 +54,13 @@ __all__ = [
     "sample",
 ]
 
-_CLAMP_TOL = 1e-10
+_CLAMP_TOL = 1e-10  # JointDistribution's tolerances, for arrays passed in
 _SUM_TOL = 1e-10
+# _enumerate's bound on |row sum - 1|: a path is four factors x or 1 - x
+# (a rounding each) and three products, an outcome at most 4 paths and a row
+# 9 outcomes, so the nonnegative terms of an exact sum 1 pass through 18
+# roundings, within the 32 eps that is_rounding_residue allows chains of 63.
+_SUM_BOUND = 32.0 * np.finfo(float).eps
 
 # The path table: one entry per measurement record (n, m, k, l), the
 # state indices at the four measurements (0 ground, 1 excited), with
@@ -279,18 +284,18 @@ def enumerate_block(
 def _enumerate(beta, nu1, nu2, delta, zeta, flip) -> DistributionBlock:
     """:func:`enumerate_block` on checked columns and the flip probability.
     Every path probability is a product of factors in [0, 1], so none is
-    negative; the sums are checked as :class:`JointDistribution` checks
-    them, the first failing point (in C order) raising its error."""
+    negative; a row whose sum lies further from 1 than its rounding allows
+    (``_SUM_BOUND``) raises :class:`PhysicsError`, the first such point in C
+    order."""
     shape = flip.shape
     cycle = (x.ravel() for x in (beta, nu1, nu2, delta, zeta))
     block = _evaluate(*cycle, _flip_matrices(flip.ravel()))
-    w, q, prob = block.w, block.q_m, block.prob
-    failed = np.abs(prob.sum(axis=1) - 1.0) > _SUM_TOL
+    total = block.prob.sum(axis=1)
+    failed = np.abs(total - 1.0) > _SUM_BOUND
     if failed.any():
-        i = int(np.argmax(failed))
-        JointDistribution(w[i], q[i], prob[i])
+        raise PhysicsError(f"probabilities sum to {float(total[np.argmax(failed)])!r}, not 1")
     out = shape + (len(_OUTCOMES),)
-    return DistributionBlock(w.reshape(out), q.reshape(out), prob.reshape(out))
+    return DistributionBlock(*(x.reshape(out) for x in block))
 
 
 class MomentSummary(NamedTuple):

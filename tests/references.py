@@ -21,6 +21,8 @@ by its own:
   its 2x2 population transition matrix; these build that matrix from the
   Kraus operators and take the discrete transform of the package's path
   table at it, to be checked against the paper's eight path groups.
+  :func:`cf_unital` sums the closed-form characteristic function of the
+  unital cycle, whose terms ``cumulants.cf_derivative_check`` expands.
 * :func:`regime_sign_rule` is the operating-mode sign rule written as
   plain-Python comparisons, against which the array classifier
   ``analysis.classify_regime_array`` is checked.
@@ -29,7 +31,8 @@ by its own:
   inputs, against which every sign the package decides by its rounding
   rule is checked.  :func:`exact_work_line` sums the same records for the
   mean work's two coefficients alone, against which the work threshold
-  is checked.
+  is checked, and :func:`symbolic_pair_work` expands the pair's mean work
+  in sympy, over the whole parameter box.
 * :func:`lz_unmonitored_mp` propagates the unmonitored Landau-Zener cycle
   in 60-digit arithmetic on the float inputs, against which the rounding
   of ``landauzener.unmonitored_cycle`` is checked, and
@@ -50,6 +53,7 @@ import numpy as np
 
 from unital_otto import ControlSpec, InputError, MeasurementChannel, PhysicsError, Regime
 from unital_otto.qstate import _Checked
+from unital_otto.cumulants import _unital_terms
 from unital_otto.trajectory import _evaluate
 
 _TRACE_DRIFT_TOL = 1e-10
@@ -179,6 +183,19 @@ def path_table_cf(params, matrix, gamma_w, gamma_m) -> complex:
     block = _evaluate(*(np.array([x]) for x in params), channel)
     phase = np.exp(1j * (gamma_w * block.w[0] + gamma_m * block.q_m[0]))
     return complex(np.sum(block.prob[0] * phase))
+
+
+def cf_unital(params, theta: float, gamma_w: float, gamma_m: float) -> complex:
+    """Forward characteristic function for a unital channel: the terms of
+    ``cumulants._unital_terms`` summed.  Equals the discrete transform of
+    ``enumerate_paths``; the backward variant is obtained by evaluating at
+    ``params.swapped``."""
+    t = params.tanh_beta_nu1
+    chi = 0j
+    for weight, f_w, f_q, sign in _unital_terms(params, theta):
+        x = f_w * gamma_w + f_q * gamma_m
+        chi += weight * complex(math.cos(x), -sign * t * math.sin(x))
+    return chi
 
 
 def superpose_apply(
@@ -315,6 +332,27 @@ def exact_work_line(t, nu1, delta, zeta, theta) -> tuple[int, int]:
     return bath * nu1, gap * one
 
 
+@functools.cache
+def symbolic_pair_work():
+    """The forward plus backward mean work, expanded in sympy from the 16
+    path records as :func:`exact_means` sums them, at nu1 = 1, and its
+    symbols (t, x, delta, zeta, theta) with t = tanh(beta nu1) and x = nu2."""
+    import sympy
+
+    t, x, delta, zeta, theta = sympy.symbols("t x delta zeta theta")
+    weight = ((1 + t) / 2, (1 - t) / 2)
+
+    def move(p, before, after):
+        return p if before != after else 1 - p
+
+    work = 0
+    for d, z in ((delta, zeta), (zeta, delta)):
+        for n, m, k, l in itertools.product((0, 1), repeat=4):
+            p = weight[n] * move(d, n, m) * move(theta, m, k) * move(z, k, l)
+            work += p * (2 * (n - l) + 2 * (k - m) * x)
+    return sympy.expand(work), (t, x, delta, zeta, theta)
+
+
 def exact_regime(w_mean, qm_mean, qt_mean, beta) -> Regime:
     """The regime of exact flows: undetermined at an exact zero."""
     if beta == 0 or 0 in (w_mean, qm_mean, qt_mean):
@@ -331,9 +369,9 @@ def exact_bounds(beta, t, nu1, nu2, delta, zeta, theta, flip, mode, branch="minu
     ``zero(name, value)`` says whether a deciding quantity reads as 0: by
     default only an exact 0, but a caller may also admit values that a
     rounding rule cannot tell from 0.  The names are ``qt`` (forward
-    <Q_T>), ``pair_work`` (forward plus backward <W>), ``work``, ``heat``
-    and ``qm_var`` (of the means ``mode`` reads) and, in cs, ``plain_heat``
-    (forward plus backward <Q_M> at theta itself).
+    <Q_T>), ``work``, ``heat`` and ``qm_var`` (of the forward plus backward
+    means, which every mode reads) and, in cs, ``plain_heat`` (forward plus
+    backward <Q_M> at theta itself).
     """
     zero = zero or (lambda name, value: value == 0)
 
@@ -341,8 +379,7 @@ def exact_bounds(beta, t, nu1, nu2, delta, zeta, theta, flip, mode, branch="minu
         return 0 if zero(name, value) else value
 
     fwd = exact_means(t, nu1, nu2, delta, zeta, flip)
-    pair = [a + b for a, b in zip(fwd, exact_means(t, nu1, nu2, zeta, delta, flip))]
-    means = fwd if mode == "symmetric" else pair
+    means = [a + b for a, b in zip(fwd, exact_means(t, nu1, nu2, zeta, delta, flip))]
     qt, work, heat = read("qt", fwd[4]), read("work", means[0]), read("heat", means[2])
     d, z, th = Fraction(delta), Fraction(zeta), Fraction(flip)
     g1, g2 = Fraction(nu1), Fraction(nu2)
@@ -352,8 +389,7 @@ def exact_bounds(beta, t, nu1, nu2, delta, zeta, theta, flip, mode, branch="minu
         out.append(("cs_qt_nonpositive", beta > 0 and theta <= 0.5, qt <= 0))
     else:
         out.append(("qt_nonpositive", beta > 0, qt <= 0))
-        pair_work = read("pair_work", pair[0])
-        out.append(("equal_gap_work_nonpositive", beta > 0 and nu1 == nu2, pair_work <= 0))
+        out.append(("equal_gap_work_nonpositive", beta > 0 and nu1 == nu2, work <= 0))
     engine = exact_regime(work, heat, qt, beta) is Regime.ENGINE
     eta = work / heat if heat != 0 else None
     if mode == "cs":

@@ -15,7 +15,6 @@ from unital_otto import (
     CycleParams,
     LZParams,
     Regime,
-    cf_unital,
     classify_regime_array,
     closed_form_block,
     closed_form_first_second,
@@ -31,7 +30,7 @@ from unital_otto import (
 from unital_otto.cumulants import _closed_form
 
 from conftest import regime_of, sample_errors
-from references import qm_unmonitored_paper
+from references import cf_unital, qm_unmonitored_paper
 
 
 def report(num, ok, detail):

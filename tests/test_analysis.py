@@ -12,6 +12,7 @@ from unital_otto import trajectory
 from unital_otto import (
     ControlSpec,
     CycleParams,
+    InputError,
     Regime,
     classify_regime_array,
     closed_form_first_second,
@@ -24,9 +25,11 @@ from unital_otto import (
     verify_bounds_block,
     work_threshold_block,
 )
+from unital_otto.analysis import _quotient
+from unital_otto.cumulants import _closed_form
 
 from conftest import close, cycle_params, finite, probs, regime_of
-from references import exact_work_line
+from references import exact_work_line, symbolic_pair_work
 
 FIG3 = CycleParams(0.5, 1.0, 2.0, 0.1, 0.1)
 
@@ -76,9 +79,9 @@ def test_threshold_formula_marks_zero_work():
 
 
 def test_threshold_requires_heat_absorption():
-    # no heat is absorbed at delta >= 1/2: no threshold, and no error
-    assert math.isnan(work_threshold_block(0.7, 1.0, 2.0, 0.6, 0.6, 0.2, "symmetric"))
-    assert math.isnan(work_threshold_block(0.7, 1.0, 2.0, 0.6, 0.6, 0.2, "cs", 0.3, "plus"))
+    # the pair absorbs no heat at delta + zeta >= 1: no gap works, and no error
+    assert math.isinf(work_threshold_block(0.7, 1.0, 2.0, 0.6, 0.6, 0.2, "symmetric"))
+    assert math.isinf(work_threshold_block(0.7, 1.0, 2.0, 0.6, 0.6, 0.2, "cs", 0.3, "plus"))
     assert math.isinf(work_threshold_block(0.7, 1.0, 2.0, 0.1, 0.1, 0.0, "symmetric"))
     assert math.isinf(work_threshold_block(0.7, 1.0, 2.0, 0.7, 0.6, 0.3, "asymmetric"))
 
@@ -130,23 +133,21 @@ def test_cs_threshold_matches_paper_numerator():
         assert all(close(g, p, 1e-14) for g, p in zip(got.tolist(), paper[mine].tolist()))
 
 
-def affine_work(t, nu1, d, z, flip, mode):
-    """Integers (A, B) with the exact mean work that ``mode`` reads (A + B
-    nu2) / L for some L > 0: the forward work in ``symmetric``, forward plus
-    backward otherwise, at the flip probability ``flip``.  Both directions
-    sum their records at the same scale, L."""
-    directions = [(d, z)] if mode == "symmetric" else [(d, z), (z, d)]
-    lines = [exact_work_line(t, nu1, *pair, flip) for pair in directions]
+def affine_work(t, nu1, d, z, flip):
+    """Integers (A, B) with the exact mean work that every mode reads (A + B
+    nu2) / L for some L > 0: forward plus backward, at the flip probability
+    ``flip``.  Both directions sum their records at the same scale, L."""
+    lines = [exact_work_line(t, nu1, *pair, flip) for pair in ((d, z), (z, d))]
     return sum(a for a, _ in lines), sum(b for _, b in lines)
 
 
-def assert_exact_thresholds(t, nu1, delta, zeta, flip, mode, nu2_min, ulps=4):
+def assert_exact_thresholds(t, nu1, delta, zeta, flip, nu2_min):
     """Where ``nu2_min`` is finite, the exact mean work A + B nu2 rises
-    through zero (B > 0) at a gap within ``ulps`` ulps of it; elsewhere no
+    through zero (B > 0) at a gap within 4 ulps of it; elsewhere no
     gap makes it positive (A <= 0 and B <= 0)."""
     for i in range(len(nu2_min)):
         point = (float(nu1[i]), float(delta[i]), float(zeta[i]), float(flip[i]))
-        a, b = affine_work(float(t[i]), *point, mode)
+        a, b = affine_work(float(t[i]), *point)
         if not math.isfinite(nu2_min[i]):
             assert a <= 0 and b <= 0, i
             continue
@@ -155,11 +156,10 @@ def assert_exact_thresholds(t, nu1, delta, zeta, flip, mode, nu2_min, ulps=4):
         num, den = float(nu2_min[i]).as_integer_ratio()
         ulp_num, ulp_den = math.ulp(exact).as_integer_ratio()
         # |num / den + a / b| <= 4 ulp, multiplied through by den b ulp_den
-        assert abs(num * b + a * den) * ulp_den <= ulps * ulp_num * den * b, i
+        assert abs(num * b + a * den) * ulp_den <= 4 * ulp_num * den * b, i
 
 
-@pytest.mark.parametrize("case", ["symmetric", "asymmetric", "symmetric-unequal",
-                                  "cs-plus", "cs-minus"])
+@pytest.mark.parametrize("case", ["symmetric", "asymmetric", "cs-plus", "cs-minus"])
 def test_threshold_is_the_exact_zero_of_the_mean_work(case):
     # beta > 0: the mean work is zero at the threshold, positive above it
     # and negative below
@@ -171,8 +171,6 @@ def test_threshold_is_the_exact_zero_of_the_mean_work(case):
     delta, zeta, theta = gen.random(n), gen.random(n), gen.random(n)
     if case == "symmetric":
         delta = zeta = 0.5 * delta
-    elif case == "symmetric-unequal":
-        delta = 0.5 * delta  # the forward heat is absorbed, at any zeta
     else:
         # delta + zeta < 1, exactly: 1 - x is exact for these draws
         folded = delta + zeta >= 1.0
@@ -182,8 +180,7 @@ def test_threshold_is_the_exact_zero_of_the_mean_work(case):
     theta[:100], theta[100:200] = 0.0, 1.0
     delta[200:300] = zeta[200:300] = 0.0
     delta[300:400] = 0.5
-    if case != "symmetric-unequal":
-        zeta[300:400] = 0.5 if mode == "symmetric" else 1.0 - delta[300:400]
+    zeta[300:400] = 0.5 if mode == "symmetric" else 1.0 - delta[300:400]
     control, flip = (), theta
     if mode == "cs":
         theta *= 0.5
@@ -191,24 +188,103 @@ def test_threshold_is_the_exact_zero_of_the_mean_work(case):
         flip = trajectory._controlled_flip(theta, *control)
     nu2_min = work_threshold_block(beta, nu1, 1.0, delta, zeta, theta, mode, *control)
     assert np.isfinite(nu2_min[400:]).all() and not np.isfinite(nu2_min[:100]).any()
-    # with zeta free of delta, the numerator's roundings of 1 - zeta, delta
-    # zeta and delta + zeta - 2 delta zeta (which cancels up to threefold
-    # for zeta near 1) no longer track the denominator's of 1 - 2 delta:
-    # 4.76 ulps at worst on these draws
-    ulps = 5 if case == "symmetric-unequal" else 4
-    assert_exact_thresholds(np.tanh(beta * nu1), nu1, delta, zeta, flip, mode, nu2_min, ulps)
+    assert_exact_thresholds(np.tanh(beta * nu1), nu1, delta, zeta, flip, nu2_min)
 
 
 def test_threshold_reads_the_work_that_the_efficiency_reads():
-    # cs reads the forward plus backward work and symmetric the forward
-    # work, at the true zeta; the efficiency turns positive between the gaps
+    # every mode reads the forward plus backward work; the efficiency turns
+    # positive between the gaps
     cycle = (0.1, 0.3, 0.2)
     for mode, control, below, above in (("cs", (0.3, "minus"), 2.06, 2.07),
-                                        ("symmetric", (), 2.52, 2.53)):
+                                        ("asymmetric", (), 3.36, 3.37)):
         nu2_min = work_threshold_block(0.7, 1.0, 2.0, *cycle, mode, *control)
         assert below < nu2_min < above
         for nu2, sign in ((below, -1.0), (above, 1.0)):
             assert sign * efficiency_block(0.7, 1.0, nu2, *cycle, mode, *control) > 0.0
+
+
+def test_threshold_margin_is_an_exact_identity():
+    # the pair's mean work is linear in nu2 (nu1 = 1): its root lies above
+    # nu1 by a quotient of nonnegative terms wherever heat is absorbed
+    import sympy
+
+    work, (_, x, d, z, theta) = symbolic_pair_work()
+    slope, intercept = sympy.Poly(work, x).all_coeffs()
+    s = d + z - 2 * d * z
+    margin = ((1 - theta) * s + 2 * theta * d * z) / (theta * (1 - d - z))
+    assert sympy.cancel(-intercept / slope - 1 - margin) == 0
+
+
+@pytest.mark.parametrize("case", ["symmetric", "asymmetric", "cs-plus", "cs-minus"])
+def test_no_gap_below_nu1_gives_positive_work(case):
+    # beta > 0, theta > 0 and delta + zeta < 1: the margin above is
+    # nonnegative, and the computed threshold keeps nu2_min >= nu1 (the
+    # draws miss delta = zeta = 0, where nu2_min is nu1 itself and its
+    # rounding can fall an ulp below)
+    mode, _, branch = case.partition("-")
+    gen = np.random.default_rng(33)
+    n = 10000
+    beta = gen.uniform(1e-3, 2.0, n)
+    nu1 = np.exp(gen.uniform(math.log(1e-2), math.log(20.0), n))
+    delta, zeta, theta = gen.random(n), gen.random(n), 1.0 - gen.random(n)
+    if mode == "symmetric":
+        delta = zeta = 0.5 * delta
+    folded = delta + zeta >= 1.0
+    delta[folded], zeta[folded] = 1.0 - delta[folded], 1.0 - zeta[folded]
+    control = ()
+    if mode == "cs":
+        theta *= 0.5
+        control = (gen.random(n), branch)
+    keep = delta + zeta < 1.0
+    nu2_min = work_threshold_block(beta, nu1, 1.0, delta, zeta, theta, mode, *control)
+    assert keep.sum() > 9990 and (nu2_min[keep] >= nu1[keep]).all()
+
+
+def bits(x) -> np.ndarray:
+    """The doubles of ``x`` as integers: equal bits, the sign of zero included."""
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def test_symmetric_mode_is_the_pair_at_equal_strokes():
+    # at delta = zeta the pair doubles the forward cycle's flows exactly, so
+    # every quotient and residue test keeps the forward cycle's bits
+    gen = np.random.default_rng(34)
+    n = 200_000
+    beta = gen.uniform(-2.0, 2.0, n)
+    nu1, nu2 = np.exp(gen.uniform(math.log(1e-2), math.log(20.0), (2, n)))
+    delta, theta = gen.random(n), gen.random(n)
+    beta[:2000] = 0.0
+    theta[2000:4000], theta[4000:6000] = 0.0, 1.0
+    delta[6000:8000] = 0.5
+    nu2[8000:10000] = nu1[8000:10000]
+    cycle = (beta, nu1, nu2, delta, delta, theta)
+    eta = efficiency_block(*cycle, "symmetric")
+    fwd, fwd_mag = (_closed_form(*cycle, "forward", m) for m in (False, True))
+    forward = _quotient(fwd.w_mean, fwd.qm_mean, fwd_mag.w_mean, fwd_mag.qm_mean)[0]
+    assert np.array_equal(bits(eta), bits(forward))
+    assert np.array_equal(bits(eta), bits(efficiency_block(*cycle, "asymmetric")))
+    symmetric = {r.name: r for r in verify_bounds_block(*cycle, "symmetric")}
+    shared = verify_bounds_block(*cycle, "asymmetric")
+    assert set(symmetric) - {r.name for r in shared} == {"otto_sq_le_ratio"}
+    for report in shared:
+        for got, want in zip(symmetric[report.name][1:], report[1:]):
+            assert np.array_equal(bits(got), bits(want)), report.name
+    assert np.isnan(eta).any() and np.isfinite(eta).any()
+
+
+def test_symmetric_mode_needs_equal_strokes():
+    # here the forward cycle alone would read positive work at nu2 < nu1;
+    # the pair's efficiency is negative
+    assert efficiency_block(0.7, 1.0, 0.8, 0.1, 0.4, 0.9, "asymmetric") == pytest.approx(
+        -0.567, abs=1e-3)
+    delta, zeta = np.array([[0.1], [0.2]]), np.array([0.1, 0.3, 0.2])
+    for block in (efficiency_block, work_threshold_block, verify_bounds_block):
+        with pytest.raises(InputError, match=(
+                r"^symmetric mode needs zeta = delta, not zeta 0\.4 at delta 0\.1$")):
+            block(0.7, 1.0, 0.8, 0.1, 0.4, 0.9, "symmetric")
+        # the first such point in C order
+        with pytest.raises(InputError, match=r"not zeta 0\.3 at delta 0\.1 \(index \(0, 1\)\)$"):
+            block(0.7, 1.0, 0.8, delta, zeta, 0.9, "symmetric")
 
 
 def test_asymmetric_threshold_keeps_its_accuracy_near_cancelling_strokes():
@@ -222,8 +298,7 @@ def test_asymmetric_threshold_keeps_its_accuracy_near_cancelling_strokes():
     theta = gen.random(n)
     theta[:100] = 1.0
     nu2_min = work_threshold_block(1.0, 1.0, 1.0, delta, zeta, theta, "asymmetric")
-    assert_exact_thresholds(np.full(n, math.tanh(1.0)), np.ones(n), delta, zeta, theta,
-                            "asymmetric", nu2_min)
+    assert_exact_thresholds(np.full(n, math.tanh(1.0)), np.ones(n), delta, zeta, theta, nu2_min)
 
 
 def test_efficiency_adiabatic_limit_is_otto():

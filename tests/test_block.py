@@ -385,13 +385,11 @@ def reference_quotient(num, den, num_mag, den_mag):
     return q, (num_mag + abs(q) * den_mag) / abs(den)
 
 
-def reference_means(beta, nu1, nu2, d, z, theta, mode):
-    """(values, magnitudes) of the closed form ``mode`` reads, forward plus
-    backward outside ``symmetric``, then the forward cycle's."""
+def reference_means(beta, nu1, nu2, d, z, theta):
+    """(values, magnitudes) of the closed form every mode reads, forward plus
+    backward, then the forward cycle's."""
     fwd = reference_closed_form(beta, nu1, nu2, d, z, theta)
     fwd_mag = reference_magnitudes(beta, nu1, nu2, d, z, theta)
-    if mode == "symmetric":
-        return fwd, fwd_mag, fwd, fwd_mag
     bwd = reference_closed_form(beta, nu1, nu2, z, d, theta)
     bwd_mag = reference_magnitudes(beta, nu1, nu2, z, d, theta)
     both = [a + b for a, b in zip(fwd, bwd)]
@@ -402,8 +400,8 @@ def reference_efficiency(beta, nu1, nu2, d, z, theta, mode, alpha=None, branch="
     """The scalar efficiency rule in plain Python, with the magnitude of its
     rounding; nan where the heat is a rounding residue."""
     if mode == "cs":
-        theta, mode = ControlSpec(alpha, branch).flip_probability(theta), "asymmetric"
-    means, mags, _, _ = reference_means(beta, nu1, nu2, d, z, theta, mode)
+        theta = ControlSpec(alpha, branch).flip_probability(theta)
+    means, mags, _, _ = reference_means(beta, nu1, nu2, d, z, theta)
     return reference_quotient(means[0], means[2], mags[0], mags[2])
 
 
@@ -422,19 +420,18 @@ def reference_bounds(beta, nu1, nu2, d, z, theta, mode, alpha=None, branch="minu
         return value >= 0.0 or residue(value, magnitude)
 
     flip = ControlSpec(alpha, branch).flip_probability(theta) if mode == "cs" else theta
-    pair, pair_mag, fwd, fwd_mag = reference_means(beta, nu1, nu2, d, z, flip, "asymmetric")
+    means, mags, fwd, fwd_mag = reference_means(beta, nu1, nu2, d, z, flip)
     otto, otto_mag = 1.0 - nu1 / nu2, 1.0 + nu1 / nu2
     out = []
     if mode != "cs":
         out.append(report("qt_nonpositive", fwd[4], 0.0, beta > 0.0, fwd_mag[4]))
         out.append(report(
-            "equal_gap_work_nonpositive", pair[0], 0.0, beta > 0.0 and nu1 == nu2, pair_mag[0]
+            "equal_gap_work_nonpositive", means[0], 0.0, beta > 0.0 and nu1 == nu2, mags[0]
         ))
     else:
         out.append(report(
             "cs_qt_nonpositive", fwd[4], 0.0, beta > 0.0 and theta <= 0.5, fwd_mag[4]
         ))
-    means, mags = (fwd, fwd_mag) if mode == "symmetric" else (pair, pair_mag)
     magnitudes = (mags[0], mags[2], fwd_mag[4])
     engine = regime_sign_rule(means[0], means[2], fwd[4], beta, magnitudes) is Regime.ENGINE
     eta, eta_mag = reference_quotient(means[0], means[2], mags[0], mags[2])
@@ -588,7 +585,7 @@ def test_bound_and_efficiency_blocks_match_scalar_rule_verdicts(rng, mode, branc
     reports = verify_bounds_block(*cycle, mode, alpha, branch)
     etas = efficiency_block(*cycle, mode, alpha, branch)
     flip = cycle[5] if alpha is None else trajectory._controlled_flip(cycle[5], alpha, branch)
-    means, mags, fwd, fwd_mag = analysis._mode_means((*cycle[:5], flip), mode)
+    means, mags, fwd, fwd_mag = analysis._mode_means((*cycle[:5], flip))
     magnitudes = (mags.w_mean, mags.qm_mean, fwd_mag.qt_mean)
     regimes = classify_regime_array(means.w_mean, means.qm_mean, fwd.qt_mean, cycle[0], magnitudes)
     cells = [verdict_cells(r.applicable, r.satisfied) for r in reports]
@@ -603,7 +600,7 @@ def test_bound_and_efficiency_blocks_match_scalar_rule_verdicts(rng, mode, branc
             differ.add(i)
         if np.isnan(etas[i]) != math.isnan(reference_efficiency(*point, mode, *control)[0]):
             differ.add(i)
-        ref, ref_mag, ref_fwd, ref_fwd_mag = reference_means(*point[:5], float(flip[i]), mode)
+        ref, ref_mag, ref_fwd, ref_fwd_mag = reference_means(*point[:5], float(flip[i]))
         flows = (ref[0], ref[2], ref_fwd[4])
         if regimes[i] != regime_sign_rule(*flows, point[0], (ref_mag[0], ref_mag[2], ref_fwd_mag[4])):
             differ.add(i)
@@ -662,11 +659,12 @@ def test_bound_blocks_keep_the_broadcast_shape():
     delta = np.linspace(0.0, 0.5, 4)[:, None]
     theta = np.linspace(0.0, 0.5, 3)
     for mode, alpha in (("symmetric", None), ("asymmetric", None), ("cs", 0.3)):
-        reports = verify_bounds_block(0.7, 1.0, 2.0, delta, 0.2, theta, mode, alpha)
+        zeta = delta if mode == "symmetric" else 0.2
+        reports = verify_bounds_block(0.7, 1.0, 2.0, delta, zeta, theta, mode, alpha)
         for r in reports:
             for field in (r.left, r.right, r.applicable, r.satisfied, r.margin):
                 assert np.shape(field) == (4, 3)
-        assert efficiency_block(0.7, 1.0, 2.0, delta, 0.2, theta, mode, alpha).shape == (4, 3)
+        assert efficiency_block(0.7, 1.0, 2.0, delta, zeta, theta, mode, alpha).shape == (4, 3)
     # the control weight broadcasts with the cycle
     alpha = np.linspace(0.0, 1.0, 5)[:, None, None]
     reports = verify_bounds_block(0.7, 1.0, 2.0, delta, 0.2, theta, "cs", alpha, "plus")
@@ -749,9 +747,9 @@ def test_bound_blocks_warn_nowhere():
              np.array([0.3, 1.0, 0.3, 0.0]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for mode in ("symmetric", "asymmetric"):
-            verify_bounds_block(*cycle, mode)
-            efficiency_block(*cycle, mode)
+        for mode, zeta in (("symmetric", cycle[3]), ("asymmetric", cycle[4])):
+            verify_bounds_block(*cycle[:4], zeta, cycle[5], mode)
+            efficiency_block(*cycle[:4], zeta, cycle[5], mode)
         verify_bounds_block(*cycle, "cs", 0.0, "plus")
 
 
@@ -768,7 +766,8 @@ def test_verify_bounds_block_checks_its_columns_once(mode, control, monkeypatch)
         monkeypatch.setattr(module, "_checked_columns",
                             lambda *a, **k: calls.append(1) or original(*a, **k))
     delta = np.linspace(0.0, 0.4, 5)
-    verify_bounds_block(0.7, 1.0, 2.0, delta, delta[::-1], 0.3, mode, *control)
+    zeta = delta if mode == "symmetric" else delta[::-1]
+    verify_bounds_block(0.7, 1.0, 2.0, delta, zeta, 0.3, mode, *control)
     assert len(calls) == 1
 
 
@@ -827,14 +826,10 @@ def test_threshold_and_ratio_blocks_keep_their_pinned_values(rng, mode, branch):
     cycle, control = corridor_points(rng, 5000, mode, branch)
     nu2_min = analysis.work_threshold_block(*cycle, mode, *control)
     flip = cycle[5] if not control else trajectory._controlled_flip(cycle[5], *control)
-    delta, zeta = cycle[3], cycle[4]
-    # nan where the heat that is read is never absorbed, inf where no gap works
-    absorbs = {"symmetric": delta < 0.5, "cs": delta + zeta < 1.0}.get(
-        mode, np.ones_like(delta, dtype=bool))
-    works = (flip > 0.0) & ((delta + zeta < 1.0) if mode == "asymmetric" else True)
-    assert np.array_equal(np.isnan(nu2_min), ~absorbs)
-    assert np.array_equal(np.isinf(nu2_min), absorbs & ~works)
-    assert (nu2_min[absorbs & works] > 0.0).all()
+    # inf where no gap works: theta = 0 or delta + zeta >= 1
+    works = (flip > 0.0) & (cycle[3] + cycle[4] < 1.0)
+    assert np.array_equal(np.isinf(nu2_min), ~works) and not np.isnan(nu2_min).any()
+    assert (nu2_min[works] > 0.0).all()
     block = enumerate_block(*cycle, *control)
     ratios = [analysis.cumulant_ratio_block(block, order) for order in (2, 3, 4)]
     counts = tuple(sum(int(getattr(r, f).sum()) for r in ratios)
@@ -867,13 +862,13 @@ def test_threshold_and_ratio_blocks_are_rows_of_the_block(rng, mode, branch):
             assert same_bits(got, [x[i] for x in ratios[order - 2]]), (n, i, order)
 
 
-def test_mixed_threshold_block_has_nan_where_heat_is_never_absorbed():
+def test_mixed_threshold_block_has_inf_where_heat_is_never_absorbed():
     delta = np.array([0.1, 0.5, 0.3, 0.7])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for mode, control in (("symmetric", ()), ("cs", (0.3, "plus"))):
             nu2_min = analysis.work_threshold_block(0.7, 1.0, 2.0, delta, delta, 0.2, mode, *control)
-            assert np.array_equal(np.isnan(nu2_min), delta >= 0.5)
+            assert np.array_equal(np.isinf(nu2_min), delta >= 0.5)
             assert np.isfinite(nu2_min[[0, 2]]).all()
 
 

@@ -303,6 +303,20 @@ def test_classify_emits_full_grid(capsys):
                for r in rows)
 
 
+def test_classify_evaluates_only_the_means_it_prints(capsys):
+    # kappa_4 of W overflows at gaps near 1e80, where every mean is finite:
+    # classify prints its rows, and sweep, which prints kappa_4, fails
+    point = ["--beta", "1e-80", "--nu1", "1e80", "--nu2", "2e80", "--delta", "0.1",
+             "--zeta", "0.1", "--theta", "0.2", "--axis", "delta", "--start", "0",
+             "--stop", "0.5", "--steps", "2"]
+    code, out, err = run(capsys, "classify", *point, "--axis2", "theta", "--start2", "0",
+                         "--stop2", "1", "--steps2", "2")
+    assert (code, err) == (0, "")
+    rows = out.splitlines()[2:]
+    assert len(rows) == 4 and all(math.isfinite(float(c)) for r in rows for c in r.split(",")[:5])
+    assert run(capsys, "sweep", *point) == (2, "", "config error: cumulants must be finite\n")
+
+
 # sha256 of whole outputs, captured before rows were written a block at a
 # time: a classify grid showing every regime label (beta through 0), a
 # 600-point sweep and an lz-compare table, each more than one block long.

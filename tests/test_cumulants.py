@@ -11,7 +11,6 @@ from unital_otto import (
     ControlSpec,
     CycleParams,
     cf_derivative_check,
-    cf_unital,
     closed_form_first_second,
     cs_first_cumulants,
     cumulants_from_block,
@@ -19,7 +18,9 @@ from unital_otto import (
 )
 
 from conftest import close, cycle_params, finite, mp_cumulants, probs, random_params
-from references import flip_h, flip_theta, path_table_cf, pauli_kraus, transition_matrix
+from references import (
+    cf_unital, flip_h, flip_theta, path_table_cf, pauli_kraus, transition_matrix,
+)
 
 REF = CycleParams(0.7, 1.0, 2.0, 0.1, 0.1)
 

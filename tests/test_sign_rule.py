@@ -105,11 +105,10 @@ def test_printed_signs_and_verdicts_match_exact_arithmetic(rng, mode, branch):
     enumerated = cumulants_from_block(trajectory._enumerate(*cycle[:5], flip))
     flows = (enumerated.w_mean, enumerated.qm_mean, enumerated.qt_mean)
     flow_mags = mean_magnitudes(trajectory._enumerate(*cycle[:5], flip))
-    pair, pair_mag, fwd, fwd_mag = analysis._mode_means((*cycle[:5], flip), "asymmetric")
-    means, mags = (fwd, fwd_mag) if mode == "symmetric" else (pair, pair_mag)
-    plain, plain_mag, _, _ = analysis._mode_means((*cycle[:5], cycle[5]), "asymmetric")
+    means, mags, fwd, fwd_mag = analysis._mode_means((*cycle[:5], flip))
+    plain, plain_mag, _, _ = analysis._mode_means((*cycle[:5], cycle[5]))
     decided = {
-        "qt": (fwd.qt_mean, fwd_mag.qt_mean), "pair_work": (pair.w_mean, pair_mag.w_mean),
+        "qt": (fwd.qt_mean, fwd_mag.qt_mean),
         "work": (means.w_mean, mags.w_mean), "heat": (means.qm_mean, mags.qm_mean),
         "qm_var": (means.qm_var, mags.qm_var), "plain_heat": (plain.qm_mean, plain_mag.qm_mean),
     }

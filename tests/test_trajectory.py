@@ -15,8 +15,10 @@ from unital_otto import (
     JointDistribution,
     PhysicsError,
     cumulants_from_block,
+    enumerate_block,
     enumerate_paths,
     sample,
+    trajectory,
 )
 from unital_otto.trajectory import _binomial
 
@@ -115,6 +117,23 @@ def test_negative_probability_rejected():
         JointDistribution(
             np.array([0.0, 1.0]), np.array([0.0, 0.0]), np.array([1.1, -0.1])
         )
+
+
+def test_enumeration_sums_are_checked_against_their_rounding(monkeypatch):
+    # a row 1e-12 off 1 is far beyond the 18 roundings of its sum, though
+    # within the tolerance that JointDistribution allows arrays passed in
+    evaluate = trajectory._evaluate
+
+    def skewed(*args):
+        block = evaluate(*args)
+        block.prob[1, 0] += 1e-12
+        return block
+
+    theta = np.array([0.1, 0.2, 0.3])
+    enumerate_block(0.7, 1.0, 2.0, 0.1, 0.2, theta)
+    monkeypatch.setattr(trajectory, "_evaluate", skewed)
+    with pytest.raises(PhysicsError, match=r"^probabilities sum to 1\.00000000000(09|10)\d*, not 1$"):
+        enumerate_block(0.7, 1.0, 2.0, 0.1, 0.2, theta)
 
 
 def test_probability_dust_clamped():
