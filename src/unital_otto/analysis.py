@@ -16,9 +16,11 @@ Thresholds, efficiencies and bound checks are array arithmetic over
 broadcast parameter columns, scalars included: one point is a 0-d block.
 Each checks its columns as every block function does, in the order
 cycle, control, theta range, flip bound, and raises the first failing
-point's own error; every mode reads the forward plus backward pair, so
-symmetric, its delta = zeta case, then needs zeta = delta.  Cumulant
-ratios are read from an enumerated block.
+point's own error.  A control weight ``alpha`` puts the points under
+coherent control.  Every cycle reads the forward plus backward pair, the
+symmetric cycle (V^dagger = U) being its delta = zeta case, and a block
+with zeta = delta at every point is checked against the symmetric
+cycle's bound too.  Cumulant ratios are read from an enumerated block.
 
 An energy-valued quantity is zero here when it is a rounding residue of
 its summands' magnitudes (:func:`~unital_otto.cumulants.is_rounding_residue`),
@@ -106,23 +108,6 @@ def classify_regime_array(w_mean, qm_mean, qt_mean, beta, magnitudes) -> np.ndar
     return regimes
 
 
-def _checked(beta, nu1, nu2, delta, zeta, theta, mode: str, alpha, branch: str) -> tuple:
-    """Checked columns and the flip probability of ``mode``; in ``symmetric``
-    the first point (in C order) with zeta != delta then raises."""
-    if mode not in ("symmetric", "asymmetric", "cs"):
-        raise InputError(f"unknown mode {mode!r}")
-    if mode == "cs" and alpha is None:
-        raise InputError("cs mode needs a control weight alpha")
-    control = (alpha, branch) if mode == "cs" else ()
-    columns = _checked_columns(beta, nu1, nu2, delta, zeta, theta, *control)
-    if mode == "symmetric" and (unequal := columns[3] != columns[4]).any():
-        i = np.unravel_index(np.argmax(unequal), unequal.shape)
-        where = f" (index {tuple(map(int, i))})" if i else ""
-        raise InputError(f"symmetric mode needs zeta = delta, not zeta {float(columns[4][i])!r}"
-                         f" at delta {float(columns[3][i])!r}{where}")
-    return columns
-
-
 def _quotient(num, den, num_magnitude, den_magnitude) -> tuple:
     """num / den and the magnitude of its rounding to first order,
     (M_num + |q| M_den) / |den|; both ``nan`` where den is a rounding
@@ -135,23 +120,21 @@ def _quotient(num, den, num_magnitude, den_magnitude) -> tuple:
 
 
 def efficiency_block(
-    beta, nu1, nu2, delta, zeta, theta, mode: str = "symmetric",
-    alpha=None, branch: str = "minus",
+    beta, nu1, nu2, delta, zeta, theta, alpha=None, branch: str = "minus"
 ) -> np.ndarray:
     """Mean efficiency <W> / <Q_M> at every point of broadcast parameter
     arrays; ``nan`` where no heat is absorbed from the channel.
 
-    Every mode reads forward and backward on an equal footing,
+    It reads forward and backward on an equal footing,
     (W_F + W_B) / (Q_MF + Q_MB), which restores the Otto ceiling for
-    asymmetric driving.  ``symmetric`` is that pair at delta = zeta, which
-    it needs at every point, and so keeps the forward cycle's bits unless
-    the doubled flows overflow; ``cs`` is the pair at the flip probability
-    of the control with arm weight ``alpha`` on ``branch``.  Heat that is
-    a rounding residue
+    asymmetric driving; at delta = zeta, the symmetric cycle, the pair
+    keeps the forward cycle's bits unless the doubled flows overflow.  With
+    the control's arm weight ``alpha`` on ``branch`` the pair is read at
+    the controlled flip probability.  Heat that is a rounding residue
     (:func:`~unital_otto.cumulants.is_rounding_residue`), as where forward
     and backward heat cancel, counts as no heat.
     """
-    *cycle, _, flip = _checked(beta, nu1, nu2, delta, zeta, theta, mode, alpha, branch)
+    *cycle, _, flip = _checked_columns(beta, nu1, nu2, delta, zeta, theta, alpha, branch)
     return _efficiency(*cycle, flip)[0]
 
 
@@ -159,12 +142,12 @@ def efficiency_block(
 def _efficiency(beta, nu1, nu2, delta, zeta, flip) -> tuple:
     """:func:`efficiency_block` on checked columns and the flip probability,
     with the magnitude of its rounding."""
-    means, mags, _, _ = _mode_means((beta, nu1, nu2, delta, zeta, flip))
+    means, mags, _, _ = _pair_means((beta, nu1, nu2, delta, zeta, flip))
     return _quotient(means.w_mean, means.qm_mean, mags.w_mean, mags.qm_mean)
 
 
-def _mode_means(cycle: tuple) -> tuple:
-    """The closed form that every mode reads, forward plus backward field by
+def _pair_means(cycle: tuple) -> tuple:
+    """The closed form that every cycle reads, forward plus backward field by
     field, and its magnitudes; then the forward cycle's.  At delta = zeta
     (the symmetric cycle) each sum doubles the forward field exactly, so
     every quotient and residue test reads as on the forward cycle."""
@@ -176,26 +159,29 @@ def _mode_means(cycle: tuple) -> tuple:
 
 
 def work_threshold_block(
-    beta, nu1, nu2, delta, zeta, theta, mode: str = "symmetric",
-    alpha=None, branch: str = "minus",
+    beta, nu1, nu2, delta, zeta, theta, alpha=None, branch: str = "minus"
 ) -> np.ndarray:
     """The gap nu2_min at which the mean work turns positive, at every point
     of broadcast parameter arrays checked as :func:`efficiency_block` checks
     them; beta and nu2 are not read.  It reads the work that
-    :func:`efficiency_block` reads, forward plus backward in every mode, at
-    theta or the control's flip probability p:
-    nu2_min - nu1 = nu1 [(1 - p) s + 2 p delta zeta] / (p (1 - delta - zeta))
-    with s = delta + zeta - 2 delta zeta, so the exact nu2_min is at least
-    nu1.  For beta > 0 the work is zero at nu2_min and positive beyond.
-    ``inf`` wherever no gap works: theta = 0 or delta + zeta >= 1."""
-    _, nu1, _, d, z, _, flip = _checked(beta, nu1, nu2, delta, zeta, theta, mode, alpha, branch)
-    # the pair's work over 4 t is p (1 - delta - zeta) nu2 - (p + (1 - 2 p) s) nu1
+    :func:`efficiency_block` reads, forward plus backward, at theta or the
+    control's flip probability p: nu2_min = nu1 + nu1 m with the margin
+    m = [(1 - p) s + 2 p delta zeta] / (p (1 - delta - zeta)),
+    s = delta + zeta - 2 delta zeta.  m is computed from nonnegative terms,
+    so nu2_min is at least nu1 in floats as it is exactly.  For beta > 0
+    the work is zero at nu2_min and positive beyond.  ``inf`` wherever no
+    gap works: theta = 0 or delta + zeta >= 1."""
+    _, nu1, _, d, z, _, flip = _checked_columns(
+        beta, nu1, nu2, delta, zeta, theta, alpha, branch
+    )
+    # the pair's work over 4 t is
+    # p (1 - delta - zeta) (nu2 - nu1) - ((1 - p) s + 2 p delta zeta) nu1
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # p + (1 - 2 p) s as nonnegative terms, and 1 - d - z with the
-        # rounding of 1 - d (exact, Fast2Sum) added after the cancellation
-        num = flip * ((1.0 - d) * (1.0 - z) + d * z) + (1.0 - flip) * (d + z - 2.0 * d * z)
+        # s = d (1 - z) + z (1 - d), and 1 - d - z with the rounding of
+        # 1 - d (exact, Fast2Sum) added after the cancellation
+        num = (1.0 - flip) * (d * (1.0 - z) + z * (1.0 - d)) + 2.0 * flip * d * z
         rest = 1.0 - d
-        nu2_min = num * nu1 / (flip * ((rest - z) - ((rest - 1.0) + d)))
+        nu2_min = nu1 + nu1 * (num / (flip * ((rest - z) - ((rest - 1.0) + d))))
     return np.where((flip > 0.0) & (d + z < 1.0), nu2_min, math.inf)
 
 
@@ -235,32 +221,36 @@ def _report(name: str, left, right, applicable, magnitude) -> BoundReport:
 
 
 def verify_bounds_block(
-    beta, nu1, nu2, delta, zeta, theta, mode: str = "symmetric",
-    alpha=None, branch: str = "minus",
+    beta, nu1, nu2, delta, zeta, theta, alpha=None, branch: str = "minus"
 ) -> list[BoundReport]:
-    """Evaluate every proved inequality of ``mode`` at every point of
+    """Evaluate every proved inequality of the cycle at every point of
     broadcast parameter arrays: one :class:`BoundReport` per bound, its
     fields arrays of the broadcast shape.
 
     Each report records the stated applicability condition separately
     from whether the comparison held, so an out-of-precondition
-    violation is never counted against the proof.  Modes and the control
-    (``alpha``, ``branch``) are those of :func:`efficiency_block`, whose
-    means they read; the mode picks the bounds and their preconditions' form.
+    violation is never counted against the proof.  The control (``alpha``,
+    ``branch``) is that of :func:`efficiency_block`, whose means the bounds
+    read.  Under control the bounds are the coherently controlled cycle's;
+    otherwise they are the unital cycle's, and where zeta = delta at every
+    point the symmetric cycle's ``otto_sq_le_ratio`` is added.
     """
-    columns = _checked(beta, nu1, nu2, delta, zeta, theta, mode, alpha, branch)
-    return _bounds(*columns, mode, branch)
+    columns = _checked_columns(beta, nu1, nu2, delta, zeta, theta, alpha, branch)
+    control = None if alpha is None else branch
+    return _bounds(*columns, control, bool((columns[3] == columns[4]).all()))
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _bounds(beta, nu1, nu2, d, z, theta, flip, mode: str, branch: str) -> list[BoundReport]:
-    """:func:`verify_bounds_block` on checked columns and the flip probability."""
+def _bounds(beta, nu1, nu2, d, z, theta, flip, control, symmetric: bool) -> list[BoundReport]:
+    """:func:`verify_bounds_block` on checked columns and the flip
+    probability: ``control`` is the control's branch, or None without
+    control, and ``symmetric`` whether zeta = delta at every point."""
     cycle = (beta, nu1, nu2, d, z)
-    means, mags, fwd, fwd_mag = _mode_means((*cycle, flip))
+    means, mags, fwd, fwd_mag = _pair_means((*cycle, flip))
     otto, otto_mag = 1.0 - nu1 / nu2, 1.0 + nu1 / nu2
     reports: list[BoundReport] = []
 
-    if mode == "cs":
+    if control is not None:
         heated = (beta > 0.0) & (theta <= 0.5)
         reports.append(_report("cs_qt_nonpositive", fwd.qt_mean, 0.0, heated, fwd_mag.qt_mean))
     else:
@@ -277,47 +267,38 @@ def _bounds(beta, nu1, nu2, d, z, theta, flip, mode: str, branch: str) -> list[B
     engine = classify_regime_array(*flows, beta, magnitudes) == Regime.ENGINE
     eta, eta_mag = _quotient(means.w_mean, means.qm_mean, mags.w_mean, mags.qm_mean)
 
-    if mode == "cs":
+    if control is not None:
         reports.append(_report("cs_eta_le_otto", eta, otto, engine, eta_mag + otto_mag))
         # Branch ordering of efficiencies around the incoherent cycle.
         plain, plain_mag = _efficiency(*cycle, theta)
         comparable = engine & np.isfinite(plain)
-        order = (plain, eta) if branch == "minus" else (eta, plain)
+        order = (plain, eta) if control == "minus" else (eta, plain)
         reports.append(_report("cs_eta_branch_order", *order, comparable, plain_mag + eta_mag))
         return reports
 
-    # Eq-level preconditions of the corridor eta^2 <= ratio <= 1, kept in
-    # multiplied-out form so no division by (1 - 2 delta) is needed.  Each
-    # is written once with ``sub`` for a - b: its value, and with a + b (on
-    # nonnegative inputs) its magnitude; a residue counts as 0, which meets
-    # the precondition.
-    def preconditions(sub):
-        if mode == "symmetric":
-            corridor = sub(
-                2.0 * sub(1.0, 2.0 * d) * theta * nu2,
-                (theta + 2.0 * d * sub(1.0, d) * sub(1.0, 2.0 * theta)) * nu1,
-            )
-        else:
-            s = sub(d + z, 2.0 * d * z)
-            corridor = sub(
-                2.0 * theta * sub(sub(1.0, d), z) * nu2, (theta + sub(1.0, 2.0 * theta) * s) * nu1
-            )
-        hopm = sub(
-            sub(1.0, 2.0 * d) * theta * nu2, sub(1.0, d) * sub(d + theta, 2.0 * d * theta) * nu1
-        )
-        return corridor, hopm
+    # Eq-level preconditions, kept in multiplied-out form so no division by
+    # (1 - 2 delta) is needed.  Each is written once with ``sub`` for a - b:
+    # its value, and with a + b (on nonnegative inputs) its magnitude; a
+    # residue counts as 0, which meets the precondition.
+    def held(precondition) -> np.ndarray:
+        value, magnitude = precondition(np.subtract), precondition(np.add)
+        return (value >= 0.0) | is_rounding_residue(value, magnitude)
 
-    corridor, hopm = (
-        (value >= 0.0) | is_rounding_residue(value, magnitude)
-        for value, magnitude in zip(preconditions(np.subtract), preconditions(np.add))
-    )
+    # the corridor eta^2 <= ratio <= 1, with s = delta + zeta - 2 delta zeta
+    corridor = held(lambda sub: sub(
+        2.0 * theta * sub(sub(1.0, d), z) * nu2,
+        (theta + sub(1.0, 2.0 * theta) * sub(d + z, 2.0 * d * z)) * nu1,
+    ))
     ratio, ratio_mag = _quotient(means.w_var, means.qm_var, mags.w_var, mags.qm_var)
     corridor &= ~np.isnan(ratio) & ~np.isnan(eta)
     reports.append(_report("eta_le_otto", eta, otto, engine, eta_mag + otto_mag))
     eta_sq_mag = 2.0 * np.abs(eta) * eta_mag + ratio_mag
     reports.append(_report("eta_sq_le_ratio", eta * eta, ratio, corridor, eta_sq_mag))
     reports.append(_report("ratio_le_one", ratio, 1.0, corridor, ratio_mag))
-    if mode == "symmetric":
+    if symmetric:
+        hopm = held(lambda sub: sub(
+            sub(1.0, 2.0 * d) * theta * nu2, sub(1.0, d) * sub(d + theta, 2.0 * d * theta) * nu1
+        ))
         otto_sq_mag = 2.0 * np.abs(otto) * otto_mag + ratio_mag
         spread = ~np.isnan(ratio)
         reports.append(_report("otto_sq_le_ratio", otto * otto, ratio, hopm & spread, otto_sq_mag))

@@ -252,8 +252,8 @@ def _axis_values(cfg: dict, suffix: str = "") -> tuple[str, np.ndarray]:
     return axis, np.linspace(start, stop, steps)
 
 
-def _run(cfg: dict, axes=()) -> tuple[list[np.ndarray], str, str]:
-    """A run's parameter columns, branch and mode, one point or a grid.
+def _run(cfg: dict, axes=()) -> tuple[list[np.ndarray], str]:
+    """A run's parameter columns and branch, one point or a grid.
 
     Each swept key takes its axis's values along its own dimension of the
     grid, axis after axis.  On a symmetric base (delta = zeta) a swept
@@ -262,8 +262,9 @@ def _run(cfg: dict, axes=()) -> tuple[list[np.ndarray], str, str]:
     each set the flip probability, so a swept alpha-m takes no Pauli
     weights, and theta and alpha-m are not swept together.  The columns are beta, nu1, nu2, delta, zeta, theta and,
     under coherent control, cs-alpha, broadcast to the grid's shape (0-d
-    without axes).  The mode is cs under coherent control, symmetric
-    where the coupling keeps delta = zeta, asymmetric otherwise.
+    without axes).  The columns alone say which cycle a point is: a
+    seventh column puts it under coherent control, and delta = zeta makes
+    it the symmetric cycle.
     """
     point = dict(cfg)
     swept = {axis for axis, _ in axes}
@@ -285,13 +286,11 @@ def _run(cfg: dict, axes=()) -> tuple[list[np.ndarray], str, str]:
             point["theta"] = None  # recompute from the swept angle
     columns = _require(point, "beta", "nu1", "nu2", "delta", "zeta")
     columns.append(_resolve_theta(point))
-    mode = "symmetric" if symmetric else "asymmetric"
     if point.get("cs_alpha") is not None:
         columns.append(point["cs_alpha"])
-        mode = "cs"
     shape = tuple(len(values) for _, values in axes)
     grid = [np.broadcast_to(np.asarray(c, dtype=float), shape) for c in columns]
-    return grid, point.get("branch") or "minus", mode
+    return grid, point.get("branch") or "minus"
 
 
 # Grid points per evaluation call and per chunk of rows written: enough
@@ -420,14 +419,15 @@ _COMPARISON = [(name, "%s", name, analysis._REGIME_LABELS) if name.startswith("r
 
 
 def _cmd_cumulants(cfg: dict) -> None:
-    columns, branch, mode = _run(cfg)
+    columns, branch = _run(cfg)
     params, flip, dist = _distribution(columns, branch)
     exact = cumulants.cumulants_from_block(dist)
     fd = cumulants.cf_derivative_check(params, flip)
     closed = cumulants.closed_form_first_second(params, flip)
     nan = math.nan
     # the paper gives the coherently controlled closed forms for means only
-    w_var, qm_var = (nan, nan) if mode == "cs" else (closed.w_var, closed.qm_var)
+    controlled = len(columns) > 6  # the seventh column is the control's alpha
+    w_var, qm_var = (nan, nan) if controlled else (closed.w_var, closed.qm_var)
     enumeration = np.concatenate((exact.w, exact.q_m, [exact.qt_mean]))
     rows = [("enumeration", *enumeration)]
     for route, values in (
@@ -442,8 +442,7 @@ def _cmd_cumulants(cfg: dict) -> None:
     if cfg.get("dist_out"):
         tables.append((cfg["dist_out"], _DISTRIBUTION, dist._asdict()))
     if cfg.get("bounds_out"):
-        # the control column, alpha, is the seventh of a cs run
-        reports = analysis.verify_bounds_block(*columns[:6], mode, *columns[6:], branch=branch)
+        reports = analysis.verify_bounds_block(*columns, branch=branch)
         tables.append((cfg["bounds_out"], _BOUNDS, _block(_BOUNDS, reports)))
     comment = _config_comment("cumulants", cfg)
     with _output(cfg, *(path for path, _, _ in tables[1:])) as files:
@@ -459,12 +458,14 @@ def _relative(k2: float, k1: float) -> float:
     return k2 / k1**2 if 1e-150 < abs(k1) < 1e150 else k2 / k1 / k1
 
 
-def _block_fields(block: list[np.ndarray], mode: str, branch: str, wanted: set) -> dict:
+def _block_fields(block: list[np.ndarray], branch: str, symmetric: bool, wanted: set) -> dict:
     """The ``wanted`` fields of a block of points, each its own array, with
     the block's parameter columns checked once.  The cumulants, ``qt_mean`` and the
     regime are always evaluated, the cumulants beyond the means only when a
     field other than classify's is wanted; ``w_rf``, ``efficiency`` and each
-    bound's verdict, under the bound's name, only when wanted."""
+    bound's verdict, under the bound's name, only when wanted.  A seventh
+    column puts the block under coherent control; ``symmetric``, whether
+    zeta = delta at every point of the run, adds the symmetric bound."""
     checked = trajectory._checked_columns(*block, branch=branch)
     beta, nu1, nu2, delta, zeta, _, flip = checked
     dist = trajectory._enumerate(beta, nu1, nu2, delta, zeta, flip)
@@ -491,7 +492,8 @@ def _block_fields(block: list[np.ndarray], mode: str, branch: str, wanted: set) 
     if "efficiency" in wanted:
         values["efficiency"] = analysis._efficiency(beta, nu1, nu2, delta, zeta, flip)[0]
     if not wanted <= values.keys():  # the fields left are bounds
-        for report in analysis._bounds(*checked, mode, branch):
+        control = branch if len(block) > 6 else None
+        for report in analysis._bounds(*checked, control, symmetric):
             verdict = np.where(report.applicable, ~report.satisfied, 2)
             values[report.name] = verdict.astype(np.int8)
     # copies, so that a block keeps nothing else of the evaluation
@@ -506,15 +508,18 @@ def _grid_table(cfg: dict, command: str, axes: list, columns: list[tuple]) -> No
     ``_BLOCK_POINTS`` at a time, each block keeping only the fields its
     columns print.  The rows are then written one block at a time.
     """
-    grid, branch, mode = _run(cfg, axes)
-    if columns[-1][2] == "bounds":  # the mode's bounds, as its reports over no points name them
-        bounds = analysis._bounds(*np.empty((7, 0)), mode, branch)
+    grid, branch = _run(cfg, axes)
+    # decided once for the run, so that every block has the same columns
+    symmetric = bool((grid[3] == grid[4]).all())
+    if columns[-1][2] == "bounds":  # the run's bounds, as its reports over no points name them
+        control = branch if len(grid) > 6 else None
+        bounds = analysis._bounds(*np.empty((7, 0)), control, symmetric)
         columns = columns[:-1] + [(r.name, "%s", r.name, _VERDICTS) for r in bounds]
     wanted = {field for _, _, field, _ in columns}
     shape, size = grid[0].shape, grid[0].size
     blocks = [
         (start, _block_fields([c.flat[start:start + _BLOCK_POINTS] for c in grid],
-                              mode, branch, wanted))
+                              branch, symmetric, wanted))
         for start in range(0, size, _BLOCK_POINTS)
     ]
 
@@ -546,7 +551,7 @@ def _cmd_classify(cfg: dict) -> None:
 
 
 # Samples per bound-campaign block: decoded, then checked with one
-# verify_bounds_block call per mode and branch, 16 calls for 15000 samples.
+# verify_bounds_block call per draw code, 16 calls for 15000 samples.
 # A block is decoded _DECODE_SAMPLES at a time, so that the word tables stay
 # small: on a 15000-sample campaign one table per 4096-sample block raised
 # peak RSS by 2.5 MB over 2048-sample word-list decoding, 512-sample
@@ -558,9 +563,10 @@ _DECODE_SAMPLES = 512
 # alpha, and one fresh word whose halves serve the mode and the branch.
 _SAMPLE_WORDS = 8
 
-# A sample's (mode, branch) group by its code: the mode's index, plus the
-# branch's index in cs.
-_GROUPS = (("symmetric", None), ("asymmetric", None), ("cs", "plus"), ("cs", "minus"))
+# A sample's branch by its draw code: the index of its cycle (symmetric,
+# asymmetric, cs), plus the branch's index in cs.  Only cs has a branch; a
+# symmetric draw is the one with zeta = delta.
+_GROUPS = (None, None, "plus", "minus")
 
 _GAP_RANGE = 3.0 - 1e-3
 
@@ -690,11 +696,11 @@ def _decode_chunk(draws: _Draws, cells: np.ndarray, codes: np.ndarray) -> int:
     return n
 
 
-def _campaign_draws(draws: _Draws, count: int) -> dict[tuple, list[np.ndarray]]:
+def _campaign_draws(draws: _Draws, count: int) -> dict[int, list[np.ndarray]]:
     """The next ``count`` samples of a bound campaign, in the order
-    :func:`_cmd_verify_bounds` states, grouped by (mode, branch); branch
-    is None outside cs.  Each group holds its kept samples in draw order
-    as columns: beta, nu1, nu2, delta, zeta, theta and, in cs, alpha.
+    :func:`_cmd_verify_bounds` states, grouped by draw code (``_GROUPS``).
+    Each group holds its kept samples in draw order as columns: beta, nu1,
+    nu2, delta, zeta, theta and, in cs, alpha.
 
     The samples are decoded from the stream's raw PCG64 words as numpy's
     ``Generator`` reads them (:class:`_Draws`), ``_DECODE_SAMPLES`` at a
@@ -721,11 +727,11 @@ def _campaign_draws(draws: _Draws, count: int) -> dict[tuple, list[np.ndarray]]:
             if sample is not None:
                 cells[:, kept], codes[kept] = sample
                 kept += 1
-    groups: dict[tuple, list[np.ndarray]] = {}
-    for code, (mode, branch) in enumerate(_GROUPS):
+    groups: dict[int, list[np.ndarray]] = {}
+    for code, branch in enumerate(_GROUPS):
         picked = cells[:6 if branch is None else 7, :kept][:, codes[:kept] == code]
         if picked.size:
-            groups[mode, branch] = list(picked)
+            groups[code] = list(picked)
     return groups
 
 
@@ -749,7 +755,9 @@ def _cmd_verify_bounds(cfg: dict) -> None:
     configuration error, as it is for numpy.  Samples are drawn in blocks
     of ``_CAMPAIGN_BLOCK``, decoded as arrays ``_DECODE_SAMPLES`` at a
     time, and each block's bounds are evaluated as arrays, one call per
-    mode and branch.
+    draw code.  A call's bounds follow from its columns: cs draws carry
+    alpha and their branch, and the symmetric draws, whose zeta = delta,
+    add the symmetric cycle's bound.
     """
     samples = 10000 if cfg.get("samples") is None else cfg["samples"]
     if samples < 1:
@@ -763,9 +771,8 @@ def _cmd_verify_bounds(cfg: dict) -> None:
     for start in range(0, samples, _CAMPAIGN_BLOCK):
         count = min(_CAMPAIGN_BLOCK, samples - start)
         # no name keeps the groups, so they are freed before the next block
-        for (mode, branch), columns in _campaign_draws(draws, count).items():
-            control = (columns[6], branch) if mode == "cs" else (None, "minus")
-            reports = analysis.verify_bounds_block(*columns[:6], mode, *control)
+        for code, columns in _campaign_draws(draws, count).items():
+            reports = analysis.verify_bounds_block(*columns, branch=_GROUPS[code] or "minus")
             for rep in reports:
                 slot = counts.setdefault(rep.name, [0, 0, 0])
                 slot[0] += int(np.count_nonzero(rep.applicable & rep.satisfied))
@@ -776,7 +783,7 @@ def _cmd_verify_bounds(cfg: dict) -> None:
 
 
 def _cmd_sample(cfg: dict) -> None:
-    *_, dist = _distribution(*_run(cfg)[:2])
+    *_, dist = _distribution(*_run(cfg))
     n = 10**6 if cfg.get("samples") is None else cfg["samples"]
     seed = cfg.get("seed") or 0
     stats = trajectory.sample(dist, n, seed)

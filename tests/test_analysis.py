@@ -12,7 +12,6 @@ from unital_otto import trajectory
 from unital_otto import (
     ControlSpec,
     CycleParams,
-    InputError,
     Regime,
     classify_regime_array,
     closed_form_first_second,
@@ -80,21 +79,23 @@ def test_threshold_formula_marks_zero_work():
 
 def test_threshold_requires_heat_absorption():
     # the pair absorbs no heat at delta + zeta >= 1: no gap works, and no error
-    assert math.isinf(work_threshold_block(0.7, 1.0, 2.0, 0.6, 0.6, 0.2, "symmetric"))
-    assert math.isinf(work_threshold_block(0.7, 1.0, 2.0, 0.6, 0.6, 0.2, "cs", 0.3, "plus"))
-    assert math.isinf(work_threshold_block(0.7, 1.0, 2.0, 0.1, 0.1, 0.0, "symmetric"))
-    assert math.isinf(work_threshold_block(0.7, 1.0, 2.0, 0.7, 0.6, 0.3, "asymmetric"))
+    assert math.isinf(work_threshold_block(0.7, 1.0, 2.0, 0.6, 0.6, 0.2))
+    assert math.isinf(work_threshold_block(0.7, 1.0, 2.0, 0.6, 0.6, 0.2, 0.3, "plus"))
+    assert math.isinf(work_threshold_block(0.7, 1.0, 2.0, 0.1, 0.1, 0.0))
+    assert math.isinf(work_threshold_block(0.7, 1.0, 2.0, 0.7, 0.6, 0.3))
 
 
 @pytest.mark.parametrize("theta", [1.5, -0.1, math.nan, math.inf])
 @pytest.mark.parametrize("mode", ["symmetric", "asymmetric", "cs"])
 def test_threshold_checks_theta_in_every_mode(mode, theta):
+    zeta = 0.1 if mode == "symmetric" else 0.2
+    control = (0.3, "minus") if mode == "cs" else ()
     with pytest.raises(ValueError, match=r"^theta must lie in \[0, 1\]$"):
-        work_threshold_block(0.7, 1.0, 2.0, 0.1, 0.2, theta, mode, 0.3, "minus")
+        work_threshold_block(0.7, 1.0, 2.0, 0.1, zeta, theta, *control)
 
 
 def test_asymmetric_threshold_marks_zero_summed_work():
-    nu2_min = float(work_threshold_block(0.7, 1.0, 2.0, 0.1, 0.25, 0.3, "asymmetric"))
+    nu2_min = float(work_threshold_block(0.7, 1.0, 2.0, 0.1, 0.25, 0.3))
     at = CycleParams(0.7, 1.0, nu2_min, 0.1, 0.25)
     total = (
         closed_form_first_second(at, 0.3).w_mean
@@ -105,9 +106,9 @@ def test_asymmetric_threshold_marks_zero_summed_work():
 
 def test_cs_threshold_shifts_with_branch():
     cycle = (0.7, 1.0, 2.0, 0.1, 0.1, 0.2)
-    plain = work_threshold_block(*cycle, "symmetric")
-    minus = float(work_threshold_block(*cycle, "cs", 0.5, "minus"))
-    plus = work_threshold_block(*cycle, "cs", 0.5, "plus")
+    plain = work_threshold_block(*cycle)
+    minus = float(work_threshold_block(*cycle, 0.5, "minus"))
+    plus = work_threshold_block(*cycle, 0.5, "plus")
     assert minus < plain < plus
     at = CycleParams(0.7, 1.0, minus, 0.1, 0.1)
     flip = ControlSpec(0.5, "minus").flip_probability(0.2)
@@ -128,7 +129,7 @@ def test_cs_threshold_matches_paper_numerator():
         coherence = np.sqrt(alpha * (1.0 - alpha))
         num = theta + 2.0 * d * (1.0 - d) * (1.0 - 2.0 * theta) + side * 2.0 * d * (1.0 - d) * coherence
         paper = num * nu1 / (theta * (1.0 - 2.0 * d))
-        got = work_threshold_block(0.7, nu1[mine], 2.0, d[mine], d[mine], theta[mine], "cs",
+        got = work_threshold_block(0.7, nu1[mine], 2.0, d[mine], d[mine], theta[mine],
                                    alpha[mine], branch)
         assert all(close(g, p, 1e-14) for g, p in zip(got.tolist(), paper[mine].tolist()))
 
@@ -186,7 +187,7 @@ def test_threshold_is_the_exact_zero_of_the_mean_work(case):
         theta *= 0.5
         control = (gen.random(n), branch)
         flip = trajectory._controlled_flip(theta, *control)
-    nu2_min = work_threshold_block(beta, nu1, 1.0, delta, zeta, theta, mode, *control)
+    nu2_min = work_threshold_block(beta, nu1, 1.0, delta, zeta, theta, *control)
     assert np.isfinite(nu2_min[400:]).all() and not np.isfinite(nu2_min[:100]).any()
     assert_exact_thresholds(np.tanh(beta * nu1), nu1, delta, zeta, flip, nu2_min)
 
@@ -195,12 +196,11 @@ def test_threshold_reads_the_work_that_the_efficiency_reads():
     # every mode reads the forward plus backward work; the efficiency turns
     # positive between the gaps
     cycle = (0.1, 0.3, 0.2)
-    for mode, control, below, above in (("cs", (0.3, "minus"), 2.06, 2.07),
-                                        ("asymmetric", (), 3.36, 3.37)):
-        nu2_min = work_threshold_block(0.7, 1.0, 2.0, *cycle, mode, *control)
+    for control, below, above in (((0.3, "minus"), 2.06, 2.07), ((), 3.36, 3.37)):
+        nu2_min = work_threshold_block(0.7, 1.0, 2.0, *cycle, *control)
         assert below < nu2_min < above
         for nu2, sign in ((below, -1.0), (above, 1.0)):
-            assert sign * efficiency_block(0.7, 1.0, nu2, *cycle, mode, *control) > 0.0
+            assert sign * efficiency_block(0.7, 1.0, nu2, *cycle, *control) > 0.0
 
 
 def test_threshold_margin_is_an_exact_identity():
@@ -218,9 +218,7 @@ def test_threshold_margin_is_an_exact_identity():
 @pytest.mark.parametrize("case", ["symmetric", "asymmetric", "cs-plus", "cs-minus"])
 def test_no_gap_below_nu1_gives_positive_work(case):
     # beta > 0, theta > 0 and delta + zeta < 1: the margin above is
-    # nonnegative, and the computed threshold keeps nu2_min >= nu1 (the
-    # draws miss delta = zeta = 0, where nu2_min is nu1 itself and its
-    # rounding can fall an ulp below)
+    # nonnegative, and the computed threshold keeps nu2_min >= nu1
     mode, _, branch = case.partition("-")
     gen = np.random.default_rng(33)
     n = 10000
@@ -236,8 +234,72 @@ def test_no_gap_below_nu1_gives_positive_work(case):
         theta *= 0.5
         control = (gen.random(n), branch)
     keep = delta + zeta < 1.0
-    nu2_min = work_threshold_block(beta, nu1, 1.0, delta, zeta, theta, mode, *control)
+    nu2_min = work_threshold_block(beta, nu1, 1.0, delta, zeta, theta, *control)
     assert keep.sum() > 9990 and (nu2_min[keep] >= nu1[keep]).all()
+
+
+def test_a_control_weight_always_means_control():
+    # the controlled cycle at the control's flip probability, in all three
+    # block functions, and the uncontrolled one without alpha
+    cycle = (0.7, 1.0, 2.0, 0.1, 0.3, 0.2)
+    flip = ControlSpec(0.3, "plus").flip_probability(0.2)
+    at_flip = CycleParams(*cycle[:5])
+    pair = [closed_form_first_second(at_flip, flip, d) for d in ("forward", "backward")]
+    eta = (pair[0].w_mean + pair[1].w_mean) / (pair[0].qm_mean + pair[1].qm_mean)
+    assert efficiency_block(*cycle, 0.3, "plus") == pytest.approx(eta, rel=1e-14)
+    assert efficiency_block(*cycle, 0.3, "plus") == pytest.approx(-1.3325, abs=1e-4)
+    assert work_threshold_block(*cycle, 0.3, "plus") == work_threshold_block(*cycle[:5], flip)
+    assert work_threshold_block(*cycle, 0.3, "plus") != work_threshold_block(*cycle)
+    names = [r.name for r in verify_bounds_block(*cycle, alpha=0.3, branch="plus")]
+    assert names == ["cs_qt_nonpositive", "cs_eta_le_otto", "cs_eta_branch_order"]
+    # zeta = delta under control is still the controlled cycle
+    names = [r.name for r in verify_bounds_block(*cycle[:4], 0.1, 0.2, 0.3)]
+    assert names == ["cs_qt_nonpositive", "cs_eta_le_otto", "cs_eta_branch_order"]
+
+
+def test_default_calls_take_unequal_strokes():
+    # no control and delta != zeta: the asymmetric cycle, without the
+    # symmetric cycle's bound; at delta = zeta the bound is added
+    cycle = (0.7, 1.0, 2.0, 0.1, 0.3, 0.2)
+    assert efficiency_block(*cycle) == pytest.approx(-0.6833, abs=1e-4)
+    assert work_threshold_block(*cycle) == pytest.approx(3.3667, abs=1e-4)
+    names = [r.name for r in verify_bounds_block(*cycle)]
+    assert names == ["qt_nonpositive", "equal_gap_work_nonpositive", "eta_le_otto",
+                     "eta_sq_le_ratio", "ratio_le_one"]
+    delta, zeta = np.array([0.1, 0.1]), np.array([0.1, 0.3])
+    unequal = [r.name for r in verify_bounds_block(0.7, 1.0, 2.0, delta, zeta, 0.2)]
+    equal = [r.name for r in verify_bounds_block(0.7, 1.0, 2.0, delta, delta, 0.2)]
+    assert unequal == names and equal == names + ["otto_sq_le_ratio"]
+
+
+def test_threshold_is_never_below_nu1():
+    # nu1 + nu1 m with a margin m of nonnegative terms: never an ulp below
+    # nu1, adiabatic strokes (delta = zeta = 0, where nu2_min is nu1)
+    # included, with and without control
+    gen = np.random.default_rng(35)
+    n = 100_000
+    nu1 = np.exp(gen.uniform(math.log(1e-3), math.log(1e3), n))
+    delta, zeta, theta = gen.random(n), gen.random(n), gen.random(n)
+    delta[:20_000] = zeta[:20_000] = 0.0
+    zeta[20_000:30_000] = delta[20_000:30_000]
+    theta[::7] = 1.0
+    alpha = gen.random(n)
+    for control in ((), (alpha, "plus"), (alpha, "minus")):
+        half = 0.5 * theta if control else theta  # within the flip bound
+        nu2_min = work_threshold_block(0.7, nu1, 1.0, delta, zeta, half, *control)
+        finite = np.isfinite(nu2_min)
+        assert finite[:20_000].all() and (nu2_min[:20_000] == nu1[:20_000]).all()
+        assert finite.sum() > n // 2 and (nu2_min[finite] >= nu1[finite]).all()
+
+
+def test_threshold_keeps_four_ulps_where_the_quotient_form_lost_them():
+    # nu1 (p + (1 - 2 p) s) / (p (1 - delta - zeta)) as one quotient was
+    # 4.23 ulps from the exact zero of the mean work here
+    point = [np.array([x]) for x in
+             (2.983361268137372, 0.17674459797838699, 0.3127188643445681, 0.9826200434049244)]
+    nu1, delta, zeta, theta = point
+    nu2_min = work_threshold_block(1.0, nu1, 1.0, delta, zeta, theta)
+    assert_exact_thresholds(np.tanh(nu1), nu1, delta, zeta, theta, nu2_min)
 
 
 def bits(x) -> np.ndarray:
@@ -258,33 +320,25 @@ def test_symmetric_mode_is_the_pair_at_equal_strokes():
     delta[6000:8000] = 0.5
     nu2[8000:10000] = nu1[8000:10000]
     cycle = (beta, nu1, nu2, delta, delta, theta)
-    eta = efficiency_block(*cycle, "symmetric")
+    eta = efficiency_block(*cycle)
     fwd, fwd_mag = (_closed_form(*cycle, "forward", m) for m in (False, True))
     forward = _quotient(fwd.w_mean, fwd.qm_mean, fwd_mag.w_mean, fwd_mag.qm_mean)[0]
     assert np.array_equal(bits(eta), bits(forward))
-    assert np.array_equal(bits(eta), bits(efficiency_block(*cycle, "asymmetric")))
-    symmetric = {r.name: r for r in verify_bounds_block(*cycle, "symmetric")}
-    shared = verify_bounds_block(*cycle, "asymmetric")
-    assert set(symmetric) - {r.name for r in shared} == {"otto_sq_le_ratio"}
-    for report in shared:
-        for got, want in zip(symmetric[report.name][1:], report[1:]):
-            assert np.array_equal(bits(got), bits(want)), report.name
+    # zeta = delta everywhere adds the symmetric cycle's bound, and the
+    # corridor precondition in the symmetric cycle's own form (1 - 2 delta
+    # for 1 - delta - zeta) holds where the pair's form holds
+    reports = {r.name: r for r in verify_bounds_block(*cycle)}
+    assert list(reports)[-1] == "otto_sq_le_ratio"
+
+    def corridor(sub):
+        return sub(2.0 * sub(1.0, 2.0 * delta) * theta * nu2,
+                   (theta + 2.0 * delta * sub(1.0, delta) * sub(1.0, 2.0 * theta)) * nu1)
+
+    value, magnitude = corridor(np.subtract), corridor(np.add)
+    held = (value >= 0.0) | is_rounding_residue(value, magnitude)
+    defined = ~np.isnan(reports["ratio_le_one"].left) & ~np.isnan(eta)
+    assert np.array_equal(reports["ratio_le_one"].applicable, held & defined)
     assert np.isnan(eta).any() and np.isfinite(eta).any()
-
-
-def test_symmetric_mode_needs_equal_strokes():
-    # here the forward cycle alone would read positive work at nu2 < nu1;
-    # the pair's efficiency is negative
-    assert efficiency_block(0.7, 1.0, 0.8, 0.1, 0.4, 0.9, "asymmetric") == pytest.approx(
-        -0.567, abs=1e-3)
-    delta, zeta = np.array([[0.1], [0.2]]), np.array([0.1, 0.3, 0.2])
-    for block in (efficiency_block, work_threshold_block, verify_bounds_block):
-        with pytest.raises(InputError, match=(
-                r"^symmetric mode needs zeta = delta, not zeta 0\.4 at delta 0\.1$")):
-            block(0.7, 1.0, 0.8, 0.1, 0.4, 0.9, "symmetric")
-        # the first such point in C order
-        with pytest.raises(InputError, match=r"not zeta 0\.3 at delta 0\.1 \(index \(0, 1\)\)$"):
-            block(0.7, 1.0, 0.8, delta, zeta, 0.9, "symmetric")
 
 
 def test_asymmetric_threshold_keeps_its_accuracy_near_cancelling_strokes():
@@ -297,27 +351,27 @@ def test_asymmetric_threshold_keeps_its_accuracy_near_cancelling_strokes():
     zeta = 1.0 - delta - gen.uniform(1e-3, 0.2, n) * delta
     theta = gen.random(n)
     theta[:100] = 1.0
-    nu2_min = work_threshold_block(1.0, 1.0, 1.0, delta, zeta, theta, "asymmetric")
+    nu2_min = work_threshold_block(1.0, 1.0, 1.0, delta, zeta, theta)
     assert_exact_thresholds(np.full(n, math.tanh(1.0)), np.ones(n), delta, zeta, theta, nu2_min)
 
 
 def test_efficiency_adiabatic_limit_is_otto():
     cycle = (0.5, 1.0, 2.0, 0.0, 0.0, 0.3)
-    assert efficiency_block(*cycle, "symmetric") == pytest.approx(0.5, abs=1e-15)
+    assert efficiency_block(*cycle) == pytest.approx(0.5, abs=1e-15)
     for branch in ("plus", "minus"):
-        eta = efficiency_block(*cycle, "cs", 0.5, branch)
+        eta = efficiency_block(*cycle, 0.5, branch)
         assert eta == pytest.approx(0.5, abs=1e-14)
 
 
 def test_efficiency_below_otto_over_engine_sweep():
     # Otto ceiling 0.5 for nu1 = 1, nu2 = 2
     delta = np.linspace(0.0, 0.49, 50)
-    assert (efficiency_block(0.5, 1.0, 2.0, delta, delta, 0.4, "symmetric") <= 0.5 + 1e-12).all()
+    assert (efficiency_block(0.5, 1.0, 2.0, delta, delta, 0.4) <= 0.5 + 1e-12).all()
 
 
 def test_efficiency_needs_heat():
-    assert np.isnan(efficiency_block(0.0, 1.0, 2.0, 0.1, 0.1, 0.3, "symmetric"))
-    assert np.isnan(efficiency_block(0.7, 1.0, 2.0, 0.5, 0.5, 0.3, "symmetric"))
+    assert np.isnan(efficiency_block(0.0, 1.0, 2.0, 0.1, 0.1, 0.3))
+    assert np.isnan(efficiency_block(0.7, 1.0, 2.0, 0.5, 0.5, 0.3))
 
 
 def test_cancelled_forward_and_backward_heat_is_no_heat():
@@ -329,9 +383,9 @@ def test_cancelled_forward_and_backward_heat_is_no_heat():
     bwd = closed_form_first_second(params, flip, direction="backward")
     assert 0.0 < abs(fwd.qm_mean + bwd.qm_mean) < 1e-14
     assert is_rounding_residue(fwd.qm_mean + bwd.qm_mean, abs(fwd.qm_mean))
-    assert np.isnan(efficiency_block(*params, 0.3, "cs", ctrl.alpha, ctrl.branch))
+    assert np.isnan(efficiency_block(*params, 0.3, ctrl.alpha, ctrl.branch))
     near = (1.3, 0.7, 3.0, 0.925, 0.05, 0.3)
-    assert math.isfinite(efficiency_block(*near, "cs", ctrl.alpha, ctrl.branch))
+    assert math.isfinite(efficiency_block(*near, ctrl.alpha, ctrl.branch))
     # the rule is relative to the magnitude: 32 eps of it, at every scale
     bound = 32.0 * np.finfo(float).eps
     for magnitude in (2.0**-1000, 1e-12, 1.0, 1e12, 2.0**1000):
@@ -343,7 +397,7 @@ def test_cancelled_forward_and_backward_heat_is_no_heat():
 
 def test_bounds_all_hold_in_engine_regime():
     params = CycleParams(0.5, 1.0, 2.0, 0.1, 0.1)
-    reports = {r.name: r for r in verify_bounds_block(*params, 0.3, "symmetric")}
+    reports = {r.name: r for r in verify_bounds_block(*params, 0.3)}
     assert regime_of(closed_form_first_second(params, 0.3), 0.5) is Regime.ENGINE
     for name in ("qt_nonpositive", "eta_le_otto", "eta_sq_le_ratio", "ratio_le_one",
                  "otto_sq_le_ratio"):
@@ -383,7 +437,7 @@ def test_violated_upper_bound_is_reported_inapplicable():
         first = closed_form_first_second(params, 0.15)
         if regime_of(first, 0.5) is not Regime.ACCELERATOR:
             continue
-        reports = {r.name: r for r in verify_bounds_block(*params, 0.15, "symmetric")}
+        reports = {r.name: r for r in verify_bounds_block(*params, 0.15)}
         rep = reports["ratio_le_one"]
         if not rep.applicable:
             assert not rep.satisfied
@@ -394,7 +448,7 @@ def test_violated_upper_bound_is_reported_inapplicable():
 
 def test_cs_bounds_hold_for_engine_tuple():
     for branch in ("plus", "minus"):
-        reports = verify_bounds_block(0.7, 1.0, 2.0, 0.05, 0.05, 0.4, "cs", 0.5, branch)
+        reports = verify_bounds_block(0.7, 1.0, 2.0, 0.05, 0.05, 0.4, 0.5, branch)
         reports = {r.name: r for r in reports}
         assert reports["cs_qt_nonpositive"].applicable
         assert reports["cs_qt_nonpositive"].satisfied
@@ -406,9 +460,9 @@ def test_cs_bounds_hold_for_engine_tuple():
 
 def test_cs_branch_efficiency_ordering():
     cycle = (0.7, 1.0, 2.0, 0.1, 0.1, 0.4)
-    eta_minus = efficiency_block(*cycle, "cs", 0.5, "minus")
-    eta_plain = efficiency_block(*cycle, "symmetric")
-    eta_plus = efficiency_block(*cycle, "cs", 0.5, "plus")
+    eta_minus = efficiency_block(*cycle, 0.5, "minus")
+    eta_plain = efficiency_block(*cycle)
+    eta_plus = efficiency_block(*cycle, 0.5, "plus")
     assert eta_minus >= eta_plain >= eta_plus
 
 

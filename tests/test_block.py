@@ -24,7 +24,7 @@ from unital_otto import (
     trajectory,
     verify_bounds_block,
 )
-from unital_otto.cli import _DECODE_SAMPLES, SWEEPABLE, _campaign_draws, _Draws, main
+from unital_otto.cli import _DECODE_SAMPLES, _GROUPS, SWEEPABLE, _campaign_draws, _Draws, main
 from unital_otto.pcg64 import PCG64
 
 from conftest import mp_cumulants
@@ -582,10 +582,10 @@ def verdict_cells(applicable, satisfied):
 def test_bound_and_efficiency_blocks_match_scalar_rule_verdicts(rng, mode, branch):
     n = 5000
     cycle, alpha = bound_points(rng, n, mode, branch)
-    reports = verify_bounds_block(*cycle, mode, alpha, branch)
-    etas = efficiency_block(*cycle, mode, alpha, branch)
+    reports = verify_bounds_block(*cycle, alpha, branch)
+    etas = efficiency_block(*cycle, alpha, branch)
     flip = cycle[5] if alpha is None else trajectory._controlled_flip(cycle[5], alpha, branch)
-    means, mags, fwd, fwd_mag = analysis._mode_means((*cycle[:5], flip))
+    means, mags, fwd, fwd_mag = analysis._pair_means((*cycle[:5], flip))
     magnitudes = (mags.w_mean, mags.qm_mean, fwd_mag.qt_mean)
     regimes = classify_regime_array(means.w_mean, means.qm_mean, fwd.qt_mean, cycle[0], magnitudes)
     cells = [verdict_cells(r.applicable, r.satisfied) for r in reports]
@@ -627,8 +627,8 @@ def test_scalar_bounds_and_efficiency_are_rows_of_the_block(rng, mode, branch):
         pick = rng.choice(400, n, replace=False)
         cycle = [c[pick] for c in points]
         alpha = None if alphas is None else alphas[pick]
-        reports = verify_bounds_block(*cycle, mode, alpha, branch)
-        etas = efficiency_block(*cycle, mode, alpha, branch)
+        reports = verify_bounds_block(*cycle, alpha, branch)
+        etas = efficiency_block(*cycle, alpha, branch)
         closed = closed_form_block(*cycle)
         dists = enumerate_block(*cycle, *(() if alpha is None else (alpha, branch)))
         for i in range(n):
@@ -636,7 +636,7 @@ def test_scalar_bounds_and_efficiency_are_rows_of_the_block(rng, mode, branch):
             params, theta = CycleParams(*point[:5]), point[5]
             ctrl = None if alpha is None else ControlSpec(float(alpha[i]), branch)
             control = (None, branch) if ctrl is None else (ctrl.alpha, branch)
-            row = verify_bounds_block(*point, mode, *control)
+            row = verify_bounds_block(*point, *control)
             for r, block in zip(row, reports):
                 assert np.shape(r.left) == np.shape(r.applicable) == ()
                 assert r.name == block.name
@@ -645,7 +645,7 @@ def test_scalar_bounds_and_efficiency_are_rows_of_the_block(rng, mode, branch):
                     [block.left[i], block.right[i], block.applicable[i], block.satisfied[i],
                      block.margin[i]],
                 ), (n, i)
-            assert same_bits(efficiency_block(*point, mode, *control), etas[i]), (n, i)
+            assert same_bits(efficiency_block(*point, *control), etas[i]), (n, i)
             one = closed_form_first_second(params, theta)
             fields = ("w_mean", "w_var", "qm_mean", "qm_var", "qt_mean")
             assert same_bits([getattr(one, f) for f in fields],
@@ -658,18 +658,17 @@ def test_scalar_bounds_and_efficiency_are_rows_of_the_block(rng, mode, branch):
 def test_bound_blocks_keep_the_broadcast_shape():
     delta = np.linspace(0.0, 0.5, 4)[:, None]
     theta = np.linspace(0.0, 0.5, 3)
-    for mode, alpha in (("symmetric", None), ("asymmetric", None), ("cs", 0.3)):
-        zeta = delta if mode == "symmetric" else 0.2
-        reports = verify_bounds_block(0.7, 1.0, 2.0, delta, zeta, theta, mode, alpha)
+    for zeta, alpha in ((delta, None), (0.2, None), (0.2, 0.3)):
+        reports = verify_bounds_block(0.7, 1.0, 2.0, delta, zeta, theta, alpha)
         for r in reports:
             for field in (r.left, r.right, r.applicable, r.satisfied, r.margin):
                 assert np.shape(field) == (4, 3)
-        assert efficiency_block(0.7, 1.0, 2.0, delta, zeta, theta, mode, alpha).shape == (4, 3)
+        assert efficiency_block(0.7, 1.0, 2.0, delta, zeta, theta, alpha).shape == (4, 3)
     # the control weight broadcasts with the cycle
     alpha = np.linspace(0.0, 1.0, 5)[:, None, None]
-    reports = verify_bounds_block(0.7, 1.0, 2.0, delta, 0.2, theta, "cs", alpha, "plus")
+    reports = verify_bounds_block(0.7, 1.0, 2.0, delta, 0.2, theta, alpha, "plus")
     assert all(np.shape(r.left) == np.shape(r.applicable) == (5, 4, 3) for r in reports)
-    assert efficiency_block(0.7, 1.0, 2.0, 0.1, 0.2, 0.3, "cs", alpha[:, 0, 0]).shape == (5,)
+    assert efficiency_block(0.7, 1.0, 2.0, 0.1, 0.2, 0.3, alpha[:, 0, 0]).shape == (5,)
 
 
 def test_controlled_flip_is_the_control_spec_value_bitwise(rng):
@@ -698,16 +697,12 @@ def test_bound_blocks_raise_the_error_of_a_failing_point():
     _, message = scalar_error(lambda: ControlSpec(0.3, "minus").flip_probability(0.6))
     for call in (verify_bounds_block, efficiency_block):
         with pytest.raises(PhysicsError) as info:
-            call(0.5, 1.0, 2.0, 0.1, 0.1, theta, "cs", 0.3, "minus")
+            call(0.5, 1.0, 2.0, 0.1, 0.1, theta, 0.3, "minus")
         assert str(info.value) == message
         with pytest.raises(ValueError, match=r"delta and zeta must lie in \[0, 1\]"):
             call(0.5, 1.0, 2.0, np.array([0.1, 1.5]), 0.1, 0.2)
         with pytest.raises(ValueError, match=r"theta must lie in \[0, 1\]"):
-            call(0.5, 1.0, 2.0, 0.1, 0.1, np.array([0.5, 1.5]), "asymmetric")
-        with pytest.raises(ValueError, match="unknown mode"):
-            call(0.5, 1.0, 2.0, 0.1, 0.1, 0.2, "sideways")
-        with pytest.raises(ValueError, match="cs mode needs"):
-            call(0.5, 1.0, 2.0, 0.1, 0.1, 0.2, "cs")
+            call(0.5, 1.0, 2.0, 0.1, 0.1, np.array([0.5, 1.5]))
 
 
 def test_every_block_function_raises_the_first_failing_points_error():
@@ -726,8 +721,8 @@ def test_every_block_function_raises_the_first_failing_points_error():
         kind, message = scalar_error(scalar)
         calls = [
             lambda: enumerate_block(*cycle, theta, alpha, branch),
-            lambda: efficiency_block(*cycle, theta, "cs", alpha, branch),
-            lambda: verify_bounds_block(*cycle, theta, "cs", alpha, branch),
+            lambda: efficiency_block(*cycle, theta, alpha, branch),
+            lambda: verify_bounds_block(*cycle, theta, alpha, branch),
         ]
         if branch != "sideways":
             # the closed forms take no control: theta is their flip probability
@@ -737,7 +732,7 @@ def test_every_block_function_raises_the_first_failing_points_error():
     # 0-d blocks raise what the controlled distribution raises
     kind, message = scalar_error(lambda: enumerate_paths(point, 1.5, ControlSpec(0.3, "minus")))
     for call in (efficiency_block, verify_bounds_block):
-        got = scalar_error(lambda: call(0.5, 1.0, 2.0, 0.1, 0.1, 1.5, "cs", 0.3, "minus"))
+        got = scalar_error(lambda: call(0.5, 1.0, 2.0, 0.1, 0.1, 1.5, 0.3, "minus"))
         assert got == (kind, message) == (InputError, "theta must lie in [0, 1]")
 
 
@@ -747,10 +742,10 @@ def test_bound_blocks_warn_nowhere():
              np.array([0.3, 1.0, 0.3, 0.0]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for mode, zeta in (("symmetric", cycle[3]), ("asymmetric", cycle[4])):
-            verify_bounds_block(*cycle[:4], zeta, cycle[5], mode)
-            efficiency_block(*cycle[:4], zeta, cycle[5], mode)
-        verify_bounds_block(*cycle, "cs", 0.0, "plus")
+        for zeta in (cycle[3], cycle[4]):
+            verify_bounds_block(*cycle[:4], zeta, cycle[5])
+            efficiency_block(*cycle[:4], zeta, cycle[5])
+        verify_bounds_block(*cycle, 0.0, "plus")
 
 
 @pytest.mark.parametrize("mode, control", [("symmetric", ()), ("asymmetric", ()),
@@ -767,7 +762,7 @@ def test_verify_bounds_block_checks_its_columns_once(mode, control, monkeypatch)
                             lambda *a, **k: calls.append(1) or original(*a, **k))
     delta = np.linspace(0.0, 0.4, 5)
     zeta = delta if mode == "symmetric" else delta[::-1]
-    verify_bounds_block(0.7, 1.0, 2.0, delta, zeta, 0.3, mode, *control)
+    verify_bounds_block(0.7, 1.0, 2.0, delta, zeta, 0.3, *control)
     assert len(calls) == 1
 
 
@@ -824,7 +819,7 @@ PINNED_CORRIDOR = {
 @pytest.mark.parametrize("mode, branch", MODES)
 def test_threshold_and_ratio_blocks_keep_their_pinned_values(rng, mode, branch):
     cycle, control = corridor_points(rng, 5000, mode, branch)
-    nu2_min = analysis.work_threshold_block(*cycle, mode, *control)
+    nu2_min = analysis.work_threshold_block(*cycle, *control)
     flip = cycle[5] if not control else trajectory._controlled_flip(cycle[5], *control)
     # inf where no gap works: theta = 0 or delta + zeta >= 1
     works = (flip > 0.0) & (cycle[3] + cycle[4] < 1.0)
@@ -849,13 +844,13 @@ def test_threshold_and_ratio_blocks_are_rows_of_the_block(rng, mode, branch):
         pick = rng.choice(400, n, replace=False)
         cycle = [c[pick] for c in points]
         control = () if alphas is None else (alphas[pick], branch)
-        nu2_min = analysis.work_threshold_block(*cycle, mode, *control)
+        nu2_min = analysis.work_threshold_block(*cycle, *control)
         block = enumerate_block(*cycle, *control)
         ratios = [analysis.cumulant_ratio_block(block, order) for order in (2, 3, 4)]
         for i in range(n):
             point = [float(c[i]) for c in cycle]
             one = () if alphas is None else (float(control[0][i]), branch)
-            assert same_bits(analysis.work_threshold_block(*point, mode, *one), nu2_min[i])
+            assert same_bits(analysis.work_threshold_block(*point, *one), nu2_min[i])
             order = 2 + i % 3
             got = analysis.cumulant_ratio_block(enumerate_block(*point, *one), order)
             assert all(np.shape(x) == () for x in got)
@@ -866,8 +861,8 @@ def test_mixed_threshold_block_has_inf_where_heat_is_never_absorbed():
     delta = np.array([0.1, 0.5, 0.3, 0.7])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for mode, control in (("symmetric", ()), ("cs", (0.3, "plus"))):
-            nu2_min = analysis.work_threshold_block(0.7, 1.0, 2.0, delta, delta, 0.2, mode, *control)
+        for control in ((), (0.3, "plus")):
+            nu2_min = analysis.work_threshold_block(0.7, 1.0, 2.0, delta, delta, 0.2, *control)
             assert np.array_equal(np.isinf(nu2_min), delta >= 0.5)
             assert np.isfinite(nu2_min[[0, 2]]).all()
 
@@ -877,7 +872,8 @@ def test_mixed_threshold_block_has_inf_where_heat_is_never_absorbed():
 
 def scalar_campaign_draws(rng, count):
     """The campaign's samples drawn as the per-sample loop drew them, with
-    ``uniform`` and ``choice``, grouped like ``cli._campaign_draws``."""
+    ``uniform`` and ``choice``, grouped like ``cli._campaign_draws`` by draw
+    code: the cycle's index, plus the branch's index in cs."""
     groups = {}
     for _ in range(count):
         beta = rng.uniform(-2.0, 2.0)
@@ -893,7 +889,8 @@ def scalar_campaign_draws(rng, count):
             theta *= 0.5
             alpha = rng.random()
             branch = str(rng.choice(("plus", "minus")))
-        groups.setdefault((mode, branch), []).append((beta, nu1, nu2, delta, zeta, theta, alpha))
+        code = ("symmetric", "asymmetric", "cs").index(mode) + (branch == "minus")
+        groups.setdefault(code, []).append((beta, nu1, nu2, delta, zeta, theta, alpha))
     return groups
 
 
@@ -927,8 +924,7 @@ def test_campaign_draws_replay_the_scalar_stream(seed):
     blocks = [256] * 11 + [184]  # block after block, as the campaign draws
     reference, draws = np.random.default_rng(seed), _Draws(PCG64.from_seed(seed))
     got = assert_replays_the_scalar_stream(blocks, reference, draws)
-    assert sorted(got) == [("asymmetric", None), ("cs", "minus"), ("cs", "plus"),
-                           ("symmetric", None)]
+    assert sorted(got) == [0, 1, 2, 3]
 
 
 # PCG64 steps its 128-bit state s -> s * M + inc, then outputs the XSL-RR
@@ -1046,9 +1042,9 @@ def test_campaign_draws_on_the_last_sample_of_a_decode_chunk(word, position, zer
 @pytest.mark.parametrize("samples, seed", [(600, 3), (257, 12345)])
 def test_campaign_tallies_are_those_of_the_scalar_rows(capsys, samples, seed):
     tallies = {}
-    for (mode, branch), points in scalar_campaign_draws(np.random.default_rng(seed), samples).items():
+    for code, points in scalar_campaign_draws(np.random.default_rng(seed), samples).items():
         for *cycle, theta, alpha in points:
-            for r in verify_bounds_block(*cycle, theta, mode, alpha, branch or "minus"):
+            for r in verify_bounds_block(*cycle, theta, alpha, _GROUPS[code] or "minus"):
                 slot = tallies.setdefault(r.name, [0, 0, 0])
                 slot[0 if r.applicable and r.satisfied else 1 if r.applicable else 2] += 1
     assert main(["verify-bounds", "--samples", str(samples), "--seed", str(seed)]) == 0

@@ -787,8 +787,10 @@ def test_nan_pauli_weight_is_config_error(slot, capsys):
 def test_run_resolves_columns_and_mode(base, axes, mode):
     cfg = {"beta": 0.5, "nu1": 1.0, "nu2": 2.0, "theta": 0.2, **base}
     grid = [(axis, np.linspace(0.0, 0.4, 3 + i)) for i, axis in enumerate(axes)]
-    columns, branch, got = _run(cfg, grid)
-    assert (got, branch) == (mode, "minus")
+    columns, branch = _run(cfg, grid)
+    assert branch == "minus"
+    # the columns say the mode: a seventh is the control's alpha, and
+    # outside cs zeta = delta throughout is the symmetric cycle
     assert len(columns) == (7 if mode == "cs" else 6)
     assert all(c.shape == tuple(3 + i for i in range(len(axes))) for c in columns)
     delta, zeta = columns[3], columns[4]
@@ -865,6 +867,35 @@ def test_sweep_labels_inapplicable_bounds_na(tmp_path, capsys):
                   if l.startswith("equal_gap_work_nonpositive,"))
     assert report.split(",")[3] == "false"
     assert label == "n/a"
+
+
+def test_sweep_where_every_point_is_symmetric_checks_the_symmetric_bound(capsys):
+    # an unequal base, but the axis puts delta = zeta = 0.1 at every point:
+    # every point is the symmetric cycle, with its bound
+    base = ["--beta", "0.7", "--nu1", "1", "--nu2", "2.5", "--theta", "0.3", "--delta", "0.3"]
+    axis = ["--axis", "delta", "--start", "0.1", "--stop", "0.1", "--steps", "3"]
+    code, out, err = run(capsys, "sweep", *base, "--zeta", "0.1", *axis)
+    assert (code, err) == (0, "")
+    header = out.splitlines()[1].split(",")
+    assert header[-1] == "otto_sq_le_ratio"
+    # the same rows as the symmetric base's sweep
+    code, symmetric, _ = run(capsys, "sweep", *base[:-1], "0.1", "--zeta", "0.1", *axis)
+    assert code == 0 and out.splitlines()[1:] == symmetric.splitlines()[1:]
+
+
+def test_sweep_keeps_its_columns_when_a_block_is_symmetric(capsys):
+    # 257 points in blocks of 256: the last block is the one point with
+    # delta = zeta, and its row keeps the columns of the run
+    code, out, err = run(
+        capsys, "sweep", "--beta", "0.7", "--nu1", "1", "--nu2", "2.5", "--theta", "0.3",
+        "--delta", "0.3", "--zeta", "0.5", "--axis", "delta", "--start", "0", "--stop", "0.5",
+        "--steps", "257",
+    )
+    assert (code, err) == (0, "")
+    lines = out.splitlines()[1:]
+    assert len(lines) == 258 and lines[-1].startswith("0.5,")
+    assert "otto_sq_le_ratio" not in lines[0]
+    assert {line.count(",") for line in lines} == {lines[0].count(",")}
 
 
 def test_cs_alpha_sweep_is_cs_with_or_without_a_base_value(capsys):

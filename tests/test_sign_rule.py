@@ -96,8 +96,12 @@ def test_printed_signs_and_verdicts_match_exact_arithmetic(rng, mode, branch):
     # the package soundly reads as 0
     cycle, alpha = oracle_points(rng, 1250, mode, branch)
     columns = cycle + ([] if alpha is None else [alpha])
-    names = [r.name for r in analysis._bounds(*np.empty((7, 0)), mode, branch)]
-    fields = _block_fields(columns, mode, branch, {"regime", *names})
+    # a seventh column is the control; zeta = delta throughout adds the
+    # symmetric cycle's bound, as a sweep decides it for its whole run
+    symmetric = bool((cycle[3] == cycle[4]).all())
+    control = None if alpha is None else branch
+    names = [r.name for r in analysis._bounds(*np.empty((7, 0)), control, symmetric)]
+    fields = _block_fields(columns, branch, symmetric, {"regime", *names})
     flip = cycle[5] if alpha is None else trajectory._controlled_flip(cycle[5], alpha, branch)
     t = np.tanh(cycle[0] * cycle[1])
     # the package's own values and magnitudes: the enumerated flows that
@@ -105,8 +109,8 @@ def test_printed_signs_and_verdicts_match_exact_arithmetic(rng, mode, branch):
     enumerated = cumulants_from_block(trajectory._enumerate(*cycle[:5], flip))
     flows = (enumerated.w_mean, enumerated.qm_mean, enumerated.qt_mean)
     flow_mags = mean_magnitudes(trajectory._enumerate(*cycle[:5], flip))
-    means, mags, fwd, fwd_mag = analysis._mode_means((*cycle[:5], flip))
-    plain, plain_mag, _, _ = analysis._mode_means((*cycle[:5], cycle[5]))
+    means, mags, fwd, fwd_mag = analysis._pair_means((*cycle[:5], flip))
+    plain, plain_mag, _, _ = analysis._pair_means((*cycle[:5], cycle[5]))
     decided = {
         "qt": (fwd.qt_mean, fwd_mag.qt_mean),
         "work": (means.w_mean, mags.w_mean), "heat": (means.qm_mean, mags.qm_mean),
@@ -210,9 +214,9 @@ def test_verdicts_are_invariant_under_a_power_of_two_energy_unit(
              "--stop2", "0.5", "--steps2", "5"])]
         out += [[special(row[2]), row[3], special(row[5]), row[6]] for row in rows_of(
             ["lz-compare", *flags, f"--alpha-m={math.pi / 2!r}", *axis])]
-        mode, control = ("cs", (0.3, cs)) if cs else ("asymmetric", (None, "minus"))
+        control = (0.3, cs) if cs else ()
         delta = np.linspace(0.0, 1.0, 9)
-        for report in verify_bounds_block(*cycle, delta, zeta, theta, mode, *control):
+        for report in verify_bounds_block(*cycle, delta, zeta, theta, *control):
             out.append([report.name, report.applicable.tolist(), report.satisfied.tolist()])
         return out
 
