@@ -150,9 +150,11 @@ def _pair_means(cycle: tuple) -> tuple:
     """The closed form that every cycle reads, forward plus backward field by
     field, and its magnitudes; then the forward cycle's.  At delta = zeta
     (the symmetric cycle) each sum doubles the forward field exactly, so
-    every quotient and residue test reads as on the forward cycle."""
-    fwd, fwd_mag, bwd, bwd_mag = (_closed_form(*cycle, direction, magnitudes)
-                                  for direction in ("forward", "backward")
+    every quotient and residue test reads as on the forward cycle.  The
+    backward cycle is the forward one at (zeta, delta)."""
+    beta, nu1, nu2, d, z, flip = cycle
+    fwd, fwd_mag, bwd, bwd_mag = (_closed_form(beta, nu1, nu2, *strokes, flip, magnitudes)
+                                  for strokes in ((d, z), (z, d))
                                   for magnitudes in (False, True))
     pair = FirstTwoCumulants(*map(np.add, fwd, bwd))
     return pair, FirstTwoCumulants(*map(np.add, fwd_mag, bwd_mag)), fwd, fwd_mag
@@ -331,7 +333,8 @@ def cumulant_ratio_block(
     The second cumulants keep to [eta^2, 1] under the precondition of the
     ``eta_sq_le_ratio`` bound; the third and fourth escape on both sides.
     """
-    if order not in (2, 3, 4):
+    # an integer, numpy's included: a float 2.0 equals 2 but indexes nothing
+    if not isinstance(order, (int, np.integer)) or order not in (2, 3, 4):
         raise InputError("order must be 2, 3 or 4")
     cums = cumulants_from_block(block)
     mw, mq = (_marginal_cumulants(x, block.prob, magnitudes=True) for x in (block.w, block.q_m))

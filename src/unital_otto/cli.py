@@ -36,7 +36,7 @@ import sys
 import numpy as np
 
 from . import analysis, cumulants, landauzener, trajectory
-from .qstate import ControlSpec, InputError, MeasurementChannel, PhysicsError
+from .qstate import InputError, MeasurementChannel, PhysicsError
 
 SWEEPABLE = ("beta", "nu1", "nu2", "delta", "zeta", "theta", "cs-alpha", "alpha-m")
 
@@ -302,19 +302,6 @@ def _run(cfg: dict, axes=()) -> tuple[list[np.ndarray], str]:
 _BLOCK_POINTS = 256
 
 
-def _distribution(columns: list[np.ndarray], branch: str):
-    """(cycle, flip probability, joint distribution) at the one point of a
-    run's 0-d columns, checked as every point is: cycle, control, theta
-    range, flip bound.  The flip probability is theta's unital equivalent,
-    ``ctrl.flip_probability(theta)`` under coherent control; the unital
-    closed forms take it."""
-    beta, nu1, nu2, delta, zeta, theta, *alpha = (float(c) for c in columns)
-    params = trajectory.CycleParams(beta, nu1, nu2, delta, zeta)
-    ctrl = ControlSpec(alpha[0], branch) if alpha else None
-    dist = trajectory.enumerate_paths(params, theta, ctrl)
-    return params, theta if ctrl is None else ctrl.flip_probability(theta), dist
-
-
 def _open_write(path: str):
     # not truncated yet: an existing file keeps its text until every output
     # path of the run has been opened
@@ -419,11 +406,12 @@ _COMPARISON = [(name, "%s", name, analysis._REGIME_LABELS) if name.startswith("r
 
 
 def _cmd_cumulants(cfg: dict) -> None:
+    # the run's 0-d columns go to the block functions, as a grid's do
     columns, branch = _run(cfg)
-    params, flip, dist = _distribution(columns, branch)
+    dist = trajectory._point(trajectory.enumerate_block(*columns, branch=branch))
     exact = cumulants.cumulants_from_block(dist)
-    fd = cumulants.cf_derivative_check(params, flip)
-    closed = cumulants.closed_form_first_second(params, flip)
+    fd = cumulants.cf_derivative_check(*columns, branch=branch)
+    closed = cumulants.closed_form_block(*columns, branch=branch)
     nan = math.nan
     # the paper gives the coherently controlled closed forms for means only
     controlled = len(columns) > 6  # the seventh column is the control's alpha
@@ -783,7 +771,8 @@ def _cmd_verify_bounds(cfg: dict) -> None:
 
 
 def _cmd_sample(cfg: dict) -> None:
-    *_, dist = _distribution(*_run(cfg))
+    columns, branch = _run(cfg)
+    dist = trajectory._point(trajectory.enumerate_block(*columns, branch=branch))
     n = 10**6 if cfg.get("samples") is None else cfg["samples"]
     seed = cfg.get("seed") or 0
     stats = trajectory.sample(dist, n, seed)

@@ -14,15 +14,17 @@ Three independent routes to the same numbers:
 3. characteristic-function derivatives -- the exact Taylor coefficients
    of ln(chi) at 0, from the closed-form characteristic function of the
    unital cycle and independent of the path table, kept as a
-   cross-check.
+   cross-check at one point by :func:`cf_derivative_check`.
 
 The closed-form characteristic function of the unital cycle is six
 terms weight * (cos x -+ i t sin x) with t = tanh(beta nu1), the form
 cos(x + i*beta*nu1) / Z collapses to, so nothing overflows at large
 |beta nu1|; :func:`cf_derivative_check` reads their series coefficients.
-The coherently controlled cycle is the unital one at
-:meth:`~unital_otto.qstate.ControlSpec.flip_probability`, so every
-closed form here covers it too.
+Both take the block columns (beta, nu1, nu2, delta, zeta, theta,
+alpha=None, branch="minus") of one cycle: the backward cycle is the
+forward one at (zeta, delta), and a control weight ``alpha`` gives the
+coherently controlled cycle, the unital one at
+:meth:`~unital_otto.qstate.ControlSpec.flip_probability`.
 """
 
 from __future__ import annotations
@@ -34,13 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .qstate import ControlSpec, InputError
-from .trajectory import (
-    CycleParams,
-    DistributionBlock,
-    JointDistribution,
-    _check_theta,
-    _checked_columns,
-)
+from .trajectory import CycleParams, DistributionBlock, JointDistribution, _checked_columns
 
 __all__ = [
     "CumulantBlock",
@@ -101,14 +97,11 @@ class FirstTwoCumulants(NamedTuple):
     qt_mean: float
 
 
-def _unital_terms(params: CycleParams, theta: float) -> tuple:
-    """The unital characteristic function as six
+def _unital_terms(nu1: float, nu2: float, d: float, z: float, theta: float) -> tuple:
+    """The unital characteristic function at one checked point as six
     ``(weight, W frequency, Q_M frequency, sign)`` terms:
     chi = sum weight * (cos x - i sign t sin x), x = f_W gamma_W + f_Q gamma_Q,
     t = tanh(beta nu1).  Each bracket is 2 cos(x + sign i beta nu1) / Z."""
-    _check_theta(theta)
-    nu1, nu2 = params.nu1, params.nu2
-    d, z = params.delta, params.zeta
     s = d + z - 2.0 * d * z
     return (
         ((1.0 - theta) * (1.0 - s), 0.0, 0.0, 1),
@@ -194,32 +187,25 @@ def cumulants_from_block(block: DistributionBlock | JointDistribution) -> Cumula
 
 
 def closed_form_block(
-    beta, nu1, nu2, delta, zeta, theta, direction: str = "forward"
+    beta, nu1, nu2, delta, zeta, theta, alpha=None, branch: str = "minus"
 ) -> FirstTwoCumulants:
-    """:func:`closed_form_first_second` at every point of broadcast parameter
-    arrays; the fields of the result are arrays of the broadcast shape.
-
-    A point's values are bitwise those of the point on its own.  Where
-    points are invalid, the error of the single-point checks at the first
-    of them (in C order) is raised.
-    """
-    cycle = _checked_columns(beta, nu1, nu2, delta, zeta, theta)[:6]
-    return _closed_form(*cycle, direction)
+    """Closed-form means and variances of W and Q_M, plus the mean of Q_T,
+    of the forward cycle at every point of broadcast parameter arrays, under
+    control at the controlled flip probability: arrays of the broadcast
+    shape, 0-d at one point.  Where points fail, the first of them (in C
+    order) raises its own error."""
+    *cycle, _, flip = _checked_columns(beta, nu1, nu2, delta, zeta, theta, alpha, branch)
+    return _closed_form(*cycle, flip)
 
 
 # overflow gives inf and inf - inf nan, silently, as Python floats do
 @np.errstate(over="ignore", invalid="ignore")
-def _closed_form(
-    beta, nu1, nu2, d, z, theta, direction: str = "forward", magnitudes: bool = False
-) -> FirstTwoCumulants:
-    """:func:`closed_form_block` on columns that passed its checks.  With
-    ``magnitudes``, the same expressions with |t| and every difference
-    a - b read as a + b: every input is then nonnegative, so each field is
-    the sum of its terms' magnitudes, for :func:`is_rounding_residue`."""
-    if direction == "backward":
-        d, z = z, d
-    elif direction != "forward":
-        raise InputError("direction must be 'forward' or 'backward'")
+def _closed_form(beta, nu1, nu2, d, z, theta, magnitudes: bool = False) -> FirstTwoCumulants:
+    """:func:`closed_form_block` on checked columns and the flip probability
+    ``theta``.  With ``magnitudes``, the same expressions with |t| and every
+    difference a - b read as a + b: every input is then nonnegative, so each
+    field is the sum of its terms' magnitudes, for
+    :func:`is_rounding_residue`."""
     sub = np.add if magnitudes else np.subtract
     t = np.tanh(beta * nu1)
     t = np.abs(t) if magnitudes else t
@@ -242,42 +228,52 @@ def _closed_form(
     )
 
 
+def _row(params: CycleParams, theta: float, direction: str, *control) -> FirstTwoCumulants:
+    """One point of :func:`closed_form_block` as floats, the backward
+    direction read at ``params.swapped``."""
+    if direction not in ("forward", "backward"):
+        raise InputError("direction must be 'forward' or 'backward'")
+    cycle = params.swapped if direction == "backward" else params
+    return FirstTwoCumulants(*map(float, closed_form_block(*cycle, theta, *control)))
+
+
 def closed_form_first_second(
     params: CycleParams, theta: float, direction: str = "forward"
 ) -> FirstTwoCumulants:
     """Closed-form means and variances of W and Q_M, plus the mean of Q_T:
-    one row of :func:`closed_form_block`.
-
-    The backward direction applies the delta <-> zeta correspondence.
-    """
-    cycle = (params.beta, params.nu1, params.nu2, params.delta, params.zeta, theta)
-    row = closed_form_block(*cycle, direction=direction)
-    values = (row.w_mean, row.w_var, row.qm_mean, row.qm_var, row.qt_mean)
-    return FirstTwoCumulants(*map(float, values))
+    one row of :func:`closed_form_block`, forward or backward."""
+    return _row(params, theta, direction)
 
 
 def cs_first_cumulants(
     params: CycleParams, theta: float, ctrl: ControlSpec, direction: str = "forward"
 ) -> FirstTwoCumulants:
-    """Closed-form cumulants of the coherently controlled cycle: those of
-    the unital cycle at ``ctrl.flip_probability(theta)``."""
-    return closed_form_first_second(params, ctrl.flip_probability(theta), direction)
+    """Closed-form cumulants of the coherently controlled cycle: one row of
+    :func:`closed_form_block` under the control ``ctrl``."""
+    return _row(params, theta, direction, ctrl.alpha, ctrl.branch)
 
 
-def cf_derivative_check(params: CycleParams, theta: float) -> CumulantBlock:
-    """Cumulants from the exact derivatives of ln(chi) at 0 (third route).
+def cf_derivative_check(
+    beta, nu1, nu2, delta, zeta, theta, alpha=None, branch: str = "minus"
+) -> CumulantBlock:
+    """Cumulants from the exact derivatives of ln(chi) at 0 (third route), at
+    the one point of the columns, checked as every block function checks
+    them; columns of more than one point raise :class:`InputError`.
 
-    Reads the characteristic function's terms, not the path table; for the
-    coherently controlled cycle pass ``ctrl.flip_probability(theta)`` as
-    ``theta``.  Along one variable, a term with frequency f has Taylor
-    coefficients a_n = (-i f)^n / n!, times sign * t when n is odd.  The
-    coefficients b_n of ln(chi) follow from the log-series recurrence
-    b_n = a_n - (1/n) sum_{k<n} k b_k a_{n-k}, and kappa_n = n! b_n / i^n.
-    No step size is involved.  The result is a 0-d block, checked as
-    :func:`cumulants_from_block` checks its points.
+    Reads the characteristic function's terms, not the path table, at theta
+    or the control's flip probability.  Along one variable, a term with
+    frequency f has Taylor coefficients a_n = (-i f)^n / n!, times sign * t
+    when n is odd.  The coefficients b_n of ln(chi) follow from the
+    log-series recurrence b_n = a_n - (1/n) sum_{k<n} k b_k a_{n-k}, and
+    kappa_n = n! b_n / i^n.  No step size is involved.  The result is a 0-d
+    block, checked as :func:`cumulants_from_block` checks its points.
     """
-    terms = _unital_terms(params, theta)
-    t = params.tanh_beta_nu1
+    columns = _checked_columns(beta, nu1, nu2, delta, zeta, theta, alpha, branch)
+    if columns[0].size != 1:
+        raise InputError("cf_derivative_check takes one point")
+    beta, nu1, nu2, d, z, _, flip = (x.item() for x in columns)
+    terms = _unital_terms(nu1, nu2, d, z, flip)
+    t = math.tanh(beta * nu1)  # as CycleParams.tanh_beta_nu1
 
     def kappas(index: int) -> tuple[float, float, float, float]:
         a = [0j] * 5

@@ -37,6 +37,11 @@ class PhysicsError(ValueError):
     """A physically inconsistent quantity was produced or requested."""
 
 
+def _check_theta(theta: float) -> None:
+    if not 0.0 <= theta <= 1.0:  # nan too
+        raise InputError("theta must lie in [0, 1]")
+
+
 class _Checked:
     """Base of the package's validated named tuples: ``_make``, and so
     ``_replace``, builds through the constructor and its checks."""
@@ -133,8 +138,10 @@ class ControlSpec(_Checked, namedtuple("ControlSpec", "alpha branch")):
         channel's theta <= 1/2) the matrix has negative entries, the cycle
         has no distribution and :class:`PhysicsError` is raised.  This is
         the last check of a controlled point, after the cycle's, the
-        control's and theta in [0, 1], at one point and in every block.
+        control's and theta in [0, 1] (:class:`InputError`, checked here
+        first), at one point and in every block.
         """
+        _check_theta(theta)
         doubled = 2.0 * self.branch_probability
         if theta > doubled:
             raise PhysicsError(

@@ -42,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qstate import ControlSpec, InputError, PhysicsError, _Checked
+from .qstate import ControlSpec, InputError, PhysicsError, _Checked, _check_theta
 
 __all__ = [
     "CycleParams",
@@ -202,11 +202,6 @@ def _point(block: DistributionBlock) -> JointDistribution:
     return JointDistribution(w[order], q[order], p[order])
 
 
-def _check_theta(theta: float) -> None:
-    if not math.isfinite(theta) or not 0.0 <= theta <= 1.0:
-        raise InputError("theta must lie in [0, 1]")
-
-
 def enumerate_paths(
     params: CycleParams, theta: float, ctrl: ControlSpec | None = None
 ) -> JointDistribution:
@@ -259,10 +254,10 @@ def _checked_columns(beta, nu1, nu2, delta, zeta, theta, alpha=None, branch: str
         # ``ok`` holds exactly the single-point checks, so one of these raises
         i = np.unravel_index(np.argmin(ok), ok.shape)
         CycleParams(*(float(x[i]) for x in columns[:5]))
-        ctrl = None if alpha is None else ControlSpec(float(columns[6][i]), branch)
-        _check_theta(float(theta[i]))
-        if ctrl is not None:
-            ctrl.flip_probability(float(theta[i]))
+        if alpha is None:
+            _check_theta(float(theta[i]))
+        else:  # which checks theta before its bound
+            ControlSpec(float(columns[6][i]), branch).flip_probability(float(theta[i]))
     return beta, nu1, nu2, delta, zeta, theta, flip
 
 

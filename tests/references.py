@@ -192,7 +192,7 @@ def cf_unital(params, theta: float, gamma_w: float, gamma_m: float) -> complex:
     ``params.swapped``."""
     t = params.tanh_beta_nu1
     chi = 0j
-    for weight, f_w, f_q, sign in _unital_terms(params, theta):
+    for weight, f_w, f_q, sign in _unital_terms(*params[1:], theta):
         x = f_w * gamma_w + f_q * gamma_m
         chi += weight * complex(math.cos(x), -sign * t * math.sin(x))
     return chi

@@ -133,7 +133,7 @@ def test_criterion_4_route_agreement():
             (cums.qt_mean, first.qt_mean),
         ):
             worst_closed = max(worst_closed, abs(a - b) / max(1.0, abs(a), abs(b)))
-        fd = cf_derivative_check(params, theta)
+        fd = cf_derivative_check(*params, theta)
         # kappa_k rounds relative to E^k, E the largest |outcome|, which a
         # small kappa_3 or kappa_4 does not show: the floor is max(1, E^k)
         w_scale, q_scale = 2.0 * (params.nu1 + params.nu2), 2.0 * params.nu2
@@ -162,11 +162,14 @@ def test_criterion_4_route_agreement():
 
 def _closed_forms(points, thetas, *directions):
     """Closed forms at every (CycleParams, theta) pair: one
-    closed_form_block call per direction.  A row is the point's
-    closed_form_first_second bit for bit, which is a 0-d row of the same
-    block; test_block judges both against the 60-digit oracle."""
-    cycle = [[getattr(p, k) for p in points] for k in ("beta", "nu1", "nu2", "delta", "zeta")]
-    return [closed_form_block(*cycle, thetas, d) for d in directions]
+    closed_form_block call per direction, the backward one at (zeta,
+    delta).  A row is the point's closed_form_first_second bit for bit,
+    which is a 0-d row of the same block; test_block judges both against
+    the 60-digit oracle."""
+    beta, nu1, nu2, d, z = ([getattr(p, k) for p in points]
+                            for k in ("beta", "nu1", "nu2", "delta", "zeta"))
+    strokes = {"forward": (d, z), "backward": (z, d)}
+    return [closed_form_block(beta, nu1, nu2, *strokes[key], thetas) for key in directions]
 
 
 def test_criterion_5_proved_inequality_suite():
@@ -212,8 +215,8 @@ def test_criterion_5_proved_inequality_suite():
     # the flows' magnitudes, those of the same closed forms
     keys = ("beta", "nu1", "nu2", "delta", "zeta")
     columns = [np.array([getattr(p, k) for p in points]) for k in keys]
-    fwd_mag, bwd_mag = (_closed_form(*columns, np.array(thetas), d, magnitudes=True)
-                        for d in ("forward", "backward"))
+    fwd_mag, bwd_mag = (_closed_form(*columns[:3], *strokes, np.array(thetas), magnitudes=True)
+                        for strokes in ((columns[3], columns[4]), (columns[4], columns[3])))
     magnitudes = (fwd_mag.w_mean + bwd_mag.w_mean, fwd_mag.qm_mean + bwd_mag.qm_mean,
                   fwd_mag.qt_mean)
     regimes = classify_regime_array(work, heat, fwd.qt_mean, [p.beta for p in points], magnitudes)

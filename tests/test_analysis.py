@@ -12,6 +12,7 @@ from unital_otto import trajectory
 from unital_otto import (
     ControlSpec,
     CycleParams,
+    InputError,
     Regime,
     classify_regime_array,
     closed_form_first_second,
@@ -321,7 +322,7 @@ def test_symmetric_mode_is_the_pair_at_equal_strokes():
     nu2[8000:10000] = nu1[8000:10000]
     cycle = (beta, nu1, nu2, delta, delta, theta)
     eta = efficiency_block(*cycle)
-    fwd, fwd_mag = (_closed_form(*cycle, "forward", m) for m in (False, True))
+    fwd, fwd_mag = (_closed_form(*cycle, magnitudes=m) for m in (False, True))
     forward = _quotient(fwd.w_mean, fwd.qm_mean, fwd_mag.w_mean, fwd_mag.qm_mean)[0]
     assert np.array_equal(bits(eta), bits(forward))
     # zeta = delta everywhere adds the symmetric cycle's bound, and the
@@ -516,9 +517,15 @@ def test_ratio_scan_takes_no_efficiency_from_cancelled_heat():
 
 
 def test_ratio_scan_order_validation():
-    for order in (1, 5):
-        with pytest.raises(ValueError, match="^order must be 2, 3 or 4$"):
-            cumulant_ratio_block(enumerate_paths(FIG3, 0.3), order)
+    dist = enumerate_paths(FIG3, 0.3)
+    # a float equal to an order is no order: it would index the cumulants
+    for order in (1, 5, 2.0, 3.0, np.float64(4.0), "2", None):
+        with pytest.raises(InputError, match="^order must be 2, 3 or 4$"):
+            cumulant_ratio_block(dist, order)
+    # numpy's integers are integers
+    for order in (2, 3, 4):
+        got, want = cumulant_ratio_block(dist, np.int64(order)), cumulant_ratio_block(dist, order)
+        assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(got, want))
 
 
 @given(params=cycle_params(), theta=probs)

@@ -1,5 +1,6 @@
 """Grid evaluation: the block evaluator against a 60-digit reference."""
 
+import inspect
 import itertools
 import math
 import warnings
@@ -14,6 +15,7 @@ from unital_otto import (
     PhysicsError,
     Regime,
     analysis,
+    cf_derivative_check,
     classify_regime_array,
     closed_form_block,
     closed_form_first_second,
@@ -23,6 +25,7 @@ from unital_otto import (
     enumerate_paths,
     trajectory,
     verify_bounds_block,
+    work_threshold_block,
 )
 from unital_otto.cli import _DECODE_SAMPLES, _GROUPS, SWEEPABLE, _campaign_draws, _Draws, main
 from unital_otto.pcg64 import PCG64
@@ -548,10 +551,11 @@ def test_closed_form_and_enumeration_blocks_match_the_oracle(rng, mode, branch):
         doubled = 1.0 + (1.0 if branch == "plus" else -1.0) * np.sqrt(alpha * (1.0 - alpha))
         cycle[5] = np.minimum(cycle[5], doubled)
     control = () if alpha is None else (alpha, branch)
-    flip = cycle[5] if alpha is None else trajectory._controlled_flip(cycle[5], alpha, branch)
     cums = cumulants_from_block(enumerate_block(*cycle, *control))
-    closed = [closed_form_block(*cycle[:5], flip, d) for d in ("forward", "backward")]
-    for i in range(len(flip)):
+    # forward, then backward: the forward cycle at (zeta, delta)
+    closed = [closed_form_block(*cycle[:3], *strokes, cycle[5], *control)
+              for strokes in ((cycle[3], cycle[4]), (cycle[4], cycle[3]))]
+    for i in range(len(cycle[5])):
         point = [float(c[i]) for c in cycle]
         ctrl = () if alpha is None else (float(alpha[i]), branch)
         # the largest |W| and |Q_M| outcomes; Q_T is measured against W's
@@ -721,12 +725,10 @@ def test_every_block_function_raises_the_first_failing_points_error():
         kind, message = scalar_error(scalar)
         calls = [
             lambda: enumerate_block(*cycle, theta, alpha, branch),
+            lambda: closed_form_block(*cycle, theta, alpha, branch),
             lambda: efficiency_block(*cycle, theta, alpha, branch),
             lambda: verify_bounds_block(*cycle, theta, alpha, branch),
         ]
-        if branch != "sideways":
-            # the closed forms take no control: theta is their flip probability
-            calls.append(lambda: closed_form_block(*cycle, theta))
         for call in calls:
             assert scalar_error(call) == (kind, message)
     # 0-d blocks raise what the controlled distribution raises
@@ -734,6 +736,103 @@ def test_every_block_function_raises_the_first_failing_points_error():
     for call in (efficiency_block, verify_bounds_block):
         got = scalar_error(lambda: call(0.5, 1.0, 2.0, 0.1, 0.1, 1.5, 0.3, "minus"))
         assert got == (kind, message) == (InputError, "theta must lie in [0, 1]")
+
+
+# The block layer: every function takes the same columns and checks them in
+# one routine, in the order one point is checked.
+BLOCK_FUNCTIONS = [enumerate_block, closed_form_block, efficiency_block, work_threshold_block,
+                   verify_bounds_block, cf_derivative_check]
+BLOCK_COLUMNS = [("beta", inspect.Parameter.empty), ("nu1", inspect.Parameter.empty),
+                 ("nu2", inspect.Parameter.empty), ("delta", inspect.Parameter.empty),
+                 ("zeta", inspect.Parameter.empty), ("theta", inspect.Parameter.empty),
+                 ("alpha", None), ("branch", "minus")]
+
+# One failing point per check, in the order they run, then theta above 1
+# where the flip bound fails too: (columns, alpha, branch, error, message).
+FAILING_POINTS = [
+    ((math.nan, 1.0, 2.0, 0.1, 0.2, 0.3), None, "minus", InputError, "beta must be finite"),
+    ((0.7, 1.0, math.inf, 0.1, 0.2, 0.3), 0.3, "minus", InputError, "nu2 must be finite"),
+    ((0.7, 0.0, 2.0, 0.1, 0.2, 0.3), None, "minus", InputError,
+     "gaps nu1, nu2 must be positive"),
+    ((0.7, 1.0, 2.0, 0.1, -0.2, 0.3), None, "minus", InputError,
+     "delta and zeta must lie in [0, 1]"),
+    ((0.7, 1.0, 2.0, 0.1, 0.2, 0.3), 1.5, "minus", InputError, "alpha must lie in [0, 1]"),
+    ((0.7, 1.0, 2.0, 0.1, 0.2, 0.3), 0.3, "sideways", InputError,
+     "branch must be 'plus' or 'minus'"),
+    ((0.7, 1.0, 2.0, 0.1, 0.2, 1.5), None, "minus", InputError, "theta must lie in [0, 1]"),
+    ((0.7, 1.0, 2.0, 0.1, 0.2, math.nan), 0.3, "plus", InputError, "theta must lie in [0, 1]"),
+    ((0.7, 1.0, 2.0, 0.1, 0.2, 0.9), 0.3, "minus", PhysicsError,
+     f"minus branch: theta 0.9 exceeds 2 p_branch = {1.0 - math.sqrt(0.3 * 0.7)!r}, "
+     "the flip probability would exceed 1"),
+    ((0.7, 1.0, 2.0, 0.1, 0.2, 1.5), 0.3, "minus", InputError, "theta must lie in [0, 1]"),
+]
+
+
+@pytest.mark.parametrize("function", BLOCK_FUNCTIONS, ids=lambda f: f.__name__)
+def test_block_functions_share_signature_and_errors(function):
+    params = inspect.signature(function).parameters.values()
+    assert [(p.name, p.default) for p in params] == BLOCK_COLUMNS
+    for columns, alpha, branch, kind, message in FAILING_POINTS:
+        # the single point's own error, as the scalar types raise it
+        scalar = (kind, message)
+        assert scalar_error(lambda: enumerate_paths(
+            CycleParams(*columns[:5]), columns[5],
+            None if alpha is None else ControlSpec(alpha, branch))) == scalar
+        assert scalar_error(lambda: function(*columns, alpha, branch)) == scalar, columns
+
+
+def test_closed_form_under_control_is_the_unital_one_at_the_flip_bitwise(rng):
+    for branch in ("plus", "minus"):
+        cycle, alpha = bound_points(rng, 2000, "cs", branch)
+        flip = trajectory._controlled_flip(cycle[5], alpha, branch)
+        got = closed_form_block(*cycle, alpha, branch)
+        assert same_bits(list(got), list(closed_form_block(*cycle[:5], flip)))
+        # and a point of it is the scalar control's flip probability's
+        for i in range(0, 2000, 97):
+            point = [float(c[i]) for c in cycle]
+            ctrl = ControlSpec(float(alpha[i]), branch)
+            one = closed_form_block(*point[:5], ctrl.flip_probability(point[5]))
+            assert same_bits(list(one), [field[i] for field in got])
+
+
+def test_cf_derivative_check_takes_one_point():
+    one = cf_derivative_check(0.7, 1.0, 2.0, 0.1, 0.2, np.array([0.3]), np.array([[0.4]]))
+    point = cf_derivative_check(0.7, 1.0, 2.0, 0.1, 0.2, 0.3, 0.4)
+    assert all(same_bits(a, b) for a, b in zip(one, point))
+    for theta in (np.array([0.2, 0.3]), np.empty(0)):
+        with pytest.raises(InputError, match="^cf_derivative_check takes one point$"):
+            cf_derivative_check(0.7, 1.0, 2.0, 0.1, 0.2, theta)
+
+
+def test_flip_bound_holds_to_the_last_float(rng):
+    """At theta = 2 p_branch = 1 +- c(alpha) the flip is 1 and the point
+    passes; one float above, the flip exceeds 1 and every block raises the
+    scalar's error.  On the plus branch 1 + c lies above 1 unless c = 0, so
+    there the theta range fails first."""
+    alphas = [0.0, 0.5, 1.0, *rng.random(200).tolist()]
+    cycle = (0.7, 1.0, 2.0, 0.1, 0.2)
+    for branch, sign in (("plus", 1.0), ("minus", -1.0)):
+        for alpha in alphas:
+            ctrl = ControlSpec(alpha, branch)
+            edge = 1.0 + sign * ctrl.coherence
+            beyond = math.nextafter(edge, math.inf)
+            assert trajectory._controlled_flip(edge, alpha, branch) == 1.0
+            assert trajectory._controlled_flip(beyond, alpha, branch) > 1.0
+            error = scalar_error(lambda: ctrl.flip_probability(beyond))
+            assert error[0] is (PhysicsError if beyond <= 1.0 else InputError)
+            if edge <= 1.0:
+                assert ctrl.flip_probability(edge) == 1.0
+                enumerate_block(*cycle, np.array([0.2, edge]), alpha, branch)
+            else:
+                assert scalar_error(lambda: ctrl.flip_probability(edge))[0] is InputError
+            assert scalar_error(
+                lambda: enumerate_block(*cycle, np.array([0.2, beyond]), alpha, branch)) == error
+    # every block function at one edge, alpha = 1/2 on the minus branch
+    edge = 1.0 - ControlSpec(0.5).coherence
+    error = scalar_error(lambda: ControlSpec(0.5).flip_probability(math.nextafter(edge, 2.0)))
+    for function in BLOCK_FUNCTIONS:
+        function(*cycle, edge, 0.5)
+        assert scalar_error(lambda: function(*cycle, math.nextafter(edge, 2.0), 0.5)) == error
 
 
 def test_bound_blocks_warn_nowhere():

@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from unital_otto import (
     ControlSpec,
     CycleParams,
+    InputError,
     cf_derivative_check,
+    closed_form_block,
     closed_form_first_second,
     cs_first_cumulants,
     cumulants_from_block,
@@ -421,6 +423,30 @@ def test_cs_first_cumulants_alpha_zero_reduction():
         assert paper == pytest.approx((plain.w_mean, plain.qm_mean, plain.qt_mean), abs=1e-15)
 
 
+def test_closed_form_rows_are_points_of_the_block():
+    # backward is the forward cycle at (zeta, delta); the control is a column
+    params, ctrl = CycleParams(0.7, 1.0, 2.0, 0.1, 0.35), ControlSpec(0.3, "plus")
+    for direction, strokes in (("forward", (0.1, 0.35)), ("backward", (0.35, 0.1))):
+        block = closed_form_block(0.7, 1.0, 2.0, *strokes, 0.4)
+        assert closed_form_first_second(params, 0.4, direction) == tuple(map(float, block))
+        block = closed_form_block(0.7, 1.0, 2.0, *strokes, 0.4, ctrl.alpha, ctrl.branch)
+        assert cs_first_cumulants(params, 0.4, ctrl, direction) == tuple(map(float, block))
+    for call in (lambda: closed_form_first_second(params, 0.4, "sideways"),
+                 lambda: cs_first_cumulants(params, 0.4, ctrl, "sideways")):
+        with pytest.raises(InputError, match="^direction must be 'forward' or 'backward'$"):
+            call()
+
+
+def test_cs_closed_form_checks_theta_before_the_flip_bound():
+    # theta = 1.5 also breaks the minus branch's flip bound; the theta range
+    # is checked first, as for the distribution
+    params, ctrl = CycleParams(0.7, 1.0, 2.0, 0.1, 0.2), ControlSpec(0.3, "minus")
+    for call in (lambda: cs_first_cumulants(params, 1.5, ctrl),
+                 lambda: enumerate_paths(params, 1.5, ctrl)):
+        with pytest.raises(InputError, match=r"^theta must lie in \[0, 1\]$"):
+            call()
+
+
 def test_cs_adiabatic_work():
     # delta = zeta = 0: W+- = 2 theta (nu2-nu1) tanh(beta nu1)/(1 +- coh)
     params = CycleParams(0.7, 1.0, 2.0, 0.0, 0.0)
@@ -442,21 +468,21 @@ def test_cs_minus_branch_beats_incoherent_work():
 
 def test_derivative_route_first_order():
     exact = cumulants_from_block(enumerate_paths(REF, 0.2))
-    fd = cf_derivative_check(REF, 0.2)
+    fd = cf_derivative_check(*REF, 0.2)
     assert abs(fd.w[0] - exact.w[0]) < 1e-8
     assert abs(fd.q_m[0] - exact.q_m[0]) < 1e-8
 
 
 def test_derivative_route_fourth_order():
     exact = cumulants_from_block(enumerate_paths(REF, 0.2))
-    fd = cf_derivative_check(REF, 0.2)
+    fd = cf_derivative_check(*REF, 0.2)
     for got, ref in ((fd.w[3], exact.w[3]), (fd.q_m[3], exact.q_m[3])):
         assert abs(got - ref) < max(1e-6, 1e-6 * abs(ref))
 
 
 def test_derivative_route_odd_orders_vanish_at_infinite_temperature():
     params = CycleParams(0.0, 1.0, 2.0, 0.15, 0.35)
-    fd = cf_derivative_check(params, 0.4)
+    fd = cf_derivative_check(*params, 0.4)
     for kappas in (fd.w, fd.q_m):
         assert kappas[0] == 0.0
         assert kappas[2] == 0.0
@@ -467,21 +493,21 @@ def test_derivative_route_variance_of_a_certain_heat_is_zero():
     # this gap mu_2 - mu_1^2 rounds to a residue below zero
     params = CycleParams(-52.51936446075948, 0.8772885040320562, 1854.5650753270318, 1.0, 0.8574958478957697)
     assert cumulants_from_block(enumerate_paths(params, 1.0)).q_m[1] == 0.0
-    assert cf_derivative_check(params, 1.0).q_m[1] == 0.0
+    assert cf_derivative_check(*params, 1.0).q_m[1] == 0.0
 
 
 def test_derivative_route_is_a_checked_point():
-    fd = cf_derivative_check(REF, 0.2)
+    fd = cf_derivative_check(*REF, 0.2)
     assert fd.w.shape == fd.q_m.shape == (4,) and fd.qt_mean.shape == ()
     # the series coefficients overflow at these gaps
     with pytest.raises(ValueError, match="^cumulants must be finite$"):
-        cf_derivative_check(CycleParams(0.5, 1e80, 2e80, 0.1, 0.1), 0.2)
+        cf_derivative_check(0.5, 1e80, 2e80, 0.1, 0.1, 0.2)
 
 
 def test_derivative_route_cs_variant():
     ctrl = ControlSpec(0.5, "minus")
     exact = cumulants_from_block(enumerate_paths(REF, 0.2, ctrl))
-    fd = cf_derivative_check(REF, ctrl.flip_probability(0.2))
+    fd = cf_derivative_check(*REF, 0.2, ctrl.alpha, ctrl.branch)
     assert close(fd.w[0], exact.w[0], 1e-6)
     assert close(fd.w[1], exact.w[1], 1e-6)
 
@@ -526,9 +552,7 @@ def test_derivative_route_matches_exact_oracle():
     worst = 0.0
     for i in range(2100):
         beta, nu1, nu2, delta, zeta, theta, alpha, branch = _oracle_point(gen, i)
-        params = CycleParams(beta, nu1, nu2, delta, zeta)
-        flip = theta if alpha is None else ControlSpec(alpha, branch).flip_probability(theta)
-        got = cf_derivative_check(params, flip)
+        got = cf_derivative_check(beta, nu1, nu2, delta, zeta, theta, alpha, branch)
         ref = mp_cumulants(beta, nu1, nu2, delta, zeta, theta, alpha, branch)
         for values, exact, scale in ((got.w, ref.w, 2.0 * (nu1 + nu2)), (got.q_m, ref.q_m, 2.0 * nu2)):
             for k in range(4):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from unital_otto import (
     ControlSpec,
+    InputError,
     MeasurementChannel,
     PhysicsError,
 )
@@ -281,3 +282,12 @@ def test_superpose_branch_mismatch_is_physics_error(monkeypatch):
     monkeypatch.setattr(ControlSpec, "branch_probability", property(lambda self: 0.9))
     with pytest.raises(PhysicsError, match="branch probability"):
         superpose_apply(ch, rho, ControlSpec(0.3, "minus"))
+
+
+@pytest.mark.parametrize("theta", [-0.5, math.nan, math.inf, 1.5])
+def test_flip_probability_checks_theta_before_its_bound(theta):
+    # below 0 the flip would be negative and nan would pass the bound; above
+    # 1 the bound fails too, but the theta range is checked first
+    for branch in ("plus", "minus"):
+        with pytest.raises(InputError, match=r"^theta must lie in \[0, 1\]$"):
+            ControlSpec(0.3, branch).flip_probability(theta)
