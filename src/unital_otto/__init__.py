@@ -19,8 +19,6 @@ from .qstate import (
 from .trajectory import (
     CycleParams,
     DistributionBlock,
-    JointDistribution,
-    SampleStats,
     enumerate_block,
     enumerate_paths,
     sample,

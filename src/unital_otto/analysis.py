@@ -44,7 +44,7 @@ from .cumulants import (
     cumulants_from_block, is_rounding_residue,
 )
 from .qstate import InputError
-from .trajectory import DistributionBlock, JointDistribution, _checked_columns, enumerate_paths
+from .trajectory import DistributionBlock, _checked_columns, enumerate_paths
 
 __all__ = [
     "Regime",
@@ -320,9 +320,7 @@ class CumulantRatioBlock(NamedTuple):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def cumulant_ratio_block(
-    block: DistributionBlock | JointDistribution, order: int
-) -> CumulantRatioBlock:
+def cumulant_ratio_block(block: DistributionBlock, order: int) -> CumulantRatioBlock:
     """kappa_n(W) / kappa_n(Q_M), n = ``order`` in 2..4, at every point of an
     enumerated block (:func:`~unital_otto.trajectory.enumerate_block`, or one
     point's distribution), and eta^n, eta = <W> / <Q_M>.  Each quotient is

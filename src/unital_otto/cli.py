@@ -342,24 +342,21 @@ def _write_table(fh, comment: str, columns: list[tuple], blocks) -> None:
     sequence.  A column is (header, printf conversion, field, labels): a
     number (conversion ``_NUMBER``) reads back as the exact float, and a
     negative zero prints as 0; a field of codes prints each code's label;
-    any other field prints its entries as they are.  At most
-    ``_BLOCK_POINTS`` rows are formatted at a time, whatever the size of
-    a block.
+    any other field prints its entries as they are.  Each block's rows are
+    formatted and written together.
     """
     fh.write(comment + ",".join(header for header, *_ in columns) + "\n")
     template = ",".join(conversion for _, conversion, _, _ in columns) + "\n"
     for block in blocks:
-        for start in range(0, len(block[columns[0][2]]), _BLOCK_POINTS):
-            cells = []
-            for _, conversion, field, labels in columns:
-                entries = block[field][start:start + _BLOCK_POINTS]
-                if conversion == _NUMBER:
-                    cells.append(_numbers(entries))
-                elif labels:
-                    cells.append(map(labels.__getitem__, np.asarray(entries).tolist()))
-                else:
-                    cells.append(entries)
-            fh.write("".join([template % row for row in zip(*cells)]))
+        cells = []
+        for _, conversion, field, labels in columns:
+            if conversion == _NUMBER:
+                cells.append(_numbers(block[field]))
+            elif labels:
+                cells.append(map(labels.__getitem__, np.asarray(block[field]).tolist()))
+            else:
+                cells.append(block[field])
+        fh.write("".join([template % row for row in zip(*cells)]))
 
 
 def _emit(cfg: dict, command: str, columns: list[tuple], blocks) -> None:
@@ -775,8 +772,10 @@ def _cmd_sample(cfg: dict) -> None:
     dist = trajectory._point(trajectory.enumerate_block(*columns, branch=branch))
     n = 10**6 if cfg.get("samples") is None else cfg["samples"]
     seed = cfg.get("seed") or 0
-    stats = trajectory.sample(dist, n, seed)
+    # the exact row and the drawn row read one cumulant routine, the exact
+    # one first: a point whose cumulants overflow fails before any draw
     exact = cumulants.cumulants_from_block(dist)
+    drawn = cumulants.cumulants_from_block(trajectory.sample(dist, n, seed))
     rows = []
 
     def zscore(diff: float, stderr: float) -> float:
@@ -784,15 +783,16 @@ def _cmd_sample(cfg: dict) -> None:
             return diff / stderr
         return 0.0 if diff == 0.0 else math.copysign(math.inf, diff)
 
-    for label, summary, kappa in (("w", stats.w, exact.w), ("q_m", stats.q_m, exact.q_m)):
+    for label, kappa, empirical in (("w", exact.w, drawn.w), ("q_m", exact.q_m, drawn.q_m)):
         k1, k2, _, k4 = (float(k) for k in kappa)
+        mean, variance = float(empirical[0]), float(empirical[1])
         # the standard errors of n draws' mean and variance, from the exact
         # cumulants: Var(mean) = k2/n, Var(variance) ~ (k4 + 2 k2^2)/n
         mean_err = math.sqrt(max(k2, 0.0) / n)
         var_err = math.sqrt(max(k4 + 2.0 * k2 * k2, 0.0) / n)
         rows.append((
-            label, k1, summary.mean, mean_err, zscore(summary.mean - k1, mean_err),
-            k2, summary.variance, var_err, zscore(summary.variance - k2, var_err),
+            label, k1, mean, mean_err, zscore(mean - k1, mean_err),
+            k2, variance, var_err, zscore(variance - k2, var_err),
         ))
     _emit(cfg, "sample", _SAMPLE, [_block(_SAMPLE, rows)])
 

@@ -5,8 +5,8 @@ Three independent routes to the same numbers:
 1. exact enumeration -- raw/central moments of the finite joint
    distribution, converted algebraically to cumulants (the ground
    truth; no differentiation error) by :func:`cumulants_from_block`, at
-   every point of a grid at once or at the one point of a
-   :class:`~unital_otto.trajectory.JointDistribution`;
+   every point of a :class:`~unital_otto.trajectory.DistributionBlock`
+   at once, a grid's or one point's (the sampler's draws are one too);
 2. closed forms -- the first and second cumulants transcribed from the
    analytic expressions (third and fourth have no published closed
    form and are deliberately not transcribed), over whole grids with
@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .qstate import ControlSpec, InputError
-from .trajectory import CycleParams, DistributionBlock, JointDistribution, _checked_columns
+from .trajectory import CycleParams, DistributionBlock, _checked_columns
 
 __all__ = [
     "CumulantBlock",
@@ -77,7 +77,7 @@ def is_rounding_residue(total, magnitude):
     return abs(total) <= _RESIDUE * magnitude
 
 
-def mean_magnitudes(block: DistributionBlock | JointDistribution) -> tuple:
+def mean_magnitudes(block: DistributionBlock) -> tuple:
     """The magnitudes of the mean flows at every point of a block, for
     :func:`is_rounding_residue`: sum p |W|, sum p |Q_M| and, for
     <Q_T> = <W> - <Q_M>, their sum."""
@@ -172,9 +172,9 @@ def _checked_block(kw: np.ndarray, kq: np.ndarray) -> CumulantBlock:
     return CumulantBlock(w=kw, q_m=kq, qt_mean=qt)
 
 
-def cumulants_from_block(block: DistributionBlock | JointDistribution) -> CumulantBlock:
+def cumulants_from_block(block: DistributionBlock) -> CumulantBlock:
     """Exact first four cumulants of both marginals at every point of a
-    block; a :class:`JointDistribution` is a block of one point.
+    block; a block of 1-d arrays is one point.
 
     The moment-to-cumulant identities (kappa1 = mu1, kappa2 = mu2 - mu1^2,
     kappa3 = mu3 - 3 mu2 mu1 + 2 mu1^3, kappa4 = mu4 - 4 mu3 mu1 - 3 mu2^2

@@ -25,8 +25,11 @@ One array routine evaluates the table at any number of points.
 :class:`DistributionBlock`, one row of the nine outcome keys per point),
 with or without coherent control; one point is a 0-d block, and
 :func:`enumerate_paths` is that point with its zero-probability outcomes
-dropped and the rest sorted.  One row costs more than a plain-Python
-loop would, but a command-line run evaluates at most one single point.
+dropped and the rest sorted, a block of 1-d arrays.  :func:`sample` draws
+from such a point and returns the draws' empirical distribution as a block
+of the same outcomes, so the block is the package's one distribution type.
+One row costs more than a plain-Python loop would, but a command-line run
+evaluates at most one single point.
 
 Every block function checks its parameter columns in one routine, in
 the order one point is checked: cycle, control, theta range, flip bound.
@@ -46,20 +49,17 @@ from .qstate import ControlSpec, InputError, PhysicsError, _Checked, _check_thet
 
 __all__ = [
     "CycleParams",
-    "JointDistribution",
     "DistributionBlock",
-    "SampleStats",
     "enumerate_paths",
     "enumerate_block",
     "sample",
 ]
 
-_CLAMP_TOL = 1e-10  # JointDistribution's tolerances, for arrays passed in
-_SUM_TOL = 1e-10
-# _enumerate's bound on |row sum - 1|: a path is four factors x or 1 - x
-# (a rounding each) and three products, an outcome at most 4 paths and a row
-# 9 outcomes, so the nonnegative terms of an exact sum 1 pass through 18
-# roundings, within the 32 eps that is_rounding_residue allows chains of 63.
+# The package's one bound on |sum of probabilities - 1|, in _enumerate and
+# sample: a path is four factors x or 1 - x (a rounding each) and three
+# products, an outcome at most 4 paths and a row 9 outcomes, so the
+# nonnegative terms of an exact sum 1 pass through 18 roundings, within the
+# 32 eps that is_rounding_residue allows chains of 63.
 _SUM_BOUND = 32.0 * np.finfo(float).eps
 
 # The path table: one entry per measurement record (n, m, k, l), the
@@ -111,32 +111,6 @@ class CycleParams(_Checked, namedtuple("CycleParams", "beta nu1 nu2 delta zeta")
         return CycleParams(self.beta, self.nu1, self.nu2, self.zeta, self.delta)
 
 
-class JointDistribution(_Checked, namedtuple("JointDistribution", "w q_m prob")):
-    """Finite joint distribution of (W, Q_M), one entry per distinct outcome;
-    its arrays are read-only."""
-
-    __slots__ = ()
-
-    def __new__(cls, w: np.ndarray, q_m: np.ndarray, prob: np.ndarray):
-        # copies, so that the caller's arrays stay writable
-        w = np.array(w, dtype=float)
-        q = np.array(q_m, dtype=float)
-        p = np.array(prob, dtype=float)
-        if not (w.shape == q.shape == p.shape) or w.ndim != 1:
-            raise InputError("w, q_m, prob must be 1-d arrays of equal length")
-        if p.min(initial=0.0) < -_CLAMP_TOL:
-            raise PhysicsError(
-                f"outcome probability {p.min():.3g} below -{_CLAMP_TOL:g}"
-            )
-        p[p < 0.0] = 0.0
-        total = p.sum()
-        if abs(total - 1.0) > _SUM_TOL:
-            raise PhysicsError(f"probabilities sum to {total!r}, not 1")
-        for arr in (w, q, p):
-            arr.setflags(write=False)
-        return super().__new__(cls, w, q, p)
-
-
 # The table as columns: the state index at each of the four measurements
 # of every path, and the integer coefficients (a, b) of each outcome key
 # in ``_OUTCOMES`` order.
@@ -145,11 +119,15 @@ _KEY_A, _KEY_B = (np.array(col, dtype=float) for col in zip(*_OUTCOMES))
 
 
 class DistributionBlock(NamedTuple):
-    """Joint distributions of (W, Q_M) over a grid of parameter points.
+    """Joint distributions of (W, Q_M) over a grid of parameter points: the
+    package's one distribution type.
 
-    Each array is shaped ``(..., 9)``: the grid's shape, then one entry per
-    integer outcome key of the path table, in one fixed order and with
-    zero-probability outcomes kept, so every point has the same columns.
+    From :func:`enumerate_block` each array is shaped ``(..., 9)``: the
+    grid's shape, then one entry per integer outcome key of the path table,
+    in one fixed order and with zero-probability outcomes kept, so every
+    point has the same columns.  One point's distribution
+    (:func:`enumerate_paths`, :func:`sample`) has 1-d arrays, one entry per
+    outcome.
     """
 
     w: np.ndarray
@@ -193,18 +171,18 @@ def _evaluate(beta, nu1, nu2, delta, zeta, channel) -> DistributionBlock:
     return DistributionBlock(w, q, prob)
 
 
-def _point(block: DistributionBlock) -> JointDistribution:
-    """The one point of a block, its arrays shaped (9,): the outcomes of
-    nonzero probability, sorted by (W, Q_M, p)."""
+def _point(block: DistributionBlock) -> DistributionBlock:
+    """The one point of a block, its arrays shaped (9,), as a block of 1-d
+    arrays: the outcomes of nonzero probability, sorted by (W, Q_M, p)."""
     keep = block.prob != 0.0
     w, q, p = block.w[keep], block.q_m[keep], block.prob[keep]
     order = np.lexsort((p, q, w))
-    return JointDistribution(w[order], q[order], p[order])
+    return DistributionBlock(w[order], q[order], p[order])
 
 
 def enumerate_paths(
     params: CycleParams, theta: float, ctrl: ControlSpec | None = None
-) -> JointDistribution:
+) -> DistributionBlock:
     """Exact forward joint distribution of (W, Q_M): the one point of
     :func:`enumerate_block`, its zero-probability outcomes dropped and the
     rest sorted by (W, Q_M, p).
@@ -293,30 +271,6 @@ def _enumerate(beta, nu1, nu2, delta, zeta, flip) -> DistributionBlock:
     return DistributionBlock(*(x.reshape(out) for x in block))
 
 
-class MomentSummary(NamedTuple):
-    """Empirical raw moments of one variable, orders 1 through 4."""
-
-    count: int
-    raw: tuple[float, float, float, float]
-
-    @property
-    def mean(self) -> float:
-        return self.raw[0]
-
-    @property
-    def variance(self) -> float:
-        return self.raw[1] - self.raw[0] ** 2
-
-
-class SampleStats(NamedTuple):
-    """Moments of an i.i.d. sample drawn from a JointDistribution."""
-
-    count: int
-    seed: int
-    w: MomentSummary
-    q_m: MomentSummary
-
-
 # Above this many uniforms on either side of a median split, the median
 # is drawn from its normal limit (see _binomial).
 _NORMAL_MEDIAN = 2**40
@@ -383,14 +337,29 @@ def _counts(rng: random.Random, n: int, prob) -> list[int]:
     return counts + [left]
 
 
-def sample(dist: JointDistribution, n: int, seed: int) -> SampleStats:
-    """Draw n i.i.d. outcomes with a seeded ``random.Random`` (the standard
-    library's MT19937): how many fall on each outcome, drawn as a chain of
-    binomials (:func:`_counts`), so neither time nor memory grows with n.
+def sample(dist: DistributionBlock, n: int, seed: int) -> DistributionBlock:
+    """Draw n i.i.d. outcomes of the one-point distribution ``dist`` with a
+    seeded ``random.Random`` (the standard library's MT19937): how many fall
+    on each outcome, drawn as a chain of binomials (:func:`_counts`), so
+    neither time nor memory grows with n.  Returns the draws' empirical
+    distribution: the same outcomes, each with the share counts / n of the
+    draws that fell on it.
 
-    Deterministic for a fixed seed on one Python version: two calls with
-    identical arguments return equal :class:`SampleStats`.
+    ``dist``'s arrays must be 1-d, of equal length and finite, and its
+    probabilities nonnegative, summing to 1 within ``_SUM_BOUND``; a failed
+    check raises :class:`InputError`.  Deterministic for a fixed seed on
+    one Python version.
     """
+    w, q, p = (np.array(x, dtype=float) for x in (dist.w, dist.q_m, dist.prob))
+    if not (w.shape == q.shape == p.shape) or w.ndim != 1:
+        raise InputError("w, q_m, prob must be 1-d arrays of equal length")
+    if not np.isfinite((w, q, p)).all():
+        raise InputError("outcomes and probabilities must be finite")
+    if p.min(initial=0.0) < 0.0:
+        raise InputError(f"outcome probability {float(p.min())!r} is negative")
+    total = float(p.sum())
+    if abs(total - 1.0) > _SUM_BOUND:
+        raise InputError(f"probabilities sum to {total!r}, not 1")
     if n < 1:
         raise InputError("need at least one draw")
     if n > 2**63 - 1:  # the counts are taken as int64
@@ -399,14 +368,6 @@ def sample(dist: JointDistribution, n: int, seed: int) -> SampleStats:
         raise InputError("expected non-negative integer")
     # partial sums clamped at 1, so that no leading outcomes hold more than
     # everything; the last outcome takes what the others leave
-    prob = np.diff(np.minimum(np.cumsum(dist.prob), 1.0), prepend=0.0)
+    prob = np.diff(np.minimum(np.cumsum(p), 1.0), prepend=0.0)
     counts = _counts(random.Random(seed), n, prob.tolist())
-    # the moments of the draws are those of the outcomes weighted by how
-    # often each was drawn
-    freq = np.array(counts) / n
-
-    def moments(values: np.ndarray) -> MomentSummary:
-        raw = tuple(float(freq @ values**k) for k in (1, 2, 3, 4))
-        return MomentSummary(count=n, raw=raw)
-
-    return SampleStats(count=n, seed=seed, w=moments(dist.w), q_m=moments(dist.q_m))
+    return DistributionBlock(w, q, np.array(counts) / n)

@@ -554,7 +554,7 @@ def test_every_table_prints_negative_zero_as_0_and_codes_as_labels(layout):
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=3 * cli._BLOCK_POINTS))
 def test_every_number_cell_parses_back_to_its_float(values):
-    # more rows than one block: the writer formats a block at a time
+    # a block of any length is formatted whole
     rows = _table(cli._number_columns("x"), [{"x": np.array(values)}])
     assert len(rows) == len(values)
     for (text,), value in zip(rows, values):
@@ -1010,6 +1010,32 @@ def test_overflowing_cumulants_print_only_the_error():
     )
     assert proc.returncode == 2
     assert proc.stderr == "config error: cumulants must be finite\n"
+
+
+@pytest.mark.parametrize("strokes", [("0", "0", "1"), ("0.1", "0.1", "0.2")],
+                         ids=["certain", "spread"])
+def test_sample_at_huge_gaps_prints_no_traceback(strokes):
+    # the exact cumulants come first and are centred: where they overflow
+    # the run is the config error cumulants gives, and a certain outcome,
+    # whose centred moments are 0, is a table; before, the draws' raw
+    # moments overflowed in both runs, and the variance raised OverflowError
+    delta, zeta, theta = strokes
+    proc = fresh_python(
+        "-m", "unital_otto.cli", "sample", "--beta", "0.7", "--nu1", "1e200",
+        "--nu2", "3e200", "--delta", delta, "--zeta", zeta, "--theta", theta,
+        "--samples", "1000", PYTHONWARNINGS="default",
+    )
+    if delta == "0":
+        # beta nu1 = 7e199: W = 2 (nu2 - nu1) and Q_M = 2 nu2 with certainty
+        assert (proc.returncode, proc.stderr) == (0, "")
+        rows = [line.split(",") for line in proc.stdout.splitlines()[2:]]
+        assert rows == [["w", "3.9999999999999999e+200", "3.9999999999999999e+200",
+                         *["0"] * 6],
+                        ["q_m", "5.9999999999999998e+200", "5.9999999999999998e+200",
+                         *["0"] * 6]]
+    else:
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "config error: cumulants must be finite\n"
 
 
 POINT = ["--beta", "0.7", "--nu1", "1", "--nu2", "2", "--delta", "0.1", "--zeta", "0.1",

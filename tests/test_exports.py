@@ -1,7 +1,10 @@
-"""Every exported name exists, so tools that walk ``__all__`` can rely on it."""
+"""Every exported name exists, so tools that walk ``__all__`` can rely on it,
+and the package reports the version that pyproject.toml gives it."""
 
 import importlib
 import inspect
+import re
+from pathlib import Path
 
 import pytest
 
@@ -27,3 +30,10 @@ def test_package_reexports_only_layer_exports():
     }
     assert sorted(set(public) - set(exported)) == []
     assert all(public[name] is exported[name] for name in public)
+
+
+def test_version_is_the_project_version():
+    # a regex, not tomllib: the oldest supported Python (3.10) has no tomllib
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    project = re.search(r"^\[project\]$(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
+    assert unital_otto.__version__ == re.search(r'^version = "([^"]+)"$', project, re.M).group(1)

@@ -13,7 +13,6 @@ import unital_otto
 from unital_otto import (
     ControlSpec,
     CycleParams,
-    JointDistribution,
     LZParams,
     MeasurementChannel,
 )
@@ -24,8 +23,8 @@ from references import DensityMatrix
 LAYERS = ("qstate", "trajectory", "cumulants", "analysis", "landauzener")
 SRC = Path(__file__).resolve().parents[1] / "src" / "unital_otto"
 
-# every public tuple type a layer defines, exported or not (MomentSummary),
-# and the tests' own validated type, DensityMatrix
+# every public tuple type a layer defines, exported or not, and the tests'
+# own validated type, DensityMatrix
 RECORDS = sorted(
     [
         value
@@ -40,7 +39,6 @@ RECORDS = sorted(
 # each validated type: a valid instance, and one field set outside its checks
 VALIDATED = {
     CycleParams: (CycleParams(0.7, 1.0, 2.0, 0.1, 0.2), "delta", 5.0),
-    JointDistribution: (JointDistribution([0.0, 2.0], [0.0, 0.0], [0.5, 0.5]), "prob", [0.5, 0.6]),
     DensityMatrix: (DensityMatrix(np.diag([0.3, 0.7]), gap=2.0), "mat", np.diag([0.3, 0.8])),
     MeasurementChannel: (MeasurementChannel(1.0, 0.1), "alpha_m", 4.0),
     ControlSpec: (ControlSpec(0.3, "plus"), "branch", "both"),
@@ -57,7 +55,7 @@ def _error(call):
 
 
 def test_every_record_type_is_listed():
-    assert len(RECORDS) == 15
+    assert len(RECORDS) == 12
     # a type that wraps the constructor namedtuple generates in checks of
     # its own needs a _replace case below
     custom = {cls for cls in RECORDS if "__new__" in vars(cls) and tuple not in cls.__bases__}
@@ -96,10 +94,9 @@ def test_no_module_imports_dataclasses(path):
 @pytest.mark.parametrize(
     "build, arrays",
     [
-        (JointDistribution, [np.array([0.0, 2.0]), np.array([0.0, 1.0]), np.array([0.5, 0.5])]),
         (DensityMatrix, [np.diag([0.3, 0.7]).astype(complex)]),
     ],
-    ids=["JointDistribution", "DensityMatrix"],
+    ids=["DensityMatrix"],
 )
 def test_read_only_fields_leave_the_callers_arrays_writable(build, arrays):
     record = build(*arrays)

@@ -4,6 +4,7 @@ import math
 import random
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from hypothesis import given, settings
 from unital_otto import (
     ControlSpec,
     CycleParams,
-    JointDistribution,
+    DistributionBlock,
+    InputError,
     PhysicsError,
     cumulants_from_block,
     enumerate_block,
@@ -20,7 +22,7 @@ from unital_otto import (
     sample,
     trajectory,
 )
-from unital_otto.trajectory import _binomial
+from unital_otto.trajectory import _SUM_BOUND, _binomial
 
 from conftest import cycle_params, probs, sample_errors
 
@@ -113,15 +115,13 @@ def test_cs_unphysical_theta_raises():
 
 
 def test_negative_probability_rejected():
-    with pytest.raises(PhysicsError):
-        JointDistribution(
-            np.array([0.0, 1.0]), np.array([0.0, 0.0]), np.array([1.1, -0.1])
-        )
+    dist = DistributionBlock(np.array([0.0, 1.0]), np.zeros(2), np.array([1.1, -0.1]))
+    with pytest.raises(InputError, match="negative"):
+        sample(dist, 10, seed=1)
 
 
 def test_enumeration_sums_are_checked_against_their_rounding(monkeypatch):
-    # a row 1e-12 off 1 is far beyond the 18 roundings of its sum, though
-    # within the tolerance that JointDistribution allows arrays passed in
+    # a row 1e-12 off 1 is far beyond the 18 roundings of its sum
     evaluate = trajectory._evaluate
 
     def skewed(*args):
@@ -136,18 +136,11 @@ def test_enumeration_sums_are_checked_against_their_rounding(monkeypatch):
         enumerate_block(0.7, 1.0, 2.0, 0.1, 0.2, theta)
 
 
-def test_probability_dust_clamped():
-    dist = JointDistribution(
-        np.array([0.0, 1.0]), np.array([0.0, 0.0]), np.array([1.0, -1e-12])
-    )
-    assert dist.prob[1] == 0.0
-
-
 @given(params=cycle_params(), theta=probs)
 @settings(max_examples=300, deadline=None)
 def test_distribution_invariants(params, theta):
     dist = enumerate_paths(params, theta)
-    assert abs(dist.prob.sum() - 1.0) < 1e-10
+    assert abs(dist.prob.sum() - 1.0) <= _SUM_BOUND
     assert set(dist.q_m) <= {0.0, 2 * params.nu2, -2 * params.nu2}
     assert set(dist.w) <= w_support(params)
     # unique outcomes after merging
@@ -181,53 +174,99 @@ def test_infinite_temperature_is_symmetric(params, theta):
         assert abs(table.get((-w, -q), 0.0) - p) < 1e-15
 
 
+def same(a, b) -> bool:
+    """Whether two distributions have the same arrays, bit for bit."""
+    return all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
 def test_sampler_single_outcome():
     dist = enumerate_paths(CycleParams(40.0, 1.0, 2.0, 0.0, 0.0), 1.0)
-    stats = sample(dist, 1, seed=5)
-    assert stats.w.mean == dist.w[0]
-    assert stats.w.variance == 0.0
-    assert stats.count == 1
+    drawn = sample(dist, 1, seed=5)
+    assert same(drawn, dist)
+    cums = cumulants_from_block(drawn)
+    assert cums.w[0] == dist.w[0]
+    assert cums.w[1] == 0.0
 
 
 def test_sampler_deterministic():
     dist = enumerate_paths(CycleParams(0.7, 1.0, 2.0, 0.1, 0.2), 0.3)
-    assert sample(dist, 5000, seed=123) == sample(dist, 5000, seed=123)
-    assert sample(dist, 5000, seed=123) != sample(dist, 5000, seed=124)
+    assert same(sample(dist, 5000, seed=123), sample(dist, 5000, seed=123))
+    assert not same(sample(dist, 5000, seed=123), sample(dist, 5000, seed=124))
 
 
 def test_sampler_agrees_with_enumeration():
     params = CycleParams(0.7, 1.0, 2.0, 0.1, 0.1)
     dist = enumerate_paths(params, 0.2)
-    stats = sample(dist, 10**6, seed=99)
+    drawn = cumulants_from_block(sample(dist, 10**6, seed=99))
     exact_qm = float(np.dot(dist.prob, dist.q_m))
-    mean_err, _ = sample_errors(cumulants_from_block(dist).q_m, stats.count)
-    assert abs(stats.q_m.mean - exact_qm) < 5 * mean_err
+    mean_err, _ = sample_errors(cumulants_from_block(dist).q_m, 10**6)
+    assert abs(drawn.q_m[0] - exact_qm) < 5 * mean_err
     assert abs(exact_qm - 0.386795) < 1e-6
 
 
 def test_sampler_needs_draws():
     dist = enumerate_paths(CycleParams(0.7, 1.0, 2.0, 0.1, 0.1), 0.2)
-    # numpy's multinomial draw counts at most 2**63 - 1
+    # the counts are taken as int64, which holds at most 2**63 - 1
     for n in (0, 2**63):
         with pytest.raises(ValueError):
             sample(dist, n, seed=1)
-    assert sample(dist, 2**63 - 1, seed=1).count == 2**63 - 1
+    assert sample(dist, 2**63 - 1, seed=1).prob.sum() == pytest.approx(1.0, abs=1e-15)
+
+
+def test_sampler_checks_its_distribution():
+    # a negative probability: test_negative_probability_rejected
+    w, q = np.array([0.0, 1.0]), np.zeros(2)
+    eps = np.finfo(float).eps
+    cases = {
+        "sum to": DistributionBlock(w, q, np.array([0.5, 0.5 + 64 * eps])),
+        "equal length": DistributionBlock(w, q, np.array([1.0])),
+        "1-d": DistributionBlock(w[None], q[None], np.array([[0.5, 0.5]])),
+        "finite": DistributionBlock(np.array([0.0, np.inf]), q, np.array([0.5, 0.5])),
+    }
+    for message, dist in cases.items():
+        with pytest.raises(InputError, match=message):
+            sample(dist, 10, seed=1)
+    # a sum within the package's one bound is a distribution
+    assert 64 * eps > _SUM_BOUND >= 4 * eps
+    sample(DistributionBlock(w, q, np.array([0.5, 0.5 + 4 * eps])), 10, seed=1)
 
 
 def test_sampler_moments_are_those_of_the_draws():
     dist = enumerate_paths(CycleParams(0.7, 1.0, 2.0, 0.1, 0.2), 0.3)
     assert np.cumsum(dist.prob)[-2] <= 1.0  # the clamp leaves this distribution as it is
-    stats = sample(dist, 20000, seed=11)
+    drawn = sample(dist, 20000, seed=11)
     # the same stream's chain of binomials, each outcome drawing from what
-    # the earlier ones left, moments taken over the draws
+    # the earlier ones left: the returned probabilities are the counts / n
     rng, left, rest, counts = random.Random(11), 20000, 1.0, []
     for p in dist.prob[:-1].tolist():
         counts.append(_binomial(rng, left, p / rest))
         left, rest = left - counts[-1], rest - p
-    idx = np.repeat(np.arange(dist.w.size), counts + [left])
-    for summary, values in ((stats.w, dist.w), (stats.q_m, dist.q_m)):
-        for k, raw in enumerate(summary.raw, 1):
-            assert raw == pytest.approx(float(np.mean(values[idx] ** k)), rel=1e-13, abs=1e-13)
+    counts.append(left)
+    assert np.array_equal(drawn.w, dist.w) and np.array_equal(drawn.q_m, dist.q_m)
+    assert np.array_equal(drawn.prob, np.array(counts) / 20000)
+    # and its cumulants are the mean and variance of the draws themselves
+    idx = np.repeat(np.arange(dist.w.size), counts)
+    cums = cumulants_from_block(drawn)
+    for kappa, values in ((cums.w, dist.w), (cums.q_m, dist.q_m)):
+        assert kappa[0] == pytest.approx(float(np.mean(values[idx])), rel=1e-13, abs=1e-13)
+        assert kappa[1] == pytest.approx(float(np.var(values[idx])), rel=1e-13, abs=1e-13)
+
+
+def test_sampler_variance_is_exact_at_a_large_mean():
+    # raw moments lose the variance of outcomes 1e8 apart from 0: the second
+    # raw moment minus the squared mean cancelled 8/9 to 0 here
+    dist = DistributionBlock(np.array([1e8, 1e8 + 2.0]), np.zeros(2), np.array([0.5, 0.5]))
+    for seed in range(4):
+        drawn = sample(dist, 3, seed)
+        counts = [round(3 * p) for p in drawn.prob.tolist()]
+        assert drawn.prob.tolist() == [c / 3 for c in counts]
+        values = [Fraction(x) for x in drawn.w.tolist()]
+        mean = sum(c * x for c, x in zip(counts, values)) / 3
+        exact = float(sum(c * (x - mean) ** 2 for c, x in zip(counts, values)) / 3)
+        variance = float(cumulants_from_block(drawn).w[1])
+        assert abs(variance - exact) <= 4 * math.ulp(exact)
+        if seed == 0:
+            assert counts == [1, 2] and exact == 8 / 9
 
 
 def test_sampler_z_scores_look_standard_normal_over_seeds():
@@ -239,11 +278,11 @@ def test_sampler_z_scores_look_standard_normal_over_seeds():
     exact = cumulants_from_block(dist)
     z = []
     for seed in range(1, 201):
-        stats = sample(dist, 10**6, seed)
-        for summary, kappa in ((stats.w, exact.w), (stats.q_m, exact.q_m)):
-            mean_err, var_err = sample_errors(kappa, stats.count)
-            z.append((summary.mean - kappa[0]) / mean_err)
-            z.append((summary.variance - kappa[1]) / var_err)
+        drawn = cumulants_from_block(sample(dist, 10**6, seed))
+        for empirical, kappa in ((drawn.w, exact.w), (drawn.q_m, exact.q_m)):
+            mean_err, var_err = sample_errors(kappa, 10**6)
+            z.append((empirical[0] - kappa[0]) / mean_err)
+            z.append((empirical[1] - kappa[1]) / var_err)
     z = np.array(z)
     assert abs(z.mean()) < 0.15 and 0.85 < z.var() < 1.15
     # eight or more beyond 3 would have probability below 0.3%
@@ -251,17 +290,12 @@ def test_sampler_z_scores_look_standard_normal_over_seeds():
 
 
 def test_sampler_clamps_partial_sums_at_one():
-    # probabilities that sum to 1 + 5e-11, within JointDistribution's
-    # tolerance: the leading outcomes are cut back to a total of 1, so the
-    # outcomes after them are never drawn
-    dist = JointDistribution([0.0, 1.0, 2.0], [0.0] * 3, [0.5, 0.5 + 5e-11, 0.2e-10])
-    stats = sample(dist, 10**6, seed=4)
-    assert stats.w.raw[0] == stats.w.raw[1] and 0.49 < stats.w.mean < 0.51
     # ten tenths: the partial sums stay below 1, and the last outcome takes
     # what the others leave
-    tenths = JointDistribution(np.arange(10.0), np.zeros(10), [0.1] * 10)
+    tenths = DistributionBlock(np.arange(10.0), np.zeros(10), np.full(10, 0.1))
     assert np.cumsum(tenths.prob)[-1] < 1.0
-    assert sample(tenths, 10**12, seed=5).w.mean == pytest.approx(4.5, abs=1e-4)
+    drawn = cumulants_from_block(sample(tenths, 10**12, seed=5))
+    assert drawn.w[0] == pytest.approx(4.5, abs=1e-4)
 
 
 def test_sampler_memory_does_not_grow_with_draws():
