@@ -212,6 +212,135 @@ def test_every_flag_is_a_config_key_with_the_flag_type(tmp_path):
     assert seen > 40
 
 
+# every option of every subcommand, as the parser declared it before its
+# flags moved into one table: (flag, destination, value type, choices, help)
+_SWEEPABLE = ("beta", "nu1", "nu2", "delta", "zeta", "theta", "cs-alpha", "alpha-m")
+_PARSER_SURFACE = {
+    ("cumulants", "one parameter point, all three routes"): [
+        ("--config", "config", str, None, "flat key=value config file; flags override"),
+        ("--beta", "beta", float, None, None),
+        ("--nu1", "nu1", float, None, None),
+        ("--nu2", "nu2", float, None, None),
+        ("--delta", "delta", float, None, None),
+        ("--zeta", "zeta", float, None, None),
+        ("--out", "out", str, None, "output CSV path (default: stdout)"),
+        ("--theta", "theta", float, None, None),
+        ("--p0", "p0", float, None, None),
+        ("--p1", "p1", float, None, None),
+        ("--p2", "p2", float, None, None),
+        ("--p3", "p3", float, None, None),
+        ("--alpha-m", "alpha_m", float, None, None),
+        ("--cs-alpha", "cs_alpha", float, None, None),
+        ("--branch", "branch", str, ("plus", "minus"), None),
+        ("--dist-out", "dist_out", str, None, "also dump the joint distribution CSV here"),
+        ("--bounds-out", "bounds_out", str, None, "also write the bound reports CSV here"),
+    ],
+    ("sweep", "cumulants/efficiency/regime along one axis"): [
+        ("--config", "config", str, None, "flat key=value config file; flags override"),
+        ("--beta", "beta", float, None, None),
+        ("--nu1", "nu1", float, None, None),
+        ("--nu2", "nu2", float, None, None),
+        ("--delta", "delta", float, None, None),
+        ("--zeta", "zeta", float, None, None),
+        ("--out", "out", str, None, "output CSV path (default: stdout)"),
+        ("--theta", "theta", float, None, None),
+        ("--p0", "p0", float, None, None),
+        ("--p1", "p1", float, None, None),
+        ("--p2", "p2", float, None, None),
+        ("--p3", "p3", float, None, None),
+        ("--alpha-m", "alpha_m", float, None, None),
+        ("--cs-alpha", "cs_alpha", float, None, None),
+        ("--branch", "branch", str, ("plus", "minus"), None),
+        ("--axis", "axis", str, _SWEEPABLE, None),
+        ("--start", "start", float, None, None),
+        ("--stop", "stop", float, None, None),
+        ("--steps", "steps", int, None, None),
+    ],
+    ("classify", "regime map over a 2-D grid"): [
+        ("--config", "config", str, None, "flat key=value config file; flags override"),
+        ("--beta", "beta", float, None, None),
+        ("--nu1", "nu1", float, None, None),
+        ("--nu2", "nu2", float, None, None),
+        ("--delta", "delta", float, None, None),
+        ("--zeta", "zeta", float, None, None),
+        ("--out", "out", str, None, "output CSV path (default: stdout)"),
+        ("--theta", "theta", float, None, None),
+        ("--p0", "p0", float, None, None),
+        ("--p1", "p1", float, None, None),
+        ("--p2", "p2", float, None, None),
+        ("--p3", "p3", float, None, None),
+        ("--alpha-m", "alpha_m", float, None, None),
+        ("--cs-alpha", "cs_alpha", float, None, None),
+        ("--branch", "branch", str, ("plus", "minus"), None),
+        ("--axis", "axis", str, _SWEEPABLE, None),
+        ("--start", "start", float, None, None),
+        ("--stop", "stop", float, None, None),
+        ("--steps", "steps", int, None, None),
+        ("--axis2", "axis2", str, _SWEEPABLE, None),
+        ("--start2", "start2", float, None, None),
+        ("--stop2", "stop2", float, None, None),
+        ("--steps2", "steps2", int, None, None),
+    ],
+    ("verify-bounds", "randomized bound-verification campaign"): [
+        ("--config", "config", str, None, "flat key=value config file; flags override"),
+        ("--out", "out", str, None, "output CSV path (default: stdout)"),
+        ("--samples", "samples", int, None, None),
+        ("--seed", "seed", int, None, None),
+    ],
+    ("sample", "Monte Carlo draws against the enumeration"): [
+        ("--config", "config", str, None, "flat key=value config file; flags override"),
+        ("--beta", "beta", float, None, None),
+        ("--nu1", "nu1", float, None, None),
+        ("--nu2", "nu2", float, None, None),
+        ("--delta", "delta", float, None, None),
+        ("--zeta", "zeta", float, None, None),
+        ("--out", "out", str, None, "output CSV path (default: stdout)"),
+        ("--theta", "theta", float, None, None),
+        ("--p0", "p0", float, None, None),
+        ("--p1", "p1", float, None, None),
+        ("--p2", "p2", float, None, None),
+        ("--p3", "p3", float, None, None),
+        ("--alpha-m", "alpha_m", float, None, None),
+        ("--cs-alpha", "cs_alpha", float, None, None),
+        ("--branch", "branch", str, ("plus", "minus"), None),
+        ("--samples", "samples", int, None, None),
+        ("--seed", "seed", int, None, None),
+    ],
+    ("lz-compare", "monitored vs unmonitored Landau-Zener table"): [
+        ("--config", "config", str, None, "flat key=value config file; flags override"),
+        ("--beta", "beta", float, None, None),
+        ("--nu1", "nu1", float, None, None),
+        ("--nu2", "nu2", float, None, None),
+        ("--out", "out", str, None, "output CSV path (default: stdout)"),
+        ("--alpha-m", "alpha_m", float, None, None),
+        ("--chi", "chi", float, None, None),
+        ("--phi", "phi", float, None, None),
+        ("--axis", "axis", str, ("delta",), None),
+        ("--start", "start", float, None, None),
+        ("--stop", "stop", float, None, None),
+        ("--steps", "steps", int, None, None),
+    ],
+}
+
+
+def test_parser_surface_is_pinned():
+    # a flag, type, choice or help text that changes fails here; the value
+    # type is the one a config file's text goes through (argparse passes a
+    # string flag's text as it is)
+    parser = build_parser()
+    sub = next(a for a in parser._actions if a.dest == "command")
+    helps = {action.dest: action.help for action in sub._choices_actions}
+    surface = {
+        (name, helps[name]): [
+            (*action.option_strings, action.dest, action.type or str, action.choices, action.help)
+            for action in subparser._actions if action.dest != "help"
+        ]
+        for name, subparser in sub.choices.items()
+    }
+    assert surface == _PARSER_SURFACE
+    assert list(surface) == list(_PARSER_SURFACE)
+
+
 def test_config_file_output_paths(tmp_path, capsys):
     dist, bounds = tmp_path / "d.csv", tmp_path / "b.csv"
     cfg = tmp_path / "run.cfg"
