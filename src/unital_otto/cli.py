@@ -32,6 +32,7 @@ import os
 import re
 import stat
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -77,26 +78,31 @@ def _read_config_file(path: str, known: dict) -> dict[str, str]:
     return values
 
 
-def _add_common(
-    parser: argparse.ArgumentParser,
-    cycle: tuple[str, ...] = ("beta", "nu1", "nu2", "delta", "zeta"),
-    channel: bool = True,
-) -> None:
-    """The config file, the ``cycle`` parameters the subcommand reads, the
-    output path and, with ``channel``, the channel and its control."""
-    parser.add_argument("--config", help="flat key=value config file; flags override")
-    for name in cycle:
-        parser.add_argument(f"--{name}", type=float)
-    parser.add_argument("--out", help="output CSV path (default: stdout)")
-    if channel:
-        parser.add_argument("--theta", type=float)
-        parser.add_argument("--p0", type=float)
-        parser.add_argument("--p1", type=float)
-        parser.add_argument("--p2", type=float)
-        parser.add_argument("--p3", type=float)
-        parser.add_argument("--alpha-m", type=float, dest="alpha_m")
-        parser.add_argument("--cs-alpha", type=float, dest="cs_alpha")
-        parser.add_argument("--branch", choices=("plus", "minus"))
+# Every flag, by its name without the leading --: its value type, allowed
+# values (None: any) and help text.  A subcommand may narrow its choices.
+_FLAGS = {
+    "config": (str, None, "flat key=value config file; flags override"),
+    "out": (str, None, "output CSV path (default: stdout)"),
+    "dist-out": (str, None, "also dump the joint distribution CSV here"),
+    "bounds-out": (str, None, "also write the bound reports CSV here"),
+    "branch": (str, ("plus", "minus"), None),
+    **dict.fromkeys(("axis", "axis2"), (str, SWEEPABLE, None)),
+    **dict.fromkeys(("steps", "steps2", "samples", "seed"), (int, None, None)),
+    **dict.fromkeys(("beta", "nu1", "nu2", "delta", "zeta", "theta", "p0", "p1", "p2", "p3",
+                     "alpha-m", "cs-alpha", "chi", "phi", "start", "stop", "start2", "stop2"),
+                    (float, None, None)),
+}
+
+
+# A subcommand's help line, its flags in --help order and its handler.
+class _Command(NamedTuple):
+    help: str
+    flags: dict[str, tuple]
+    handler: Callable[[dict], None]
+
+
+def _flags(*names: str) -> dict[str, tuple]:
+    return {name: _FLAGS[name] for name in names}
 
 
 # argparse's own negative-number pattern has no exponent and reads -1e3 as an option
@@ -105,88 +111,37 @@ _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="unital-otto",
-        description="Exact statistics of monitored unital quantum Otto cycles",
+        prog="unital-otto", description="Exact statistics of monitored unital quantum Otto cycles"
     )
+    parser._negative_number_matcher = _NEGATIVE_NUMBER
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("cumulants", help="one parameter point, all three routes")
-    _add_common(p)
-    p.add_argument("--dist-out", help="also dump the joint distribution CSV here")
-    p.add_argument("--bounds-out", help="also write the bound reports CSV here")
-
-    p = sub.add_parser("sweep", help="cumulants/efficiency/regime along one axis")
-    _add_common(p)
-    p.add_argument("--axis", choices=SWEEPABLE)
-    p.add_argument("--start", type=float)
-    p.add_argument("--stop", type=float)
-    p.add_argument("--steps", type=int)
-
-    p = sub.add_parser("classify", help="regime map over a 2-D grid")
-    _add_common(p)
-    for suffix in ("", "2"):
-        p.add_argument(f"--axis{suffix}", choices=SWEEPABLE)
-        p.add_argument(f"--start{suffix}", type=float)
-        p.add_argument(f"--stop{suffix}", type=float)
-        p.add_argument(f"--steps{suffix}", type=int)
-
-    p = sub.add_parser("verify-bounds", help="randomized bound-verification campaign")
-    # every cycle is drawn at random, so no cycle parameter is taken
-    _add_common(p, cycle=(), channel=False)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--seed", type=int)
-
-    p = sub.add_parser("sample", help="Monte Carlo draws against the enumeration")
-    _add_common(p)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--seed", type=int)
-
-    p = sub.add_parser("lz-compare", help="monitored vs unmonitored Landau-Zener table")
-    # delta = zeta comes from the axis
-    _add_common(p, cycle=("beta", "nu1", "nu2"), channel=False)
-    p.add_argument("--alpha-m", type=float, dest="alpha_m")
-    p.add_argument("--chi", type=float)
-    p.add_argument("--phi", type=float)
-    p.add_argument("--axis", choices=("delta",))
-    p.add_argument("--start", type=float)
-    p.add_argument("--stop", type=float)
-    p.add_argument("--steps", type=int)
-
-    for p in (parser, *sub.choices.values()):
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p._negative_number_matcher = _NEGATIVE_NUMBER
+        for flag, (kind, choices, text) in command.flags.items():
+            p.add_argument(f"--{flag}", type=kind, choices=choices, help=text)
     return parser
 
 
-def _config_types(
-    parser: argparse.ArgumentParser, command: str
-) -> dict[str, tuple[str, type, tuple | None]]:
-    """Config-file key -> (destination, value type, allowed values) for
-    every long flag of every subcommand.  Allowed values are the flag's
-    ``choices`` in ``command``, the subcommand that runs; a key only other
-    subcommands take has none."""
-    types: dict[str, tuple[str, type, tuple | None]] = {}
-    subparsers = next(
-        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-    )
-    for name, sub in subparsers.choices.items():
-        own = name == command
-        for action in sub._actions:
-            for flag in action.option_strings:
-                key = flag[2:]
-                if flag in ("--help", "--config") or not flag.startswith("--"):
-                    continue
-                if own or key not in types:
-                    types[key] = (action.dest, action.type or str, action.choices if own else None)
+def _config_types(command: str) -> dict[str, tuple]:
+    """Config-file key -> flag, for every flag of every subcommand but
+    --config.  A flag has one type in every subcommand that takes it; it
+    keeps its choices only in ``command``, the subcommand that runs."""
+    types = {key: (kind, None, text)
+             for spec in _COMMANDS.values() for key, (kind, _, text) in spec.flags.items()}
+    types.update(_COMMANDS[command].flags)
+    del types["config"]
     return types
 
 
-def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
+def _merge_config(args: argparse.Namespace) -> dict:
     """File values, then command-line flags on top."""
     merged: dict = {}
-    if getattr(args, "config", None):
-        types = _config_types(parser, args.command)
+    if args.config:
+        types = _config_types(args.command)
         for key, text in _read_config_file(args.config, types).items():
-            dest, kind, choices = types[key]
+            kind, choices, _ = types[key]
+            dest = key.replace("-", "_")
             try:
                 merged[dest] = kind(text)
             except ValueError as exc:  # as the flag's type rejects it
@@ -195,11 +150,8 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
                 raise ConfigError(
                     f"{args.config}: {key} = {text}: choose from {', '.join(choices)}"
                 )
-    for key, val in vars(args).items():
-        if key in ("command", "config"):
-            continue
-        if val is not None:
-            merged[key] = val
+    merged.update((key, val) for key, val in vars(args).items()
+                  if val is not None and key not in ("command", "config"))
     return merged
 
 
@@ -810,13 +762,30 @@ def _cmd_lz_compare(cfg: dict) -> None:
     _emit(cfg, "lz-compare", _COMPARISON, blocks)
 
 
+_CYCLE = ("beta", "nu1", "nu2", "delta", "zeta")
+# a cycle's flags: the config file, the cycle, the output and the channel
+_POINT = ("config", *_CYCLE, "out",
+          "theta", "p0", "p1", "p2", "p3", "alpha-m", "cs-alpha", "branch")
+_AXIS = ("axis", "start", "stop", "steps")
+
 _COMMANDS = {
-    "cumulants": _cmd_cumulants,
-    "sweep": _cmd_sweep,
-    "classify": _cmd_classify,
-    "verify-bounds": _cmd_verify_bounds,
-    "sample": _cmd_sample,
-    "lz-compare": _cmd_lz_compare,
+    "cumulants": _Command("one parameter point, all three routes",
+                          _flags(*_POINT, "dist-out", "bounds-out"), _cmd_cumulants),
+    "sweep": _Command("cumulants/efficiency/regime along one axis",
+                      _flags(*_POINT, *_AXIS), _cmd_sweep),
+    "classify": _Command("regime map over a 2-D grid",
+                         _flags(*_POINT, *_AXIS, "axis2", "start2", "stop2", "steps2"),
+                         _cmd_classify),
+    # every cycle is drawn at random, so no cycle parameter is taken
+    "verify-bounds": _Command("randomized bound-verification campaign",
+                              _flags("config", "out", "samples", "seed"), _cmd_verify_bounds),
+    "sample": _Command("Monte Carlo draws against the enumeration",
+                       _flags(*_POINT, "samples", "seed"), _cmd_sample),
+    # delta = zeta comes from the axis, which takes only delta
+    "lz-compare": _Command("monitored vs unmonitored Landau-Zener table", {
+        **_flags("config", *_CYCLE[:3], "out", "alpha-m", "chi", "phi", *_AXIS),
+        "axis": (str, ("delta",), None),
+    }, _cmd_lz_compare),
 }
 
 
@@ -831,11 +800,10 @@ def main(argv: list[str] | None = None) -> int:
     if not _frozen:
         gc.freeze()
         _frozen = True
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = _merge_config(args, parser)
-        _COMMANDS[args.command](cfg)
+        cfg = _merge_config(args)
+        _COMMANDS[args.command].handler(cfg)
     except PhysicsError as exc:
         print(f"physics error: {exc}", file=sys.stderr)
         return 3

@@ -205,7 +205,7 @@ def test_every_flag_is_a_config_key_with_the_flag_type(tmp_path):
         text = {float: "0.25", int: "7"}.get(kind, (action.choices or ["x.csv"])[0])
         cfg.write_text(f"{key} = {text}\n")
         args = parser.parse_args([command, "--config", str(cfg)])
-        merged = _merge_config(args, parser)
+        merged = _merge_config(args)
         assert merged[action.dest] == kind(text), (command, key)
         assert type(merged[action.dest]) is kind, (command, key)
         seen += 1
