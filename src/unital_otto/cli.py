@@ -359,9 +359,13 @@ def _cmd_cumulants(cfg: dict) -> None:
     columns, branch = _run(cfg)
     dist = trajectory._point(trajectory.enumerate_block(*columns, branch=branch))
     exact = cumulants.cumulants_from_block(dist)
-    fd = cumulants.cf_derivative_check(*columns, branch=branch)
-    closed = cumulants.closed_form_block(*columns, branch=branch)
     nan = math.nan
+    try:
+        fd = cumulants.cf_derivative_check(*columns, branch=branch)
+        fd_values = np.concatenate((fd.w, fd.q_m, [fd.qt_mean]))
+    except InputError:  # the diagnostic route fails no answer: its cells are nan
+        fd_values = np.full(9, nan)
+    closed = cumulants.closed_form_block(*columns, branch=branch)
     # the paper gives the coherently controlled closed forms for means only
     controlled = len(columns) > 6  # the seventh column is the control's alpha
     w_var, qm_var = (nan, nan) if controlled else (closed.w_var, closed.qm_var)
@@ -370,7 +374,7 @@ def _cmd_cumulants(cfg: dict) -> None:
     for route, values in (
         ("closed_form",
          [closed.w_mean, w_var, nan, nan, closed.qm_mean, qm_var, nan, nan, closed.qt_mean]),
-        ("cf_derivative", np.concatenate((fd.w, fd.q_m, [fd.qt_mean]))),
+        ("cf_derivative", fd_values),
     ):
         rows += [(route, *values), (route + "_delta", *np.abs(np.subtract(values, enumeration)))]
 

@@ -123,7 +123,9 @@ def _marginal_cumulants(values: np.ndarray, prob: np.ndarray, magnitudes: bool =
     with np.errstate(over="ignore", invalid="ignore"):
         values = np.abs(values) if magnitudes else values
         mean = np.vecdot(prob, values)
-        centred = sub(values, mean[..., None])
+        # an outcome of probability 0 adds 0 to every sum, even where its
+        # centred powers would overflow to inf (0 * inf is nan)
+        centred = np.where(prob != 0.0, sub(values, mean[..., None]), 0.0)
         sq = centred * centred
         c2 = np.vecdot(prob, sq)
         c3 = np.vecdot(prob, sq * centred)

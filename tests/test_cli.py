@@ -1167,6 +1167,38 @@ def test_sample_at_huge_gaps_prints_no_traceback(strokes):
         assert proc.stderr == "config error: cumulants must be finite\n"
 
 
+# beta nu1 = 7e199 and theta = 1: W = 2 (nu2 - nu1) and Q_M = 2 nu2 with
+# certainty, so every cumulant is finite, though the outcomes of probability
+# 0 sit 4e200 away, where a centred square overflows
+HUGE_CERTAIN = ["--beta", "0.7", "--nu1", "1e200", "--nu2", "3e200", "--delta", "0",
+                "--zeta", "0", "--theta", "1"]
+
+
+def test_a_certain_outcome_at_huge_gaps_sweeps():
+    proc = fresh_python(
+        "-m", "unital_otto.cli", "sweep", *HUGE_CERTAIN,
+        "--axis", "theta", "--start", "1", "--stop", "1", "--steps", "2",
+        PYTHONWARNINGS="default",
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    row = ("1,3.9999999999999999e+200,0,0,0,5.9999999999999998e+200,0,0,0,"
+           "-1.9999999999999999e+200,0,0.66666666666666663,Engine,ok,n/a,ok,n/a,n/a,n/a")
+    assert proc.stdout.splitlines()[2:] == [row, row]
+
+
+def test_a_failing_derivative_route_prints_nan_cells():
+    # the characteristic function's Taylor coefficients overflow (f^2 ~ 6e401),
+    # so that diagnostic route has no cumulants; the enumeration is the answer
+    proc = fresh_python("-m", "unital_otto.cli", "cumulants", *HUGE_CERTAIN,
+                        PYTHONWARNINGS="default")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    rows = {line.split(",", 1)[0]: line for line in proc.stdout.splitlines()[2:]}
+    assert rows["enumeration"] == ("enumeration,3.9999999999999999e+200,0,0,0,"
+                                   "5.9999999999999998e+200,0,0,0,-1.9999999999999999e+200")
+    for route in ("cf_derivative", "cf_derivative_delta"):
+        assert rows[route] == ",".join([route, *["nan"] * 9])
+
+
 POINT = ["--beta", "0.7", "--nu1", "1", "--nu2", "2", "--delta", "0.1", "--zeta", "0.1",
          "--theta", "0.2"]
 
