@@ -111,7 +111,8 @@ _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="unital-otto", description="Exact statistics of monitored unital quantum Otto cycles"
+        prog="unital-otto",
+        description="Exact statistics of monitored unital quantum Otto cycles",
     )
     parser._negative_number_matcher = _NEGATIVE_NUMBER
     sub = parser.add_subparsers(dest="command", required=True)
@@ -188,10 +189,10 @@ def _resolve_theta(cfg: dict):
 
 def _config_comment(command: str, cfg: dict) -> str:
     parts = [f"command={command}"]
+    # a run's configuration holds no None: _merge_config keeps set values only
     for key, value in sorted(cfg.items()):
-        if value is not None:
-            value = _NUMBER % value if isinstance(value, float) else value
-            parts.append(f"{key.replace('_', '-')}={value}")
+        value = _NUMBER % value if isinstance(value, float) else value
+        parts.append(f"{key.replace('_', '-')}={value}")
     return "# " + " ".join(parts) + "\n"
 
 
