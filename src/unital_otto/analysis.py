@@ -127,10 +127,10 @@ def efficiency_block(
 
     It reads forward and backward on an equal footing,
     (W_F + W_B) / (Q_MF + Q_MB), which restores the Otto ceiling for
-    asymmetric driving; at delta = zeta, the symmetric cycle, the pair
-    keeps the forward cycle's bits unless the doubled flows overflow.  With
-    the control's arm weight ``alpha`` on ``branch`` the pair is read at
-    the controlled flip probability.  Heat that is a rounding residue
+    asymmetric driving: 1 - (nu1 / nu2)(1 + m) exactly, with the margin m of
+    :func:`work_threshold_block`, free of t = tanh(beta nu1).  With the
+    control's arm weight ``alpha`` on ``branch`` the pair is read at the
+    controlled flip probability.  Heat that is a rounding residue
     (:func:`~unital_otto.cumulants.is_rounding_residue`), as where forward
     and backward heat cancel, counts as no heat.
     """
@@ -138,12 +138,29 @@ def efficiency_block(
     return _efficiency(*cycle, flip)[0]
 
 
+@np.errstate(divide="ignore", invalid="ignore")  # p = 0 or delta + zeta = 1
+def _margin(d, z, flip) -> tuple:
+    """The margin m of :func:`work_threshold_block` and its rounding's
+    magnitude |m|: nonnegative terms over p (1 - delta - zeta), the rounding
+    of 1 - delta (exact, Fast2Sum) added after the cancellation."""
+    num = (1.0 - flip) * (d * (1.0 - z) + z * (1.0 - d)) + 2.0 * flip * d * z
+    rest = 1.0 - d
+    m = num / (flip * ((rest - z) - ((rest - 1.0) + d)))
+    return m, np.abs(m)
+
+
 @np.errstate(over="ignore", invalid="ignore")
-def _efficiency(beta, nu1, nu2, delta, zeta, flip) -> tuple:
+def _efficiency(beta, nu1, nu2, d, z, flip) -> tuple:
     """:func:`efficiency_block` on checked columns and the flip probability,
-    with the magnitude of its rounding."""
-    means, mags, _, _ = _pair_means((beta, nu1, nu2, delta, zeta, flip))
-    return _quotient(means.w_mean, means.qm_mean, mags.w_mean, mags.qm_mean)
+    1 - r (1 + m) with r = nu1 / nu2, then r m and its magnitude: ``nan``
+    where the pair's heat, the closed form's 2 (1 - 2 x) p nu2 t at x =
+    delta and zeta, is a rounding residue."""
+    t = np.tanh(beta * nu1)
+    heat = [2.0 * sub(1.0, 2.0 * x) * flip * nu2 * u
+            for sub, u in ((np.subtract, t), (np.add, np.abs(t))) for x in (d, z)]
+    r = np.where(is_rounding_residue(heat[0] + heat[1], heat[2] + heat[3]), math.nan, nu1 / nu2)
+    m, m_mag = _margin(d, z, flip)
+    return 1.0 - r * (1.0 + m), r * m, r * m_mag
 
 
 def _pair_means(cycle: tuple) -> tuple:
@@ -178,12 +195,8 @@ def work_threshold_block(
     )
     # the pair's work over 4 t is
     # p (1 - delta - zeta) (nu2 - nu1) - ((1 - p) s + 2 p delta zeta) nu1
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # s = d (1 - z) + z (1 - d), and 1 - d - z with the rounding of
-        # 1 - d (exact, Fast2Sum) added after the cancellation
-        num = (1.0 - flip) * (d * (1.0 - z) + z * (1.0 - d)) + 2.0 * flip * d * z
-        rest = 1.0 - d
-        nu2_min = nu1 + nu1 * (num / (flip * ((rest - z) - ((rest - 1.0) + d))))
+    with np.errstate(over="ignore"):
+        nu2_min = nu1 + nu1 * _margin(d, z, flip)[0]
     return np.where((flip > 0.0) & (d + z < 1.0), nu2_min, math.inf)
 
 
@@ -199,11 +212,11 @@ class BoundReport(NamedTuple):
     margin: np.ndarray
 
 
-def _report(name: str, left, right, applicable, magnitude) -> BoundReport:
+def _report(name: str, left, right, applicable, magnitude, margin=None) -> BoundReport:
     """The report of ``left <= right`` where ``applicable``.  The comparison
-    holds where right - left is nonnegative or a rounding residue of
-    ``magnitude``, the magnitude of the difference: the operands' rounding
-    and nothing more.  Each field is an array of the block's shape with
+    holds where right - left, or ``margin`` given as that difference free of
+    cancellation, is nonnegative or a rounding residue of ``magnitude``, its
+    magnitude: the operands' rounding and nothing more.  Each field is an array of the block's shape with
     cells of its own: an operand of another shape (a constant bound) is
     broadcast and copied."""
     shape = np.broadcast(left, right, applicable).shape
@@ -211,7 +224,7 @@ def _report(name: str, left, right, applicable, magnitude) -> BoundReport:
         np.asarray(x) if np.shape(x) == shape else np.full(shape, x)
         for x in (left, right, applicable)
     )
-    margin = right - left
+    margin = right - left if margin is None else margin
     return BoundReport(
         name=name,
         left=left,
@@ -267,15 +280,16 @@ def _bounds(beta, nu1, nu2, d, z, theta, flip, control, symmetric: bool) -> list
     flows = (means.w_mean, means.qm_mean, fwd.qt_mean)
     magnitudes = (mags.w_mean, mags.qm_mean, fwd_mag.qt_mean)
     engine = classify_regime_array(*flows, beta, magnitudes) == Regime.ENGINE
-    eta, eta_mag = _quotient(means.w_mean, means.qm_mean, mags.w_mean, mags.qm_mean)
+    eta, below, below_mag = _efficiency(*cycle, flip)  # eta = otto - below
 
     if control is not None:
-        reports.append(_report("cs_eta_le_otto", eta, otto, engine, eta_mag + otto_mag))
-        # Branch ordering of efficiencies around the incoherent cycle.
-        plain, plain_mag = _efficiency(*cycle, theta)
-        comparable = engine & np.isfinite(plain)
-        order = (plain, eta) if control == "minus" else (eta, plain)
-        reports.append(_report("cs_eta_branch_order", *order, comparable, plain_mag + eta_mag))
+        reports.append(_report("cs_eta_le_otto", eta, otto, engine, below_mag, below))
+        # Branch ordering around the incoherent cycle: eta - plain on minus
+        plain, plain_below, plain_mag = _efficiency(*cycle, theta)
+        sign = 1.0 if control == "minus" else -1.0
+        reports.append(_report("cs_eta_branch_order", *(plain, eta)[::int(sign)],
+                               engine & np.isfinite(plain), plain_mag + below_mag,
+                               sign * (plain_below - below)))
         return reports
 
     # Eq-level preconditions, kept in multiplied-out form so no division by
@@ -293,8 +307,8 @@ def _bounds(beta, nu1, nu2, d, z, theta, flip, control, symmetric: bool) -> list
     ))
     ratio, ratio_mag = _quotient(means.w_var, means.qm_var, mags.w_var, mags.qm_var)
     corridor &= ~np.isnan(ratio) & ~np.isnan(eta)
-    reports.append(_report("eta_le_otto", eta, otto, engine, eta_mag + otto_mag))
-    eta_sq_mag = 2.0 * np.abs(eta) * eta_mag + ratio_mag
+    reports.append(_report("eta_le_otto", eta, otto, engine, below_mag, below))
+    eta_sq_mag = 2.0 * np.abs(eta) * (otto_mag + below_mag) + ratio_mag
     reports.append(_report("eta_sq_le_ratio", eta * eta, ratio, corridor, eta_sq_mag))
     reports.append(_report("ratio_le_one", ratio, 1.0, corridor, ratio_mag))
     if symmetric:

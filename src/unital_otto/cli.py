@@ -366,7 +366,13 @@ def _cmd_cumulants(cfg: dict) -> None:
         fd_values = np.concatenate((fd.w, fd.q_m, [fd.qt_mean]))
     except InputError:  # the diagnostic route fails no answer: its cells are nan
         fd_values = np.full(9, nan)
-    closed = cumulants.closed_form_block(*columns, branch=branch)
+    *cycle, _, flip = trajectory._checked_columns(*columns, branch=branch)
+    # a closed form that cancels to its terms' rounding, as where the
+    # outcome is certain, is 0; a magnitude that overflowed tells nothing
+    closed = cumulants.FirstTwoCumulants(*(
+        np.where(np.isfinite(size) & cumulants.is_rounding_residue(x, size), 0.0, x)
+        for x, size in zip(*(cumulants._closed_form(*cycle, flip, m) for m in (False, True)))
+    ))
     # the paper gives the coherently controlled closed forms for means only
     controlled = len(columns) > 6  # the seventh column is the control's alpha
     w_var, qm_var = (nan, nan) if controlled else (closed.w_var, closed.qm_var)

@@ -278,23 +278,25 @@ def cf_derivative_check(
     t = math.tanh(beta * nu1)  # as CycleParams.tanh_beta_nu1
 
     def kappas(index: int) -> tuple[float, float, float, float]:
-        a = [0j] * 5
+        # the coefficients of chi and, for is_rounding_residue, the sums of
+        # their terms' magnitudes, |coefficient| |f|^n, with the log
+        # series' recurrence run on both
+        a, a_mag = [0j] * 5, [0.0] * 5
         for term in terms:
             coeff, f, sign = term[0], term[index], term[3]
             for n in range(5):
                 a[n] += coeff * sign * t if n % 2 else coeff
+                a_mag[n] += abs(coeff) * abs(t) if n % 2 else abs(coeff)
                 coeff *= -1j * f / (n + 1)
-        b = [0j] * 5
+        b, b_mag = [0j] * 5, [0.0] * 5
         for n in range(1, 5):
             b[n] = a[n] - sum(k * b[k] * a[n - k] for k in range(1, n)) / n
+            b_mag[n] = a_mag[n] + sum(k * b_mag[k] * a_mag[n - k] for k in range(1, n)) / n
         # + 0.0 turns the negative zeros of vanishing coefficients into 0
-        k1, k2, k3, k4 = (
-            (math.factorial(n) * b[n] / 1j**n).real + 0.0 for n in range(1, 5)
-        )
-        # kappa_2 = mu_2 - mu_1^2 cancels where the variable is nearly
-        # certain; rounding below zero there is no variance
-        if k2 < 0.0 and is_rounding_residue(k2, -2.0 * a[2].real + k1 * k1):
-            k2 = 0.0
-        return k1, k2, k3, k4
+        k1, *higher = ((math.factorial(n) * b[n] / 1j**n).real + 0.0 for n in range(1, 5))
+        # kappa_2..4 cancel where the variable is nearly certain: what
+        # rounding leaves of them there is no cumulant
+        return k1, *(0.0 if is_rounding_residue(k, math.factorial(n) * b_mag[n]) else k
+                     for n, k in enumerate(higher, 2))
 
     return _checked_block(np.array(kappas(1)), np.array(kappas(2)))

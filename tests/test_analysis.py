@@ -25,11 +25,10 @@ from unital_otto import (
     verify_bounds_block,
     work_threshold_block,
 )
-from unital_otto.analysis import _quotient
 from unital_otto.cumulants import _closed_form
 
 from conftest import close, cycle_params, finite, probs, regime_of
-from references import exact_work_line, symbolic_pair_work
+from references import exact_means, exact_work_line, symbolic_pair_work
 
 FIG3 = CycleParams(0.5, 1.0, 2.0, 0.1, 0.1)
 
@@ -204,16 +203,111 @@ def test_threshold_reads_the_work_that_the_efficiency_reads():
             assert sign * efficiency_block(0.7, 1.0, nu2, *cycle, *control) > 0.0
 
 
+def pair_margin():
+    """The pair's margin m of work_threshold_block in sympy, and its symbols
+    (x, delta, zeta, theta) with x = nu2, of :func:`symbolic_pair_work`."""
+    _, (_, x, d, z, theta) = symbolic_pair_work()
+    s = d + z - 2 * d * z
+    return ((1 - theta) * s + 2 * theta * d * z) / (theta * (1 - d - z)), (x, d, z, theta)
+
+
 def test_threshold_margin_is_an_exact_identity():
     # the pair's mean work is linear in nu2 (nu1 = 1): its root lies above
-    # nu1 by a quotient of nonnegative terms wherever heat is absorbed
+    # nu1 by a quotient of nonnegative terms wherever heat is absorbed.  A
+    # record's Q_M is the nu2 part of its W, so the pair's heat is the
+    # work's slope times nu2, and the efficiency is 1 - (nu1 / nu2)(1 + m)
     import sympy
 
-    work, (_, x, d, z, theta) = symbolic_pair_work()
+    work, _ = symbolic_pair_work()
+    margin, (x, *_) = pair_margin()
     slope, intercept = sympy.Poly(work, x).all_coeffs()
-    s = d + z - 2 * d * z
-    margin = ((1 - theta) * s + 2 * theta * d * z) / (theta * (1 - d - z))
     assert sympy.cancel(-intercept / slope - 1 - margin) == 0
+    assert sympy.cancel(work / (slope * x) - (1 - (1 + margin) / x)) == 0
+
+
+def exact_efficiency(t, nu1, nu2, delta, zeta, flip):
+    """The pair's <W> / <Q_M> as an exact Fraction of the float inputs, from
+    :func:`exact_means`; None where the exact heat is 0."""
+    fwd = exact_means(t, nu1, nu2, delta, zeta, flip)
+    bwd = exact_means(t, nu1, nu2, zeta, delta, flip)
+    heat = fwd[2] + bwd[2]
+    return None if heat == 0 else (fwd[0] + bwd[0]) / heat
+
+
+def assert_near_exact(eta, exact, where):
+    """A float efficiency within 4 eps max(1, |1 - eta|) of the exact one:
+    1 - eta = nu2_min / nu2 wherever nu2_min is finite."""
+    scale = max(1, abs(1 - exact))
+    assert abs(Fraction(eta) - exact) <= 4 * Fraction(np.finfo(float).eps) * scale, where
+
+
+def test_efficiency_is_the_exact_quotient_to_four_eps():
+    # 1 - (nu1 / nu2)(1 + m) against the exact pair quotient, a third of the
+    # points with 1 - delta - zeta between 1e-12 and 1e-3 of 1 - delta,
+    # where the pair's work and heat each cancel to a few digits
+    gen = np.random.default_rng(36)
+    n = 10_000
+    beta = gen.uniform(0.05, 2.0, n) * gen.choice([-1.0, 1.0], n)
+    nu1, nu2 = np.exp(gen.uniform(math.log(1e-2), math.log(20.0), (2, n)))
+    delta, zeta, theta = gen.random(n), gen.random(n), 1.0 - gen.random(n)
+    near = n // 3
+    delta[:near] *= 0.9
+    zeta[:near] = (1.0 - delta[:near]) * (
+        1.0 - np.exp(gen.uniform(math.log(1e-12), math.log(1e-3), near)))
+    eta = efficiency_block(beta, nu1, nu2, delta, zeta, theta)
+    assert np.isfinite(eta).all()
+    t = np.tanh(beta * nu1)
+    for i in range(n):
+        point = [float(c[i]) for c in (t, nu1, nu2, delta, zeta, theta)]
+        assert_near_exact(float(eta[i]), exact_efficiency(*point), i)
+
+
+def test_efficiency_does_not_read_beta():
+    # t = tanh(beta nu1) cancels from the pair's <W> / <Q_M>: the same float
+    # at every beta != 0 whose t is normal, of either sign, with and without
+    # control
+    gen = np.random.default_rng(38)
+    n = 10_000
+    nu1, nu2 = np.exp(gen.uniform(math.log(1e-2), math.log(20.0), (2, n)))
+    delta, zeta, theta, alpha = gen.random((4, n))
+    betas = [sign * np.exp(gen.uniform(math.log(1e-200), math.log(1e3), n)) / nu1
+             for sign in (1.0, -1.0, 1.0, -1.0)]
+    for control in ((), (alpha, "plus"), (alpha, "minus")):
+        half = 0.5 * theta if control else theta  # within the flip bound
+        etas = [efficiency_block(beta, nu1, nu2, delta, zeta, half, *control) for beta in betas]
+        assert np.isfinite(etas[0]).sum() > 9990
+        for eta in etas[1:]:
+            assert np.array_equal(bits(eta), bits(etas[0]))
+
+
+@pytest.mark.parametrize("branch, rises", [("minus", True), ("plus", False)])
+def test_coherence_moves_the_efficiency_as_certified(branch, rises):
+    # dm/dtheta = -s / (theta^2 (1 - delta - zeta)), exactly: where
+    # delta + zeta < 1 and s > 0 the margin falls and the efficiency rises
+    # with the flip probability theta / (1 -+ c), and the coherence
+    # c = sqrt(alpha (1 - alpha)) rises with alpha on [0, 1/2]; so coherence
+    # raises the minus branch's efficiency and lowers the plus branch's
+    import sympy
+
+    margin, (_, d, z, theta) = pair_margin()
+    s = d + z - 2 * d * z
+    assert sympy.cancel(sympy.diff(margin, theta) + s / (theta**2 * (1 - d - z))) == 0
+    gen = np.random.default_rng(37)
+    n = 10_000
+    beta = gen.uniform(0.05, 2.0, n) * gen.choice([-1.0, 1.0], n)
+    nu1, nu2 = np.exp(gen.uniform(math.log(1e-2), math.log(20.0), (2, n)))
+    delta, zeta = gen.random((2, n))
+    folded = delta + zeta >= 1.0
+    delta[folded], zeta[folded] = 1.0 - delta[folded], 1.0 - zeta[folded]
+    # theta <= 1/2 keeps the minus branch within its flip bound
+    low, high = np.sort(0.5 * gen.random((2, n)), axis=0)
+    cycle = (beta, nu1, nu2, delta, zeta, 0.5 * (1.0 - gen.random(n)))
+    before, after = (efficiency_block(*cycle, alpha, branch) for alpha in (low, high))
+    change = after - before if rises else before - after
+    # each efficiency is within 4 eps max(1, |1 - eta|) of its exact value
+    magnitude = np.maximum(1.0, np.abs(1.0 - before)) + np.maximum(1.0, np.abs(1.0 - after))
+    seen = ~is_rounding_residue(change, magnitude)
+    assert seen.sum() > 9000 and (change[seen] > 0.0).all()
 
 
 @pytest.mark.parametrize("case", ["symmetric", "asymmetric", "cs-plus", "cs-minus"])
@@ -310,7 +404,8 @@ def bits(x) -> np.ndarray:
 
 def test_symmetric_mode_is_the_pair_at_equal_strokes():
     # at delta = zeta the pair doubles the forward cycle's flows exactly, so
-    # every quotient and residue test keeps the forward cycle's bits
+    # every residue test keeps the forward cycle's bits, and the efficiency
+    # is the forward cycle's exact quotient to 4 eps
     gen = np.random.default_rng(34)
     n = 200_000
     beta = gen.uniform(-2.0, 2.0, n)
@@ -323,8 +418,11 @@ def test_symmetric_mode_is_the_pair_at_equal_strokes():
     cycle = (beta, nu1, nu2, delta, delta, theta)
     eta = efficiency_block(*cycle)
     fwd, fwd_mag = (_closed_form(*cycle, magnitudes=m) for m in (False, True))
-    forward = _quotient(fwd.w_mean, fwd.qm_mean, fwd_mag.w_mean, fwd_mag.qm_mean)[0]
-    assert np.array_equal(bits(eta), bits(forward))
+    assert np.array_equal(np.isnan(eta), is_rounding_residue(fwd.qm_mean, fwd_mag.qm_mean))
+    t = np.tanh(beta * nu1)
+    for i in np.flatnonzero(~np.isnan(eta))[::100]:
+        point = [float(c[i]) for c in (t, nu1, nu2, delta, delta, theta)]
+        assert_near_exact(float(eta[i]), exact_efficiency(*point), i)
     # zeta = delta everywhere adds the symmetric cycle's bound, and the
     # corridor precondition in the symmetric cycle's own form (1 - 2 delta
     # for 1 - delta - zeta) holds where the pair's form holds

@@ -451,7 +451,10 @@ def test_classify_evaluates_only_the_means_it_prints(capsys):
 # 600-point sweep and an lz-compare table, each more than one block long.
 # The lz-compare digest was taken again when the unmonitored cycle became a
 # Bloch-vector propagation: only w_um and eta_um cells changed, each W
-# within 2 eps of its trace bound of the 60-digit propagation
+# within 2 eps of its trace bound of the 60-digit propagation.  The sweep
+# digest was taken again when eta became 1 - (nu1 / nu2)(1 + m): only
+# efficiency cells changed (396 of 600), each within 2.5 eps of the exact
+# pair quotient
 PINNED_TABLES = {
     "classify": (
         "classify --beta 0.7 --nu1 1 --nu2 2 --delta 0.1 --zeta 0.1 --theta 0.3 "
@@ -461,7 +464,7 @@ PINNED_TABLES = {
     "sweep": (
         "sweep --beta 0.7 --nu1 1 --nu2 2 --delta 0.1 --zeta 0.1 --theta 0.3 "
         "--axis delta --start 0 --stop 1 --steps 600",
-        "ec3b514792e3bb9347f23589fd9f2aa13ae4ab7c205dae7130a6e23bd5eb56a5",
+        "395c216d76bb5de4e1cbb7033ec5394210704e19cce596344a930754eed20cfa",
     ),
     "lz-compare": (
         "lz-compare --beta 0.5 --nu1 0.4 --nu2 0.9 --alpha-m 1 --phi 0.3 --chi -1 "
@@ -777,7 +780,9 @@ def test_bound_report_dump(tmp_path, capsys):
 
 
 # Both dumps of `cumulants` at one point of each mode, captured before
-# --bounds-out took its 0-d columns from the run's own resolution.
+# --bounds-out took its 0-d columns from the run's own resolution.  The
+# efficiency cells were taken again when eta became 1 - (nu1 / nu2)(1 + m):
+# each is within 1.1 ulps of the exact pair quotient (tests/references.py)
 DUMP_POINTS = {
     "symmetric": "--beta 0.5 --nu1 1 --nu2 2 --delta 0.1 --zeta 0.1 --theta 0.3",
     "asymmetric": "--beta 0.7 --nu1 1 --nu2 2.5 --delta 0.1 --zeta 0.2 --theta 0.3",
@@ -790,8 +795,8 @@ PINNED_DUMPS = {
 bound_name,left,right,applicable,satisfied,margin
 qt_nonpositive,-0.34381516500144726,0,true,true,0.34381516500144726
 equal_gap_work_nonpositive,0.19963461193632415,0,false,false,-0.19963461193632415
-eta_le_otto,0.22499999999999995,0.5,true,true,0.27500000000000002
-eta_sq_le_ratio,0.050624999999999976,0.52964061514741456,true,true,0.47901561514741459
+eta_le_otto,0.22499999999999998,0.5,true,true,0.27500000000000002
+eta_sq_le_ratio,0.050624999999999989,0.52964061514741456,true,true,0.47901561514741459
 ratio_le_one,0.52964061514741456,1,true,true,0.47035938485258544
 otto_sq_le_ratio,0.25,0.52964061514741456,true,true,0.27964061514741456
 """,
@@ -834,8 +839,8 @@ w,q_m,prob
 # command=cumulants beta=0.69999999999999996 bounds-out=bounds.csv branch=plus cs-alpha=0.29999999999999999 delta=0.10000000000000001 dist-out=dist.csv nu1=1 nu2=3 theta=0.20000000000000001 zeta=0.10000000000000001
 bound_name,left,right,applicable,satisfied,margin
 cs_qt_nonpositive,-0.32367035816023559,0,true,true,0.32367035816023559
-cs_eta_le_otto,0.18648674477248942,0.66666666666666674,true,true,0.48017992189417735
-cs_eta_branch_order,0.18648674477248942,0.35833333333333345,true,true,0.17184658856084403
+cs_eta_le_otto,0.18648674477248939,0.66666666666666674,true,true,0.48017992189417735
+cs_eta_branch_order,0.18648674477248939,0.35833333333333339,true,true,0.17184658856084406
 """,
     ("cs", "dist"): """\
 # command=cumulants beta=0.69999999999999996 bounds-out=bounds.csv branch=plus cs-alpha=0.29999999999999999 delta=0.10000000000000001 dist-out=dist.csv nu1=1 nu2=3 theta=0.20000000000000001 zeta=0.10000000000000001
@@ -1181,9 +1186,27 @@ def test_a_certain_outcome_at_huge_gaps_sweeps():
         PYTHONWARNINGS="default",
     )
     assert (proc.returncode, proc.stderr) == (0, "")
+    # adiabatic strokes: the efficiency is the Otto efficiency, bitwise
     row = ("1,3.9999999999999999e+200,0,0,0,5.9999999999999998e+200,0,0,0,"
-           "-1.9999999999999999e+200,0,0.66666666666666663,Engine,ok,n/a,ok,n/a,n/a,n/a")
+           f"-1.9999999999999999e+200,0,{1.0 - 1e200 / 3e200:.17g},Engine,ok,n/a,ok,n/a,n/a,n/a")
     assert proc.stdout.splitlines()[2:] == [row, row]
+
+
+@pytest.mark.parametrize("nu1", ["1e10", "1e20", "1e40", "1e76"])
+def test_a_certain_outcome_prints_no_residue_as_a_cumulant(nu1, capsys):
+    # beta nu1 >= 7e9 makes t = 1: with theta = 1 and adiabatic strokes W
+    # and Q_M are certain, and every cumulant beyond the mean is 0 on each
+    # route, not what rounding leaves of the closed forms or of the
+    # series' cancelling coefficients (closed forms stop at kappa_2)
+    code, out, err = run(capsys, "cumulants", "--beta", "0.7", "--nu1", nu1,
+                         "--nu2", repr(3 * float(nu1)), "--delta", "0", "--zeta", "0",
+                         "--theta", "1")
+    assert (code, err) == (0, "")
+    rows = {l.split(",")[0]: l.split(",")[1:] for l in out.splitlines()[2:]}
+    higher = [1, 2, 3, 5, 6, 7]  # w_k2..w_k4 and qm_k2..qm_k4
+    assert [rows["enumeration"][k] for k in higher] == ["0"] * 6
+    assert [rows["cf_derivative"][k] for k in higher] == ["0"] * 6
+    assert [rows["closed_form"][k] for k in higher] == ["0", "nan", "nan"] * 2
 
 
 def test_a_failing_derivative_route_prints_nan_cells():
