@@ -154,11 +154,18 @@ def _efficiency(beta, nu1, nu2, d, z, flip) -> tuple:
     """:func:`efficiency_block` on checked columns and the flip probability,
     1 - r (1 + m) with r = nu1 / nu2, then r m and its magnitude: ``nan``
     where the pair's heat, the closed form's 2 (1 - 2 x) p nu2 t at x =
-    delta and zeta, is a rounding residue."""
+    delta and zeta, is a rounding residue.  Where the heat's magnitude
+    overflows, the test, homogeneous in the terms' common factor 2 nu2,
+    reads the terms without it."""
     t = np.tanh(beta * nu1)
-    heat = [2.0 * sub(1.0, 2.0 * x) * flip * nu2 * u
-            for sub, u in ((np.subtract, t), (np.add, np.abs(t))) for x in (d, z)]
-    r = np.where(is_rounding_residue(heat[0] + heat[1], heat[2] + heat[3]), math.nan, nu1 / nu2)
+    # the two terms, then their magnitudes, with and without 2 nu2
+    terms = [(sub(1.0, 2.0 * x), u) for sub, u in ((np.subtract, t), (np.add, np.abs(t)))
+             for x in (d, z)]
+    heat = [2.0 * a * flip * nu2 * u for a, u in terms]
+    reduced = [a * flip * u for a, u in terms]
+    residue = np.where(np.isfinite(heat[2] + heat[3]),
+                       *(is_rounding_residue(x[0] + x[1], x[2] + x[3]) for x in (heat, reduced)))
+    r = np.where(residue, math.nan, nu1 / nu2)
     m, m_mag = _margin(d, z, flip)
     return 1.0 - r * (1.0 + m), r * m, r * m_mag
 

@@ -251,7 +251,7 @@ def _run(cfg: dict, axes=()) -> tuple[list[np.ndarray], str]:
 # temporaries (16 paths and 9 outcomes per point) and its text stay small.
 # On a 101 x 101 classify grid 1024-point blocks raised peak RSS by 1.3 MB
 # (4%), 256-point blocks by 0.5 MB, at the same speed.  verify-bounds has
-# its own block size, _CAMPAIGN_BLOCK.
+# its own block size, pcg64._CAMPAIGN_BLOCK.
 _BLOCK_POINTS = 256
 
 
@@ -498,234 +498,30 @@ def _cmd_classify(cfg: dict) -> None:
     _grid_table(cfg, "classify", axes, _CLASSIFY)
 
 
-# Samples per bound-campaign block: decoded, then checked with one
-# verify_bounds_block call per draw code, 16 calls for 15000 samples.
-# A block is decoded _DECODE_SAMPLES at a time, so that the word tables stay
-# small: on a 15000-sample campaign one table per 4096-sample block raised
-# peak RSS by 2.5 MB over 2048-sample word-list decoding, 512-sample
-# chunks by 0.1 MB.
-_CAMPAIGN_BLOCK = 4096
-_DECODE_SAMPLES = 512
-
-# The most raw words one sample reads, bar a redraw: beta, five doubles,
-# alpha, and one fresh word whose halves serve the mode and the branch.
-_SAMPLE_WORDS = 8
-
-# A sample's branch by its draw code: the index of its cycle (symmetric,
-# asymmetric, cs), plus the branch's index in cs.  Only cs has a branch; a
-# symmetric draw is the one with zeta = delta.
-_GROUPS = (None, None, "plus", "minus")
-
-_GAP_RANGE = 3.0 - 1e-3
-
-
-class _Draws:
-    """The campaign's draws as ``np.random.Generator`` reads them from its
-    PCG64 ``words``: a double from each word, and 32-bit integers from the
-    low half of a fresh word, whose high half is buffered for the next
-    (``buffered``, ``half``; ``half`` keeps the last buffered value, as
-    numpy's ``uinteger`` does)."""
-
-    def __init__(self, words):
-        self.words = words
-        self.buffered, self.half = False, 0
-
-    def _word(self) -> int:
-        word = int(self.words.peek(1)[0])
-        self.words.advance(1)
-        return word
-
-    def random(self) -> float:
-        return (self._word() >> 11) * 2.0**-53
-
-    def integers(self, n: int) -> int:
-        """``integers(0, n)`` for 1 < n < 2**32: Lemire's method, ``(u * n)
-        >> 32`` of a 32-bit draw u, redrawn while ``(u * n) % 2**32 <
-        (2**32 - n) % n``."""
-        while True:
-            if self.buffered:
-                u, self.buffered = self.half, False
-            else:
-                word = self._word()
-                u, self.buffered, self.half = word & 0xFFFFFFFF, True, word >> 32
-            if (u * n) & 0xFFFFFFFF >= (2**32 - n) % n:
-                return (u * n) >> 32
-
-
-def _one_sample(draws: _Draws) -> tuple[tuple, int] | None:
-    """The next campaign sample, drawn one value at a time in the order
-    :func:`_cmd_verify_bounds` states: its seven cells (alpha is 0 outside
-    cs) and its group code, or None when beta is skipped."""
-    beta = -2.0 + 4.0 * draws.random()
-    if abs(beta) < 1e-9:
-        return None
-    u1, u2, delta, zeta, theta = (draws.random() for _ in range(5))
-    code = draws.integers(3)
-    alpha = 0.0
-    if code == 0:
-        zeta = delta
-    elif code == 2:
-        theta *= 0.5
-        alpha = draws.random()
-        code += draws.integers(2)
-    return (beta, 1e-3 + _GAP_RANGE * u1, 1e-3 + _GAP_RANGE * u2, delta, zeta, theta, alpha), code
-
-
-def _decode_chunk(draws: _Draws, cells: np.ndarray, codes: np.ndarray) -> int:
-    """Decode campaign samples from raw PCG64 words into ``cells``, seven
-    rows as :func:`_one_sample` gives them, and their group ``codes``, up
-    to the length of ``codes``; returns how many.  Decoding stops before
-    the first sample that skips beta or redraws its mode; ``draws`` is left
-    before that sample or, without one, after the last.
-
-    A sample starting at word p reads beta from word p and five doubles from
-    words p + 1 to p + 5.  Without a buffered 32-bit half, the mode takes
-    the low half of word p + 6 and, in cs, alpha is word p + 7 and the
-    branch takes the high half of word p + 6.  With one, that half is the
-    high half of word p - 1 and takes the mode; in cs, alpha is word p + 6
-    and the branch takes the low half of word p + 7.  So the next start and
-    buffer state follow from the words alone, and are tabulated for every
-    start and both buffer states, then walked once per sample.
-    """
-    count = len(codes)
-    # word 0 stands for the word before the chunk: its high half is the
-    # buffered half, if any
-    raw = np.empty(1 + _SAMPLE_WORDS * count, dtype=np.uint64)
-    raw[0] = draws.half << 32
-    raw[1:] = draws.words.peek(_SAMPLE_WORDS * count)
-    doubles = (raw >> 11) * 2.0**-53
-    # a sample starts at word p, for p = 1 .. ``last`` (the furthest that
-    # count samples reach), without (h = 0) or with (h = 1) a buffered
-    # half: state h L + p, with L = ``width`` above every p reached
-    last, width = len(raw) - _SAMPLE_WORDS, len(raw) + 1
-    modes = np.stack((raw[7:last + 7] & 0xFFFFFFFF, raw[:last] >> 32))
-    # a skipped beta (which may leave a buffered half that is not word
-    # p - 1's) and a zero mode half (which Lemire's method redraws) are left
-    # to _one_sample: their next state is 0, which leads to itself
-    stop = (modes == 0) | (np.abs(-2.0 + 4.0 * doubles[1:last + 1]) < 1e-9)
-    # integers(0, n) gives (u * n) >> 32 of a 32-bit draw u
-    modes *= 3
-    modes >>= 32
-    # the next state: p + 8 + h L in cs, else p + 7 + L or p + 6
-    table = np.zeros((2, width), dtype=np.intp)
-    after = table[:, 1:last + 1]
-    after[...] = np.where(modes == 2, [[8], [width + 8]], [[width + 7], [6]])
-    after += np.arange(1, last + 1)
-    after[stop] = 0
-    starts = np.empty(count, dtype=np.intp)
-    out, walk = memoryview(starts), memoryview(table.ravel())
-    state = draws.buffered * width + 1
-    for i in range(count):
-        out[i] = state
-        state = walk[state]
-    if not state:  # the last sample before state 0 is left to _one_sample
-        starts = starts[:np.count_nonzero(starts) - 1]
-    n = len(starts)
-    h, p = np.divmod(starts, width)
-    code = codes[:n]
-    code[:] = modes[h, p - 1]
-    branch = np.where(h, raw[p + 7] & 0xFFFFFFFF, raw[p + 6] >> 32) >> 31
-    code += (code == 2) & (branch == 1)
-    cells[0, :n] = -2.0 + 4.0 * doubles[p]
-    cells[1, :n] = 1e-3 + _GAP_RANGE * doubles[p + 1]
-    cells[2, :n] = 1e-3 + _GAP_RANGE * doubles[p + 2]
-    cells[3, :n] = doubles[p + 3]
-    cells[4, :n] = np.where(code == 0, doubles[p + 3], doubles[p + 4])
-    cells[5, :n] = np.where(code >= 2, 0.5, 1.0) * doubles[p + 5]
-    cells[6, :n] = doubles[p + 7 - h]
-    if n:
-        # the stream moves past the words the samples read; the buffered
-        # half, or the last one drawn, is the high half of the word that gave it
-        h, p = divmod(int(starts[-1]), width)
-        word = p + 6 if not h else p + 7 if code[-1] >= 2 else p - 1
-        h_end, p_end = divmod(walk[starts[-1]], width)
-        draws.words.advance(p_end - 1)
-        draws.buffered, draws.half = bool(h_end), int(raw[word] >> 32)
-    return n
-
-
-def _campaign_draws(draws: _Draws, count: int) -> dict[int, list[np.ndarray]]:
-    """The next ``count`` samples of a bound campaign, in the order
-    :func:`_cmd_verify_bounds` states, grouped by draw code (``_GROUPS``).
-    Each group holds its kept samples in draw order as columns: beta, nu1,
-    nu2, delta, zeta, theta and, in cs, alpha.
-
-    The samples are decoded from the stream's raw PCG64 words as numpy's
-    ``Generator`` reads them (:class:`_Draws`), ``_DECODE_SAMPLES`` at a
-    time (:func:`_decode_chunk`).  A double is ``(w >> 11) * 2**-53``.
-    ``integers(0, n)`` is Lemire's method on the 32-bit stream, whose
-    redraw takes u = 0 for n = 3 and never fires for n = 2.  The 32-bit
-    stream takes the low half of a fresh word and keeps the high half for
-    its next draw, across any doubles drawn in between.  A sample that
-    skips beta or redraws its mode, about one in 1e9, is drawn by
-    :func:`_one_sample` from the same words.  ``draws`` ends where
-    ``Generator``'s own calls would leave it.
-    """
-    cells = np.empty((7, count))
-    codes = np.empty(count, dtype=np.intp)
-    kept = done = 0
-    while done < count:
-        want = min(_DECODE_SAMPLES, count - done)
-        decoded = _decode_chunk(draws, cells[:, kept:], codes[kept:kept + want])
-        kept += decoded
-        done += decoded
-        if decoded < want:
-            sample = _one_sample(draws)
-            done += 1
-            if sample is not None:
-                cells[:, kept], codes[kept] = sample
-                kept += 1
-    groups: dict[int, list[np.ndarray]] = {}
-    for code, branch in enumerate(_GROUPS):
-        picked = cells[:6 if branch is None else 7, :kept][:, codes[:kept] == code]
-        if picked.size:
-            groups[code] = list(picked)
-    return groups
-
-
 def _cmd_verify_bounds(cfg: dict) -> None:
     """Tally every bound over random cycles: ok, violated, inapplicable.
 
-    The draw order is part of the output's definition (``perfbench/
-    oracle.py`` replays it with numpy's ``Generator``).  On the PCG64
-    stream of ``np.random.default_rng(--seed)``, each sample draws beta =
-    -2 + 4 u and is skipped, drawing nothing more, when |beta| < 1e-9;
-    then nu1 and nu2 = 1e-3 + (3 - 1e-3) u, then delta, zeta and theta =
-    u, then the mode as ``integers(0, 3)`` indexing (symmetric,
-    asymmetric, cs).  Symmetric sets zeta = delta; cs halves theta, then
-    draws the control weight alpha = u and the branch as ``integers(0,
-    2)`` indexing (plus, minus).  Each u is one double of ``random()``
-    (the five after beta come from one ``random(5)``, the same doubles);
-    ``uniform(a, b)`` and ``choice`` of a tuple draw the same stream.
-    The package computes that stream's words itself (:mod:`.pcg64`), so
-    no command imports ``numpy.random``, and decodes them as
-    ``Generator`` does (:func:`_campaign_draws`).  A negative seed is a
-    configuration error, as it is for numpy.  Samples are drawn in blocks
-    of ``_CAMPAIGN_BLOCK``, decoded as arrays ``_DECODE_SAMPLES`` at a
-    time, and each block's bounds are evaluated as arrays, one call per
-    draw code.  A call's bounds follow from its columns: cs draws carry
-    alpha and their branch, and the symmetric draws, whose zeta = delta,
-    add the symmetric cycle's bound.
+    The cycles are drawn from the PCG64 stream of
+    ``np.random.default_rng(--seed)`` in the order that :mod:`.pcg64`
+    states, which is part of the output's definition, and are checked as
+    arrays, one ``verify_bounds_block`` call per block of draws of one kind.
+    A call's bounds follow from its columns: cs draws carry alpha and their
+    branch, and the symmetric draws, whose zeta = delta, add the symmetric
+    cycle's bound.
     """
     samples = 10000 if cfg.get("samples") is None else cfg["samples"]
     if samples < 1:
         raise ConfigError("--samples must be at least 1")
-    seed = cfg.get("seed") or 0
     # imported here, so that no other command pays for it
-    from .pcg64 import PCG64
+    from .pcg64 import _campaign
 
-    draws = _Draws(PCG64.from_seed(seed))
     counts: dict[str, list[int]] = {}
-    for start in range(0, samples, _CAMPAIGN_BLOCK):
-        count = min(_CAMPAIGN_BLOCK, samples - start)
-        # no name keeps the groups, so they are freed before the next block
-        for code, columns in _campaign_draws(draws, count).items():
-            reports = analysis.verify_bounds_block(*columns, branch=_GROUPS[code] or "minus")
-            for rep in reports:
-                slot = counts.setdefault(rep.name, [0, 0, 0])
-                slot[0] += int(np.count_nonzero(rep.applicable & rep.satisfied))
-                slot[1] += int(np.count_nonzero(rep.applicable & ~rep.satisfied))
-                slot[2] += int(np.count_nonzero(~rep.applicable))
+    for columns, branch in _campaign(cfg.get("seed") or 0, samples):
+        for rep in analysis.verify_bounds_block(*columns, branch=branch):
+            slot = counts.setdefault(rep.name, [0, 0, 0])
+            slot[0] += int(np.count_nonzero(rep.applicable & rep.satisfied))
+            slot[1] += int(np.count_nonzero(rep.applicable & ~rep.satisfied))
+            slot[2] += int(np.count_nonzero(~rep.applicable))
     rows = [(name, *counts[name]) for name in sorted(counts)]
     _emit(cfg, "verify-bounds", _TALLY, [_block(_TALLY, rows)])
 

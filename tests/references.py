@@ -29,7 +29,9 @@ by its own:
 * :func:`exact_means` and :func:`exact_bounds` are the sign oracle: the
   16 path records expanded in exact rational arithmetic on the float
   inputs, against which every sign the package decides by its rounding
-  rule is checked.  :func:`exact_work_line` sums the same records for the
+  rule is checked.  :func:`exact_cumulants` gives the first four
+  cumulants of the same records, for the cumulant-ratio witnesses.
+  :func:`exact_work_line` sums the same records for the
   mean work's two coefficients alone, against which the work threshold
   is checked, and :func:`symbolic_pair_work` expands the pair's mean work
   in sympy, over the whole parameter box.
@@ -311,6 +313,29 @@ def exact_means(t, nu1, nu2, delta, zeta, theta) -> tuple:
         Fraction(sums[2], mean), Fraction(sums[3] * scale - sums[2] ** 2, var),
         Fraction(sums[0] - sums[2], mean),
     )
+
+
+def exact_cumulants(t, nu1, nu2, delta, zeta, theta) -> tuple:
+    """The first four cumulants of W and of Q_M of the forward cycle, as two
+    tuples of exact Fractions, from its 16 path records as
+    :func:`exact_means` weighs them; inputs are floats or Fractions."""
+    t, nu1, nu2, delta, zeta, theta = map(Fraction, (t, nu1, nu2, delta, zeta, theta))
+    weight = ((1 + t) / 2, (1 - t) / 2)
+
+    def move(p, before, after):
+        return p if before != after else 1 - p
+
+    records = []
+    for n, m, k, l in itertools.product((0, 1), repeat=4):
+        p = weight[n] * move(delta, n, m) * move(theta, m, k) * move(zeta, k, l)
+        records.append((p, 2 * (n - l) * nu1 + 2 * (k - m) * nu2, 2 * (k - m) * nu2))
+
+    def kappas(index):
+        mean = sum(r[0] * r[index] for r in records)
+        mu2, mu3, mu4 = (sum(r[0] * (r[index] - mean) ** j for r in records) for j in (2, 3, 4))
+        return mean, mu2, mu3, mu4 - 3 * mu2 * mu2
+
+    return kappas(1), kappas(2)
 
 
 def exact_work_line(t, nu1, delta, zeta, theta) -> tuple[int, int]:

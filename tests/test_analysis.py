@@ -28,7 +28,7 @@ from unital_otto import (
 from unital_otto.cumulants import _closed_form
 
 from conftest import close, cycle_params, finite, probs, regime_of
-from references import exact_means, exact_work_line, symbolic_pair_work
+from references import exact_cumulants, exact_means, exact_work_line, symbolic_pair_work
 
 FIG3 = CycleParams(0.5, 1.0, 2.0, 0.1, 0.1)
 
@@ -473,6 +473,18 @@ def test_efficiency_needs_heat():
     assert np.isnan(efficiency_block(0.7, 1.0, 2.0, 0.5, 0.5, 0.3))
 
 
+def test_efficiency_reads_heat_whose_magnitude_overflows():
+    # the heat's terms are finite and their magnitudes' sum is not: the
+    # residue test reads the terms without their common factor 2 nu2, so
+    # the efficiency is that of the gaps' ratio, 1/2, at any scale
+    huge = efficiency_block(2.0, 2.5e307, 5e307, 0.1, 0.1, 0.9)
+    assert huge == efficiency_block(2.0, 1.0, 2.0, 0.1, 0.1, 0.9) == pytest.approx(0.475)
+    # forward and backward heat that cancel are still no heat
+    assert np.isnan(efficiency_block(2.0, 2.5e307, 5e307, 0.3, 0.7, 0.9))
+    # where the terms themselves overflow, to inf - inf
+    assert np.isnan(efficiency_block(2.0, 1e308, 1.7e308, 0.0, 1.0, 0.9))
+
+
 def test_cancelled_forward_and_backward_heat_is_no_heat():
     # delta + zeta = 1 up to rounding: forward and backward heat cancel
     params = CycleParams(1.3, 0.7, 3.0, float(np.linspace(0.0, 1.0, 41)[38]), 0.05)
@@ -586,6 +598,37 @@ def test_ratio_scan_finds_corridor_escapes():
     assert (r4.below_eta_power | r4.above_one).any()
     assert (~r3.undefined & (r3.ratio < 0.0)).any()
     assert (~r4.undefined & (r4.ratio < 0.0)).any()
+
+
+# The third and fourth cumulant ratios leave [eta^n, 1] on both sides:
+# (t, theta, nu2, order, the exact ratio, the flag it raises) at nu1 = 1 and
+# delta = zeta = 1/20, the ratio from the 16 path records in rationals
+ESCAPES = [
+    (Fraction(1, 2), Fraction(1, 10), 2, 3, Fraction(-47833, 5280375), "below_eta_power"),
+    (Fraction(7, 10), Fraction(2, 5), 2, 3, Fraction(3651858617, 3503616000), "above_one"),
+    (Fraction(9, 10), Fraction(1, 4), Fraction(3, 2), 4,
+     Fraction(17540677414912, 7390229248125), "above_one"),
+    (Fraction(1, 2), Fraction(1, 2), Fraction(3, 2), 4, Fraction(-177743, 895617),
+     "below_eta_power"),
+]
+
+
+@pytest.mark.parametrize("t, theta, nu2, order, ratio, flag", ESCAPES)
+def test_cumulant_ratios_escape_the_corridor_at_exact_points(t, theta, nu2, order, ratio, flag):
+    fifth = Fraction(1, 20)
+    w, q = exact_cumulants(t, 1, nu2, fifth, fifth, theta)
+    assert w[order - 1] / q[order - 1] == ratio
+    eta = w[0] / q[0]
+    assert ratio < eta**order if flag == "below_eta_power" else ratio > 1
+    # the same point in floats, at beta = atanh(t)
+    block = enumerate_block(math.atanh(t), 1.0, float(nu2), 0.05, 0.05, float(theta))
+    record = cumulant_ratio_block(block, order)
+    assert record.ratio == pytest.approx(float(ratio), rel=1e-12)
+    assert getattr(record, flag)
+    other = "above_one" if flag == "below_eta_power" else "below_eta_power"
+    assert not getattr(record, other) and not record.undefined
+    # a negative ratio is a kappa_n(W) of the opposite sign to kappa_n(Q_M)
+    assert record.sign_mismatch == (ratio < 0)
 
 
 def test_ratio_scan_undefined_flag():

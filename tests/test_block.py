@@ -27,8 +27,8 @@ from unital_otto import (
     verify_bounds_block,
     work_threshold_block,
 )
-from unital_otto.cli import _DECODE_SAMPLES, _GROUPS, SWEEPABLE, _campaign_draws, _Draws, main
-from unital_otto.pcg64 import PCG64
+from unital_otto.cli import SWEEPABLE, main
+from unital_otto.pcg64 import _DECODE_SAMPLES, _GROUPS, PCG64, _campaign_draws
 
 from conftest import mp_cumulants
 from references import regime_sign_rule, residue
@@ -971,7 +971,7 @@ def test_mixed_threshold_block_has_inf_where_heat_is_never_absorbed():
 
 def scalar_campaign_draws(rng, count):
     """The campaign's samples drawn as the per-sample loop drew them, with
-    ``uniform`` and ``choice``, grouped like ``cli._campaign_draws`` by draw
+    ``uniform`` and ``choice``, grouped like ``pcg64._campaign_draws`` by draw
     code: the cycle's index, plus the branch's index in cs."""
     groups = {}
     for _ in range(count):
@@ -994,7 +994,7 @@ def scalar_campaign_draws(rng, count):
 
 
 def campaign_rows(groups):
-    """``cli._campaign_draws``'s columns as the scalar draws' tuples."""
+    """``pcg64._campaign_draws``'s columns as the scalar draws' tuples."""
     return {
         key: [row + (None,) * (7 - len(row)) for row in zip(*columns)]
         for key, columns in groups.items()
@@ -1012,7 +1012,7 @@ def assert_replays_the_scalar_stream(blocks, reference, draws):
             got.setdefault(key, []).extend(points)
     assert got == want
     state = reference.bit_generator.state
-    assert (draws.words.state, draws.buffered, draws.half) == (
+    assert (draws.state, draws.buffered, draws.half) == (
         state["state"]["state"], state["has_uint32"], state["uinteger"])
     assert draws.random() == reference.random()
     return got
@@ -1021,7 +1021,7 @@ def assert_replays_the_scalar_stream(blocks, reference, draws):
 @pytest.mark.parametrize("seed", [1, 2, 101, 12345])
 def test_campaign_draws_replay_the_scalar_stream(seed):
     blocks = [256] * 11 + [184]  # block after block, as the campaign draws
-    reference, draws = np.random.default_rng(seed), _Draws(PCG64.from_seed(seed))
+    reference, draws = np.random.default_rng(seed), PCG64.from_seed(seed)
     got = assert_replays_the_scalar_stream(blocks, reference, draws)
     assert sorted(got) == [0, 1, 2, 3]
 
@@ -1044,13 +1044,13 @@ def generators_with_word(word, position):
     bitgen = np.random.PCG64()
     bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                     "has_uint32": 0, "uinteger": 0}
-    return np.random.Generator(bitgen), _Draws(PCG64(state, inc))
+    return np.random.Generator(bitgen), PCG64(state, inc)
 
 
 def test_generators_with_word_put_the_word_in_place():
     live, draws = generators_with_word(0xDEADBEEF00000000, 6)
     assert live.bit_generator.random_raw(8)[6] == 0xDEADBEEF00000000
-    assert draws.words.peek(8)[6] == 0xDEADBEEF00000000
+    assert draws.peek(8)[6] == 0xDEADBEEF00000000
 
 
 def test_campaign_draws_redraw_a_zero_low_half():

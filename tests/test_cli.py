@@ -1241,11 +1241,15 @@ print(imported, gc.get_freeze_count())
     assert frozen >= imported > 10000
 
 
-def test_no_command_imports_numpy_random():
+@pytest.mark.parametrize("module, importer", [("numpy.random", None),
+                                              ("unital_otto.pcg64", "verify-bounds")],
+                         ids=["numpy.random", "unital_otto.pcg64"])
+def test_no_command_imports_numpy_random(module, importer):
     # numpy.random (its legacy mtrand, four bit generators and, through
     # secrets, OpenSSL's hashes) costs a run about 18 ms and 6 MB: sample
     # draws on the standard library's stream, and verify-bounds computes
-    # its PCG64 words itself
+    # its PCG64 words itself, in the one module that no other command
+    # imports
     axis = ["--axis", "delta", "--start", "0", "--stop", "0.5", "--steps", "3"]
     runs = {
         "cumulants": [*POINT],
@@ -1262,10 +1266,10 @@ def test_no_command_imports_numpy_random():
 import os, sys
 from unital_otto.cli import main
 assert main({[command, *argv, "--out", os.devnull]!r}) == 0
-print("numpy.random" in sys.modules)
+print({module!r} in sys.modules)
 """)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "False\n", command
+        assert proc.stdout == f"{command == importer}\n", command
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")

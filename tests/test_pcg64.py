@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from unital_otto.cli import _Draws
 from unital_otto.pcg64 import PCG64
 
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 1, 2**128 + 1, 376577454, 12345678901234567890]
@@ -35,12 +34,12 @@ def test_a_negative_seed_is_numpys_error():
 def test_draws_are_generator_calls(n):
     # doubles and Lemire integers interleaved, the buffered 32-bit half
     # carried across the doubles; near 2**31 about half the draws are redrawn
-    reference, draws = np.random.default_rng(7), _Draws(PCG64.from_seed(7))
+    reference, draws = np.random.default_rng(7), PCG64.from_seed(7)
     for i in range(2000):
         if i % 3:
             assert draws.integers(n) == reference.integers(0, n)
         else:
             assert draws.random() == reference.random()
     state = reference.bit_generator.state
-    assert (draws.words.state, draws.buffered, draws.half) == (
+    assert (draws.state, draws.buffered, draws.half) == (
         state["state"]["state"], state["has_uint32"], state["uinteger"])
