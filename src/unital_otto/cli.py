@@ -10,13 +10,15 @@ stream, which the package computes itself, so that no command imports
 (:func:`_write_table`): numbers print with 17 significant digits, a
 negative zero as 0, and a field of codes prints its labels.  Every
 output path is opened before any text is written, and two outputs on
-one file are a configuration error.  ``classify`` and
-``sweep`` write one grid table (:func:`_grid_table`): they evaluate, and
-so check, every point of their grid before writing any row.  An invalid
-point leaves no output, and rows are formatted and written one block at
-a time, so a table's text is never held in memory whole.  ``lz-compare``
-checks its whole delta column, then evaluates and writes it a block at a
-time.
+one file are a configuration error.
+
+The two one-point commands, ``cumulants`` and ``sample``, evaluate their
+point in Python floats: the formulas of :mod:`.formulas` at t from the C
+library's tanh (``math.tanh``), the moments summed in outcome order, so a
+run of either imports no numpy (``--bounds-out`` excepted).  The commands
+that evaluate arrays (``sweep``, ``classify``, ``verify-bounds``,
+``lz-compare``) live in :mod:`.arraycli`, imported when one of them runs,
+and evaluate the same formulas on numpy columns with numpy's tanh.
 
 Exit codes: 0 success (bound violations are data, not failures),
 2 configuration or input error, 3 physics-domain error; faults propagate.
@@ -34,9 +36,7 @@ import stat
 import sys
 from typing import Callable, NamedTuple
 
-import numpy as np
-
-from . import analysis, cumulants, landauzener, trajectory
+from . import formulas
 from .qstate import InputError, MeasurementChannel, PhysicsError
 
 SWEEPABLE = ("beta", "nu1", "nu2", "delta", "zeta", "theta", "cs-alpha", "alpha-m")
@@ -52,9 +52,11 @@ _NUMBER = "%.17g"
 
 
 def _numbers(values) -> list[float]:
-    """``values`` as Python floats, a negative zero made 0, so that it
-    prints as 0."""
-    return (np.asarray(values, dtype=float) + 0.0).tolist()
+    """``values``, a point's sequence or an array, as Python floats, a
+    negative zero made 0, so that it prints as 0."""
+    if isinstance(values, (list, tuple)):
+        return [float(x) + 0.0 for x in values]
+    return (values + 0.0).tolist()
 
 
 def _read_config_file(path: str, known: dict) -> dict[str, str]:
@@ -178,13 +180,23 @@ def _resolve_theta(cfg: dict):
             raise ConfigError("Pauli weights must be nonnegative and sum to 1")
         return float(pauli[1] + pauli[2])
     if cfg.get("alpha_m") is not None:
-        alpha_m = np.asarray(cfg["alpha_m"], dtype=float)
-        outside = ~((0.0 <= alpha_m) & (alpha_m <= math.pi))
-        if outside.any():  # the first such angle raises the channel's error
-            MeasurementChannel(float(alpha_m.flat[np.argmax(outside)]))
-        # sin^2(alpha_m) / 2, the rule of MeasurementChannel.theta
-        return np.square(np.sin(alpha_m)) / 2.0
+        if isinstance(cfg["alpha_m"], float):
+            return MeasurementChannel(cfg["alpha_m"]).theta
+        from .arraycli import _angle_theta  # a swept angle, from a grid run
+
+        return _angle_theta(cfg["alpha_m"])
     raise ConfigError("specify a channel: --theta, --p0..--p3, or --alpha-m")
+
+
+def _columns(cfg: dict) -> tuple[list, str]:
+    """A run's parameter columns and branch: beta, nu1, nu2, delta, zeta,
+    theta and, under coherent control, cs-alpha; floats at one point, a
+    grid's values where :func:`.arraycli._run` has swept them in."""
+    columns = _require(cfg, "beta", "nu1", "nu2", "delta", "zeta")
+    columns.append(_resolve_theta(cfg))
+    if cfg.get("cs_alpha") is not None:
+        columns.append(cfg["cs_alpha"])
+    return columns, cfg.get("branch") or "minus"
 
 
 def _config_comment(command: str, cfg: dict) -> str:
@@ -194,65 +206,6 @@ def _config_comment(command: str, cfg: dict) -> str:
         value = _NUMBER % value if isinstance(value, float) else value
         parts.append(f"{key.replace('_', '-')}={value}")
     return "# " + " ".join(parts) + "\n"
-
-
-def _axis_values(cfg: dict, suffix: str = "") -> tuple[str, np.ndarray]:
-    axis, start, stop, steps = _require(
-        cfg, f"axis{suffix}", f"start{suffix}", f"stop{suffix}", f"steps{suffix}"
-    )
-    if steps < 2:
-        raise ConfigError("steps must be >= 2")
-    return axis, np.linspace(start, stop, steps)
-
-
-def _run(cfg: dict, axes=()) -> tuple[list[np.ndarray], str]:
-    """A run's parameter columns and branch, one point or a grid.
-
-    Each swept key takes its axis's values along its own dimension of the
-    grid, axis after axis.  On a symmetric base (delta = zeta) a swept
-    delta or zeta moves the other with it, unless both are swept.  A
-    swept alpha-m replaces --theta.  theta, alpha-m and the Pauli weights
-    each set the flip probability, so a swept alpha-m takes no Pauli
-    weights, and theta and alpha-m are not swept together.  The columns are beta, nu1, nu2, delta, zeta, theta and,
-    under coherent control, cs-alpha, broadcast to the grid's shape (0-d
-    without axes).  The columns alone say which cycle a point is: a
-    seventh column puts it under coherent control, and delta = zeta makes
-    it the symmetric cycle.
-    """
-    point = dict(cfg)
-    swept = {axis for axis, _ in axes}
-    if {"theta", "alpha-m"} <= swept:
-        raise ConfigError(
-            "axes theta and alpha-m both set the flip probability: sweep one of them"
-        )
-    if "alpha-m" in swept and any(cfg.get(k) is not None for k in ("p0", "p1", "p2", "p3")):
-        raise ConfigError(
-            "axis alpha-m and the Pauli weights both set the flip probability: give one of them"
-        )
-    symmetric = cfg.get("delta") == cfg.get("zeta") and not {"delta", "zeta"} <= swept
-    for dim, (axis, values) in enumerate(axes):
-        values = values.reshape((-1,) + (1,) * (len(axes) - 1 - dim))
-        point[axis.replace("-", "_")] = values
-        if symmetric and axis in ("delta", "zeta"):
-            point["zeta" if axis == "delta" else "delta"] = values
-        if axis == "alpha-m":
-            point["theta"] = None  # recompute from the swept angle
-    columns = _require(point, "beta", "nu1", "nu2", "delta", "zeta")
-    columns.append(_resolve_theta(point))
-    if point.get("cs_alpha") is not None:
-        columns.append(point["cs_alpha"])
-    shape = tuple(len(values) for _, values in axes)
-    grid = [np.broadcast_to(np.asarray(c, dtype=float), shape) for c in columns]
-    return grid, point.get("branch") or "minus"
-
-
-# Grid points per evaluation call and per chunk of rows written: enough
-# that numpy's per-call cost is spread thin, few enough that the block's
-# temporaries (16 paths and 9 outcomes per point) and its text stay small.
-# On a 101 x 101 classify grid 1024-point blocks raised peak RSS by 1.3 MB
-# (4%), 256-point blocks by 0.5 MB, at the same speed.  verify-bounds has
-# its own block size, pcg64._CAMPAIGN_BLOCK.
-_BLOCK_POINTS = 256
 
 
 def _open_write(path: str):
@@ -306,7 +259,9 @@ def _write_table(fh, comment: str, columns: list[tuple], blocks) -> None:
             if conversion == _NUMBER:
                 cells.append(_numbers(block[field]))
             elif labels:
-                cells.append(map(labels.__getitem__, np.asarray(block[field]).tolist()))
+                codes = block[field]
+                codes = map(int, codes) if isinstance(codes, (list, tuple)) else codes.tolist()
+                cells.append(map(labels.__getitem__, codes))
             else:
                 cells.append(block[field])
         fh.write("".join([template % row for row in zip(*cells)]))
@@ -336,61 +291,57 @@ _BOOLEANS = ("false", "true")
 _BOUNDS = [("bound_name", "%s", "name", ()), *_number_columns("left", "right"),
            ("applicable", "%s", "applicable", _BOOLEANS),
            ("satisfied", "%s", "satisfied", _BOOLEANS), *_number_columns("margin")]
-# A sweep's cell of a bound, indexed by its code.
-_VERDICTS = ("ok", "violated", "n/a")
-# A grid table's columns after its axes, each printing a field of
-# _block_fields.  The "bounds" field stands for one column per bound.
-_REGIME = ("regime", "%s", "regime", analysis._REGIME_LABELS)
-_SWEEP = [*_number_columns(*_KAPPAS, "qt_mean", "w_rf", "efficiency"), _REGIME,
-          ("bounds", "%s", "bounds", _VERDICTS)]
-_CLASSIFY = [("w_mean", _NUMBER, "w_k1", ()), ("qm_mean", _NUMBER, "qm_k1", ()),
-             ("qt_mean", _NUMBER, "qt_mean", ()), _REGIME]
-_MEANS = {field for _, _, field, _ in _CLASSIFY}  # what the means alone give
-_TALLY = [("bound_name", "%s", "bound_name", ()),
-          *[(name, "%d", name, ()) for name in ("satisfied", "violated", "inapplicable")]]
 _SAMPLE = [("variable", "%s", "variable", ()), *_number_columns(
     "exact_mean", "empirical_mean", "mean_stderr", "z_mean",
     "exact_var", "empirical_var", "var_stderr", "z_var")]
-_COMPARISON = [(name, "%s", name, analysis._REGIME_LABELS) if name.startswith("regime")
-               else (name, _NUMBER, name, ()) for name in landauzener.Comparison._fields]
+
+
+def _point(cfg: dict) -> tuple:
+    """A one-point run in floats: its columns and branch, its checked cycle as
+    the formulas take it (t = tanh(beta nu1) from the C library's tanh, the
+    gaps, the strokes and the flip probability) and its distribution."""
+    columns, branch = _columns(cfg)
+    params, flip = formulas._checked_point(*columns, branch=branch)
+    cycle = (params.tanh_beta_nu1, *params[1:], flip)
+    return columns, branch, cycle, formulas._point_distribution(*cycle)
 
 
 def _cmd_cumulants(cfg: dict) -> None:
-    # the run's 0-d columns go to the block functions, as a grid's do
-    columns, branch = _run(cfg)
-    dist = trajectory._point(trajectory.enumerate_block(*columns, branch=branch))
-    exact = cumulants.cumulants_from_block(dist)
+    columns, branch, cycle, dist = _point(cfg)
+    kw, kq, qt = formulas._point_cumulants(dist)
+    enumeration = [*kw, *kq, qt]
     nan = math.nan
     try:
-        fd = cumulants.cf_derivative_check(*columns, branch=branch)
-        fd_values = np.concatenate((fd.w, fd.q_m, [fd.qt_mean]))
+        fd_w, fd_q, fd_qt = formulas._checked(*formulas._series_cumulants(*cycle))
+        fd_values = [*fd_w, *fd_q, fd_qt]
     except InputError:  # the diagnostic route fails no answer: its cells are nan
-        fd_values = np.full(9, nan)
-    *cycle, _, flip = trajectory._checked_columns(*columns, branch=branch)
+        fd_values = [nan] * 9
     # a closed form that cancels to its terms' rounding, as where the
     # outcome is certain, is 0; a magnitude that overflowed tells nothing
-    closed = cumulants.FirstTwoCumulants(*(
-        np.where(np.isfinite(size) & cumulants.is_rounding_residue(x, size), 0.0, x)
-        for x, size in zip(*(cumulants._closed_form(*cycle, flip, m) for m in (False, True)))
+    closed = formulas.FirstTwoCumulants(*(
+        0.0 if math.isfinite(size) and formulas.is_rounding_residue(x, size) else x
+        for x, size in zip(*(formulas._first_two(*cycle, m) for m in (False, True)))
     ))
     # the paper gives the coherently controlled closed forms for means only
     controlled = len(columns) > 6  # the seventh column is the control's alpha
     w_var, qm_var = (nan, nan) if controlled else (closed.w_var, closed.qm_var)
-    enumeration = np.concatenate((exact.w, exact.q_m, [exact.qt_mean]))
     rows = [("enumeration", *enumeration)]
     for route, values in (
         ("closed_form",
          [closed.w_mean, w_var, nan, nan, closed.qm_mean, qm_var, nan, nan, closed.qt_mean]),
         ("cf_derivative", fd_values),
     ):
-        rows += [(route, *values), (route + "_delta", *np.abs(np.subtract(values, enumeration)))]
+        rows += [(route, *values),
+                 (route + "_delta", *(abs(x - e) for x, e in zip(values, enumeration)))]
 
     # each table's path, columns and one block
     tables = [(cfg.get("out"), _CUMULANTS, _block(_CUMULANTS, rows))]
     if cfg.get("dist_out"):
         tables.append((cfg["dist_out"], _DISTRIBUTION, dist._asdict()))
     if cfg.get("bounds_out"):
-        reports = analysis.verify_bounds_block(*columns, branch=branch)
+        from .analysis import verify_bounds_block  # numpy, for this output alone
+
+        reports = verify_bounds_block(*columns, branch=branch)
         tables.append((cfg["bounds_out"], _BOUNDS, _block(_BOUNDS, reports)))
     comment = _config_comment("cumulants", cfg)
     with _output(cfg, *(path for path, _, _ in tables[1:])) as files:
@@ -398,143 +349,14 @@ def _cmd_cumulants(cfg: dict) -> None:
             _write_table(fh, comment, layout, [block])
 
 
-def _relative(k2: float, k1: float) -> float:
-    """k2 / k1**2 for a nonzero k1.  Python's k1 ** 2 (the C library's pow)
-    can differ from np.square in the last bit; where the square would
-    leave the normal range, where pow underflows to 0 or raises, the
-    quotient is taken as k2 / k1 / k1."""
-    return k2 / k1**2 if 1e-150 < abs(k1) < 1e150 else k2 / k1 / k1
-
-
-def _block_fields(block: list[np.ndarray], branch: str, symmetric: bool, wanted: set) -> dict:
-    """The ``wanted`` fields of a block of points, each its own array, with
-    the block's parameter columns checked once.  The cumulants, ``qt_mean`` and the
-    regime are always evaluated, the cumulants beyond the means only when a
-    field other than classify's is wanted; ``w_rf``, ``efficiency`` and each
-    bound's verdict, under the bound's name, only when wanted.  A seventh
-    column puts the block under coherent control; ``symmetric``, whether
-    zeta = delta at every point of the run, adds the symmetric bound."""
-    checked = trajectory._checked_columns(*block, branch=branch)
-    beta, nu1, nu2, delta, zeta, _, flip = checked
-    dist = trajectory._enumerate(beta, nu1, nu2, delta, zeta, flip)
-    if wanted <= _MEANS:
-        # the means of cumulants_from_block, bitwise, checked alone: a higher
-        # cumulant that overflows fails no cell that is printed
-        kappas = ["w_k1", "qm_k1"]
-        cums = cumulants._checked_block(*(np.vecdot(dist.prob, x)[:, None] for x in dist[:2]))
-    else:
-        kappas, cums = _KAPPAS, cumulants.cumulants_from_block(dist)
-    magnitudes = cumulants.mean_magnitudes(dist)
-    values = dict(zip(kappas, np.concatenate((cums.w, cums.q_m), axis=-1).T))
-    values["qt_mean"] = cums.qt_mean
-    values["regime"] = analysis.classify_regime_array(
-        cums.w_mean, cums.qm_mean, cums.qt_mean, beta, magnitudes
-    )
-    if "w_rf" in wanted:
-        # <W> cancelled to rounding residue has no relative fluctuation
-        # worth printing
-        residue = cumulants.is_rounding_residue(cums.w_mean, magnitudes[0]).tolist()
-        points = zip(residue, values["w_k1"].tolist(), values["w_k2"].tolist())
-        values["w_rf"] = np.array([math.inf if zero else _relative(k2, k1)
-                                   for zero, k1, k2 in points])
-    if "efficiency" in wanted:
-        values["efficiency"] = analysis._efficiency(beta, nu1, nu2, delta, zeta, flip)[0]
-    if not wanted <= values.keys():  # the fields left are bounds
-        control = branch if len(block) > 6 else None
-        for report in analysis._bounds(*checked, control, symmetric):
-            verdict = np.where(report.applicable, ~report.satisfied, 2)
-            values[report.name] = verdict.astype(np.int8)
-    # copies, so that a block keeps nothing else of the evaluation
-    return {field: values[field].copy() for field in wanted}
-
-
-def _grid_table(cfg: dict, command: str, axes: list, columns: list[tuple]) -> None:
-    """Write ``command``'s table over the grid of ``axes``: one row per
-    point, in C order, of the point's axis values and then ``columns``.
-
-    Every point is evaluated, and so checked, before any row is written,
-    ``_BLOCK_POINTS`` at a time, each block keeping only the fields its
-    columns print.  The rows are then written one block at a time.
-    """
-    grid, branch = _run(cfg, axes)
-    # decided once for the run, so that every block has the same columns
-    symmetric = bool((grid[3] == grid[4]).all())
-    if columns[-1][2] == "bounds":  # the run's bounds, as its reports over no points name them
-        control = branch if len(grid) > 6 else None
-        bounds = analysis._bounds(*np.empty((7, 0)), control, symmetric)
-        columns = columns[:-1] + [(r.name, "%s", r.name, _VERDICTS) for r in bounds]
-    wanted = {field for _, _, field, _ in columns}
-    shape, size = grid[0].shape, grid[0].size
-    blocks = [
-        (start, _block_fields([c.flat[start:start + _BLOCK_POINTS] for c in grid],
-                              branch, symmetric, wanted))
-        for start in range(0, size, _BLOCK_POINTS)
-    ]
-
-    def with_axes():
-        for start, fields in blocks:
-            index = np.unravel_index(np.arange(start, min(start + _BLOCK_POINTS, size)), shape)
-            # each axis value the block reaches is formatted once, into a
-            # dict of the block's own: the held blocks keep no text
-            block = dict(fields)
-            for (axis, values), i in zip(axes, index):
-                low = i.min()
-                text = [_NUMBER % v for v in _numbers(values[low:i.max() + 1])]
-                block[axis] = list(map(text.__getitem__, (i - low).tolist()))
-            yield block
-
-    axis_columns = [(axis, "%s", axis, ()) for axis, _ in axes]
-    _emit(cfg, command, axis_columns + columns, with_axes())
-
-
-def _cmd_sweep(cfg: dict) -> None:
-    _grid_table(cfg, "sweep", [_axis_values(cfg)], _SWEEP)
-
-
-def _cmd_classify(cfg: dict) -> None:
-    axes = [_axis_values(cfg), _axis_values(cfg, "2")]
-    if axes[0][0] == axes[1][0]:
-        raise ConfigError("the two grid axes must differ")
-    _grid_table(cfg, "classify", axes, _CLASSIFY)
-
-
-def _cmd_verify_bounds(cfg: dict) -> None:
-    """Tally every bound over random cycles: ok, violated, inapplicable.
-
-    The cycles are drawn from the PCG64 stream of
-    ``np.random.default_rng(--seed)`` in the order that :mod:`.pcg64`
-    states, which is part of the output's definition, and are checked as
-    arrays, one ``verify_bounds_block`` call per block of draws of one kind.
-    A call's bounds follow from its columns: cs draws carry alpha and their
-    branch, and the symmetric draws, whose zeta = delta, add the symmetric
-    cycle's bound.
-    """
-    samples = 10000 if cfg.get("samples") is None else cfg["samples"]
-    if samples < 1:
-        raise ConfigError("--samples must be at least 1")
-    # imported here, so that no other command pays for it
-    from .pcg64 import _campaign
-
-    counts: dict[str, list[int]] = {}
-    for columns, branch in _campaign(cfg.get("seed") or 0, samples):
-        for rep in analysis.verify_bounds_block(*columns, branch=branch):
-            slot = counts.setdefault(rep.name, [0, 0, 0])
-            slot[0] += int(np.count_nonzero(rep.applicable & rep.satisfied))
-            slot[1] += int(np.count_nonzero(rep.applicable & ~rep.satisfied))
-            slot[2] += int(np.count_nonzero(~rep.applicable))
-    rows = [(name, *counts[name]) for name in sorted(counts)]
-    _emit(cfg, "verify-bounds", _TALLY, [_block(_TALLY, rows)])
-
-
 def _cmd_sample(cfg: dict) -> None:
-    columns, branch = _run(cfg)
-    dist = trajectory._point(trajectory.enumerate_block(*columns, branch=branch))
+    *_, dist = _point(cfg)
     n = 10**6 if cfg.get("samples") is None else cfg["samples"]
     seed = cfg.get("seed") or 0
     # the exact row and the drawn row read one cumulant routine, the exact
     # one first: a point whose cumulants overflow fails before any draw
-    exact = cumulants.cumulants_from_block(dist)
-    drawn = cumulants.cumulants_from_block(trajectory.sample(dist, n, seed))
+    exact = formulas._point_cumulants(dist)
+    drawn = formulas._point_cumulants(dist._replace(prob=formulas._shares(dist.prob, n, seed)))
     rows = []
 
     def zscore(diff: float, stderr: float) -> float:
@@ -542,9 +364,9 @@ def _cmd_sample(cfg: dict) -> None:
             return diff / stderr
         return 0.0 if diff == 0.0 else math.copysign(math.inf, diff)
 
-    for label, kappa, empirical in (("w", exact.w, drawn.w), ("q_m", exact.q_m, drawn.q_m)):
-        k1, k2, _, k4 = (float(k) for k in kappa)
-        mean, variance = float(empirical[0]), float(empirical[1])
+    for label, kappa, empirical in (("w", exact[0], drawn[0]), ("q_m", exact[1], drawn[1])):
+        k1, k2, _, k4 = kappa
+        mean, variance = empirical[:2]
         # the standard errors of n draws' mean and variance, from the exact
         # cumulants: Var(mean) = k2/n, Var(variance) ~ (k4 + 2 k2^2)/n
         mean_err = math.sqrt(max(k2, 0.0) / n)
@@ -556,43 +378,43 @@ def _cmd_sample(cfg: dict) -> None:
     _emit(cfg, "sample", _SAMPLE, [_block(_SAMPLE, rows)])
 
 
-def _cmd_lz_compare(cfg: dict) -> None:
-    beta, nu1, nu2, alpha_m = _require(cfg, "beta", "nu1", "nu2", "alpha_m")
-    axis, values = _axis_values(cfg)
-    base = landauzener.LZParams.build(
-        beta, nu1, nu2, float(values[0]),
-        cfg.get("phi") or 0.0, alpha_m, cfg.get("chi") or 0.0,
-    )
-    landauzener._checked_deltas(base, values)
-    blocks = (landauzener.monitored_vs_unmonitored(base, values[i:i + _BLOCK_POINTS])._asdict()
-              for i in range(0, values.size, _BLOCK_POINTS))
-    _emit(cfg, "lz-compare", _COMPARISON, blocks)
-
-
 _CYCLE = ("beta", "nu1", "nu2", "delta", "zeta")
 # a cycle's flags: the config file, the cycle, the output and the channel
 _POINT = ("config", *_CYCLE, "out",
           "theta", "p0", "p1", "p2", "p3", "alpha-m", "cs-alpha", "branch")
 _AXIS = ("axis", "start", "stop", "steps")
 
+
+def _arrays(name: str) -> Callable[[dict], None]:
+    """The handler ``name`` of :mod:`.arraycli`, which imports numpy: it is
+    imported when its command runs."""
+    def handler(cfg: dict) -> None:
+        from . import arraycli
+
+        getattr(arraycli, name)(cfg)
+
+    return handler
+
+
 _COMMANDS = {
     "cumulants": _Command("one parameter point, all three routes",
                           _flags(*_POINT, "dist-out", "bounds-out"), _cmd_cumulants),
     "sweep": _Command("cumulants/efficiency/regime along one axis",
-                      _flags(*_POINT, *_AXIS), _cmd_sweep),
+                      _flags(*_POINT, *_AXIS), _arrays("_cmd_sweep")),
     "classify": _Command("regime map over a 2-D grid",
                          _flags(*_POINT, *_AXIS, "axis2", "start2", "stop2", "steps2"),
-                         _cmd_classify),
+                         _arrays("_cmd_classify")),
     # every cycle is drawn at random, so no cycle parameter is taken
     "verify-bounds": _Command("randomized bound-verification campaign",
-                              _flags("config", "out", "samples", "seed"), _cmd_verify_bounds),
+                              _flags("config", "out", "samples", "seed"),
+                              _arrays("_cmd_verify_bounds")),
     "sample": _Command("Monte Carlo draws against the enumeration",
                        _flags(*_POINT, "samples", "seed"), _cmd_sample),
     # delta = zeta comes from the axis, which takes only delta
     "lz-compare": _Command("monitored vs unmonitored Landau-Zener table", {
         **_flags("config", *_CYCLE[:3], "out", "alpha-m", "chi", "phi", *_AXIS),
         "axis": (str, ("delta",), None),
-    }, _cmd_lz_compare),
+    }, _arrays("_cmd_lz_compare")),
 }
 
 
@@ -600,13 +422,6 @@ _frozen = False  # main has frozen the heap; gc.get_freeze_count would walk it
 
 
 def main(argv: list[str] | None = None) -> int:
-    global _frozen
-    # the import-time heap lives until exit: frozen, the exit's collections
-    # skip it, and a one-point run's teardown falls from 25-40 ms to 6-9 ms;
-    # once per process: a long-lived caller's later garbage stays collectable
-    if not _frozen:
-        gc.freeze()
-        _frozen = True
     args = build_parser().parse_args(argv)
     try:
         cfg = _merge_config(args)
@@ -617,8 +432,25 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, InputError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        _freeze()
     return 0
 
 
+def _freeze() -> None:
+    """Freeze the heap once per process, after the first run: what its
+    imports left behind (numpy, for an array command) lives until exit,
+    and once frozen the exit's collections skip it.  A long-lived caller's
+    later garbage stays collectable."""
+    global _frozen
+    if not _frozen:
+        gc.freeze()
+        _frozen = True
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    # through the package's own module, whose errors the array commands
+    # raise: as __main__ this file is a second copy of it
+    from unital_otto import cli
+
+    sys.exit(cli.main())

@@ -25,18 +25,24 @@ alpha=None, branch="minus") of one cycle: the backward cycle is the
 forward one at (zeta, delta), and a control weight ``alpha`` gives the
 coherently controlled cycle, the unital one at
 :meth:`~unital_otto.qstate.ControlSpec.flip_probability`.
+
+The closed forms and the series are written once, in :mod:`.formulas`, for
+floats and arrays alike; the functions here evaluate them on numpy columns.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from typing import NamedTuple
 
 import numpy as np
 
+from .formulas import (
+    CycleParams, DistributionBlock, FirstTwoCumulants, _first_two, _series_cumulants,
+    is_rounding_residue,
+)
 from .qstate import ControlSpec, InputError
-from .trajectory import CycleParams, DistributionBlock, _checked_columns
+from .trajectory import _checked_columns
 
 __all__ = [
     "CumulantBlock",
@@ -51,32 +57,6 @@ __all__ = [
 ]
 
 
-_RESIDUE = 32.0 * sys.float_info.epsilon  # c eps of is_rounding_residue
-
-
-def is_rounding_residue(total, magnitude):
-    """Whether ``total`` is what rounding leaves of an exact zero,
-    elementwise: the package's one zero test for an energy-valued quantity.
-    ``magnitude`` is the sum of the magnitudes of the summands ``total``
-    came from: sum p |x| for an enumerated mean (:func:`mean_magnitudes`),
-    the terms of a closed form, the trace bound of a Landau-Zener energy
-    difference.
-
-    The rule is |total| <= c eps magnitude with c = 32.  With u = eps / 2
-    per rounding, a sum reached through chains of at most n roundings lies
-    within gamma_n M of its exact value, gamma_n = n u / (1 - n u) and M the
-    exact magnitude; M is at most M' / (1 - gamma_n) for the computed M', so
-    the error is at most n u / (1 - 2 n u) M', below 32 eps M' for every
-    n <= 63.  The longest chains are 21 roundings for an enumerated mean
-    (four factors 1 - x, three products, four paths an outcome, p x, nine
-    outcomes, <Q_T> = <W> - <Q_M>) and under 40 for the Landau-Zener work;
-    c = 16 would cover only n <= 31.  So an exact zero always reads as a
-    residue, a value beyond it has its exact sign (inputs taken as exact,
-    underflow aside), and the test is the same in every energy unit.
-    """
-    return abs(total) <= _RESIDUE * magnitude
-
-
 def mean_magnitudes(block: DistributionBlock) -> tuple:
     """The magnitudes of the mean flows at every point of a block, for
     :func:`is_rounding_residue`: sum p |W|, sum p |Q_M| and, for
@@ -84,33 +64,6 @@ def mean_magnitudes(block: DistributionBlock) -> tuple:
     w = np.vecdot(block.prob, np.abs(block.w))
     q = np.vecdot(block.prob, np.abs(block.q_m))
     return w, q, w + q
-
-
-class FirstTwoCumulants(NamedTuple):
-    """Closed-form means and variances (second route): floats at one point,
-    arrays over a block."""
-
-    w_mean: float
-    w_var: float
-    qm_mean: float
-    qm_var: float
-    qt_mean: float
-
-
-def _unital_terms(nu1: float, nu2: float, d: float, z: float, theta: float) -> tuple:
-    """The unital characteristic function at one checked point as six
-    ``(weight, W frequency, Q_M frequency, sign)`` terms:
-    chi = sum weight * (cos x - i sign t sin x), x = f_W gamma_W + f_Q gamma_Q,
-    t = tanh(beta nu1).  Each bracket is 2 cos(x + sign i beta nu1) / Z."""
-    s = d + z - 2.0 * d * z
-    return (
-        ((1.0 - theta) * (1.0 - s), 0.0, 0.0, 1),
-        ((1.0 - theta) * s, 2.0 * nu1, 0.0, 1),
-        (theta * (1.0 - d) * z, 2.0 * nu2, 2.0 * nu2, -1),
-        (theta * (1.0 - d) * (1.0 - z), 2.0 * (nu2 - nu1), 2.0 * nu2, -1),
-        (theta * d * (1.0 - z), 2.0 * nu2, 2.0 * nu2, 1),
-        (theta * d * z, 2.0 * (nu1 + nu2), 2.0 * nu2, 1),
-    )
 
 
 def _marginal_cumulants(values: np.ndarray, prob: np.ndarray, magnitudes: bool = False) -> tuple:
@@ -204,30 +157,10 @@ def closed_form_block(
 @np.errstate(over="ignore", invalid="ignore")
 def _closed_form(beta, nu1, nu2, d, z, theta, magnitudes: bool = False) -> FirstTwoCumulants:
     """:func:`closed_form_block` on checked columns and the flip probability
-    ``theta``.  With ``magnitudes``, the same expressions with |t| and every
-    difference a - b read as a + b: every input is then nonnegative, so each
-    field is the sum of its terms' magnitudes, for
-    :func:`is_rounding_residue`."""
-    sub = np.add if magnitudes else np.subtract
-    t = np.tanh(beta * nu1)
-    t = np.abs(t) if magnitudes else t
-    s = sub(d + z, 2.0 * d * z)
-    g = theta + sub(1.0, 2.0 * theta) * s
-    qm_mean = 2.0 * sub(1.0, 2.0 * d) * theta * nu2 * t
-    nu2_sq = nu2 * nu2
-    qm_var = 4.0 * theta * nu2_sq * sub(1.0, np.square(sub(1.0, 2.0 * d)) * theta * t * t)
-    bath = 2.0 * g * nu1 * t  # the heat given to the bath, -<Q_T>
-    w_var = sub(
-        4.0 * g * np.square(nu1) + 8.0 * theta * sub(d + z, 1.0) * nu1 * nu2 + 4.0 * theta * nu2_sq,
-        4.0 * np.square(g * nu1 + sub(2.0 * d, 1.0) * theta * nu2) * t * t,
-    )
-    return FirstTwoCumulants(
-        w_mean=sub(qm_mean, bath),
-        w_var=w_var,
-        qm_mean=qm_mean,
-        qm_var=qm_var,
-        qt_mean=bath if magnitudes else -bath,
-    )
+    ``theta``: :func:`~unital_otto.formulas._first_two` at t from numpy's
+    tanh, with |t| and every difference read as a sum under
+    ``magnitudes``."""
+    return _first_two(np.tanh(beta * nu1), nu1, nu2, d, z, theta, magnitudes)
 
 
 def _row(params: CycleParams, theta: float, direction: str, *control) -> FirstTwoCumulants:
@@ -263,40 +196,14 @@ def cf_derivative_check(
     them; columns of more than one point raise :class:`InputError`.
 
     Reads the characteristic function's terms, not the path table, at theta
-    or the control's flip probability.  Along one variable, a term with
-    frequency f has Taylor coefficients a_n = (-i f)^n / n!, times sign * t
-    when n is odd.  The coefficients b_n of ln(chi) follow from the
-    log-series recurrence b_n = a_n - (1/n) sum_{k<n} k b_k a_{n-k}, and
-    kappa_n = n! b_n / i^n.  No step size is involved.  The result is a 0-d
-    block, checked as :func:`cumulants_from_block` checks its points.
+    or the control's flip probability, through the log-series recurrence of
+    :func:`~unital_otto.formulas._series_cumulants`; no step size is
+    involved.  The result is a 0-d block, checked as
+    :func:`cumulants_from_block` checks its points.
     """
     columns = _checked_columns(beta, nu1, nu2, delta, zeta, theta, alpha, branch)
     if columns[0].size != 1:
         raise InputError("cf_derivative_check takes one point")
     beta, nu1, nu2, d, z, _, flip = (x.item() for x in columns)
-    terms = _unital_terms(nu1, nu2, d, z, flip)
     t = math.tanh(beta * nu1)  # as CycleParams.tanh_beta_nu1
-
-    def kappas(index: int) -> tuple[float, float, float, float]:
-        # the coefficients of chi and, for is_rounding_residue, the sums of
-        # their terms' magnitudes, |coefficient| |f|^n, with the log
-        # series' recurrence run on both
-        a, a_mag = [0j] * 5, [0.0] * 5
-        for term in terms:
-            coeff, f, sign = term[0], term[index], term[3]
-            for n in range(5):
-                a[n] += coeff * sign * t if n % 2 else coeff
-                a_mag[n] += abs(coeff) * abs(t) if n % 2 else abs(coeff)
-                coeff *= -1j * f / (n + 1)
-        b, b_mag = [0j] * 5, [0.0] * 5
-        for n in range(1, 5):
-            b[n] = a[n] - sum(k * b[k] * a[n - k] for k in range(1, n)) / n
-            b_mag[n] = a_mag[n] + sum(k * b_mag[k] * a_mag[n - k] for k in range(1, n)) / n
-        # + 0.0 turns the negative zeros of vanishing coefficients into 0
-        k1, *higher = ((math.factorial(n) * b[n] / 1j**n).real + 0.0 for n in range(1, 5))
-        # kappa_2..4 cancel where the variable is nearly certain: what
-        # rounding leaves of them there is no cumulant
-        return k1, *(0.0 if is_rounding_residue(k, math.factorial(n) * b_mag[n]) else k
-                     for n, k in enumerate(higher, 2))
-
-    return _checked_block(np.array(kappas(1)), np.array(kappas(2)))
+    return _checked_block(*map(np.array, _series_cumulants(t, nu1, nu2, d, z, flip)))

@@ -55,7 +55,7 @@ import numpy as np
 
 from unital_otto import ControlSpec, InputError, MeasurementChannel, PhysicsError, Regime
 from unital_otto.qstate import _Checked
-from unital_otto.cumulants import _unital_terms
+from unital_otto.formulas import _unital_terms
 from unital_otto.trajectory import _evaluate
 
 _TRACE_DRIFT_TOL = 1e-10
@@ -181,7 +181,7 @@ def path_table_cf(params, matrix, gamma_w, gamma_m) -> complex:
     (``trajectory._evaluate``) at one cycle point, for a channel given by its
     transition matrix in the storage basis.  The table counts the ground
     state first, so both indices of ``matrix`` are reversed."""
-    channel = np.asarray(matrix, dtype=float)[None, ::-1, ::-1]
+    channel = np.asarray(matrix, dtype=float)[::-1, ::-1, None]
     block = _evaluate(*(np.array([x]) for x in params), channel)
     phase = np.exp(1j * (gamma_w * block.w[0] + gamma_m * block.q_m[0]))
     return complex(np.sum(block.prob[0] * phase))
@@ -189,7 +189,7 @@ def path_table_cf(params, matrix, gamma_w, gamma_m) -> complex:
 
 def cf_unital(params, theta: float, gamma_w: float, gamma_m: float) -> complex:
     """Forward characteristic function for a unital channel: the terms of
-    ``cumulants._unital_terms`` summed.  Equals the discrete transform of
+    ``formulas._unital_terms`` summed.  Equals the discrete transform of
     ``enumerate_paths``; the backward variant is obtained by evaluating at
     ``params.swapped``."""
     t = params.tanh_beta_nu1
@@ -318,22 +318,28 @@ def exact_means(t, nu1, nu2, delta, zeta, theta) -> tuple:
 def exact_cumulants(t, nu1, nu2, delta, zeta, theta) -> tuple:
     """The first four cumulants of W and of Q_M of the forward cycle, as two
     tuples of exact Fractions, from its 16 path records as
-    :func:`exact_means` weighs them; inputs are floats or Fractions."""
-    t, nu1, nu2, delta, zeta, theta = map(Fraction, (t, nu1, nu2, delta, zeta, theta))
-    weight = ((1 + t) / 2, (1 - t) / 2)
+    :func:`exact_means` weighs them; inputs are floats or Fractions.  The
+    sums run on integers at one common scale, as in :func:`exact_means`."""
+    (t, nu1, nu2, delta, zeta, theta), one = _common_scale(t, nu1, nu2, delta, zeta, theta)
+    weight = (one + t, one - t)
 
     def move(p, before, after):
-        return p if before != after else 1 - p
+        return p if before != after else one - p
 
     records = []
     for n, m, k, l in itertools.product((0, 1), repeat=4):
         p = weight[n] * move(delta, n, m) * move(theta, m, k) * move(zeta, k, l)
         records.append((p, 2 * (n - l) * nu1 + 2 * (k - m) * nu2, 2 * (k - m) * nu2))
+    # a probability is p / total and an outcome x / one
+    total = 2 * one**4
 
     def kappas(index):
-        mean = sum(r[0] * r[index] for r in records)
-        mu2, mu3, mu4 = (sum(r[0] * (r[index] - mean) ** j for r in records) for j in (2, 3, 4))
-        return mean, mu2, mu3, mu4 - 3 * mu2 * mu2
+        first = sum(r[0] * r[index] for r in records)
+        # x - mean = d / (total one), d = total x - first
+        centred = [(r[0], total * r[index] - first) for r in records]
+        mu2, mu3, mu4 = (Fraction(sum(p * d**j for p, d in centred), total * (total * one) ** j)
+                         for j in (2, 3, 4))
+        return Fraction(first, total * one), mu2, mu3, mu4 - 3 * mu2 * mu2
 
     return kappas(1), kappas(2)
 

@@ -18,8 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unital_otto import CycleParams, LZParams, Regime, enumerate_paths, monitored_vs_unmonitored
-from unital_otto import cli, landauzener
-from unital_otto.cli import _COMMANDS, _merge_config, _run, build_parser, main
+from unital_otto import arraycli, cli, formulas, landauzener
+from unital_otto.arraycli import _run
+from unital_otto.cli import _COMMANDS, _merge_config, build_parser, main
 
 
 def run(capsys, *argv):
@@ -598,16 +599,23 @@ def test_dist_dump(tmp_path, capsys):
     assert sum(probs) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_csv_round_trip(tmp_path, capsys):
+def test_csv_round_trip(tmp_path, capsys, monkeypatch):
+    # at beta nu1 = 0.7 the command's t (math.tanh) differs from numpy's, so
+    # the dump is checked against the distribution the command computed
+    computed = []
+    evaluate = formulas._point_distribution
+    monkeypatch.setattr(formulas, "_point_distribution",
+                        lambda *cycle: computed.append(evaluate(*cycle)) or computed[-1])
     dump = tmp_path / "dist.csv"
     argv = ("--beta 0.7 --nu1 1 --nu2 2 --delta 0.1 --zeta 0.2 --theta 0.3 "
             f"--out {os.devnull} --dist-out {dump}").split()
     assert run(capsys, "cumulants", *argv) == (0, "", "")
-    dist = enumerate_paths(CycleParams(0.7, 1.0, 2.0, 0.1, 0.2), 0.3)
+    (dist,) = computed
     lines = dump.read_text().splitlines()
     assert lines[1] == "w,q_m,prob"
     rows = [line.split(",") for line in lines[2:]]
-    assert len(rows) == dist.w.size
+    array_point = enumerate_paths(CycleParams(0.7, 1.0, 2.0, 0.1, 0.2), 0.3)
+    assert len(rows) == len(dist.w) == array_point.w.size
     for (w_text, q_text, p_text), w, q, p in zip(rows, dist.w, dist.q_m, dist.prob):
         assert float(w_text) == w
         assert float(q_text) == q
@@ -643,11 +651,11 @@ TABLE_LAYOUTS = {
     "cumulants": cli._CUMULANTS,
     "cumulants --dist-out": cli._DISTRIBUTION,
     "cumulants --bounds-out": cli._BOUNDS,
-    "sweep": [("delta", "%s", "delta", ()), *cli._SWEEP],
-    "classify": [("delta", "%s", "delta", ()), ("theta", "%s", "theta", ()), *cli._CLASSIFY],
-    "verify-bounds": cli._TALLY,
+    "sweep": [("delta", "%s", "delta", ()), *arraycli._SWEEP],
+    "classify": [("delta", "%s", "delta", ()), ("theta", "%s", "theta", ()), *arraycli._CLASSIFY],
+    "verify-bounds": arraycli._TALLY,
     "sample": cli._SAMPLE,
-    "lz-compare": cli._COMPARISON,
+    "lz-compare": arraycli._COMPARISON,
 }
 
 
@@ -684,7 +692,7 @@ def test_every_table_prints_negative_zero_as_0_and_codes_as_labels(layout):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=3 * cli._BLOCK_POINTS))
+@given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=3 * arraycli._BLOCK_POINTS))
 def test_every_number_cell_parses_back_to_its_float(values):
     # a block of any length is formatted whole
     rows = _table(cli._number_columns("x"), [{"x": np.array(values)}])
@@ -782,7 +790,11 @@ def test_bound_report_dump(tmp_path, capsys):
 # Both dumps of `cumulants` at one point of each mode, captured before
 # --bounds-out took its 0-d columns from the run's own resolution.  The
 # efficiency cells were taken again when eta became 1 - (nu1 / nu2)(1 + m):
-# each is within 1.1 ulps of the exact pair quotient (tests/references.py)
+# each is within 1.1 ulps of the exact pair quotient (tests/references.py).
+# The asymmetric and cs dist dumps were taken again when a point came to be
+# evaluated in floats: t = tanh(0.7) from the C library's tanh differs from
+# numpy's there (at beta nu1 = 0.5 they agree); with numpy's t the float
+# route gives the old dumps bit for bit
 DUMP_POINTS = {
     "symmetric": "--beta 0.5 --nu1 1 --nu2 2 --delta 0.1 --zeta 0.1 --theta 0.3",
     "asymmetric": "--beta 0.7 --nu1 1 --nu2 2.5 --delta 0.1 --zeta 0.2 --theta 0.3",
@@ -825,15 +837,15 @@ ratio_le_one,0.68928395854726843,1,true,true,0.31071604145273157
     ("asymmetric", "dist"): """\
 # command=cumulants beta=0.69999999999999996 bounds-out=bounds.csv delta=0.10000000000000001 dist-out=dist.csv nu1=1 nu2=2.5 theta=0.29999999999999999 zeta=0.20000000000000001
 w,q_m,prob
--7,-5,0.0048131033313514905
+-7,-5,0.0048131033313514914
 -5,-5,0.02993448334324255
--3,-5,0.04272828007134636
--2,0,0.14599746771766187
-0,0,0.5179999999999999
-2,0,0.036002532282338129
-3,5,0.17327171992865364
-5,5,0.04806551665675745
-7,5,0.0011868966686485098
+-3,-5,0.042728280071346332
+-2,0,0.14599746771766189
+0,0,0.51800000000000002
+2,0,0.036002532282338115
+3,5,0.17327171992865367
+5,5,0.048065516656757457
+7,5,0.0011868966686485094
 """,
     ("cs", "bounds"): """\
 # command=cumulants beta=0.69999999999999996 bounds-out=bounds.csv branch=plus cs-alpha=0.29999999999999999 delta=0.10000000000000001 dist-out=dist.csv nu1=1 nu2=3 theta=0.20000000000000001 zeta=0.10000000000000001
@@ -847,13 +859,13 @@ cs_eta_branch_order,0.18648674477248939,0.35833333333333339,true,true,0.17184658
 w,q_m,prob
 -8,-6,0.0011001950620233159
 -6,-6,0.012343498416556319
--4,-6,0.021975685725118273
--2,0,0.12458958882412505
+-4,-6,0.021975685725118259
+-2,0,0.12458958882412507
 0,0,0.7075370144269314
-2,0,0.030723414342762351
-4,6,0.089115800023888567
-6,6,0.012343498416556315
-8,6,0.00027130476203849718
+2,0,0.03072341434276233
+4,6,0.089115800023888581
+6,6,0.012343498416556317
+8,6,0.00027130476203849707
 """,
 
 }
@@ -1135,6 +1147,15 @@ def fresh_python(*args, cwd=None, **env):
                           env=dict(os.environ, PYTHONPATH=path, **env))
 
 
+def test_an_array_command_run_as_a_module_reports_its_config_error():
+    # the array commands raise the errors of the package's cli module,
+    # which python -m runs under another name
+    proc = fresh_python("-m", "unital_otto.cli", "sweep", *POINT, "--axis", "delta",
+                        "--start", "0", "--stop", "1", "--steps", "1")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "config error: steps must be >= 2\n"
+
+
 def test_overflowing_cumulants_print_only_the_error():
     # a fresh interpreter, whose default filters print each RuntimeWarning
     proc = fresh_python(
@@ -1241,42 +1262,72 @@ print(imported, gc.get_freeze_count())
     assert frozen >= imported > 10000
 
 
-@pytest.mark.parametrize("module, importer", [("numpy.random", None),
-                                              ("unital_otto.pcg64", "verify-bounds")],
-                         ids=["numpy.random", "unital_otto.pcg64"])
-def test_no_command_imports_numpy_random(module, importer):
+def test_an_array_run_freezes_numpy_too():
+    # numpy comes in with an array command, after main has started: the
+    # freeze after the run covers it, at least the live heap that importing
+    # the array commands leaves
+    heap = fresh_python("-c", "import gc, unital_otto.arraycli; gc.collect(); "
+                              "print(len(gc.get_objects()))")
+    axis = ["--axis", "delta", "--start", "0", "--stop", "0.5", "--steps", "3"]
+    proc = fresh_python("-c", f"""
+import gc, os, sys
+import unital_otto.cli
+print("numpy" in sys.modules)
+assert unital_otto.cli.main({["sweep", *POINT, *axis, "--out", os.devnull]!r}) == 0
+print(gc.get_freeze_count())
+""")
+    assert proc.returncode == 0, proc.stderr
+    imported, frozen = proc.stdout.split()
+    assert imported == "False"
+    assert int(frozen) >= int(heap.stdout)
+
+
+# the runs that load numpy: the commands that evaluate arrays, and the
+# bound reports of one point
+ARRAY_RUNS = {"sweep", "classify", "verify-bounds", "lz-compare", "cumulants --bounds-out"}
+
+
+@pytest.mark.parametrize("module, importers", [("numpy.random", set()),
+                                               ("unital_otto.pcg64", {"verify-bounds"}),
+                                               ("numpy", ARRAY_RUNS)],
+                         ids=["numpy.random", "unital_otto.pcg64", "numpy"])
+def test_no_command_imports_numpy_random(module, importers):
     # numpy.random (its legacy mtrand, four bit generators and, through
     # secrets, OpenSSL's hashes) costs a run about 18 ms and 6 MB: sample
     # draws on the standard library's stream, and verify-bounds computes
     # its PCG64 words itself, in the one module that no other command
-    # imports
+    # imports.  A one-point run (cumulants, sample) evaluates its point in
+    # floats and imports no numpy at all
     axis = ["--axis", "delta", "--start", "0", "--stop", "0.5", "--steps", "3"]
     runs = {
-        "cumulants": [*POINT],
-        "sweep": [*POINT, *axis],
-        "classify": [*POINT, *axis, "--axis2", "theta", "--start2", "0", "--stop2", "1",
-                     "--steps2", "3"],
-        "verify-bounds": ["--samples", "10", "--seed", "1"],
-        "sample": [*POINT, "--samples", "1000", "--seed", "1"],
-        "lz-compare": [*POINT[:6], "--alpha-m", "1", *axis],
+        "cumulants": ["cumulants", *POINT],
+        "cumulants --dist-out": ["cumulants", *POINT, "--dist-out", os.devnull],
+        "cumulants --bounds-out": ["cumulants", *POINT, "--bounds-out", os.devnull],
+        "sweep": ["sweep", *POINT, *axis],
+        "classify": ["classify", *POINT, *axis, "--axis2", "theta", "--start2", "0",
+                     "--stop2", "1", "--steps2", "3"],
+        "verify-bounds": ["verify-bounds", "--samples", "10", "--seed", "1"],
+        "sample": ["sample", *POINT, "--samples", "1000", "--seed", "1"],
+        "lz-compare": ["lz-compare", *POINT[:6], "--alpha-m", "1", *axis],
     }
-    assert runs.keys() == _COMMANDS.keys()
-    for command, argv in runs.items():
+    assert {argv[0] for argv in runs.values()} == _COMMANDS.keys()
+    for name, argv in runs.items():
         proc = fresh_python("-c", f"""
 import os, sys
 from unital_otto.cli import main
-assert main({[command, *argv, "--out", os.devnull]!r}) == 0
+assert main({[*argv, "--out", os.devnull]!r}) == 0
 print({module!r} in sys.modules)
 """)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == f"{command == importer}\n", command
+        assert proc.stdout == f"{name in importers}\n", name
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
 def test_lz_compare_peaks_with_a_cumulants_point():
     # lz-compare calls neither LAPACK nor BLAS: their first calls, eigvalsh
     # on the Gibbs state and zgemm in the propagation, took its peak about
-    # 1.3 MB above a one-point run's
+    # 1.3 MB above a one-point run's.  A one-point run imports no numpy, so
+    # the point is one that does and calls neither: its bound reports
     def peak_mb(argv):
         proc = fresh_python("-c", f"""
 import os
@@ -1290,7 +1341,8 @@ print(next(l.split()[1] for l in open("/proc/self/status") if l.startswith("VmHW
     lz = ["lz-compare", *POINT[:6], "--alpha-m", "1", "--phi", "0.3", "--chi", "-1",
           "--axis", "delta", "--start", "0", "--stop", "1", "--steps", "2501"]
     runs = {command: min(peak_mb(argv) for _ in range(3))
-            for command, argv in (("lz-compare", lz), ("cumulants", ["cumulants", *POINT]))}
+            for command, argv in (("lz-compare", lz),
+                                  ("cumulants", ["cumulants", *POINT, "--bounds-out", os.devnull]))}
     assert runs["lz-compare"] - runs["cumulants"] <= 0.5, runs
 
 

@@ -30,6 +30,10 @@ def test_package_reexports_only_layer_exports():
     }
     assert sorted(set(public) - set(exported)) == []
     assert all(public[name] is exported[name] for name in public)
+    # __all__ names every layer export, the array layer's included, which
+    # the package imports on first access
+    assert sorted(unital_otto.__all__) == sorted(exported)
+    assert all(getattr(unital_otto, name) is exported[name] for name in exported)
 
 
 def test_version_is_the_project_version():

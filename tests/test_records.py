@@ -20,7 +20,7 @@ from unital_otto.qstate import _Checked
 
 from references import DensityMatrix
 
-LAYERS = ("qstate", "trajectory", "cumulants", "analysis", "landauzener")
+LAYERS = ("qstate", "formulas", "trajectory", "cumulants", "analysis", "landauzener")
 SRC = Path(__file__).resolve().parents[1] / "src" / "unital_otto"
 
 # every public tuple type a layer defines, exported or not, and the tests'
@@ -108,8 +108,10 @@ def test_read_only_fields_leave_the_callers_arrays_writable(build, arrays):
 def test_readme_lists_the_validated_types():
     readme = (SRC.parents[1] / "README.md").read_text(encoding="utf-8")
     listed = re.search(r"validated types \(([^)]*)\)", readme).group(1)
+    # __all__, as the array layer's names are imported on first access
     exported = {
-        name for name, value in vars(unital_otto).items()
-        if isinstance(value, type) and issubclass(value, _Checked)
+        name for name in unital_otto.__all__
+        if isinstance(getattr(unital_otto, name), type)
+        and issubclass(getattr(unital_otto, name), _Checked)
     }
     assert set(re.findall(r"`(\w+)`", listed)) == exported

@@ -19,7 +19,8 @@ from unital_otto import (
     Regime, analysis, cumulants_from_block, is_rounding_residue, landauzener, mean_magnitudes,
     trajectory, verify_bounds_block,
 )
-from unital_otto.cli import _block_fields, main
+from unital_otto.arraycli import _block_fields
+from unital_otto.cli import main
 
 from references import exact_bounds, exact_means, exact_regime
 

@@ -22,7 +22,8 @@ from unital_otto import (
     sample,
     trajectory,
 )
-from unital_otto.trajectory import _SUM_BOUND, _binomial
+from unital_otto.formulas import _binomial
+from unital_otto.trajectory import _SUM_BOUND
 
 from conftest import cycle_params, probs, sample_errors
 
