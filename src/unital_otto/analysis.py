@@ -40,7 +40,7 @@ import numpy as np
 # closed_form_first_second and enumerate_paths are not called here:
 # perfbench's tracer and its tests look both names up on this module
 from .cumulants import (
-    FirstTwoCumulants, _closed_form, _marginal_cumulants, closed_form_first_second,
+    FirstTwoCumulants, _first_two, _marginal_cumulants, closed_form_first_second,
     cumulants_from_block, is_rounding_residue,
 )
 from .qstate import InputError
@@ -134,8 +134,8 @@ def efficiency_block(
     (:func:`~unital_otto.cumulants.is_rounding_residue`), as where forward
     and backward heat cancel, counts as no heat.
     """
-    *cycle, _, flip = _checked_columns(beta, nu1, nu2, delta, zeta, theta, alpha, branch)
-    return _efficiency(*cycle, flip)[0]
+    t, _, *cycle, _, flip = _checked_columns(beta, nu1, nu2, delta, zeta, theta, alpha, branch)
+    return _efficiency(t, *cycle, flip)[0]
 
 
 @np.errstate(divide="ignore", invalid="ignore")  # p = 0 or delta + zeta = 1
@@ -150,14 +150,13 @@ def _margin(d, z, flip) -> tuple:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _efficiency(beta, nu1, nu2, d, z, flip) -> tuple:
-    """:func:`efficiency_block` on checked columns and the flip probability,
-    1 - r (1 + m) with r = nu1 / nu2, then r m and its magnitude: ``nan``
-    where the pair's heat, the closed form's 2 (1 - 2 x) p nu2 t at x =
-    delta and zeta, is a rounding residue.  Where the heat's magnitude
-    overflows, the test, homogeneous in the terms' common factor 2 nu2,
-    reads the terms without it."""
-    t = np.tanh(beta * nu1)
+def _efficiency(t, nu1, nu2, d, z, flip) -> tuple:
+    """:func:`efficiency_block` on checked columns, t in place of beta, and
+    the flip probability, 1 - r (1 + m) with r = nu1 / nu2, then r m and its
+    magnitude: ``nan`` where the pair's heat, the closed form's
+    2 (1 - 2 x) p nu2 t at x = delta and zeta, is a rounding residue.  Where
+    the heat's magnitude overflows, the test, homogeneous in the terms'
+    common factor 2 nu2, reads the terms without it."""
     # the two terms, then their magnitudes, with and without 2 nu2
     terms = [(sub(1.0, 2.0 * x), u) for sub, u in ((np.subtract, t), (np.add, np.abs(t)))
              for x in (d, z)]
@@ -170,14 +169,13 @@ def _efficiency(beta, nu1, nu2, d, z, flip) -> tuple:
     return 1.0 - r * (1.0 + m), r * m, r * m_mag
 
 
-def _pair_means(cycle: tuple) -> tuple:
+def _pair_means(t, nu1, nu2, d, z, flip) -> tuple:
     """The closed form that every cycle reads, forward plus backward field by
     field, and its magnitudes; then the forward cycle's.  At delta = zeta
     (the symmetric cycle) each sum doubles the forward field exactly, so
     every quotient and residue test reads as on the forward cycle.  The
     backward cycle is the forward one at (zeta, delta)."""
-    beta, nu1, nu2, d, z, flip = cycle
-    fwd, fwd_mag, bwd, bwd_mag = (_closed_form(beta, nu1, nu2, *strokes, flip, magnitudes)
+    fwd, fwd_mag, bwd, bwd_mag = (_first_two(t, nu1, nu2, *strokes, flip, magnitudes)
                                   for strokes in ((d, z), (z, d))
                                   for magnitudes in (False, True))
     pair = FirstTwoCumulants(*map(np.add, fwd, bwd))
@@ -197,7 +195,7 @@ def work_threshold_block(
     so nu2_min is at least nu1 in floats as it is exactly.  For beta > 0
     the work is zero at nu2_min and positive beyond.  ``inf`` wherever no
     gap works: theta = 0 or delta + zeta >= 1."""
-    _, nu1, _, d, z, _, flip = _checked_columns(
+    _, _, nu1, _, d, z, _, flip = _checked_columns(
         beta, nu1, nu2, delta, zeta, theta, alpha, branch
     )
     # the pair's work over 4 t is
@@ -259,16 +257,16 @@ def verify_bounds_block(
     """
     columns = _checked_columns(beta, nu1, nu2, delta, zeta, theta, alpha, branch)
     control = None if alpha is None else branch
-    return _bounds(*columns, control, bool((columns[3] == columns[4]).all()))
+    return _bounds(*columns, control, bool((columns[4] == columns[5]).all()))
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _bounds(beta, nu1, nu2, d, z, theta, flip, control, symmetric: bool) -> list[BoundReport]:
-    """:func:`verify_bounds_block` on checked columns and the flip
-    probability: ``control`` is the control's branch, or None without
-    control, and ``symmetric`` whether zeta = delta at every point."""
-    cycle = (beta, nu1, nu2, d, z)
-    means, mags, fwd, fwd_mag = _pair_means((*cycle, flip))
+def _bounds(t, beta, nu1, nu2, d, z, theta, flip, control, symmetric: bool) -> list[BoundReport]:
+    """:func:`verify_bounds_block` on its checked columns, t first: beta is
+    read for its sign alone, ``control`` is the control's branch or None,
+    and ``symmetric`` whether zeta = delta at every point."""
+    cycle = (t, nu1, nu2, d, z)
+    means, mags, fwd, fwd_mag = _pair_means(*cycle, flip)
     otto, otto_mag = 1.0 - nu1 / nu2, 1.0 + nu1 / nu2
     reports: list[BoundReport] = []
 

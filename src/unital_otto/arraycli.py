@@ -116,21 +116,22 @@ def _relative(k2: float, k1: float) -> float:
 
 
 def _block_fields(block: list[np.ndarray], branch: str, symmetric: bool, wanted: set) -> dict:
-    """The ``wanted`` fields of a block of points, each its own array, with
-    the block's parameter columns checked once.  The cumulants, ``qt_mean`` and the
-    regime are always evaluated, the cumulants beyond the means only when a
-    field other than classify's is wanted; ``w_rf``, ``efficiency`` and each
-    bound's verdict, under the bound's name, only when wanted.  A seventh
-    column puts the block under coherent control; ``symmetric``, whether
-    zeta = delta at every point of the run, adds the symmetric bound."""
+    """The ``wanted`` fields of a block of points, each its own array, its
+    columns checked and its t computed once.  The cumulants, ``qt_mean`` and
+    the regime are always evaluated, the cumulants beyond the means only
+    when a field other than classify's is wanted; ``w_rf``, ``efficiency``
+    and each bound's verdict, under the bound's name, only when wanted.  A
+    seventh column puts the block under coherent control; ``symmetric``,
+    whether zeta = delta at every point of the run, adds the symmetric bound."""
     checked = trajectory._checked_columns(*block, branch=branch)
-    beta, nu1, nu2, delta, zeta, _, flip = checked
-    dist = trajectory._enumerate(beta, nu1, nu2, delta, zeta, flip)
+    t, beta, nu1, nu2, delta, zeta, _, flip = checked
+    dist = trajectory._enumerate(t, nu1, nu2, delta, zeta, flip)
     if wanted <= _MEANS:
         # the means of cumulants_from_block, bitwise, checked alone: a higher
         # cumulant that overflows fails no cell that is printed
         kappas = ["w_k1", "qm_k1"]
-        cums = cumulants._checked_block(*(np.vecdot(dist.prob, x)[:, None] for x in dist[:2]))
+        means = (trajectory._outcome_sum(dist.prob * x)[:, None] for x in dist[:2])
+        cums = cumulants._checked_block(*means)
     else:
         kappas, cums = _KAPPAS, cumulants.cumulants_from_block(dist)
     magnitudes = cumulants.mean_magnitudes(dist)
@@ -147,7 +148,7 @@ def _block_fields(block: list[np.ndarray], branch: str, symmetric: bool, wanted:
         values["w_rf"] = np.array([math.inf if zero else _relative(k2, k1)
                                    for zero, k1, k2 in points])
     if "efficiency" in wanted:
-        values["efficiency"] = analysis._efficiency(beta, nu1, nu2, delta, zeta, flip)[0]
+        values["efficiency"] = analysis._efficiency(t, nu1, nu2, delta, zeta, flip)[0]
     if not wanted <= values.keys():  # the fields left are bounds
         control = branch if len(block) > 6 else None
         for report in analysis._bounds(*checked, control, symmetric):
@@ -170,7 +171,7 @@ def _grid_table(cfg: dict, command: str, axes: list, columns: list[tuple]) -> No
     symmetric = bool((grid[3] == grid[4]).all())
     if columns[-1][2] == "bounds":  # the run's bounds, as its reports over no points name them
         control = branch if len(grid) > 6 else None
-        bounds = analysis._bounds(*np.empty((7, 0)), control, symmetric)
+        bounds = analysis._bounds(*np.empty((8, 0)), control, symmetric)
         columns = columns[:-1] + [(r.name, "%s", r.name, _VERDICTS) for r in bounds]
     wanted = {field for _, _, field, _ in columns}
     shape, size = grid[0].shape, grid[0].size
@@ -243,6 +244,7 @@ def _cmd_lz_compare(cfg: dict) -> None:
         cfg.get("phi") or 0.0, alpha_m, cfg.get("chi") or 0.0,
     )
     landauzener._checked_deltas(base, values)
-    blocks = (landauzener.monitored_vs_unmonitored(base, values[i:i + _BLOCK_POINTS])._asdict()
-              for i in range(0, values.size, _BLOCK_POINTS))
+    step = _BLOCK_POINTS // 2  # cheap rows: half blocks hold less text, a lower peak
+    blocks = (landauzener.monitored_vs_unmonitored(base, values[i:i + step])._asdict()
+              for i in range(0, values.size, step))
     _emit(cfg, "lz-compare", _COMPARISON, blocks)

@@ -2,8 +2,8 @@
 
 Every subcommand writes CSV (to --out or stdout) whose first line is a
 ``#``-comment recording the fully resolved configuration, so a rerun
-with the same inputs, on the same machine, Python version and numpy
-build, byte-reproduces the file (``sample`` draws from the standard
+with the same inputs, Python and numpy byte-reproduces the file, whichever
+SIMD or BLAS kernels the CPU gets (``sample`` draws from the standard
 library's MT19937 stream, ``verify-bounds`` from numpy's PCG64 word
 stream, which the package computes itself, so that no command imports
 ``numpy.random``).  Every table, side files included, goes through one writer
@@ -13,12 +13,12 @@ output path is opened before any text is written, and two outputs on
 one file are a configuration error.
 
 The two one-point commands, ``cumulants`` and ``sample``, evaluate their
-point in Python floats: the formulas of :mod:`.formulas` at t from the C
-library's tanh (``math.tanh``), the moments summed in outcome order, so a
-run of either imports no numpy (``--bounds-out`` excepted).  The commands
-that evaluate arrays (``sweep``, ``classify``, ``verify-bounds``,
-``lz-compare``) live in :mod:`.arraycli`, imported when one of them runs,
-and evaluate the same formulas on numpy columns with numpy's tanh.
+point in Python floats: the formulas of :mod:`.formulas`, the moments
+summed in outcome order, so a run of either imports no numpy
+(``--bounds-out`` excepted).  The commands that evaluate arrays
+(``sweep``, ``classify``, ``verify-bounds``, ``lz-compare``) live in
+:mod:`.arraycli`, imported when one of them runs, and evaluate the same
+formulas, at the same t, on numpy columns.
 
 Exit codes: 0 success (bound violations are data, not failures),
 2 configuration or input error, 3 physics-domain error; faults propagate.
@@ -298,11 +298,10 @@ _SAMPLE = [("variable", "%s", "variable", ()), *_number_columns(
 
 def _point(cfg: dict) -> tuple:
     """A one-point run in floats: its columns and branch, its checked cycle as
-    the formulas take it (t = tanh(beta nu1) from the C library's tanh, the
-    gaps, the strokes and the flip probability) and its distribution."""
+    the formulas take it (:func:`.formulas._checked_point`) and its
+    distribution."""
     columns, branch = _columns(cfg)
-    params, flip = formulas._checked_point(*columns, branch=branch)
-    cycle = (params.tanh_beta_nu1, *params[1:], flip)
+    cycle = formulas._checked_point(*columns, branch=branch)
     return columns, branch, cycle, formulas._point_distribution(*cycle)
 
 

@@ -32,7 +32,6 @@ floats and arrays alike; the functions here evaluate them on numpy columns.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -42,7 +41,7 @@ from .formulas import (
     is_rounding_residue,
 )
 from .qstate import ControlSpec, InputError
-from .trajectory import _checked_columns
+from .trajectory import _checked_columns, _outcome_sum
 
 __all__ = [
     "CumulantBlock",
@@ -61,8 +60,7 @@ def mean_magnitudes(block: DistributionBlock) -> tuple:
     """The magnitudes of the mean flows at every point of a block, for
     :func:`is_rounding_residue`: sum p |W|, sum p |Q_M| and, for
     <Q_T> = <W> - <Q_M>, their sum."""
-    w = np.vecdot(block.prob, np.abs(block.w))
-    q = np.vecdot(block.prob, np.abs(block.q_m))
+    w, q = (_outcome_sum(block.prob * np.abs(x)) for x in (block.w, block.q_m))
     return w, q, w + q
 
 
@@ -75,15 +73,28 @@ def _marginal_cumulants(values: np.ndarray, prob: np.ndarray, magnitudes: bool =
     # finiteness checks report that, so numpy need not warn
     with np.errstate(over="ignore", invalid="ignore"):
         values = np.abs(values) if magnitudes else values
-        mean = np.vecdot(prob, values)
+        mean = _outcome_sum(prob * values)
+        # centred on the most probable value x0 plus the mean of x - x0, so a
+        # variable of one value has kappa_2..4 exactly 0 (magnitudes: the mean)
+        x0 = np.take_along_axis(values, prob.argmax(-1)[..., None], -1)
+        centre = mean if magnitudes else x0[..., 0] + _outcome_sum(prob * (values - x0))
         # an outcome of probability 0 adds 0 to every sum, even where its
         # centred powers would overflow to inf (0 * inf is nan)
-        centred = np.where(prob != 0.0, sub(values, mean[..., None]), 0.0)
+        centred = np.where(prob != 0.0, sub(values, centre[..., None]), 0.0)
         sq = centred * centred
-        c2 = np.vecdot(prob, sq)
-        c3 = np.vecdot(prob, sq * centred)
-        c4 = np.vecdot(prob, sq * sq)
+        c2, c3, c4 = _compensated_sum(prob * np.stack((sq, sq * centred, sq * sq)))
         return (mean, c2, c3, sub(c4, 3.0 * c2 * c2))
+
+
+def _compensated_sum(terms: np.ndarray) -> np.ndarray:
+    """``terms`` summed over the last axis in outcome order with Kahan's
+    compensation: within about eps of the sum of the terms' magnitudes."""
+    total = carry = 0.0
+    for row in np.ascontiguousarray(np.moveaxis(terms, -1, 0)):
+        term = row - carry
+        new = total + term
+        total, carry = new, (new - total) - term
+    return total
 
 
 class CumulantBlock(NamedTuple):
@@ -136,11 +147,12 @@ def cumulants_from_block(block: DistributionBlock) -> CumulantBlock:
     + 12 mu2 mu1^2 - 6 mu1^4) are evaluated in centred form, which is
     algebraically identical and numerically exact on a finite support.
     """
-    kw = np.stack(_marginal_cumulants(block.w, block.prob), axis=-1)
-    kq = np.stack(_marginal_cumulants(block.q_m, block.prob), axis=-1)
-    return _checked_block(kw, kq)
+    return _checked_block(*(np.stack(_marginal_cumulants(x, block.prob), axis=-1)
+                            for x in (block.w, block.q_m)))
 
 
+# overflow gives inf and inf - inf nan, silently, as Python floats do
+@np.errstate(over="ignore", invalid="ignore")
 def closed_form_block(
     beta, nu1, nu2, delta, zeta, theta, alpha=None, branch: str = "minus"
 ) -> FirstTwoCumulants:
@@ -149,18 +161,8 @@ def closed_form_block(
     control at the controlled flip probability: arrays of the broadcast
     shape, 0-d at one point.  Where points fail, the first of them (in C
     order) raises its own error."""
-    *cycle, _, flip = _checked_columns(beta, nu1, nu2, delta, zeta, theta, alpha, branch)
-    return _closed_form(*cycle, flip)
-
-
-# overflow gives inf and inf - inf nan, silently, as Python floats do
-@np.errstate(over="ignore", invalid="ignore")
-def _closed_form(beta, nu1, nu2, d, z, theta, magnitudes: bool = False) -> FirstTwoCumulants:
-    """:func:`closed_form_block` on checked columns and the flip probability
-    ``theta``: :func:`~unital_otto.formulas._first_two` at t from numpy's
-    tanh, with |t| and every difference read as a sum under
-    ``magnitudes``."""
-    return _first_two(np.tanh(beta * nu1), nu1, nu2, d, z, theta, magnitudes)
+    t, _, *cycle, _, flip = _checked_columns(beta, nu1, nu2, delta, zeta, theta, alpha, branch)
+    return _first_two(t, *cycle, flip)
 
 
 def _row(params: CycleParams, theta: float, direction: str, *control) -> FirstTwoCumulants:
@@ -204,6 +206,5 @@ def cf_derivative_check(
     columns = _checked_columns(beta, nu1, nu2, delta, zeta, theta, alpha, branch)
     if columns[0].size != 1:
         raise InputError("cf_derivative_check takes one point")
-    beta, nu1, nu2, d, z, _, flip = (x.item() for x in columns)
-    t = math.tanh(beta * nu1)  # as CycleParams.tanh_beta_nu1
+    t, _, nu1, nu2, d, z, _, flip = (x.item() for x in columns)
     return _checked_block(*map(np.array, _series_cumulants(t, nu1, nu2, d, z, flip)))

@@ -3,15 +3,15 @@
 The path table (:func:`_outcomes`), the closed forms of the first two
 cumulants (:func:`_first_two`) and the log-series of the characteristic
 function (:func:`_series_cumulants`) are plain arithmetic: ``+``, ``-``,
-``*``, ``abs`` and :mod:`operator`.  Each takes t = tanh(beta nu1) and its
-other columns as floats, at one point, or as numpy arrays of points.  The
-array layer (:mod:`.trajectory`, :mod:`.cumulants`) evaluates grids through
-them with numpy's tanh.  A command-line run at one point (``cumulants``,
-``sample``) evaluates them in floats with the C library's tanh
-(``math.tanh``), checks its point with the scalar validators that a block
-replays for its first failing point (:func:`_checked_point`), sums its
-moments in outcome order (:func:`_point_cumulants`) and draws on the binomial
-chain (:func:`_shares`), so it loads no numpy.  This module imports none.
+``*``, ``abs`` and :mod:`operator`.  Each takes t = tanh(beta nu1), by its
+one rule (:attr:`CycleParams.tanh_beta_nu1`), and its other columns as
+floats, at one point, or as numpy arrays of points, as the array layer
+(:mod:`.trajectory`, :mod:`.cumulants`) evaluates grids.  A command-line
+run at one point (``cumulants``, ``sample``) evaluates them in floats,
+checks its point with the scalar validators that a block replays for its
+first failing point (:func:`_checked_point`), sums its moments in outcome
+order (:func:`_point_cumulants`) and draws on the binomial chain
+(:func:`_shares`), so it loads no numpy.  This module imports none.
 """
 
 from __future__ import annotations
@@ -109,6 +109,7 @@ class CycleParams(_Checked, namedtuple("CycleParams", "beta nu1 nu2 delta zeta")
 
     @property
     def tanh_beta_nu1(self) -> float:
+        """t = tanh(beta nu1), the package's one rule: math.tanh of the product."""
         return math.tanh(self.beta * self.nu1)
 
     @property
@@ -169,16 +170,15 @@ def _outcomes(t, nu1, nu2, delta, zeta, channel) -> DistributionBlock:
 
 
 def _checked_point(beta, nu1, nu2, delta, zeta, theta, alpha=None, branch: str = "minus"):
-    """One point's cycle and its flip probability: theta, or under the
-    control's arm weight ``alpha`` on ``branch`` the controlled one.  Checked
-    by the validators that a block replays for its first failing point, in
-    its order (cycle, control, theta range, flip bound), so a point raises
-    the error that the same point raises in a block."""
+    """One point's cycle as the formulas take it: t, the gaps, the strokes
+    and the flip probability, theta or the control's (arm weight ``alpha``,
+    ``branch``).  Checked in a block's order (cycle, control, theta range,
+    flip bound; a controlled flip lies in [0, 1]), so a point raises the
+    error that the same point raises in a block, which replays it."""
     params = CycleParams(beta, nu1, nu2, delta, zeta)
-    if alpha is None:
-        _check_theta(theta)
-        return params, theta
-    return params, ControlSpec(alpha, branch).flip_probability(theta)
+    flip = theta if alpha is None else ControlSpec(alpha, branch).flip_probability(theta)
+    _check_theta(flip)
+    return (params.tanh_beta_nu1, *params[1:], flip)
 
 
 def _sum(terms) -> float:

@@ -29,7 +29,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .analysis import _quotient, classify_regime_array
-from .cumulants import _closed_form
+from .formulas import _first_two
 from .qstate import InputError, MeasurementChannel, _Checked
 from .trajectory import CycleParams
 
@@ -177,7 +177,8 @@ def monitored_averages(params: LZParams, delta) -> CycleAverages:
     measurement at B erases the coherence the projector channel would
     otherwise act on, so E3 and E4 differ from the unmonitored route.
     """
-    return _monitored_from(params, delta, unmonitored_cycle(params, delta))[0]
+    delta = _checked_deltas(params, delta)
+    return _monitored_from(params, delta, _propagate(params, delta))[0]
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -185,8 +186,8 @@ def _monitored_from(params: LZParams, delta, shared: CycleAverages) -> tuple:
     """:func:`monitored_averages` at deltas that :func:`unmonitored_cycle`
     checked, given its averages ``shared`` there, and the magnitudes of the
     monitored W, Q_M and Q_T: the closed forms' terms'."""
-    inputs = (*params.cycle[:3], delta, delta, params.channel.theta)
-    first, mag = (_closed_form(*inputs, magnitudes=m) for m in (False, True))
+    inputs = (params.cycle.tanh_beta_nu1, *params.cycle[1:3], delta, delta, params.channel.theta)
+    first, mag = (_first_two(*inputs, magnitudes=m) for m in (False, True))
     w, q_m, q_t = first.w_mean, first.qm_mean, first.qt_mean
     magnitudes = (mag.w_mean, mag.qm_mean, mag.qt_mean)
     averages = CycleAverages(e1=shared.e1, e2=shared.e2, e3=shared.e2 + q_m, e4=shared.e1 - q_t,

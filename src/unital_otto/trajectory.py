@@ -23,20 +23,17 @@ unital cycle at the flip probability theta / (2 p_branch) of
 One array routine evaluates the table at any number of points.
 :func:`enumerate_block` returns its rows for whole parameter grids (a
 :class:`DistributionBlock`, one row of the nine outcome keys per point),
-with or without coherent control; one point is a 0-d block, and
-:func:`enumerate_paths` is that point with its zero-probability outcomes
-dropped and the rest sorted, a block of 1-d arrays.  :func:`sample` draws
-from such a point and returns the draws' empirical distribution as a block
-of the same outcomes, so the block is the package's one distribution type.
-The table itself, :class:`CycleParams`, the block type and the binomial
-chain live in :mod:`.formulas`, which imports no numpy: a grid is
-evaluated here in numpy arrays, with numpy's tanh, and a command-line run
-at one point evaluates the same formulas in floats, with the C library's
-tanh.
-
-Every block function checks its parameter columns in one routine, in
-the order one point is checked: cycle, control, theta range, flip bound.
-The first failing point (in C order) raises the error it raises alone.
+with or without coherent control; one point is a 0-d block.
+:func:`enumerate_paths` is one point evaluated in floats, that row with its
+zero-probability outcomes dropped and the rest sorted, as 1-d arrays.
+:func:`sample` draws from such a point and returns the draws' empirical
+distribution as a block of the same outcomes: the package's one
+distribution type.  The table, :class:`CycleParams` with the rule for t,
+the block type and the binomial chain live in :mod:`.formulas`, which
+imports no numpy; a grid's sums here run in outcome order, with no BLAS
+call.  Every block function checks its columns and computes t once, in
+:func:`_checked_columns`; the first failing point (in C order) raises the
+error it raises alone.
 """
 
 from __future__ import annotations
@@ -46,9 +43,10 @@ import math
 import numpy as np
 
 from .formulas import (
-    _SUM_BOUND, CycleParams, DistributionBlock, _flip, _outcomes, _shares,
+    _SUM_BOUND, CycleParams, DistributionBlock, _checked_point, _flip, _outcomes,
+    _point_distribution, _shares, _sum,
 )
-from .qstate import ControlSpec, InputError, PhysicsError, _check_theta
+from .qstate import ControlSpec, InputError, PhysicsError
 
 __all__ = [
     "CycleParams",
@@ -59,32 +57,41 @@ __all__ = [
 ]
 
 
-def _evaluate(beta, nu1, nu2, delta, zeta, channel) -> DistributionBlock:
-    """The path table (:func:`~unital_otto.formulas._outcomes`) at N points,
-    t = tanh(beta nu1) from numpy's tanh: the five cycle parameters are 1-d
-    arrays and ``channel[k][m]``, the (N,) probabilities that the channel
-    takes state m to state k.  Each field is an (N, 9) array, one column per
-    outcome key; the probabilities are neither clamped nor checked."""
+@np.errstate(over="ignore")  # a product beyond the float range is inf, as in floats
+def _tanh_columns(beta, nu1) -> np.ndarray:
+    """:attr:`CycleParams.tanh_beta_nu1` at every entry of the columns: the
+    C library's tanh of each product, which numpy rounds as Python does."""
+    product = np.multiply(beta, nu1)
+    t = map(math.tanh, product.ravel().tolist())
+    return np.fromiter(t, float, product.size).reshape(product.shape)
+
+
+def _outcome_sum(terms: np.ndarray) -> np.ndarray:
+    """Each point's ``terms`` summed over the last axis in outcome order, as
+    :func:`~unital_otto.formulas._sum` adds them: numpy adds term by term
+    along any axis but the fast one, and a lone point is summed in floats."""
+    if terms.size == terms.shape[-1]:
+        return np.array(_sum(terms.ravel().tolist())).reshape(terms.shape[:-1])[()]
+    return np.asfortranarray(terms).sum(-1)
+
+
+def _evaluate(t, nu1, nu2, delta, zeta, channel) -> DistributionBlock:
+    """The path table (:func:`~unital_otto.formulas._outcomes`) at N points:
+    t and the four other cycle columns are 1-d arrays and ``channel[k][m]``,
+    the (N,) probabilities that the channel takes state m to state k.  Each
+    field is an (N, 9) array, one column per outcome key, laid out outcome
+    major; the probabilities are neither clamped nor checked."""
     with np.errstate(all="ignore"):
-        block = _outcomes(np.tanh(beta * nu1), nu1, nu2, delta, zeta, channel)
-    return DistributionBlock(*(np.stack(x, axis=-1) for x in block))
-
-
-def _point(block: DistributionBlock) -> DistributionBlock:
-    """The one point of a block, its arrays shaped (9,), as a block of 1-d
-    arrays: the outcomes of nonzero probability, sorted by (W, Q_M, p)."""
-    keep = block.prob != 0.0
-    w, q, p = block.w[keep], block.q_m[keep], block.prob[keep]
-    order = np.lexsort((p, q, w))
-    return DistributionBlock(w[order], q[order], p[order])
+        block = _outcomes(t, nu1, nu2, delta, zeta, channel)
+    return DistributionBlock(*(np.stack(x).T for x in block))
 
 
 def enumerate_paths(
     params: CycleParams, theta: float, ctrl: ControlSpec | None = None
 ) -> DistributionBlock:
-    """Exact forward joint distribution of (W, Q_M): the one point of
-    :func:`enumerate_block`, its zero-probability outcomes dropped and the
-    rest sorted by (W, Q_M, p).
+    """Exact forward joint distribution of (W, Q_M): the point evaluated in
+    floats, its row of :func:`enumerate_block` with the zero-probability
+    outcomes dropped and the rest sorted by (W, Q_M, p), as 1-d arrays.
 
     W takes values in {0, +-2 nu1, +-2 nu2, +-2(nu2-nu1), +-2(nu1+nu2)}
     and Q_M in {0, +-2 nu2}; paths with the same outcome are merged.
@@ -94,8 +101,8 @@ def enumerate_paths(
     in [0, 1]; beyond that regime the minus branch can exceed 1 and
     :class:`PhysicsError` is raised.
     """
-    control = () if ctrl is None else (ctrl.alpha, ctrl.branch)
-    return _point(enumerate_block(*params, theta, *control))
+    dist = _point_distribution(*_checked_point(*params, theta, *(ctrl or ())))
+    return DistributionBlock(*map(np.array, dist))
 
 
 def _controlled_flip(theta, alpha, branch: str) -> np.ndarray:
@@ -111,13 +118,11 @@ def _controlled_flip(theta, alpha, branch: str) -> np.ndarray:
 
 
 def _checked_columns(beta, nu1, nu2, delta, zeta, theta, alpha=None, branch: str = "minus"):
-    """The six columns broadcast, and the flip probability: theta, or
-    :func:`_controlled_flip` when the control's arm weight ``alpha`` is given.
-
-    Checks every point as :class:`CycleParams`, :class:`ControlSpec`, the
-    theta range and the flip bound check one, in that order; the first
-    failing point (in C order) is replayed through them to raise its error.
-    """
+    """t (:func:`_tanh_columns`), the six columns broadcast, and the flip
+    probability: theta, or :func:`_controlled_flip` when the control's arm
+    weight ``alpha`` is given.  Checks every point as
+    :func:`~unital_otto.formulas._checked_point` checks one, and replays the
+    first failing point (in C order) through it to raise its error."""
     inputs = [beta, nu1, nu2, delta, zeta, theta] + ([] if alpha is None else [alpha])
     columns = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in inputs))
     beta, nu1, nu2, delta, zeta, theta = columns[:6]
@@ -128,14 +133,10 @@ def _checked_columns(beta, nu1, nu2, delta, zeta, theta, alpha=None, branch: str
     # a control outside ControlSpec's checks makes the flip nan
     ok &= np.isfinite(theta) & (0.0 <= theta) & (theta <= 1.0) & (flip <= 1.0)
     if not ok.all():
-        # ``ok`` holds exactly the single-point checks, so one of these raises
+        # ``ok`` holds exactly the single-point checks, so this raises
         i = np.unravel_index(np.argmin(ok), ok.shape)
-        CycleParams(*(float(x[i]) for x in columns[:5]))
-        if alpha is None:
-            _check_theta(float(theta[i]))
-        else:  # which checks theta before its bound
-            ControlSpec(float(columns[6][i]), branch).flip_probability(float(theta[i]))
-    return beta, nu1, nu2, delta, zeta, theta, flip
+        _checked_point(*(float(x[i]) for x in columns), branch=branch)
+    return _tanh_columns(beta, nu1), beta, nu1, nu2, delta, zeta, theta, flip
 
 
 def enumerate_block(
@@ -149,25 +150,23 @@ def enumerate_block(
     single point is; where points fail, the error of the first of them (in
     C order) is raised.
     """
-    *cycle, _, flip = _checked_columns(beta, nu1, nu2, delta, zeta, theta, alpha, branch)
-    return _enumerate(*cycle, flip)
+    t, _, *cycle, _, flip = _checked_columns(beta, nu1, nu2, delta, zeta, theta, alpha, branch)
+    return _enumerate(t, *cycle, flip)
 
 
-def _enumerate(beta, nu1, nu2, delta, zeta, flip) -> DistributionBlock:
-    """:func:`enumerate_block` on checked columns and the flip probability.
-    Every path probability is a product of factors in [0, 1], so none is
-    negative; a row whose sum lies further from 1 than its rounding allows
-    (``_SUM_BOUND``) raises :class:`PhysicsError`, the first such point in C
-    order."""
-    shape = flip.shape
-    cycle = (x.ravel() for x in (beta, nu1, nu2, delta, zeta))
+def _enumerate(t, nu1, nu2, delta, zeta, flip) -> DistributionBlock:
+    """:func:`enumerate_block` on checked columns, t in place of beta, and
+    the flip probability.  Every path probability is a product of factors in
+    [0, 1], so none is negative; a row whose sum lies further from 1 than its
+    rounding allows (``_SUM_BOUND``) raises :class:`PhysicsError`, the first
+    such point in C order."""
+    cycle = (x.ravel() for x in (t, nu1, nu2, delta, zeta))
     block = _evaluate(*cycle, _flip(flip.ravel()))
-    total = block.prob.sum(axis=1)
+    total = _outcome_sum(block.prob)
     failed = np.abs(total - 1.0) > _SUM_BOUND
     if failed.any():
         raise PhysicsError(f"probabilities sum to {float(total[np.argmax(failed)])!r}, not 1")
-    out = shape + (block.prob.shape[-1],)
-    return DistributionBlock(*(x.reshape(out) for x in block))
+    return DistributionBlock(*(x.reshape(flip.shape + x.shape[-1:]) for x in block))
 
 
 def sample(dist: DistributionBlock, n: int, seed: int) -> DistributionBlock:
@@ -175,9 +174,8 @@ def sample(dist: DistributionBlock, n: int, seed: int) -> DistributionBlock:
     seeded ``random.Random`` (the standard library's MT19937): how many fall
     on each outcome, drawn as a chain of binomials
     (:func:`~unital_otto.formulas._shares`), so neither time nor memory
-    grows with n.  Returns the draws' empirical
-    distribution: the same outcomes, each with the share counts / n of the
-    draws that fell on it.
+    grows with n.  Returns the draws' empirical distribution: the same
+    outcomes, each with the share counts / n of the draws that fell on it.
 
     ``dist``'s arrays must be 1-d, of equal length and finite, and its
     probabilities nonnegative, summing to 1 within ``_SUM_BOUND``; a failed

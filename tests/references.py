@@ -182,7 +182,8 @@ def path_table_cf(params, matrix, gamma_w, gamma_m) -> complex:
     transition matrix in the storage basis.  The table counts the ground
     state first, so both indices of ``matrix`` are reversed."""
     channel = np.asarray(matrix, dtype=float)[::-1, ::-1, None]
-    block = _evaluate(*(np.array([x]) for x in params), channel)
+    cycle = (params.tanh_beta_nu1, *params[1:])
+    block = _evaluate(*(np.array([x]) for x in cycle), channel)
     phase = np.exp(1j * (gamma_w * block.w[0] + gamma_m * block.q_m[0]))
     return complex(np.sum(block.prob[0] * phase))
 

@@ -27,7 +27,7 @@ from unital_otto import (
     sample,
     unmonitored_cycle,
 )
-from unital_otto.cumulants import _closed_form
+from unital_otto.formulas import _first_two
 
 from conftest import regime_of, sample_errors
 from references import cf_unital, qm_unmonitored_paper
@@ -213,9 +213,9 @@ def test_criterion_5_proved_inequality_suite():
     fwd, bwd = _closed_forms(points, thetas, "forward", "backward")
     work, heat = fwd.w_mean + bwd.w_mean, fwd.qm_mean + bwd.qm_mean
     # the flows' magnitudes, those of the same closed forms
-    keys = ("beta", "nu1", "nu2", "delta", "zeta")
+    keys = ("tanh_beta_nu1", "nu1", "nu2", "delta", "zeta")
     columns = [np.array([getattr(p, k) for p in points]) for k in keys]
-    fwd_mag, bwd_mag = (_closed_form(*columns[:3], *strokes, np.array(thetas), magnitudes=True)
+    fwd_mag, bwd_mag = (_first_two(*columns[:3], *strokes, np.array(thetas), magnitudes=True)
                         for strokes in ((columns[3], columns[4]), (columns[4], columns[3])))
     magnitudes = (fwd_mag.w_mean + bwd_mag.w_mean, fwd_mag.qm_mean + bwd_mag.qm_mean,
                   fwd_mag.qt_mean)

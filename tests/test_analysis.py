@@ -25,7 +25,7 @@ from unital_otto import (
     verify_bounds_block,
     work_threshold_block,
 )
-from unital_otto.cumulants import _closed_form
+from unital_otto.formulas import _first_two
 
 from conftest import close, cycle_params, finite, probs, regime_of
 from references import exact_cumulants, exact_means, exact_work_line, symbolic_pair_work
@@ -189,7 +189,7 @@ def test_threshold_is_the_exact_zero_of_the_mean_work(case):
         flip = trajectory._controlled_flip(theta, *control)
     nu2_min = work_threshold_block(beta, nu1, 1.0, delta, zeta, theta, *control)
     assert np.isfinite(nu2_min[400:]).all() and not np.isfinite(nu2_min[:100]).any()
-    assert_exact_thresholds(np.tanh(beta * nu1), nu1, delta, zeta, flip, nu2_min)
+    assert_exact_thresholds(trajectory._tanh_columns(beta, nu1), nu1, delta, zeta, flip, nu2_min)
 
 
 def test_threshold_reads_the_work_that_the_efficiency_reads():
@@ -256,7 +256,7 @@ def test_efficiency_is_the_exact_quotient_to_four_eps():
         1.0 - np.exp(gen.uniform(math.log(1e-12), math.log(1e-3), near)))
     eta = efficiency_block(beta, nu1, nu2, delta, zeta, theta)
     assert np.isfinite(eta).all()
-    t = np.tanh(beta * nu1)
+    t = trajectory._tanh_columns(beta, nu1)
     for i in range(n):
         point = [float(c[i]) for c in (t, nu1, nu2, delta, zeta, theta)]
         assert_near_exact(float(eta[i]), exact_efficiency(*point), i)
@@ -394,7 +394,7 @@ def test_threshold_keeps_four_ulps_where_the_quotient_form_lost_them():
              (2.983361268137372, 0.17674459797838699, 0.3127188643445681, 0.9826200434049244)]
     nu1, delta, zeta, theta = point
     nu2_min = work_threshold_block(1.0, nu1, 1.0, delta, zeta, theta)
-    assert_exact_thresholds(np.tanh(nu1), nu1, delta, zeta, theta, nu2_min)
+    assert_exact_thresholds(trajectory._tanh_columns(1.0, nu1), nu1, delta, zeta, theta, nu2_min)
 
 
 def bits(x) -> np.ndarray:
@@ -417,9 +417,9 @@ def test_symmetric_mode_is_the_pair_at_equal_strokes():
     nu2[8000:10000] = nu1[8000:10000]
     cycle = (beta, nu1, nu2, delta, delta, theta)
     eta = efficiency_block(*cycle)
-    fwd, fwd_mag = (_closed_form(*cycle, magnitudes=m) for m in (False, True))
+    t = trajectory._tanh_columns(beta, nu1)
+    fwd, fwd_mag = (_first_two(t, *cycle[1:], magnitudes=m) for m in (False, True))
     assert np.array_equal(np.isnan(eta), is_rounding_residue(fwd.qm_mean, fwd_mag.qm_mean))
-    t = np.tanh(beta * nu1)
     for i in np.flatnonzero(~np.isnan(eta))[::100]:
         point = [float(c[i]) for c in (t, nu1, nu2, delta, delta, theta)]
         assert_near_exact(float(eta[i]), exact_efficiency(*point), i)

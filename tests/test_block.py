@@ -589,7 +589,8 @@ def test_bound_and_efficiency_blocks_match_scalar_rule_verdicts(rng, mode, branc
     reports = verify_bounds_block(*cycle, alpha, branch)
     etas = efficiency_block(*cycle, alpha, branch)
     flip = cycle[5] if alpha is None else trajectory._controlled_flip(cycle[5], alpha, branch)
-    means, mags, fwd, fwd_mag = analysis._pair_means((*cycle[:5], flip))
+    t = trajectory._tanh_columns(*cycle[:2])
+    means, mags, fwd, fwd_mag = analysis._pair_means(t, *cycle[1:5], flip)
     magnitudes = (mags.w_mean, mags.qm_mean, fwd_mag.qt_mean)
     regimes = classify_regime_array(means.w_mean, means.qm_mean, fwd.qt_mean, cycle[0], magnitudes)
     cells = [verdict_cells(r.applicable, r.satisfied) for r in reports]
@@ -625,8 +626,8 @@ def test_scalar_bounds_and_efficiency_are_rows_of_the_block(rng, mode, branch):
     # longer block
     points, alphas = bound_points(rng, 400, mode, branch)
     # block lengths around numpy's SIMD widths and the command line's
-    # 256-point blocks: a ufunc such as np.tanh treats a block's tail apart
-    # from its body
+    # 256-point blocks: a vectorized loop, such as np.sqrt's, treats a
+    # block's tail apart from its body
     for n in (*range(1, 21), 255, 256, 257):
         pick = rng.choice(400, n, replace=False)
         cycle = [c[pick] for c in points]
@@ -851,18 +852,20 @@ def test_bound_blocks_warn_nowhere():
                                            ("cs", (0.3, "plus")), ("cs", (0.3, "minus"))],
                          ids=["symmetric", "asymmetric", "cs-plus", "cs-minus"])
 def test_verify_bounds_block_checks_its_columns_once(mode, control, monkeypatch):
+    # and computes t once, where the columns are checked
     from unital_otto import analysis, cumulants
 
     calls = []
-    original = trajectory._checked_columns
+    original, tanh = trajectory._checked_columns, trajectory._tanh_columns
     # each layer that calls the front door holds it under its own name
     for module in (trajectory, cumulants, analysis):
         monkeypatch.setattr(module, "_checked_columns",
                             lambda *a, **k: calls.append(1) or original(*a, **k))
+    monkeypatch.setattr(trajectory, "_tanh_columns", lambda *a: calls.append("t") or tanh(*a))
     delta = np.linspace(0.0, 0.4, 5)
     zeta = delta if mode == "symmetric" else delta[::-1]
     verify_bounds_block(0.7, 1.0, 2.0, delta, zeta, 0.3, *control)
-    assert len(calls) == 1
+    assert calls == [1, "t"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -873,20 +876,22 @@ def test_verify_bounds_block_checks_its_columns_once(mode, control, monkeypatch)
      "--stop2", "1", "--steps2", "25"],
 ], ids=["sweep-symmetric", "sweep-asymmetric", "sweep-cs", "classify"])
 def test_grid_commands_check_each_block_once(argv, monkeypatch, capsys):
+    # and compute each block's t once, bounds and efficiency included
     from unital_otto import analysis, cumulants
 
     calls = []
-    original = trajectory._checked_columns
+    original, tanh = trajectory._checked_columns, trajectory._tanh_columns
     # each layer that calls the front door holds it under its own name
     for module in (trajectory, cumulants, analysis):
         monkeypatch.setattr(module, "_checked_columns",
                             lambda *a, **k: calls.append(1) or original(*a, **k))
+    monkeypatch.setattr(trajectory, "_tanh_columns", lambda *a: calls.append("t") or tanh(*a))
     steps = "1000" if argv[0] == "sweep" else "40"
     axis = ["--axis", "nu2", "--start", "1", "--stop", "3", "--steps", steps]
     assert main([*argv, "--beta", "0.7", "--nu1", "1", "--theta", "0.3", *axis]) == 0
     capsys.readouterr()
     # 1000 points in blocks of 256
-    assert len(calls) == 4
+    assert calls == [1, "t"] * 4
 
 
 # --- the work threshold and the cumulant-ratio corridor --------------------

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unital_otto import CycleParams, LZParams, Regime, enumerate_paths, monitored_vs_unmonitored
-from unital_otto import arraycli, cli, formulas, landauzener
+from unital_otto import arraycli, cli, landauzener
 from unital_otto.arraycli import _run
 from unital_otto.cli import _COMMANDS, _merge_config, build_parser, main
 
@@ -455,17 +455,23 @@ def test_classify_evaluates_only_the_means_it_prints(capsys):
 # within 2 eps of its trace bound of the 60-digit propagation.  The sweep
 # digest was taken again when eta became 1 - (nu1 / nu2)(1 + m): only
 # efficiency cells changed (396 of 600), each within 2.5 eps of the exact
-# pair quotient
+# pair quotient.  The classify and sweep digests were taken again when a
+# grid came to take t from the C library's tanh and to sum its moments in
+# outcome order, with no BLAS kernel: only number cells changed (classify
+# 474 w_mean, 228 qm_mean and 460 qt_mean cells of 1681 rows; sweep 314 to
+# 595 cells of each cumulant column, 531 qt_mean and 570 w_rf cells of 600
+# rows), each mean and cumulant within 0.52 eps E^k of the exact value at
+# the new t (E = 2 (nu1 + nu2)), and no label
 PINNED_TABLES = {
     "classify": (
         "classify --beta 0.7 --nu1 1 --nu2 2 --delta 0.1 --zeta 0.1 --theta 0.3 "
         "--axis beta --start -2 --stop 2 --steps 41 --axis2 delta --start2 0 --stop2 1 --steps2 41",
-        "a5dff7e0d3f07e7b3ae67b76b394859e82fc6015c3b6a1d6669f6655a30c33fb",
+        "2598ff1f49a46711cbc8bc4c242fc4f0072c6120c14a8221f4d0a0bfd09f9b24",
     ),
     "sweep": (
         "sweep --beta 0.7 --nu1 1 --nu2 2 --delta 0.1 --zeta 0.1 --theta 0.3 "
         "--axis delta --start 0 --stop 1 --steps 600",
-        "395c216d76bb5de4e1cbb7033ec5394210704e19cce596344a930754eed20cfa",
+        "d4b9f68424f96aec1e6d6077f3f0b138891f110bfc678247163b22feca355768",
     ),
     "lz-compare": (
         "lz-compare --beta 0.5 --nu1 0.4 --nu2 0.9 --alpha-m 1 --phi 0.3 --chi -1 "
@@ -599,23 +605,17 @@ def test_dist_dump(tmp_path, capsys):
     assert sum(probs) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_csv_round_trip(tmp_path, capsys, monkeypatch):
-    # at beta nu1 = 0.7 the command's t (math.tanh) differs from numpy's, so
-    # the dump is checked against the distribution the command computed
-    computed = []
-    evaluate = formulas._point_distribution
-    monkeypatch.setattr(formulas, "_point_distribution",
-                        lambda *cycle: computed.append(evaluate(*cycle)) or computed[-1])
+def test_csv_round_trip(tmp_path, capsys):
+    # the dump reads back as the point's distribution, bit for bit
     dump = tmp_path / "dist.csv"
     argv = ("--beta 0.7 --nu1 1 --nu2 2 --delta 0.1 --zeta 0.2 --theta 0.3 "
             f"--out {os.devnull} --dist-out {dump}").split()
     assert run(capsys, "cumulants", *argv) == (0, "", "")
-    (dist,) = computed
     lines = dump.read_text().splitlines()
     assert lines[1] == "w,q_m,prob"
     rows = [line.split(",") for line in lines[2:]]
-    array_point = enumerate_paths(CycleParams(0.7, 1.0, 2.0, 0.1, 0.2), 0.3)
-    assert len(rows) == len(dist.w) == array_point.w.size
+    dist = enumerate_paths(CycleParams(0.7, 1.0, 2.0, 0.1, 0.2), 0.3)
+    assert len(rows) == dist.w.size
     for (w_text, q_text, p_text), w, q, p in zip(rows, dist.w, dist.q_m, dist.prob):
         assert float(w_text) == w
         assert float(q_text) == q
@@ -794,7 +794,10 @@ def test_bound_report_dump(tmp_path, capsys):
 # The asymmetric and cs dist dumps were taken again when a point came to be
 # evaluated in floats: t = tanh(0.7) from the C library's tanh differs from
 # numpy's there (at beta nu1 = 0.5 they agree); with numpy's t the float
-# route gives the old dumps bit for bit
+# route gives the old dumps bit for bit.  Their bounds dumps were taken
+# again when the bounds came to read the same t: only the forward <Q_T> and
+# pair <W> cells changed, each now within 0.03 eps E of its exact value at
+# that t (0.1 eps E at numpy's t before)
 DUMP_POINTS = {
     "symmetric": "--beta 0.5 --nu1 1 --nu2 2 --delta 0.1 --zeta 0.1 --theta 0.3",
     "asymmetric": "--beta 0.7 --nu1 1 --nu2 2.5 --delta 0.1 --zeta 0.2 --theta 0.3",
@@ -828,8 +831,8 @@ w,q_m,prob
     ("asymmetric", "bounds"): """\
 # command=cumulants beta=0.69999999999999996 bounds-out=bounds.csv delta=0.10000000000000001 dist-out=dist.csv nu1=1 nu2=2.5 theta=0.29999999999999999 zeta=0.20000000000000001
 bound_name,left,right,applicable,satisfied,margin
-qt_nonpositive,-0.48832916391066805,0,true,true,0.48832916391066805
-equal_gap_work_nonpositive,0.29251400412470696,0,false,false,-0.29251400412470696
+qt_nonpositive,-0.48832916391066822,0,true,true,0.48832916391066822
+equal_gap_work_nonpositive,0.29251400412470707,0,false,false,-0.29251400412470707
 eta_le_otto,0.23047619047619039,0.59999999999999998,true,true,0.36952380952380959
 eta_sq_le_ratio,0.053119274376417197,0.68928395854726843,true,true,0.63616468417085126
 ratio_le_one,0.68928395854726843,1,true,true,0.31071604145273157
@@ -850,7 +853,7 @@ w,q_m,prob
     ("cs", "bounds"): """\
 # command=cumulants beta=0.69999999999999996 bounds-out=bounds.csv branch=plus cs-alpha=0.29999999999999999 delta=0.10000000000000001 dist-out=dist.csv nu1=1 nu2=3 theta=0.20000000000000001 zeta=0.10000000000000001
 bound_name,left,right,applicable,satisfied,margin
-cs_qt_nonpositive,-0.32367035816023559,0,true,true,0.32367035816023559
+cs_qt_nonpositive,-0.3236703581602357,0,true,true,0.3236703581602357
 cs_eta_le_otto,0.18648674477248939,0.66666666666666674,true,true,0.48017992189417735
 cs_eta_branch_order,0.18648674477248939,0.35833333333333339,true,true,0.17184658856084406
 """,
@@ -1344,6 +1347,42 @@ print(next(l.split()[1] for l in open("/proc/self/status") if l.startswith("VmHW
             for command, argv in (("lz-compare", lz),
                                   ("cumulants", ["cumulants", *POINT, "--bounds-out", os.devnull]))}
     assert runs["lz-compare"] - runs["cumulants"] <= 0.5, runs
+
+
+def test_table_bytes_do_not_depend_on_the_cpu(tmp_path):
+    # the same bytes under the default kernels, under the OpenBLAS kernel of
+    # AVX2-only CPUs and with every SIMD target of numpy's off: a grid takes
+    # t from the C library's tanh and sums its moments in outcome order, so
+    # neither numpy's SIMD tanh nor a BLAS kernel reaches a table
+    from numpy._core._multiarray_umath import __cpu_dispatch__
+
+    cycle = ["--beta", "0.7", "--nu1", "1", "--nu2", "2.5", "--delta", "0.1"]
+    runs = {
+        "classify": ["classify", *cycle, "--zeta", "0.1", "--theta", "0.3", "--axis", "beta",
+                     "--start", "-2", "--stop", "2", "--steps", "41", "--axis2", "delta",
+                     "--start2", "0", "--stop2", "1", "--steps2", "41"],
+        "sweep": ["sweep", *cycle, "--zeta", "0.2", "--theta", "0.3", "--axis", "beta",
+                  "--start", "-3", "--stop", "3", "--steps", "601"],
+        "verify-bounds": ["verify-bounds", "--samples", "15000", "--seed", "1"],
+        "cumulants": ["cumulants", *cycle, "--zeta", "0.2", "--theta", "0.3",
+                      "--bounds-out", "bounds.csv"],
+    }
+    settings = {"default": {}, "haswell": {"OPENBLAS_CORETYPE": "Haswell"},
+                "no-simd": {"NPY_DISABLE_CPU_FEATURES": " ".join(__cpu_dispatch__)}}
+    outputs = {}
+    for setting, env in settings.items():
+        # relative paths, so that the headers are the same
+        (tmp_path / setting).mkdir()
+        proc = fresh_python("-c", f"""
+from unital_otto.cli import main
+for name, argv in {runs!r}.items():
+    assert main([*argv, "--out", name + ".csv"]) == 0
+""", cwd=tmp_path / setting, **env)
+        assert proc.returncode == 0, proc.stderr
+        outputs[setting] = {path.name: path.read_bytes() for path in (tmp_path / setting).iterdir()}
+    assert len(outputs["default"]) == 5
+    assert outputs["haswell"] == outputs["default"]
+    assert outputs["no-simd"] == outputs["default"]
 
 
 def test_a_second_run_in_one_process_freezes_nothing(capsys):

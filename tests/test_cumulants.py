@@ -558,3 +558,30 @@ def test_derivative_route_matches_exact_oracle():
             for k in range(4):
                 worst = max(worst, abs(values[k] - exact[k]) / scale ** (k + 1))
     assert worst <= 1e-14
+
+
+def test_outcome_sums_add_in_outcome_order_on_any_layout():
+    # a grid's sums over its outcomes are formulas._sum's, term by term
+    # from the first outcome, in either memory layout and for a lone point;
+    # the compensated sums of the centred moments lie within 2 eps of the
+    # sum of their terms' magnitudes (Kahan's bound is eps + O(n eps^2))
+    from fractions import Fraction
+
+    from unital_otto.cumulants import _compensated_sum
+    from unital_otto.formulas import _sum
+    from unital_otto.trajectory import _outcome_sum
+
+    rng = np.random.default_rng(40)
+    terms = rng.standard_normal((300, 9)) * 10.0 ** rng.integers(-8, 8, (300, 9))
+    want = [_sum(row) for row in terms.tolist()]
+    for layout in (terms, np.asfortranarray(terms), terms.reshape(20, 15, 9)):
+        assert _outcome_sum(layout).ravel().tolist() == want
+    for i in (0, 7):
+        assert _outcome_sum(terms[i]) == _outcome_sum(terms[i:i + 1])[0] == want[i]
+    for row, total in zip(terms.tolist(), _compensated_sum(terms).tolist()):
+        error = abs(Fraction(total) - sum(map(Fraction, row)))
+        assert error <= 2 * Fraction(2.0**-52) * sum(abs(Fraction(x)) for x in row)
+    # eight terms that a plain sum drops one by one
+    small = [1.0] + [1e-16] * 8
+    assert _sum(small) == 1.0
+    assert _compensated_sum(np.array(small)) == float(sum(map(Fraction, small)))

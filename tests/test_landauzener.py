@@ -7,7 +7,7 @@ import pytest
 
 from unital_otto import landauzener
 from unital_otto.cli import main
-from unital_otto.cumulants import _closed_form
+from unital_otto.formulas import _first_two
 from unital_otto import (
     CycleParams,
     LZParams,
@@ -177,8 +177,8 @@ def test_one_block_propagation_per_table(monkeypatch):
 
 
 def test_each_block_of_a_run_is_propagated_once(monkeypatch, tmp_path):
-    # three blocks of 256, 256 and 88 rows: one propagation a block, and the
-    # closed forms once for values and once for magnitudes a block
+    # four blocks of 128 rows and one of 88: one propagation a block, and
+    # the closed forms once for values and once for magnitudes a block
     calls = []
 
     def counted(name):
@@ -190,14 +190,14 @@ def test_each_block_of_a_run_is_propagated_once(monkeypatch, tmp_path):
 
         monkeypatch.setattr(landauzener, name, count)
 
-    for name in ("_propagate", "_closed_form"):
+    for name in ("_propagate", "_first_two"):
         counted(name)
     argv = ["lz-compare", "--beta", "0.5", "--nu1", "0.4", "--nu2", "0.9", "--alpha-m", "1",
             "--axis", "delta", "--start", "0", "--stop", "1", "--steps", "600"]
     out = tmp_path / "lz.csv"
     assert main([*argv, "--out", str(out)]) == 0
     assert len(out.read_text().splitlines()) == 2 + 600
-    assert sorted(calls) == ["_closed_form"] * 6 + ["_propagate"] * 3
+    assert sorted(calls) == ["_first_two"] * 10 + ["_propagate"] * 5
 
 
 def _random_tables(seed, count):
@@ -266,7 +266,8 @@ def test_comparison_rows_are_the_single_point_averages():
         mon, um = monitored_averages(point, delta), unmonitored_cycle(point, delta)
         got = [table.delta[i], table.w_mon[i], table.eta_mon[i], table.w_um[i], table.eta_um[i]]
         assert np.array_equal(got, [delta, mon.w, mon.eta, um.w, um.eta], equal_nan=True)
-        mag = _closed_form(*point.cycle[:3], delta, delta, point.channel.theta, magnitudes=True)
+        cycle = (point.cycle.tanh_beta_nu1, *point.cycle[1:3], delta, delta)
+        mag = _first_two(*cycle, point.channel.theta, magnitudes=True)
         magnitudes = (mag.w_mean, mag.qm_mean, mag.qt_mean)
         regime = classify_regime_array(mon.w, mon.q_m, mon.q_t, FIG6F["beta"], magnitudes)
         assert table.regime_mon[i] == regime.item()

@@ -16,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unital_otto import (
-    Regime, analysis, cumulants_from_block, is_rounding_residue, landauzener, mean_magnitudes,
-    trajectory, verify_bounds_block,
+    CycleParams, Regime, analysis, cumulants_from_block, is_rounding_residue, landauzener,
+    mean_magnitudes, trajectory, verify_bounds_block,
 )
 from unital_otto.arraycli import _block_fields
 from unital_otto.cli import main
@@ -101,17 +101,17 @@ def test_printed_signs_and_verdicts_match_exact_arithmetic(rng, mode, branch):
     # symmetric cycle's bound, as a sweep decides it for its whole run
     symmetric = bool((cycle[3] == cycle[4]).all())
     control = None if alpha is None else branch
-    names = [r.name for r in analysis._bounds(*np.empty((7, 0)), control, symmetric)]
+    names = [r.name for r in analysis._bounds(*np.empty((8, 0)), control, symmetric)]
     fields = _block_fields(columns, branch, symmetric, {"regime", *names})
     flip = cycle[5] if alpha is None else trajectory._controlled_flip(cycle[5], alpha, branch)
-    t = np.tanh(cycle[0] * cycle[1])
+    t = trajectory._tanh_columns(cycle[0], cycle[1])
     # the package's own values and magnitudes: the enumerated flows that
     # the regime reads, and the closed forms that the bounds read
-    enumerated = cumulants_from_block(trajectory._enumerate(*cycle[:5], flip))
+    enumerated = cumulants_from_block(trajectory._enumerate(t, *cycle[1:5], flip))
     flows = (enumerated.w_mean, enumerated.qm_mean, enumerated.qt_mean)
-    flow_mags = mean_magnitudes(trajectory._enumerate(*cycle[:5], flip))
-    means, mags, fwd, fwd_mag = analysis._pair_means((*cycle[:5], flip))
-    plain, plain_mag, _, _ = analysis._pair_means((*cycle[:5], cycle[5]))
+    flow_mags = mean_magnitudes(trajectory._enumerate(t, *cycle[1:5], flip))
+    means, mags, fwd, fwd_mag = analysis._pair_means(t, *cycle[1:5], flip)
+    plain, plain_mag, _, _ = analysis._pair_means(t, *cycle[1:5], cycle[5])
     decided = {
         "qt": (fwd.qt_mean, fwd_mag.qt_mean),
         "work": (means.w_mean, mags.w_mean), "heat": (means.qm_mean, mags.qm_mean),
@@ -145,7 +145,7 @@ def test_grid_undetermined_cells_are_the_exact_zeros():
     # as the decimals, and the float grid lies within an ulp of them.
     rows = rows_of(GRID + ["--beta", "0.7", "--nu1", "1", "--nu2", "3"])
     assert len(rows) == 110
-    t = float(np.tanh(0.7))
+    t = CycleParams(0.7, 1.0, 3.0, 0.0, 0.0).tanh_beta_nu1
     exact = set()
     for i in range(11):
         for j in range(10):
