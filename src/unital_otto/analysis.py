@@ -40,7 +40,7 @@ import numpy as np
 # closed_form_first_second and enumerate_paths are not called here:
 # perfbench's tracer and its tests look both names up on this module
 from .cumulants import (
-    FirstTwoCumulants, _first_two, _marginal_cumulants, closed_form_first_second,
+    FirstTwoCumulants, _block_moments, _first_two, closed_form_first_second,
     cumulants_from_block, is_rounding_residue,
 )
 from .qstate import InputError
@@ -354,11 +354,11 @@ def cumulant_ratio_block(block: DistributionBlock, order: int) -> CumulantRatioB
     if not isinstance(order, (int, np.integer)) or order not in (2, 3, 4):
         raise InputError("order must be 2, 3 or 4")
     cums = cumulants_from_block(block)
-    mw, mq = (_marginal_cumulants(x, block.prob, magnitudes=True) for x in (block.w, block.q_m))
+    mw, mq = _block_moments(block, magnitudes=True)
     n = order - 1
-    eta, eta_mag = _quotient(cums.w[..., 0], cums.q_m[..., 0], mw[0], mq[0])
+    eta, eta_mag = _quotient(cums.w[..., 0], cums.q_m[..., 0], mw[..., 0], mq[..., 0])
     num, den = cums.w[..., n], cums.q_m[..., n]
-    ratio, ratio_mag = _quotient(num, den, mw[n], mq[n])
+    ratio, ratio_mag = _quotient(num, den, mw[..., n], mq[..., n])
     eta_power = eta**order
     # to first order, d(eta^n) = n eta^(n-1) d eta
     power_mag = order * np.abs(eta) ** n * eta_mag
@@ -372,6 +372,6 @@ def cumulant_ratio_block(block: DistributionBlock, order: int) -> CumulantRatioB
         eta_power=eta_power,
         below_eta_power=lower.applicable & ~lower.satisfied,
         above_one=upper.applicable & ~upper.satisfied,
-        sign_mismatch=~undefined & ~is_rounding_residue(num, mw[n]) & (num * den < 0.0),
+        sign_mismatch=~undefined & ~is_rounding_residue(num, mw[..., n]) & (num * den < 0.0),
         undefined=undefined,
     )

@@ -126,15 +126,13 @@ def _block_fields(block: list[np.ndarray], branch: str, symmetric: bool, wanted:
     checked = trajectory._checked_columns(*block, branch=branch)
     t, beta, nu1, nu2, delta, zeta, _, flip = checked
     dist = trajectory._enumerate(t, nu1, nu2, delta, zeta, flip)
+    means, magnitudes = cumulants._mean_flows(dist)
     if wanted <= _MEANS:
         # the means of cumulants_from_block, bitwise, checked alone: a higher
         # cumulant that overflows fails no cell that is printed
-        kappas = ["w_k1", "qm_k1"]
-        means = (trajectory._outcome_sum(dist.prob * x)[:, None] for x in dist[:2])
-        cums = cumulants._checked_block(*means)
+        kappas, cums = ["w_k1", "qm_k1"], cumulants._checked_block(*(x[:, None] for x in means))
     else:
         kappas, cums = _KAPPAS, cumulants.cumulants_from_block(dist)
-    magnitudes = cumulants.mean_magnitudes(dist)
     values = dict(zip(kappas, np.concatenate((cums.w, cums.q_m), axis=-1).T))
     values["qt_mean"] = cums.qt_mean
     values["regime"] = analysis.classify_regime_array(

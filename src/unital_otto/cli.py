@@ -20,7 +20,7 @@ summed in outcome order, so a run of either imports no numpy
 :mod:`.arraycli`, imported when one of them runs, and evaluate the same
 formulas, at the same t, on numpy columns.
 
-Exit codes: 0 success (bound violations are data, not failures),
+Exit codes: 0 success (bound violations are data), 1 output pipe closed,
 2 configuration or input error, 3 physics-domain error; faults propagate.
 """
 
@@ -336,7 +336,7 @@ def _cmd_cumulants(cfg: dict) -> None:
     # each table's path, columns and one block
     tables = [(cfg.get("out"), _CUMULANTS, _block(_CUMULANTS, rows))]
     if cfg.get("dist_out"):
-        tables.append((cfg["dist_out"], _DISTRIBUTION, dist._asdict()))
+        tables.append((cfg["dist_out"], _DISTRIBUTION, formulas._support(dist)._asdict()))
     if cfg.get("bounds_out"):
         from .analysis import verify_bounds_block  # numpy, for this output alone
 
@@ -352,10 +352,11 @@ def _cmd_sample(cfg: dict) -> None:
     *_, dist = _point(cfg)
     n = 10**6 if cfg.get("samples") is None else cfg["samples"]
     seed = cfg.get("seed") or 0
-    # the exact row and the drawn row read one cumulant routine, the exact
-    # one first: a point whose cumulants overflow fails before any draw
-    exact = formulas._point_cumulants(dist)
-    drawn = formulas._point_cumulants(dist._replace(prob=formulas._shares(dist.prob, n, seed)))
+    # exact and drawn rows read one routine, the exact first (on the table, as
+    # cumulants does): a point whose cumulants overflow fails before any draw
+    exact, support = formulas._point_cumulants(dist), formulas._support(dist)
+    shares = formulas._shares(support.prob, n, seed)
+    drawn = formulas._point_cumulants(support._replace(prob=shares))
     rows = []
 
     def zscore(diff: float, stderr: float) -> float:
@@ -425,6 +426,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _merge_config(args)
         _COMMANDS[args.command].handler(cfg)
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+    except BrokenPipeError:  # the reader has gone: the exit flushes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except PhysicsError as exc:
         print(f"physics error: {exc}", file=sys.stderr)
         return 3

@@ -26,8 +26,9 @@ forward one at (zeta, delta), and a control weight ``alpha`` gives the
 coherently controlled cycle, the unital one at
 :meth:`~unital_otto.qstate.ControlSpec.flip_probability`.
 
-The closed forms and the series are written once, in :mod:`.formulas`, for
-floats and arrays alike; the functions here evaluate them on numpy columns.
+The moment rule, the closed forms and the series are written once, in
+:mod:`.formulas`, for floats and arrays alike; the functions here evaluate
+them on numpy columns.
 """
 
 from __future__ import annotations
@@ -37,11 +38,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .formulas import (
-    CycleParams, DistributionBlock, FirstTwoCumulants, _first_two, _series_cumulants,
-    is_rounding_residue,
+    CycleParams, DistributionBlock, FirstTwoCumulants, _checked, _first_two, _moments,
+    _series_cumulants, _sum, is_rounding_residue,
 )
 from .qstate import ControlSpec, InputError
-from .trajectory import _checked_columns, _outcome_sum
+from .trajectory import _checked_columns
 
 __all__ = [
     "CumulantBlock",
@@ -56,45 +57,43 @@ __all__ = [
 ]
 
 
+def _outcome_major(block: DistributionBlock) -> tuple:
+    """A block's probabilities and values, shaped (9, 1, ...) and (9, 2, ...),
+    W's values above Q_M's: one entry per outcome in table order."""
+    axes = (-1, *range(block.prob.ndim - 1))
+    w, q, prob = (x.transpose(axes)[:, None] for x in block)
+    return prob, np.concatenate((w, q), 1)
+
+
+def _mean_flows(block: DistributionBlock) -> tuple:
+    """The sums p W and p Q_M at every point, the means of
+    :func:`cumulants_from_block` bit for bit, and :func:`mean_magnitudes`."""
+    flows = np.multiply(*_outcome_major(block))  # p x, and |p x| = p |x| as p >= 0
+    w, q, w_mag, q_mag = _sum(np.concatenate((flows, np.abs(flows)), 1))
+    return (w, q), (w_mag, q_mag, w_mag + q_mag)
+
+
 def mean_magnitudes(block: DistributionBlock) -> tuple:
     """The magnitudes of the mean flows at every point of a block, for
     :func:`is_rounding_residue`: sum p |W|, sum p |Q_M| and, for
     <Q_T> = <W> - <Q_M>, their sum."""
-    w, q = (_outcome_sum(block.prob * np.abs(x)) for x in (block.w, block.q_m))
-    return w, q, w + q
+    return _mean_flows(block)[1]
 
 
-def _marginal_cumulants(values: np.ndarray, prob: np.ndarray, magnitudes: bool = False) -> tuple:
-    """First four cumulants of each distribution along the last axis.  With
-    ``magnitudes``, the same sums over |x| with every difference a - b read
-    as a + b: the magnitude of each, for :func:`is_rounding_residue`."""
-    sub = np.add if magnitudes else np.subtract
-    # powers of outcomes near the float limit overflow to inf; the callers'
-    # finiteness checks report that, so numpy need not warn
+def _block_moments(block: DistributionBlock, magnitudes: bool = False) -> np.ndarray:
+    """:func:`~unital_otto.formulas._moments` at every point of a block, W and
+    Q_M at once: (2, ..., 4), the cumulants of W, then of Q_M, or magnitudes."""
+    prob, values = _outcome_major(block)
+    prob = np.concatenate((prob, prob), 1)  # so that no operation broadcasts
+    # each point's most probable value, the first of equals
+    pivot = np.take_along_axis(values, prob[:, :1].argmax(0)[None], 0)[0]
+    # where no outcome has probability 0, masking changes nothing
+    mask = (lambda p, x: x) if prob.all() else (lambda p, x: np.where(p != 0.0, x, 0.0))
+    # powers of outcomes near the float limit overflow to inf, which the
+    # callers' finiteness checks report
     with np.errstate(over="ignore", invalid="ignore"):
-        values = np.abs(values) if magnitudes else values
-        mean = _outcome_sum(prob * values)
-        # centred on the most probable value x0 plus the mean of x - x0, so a
-        # variable of one value has kappa_2..4 exactly 0 (magnitudes: the mean)
-        x0 = np.take_along_axis(values, prob.argmax(-1)[..., None], -1)
-        centre = mean if magnitudes else x0[..., 0] + _outcome_sum(prob * (values - x0))
-        # an outcome of probability 0 adds 0 to every sum, even where its
-        # centred powers would overflow to inf (0 * inf is nan)
-        centred = np.where(prob != 0.0, sub(values, centre[..., None]), 0.0)
-        sq = centred * centred
-        c2, c3, c4 = _compensated_sum(prob * np.stack((sq, sq * centred, sq * sq)))
-        return (mean, c2, c3, sub(c4, 3.0 * c2 * c2))
-
-
-def _compensated_sum(terms: np.ndarray) -> np.ndarray:
-    """``terms`` summed over the last axis in outcome order with Kahan's
-    compensation: within about eps of the sum of the terms' magnitudes."""
-    total = carry = 0.0
-    for row in np.ascontiguousarray(np.moveaxis(terms, -1, 0)):
-        term = row - carry
-        new = total + term
-        total, carry = new, (new - total) - term
-    return total
+        kappas = np.array(_moments(values, prob, pivot, mask, magnitudes))
+    return kappas.transpose(*range(1, kappas.ndim), 0)
 
 
 class CumulantBlock(NamedTuple):
@@ -120,21 +119,17 @@ class CumulantBlock(NamedTuple):
 def _checked_block(kw: np.ndarray, kq: np.ndarray) -> CumulantBlock:
     """The cumulant block of ``kw`` and ``kq``, the first four cumulants or
     the means alone (a last axis of length 4 or 1), its mean bath heat from
-    energy conservation, <Q_T> = <W> - <Q_M>.
-
-    Every point must be finite and have nonnegative variances (an
-    enumerated variance is a sum of nonnegative terms, and the
-    characteristic-function route clamps its rounding residue); where points
-    fail, the first of them (in C order) raises its error, finiteness
-    checked before the variances.
-    """
+    energy conservation, <Q_T> = <W> - <Q_M>.  Every point is checked as
+    :func:`~unital_otto.formulas._checked` checks one (an enumerated variance
+    is a sum of nonnegative terms, and the characteristic-function route
+    clamps its rounding residue); the first failing point (in C order)
+    raises its error."""
     qt = kw[..., 0] - kq[..., 0]
-    finite = np.isfinite(kw).all(-1) & np.isfinite(kq).all(-1) & np.isfinite(qt)
-    ok = finite & (kw[..., 1:2] >= 0.0).all(-1) & (kq[..., 1:2] >= 0.0).all(-1)
-    if not ok.all():
+    ok = np.isfinite(kw).all(-1) & np.isfinite(kq).all(-1) & np.isfinite(qt)
+    ok &= (kw[..., 1:2] >= 0.0).all(-1) & (kq[..., 1:2] >= 0.0).all(-1)
+    if not ok.all():  # ``ok`` holds exactly the point's checks, so this raises
         i = np.unravel_index(np.argmin(ok), ok.shape)
-        raise InputError("variances must be nonnegative" if finite[i]
-                         else "cumulants must be finite")
+        _checked(kw[i].tolist(), kq[i].tolist())
     return CumulantBlock(w=kw, q_m=kq, qt_mean=qt)
 
 
@@ -147,8 +142,7 @@ def cumulants_from_block(block: DistributionBlock) -> CumulantBlock:
     + 12 mu2 mu1^2 - 6 mu1^4) are evaluated in centred form, which is
     algebraically identical and numerically exact on a finite support.
     """
-    return _checked_block(*(np.stack(_marginal_cumulants(x, block.prob), axis=-1)
-                            for x in (block.w, block.q_m)))
+    return _checked_block(*_block_moments(block))
 
 
 # overflow gives inf and inf - inf nan, silently, as Python floats do

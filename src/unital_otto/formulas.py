@@ -1,16 +1,17 @@
 """The package's formulas, written once for Python floats and numpy arrays.
 
 The path table (:func:`_outcomes`), the closed forms of the first two
-cumulants (:func:`_first_two`) and the log-series of the characteristic
-function (:func:`_series_cumulants`) are plain arithmetic: ``+``, ``-``,
-``*``, ``abs`` and :mod:`operator`.  Each takes t = tanh(beta nu1), by its
-one rule (:attr:`CycleParams.tanh_beta_nu1`), and its other columns as
-floats, at one point, or as numpy arrays of points, as the array layer
-(:mod:`.trajectory`, :mod:`.cumulants`) evaluates grids.  A command-line
-run at one point (``cumulants``, ``sample``) evaluates them in floats,
-checks its point with the scalar validators that a block replays for its
-first failing point (:func:`_checked_point`), sums its moments in outcome
-order (:func:`_point_cumulants`) and draws on the binomial chain
+cumulants (:func:`_first_two`), the characteristic function's log-series
+(:func:`_series_cumulants`) and the moment rule (:func:`_moments`) are
+plain arithmetic: ``+``, ``-``, ``*``, ``abs`` and :mod:`operator`.  Each
+takes t = tanh(beta nu1), by its one rule (:attr:`CycleParams.tanh_beta_nu1`),
+and its other columns as floats, at one point, or as numpy arrays of
+points, as the array layer (:mod:`.trajectory`, :mod:`.cumulants`)
+evaluates grids.  A command-line run at one point (``cumulants``,
+``sample``) evaluates them in floats, checks its point with the scalar
+validators that a block replays for its first failing point
+(:func:`_checked_point`), sums its table as a grid sums a row
+(:func:`_point_cumulants`) and draws on the binomial chain
 (:func:`_shares`), so it loads no numpy.  This module imports none.
 """
 
@@ -128,7 +129,7 @@ class DistributionBlock(NamedTuple):
     zero-probability outcomes kept, so every point has the same columns.
     One point's distribution (:func:`~unital_otto.trajectory.enumerate_paths`,
     :func:`~unital_otto.trajectory.sample`) has 1-d arrays, one entry per
-    outcome; evaluated in floats (:func:`_point_distribution`), tuples.
+    outcome; evaluated in floats (:func:`_point_distribution`), lists.
     """
 
     w: np.ndarray
@@ -182,8 +183,8 @@ def _checked_point(beta, nu1, nu2, delta, zeta, theta, alpha=None, branch: str =
 
 
 def _sum(terms) -> float:
-    """The float sum of ``terms``, left to right (Python 3.12's ``sum``
-    compensates)."""
+    """The sum of ``terms``, floats or arrays, left to right (Python 3.12's
+    ``sum`` compensates): every outcome sum, a point's or a grid's."""
     total = 0.0
     for term in terms:
         total += term
@@ -191,42 +192,49 @@ def _sum(terms) -> float:
 
 
 def _point_distribution(t: float, nu1, nu2, delta, zeta, flip) -> DistributionBlock:
-    """One checked point's joint distribution in floats, as
-    :func:`~unital_otto.trajectory.enumerate_paths` gives it: the outcomes
-    of nonzero probability sorted by (W, Q_M, p), each field a tuple.  A sum
-    of probabilities further from 1 than ``_SUM_BOUND`` raises
+    """One checked point's joint distribution in floats, a block's row as
+    lists: the nine outcomes in table order, zero-probability ones kept.  A
+    sum of probabilities further from 1 than ``_SUM_BOUND`` raises
     :class:`PhysicsError`, as a block's row does."""
     block = _outcomes(t, nu1, nu2, delta, zeta, _flip(flip))
     total = _sum(block.prob)
     if abs(total - 1.0) > _SUM_BOUND:
         raise PhysicsError(f"probabilities sum to {total!r}, not 1")
-    return DistributionBlock(*zip(*sorted(row for row in zip(*block) if row[2] != 0.0)))
+    return block
 
 
-def _cumulants(values, prob) -> tuple:
-    """First four cumulants of one variable of a point's distribution in
-    floats.  The moments are summed in outcome order about a pivot, the
-    value x0 of the most probable outcome: the mean is x0 + sum p (x - x0),
-    then come the centred sums.  A variable that takes one value has
-    kappa_2..4 exactly 0, in any order of summation.  An outcome of
-    probability 0 adds nothing, even where its centred powers overflow."""
-    pivot = values[prob.index(max(prob))]
-    terms = [(p, x) for x, p in zip(values, prob) if p != 0.0]
-    mean = pivot + _sum(p * (x - pivot) for p, x in terms)
-    c2 = c3 = c4 = 0.0
-    for p, x in terms:
-        centred = x - mean
+def _support(dist: DistributionBlock) -> DistributionBlock:
+    """A point's outcomes of nonzero probability, sorted, as tuples."""
+    return DistributionBlock(*zip(*sorted(row for row in zip(*dist) if row[2] != 0.0)))
+
+
+def _moments(values, prob, pivot, mask, magnitudes: bool = False) -> tuple:
+    """The first four cumulants of a variable, in table order: the package's
+    one moment rule.  ``values`` and ``prob`` hold each outcome's value and
+    probability, a float at one point or an array over points.  kappa_1 =
+    sum p x; the centred sums, compensated (Kahan), are taken about pivot +
+    sum p (x - pivot), ``pivot`` the most probable value, so that a certain
+    variable has kappa_2..4 exactly 0.  ``mask(p, x)`` is x where p != 0,
+    else 0, where x may have overflowed.  With ``magnitudes``, the same sums
+    over |x| about the mean, each a - b read as a + b (as in
+    :func:`_first_two`), for :func:`is_rounding_residue`."""
+    sub, values = (operator.add, [abs(x) for x in values]) if magnitudes else (operator.sub, values)
+    mean = _sum([p * x for p, x in zip(prob, values)])
+    centre = mean if magnitudes else pivot + _sum([p * (x - pivot) for p, x in zip(prob, values)])
+    total, carry = [0.0] * 3, [0.0] * 3
+    for p, x in zip(prob, values):
+        centred = mask(p, sub(x, centre))
         sq = centred * centred
-        c2 += p * sq
-        c3 += p * (sq * centred)
-        c4 += p * (sq * sq)
-    return mean, c2, c3, c4 - 3.0 * c2 * c2
+        for j, term in enumerate((p * sq, p * (sq * centred), p * (sq * sq))):
+            new = total[j] + (term := term - carry[j])
+            total[j], carry[j] = new, (new - total[j]) - term
+    c2, c3, c4 = total
+    return mean, c2, c3, sub(c4, 3.0 * c2 * c2)
 
 
 def _checked(kw: tuple, kq: tuple) -> tuple:
-    """(kw, kq, <Q_T>) of one point's cumulants, <Q_T> = <W> - <Q_M>,
-    checked as :func:`~unital_otto.cumulants.cumulants_from_block` checks a
-    point: every value finite, then both variances nonnegative."""
+    """(kw, kq, <Q_T>) of one point's cumulants, <Q_T> = <W> - <Q_M>, checked,
+    a block's points too: every value finite, then both variances nonnegative."""
     qt = kw[0] - kq[0]
     if not all(map(math.isfinite, (*kw, *kq, qt))):
         raise InputError("cumulants must be finite")
@@ -237,8 +245,11 @@ def _checked(kw: tuple, kq: tuple) -> tuple:
 
 def _point_cumulants(dist: DistributionBlock) -> tuple:
     """The first four cumulants of W and of Q_M of a point's distribution
-    in floats (:func:`_cumulants`), and <Q_T>, checked (:func:`_checked`)."""
-    return _checked(*(_cumulants(x, dist.prob) for x in (dist.w, dist.q_m)))
+    in floats (:func:`_moments`), and <Q_T>, checked (:func:`_checked`)."""
+    i = dist.prob.index(max(dist.prob))  # the most probable outcome, the first of equals
+    kappas = (_moments(x, dist.prob, x[i], lambda p, c: c if p != 0.0 else 0.0)
+              for x in (dist.w, dist.q_m))
+    return _checked(*kappas)
 
 
 class FirstTwoCumulants(NamedTuple):

@@ -29,11 +29,11 @@ zero-probability outcomes dropped and the rest sorted, as 1-d arrays.
 :func:`sample` draws from such a point and returns the draws' empirical
 distribution as a block of the same outcomes: the package's one
 distribution type.  The table, :class:`CycleParams` with the rule for t,
-the block type and the binomial chain live in :mod:`.formulas`, which
-imports no numpy; a grid's sums here run in outcome order, with no BLAS
-call.  Every block function checks its columns and computes t once, in
-:func:`_checked_columns`; the first failing point (in C order) raises the
-error it raises alone.
+the block type, the outcome sum and the binomial chain live in
+:mod:`.formulas`, which imports no numpy; a grid's sums add its outcome
+columns in table order, with no BLAS call.  Every block function checks
+its columns and computes t once, in :func:`_checked_columns`; the first
+failing point (in C order) raises the error it raises alone.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ import numpy as np
 
 from .formulas import (
     _SUM_BOUND, CycleParams, DistributionBlock, _checked_point, _flip, _outcomes,
-    _point_distribution, _shares, _sum,
+    _point_distribution, _shares, _sum, _support,
 )
 from .qstate import ControlSpec, InputError, PhysicsError
 
@@ -64,15 +64,6 @@ def _tanh_columns(beta, nu1) -> np.ndarray:
     product = np.multiply(beta, nu1)
     t = map(math.tanh, product.ravel().tolist())
     return np.fromiter(t, float, product.size).reshape(product.shape)
-
-
-def _outcome_sum(terms: np.ndarray) -> np.ndarray:
-    """Each point's ``terms`` summed over the last axis in outcome order, as
-    :func:`~unital_otto.formulas._sum` adds them: numpy adds term by term
-    along any axis but the fast one, and a lone point is summed in floats."""
-    if terms.size == terms.shape[-1]:
-        return np.array(_sum(terms.ravel().tolist())).reshape(terms.shape[:-1])[()]
-    return np.asfortranarray(terms).sum(-1)
 
 
 def _evaluate(t, nu1, nu2, delta, zeta, channel) -> DistributionBlock:
@@ -102,7 +93,7 @@ def enumerate_paths(
     :class:`PhysicsError` is raised.
     """
     dist = _point_distribution(*_checked_point(*params, theta, *(ctrl or ())))
-    return DistributionBlock(*map(np.array, dist))
+    return DistributionBlock(*map(np.array, _support(dist)))
 
 
 def _controlled_flip(theta, alpha, branch: str) -> np.ndarray:
@@ -162,7 +153,7 @@ def _enumerate(t, nu1, nu2, delta, zeta, flip) -> DistributionBlock:
     such point in C order."""
     cycle = (x.ravel() for x in (t, nu1, nu2, delta, zeta))
     block = _evaluate(*cycle, _flip(flip.ravel()))
-    total = _outcome_sum(block.prob)
+    total = _sum(block.prob.T)
     failed = np.abs(total - 1.0) > _SUM_BOUND
     if failed.any():
         raise PhysicsError(f"probabilities sum to {float(total[np.argmax(failed)])!r}, not 1")
@@ -190,7 +181,7 @@ def sample(dist: DistributionBlock, n: int, seed: int) -> DistributionBlock:
         raise InputError("outcomes and probabilities must be finite")
     if p.min(initial=0.0) < 0.0:
         raise InputError(f"outcome probability {float(p.min())!r} is negative")
-    total = float(p.sum())
+    total = _sum(p.tolist())
     if abs(total - 1.0) > _SUM_BOUND:
         raise InputError(f"probabilities sum to {total!r}, not 1")
     return DistributionBlock(w, q, np.array(_shares(p.tolist(), n, seed)))

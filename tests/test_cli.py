@@ -1141,12 +1141,14 @@ def test_closed_form_and_bound_rows_print_no_negative_zero(tmp_path, capsys):
     assert "-0" not in cells
 
 
-def fresh_python(*args, cwd=None, **env):
+def fresh_python(*args, cwd=None, stdout=subprocess.PIPE, **env):
     """Run ``python *args`` in a fresh interpreter that imports this
-    checkout's package."""
+    checkout's package, its output captured or written to ``stdout``; one
+    that runs over a minute is killed."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, cwd=cwd,
+    return subprocess.run([sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE,
+                          text=True, cwd=cwd, timeout=60,
                           env=dict(os.environ, PYTHONPATH=path, **env))
 
 
@@ -1157,6 +1159,25 @@ def test_an_array_command_run_as_a_module_reports_its_config_error():
                         "--start", "0", "--stop", "1", "--steps", "1")
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == "config error: steps must be >= 2\n"
+
+
+def test_a_closed_pipe_ends_a_run_quietly():
+    # a reader that has gone, as `| head -1` leaves: the run exits 1 with
+    # nothing on stderr, the exit's flush included.  The read end is closed
+    # before the run starts, so that its first write fails with EPIPE;
+    # fresh_python waits for the run, or kills it.  stdout is buffered, as
+    # on a pipe by default (CPython reads an empty value as unset), so that
+    # a short table reaches the pipe only when flushed
+    sweep = ["sweep", *POINT, "--axis", "delta", "--start", "0", "--stop", "0.5",
+             "--steps", "20000"]
+    for argv in (sweep, ["cumulants", *POINT]):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = fresh_python("-m", "unital_otto.cli", *argv, stdout=write, PYTHONUNBUFFERED="")
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (1, ""), argv[0]
 
 
 def test_overflowing_cumulants_print_only_the_error():

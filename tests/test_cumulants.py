@@ -561,27 +561,49 @@ def test_derivative_route_matches_exact_oracle():
 
 
 def test_outcome_sums_add_in_outcome_order_on_any_layout():
-    # a grid's sums over its outcomes are formulas._sum's, term by term
-    # from the first outcome, in either memory layout and for a lone point;
-    # the compensated sums of the centred moments lie within 2 eps of the
-    # sum of their terms' magnitudes (Kahan's bound is eps + O(n eps^2))
+    # the one moment rule (formulas._moments) adds in table order: a grid's
+    # cumulants are a point's in floats, bit for bit, in either memory
+    # layout and for a lone point, and kappa_1 is formulas._sum of p x,
+    # term by term from the first outcome; the compensated centred sums lie
+    # within 2 eps of the sum of their terms' magnitudes (Kahan's bound is
+    # eps + O(n eps^2))
     from fractions import Fraction
 
-    from unital_otto.cumulants import _compensated_sum
-    from unital_otto.formulas import _sum
-    from unital_otto.trajectory import _outcome_sum
+    from unital_otto.cumulants import _block_moments
+    from unital_otto.formulas import DistributionBlock, _point_cumulants, _sum
 
     rng = np.random.default_rng(40)
-    terms = rng.standard_normal((300, 9)) * 10.0 ** rng.integers(-8, 8, (300, 9))
-    want = [_sum(row) for row in terms.tolist()]
-    for layout in (terms, np.asfortranarray(terms), terms.reshape(20, 15, 9)):
-        assert _outcome_sum(layout).ravel().tolist() == want
+    w, q = rng.standard_normal((2, 300, 9)) * 10.0 ** rng.integers(-8, 8, (2, 300, 9))
+    prob = np.where(rng.random((300, 9)) < 0.2, 0.0, rng.random((300, 9)))
+    rows = [DistributionBlock(*row) for row in zip(w.tolist(), q.tolist(), prob.tolist())]
+    want = np.array([_point_cumulants(row)[:2] for row in rows])  # (300, 2, 4)
+
+    def moments(*fields):
+        return np.moveaxis(_block_moments(DistributionBlock(*fields)), 0, -2)
+
+    for layout in (np.array, np.asfortranarray, lambda x: x.reshape(20, 15, 9)):
+        assert moments(*map(layout, (w, q, prob))).reshape(want.shape).tobytes() == want.tobytes()
     for i in (0, 7):
-        assert _outcome_sum(terms[i]) == _outcome_sum(terms[i:i + 1])[0] == want[i]
-    for row, total in zip(terms.tolist(), _compensated_sum(terms).tolist()):
-        error = abs(Fraction(total) - sum(map(Fraction, row)))
-        assert error <= 2 * Fraction(2.0**-52) * sum(abs(Fraction(x)) for x in row)
-    # eight terms that a plain sum drops one by one
-    small = [1.0] + [1e-16] * 8
-    assert _sum(small) == 1.0
-    assert _compensated_sum(np.array(small)) == float(sum(map(Fraction, small)))
+        lone = moments(w[i], q[i], prob[i])
+        assert lone.tobytes() == moments(w[i:i + 1], q[i:i + 1], prob[i:i + 1])[0].tobytes()
+        assert lone.tobytes() == want[i].tobytes()
+    eps = Fraction(2.0**-52)
+    for row, got in zip(rows, want):
+        for x, (mean, c2, c3, _) in zip(row[:2], got):
+            assert mean == _sum(p * v for p, v in zip(row.prob, x))
+            # the terms of the centred sums, about the most probable value
+            x0 = x[row.prob.index(max(row.prob))]
+            centre = x0 + _sum(p * (v - x0) for p, v in zip(row.prob, x))
+            centred = [v - centre if p != 0.0 else 0.0 for p, v in zip(row.prob, x)]
+            for total, power in ((c2, 2), (c3, 3)):
+                terms = [Fraction(p * (d * d if power == 2 else d * d * d))
+                         for p, d in zip(row.prob, centred)]
+                assert abs(Fraction(total) - sum(terms)) <= 2 * eps * sum(map(abs, terms))
+    # eight terms that a plain sum drops one by one: the centred squares of
+    # the magnitudes (|x| + 1)^2, mean 1, weighed by p are 4 and 4e-16
+    small = [1.0] + [0.0] * 8
+    prob = [1.0] + [4e-16] * 8
+    terms = [p * (x + 1.0) ** 2 for p, x in zip(prob, small)]
+    assert _sum(terms) == 4.0
+    c2 = _block_moments(DistributionBlock(*map(np.array, (small, small, prob))), True)[0, 1]
+    assert c2 == float(sum(map(Fraction, terms))) > 4.0

@@ -4,14 +4,13 @@ is the array layer's point, bit for bit, at the one t of both, and its
 enumerated cumulants are exact to rounding."""
 
 import math
-import os
 from fractions import Fraction
 
 import numpy as np
 
 from unital_otto import (
-    ControlSpec, closed_form_block, enumerate_block, formulas, trajectory,
-    verify_bounds_block,
+    ControlSpec, closed_form_block, cumulants_from_block, enumerate_block, formulas,
+    trajectory, verify_bounds_block,
 )
 from unital_otto.cli import main
 
@@ -65,7 +64,8 @@ def _bits(values) -> list[str]:
 
 
 def test_a_float_point_is_the_array_point_at_the_same_t():
-    # at the package's t, a point's table and closed forms (values and
+    # at the package's t, a point's table (in table order, and sorted with
+    # its zero-probability outcomes dropped) and closed forms (values and
     # magnitudes) in floats are the array layer's
     columns, controls = random_points()
     t = trajectory._tanh_columns(columns[0], columns[1])
@@ -77,9 +77,11 @@ def test_a_float_point_is_the_array_point_at_the_same_t():
             cycle = formulas._checked_point(*point, *(controls[i] or ()))
             assert cycle[0] == t[i]
             row = enumerate_block(*point, *(controls[i] or ()))
+            table = formulas._point_distribution(*cycle)
+            assert _bits(sum(table, [])) == _bits(np.concatenate(row)), point
             keep = row.prob != 0.0
             want = tuple(zip(*sorted(zip(*(x[keep].tolist() for x in row)))))
-            assert formulas._point_distribution(*cycle) == want, point
+            assert formulas._support(table) == want, point
             values.append(formulas._first_two(*cycle))
             magnitudes.append(formulas._first_two(*cycle, True))
             flips.append(cycle[-1])
@@ -113,11 +115,14 @@ def test_float_cumulants_are_exact_to_rounding():
 
 
 def test_a_grid_point_is_the_point_alone(tmp_path):
-    # at 2000 of the points, a cumulants run's distribution and bound
-    # reports are the point's row of a grid, bit for bit
+    # at 2000 of the points, a cumulants run's enumerated cumulants,
+    # distribution and bound reports are the point's row of a grid, bit for
+    # bit, and a sample run's exact mean and variance of W and of Q_M are
+    # the kappa_1 and kappa_2 that cumulants prints
     columns, controls = random_points()
     columns, controls = [c[:2000] for c in columns], controls[:2000]
-    dist_out, bounds_out = tmp_path / "dist.csv", tmp_path / "bounds.csv"
+    out, dist_out, bounds_out = tmp_path / "out.csv", tmp_path / "dist.csv", tmp_path / "bounds.csv"
+    drawn = tmp_path / "sample.csv"
     # one grid per kind of point: its control's branch, and whether zeta =
     # delta, which adds the symmetric cycle's bound
     kinds = {}
@@ -127,21 +132,33 @@ def test_a_grid_point_is_the_point_alone(tmp_path):
         grid = [c[index] for c in columns]
         control = () if branch is None else (np.array([controls[i][0] for i in index]), branch)
         dists = enumerate_block(*grid, *control)
+        cums = cumulants_from_block(dists)
         reports = verify_bounds_block(*grid, *control)
         for row, i in enumerate(index):
-            point = [float(c[i]) for c in columns]
-            names = ("beta", "nu1", "nu2", "delta", "zeta", "theta")
-            argv = [f"--{name}={x!r}" for name, x in zip(names, point)]
-            if controls[i]:
-                argv += [f"--cs-alpha={controls[i][0]!r}", f"--branch={branch}"]
-            assert main(["cumulants", *argv, "--out", os.devnull, "--dist-out", str(dist_out),
+            argv = _point_argv(columns, controls, i)
+            assert main(["cumulants", *argv, "--out", str(out), "--dist-out", str(dist_out),
                          "--bounds-out", str(bounds_out)]) == 0
+            kappas = [*cums.w[row].tolist(), *cums.q_m[row].tolist(), float(cums.qt_mean[row])]
+            enumeration = _table(out)[0]
+            assert enumeration == ["enumeration", *map(_cell, kappas)], i
+            assert main(["sample", *argv, "--samples", "1", "--out", str(drawn)]) == 0
+            w, q = _table(drawn)
+            assert [w[1], w[5], q[1], q[5]] == [enumeration[j] for j in (1, 2, 5, 6)], i
             keep = dists.prob[row] != 0.0
             outcomes = sorted(zip(*(x[row][keep].tolist() for x in dists)))
             assert _table(dist_out) == [list(map(_cell, o)) for o in outcomes], i
             bounds = [[r.name, *(_cell(float(x[row])) for x in r[1:3]), bool(r.applicable[row]),
                        bool(r.satisfied[row]), _cell(float(r.margin[row]))] for r in reports]
             assert _table(bounds_out) == bounds, i
+
+
+def _point_argv(columns, controls, i) -> list[str]:
+    """The command-line flags of point ``i`` of :func:`random_points`."""
+    names = ("beta", "nu1", "nu2", "delta", "zeta", "theta")
+    argv = [f"--{name}={float(c[i])!r}" for name, c in zip(names, columns)]
+    if controls[i]:
+        argv += [f"--cs-alpha={controls[i][0]!r}", f"--branch={controls[i][1]}"]
+    return argv
 
 
 def _cell(value: float):
